@@ -216,8 +216,6 @@ def _fmt(x: float) -> str:
 
 _COMMON_DEFAULTS = {
     "scenario": ...,
-    "seed": 0,
-    "workers": 1,
     "out": ".",
     "horizon": 10**4,
     "tol": crit.DEFAULT_TOL,
@@ -228,12 +226,10 @@ def _resolve(config: dict, args, allowed_extra: dict) -> dict:
     allowed = dict(_COMMON_DEFAULTS)
     allowed.update(allowed_extra)
     cfg = _check_keys(config, allowed, "config")
-    for key in ("seed", "workers", "out", "horizon", "tol"):
+    for key in ("out", "horizon", "tol"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    cfg["seed"] = int(cfg["seed"])
-    cfg["workers"] = int(cfg["workers"])
     cfg["horizon"] = int(cfg["horizon"])
     cfg["tol"] = float(cfg["tol"])
     return cfg
@@ -270,7 +266,6 @@ def run_density(config: dict, args) -> int:
 
 def run_jsets(config: dict, args) -> int:
     cfg = _resolve(config, args, {"nseq": ..., "k": None})
-    cfg["horizon"] = int(cfg["horizon"])
     out = cfg["out"]
     _echo(cfg, out)
     fam = dens.generate_jsets(cfg["nseq"], cfg["k"], cfg["horizon"])
@@ -550,8 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in SCENARIOS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON scenario config")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--workers", type=int, default=None)
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--horizon", type=int, default=None)
         sp.add_argument("--tol", type=float, default=None)

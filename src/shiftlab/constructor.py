@@ -9,6 +9,7 @@ near target x_k at every time in class k.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from .seqspace import (
 from .shiftops import (
     BACKWARD,
     DEFAULT_STEP_CAP,
+    FORWARD,
     OperatorSpec,
     WeightSeq,
     iterate,
@@ -192,38 +194,33 @@ class SelectionDetail:
     worst_tail: float
 
 
-def select_Nk(
-    space: SpaceSpec,
-    w: WeightSeq,
-    q: int,
-    targets,
-    schedule: EpsilonSchedule | None = None,
-    *,
-    n_max: int = 4096,
-    criterion_kwargs: dict | None = None,
-) -> tuple[tuple[int, ...], tuple[SelectionDetail, ...]]:
-    """Choose strictly increasing thresholds N_k so that, for every
-    target with index at most k, the certified tail of the backward and
-    forward series beyond N_k stays below eps_k.
-
-    Refuses (with the failing report attached) when the convergence
-    criterion does not hold on the targets' support.
-    """
-    targets = tuple(targets)
+def _criterion_or_refuse(space: SpaceSpec, w: WeightSeq, q: int,
+                         targets: tuple[CoeffVector, ...]) -> CriterionReport:
+    """The criterion report on the targets' support, or a refusal carrying
+    it.  Runs before any other prefix access: the cached prefix sums
+    depend on the order in which the cache grows."""
     if not targets:
         raise InvalidArgumentError("need at least one target")
-    jmax = max(max(x.support, default=1) for x in targets)
-    n_max = max(64, min(n_max, iroot(DEFAULT_STEP_CAP - jmax, q)))
-    schedule = schedule or EpsilonSchedule()
-    schedule.validate(len(targets))
     support = sorted({j for x in targets for j in x.support})
-    report = qfhc_check(space, w, q, support, **(criterion_kwargs or {}))
+    report = qfhc_check(space, w, q, support)
     if report.overall != SATISFIES:
         raise ConstructionRefusedError(
             f"criterion not satisfied ({report.overall}) for weights "
             f"{w.describe()} at q={q}",
             report=report,
         )
+    return report
+
+
+def _thresholds(space: SpaceSpec, w: WeightSeq, q: int,
+                targets: tuple[CoeffVector, ...], schedule: EpsilonSchedule,
+                n_max: int, report: CriterionReport,
+                ) -> tuple[tuple[int, ...], tuple[SelectionDetail, ...]]:
+    """The thresholds of ``select_Nk``, once the criterion holds."""
+    jmax = max(max(x.support, default=1) for x in targets)
+    n_max = max(64, min(n_max, iroot(DEFAULT_STEP_CAP - jmax, q)))
+    schedule.validate(len(targets))
+    support = sorted({j for x in targets for j in x.support})
     s_tails = {j: _certified_s_tails(space, w, q, j, n_max) for j in support}
     # per-target combined tails, via the triangle inequality over support
     tails = []
@@ -254,6 +251,27 @@ def select_Nk(
         )
         prev = n_k
     return tuple(nseq), tuple(details)
+
+
+def select_Nk(
+    space: SpaceSpec,
+    w: WeightSeq,
+    q: int,
+    targets,
+    schedule: EpsilonSchedule | None = None,
+    *,
+    n_max: int = 4096,
+) -> tuple[tuple[int, ...], tuple[SelectionDetail, ...]]:
+    """Choose strictly increasing thresholds N_k so that, for every
+    target with index at most k, the certified tail of the backward and
+    forward series beyond N_k stays below eps_k.
+
+    Refuses (with the failing report attached) when the convergence
+    criterion does not hold on the targets' support.
+    """
+    targets = tuple(targets)
+    report = _criterion_or_refuse(space, w, q, targets)
+    return _thresholds(space, w, q, targets, schedule or EpsilonSchedule(), n_max, report)
 
 
 @dataclass(frozen=True)
@@ -292,24 +310,15 @@ def build_vector(
     classes: the horizon caps the exponent n^q, not the class index n."""
     targets = tuple(targets)
     schedule = schedule or EpsilonSchedule()
+    crit = _criterion_or_refuse(space, w, q, targets)
     if nseq is None:
-        nseq, details = select_Nk(
-            space, w, q, targets, schedule, n_max=n_max
-        )
-        support = sorted({j for x in targets for j in x.support})
-        crit = qfhc_check(space, w, q, support)
+        nseq, details = _thresholds(space, w, q, targets, schedule, n_max, crit)
     else:
-        nseq = tuple(int(n) for n in nseq)
-        details = ()
-        support = sorted({j for x in targets for j in x.support})
-        crit = qfhc_check(space, w, q, support)
-        if crit.overall != SATISFIES:
-            raise ConstructionRefusedError(
-                "criterion not satisfied for supplied nseq", report=crit
-            )
+        nseq, details = tuple(int(n) for n in nseq), ()
     k_classes = len(targets)
     n_horizon = iroot(horizon, q)
     jsets = generate_jsets(nseq, k_classes, n_horizon)
+    fwd = OperatorSpec(w, FORWARD)
     warns = []
     entries: dict[int, complex] = {}
     block_norms = []
@@ -322,14 +331,8 @@ def build_vector(
             )
         block: dict[int, complex] = {}
         for n in cls:
-            steps = n**q
-            for j, c in x_k.entries.items():
-                delta = w.prefix(j) * w.prefix(j + steps).inverse()
-                lm = math.log(abs(c)) + delta.logmag
-                ph = math.atan2(c.imag, c.real) + delta.phase
-                val = complex(math.exp(lm) * math.cos(ph), math.exp(lm) * math.sin(ph))
-                idx = j + steps
-                block[idx] = block.get(idx, 0j) + val
+            for idx, lm, ph in orbit_entries(fwd, x_k, n**q):
+                block[idx] = block.get(idx, 0j) + cmath.rect(math.exp(lm), ph)
         bv = CoeffVector(w.domain, block)
         block_norms.append(fnorm(space, bv))
         for idx, val in block.items():
@@ -492,15 +495,6 @@ class HitExperimentResult:
     operator: str
 
 
-def _materialize_entries(domain, entry_list) -> CoeffVector:
-    out: dict[int, complex] = {}
-    for idx, lm, ph in entry_list:
-        out[idx] = out.get(idx, 0j) + complex(
-            math.exp(lm) * math.cos(ph), math.exp(lm) * math.sin(ph)
-        )
-    return CoeffVector(domain, out)
-
-
 def hit_experiment(
     space: SpaceSpec,
     op: OperatorSpec,
@@ -530,18 +524,15 @@ def hit_experiment(
     hits = []
     events = []
     for n, steps in pairs:
-        entry_list = orbit_entries(op, x, steps * op.power)
         if isinstance(target, ModulusTarget):
-            mags = {idx: math.exp(lm) for idx, lm, _ in entry_list}
+            mags = {idx: math.exp(lm) for idx, lm, _ in orbit_entries(op, x, steps * op.power)}
             hit = bool(target.predicate(mags))
             value = max(mags.values(), default=0.0)
         elif isinstance(target, BallTarget):
-            v = _materialize_entries(x.domain, entry_list)
-            value = fnorm(space, v - target.center)
+            value = fnorm(space, iterate(op, x, steps) - target.center)
             hit = value < target.radius
         elif isinstance(target, WeakStarTarget):
-            v = _materialize_entries(x.domain, entry_list)
-            value = weakstar_gap(v, target.center, target.functionals)
+            value = weakstar_gap(iterate(op, x, steps), target.center, target.functionals)
             hit = value < target.eps
         else:
             raise InvalidArgumentError(f"unknown target type {type(target)!r}")

@@ -10,13 +10,13 @@ that fired is always named.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .density import iroot
 from .errors import InvalidArgumentError
-from .seqspace import BILATERAL, UNILATERAL, CoeffVector, SpaceSpec, fnorm
+from .seqspace import BILATERAL, UNILATERAL, CoeffVector, SpaceSpec, entire, fnorm, lp
 from .shiftops import TMuWeight, WeightSeq, smu_series_logmags
 
 CONVERGES = "converges"
@@ -168,6 +168,24 @@ def _blocks(checkpoints):
     return out
 
 
+def _block_trend(blocks, tol):
+    """The block rule shared by both classifiers, over a window of the
+    last positive blocks: ``"decay"`` when every ratio is at most
+    _DECAY_RATIO, else ``"growth"`` when every ratio is at least
+    _GROWTH_RATIO and every block exceeds tol, else ``"small"`` when every
+    block is below tol, else None.  Returns (window, trend)."""
+    pos = [b for b in blocks if b > 0]
+    window = pos[-min(4, max(2, len(pos) // 2)) :] if len(pos) >= 2 else pos
+    ratios = [b1 / b0 for b0, b1 in zip(window, window[1:]) if b0 > 0]
+    if ratios and all(r <= _DECAY_RATIO for r in ratios):
+        return window, "decay"
+    if ratios and all(r >= _GROWTH_RATIO for r in ratios) and all(b > tol for b in window):
+        return window, "growth"
+    if window and all(b < tol for b in window):
+        return window, "small"
+    return window, None
+
+
 def _tail_estimate(mag_fn, n_max: int, blocks) -> float | None:
     """Extrapolated tail beyond n_max: geometric if the term ratio is
     clearly below 1, otherwise a midpoint-integral of a fitted power law."""
@@ -227,38 +245,21 @@ def classify_magnitudes(
             sum_estimate=scan["total"],
             tail_estimate=0.0,
         )
-    pos = [b for b in blocks if b > 0]
-    window = pos[-min(4, max(2, len(pos) // 2)) :] if len(pos) >= 2 else pos
-    ratios = [b1 / b0 for b0, b1 in zip(window, window[1:]) if b0 > 0]
-    if ratios and all(r <= _DECAY_RATIO for r in ratios):
-        tail = _tail_estimate(mag_fn, n_max, blocks)
-        return Verdict(
-            CONVERGES,
-            "dyadic block sums decay geometrically",
-            SeriesProbe(probe.checkpoints, tail_estimate=tail),
-            sum_estimate=scan["total"] + (tail or 0.0),
-            tail_estimate=tail,
-        )
-    if (
-        ratios
-        and all(r >= _GROWTH_RATIO for r in ratios)
-        and all(b > tol for b in window)
-    ):
-        return Verdict(
-            DIVERGES,
-            "non-decaying dyadic block sums (condensation)",
-            probe,
-        )
-    if window and all(b < tol for b in window):
-        tail = _tail_estimate(mag_fn, n_max, blocks)
-        return Verdict(
-            CONVERGES,
-            "tail block sums below tolerance",
-            SeriesProbe(probe.checkpoints, tail_estimate=tail),
-            sum_estimate=scan["total"] + (tail or 0.0),
-            tail_estimate=tail,
-        )
-    return Verdict(INCONCLUSIVE, "mixed block-sum behavior", probe)
+    _, trend = _block_trend(blocks, tol)
+    if trend == "growth":
+        return Verdict(DIVERGES, "non-decaying dyadic block sums (condensation)", probe)
+    if trend is None:
+        return Verdict(INCONCLUSIVE, "mixed block-sum behavior", probe)
+    tail = _tail_estimate(mag_fn, n_max, blocks)
+    return Verdict(
+        CONVERGES,
+        "dyadic block sums decay geometrically"
+        if trend == "decay"
+        else "tail block sums below tolerance",
+        SeriesProbe(probe.checkpoints, tail_estimate=tail),
+        sum_estimate=scan["total"] + (tail or 0.0),
+        tail_estimate=tail,
+    )
 
 
 def classify_sup_decay(mag_fn, n_max: int, *, tol: float = DEFAULT_TOL) -> Verdict:
@@ -414,11 +415,9 @@ def _fnorm_probe(space, terms, n_max, *, tol, divergence_threshold, seed):
         checkpoints=tuple(checkpoints),
         random_subset_sums=tuple(subset_sums),
     )
-    pos = [b for b in blocks if b > 0]
-    window = pos[-min(4, max(2, len(pos) // 2)) :] if len(pos) >= 2 else pos
-    ratios = [b1 / b0 for b0, b1 in zip(window, window[1:]) if b0 > 0]
+    window, trend = _block_trend(blocks, tol)
     max_subset = max((v for _, v in subset_sums), default=0.0)
-    if ratios and all(r <= _DECAY_RATIO for r in ratios):
+    if trend == "decay":
         tail = window[-1] / (1.0 - _DECAY_RATIO)
         return Verdict(
             CONVERGES,
@@ -427,19 +426,15 @@ def _fnorm_probe(space, terms, n_max, *, tol, divergence_threshold, seed):
             sum_estimate=checkpoints[-1][1],
             tail_estimate=tail,
         )
-    if window and all(b < tol for b in window) and max_subset < math.sqrt(tol):
+    if trend == "small" and max_subset < math.sqrt(tol):
         return Verdict(
             CONVERGES,
             "tail block F-norms below tolerance",
             probe,
             sum_estimate=checkpoints[-1][1],
-            tail_estimate=window[-1] if window else 0.0,
+            tail_estimate=window[-1],
         )
-    if (
-        ratios
-        and all(r >= _GROWTH_RATIO for r in ratios)
-        and all(b > tol for b in window)
-    ):
+    if trend == "growth":
         return Verdict(DIVERGES, "non-decaying block F-norms", probe)
     return Verdict(INCONCLUSIVE, "mixed block F-norm behavior", probe)
 
@@ -447,6 +442,13 @@ def _fnorm_probe(space, terms, n_max, *, tol, divergence_threshold, seed):
 # ---------------------------------------------------------------------------
 # criterion checkers
 # ---------------------------------------------------------------------------
+
+
+def _indices(indices) -> list:
+    indices = list(indices)
+    if not indices:
+        raise InvalidArgumentError("need at least one index")
+    return indices
 
 
 def _series_term_count(q: int, max_exp: int, exp_cap: int, max_offset: int) -> int:
@@ -534,9 +536,7 @@ def qfhc_check(
     """Probe the two basis-vector series (backward orbit sums at
     exponents n^q, and forward right-inverse sums) for every listed
     basis index."""
-    dense_indices = list(dense_indices)
-    if not dense_indices:
-        raise InvalidArgumentError("need at least one basis index")
+    dense_indices = _indices(dense_indices)
     jmax = max(abs(j) for j in dense_indices)
     n_max = _series_term_count(q, max_exp, exp_cap, jmax)
     w.warm(jmax + n_max**q, nmin=-(jmax + n_max**q) if w.domain == BILATERAL else 0)
@@ -606,7 +606,7 @@ def unilateral_condition(
     reciprocal prefix products at exponent-spaced indices, per offset j."""
     if space.kind not in ("lp", "c0"):
         raise InvalidArgumentError("unilateral condition reduces to lp or c0 only")
-    j_range = list(j_range)
+    j_range = _indices(j_range)
     jmax = max(j_range)
     n_max = _series_term_count(q, max_exp, exp_cap, jmax)
     w.warm(jmax + n_max**q)
@@ -652,7 +652,8 @@ def bilateral_condition(
         raise InvalidArgumentError("bilateral condition needs bilateral weights")
     if not on_c0 and (p is None or p < 1):
         raise InvalidArgumentError("provide p >= 1 or set on_c0=True")
-    j_range = list(j_range)
+    space = None if on_c0 else lp(p, BILATERAL)
+    j_range = _indices(j_range)
     jmax = max(abs(j) for j in j_range)
     n_max = _series_term_count(q, max_exp, exp_cap, jmax)
     reach = jmax + n_max**q
@@ -673,31 +674,12 @@ def bilateral_condition(
                 )
             )
         else:
-            with np.errstate(over="ignore", under="ignore"):
-                t1 = np.exp(-p * fwd)
-                t2 = np.exp(p * bwd)
-            entries.append(
-                ProbeEntry(
-                    f"forward series j={j}",
-                    classify_magnitudes(
-                        lambda m, _t=t1: _t[m - 1],
-                        n_max,
-                        tol=tol,
-                        divergence_threshold=divergence_threshold,
-                    ),
+            for side, lms in (("forward", -fwd), ("backward", bwd)):
+                verdict = _classify_weighted(
+                    space, lambda m, _lms=lms: _lms[m - 1], None, n_max, tol,
+                    divergence_threshold,
                 )
-            )
-            entries.append(
-                ProbeEntry(
-                    f"backward series j={j}",
-                    classify_magnitudes(
-                        lambda m, _t=t2: _t[m - 1],
-                        n_max,
-                        tol=tol,
-                        divergence_threshold=divergence_threshold,
-                    ),
-                )
-            )
+                entries.append(ProbeEntry(f"{side} series j={j}", verdict))
     label = "c0(Z)" if on_c0 else f"l^{p:g}(Z)"
     return _report(f"bilateral shift {w.describe()}", label, q, entries)
 
@@ -713,29 +695,13 @@ def weakstar_condition(
     exp_cap: int = DEFAULT_EXP_CAP,
 ) -> CriterionReport:
     """Absolute-convergence probe of the reciprocal product series per
-    offset (the weak* criterion reduces to absolute scalar convergence)."""
-    j_range = list(j_range)
-    jmax = max(j_range)
-    n_max = _series_term_count(q, max_exp, exp_cap, jmax)
-    w.warm(jmax + n_max**q)
-    entries = []
-    for j in j_range:
-
-        def mags(ns, _j=j):
-            with np.errstate(over="ignore", under="ignore"):
-                return np.exp(-w.prefix_logmag(_j + ns.astype(np.int64) ** q))
-
-        entries.append(
-            ProbeEntry(
-                f"j={j}",
-                classify_magnitudes(
-                    mags, n_max, tol=tol, divergence_threshold=divergence_threshold
-                ),
-            )
-        )
-    return _report(
-        f"backward shift {w.describe()}", "l^inf (weak*)", q, entries
+    offset (the weak* criterion reduces to absolute scalar convergence,
+    i.e. the l^1 case of the unilateral condition)."""
+    report = unilateral_condition(
+        w, lp(1), q, j_range, tol=tol, divergence_threshold=divergence_threshold,
+        max_exp=max_exp, exp_cap=exp_cap,
     )
+    return replace(report, space="l^inf (weak*)")
 
 
 def hc_check(
@@ -746,6 +712,7 @@ def hc_check(
 ) -> CriterionReport:
     """Orbit-norm decay of T^n e_j and S^n e_j up to the horizon
     (the plain hypercyclicity criterion, not the frequent one)."""
+    dense_indices = _indices(dense_indices)
     entries = []
     w.warm(max(abs(j) for j in dense_indices) + horizon)
     for j in dense_indices:
@@ -848,6 +815,7 @@ def fhc_check_tmu(
     probed through the truncated majorant norm at radii 1..rmax.
     """
     mu = complex(mu)
+    space = entire(rmax)
     n_max = 2**max_exp
     entries = []
     for k in degrees:
@@ -864,26 +832,13 @@ def fhc_check_tmu(
             )
         )
         base = smu_series_logmags(mu, k, np.arange(1, n_max + 1))
-        worst = None
-        for radius in range(1, rmax + 1):
-            logr = math.log(radius)
-
-            def mags(ns, _k=k, _base=base, _logr=logr):
-                nf = ns.astype(float)
-                with np.errstate(over="ignore", under="ignore"):
-                    return np.exp(_base[ns - 1] + (_k + nf) * _logr)
-
-            v = classify_magnitudes(
-                mags, n_max, tol=tol, divergence_threshold=divergence_threshold
-            )
-            if v.kind == DIVERGES:
-                worst = Verdict(
-                    DIVERGES, f"majorant series diverges at R={radius}", v.probe
-                )
-                break
-            if worst is None or v.kind == INCONCLUSIVE:
-                worst = v
-        entries.append(ProbeEntry(f"S-series z^{k}", worst))
-    return _report(
-        f"f(z) -> f'(mu z), mu={mu}", f"H(C) truncated at R={rmax}", 1, entries
-    )
+        verdict = _classify_weighted(
+            space,
+            lambda ns, _base=base: _base[ns - 1],
+            lambda ns, _k=k: _k + ns.astype(float),
+            n_max,
+            tol,
+            divergence_threshold,
+        )
+        entries.append(ProbeEntry(f"S-series z^{k}", verdict))
+    return _report(f"f(z) -> f'(mu z), mu={mu}", space.describe(), 1, entries)

@@ -35,6 +35,13 @@ class TestConfigHandling:
         assert run(["density", "--config", cfg]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    def test_dead_seed_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "c.json", {"scenario": "density", "times": [1], "seed": 0}
+        )
+        assert run(["density", "--config", cfg]) == 1
+        assert "unknown key 'seed'" in capsys.readouterr().err
+
     def test_scenario_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"scenario": "jsets", "times": [1]})
         assert run(["density", "--config", cfg]) == 1
@@ -213,6 +220,15 @@ class TestScenarios:
             {"scenario": "sweep", "grid": [], "q_values": [1]},
         )
         assert run(["sweep", "--config", cfg, "--out", tmp_path / "o"]) == 1
+
+    def test_sweep_empty_indices_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"scenario": "sweep", "grid": [{"family": "RootWeight", "p": 1}],
+             "q_values": [1], "indices": []},
+        )
+        assert run(["sweep", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "error: need at least one index" in capsys.readouterr().err
 
     def test_sweep_too_large_refused(self, tmp_path):
         cfg = write_config(

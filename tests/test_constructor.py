@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from shiftlab import constructor
 from shiftlab.constructor import (
     BallTarget,
     EpsilonSchedule,
@@ -18,6 +19,7 @@ from shiftlab.constructor import (
     transfer_weakstar,
     verify_eq33,
 )
+from shiftlab.criterion import qfhc_check
 from shiftlab.errors import ConstructionRefusedError, InvalidArgumentError
 from shiftlab.seqspace import CoeffVector, UNILATERAL, c0, lp, scale
 from shiftlab.shiftops import (
@@ -123,6 +125,35 @@ class TestBuildVector:
     def test_refusal_propagates(self):
         with pytest.raises(ConstructionRefusedError):
             build_vector(lp(2), BergmanWeight(), 1, [E1])
+
+    @pytest.mark.parametrize("supplied", [False, True])
+    def test_criterion_runs_once_per_build(self, monkeypatch, supplied):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return qfhc_check(*args, **kwargs)
+
+        monkeypatch.setattr(constructor, "qfhc_check", counting)
+        nseq = (2, 5) if supplied else None
+        build_vector(lp(2), ConstantWeight(2), 1, canonical_targets(2), horizon=100, nseq=nseq)
+        assert len(calls) == 1
+
+    def test_supplied_nseq_matches_selected(self):
+        targets = canonical_targets(3)
+        auto = build_vector(lp(2), ConstantWeight(2), 1, targets, horizon=10**3)
+        given = build_vector(
+            lp(2), ConstantWeight(2), 1, targets, horizon=10**3, nseq=list(auto.nseq)
+        )
+        assert given.nseq == auto.nseq
+        assert given.selection == ()
+        assert given.candidate == auto.candidate
+        assert given.criterion.satisfied
+
+    def test_supplied_nseq_refused_when_criterion_fails(self):
+        with pytest.raises(ConstructionRefusedError) as exc:
+            build_vector(lp(2), BergmanWeight(), 1, [E1], nseq=(2,))
+        assert exc.value.report.overall == "fails"
 
 
 class TestReturnBound:

@@ -188,6 +188,21 @@ class TestBilateral:
             bilateral_condition(ConstantWeight(2), 1, [0], p=2)
 
 
+def test_empty_index_list_rejected():
+    w2 = BilateralTableWeight({}, default_pos=2.0, default_nonpos=0.5)
+    checks = (
+        lambda: qfhc_check(lp(2), ConstantWeight(2), 1, []),
+        lambda: unilateral_condition(ConstantWeight(2), lp(2), 1, []),
+        lambda: bilateral_condition(w2, 1, [], p=2),
+        lambda: bilateral_condition(w2, 1, [], on_c0=True),
+        lambda: weakstar_condition(ConstantWeight(2), 1, []),
+        lambda: hc_check(lp(2), ConstantWeight(2), []),
+    )
+    for check in checks:
+        with pytest.raises(InvalidArgumentError):
+            check()
+
+
 class TestWeakStarCondition:
     def test_rolewicz_satisfies(self):
         rep = weakstar_condition(ConstantWeight(2), 1, range(0, 4))
@@ -196,6 +211,9 @@ class TestWeakStarCondition:
     def test_unweighted_fails(self):
         rep = weakstar_condition(ConstantWeight(1), 1, range(0, 4))
         assert rep.overall == FAILS
+
+    def test_reports_weakstar_space(self):
+        assert weakstar_condition(ConstantWeight(2), 1, [1]).space == "l^inf (weak*)"
 
 
 class TestPlainHypercyclicity:
