@@ -41,8 +41,8 @@ from .shiftops import (
     FORWARD,
     OperatorSpec,
     WeightSeq,
-    iterate,
-    orbit_entries,
+    iterates,
+    orbit_slices,
 )
 
 
@@ -175,14 +175,27 @@ def _t_norms(space: SpaceSpec, w: WeightSeq, q: int, x: CoeffVector,
              n_max: int) -> np.ndarray:
     """F-norms of the backward orbit terms T^{n^q} x for n = 1..n_max
     (zero once every support index has fallen off the edge)."""
-    op = OperatorSpec(w, BACKWARD)
-    smax = max(x.support, default=0)
+    ns = range(1, n_max + 1)
+    if w.domain == UNILATERAL:
+        smax = max(x.support, default=0)
+        ns = [n for n in ns if n**q < smax]
     norms = np.zeros(n_max)
-    for n in range(1, n_max + 1):
-        if w.domain == UNILATERAL and n**q >= smax:
-            break
-        norms[n - 1] = fnorm(space, iterate(op, x, n**q))
+    orbits = iterates(OperatorSpec(w, BACKWARD), x, [n**q for n in ns])
+    for n, orbit in zip(ns, orbits):
+        norms[n - 1] = fnorm(space, orbit)
     return norms
+
+
+def _orbit_values(op: OperatorSpec, x: CoeffVector, ns, value):
+    """value(op^n x) for each n in ns; evaluated once for all zero orbits."""
+    at_zero = None
+    for orbit in iterates(op, x, ns):
+        if orbit:
+            yield value(orbit)
+        else:
+            if at_zero is None:
+                at_zero = value(orbit)
+            yield at_zero
 
 
 @dataclass(frozen=True)
@@ -330,8 +343,8 @@ def build_vector(
                 "its target is not represented in the candidate"
             )
         block: dict[int, complex] = {}
-        for n in cls:
-            for idx, lm, ph in orbit_entries(fwd, x_k, n**q):
+        for idxs, lms, phs in orbit_slices(fwd, x_k, [n**q for n in cls]):
+            for idx, lm, ph in zip(idxs, lms, phs):
                 block[idx] = block.get(idx, 0j) + cmath.rect(math.exp(lm), ph)
         bv = CoeffVector(w.domain, block)
         block_norms.append(fnorm(space, bv))
@@ -403,14 +416,16 @@ def verify_eq33(plan: ConstructionPlan) -> Eq33Report:
     for k in range(1, plan.k_classes + 1):
         bound = 3.0 * plan.alpha(k)
         x_k = plan.targets[k - 1]
+        times = []
         for m in plan.jsets.classes[k - 1]:
-            steps = m**plan.q
-            if steps > plan.horizon - band:
+            if m**plan.q > plan.horizon - band:
                 edges.append((k, m))
-                continue
-            orbit = iterate(op, plan.candidate, steps)
-            err = fnorm(plan.space, orbit - x_k)
-            checks.append(Eq33Check(k=k, m=m, error=err, bound=bound))
+            else:
+                times.append(m)
+        errors = _orbit_values(op, plan.candidate, [m**plan.q for m in times],
+                               lambda orbit: fnorm(plan.space, orbit - x_k))
+        checks.extend(Eq33Check(k=k, m=m, error=err, bound=bound)
+                      for m, err in zip(times, errors))
     return Eq33Report(checks=tuple(checks), edge_times=tuple(edges))
 
 
@@ -521,21 +536,25 @@ def hit_experiment(
         pairs = [(n, n**q) for n in range(1, iroot(horizon, q) + 1)]
     else:
         pairs = [(n, n) for n in range(1, horizon + 1)]
+    times = [steps for _, steps in pairs]
+    if isinstance(target, ModulusTarget):
+        slices = orbit_slices(op, x, [s * op.power for s in times])
+        mags = (dict(zip(idxs, map(math.exp, lms))) for idxs, lms, _ in slices)
+        outcomes = ((bool(target.predicate(m)), max(m.values(), default=0.0)) for m in mags)
+    elif isinstance(target, BallTarget):
+        values = _orbit_values(op, x, times, lambda orbit: fnorm(space, orbit - target.center))
+        outcomes = ((v < target.radius, v) for v in values)
+    elif isinstance(target, WeakStarTarget):
+        values = _orbit_values(
+            op, x, times,
+            lambda orbit: weakstar_gap(orbit, target.center, target.functionals),
+        )
+        outcomes = ((v < target.eps, v) for v in values)
+    else:
+        raise InvalidArgumentError(f"unknown target type {type(target)!r}")
     hits = []
     events = []
-    for n, steps in pairs:
-        if isinstance(target, ModulusTarget):
-            mags = {idx: math.exp(lm) for idx, lm, _ in orbit_entries(op, x, steps * op.power)}
-            hit = bool(target.predicate(mags))
-            value = max(mags.values(), default=0.0)
-        elif isinstance(target, BallTarget):
-            value = fnorm(space, iterate(op, x, steps) - target.center)
-            hit = value < target.radius
-        elif isinstance(target, WeakStarTarget):
-            value = weakstar_gap(iterate(op, x, steps), target.center, target.functionals)
-            hit = value < target.eps
-        else:
-            raise InvalidArgumentError(f"unknown target type {type(target)!r}")
+    for (n, steps), (hit, value) in zip(pairs, outcomes):
         if hit:
             hits.append(steps)
         if record_events:

@@ -8,9 +8,14 @@ values are immutable and every operation is pure.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import (
     DomainMismatchError,
@@ -67,6 +72,20 @@ class CoeffVector:
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(self.entries.keys())
+
+    @cached_property
+    def log_polar(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only arrays of the sorted support, log|c| and arg c,
+        computed once per vector with libm's log and phase."""
+        values = self.entries.values()
+        arrays = (
+            np.fromiter(self.entries, dtype=np.int64, count=len(values)),
+            np.array([math.log(abs(c)) for c in values], dtype=float),
+            np.array([cmath.phase(c) for c in values], dtype=float),
+        )
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
     def __getitem__(self, index: int) -> complex:
         return self.entries.get(index, 0j)
@@ -167,7 +186,19 @@ def coeff_majorant(v: CoeffVector, radius: float) -> float:
     Dominates sup_{|z|<=radius} |f(z)|, with equality for nonnegative
     coefficients.  Index k+1 holds the coefficient of z^k.
     """
-    return sum(abs(c) * radius ** (idx - 1) for idx, c in v.entries.items())
+    return sum(_majorant_term(abs(c), radius, idx - 1) for idx, c in v.entries.items())
+
+
+def _majorant_term(a: float, radius: float, k: int) -> float:
+    try:
+        return a * radius**k
+    except OverflowError:
+        # radius^k alone leaves the float range, but a tiny |a| can bring
+        # the term back: form it in log space
+        try:
+            return math.exp(math.log(a) + k * math.log(radius))
+        except OverflowError:
+            return math.inf
 
 
 def fnorm(space: SpaceSpec, v: CoeffVector) -> float:

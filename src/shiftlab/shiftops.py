@@ -1,13 +1,22 @@
-"""Weighted backward/forward shifts and fast N-step orbit iteration.
+"""Weighted backward/forward shifts and batched N-step orbit evaluation.
 
 All weight products are accumulated as log-polar prefix sums: the
 product w_{m+1}...w_n is exp(P(n) - P(m)) where P is the cached prefix.
 Phases accumulate without re-wrapping, so products like n! * mu^(n(n-1)/2)
 stay representable far beyond double-precision magnitude limits.
 
-Single applications (``apply``) use direct complex products; anything
-beyond a handful of steps goes through ``iterate`` and the log-polar
-route.
+Single applications (``apply``) use direct complex products.  Every
+multi-step orbit goes through ``orbit_batch``: the terms of op^N v at a
+whole array of times, found with one search of the vector's sorted
+support and one gather of P(j) - P(j -/+ N).  ``orbit_slices``,
+``iterates``, ``iterate`` and ``orbit_entries`` are views of it.
+
+The batched route is exact, not approximate: log|c| and arg c come from
+libm once per vector, exp and rect run per surviving term through libm,
+and numpy only gathers, adds and subtracts, in the order of the scalar
+expression log|c| + (P(j) - P(tgt)).  The prefix cache grows through
+the same sequence of sizes that scalar ``prefix`` calls in (time, j,
+tgt) order would request, because its cumulative sums depend on it.
 """
 
 from __future__ import annotations
@@ -22,6 +31,9 @@ from .errors import DomainMismatchError, InvalidArgumentError, ResourceLimitErro
 from .seqspace import BILATERAL, UNILATERAL, CoeffVector
 
 DEFAULT_STEP_CAP = 1 << 23
+# most terms ``orbit_slices`` gathers per batch: a batch peaks near 125
+# bytes per term, so this caps it near 32 MB
+ORBIT_CHUNK_TERMS = 1 << 18
 
 BACKWARD = "backward"
 FORWARD = "forward"  # the right inverse S_w, with S_w(e_n) = e_{n+1}/w_{n+1}
@@ -39,7 +51,7 @@ class LogPolar:
         z = complex(z)
         if z == 0:
             raise InvalidArgumentError("log-polar form of zero is undefined")
-        return cls(math.log(abs(z)), cmath.phase(z))
+        return cls(*_log_polar(z))
 
     def to_complex(self) -> complex:
         # math.exp raises OverflowError rather than silently saturating
@@ -50,6 +62,10 @@ class LogPolar:
 
     def inverse(self) -> "LogPolar":
         return LogPolar(-self.logmag, -self.phase)
+
+
+def _log_polar(z: complex) -> tuple[float, float]:
+    return math.log(abs(z)), cmath.phase(z)
 
 
 class WeightSeq:
@@ -79,7 +95,7 @@ class WeightSeq:
         w = complex(self.weight(n))
         if w == 0:
             raise InvalidArgumentError(f"weight at {n} is zero")
-        return math.log(abs(w)), cmath.phase(w)
+        return _log_polar(w)
 
     def _log_weight_block(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lm = np.empty(len(ns))
@@ -141,6 +157,34 @@ class WeightSeq:
             raise DomainMismatchError("negative prefix index on a unilateral family")
         self._grow_neg(-n)
         return LogPolar(float(self._lm_neg[-n]), float(self._ph_neg[-n]))
+
+    def _grow_through(self, requests: np.ndarray):
+        """Grow the cache as scalar ``prefix`` calls at ``requests``, in
+        order, would: a request below an earlier one never grows it, so
+        only the running maxima are replayed."""
+        neg = requests < 0
+        if neg.any() and self.domain != BILATERAL:
+            raise DomainMismatchError("negative prefix index on a unilateral family")
+        for reqs, grow, cache in ((requests[~neg], self._grow_pos, "_lm"),
+                                  (-requests[neg], self._grow_neg, "_lm_neg")):
+            if not len(reqs) or reqs.max() < len(getattr(self, cache)):
+                continue
+            reach = np.maximum.accumulate(reqs)
+            while reach[-1] >= len(getattr(self, cache)):
+                cur = len(getattr(self, cache)) - 1
+                grow(int(reach[np.searchsorted(reach, cur, side="right")]))
+
+    def _prefix_arrays(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P at integer points the cache already covers, as (logmag, phase)."""
+        if not len(ns) or ns.min() >= 0:
+            return self._lm[ns], self._ph[ns]
+        lm = np.empty(len(ns))
+        ph = np.empty(len(ns))
+        pos = ns >= 0
+        lm[pos], ph[pos] = self._lm[ns[pos]], self._ph[ns[pos]]
+        neg = -ns[~pos]
+        lm[~pos], ph[~pos] = self._lm_neg[neg], self._ph_neg[neg]
+        return lm, ph
 
     def prefix_logmag(self, points: np.ndarray) -> np.ndarray:
         """Vectorized log|P| at integer points (criterion probes)."""
@@ -310,6 +354,13 @@ class TableWeight(WeightSeq):
             return self.values[n - 1]
         return self.default
 
+    def _log_weight_block(self, ns):
+        # scalar log-polar forms of the table, then the default, by index
+        table = np.array([_log_polar(z) for z in (*self.values, self.default)])
+        size = len(self.values)
+        at = np.where((ns >= 1) & (ns <= size), ns - 1, size)
+        return table[at, 0], table[at, 1]
+
     def params(self):
         return {"values": self.values, "default": self.default}
 
@@ -337,6 +388,20 @@ class BilateralTableWeight(WeightSeq):
         if n in self.entries:
             return self.entries[n]
         return self.default_pos if n >= 1 else self.default_nonpos
+
+    def _log_weight_block(self, ns):
+        # scalar log-polar forms of the sorted entries, then both defaults
+        keys, values = zip(*sorted(self.entries.items())) if self.entries else ((), ())
+        table = np.array([_log_polar(z) for z in (*values, self.default_pos,
+                                                  self.default_nonpos)])
+        size = len(keys)
+        at = np.where(ns >= 1, size, size + 1)
+        if size:
+            keys = np.array(keys, dtype=np.int64)
+            near = np.minimum(np.searchsorted(keys, ns), size - 1)
+            hit = keys[near] == ns
+            at[hit] = near[hit]
+        return table[at, 0], table[at, 1]
 
     def params(self):
         return {
@@ -408,64 +473,111 @@ def apply(op: OperatorSpec, v: CoeffVector) -> CoeffVector:
     return CoeffVector(v.domain, entries)
 
 
-def orbit_entries(op: OperatorSpec, v: CoeffVector, steps: int):
-    """Support of op^N v for N*power = steps, as (index, logmag, phase).
+def _survivors(op: OperatorSpec, support: np.ndarray, steps: np.ndarray):
+    """Per time: the support position of its first surviving entry, and
+    how many survive.  Only a unilateral backward shift drops entries:
+    those with index j <= steps fall off the edge."""
+    if op.direction == BACKWARD and op.base.domain == UNILATERAL:
+        start = np.searchsorted(support, steps, side="right")
+    else:
+        start = np.zeros(len(steps), dtype=np.int64)
+    return start, len(support) - start
 
-    The rotation enters only through the phase, so coefficient moduli are
-    manifestly rotation-invariant.  Entries landing on the same index are
-    kept separate; materialization sums them.
+
+def orbit_batch(op: OperatorSpec, v: CoeffVector, steps):
+    """Support of op^N v for every N*power in ``steps``, as flat arrays
+    (index, logmag, phase, counts).
+
+    The terms of time i are the counts[i] entries after those of the
+    earlier times, in support order.  The rotation enters only through
+    the phase, so coefficient moduli are manifestly rotation-invariant.
+    Arrays grow with the surviving terms only.
     """
     _check_domains(op, v)
-    if steps < 0:
+    steps = np.asarray(steps, dtype=np.int64).reshape(-1)
+    if (steps < 0).any():
         raise InvalidArgumentError("step count must be nonnegative")
-    w = op.base
-    rot_phase = steps * cmath.phase(complex(op.rotation))
-    out = []
-    for j, c in v.entries.items():
-        if op.direction == BACKWARD:
-            tgt = j - steps
-            if v.domain == UNILATERAL and tgt < 1 and steps > 0:
-                continue
-            if steps == 0:
-                delta = LogPolar(0.0, 0.0)
-            else:
-                delta = w.prefix(j) * w.prefix(tgt).inverse()
-        else:
-            tgt = j + steps
-            if steps == 0:
-                delta = LogPolar(0.0, 0.0)
-            else:
-                delta = w.prefix(j) * w.prefix(tgt).inverse()
-        out.append(
-            (
-                tgt,
-                math.log(abs(c)) + delta.logmag,
-                cmath.phase(c) + delta.phase + rot_phase,
-            )
-        )
-    return out
+    support, log_c, arg_c = v.log_polar
+    start, counts = _survivors(op, support, steps)
+    total = int(counts.sum())
+    offsets = np.cumsum(counts) - counts
+    at = np.arange(total) + np.repeat(start - offsets, counts)
+    shift = np.repeat(steps, counts)
+    j = support[at]
+    tgt = j - shift if op.direction == BACKWARD else j + shift
+    # time 0 leaves its terms in place without touching the prefix cache
+    moved = shift > 0
+    dlm = np.zeros(total)
+    dph = np.zeros(total)
+    if moved.any():
+        w = op.base
+        jm, tm = (j, tgt) if moved.all() else (j[moved], tgt[moved])
+        w._grow_through(np.column_stack((jm, tm)).ravel())
+        (lj, pj), (lt, pt) = w._prefix_arrays(jm), w._prefix_arrays(tm)
+        dlm[moved] = lj - lt
+        dph[moved] = pj - pt
+    rot = steps * cmath.phase(complex(op.rotation))
+    return (tgt, log_c[at] + dlm, (arg_c[at] + dph) + np.repeat(rot, counts),
+            counts)
 
 
-def _materialize(domain: str, terms) -> CoeffVector:
+def orbit_slices(op: OperatorSpec, v: CoeffVector, steps):
+    """Yield the terms of op^N v for each N*power in ``steps`` as lists
+    (indices, logmags, phases), from ``orbit_batch`` calls of at most
+    ORBIT_CHUNK_TERMS terms each (a single time may exceed it)."""
+    _check_domains(op, v)
+    steps = np.asarray(steps, dtype=np.int64).reshape(-1)
+    _, counts = _survivors(op, v.log_polar[0], steps)
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(steps):
+        limit = (int(ends[lo - 1]) if lo else 0) + ORBIT_CHUNK_TERMS
+        hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
+        idx, lm, ph, got = orbit_batch(op, v, steps[lo:hi])
+        idx, lm, ph = idx.tolist(), lm.tolist(), ph.tolist()
+        a = 0
+        for c in got.tolist():
+            yield idx[a : a + c], lm[a : a + c], ph[a : a + c]
+            a += c
+        lo = hi
+
+
+def orbit_entries(op: OperatorSpec, v: CoeffVector, steps: int):
+    """Support of op^N v for N*power = steps, as (index, logmag, phase)
+    tuples: the one-time case of ``orbit_batch``."""
+    idx, lm, ph, _ = orbit_batch(op, v, [steps])
+    return list(zip(idx.tolist(), lm.tolist(), ph.tolist()))
+
+
+def _materialize(domain: str, idx, lm, ph) -> CoeffVector:
     entries: dict[int, complex] = {}
-    for idx, lm, ph in terms:
-        entries[idx] = entries.get(idx, 0j) + cmath.rect(math.exp(lm), ph)
+    for i, l, p in zip(idx, lm, ph):
+        entries[i] = entries.get(i, 0j) + cmath.rect(math.exp(l), p)
     return CoeffVector(domain, entries)
+
+
+def iterates(op: OperatorSpec, v: CoeffVector, ns,
+             step_cap: int = DEFAULT_STEP_CAP):
+    """Yield op^n v for each n in ``ns``, via log-polar prefix products."""
+    ns = [int(n) for n in ns]  # Python ints: n * power cannot wrap
+    if any(n < 0 for n in ns):
+        raise InvalidArgumentError("iteration count must be nonnegative")
+    steps = [n * op.power for n in ns]
+    over = next((s for s in steps if s > step_cap), None)
+    if over is not None:
+        raise ResourceLimitError(f"{over} shift steps exceed the horizon cap {step_cap}")
+    zero = CoeffVector.zero(v.domain)
+    for n, terms in zip(ns, orbit_slices(op, v, steps)):
+        if n == 0:
+            yield v
+        else:
+            yield _materialize(v.domain, *terms) if terms[0] else zero
 
 
 def iterate(op: OperatorSpec, v: CoeffVector, n: int,
             step_cap: int = DEFAULT_STEP_CAP) -> CoeffVector:
-    """op^n v in one step per support element, via log-polar prefix products."""
-    if n < 0:
-        raise InvalidArgumentError("iteration count must be nonnegative")
-    steps = n * op.power
-    if steps > step_cap:
-        raise ResourceLimitError(
-            f"{steps} shift steps exceed the horizon cap {step_cap}"
-        )
-    if n == 0:
-        return v
-    return _materialize(v.domain, orbit_entries(op, v, steps))
+    """op^n v in one step per support element (one time of ``iterates``)."""
+    return next(iterates(op, v, [n], step_cap))
 
 
 def forward_iterate(w: WeightSeq, basis_index: int, n: int) -> CoeffVector:

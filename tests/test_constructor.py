@@ -21,12 +21,16 @@ from shiftlab.constructor import (
 )
 from shiftlab.criterion import qfhc_check
 from shiftlab.errors import ConstructionRefusedError, InvalidArgumentError
-from shiftlab.seqspace import CoeffVector, UNILATERAL, c0, lp, scale
+from shiftlab.density import iroot
+from shiftlab.seqspace import CoeffVector, UNILATERAL, c0, fnorm, lp, scale, weakstar_gap
 from shiftlab.shiftops import (
     BACKWARD,
+    FORWARD,
     BergmanWeight,
     ConstantWeight,
     OperatorSpec,
+    iterate,
+    orbit_entries,
 )
 
 E1 = CoeffVector.basis(1)
@@ -173,6 +177,72 @@ class TestReturnBound:
         rep = verify_eq33(bad)
         assert not rep.ok
         assert rep.violations
+
+
+class TestBatchedOrbitsMatchOneTimeEvaluation:
+    """The constructor's batched orbits against one-time ``iterate`` and
+    ``orbit_entries`` calls, value for value (``repr``-equal)."""
+
+    @pytest.mark.parametrize("space,w,q,k,horizon", [
+        (lp(2), ConstantWeight(2), 1, 3, 10**3),
+        (c0(), ConstantWeight(cmath.rect(2.0, 0.9)), 1, 2, 2000),
+        (lp(2), BergmanWeight(), 2, 3, 10**4),
+    ])
+    def test_every_return_bound_error(self, space, w, q, k, horizon):
+        plan = build_vector(space, w, q, canonical_targets(k), horizon=horizon)
+        rep = verify_eq33(plan)
+        op = OperatorSpec(w, BACKWARD)
+        assert rep.checks
+        for c in rep.checks:
+            want = fnorm(space, iterate(op, plan.candidate, c.m**q) - plan.targets[c.k - 1])
+            assert repr(c.error) == repr(want)
+
+    def test_candidate_blocks_accumulate_n_then_j(self):
+        targets = canonical_targets(4)
+        plan = build_vector(lp(2), ConstantWeight(1.5j), 1, targets, horizon=600)
+        fwd = OperatorSpec(plan.weights, FORWARD)
+        entries = {}
+        for x_k, cls in zip(targets, plan.jsets.classes):
+            block = {}
+            for n in cls:
+                for idx, lm, ph in orbit_entries(fwd, x_k, n):
+                    block[idx] = block.get(idx, 0j) + cmath.rect(math.exp(lm), ph)
+            for idx, val in block.items():
+                entries[idx] = entries.get(idx, 0j) + val
+        want = CoeffVector(UNILATERAL, entries)
+        assert [(i, repr(c)) for i, c in plan.candidate.entries.items()] == [
+            (i, repr(c)) for i, c in want.entries.items()]
+
+    @pytest.mark.parametrize("kind", ["ball", "modulus", "weakstar"])
+    @pytest.mark.parametrize("exponents,q,power", [("linear", 1, 1), ("powers", 2, 2)])
+    def test_hit_events(self, kind, exponents, q, power):
+        plan = build_vector(lp(2), ConstantWeight(2), 1, canonical_targets(3), horizon=10**3)
+        x, horizon = plan.candidate, 1200
+        op = OperatorSpec(ConstantWeight(2), BACKWARD, rotation=cmath.exp(0.3j), power=power)
+        if kind == "ball":
+            # a ball that excludes 0, so that misses happen too
+            target = BallTarget(plan.targets[0], 0.9 * fnorm(lp(2), plan.targets[0]))
+        elif kind == "modulus":
+            target = modulus_exceeds(2, 0.2)
+        else:
+            target = WeakStarTarget(plan.targets[0], coordinate_functionals(3), 0.5)
+        got = hit_experiment(lp(2), op, x, target, exponents=exponents, q=q, horizon=horizon)
+        want = []
+        for n in range(1, iroot(horizon, q) + 1):
+            steps = n**q
+            if kind == "ball":
+                value = fnorm(lp(2), iterate(op, x, steps) - target.center)
+                hit = value < target.radius
+            elif kind == "modulus":
+                mags = {i: math.exp(lm) for i, lm, _ in orbit_entries(op, x, steps * power)}
+                hit = bool(target.predicate(mags))
+                value = max(mags.values(), default=0.0)
+            else:
+                value = weakstar_gap(iterate(op, x, steps), target.center, target.functionals)
+                hit = value < target.eps
+            want.append({"n": n, "exponent": steps * power, "value": value, "hit": hit})
+        assert [repr(e) for e in got.events] == [repr(e) for e in want]
+        assert any(e["hit"] for e in want) and not all(e["hit"] for e in want)
 
 
 class TestHitExperiments:

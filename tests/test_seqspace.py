@@ -109,6 +109,24 @@ class TestFNorms:
         v = vec({1: 2.0, 3: 3.0})
         assert coeff_majorant(v, 2.0) == pytest.approx(14.0)
 
+    def test_entire_norm_survives_overflowing_powers(self):
+        # R^399 overflows for R >= 6, where M_R >= 1 saturates
+        assert fnorm(entire(8), vec({400: 1e-300})) == 0.02734375
+
+    def test_entire_norm_keeps_small_terms_past_overflow(self):
+        # 8^342 overflows but M_8 = 1e-310 * 8^342 is about 0.072, so
+        # "overflow means 1" would be wrong.  The mpmath value is
+        # 0.000280889552322237; the subnormal 1e-310 carries only about
+        # 14 digits and log space loses about one more.
+        got = fnorm(entire(8), vec({343: 1e-310}))
+        assert got == pytest.approx(0.000280889552322237, rel=1e-13)
+
+    def test_majorant_terms_in_range_keep_their_bits(self):
+        v = vec({1: 0.3 - 0.1j, 7: 2.5, 40: 1e-20j, 300: 1e-250})
+        for r in range(1, 9):
+            want = sum(abs(c) * float(r) ** (i - 1) for i, c in v.entries.items())
+            assert coeff_majorant(v, float(r)).hex() == want.hex()
+
     def test_weakstar_space_has_no_norm(self):
         with pytest.raises(UnsupportedOperationError):
             fnorm(linf_weakstar(), vec({1: 1.0}))

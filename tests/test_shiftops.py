@@ -2,11 +2,13 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftlab.errors import InvalidArgumentError, ResourceLimitError
+from shiftlab.errors import DomainMismatchError, InvalidArgumentError, ResourceLimitError
 from shiftlab.seqspace import BILATERAL, UNILATERAL, CoeffVector
+from shiftlab import shiftops
 from shiftlab.shiftops import (
     BACKWARD,
     FORWARD,
@@ -19,10 +21,14 @@ from shiftlab.shiftops import (
     RootRatioWeight,
     TableWeight,
     TMuWeight,
+    WeightSeq,
     apply,
     forward_iterate,
     iterate,
+    iterates,
+    orbit_batch,
     orbit_entries,
+    orbit_slices,
     smu_power_basis,
     tmu_apply,
 )
@@ -250,3 +256,158 @@ class TestDifferentiationOperator:
         out = iterate(OperatorSpec(w, BACKWARD), v, 4)
         assert out.support == (4,)
         assert close(out[4], 1.0, 1e-10)
+
+
+def scalar_orbit_entries(op, v, steps):
+    """Reference orbit: one pass over the support per time, with two
+    scalar ``prefix`` lookups per surviving entry."""
+    w = op.base
+    rot_phase = steps * cmath.phase(complex(op.rotation))
+    out = []
+    for j, c in v.entries.items():
+        if op.direction == BACKWARD:
+            tgt = j - steps
+            if v.domain == UNILATERAL and tgt < 1 and steps > 0:
+                continue
+        else:
+            tgt = j + steps
+        if steps == 0:
+            delta = LogPolar(0.0, 0.0)
+        else:
+            delta = w.prefix(j) * w.prefix(tgt).inverse()
+        out.append(
+            (tgt, math.log(abs(c)) + delta.logmag, cmath.phase(c) + delta.phase + rot_phase)
+        )
+    return out
+
+
+def scalar_iterate(op, v, n):
+    if n == 0:
+        return v
+    entries = {}
+    for idx, lm, ph in scalar_orbit_entries(op, v, n * op.power):
+        entries[idx] = entries.get(idx, 0j) + cmath.rect(math.exp(lm), ph)
+    return CoeffVector(v.domain, entries)
+
+
+def term_bits(terms):
+    return [(i, lm.hex(), ph.hex()) for i, lm, ph in terms]
+
+
+def vector_bits(v):
+    return [(i, c.real.hex(), c.imag.hex()) for i, c in v.entries.items()]
+
+
+def cache_bytes(w):
+    arrays = [w._lm, w._ph]
+    if w.domain == BILATERAL:
+        arrays += [w._lm_neg, w._ph_neg]
+    return [a.tobytes() for a in arrays]
+
+
+# Each case builds a fresh (cold-cache) weight.  Unilateral supports sit
+# on both sides of the first cache block (4096) and the times hit the
+# edge j == steps; -0.0 parts exercise signed-zero phases.
+UNI_VECTOR = {1: 1.0, 2: complex(1.0, -0.0), 3: -0.5j, 7: 2 + 1j, 4100: 1e-3, 6000: -3.0}
+BI_VECTOR = {-4000: 0.25j, -3: 1.5, 0: complex(-2.0, -0.0), 5: 1 - 1j, 4500: 0.75}
+ENGINE_CASES = [
+    ("constant", lambda: ConstantWeight(2), UNILATERAL),
+    ("rotated constant", lambda: ConstantWeight(cmath.rect(1.5, 0.7)), UNILATERAL),
+    ("bergman", BergmanWeight, UNILATERAL),
+    ("tmu", lambda: TMuWeight(0.8 + 0.3j), UNILATERAL),
+    ("table", lambda: TableWeight((2.0, -1.5j, 0.3 + 0.4j), default=1.25 - 0.5j), UNILATERAL),
+    ("bilateral", lambda: BilateralTableWeight(
+        {-2: 3.0, 0: 0.5j, 4: -2.0}, default_pos=1.5, default_nonpos=0.75j), BILATERAL),
+]
+STEPS = [0, 1, 3, 7, 6, 6000, 2, 5000, 4101, 9000]
+
+
+class TestBatchedOrbitEngine:
+    @pytest.mark.parametrize("name,make,domain", ENGINE_CASES, ids=[c[0] for c in ENGINE_CASES])
+    @pytest.mark.parametrize("direction", [BACKWARD, FORWARD])
+    @pytest.mark.parametrize("rotation,power", [(1.0, 1), (cmath.exp(-2.1j), 1), (1j, 3)])
+    def test_matches_scalar_loop_bitwise(self, name, make, domain, direction, rotation, power):
+        v = CoeffVector(domain, UNI_VECTOR if domain == UNILATERAL else BI_VECTOR)
+        ref_w, w = make(), make()
+        ref_op = OperatorSpec(ref_w, direction, rotation=rotation, power=power)
+        op = OperatorSpec(w, direction, rotation=rotation, power=power)
+        want = [scalar_orbit_entries(ref_op, v, s) for s in STEPS]
+        idx, lm, ph, counts = orbit_batch(op, v, STEPS)
+        assert counts.tolist() == [len(t) for t in want]
+        flat = list(zip(idx.tolist(), lm.tolist(), ph.tolist()))
+        assert term_bits(flat) == term_bits([t for ts in want for t in ts])
+        # the cold cache grew through the same blocks
+        assert cache_bytes(w) == cache_bytes(ref_w)
+
+    @pytest.mark.parametrize("name,make,domain", ENGINE_CASES, ids=[c[0] for c in ENGINE_CASES])
+    def test_one_time_views_match_scalar_bitwise(self, name, make, domain):
+        v = CoeffVector(domain, UNI_VECTOR if domain == UNILATERAL else BI_VECTOR)
+        ref_w, w = make(), make()
+        for direction in (BACKWARD, FORWARD):
+            ref_op = OperatorSpec(ref_w, direction, rotation=cmath.exp(0.4j), power=2)
+            op = OperatorSpec(w, direction, rotation=cmath.exp(0.4j), power=2)
+            for n in (0, 1, 3, 3000, 2):
+                assert term_bits(orbit_entries(op, v, n * 2)) == term_bits(
+                    scalar_orbit_entries(ref_op, v, n * 2))
+                try:
+                    want = vector_bits(scalar_iterate(ref_op, v, n))
+                except OverflowError:  # TMu's forward products outgrow floats
+                    with pytest.raises(OverflowError):
+                        iterate(op, v, n)
+                    continue
+                assert vector_bits(iterate(op, v, n)) == want
+        assert cache_bytes(w) == cache_bytes(ref_w)
+
+    def test_chunked_slices_match_one_batch(self, monkeypatch):
+        v = CoeffVector(UNILATERAL, UNI_VECTOR)
+        op = OperatorSpec(ConstantWeight(1.5), BACKWARD)
+        idx, lm, ph, counts = orbit_batch(op, v, STEPS)
+        monkeypatch.setattr(shiftops, "ORBIT_CHUNK_TERMS", 4)
+        slices = list(orbit_slices(op, v, STEPS))
+        assert [len(s[0]) for s in slices] == counts.tolist()
+        assert sum((s[0] for s in slices), []) == idx.tolist()
+        assert sum((s[1] for s in slices), []) == lm.tolist()
+        assert sum((s[2] for s in slices), []) == ph.tolist()
+
+    def test_iterates_yields_every_time(self):
+        v = CoeffVector(UNILATERAL, UNI_VECTOR)
+        op = OperatorSpec(BergmanWeight(), BACKWARD)
+        ns = [0, 5, 4100, 6001, 1]
+        got = list(iterates(op, v, ns))
+        assert got[0] is v
+        assert [vector_bits(o) for o in got] == [vector_bits(iterate(op, v, n)) for n in ns]
+        assert got[3] == CoeffVector.zero()
+
+    def test_memory_follows_surviving_terms(self):
+        # a unilateral backward orbit past the support keeps nothing
+        v = CoeffVector(UNILATERAL, {i: 1.0 for i in range(1, 2001)})
+        op = OperatorSpec(ConstantWeight(2), BACKWARD)
+        idx, _, _, counts = orbit_batch(op, v, np.arange(1990, 12000))
+        assert len(idx) == counts.sum() == sum(range(1, 11))
+
+    def test_rejects_negative_steps_and_domain_mismatch(self):
+        op = OperatorSpec(ConstantWeight(2), BACKWARD)
+        with pytest.raises(InvalidArgumentError):
+            orbit_batch(op, CoeffVector.basis(3), [1, -1])
+        with pytest.raises(InvalidArgumentError):
+            list(iterates(op, CoeffVector.basis(3), [2, -2]))
+        with pytest.raises(DomainMismatchError):
+            orbit_batch(op, CoeffVector.basis(3, BILATERAL), [1])
+
+
+class TestTableLogWeightBlocks:
+    def test_table_block_equals_scalar_fallback(self):
+        w = TableWeight((2.0, -1.5j, 0.3 + 0.4j, -0.7), default=1.25 - 0.5j)
+        ns = np.arange(-3, 12)
+        for got, want in zip(w._log_weight_block(ns), WeightSeq._log_weight_block(w, ns)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_bilateral_block_equals_scalar_fallback(self):
+        w = BilateralTableWeight({-5: 3.0, -1: 0.2 - 0.1j, 0: 0.5j, 2: -2.0, 7: 1.1},
+                                 default_pos=1.5 + 0.5j, default_nonpos=0.75j)
+        ns = np.arange(-9, 11)
+        for got, want in zip(w._log_weight_block(ns), WeightSeq._log_weight_block(w, ns)):
+            assert got.tobytes() == want.tobytes()
+        empty = BilateralTableWeight({}, default_pos=2.0, default_nonpos=-0.5)
+        for got, want in zip(empty._log_weight_block(ns), WeightSeq._log_weight_block(empty, ns)):
+            assert got.tobytes() == want.tobytes()
