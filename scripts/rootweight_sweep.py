@@ -8,6 +8,7 @@ Writes sweep.csv into --out via the batch runner.
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 
@@ -30,7 +31,10 @@ def main():
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
         json.dump(config, fh)
         path = fh.name
-    return cli_main(["sweep", "--config", path, "--out", args.out])
+    try:
+        return cli_main(["sweep", "--config", path, "--out", args.out])
+    finally:
+        os.remove(path)
 
 
 if __name__ == "__main__":

@@ -584,7 +584,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ShiftLabError as exc:
+    except (ShiftLabError, OverflowError) as exc:
+        # OverflowError: a value past double range, e.g. an l^p norm of a
+        # forward orbit whose coefficients outgrow floats
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     print(f"elapsed: {time.monotonic() - start:.2f}s")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -520,7 +519,6 @@ def hit_experiment(
     q: int = 1,
     horizon: int = 10**4,
     burn_in: int | None = None,
-    record_events: bool = True,
 ) -> HitExperimentResult:
     """Enumerate the hit set of the orbit against a target up to the
     horizon (orbit times start at 1), with its density estimate and
@@ -557,10 +555,9 @@ def hit_experiment(
     for (n, steps), (hit, value) in zip(pairs, outcomes):
         if hit:
             hits.append(steps)
-        if record_events:
-            events.append(
-                {"n": n, "exponent": steps * op.power, "value": value, "hit": hit}
-            )
+        events.append(
+            {"n": n, "exponent": steps * op.power, "value": value, "hit": hit}
+        )
     hitset = HitSet.from_iterable(hits, horizon)
     density = q_lower_density(hitset, q, burn_in=burn_in)
     growth = check_growth_bound(hitset, q) if hitset.times else None

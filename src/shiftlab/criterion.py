@@ -16,8 +16,8 @@ import numpy as np
 
 from .density import iroot
 from .errors import InvalidArgumentError
-from .seqspace import BILATERAL, UNILATERAL, CoeffVector, SpaceSpec, entire, fnorm, lp
-from .shiftops import TMuWeight, WeightSeq, smu_series_logmags
+from .seqspace import BILATERAL, UNILATERAL, SpaceSpec, entire, fnorm, lp
+from .shiftops import WeightSeq, smu_series_logmags
 
 CONVERGES = "converges"
 DIVERGES = "diverges"
@@ -320,16 +320,14 @@ def series_probe(
     *,
     magnitudes=None,
     tol: float = DEFAULT_TOL,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     max_exp: int = DEFAULT_MAX_EXP,
-    seed: int = 0,
 ) -> Verdict:
     """Classify unconditional convergence of a term series in a space.
 
     Terms occupying pairwise distinct basis indices in l^p reduce exactly
     to the scalar series sum ||term_n||^p; the reported sum estimate is
-    that scalar sum.  Otherwise F-norm partial sums plus seeded random
-    finite subsets beyond a cut are probed.  Pass ``magnitudes`` (a
+    that scalar sum.  Otherwise F-norm partial sums plus random finite
+    subsets (seed 0) beyond a cut are probed.  Pass ``magnitudes`` (a
     vectorized n -> ||term_n|| map) to probe large n counts cheaply.
     """
     if (terms is None) == (magnitudes is None):
@@ -342,7 +340,6 @@ def series_probe(
                 lambda ns: np.asarray(magnitudes(ns), dtype=float) ** p,
                 n_max,
                 tol=tol,
-                divergence_threshold=divergence_threshold,
             )
         if space.kind == "c0":
             return classify_sup_decay(magnitudes, n_max, tol=tol)
@@ -362,20 +359,12 @@ def series_probe(
                 lambda ns: mags[ns - 1] ** space.p,
                 n_max,
                 tol=tol,
-                divergence_threshold=divergence_threshold,
             )
         return classify_sup_decay(lambda ns: mags[ns - 1], n_max, tol=tol)
-    return _fnorm_probe(
-        space,
-        terms,
-        n_max,
-        tol=tol,
-        divergence_threshold=divergence_threshold,
-        seed=seed,
-    )
+    return _fnorm_probe(space, terms, n_max, tol=tol)
 
 
-def _fnorm_probe(space, terms, n_max, *, tol, divergence_threshold, seed):
+def _fnorm_probe(space, terms, n_max, *, tol):
     """F-norm route: dyadic block norms plus random finite subsets."""
     from .seqspace import add, CoeffVector as CV
 
@@ -395,13 +384,13 @@ def _fnorm_probe(space, terms, n_max, *, tol, divergence_threshold, seed):
             blocks.append(fnorm(space, block))
             block = CV.zero(space.domain)
             next_cp *= 2
-            if checkpoints[-1][1] > divergence_threshold:
+            if checkpoints[-1][1] > DEFAULT_DIVERGENCE_THRESHOLD:
                 return Verdict(
                     DIVERGES,
                     "partial-sum F-norm exceeded divergence threshold",
                     SeriesProbe(checkpoints=tuple(checkpoints)),
                 )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     cut = max(2, n_max // 4)
     subset_sums = []
     for i in range(32):
@@ -451,12 +440,12 @@ def _indices(indices) -> list:
     return indices
 
 
-def _series_term_count(q: int, max_exp: int, exp_cap: int, max_offset: int) -> int:
-    n = min(2**max_exp, iroot(max(2, exp_cap - max_offset), q))
+def _series_term_count(q: int, max_exp: int, max_offset: int) -> int:
+    n = min(2**max_exp, iroot(max(2, DEFAULT_EXP_CAP - max_offset), q))
     return max(n, 2)
 
 
-def _classify_weighted(space, logmag_fn, degree_fn, n_max, tol, threshold):
+def _classify_weighted(space, logmag_fn, degree_fn, n_max, tol):
     """Route a distinct-index weighted-shift series by space kind.
 
     logmag_fn: n-array -> log term magnitude; degree_fn: n-array -> the
@@ -469,9 +458,7 @@ def _classify_weighted(space, logmag_fn, degree_fn, n_max, tol, threshold):
             with np.errstate(over="ignore", under="ignore"):
                 return np.exp(p * logmag_fn(ns))
 
-        return classify_magnitudes(
-            mags, n_max, tol=tol, divergence_threshold=threshold
-        )
+        return classify_magnitudes(mags, n_max, tol=tol)
     if space.kind == "c0":
 
         def mags(ns):
@@ -488,9 +475,7 @@ def _classify_weighted(space, logmag_fn, degree_fn, n_max, tol, threshold):
                 with np.errstate(over="ignore", under="ignore"):
                     return np.exp(logmag_fn(ns) + degree_fn(ns) * _logr)
 
-            v = classify_magnitudes(
-                mags, n_max, tol=tol, divergence_threshold=threshold
-            )
+            v = classify_magnitudes(mags, n_max, tol=tol)
             if v.kind == DIVERGES:
                 return Verdict(
                     DIVERGES, f"majorant series diverges at R={radius}", v.probe
@@ -529,16 +514,14 @@ def qfhc_check(
     dense_indices,
     *,
     tol: float = DEFAULT_TOL,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     max_exp: int = DEFAULT_MAX_EXP,
-    exp_cap: int = DEFAULT_EXP_CAP,
 ) -> CriterionReport:
     """Probe the two basis-vector series (backward orbit sums at
     exponents n^q, and forward right-inverse sums) for every listed
     basis index."""
     dense_indices = _indices(dense_indices)
     jmax = max(abs(j) for j in dense_indices)
-    n_max = _series_term_count(q, max_exp, exp_cap, jmax)
+    n_max = _series_term_count(q, max_exp, jmax)
     w.warm(jmax + n_max**q, nmin=-(jmax + n_max**q) if w.domain == BILATERAL else 0)
     entries = []
     notes = []
@@ -561,9 +544,7 @@ def qfhc_check(
             entries.append(
                 ProbeEntry(
                     f"T-series j={j}",
-                    _classify_weighted(
-                        space, t_logmag, None, n_max, tol, divergence_threshold
-                    ),
+                    _classify_weighted(space, t_logmag, None, n_max, tol),
                 )
             )
 
@@ -576,9 +557,7 @@ def qfhc_check(
         entries.append(
             ProbeEntry(
                 f"S-series j={j}",
-                _classify_weighted(
-                    space, s_logmag, s_degree, n_max, tol, divergence_threshold
-                ),
+                _classify_weighted(space, s_logmag, s_degree, n_max, tol),
             )
         )
     if w.domain == UNILATERAL:
@@ -598,9 +577,7 @@ def unilateral_condition(
     j_range,
     *,
     tol: float = DEFAULT_TOL,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     max_exp: int = DEFAULT_MAX_EXP,
-    exp_cap: int = DEFAULT_EXP_CAP,
 ) -> CriterionReport:
     """Scalar reduction of the unilateral shift condition: the series of
     reciprocal prefix products at exponent-spaced indices, per offset j."""
@@ -608,7 +585,7 @@ def unilateral_condition(
         raise InvalidArgumentError("unilateral condition reduces to lp or c0 only")
     j_range = _indices(j_range)
     jmax = max(j_range)
-    n_max = _series_term_count(q, max_exp, exp_cap, jmax)
+    n_max = _series_term_count(q, max_exp, jmax)
     w.warm(jmax + n_max**q)
     entries = []
     for j in j_range:
@@ -619,9 +596,7 @@ def unilateral_condition(
         entries.append(
             ProbeEntry(
                 f"j={j}",
-                _classify_weighted(
-                    space, logmag, None, n_max, tol, divergence_threshold
-                ),
+                _classify_weighted(space, logmag, None, n_max, tol),
             )
         )
     return _report(
@@ -637,9 +612,7 @@ def bilateral_condition(
     p: float | None = None,
     on_c0: bool = False,
     tol: float = DEFAULT_TOL,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     max_exp: int = DEFAULT_MAX_EXP,
-    exp_cap: int = DEFAULT_EXP_CAP,
 ) -> CriterionReport:
     """Bilateral shift condition: per offset j, the forward series of
     reciprocal products and the backward series of products.
@@ -655,7 +628,7 @@ def bilateral_condition(
     space = None if on_c0 else lp(p, BILATERAL)
     j_range = _indices(j_range)
     jmax = max(abs(j) for j in j_range)
-    n_max = _series_term_count(q, max_exp, exp_cap, jmax)
+    n_max = _series_term_count(q, max_exp, jmax)
     reach = jmax + n_max**q
     w.warm(reach, nmin=-reach)
     entries = []
@@ -676,8 +649,7 @@ def bilateral_condition(
         else:
             for side, lms in (("forward", -fwd), ("backward", bwd)):
                 verdict = _classify_weighted(
-                    space, lambda m, _lms=lms: _lms[m - 1], None, n_max, tol,
-                    divergence_threshold,
+                    space, lambda m, _lms=lms: _lms[m - 1], None, n_max, tol
                 )
                 entries.append(ProbeEntry(f"{side} series j={j}", verdict))
     label = "c0(Z)" if on_c0 else f"l^{p:g}(Z)"
@@ -690,17 +662,12 @@ def weakstar_condition(
     j_range,
     *,
     tol: float = DEFAULT_TOL,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     max_exp: int = DEFAULT_MAX_EXP,
-    exp_cap: int = DEFAULT_EXP_CAP,
 ) -> CriterionReport:
     """Absolute-convergence probe of the reciprocal product series per
     offset (the weak* criterion reduces to absolute scalar convergence,
     i.e. the l^1 case of the unilateral condition)."""
-    report = unilateral_condition(
-        w, lp(1), q, j_range, tol=tol, divergence_threshold=divergence_threshold,
-        max_exp=max_exp, exp_cap=exp_cap,
-    )
+    report = unilateral_condition(w, lp(1), q, j_range, tol=tol, max_exp=max_exp)
     return replace(report, space="l^inf (weak*)")
 
 
@@ -747,13 +714,13 @@ class SalasEvidence:
     rule: str
 
 
-def salas_check(
-    w: WeightSeq, horizon: int = 10**5, threshold: float = DEFAULT_DIVERGENCE_THRESHOLD
-) -> SalasEvidence:
+def salas_check(w: WeightSeq, horizon: int = 10**5) -> SalasEvidence:
     """Running max of |w_1...w_n|: evidence for limsup = infinity.
 
-    Evidence is positive when the running max crosses the threshold, or
-    keeps setting new records through the last tenth of the horizon."""
+    Evidence is positive when the running max crosses
+    DEFAULT_DIVERGENCE_THRESHOLD, or keeps setting new records through the
+    last tenth of the horizon."""
+    threshold = DEFAULT_DIVERGENCE_THRESHOLD
     w.warm(horizon)
     lms = w.prefix_logmag(np.arange(1, horizon + 1, dtype=np.int64))
     argmax = int(np.argmax(lms)) + 1
@@ -772,9 +739,7 @@ def fhc_check(
     generators,
     *,
     tol: float = DEFAULT_TOL,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     max_exp: int = 12,
-    seed: int = 0,
 ) -> CriterionReport:
     """Frequent-hypercyclicity probe with arbitrary term generators.
 
@@ -786,14 +751,7 @@ def fhc_check(
         entries.append(
             ProbeEntry(
                 label,
-                series_probe(
-                    space,
-                    gen,
-                    tol=tol,
-                    divergence_threshold=divergence_threshold,
-                    max_exp=max_exp,
-                    seed=seed,
-                ),
+                series_probe(space, gen, tol=tol, max_exp=max_exp),
             )
         )
     return _report("custom generators", space.describe(), 1, entries)
@@ -805,7 +763,6 @@ def fhc_check_tmu(
     *,
     rmax: int = 8,
     tol: float = DEFAULT_TOL,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     max_exp: int = 12,
 ) -> CriterionReport:
     """Frequent-hypercyclicity probe for f(z) -> f'(mu z) on monomials.
@@ -838,7 +795,6 @@ def fhc_check_tmu(
             lambda ns, _k=k: _k + ns.astype(float),
             n_max,
             tol,
-            divergence_threshold,
         )
         entries.append(ProbeEntry(f"S-series z^{k}", verdict))
     return _report(f"f(z) -> f'(mu z), mu={mu}", space.describe(), 1, entries)

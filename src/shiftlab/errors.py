@@ -18,7 +18,7 @@ class InvalidArgumentError(ShiftLabError, ValueError):
 
 
 class ResourceLimitError(ShiftLabError, RuntimeError):
-    """A configured horizon, step cap, or memory cap would be exceeded."""
+    """The prefix cache's index cap (``shiftops.DEFAULT_STEP_CAP``) would be exceeded."""
 
 
 class ConstructionRefusedError(ShiftLabError, RuntimeError):

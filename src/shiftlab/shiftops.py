@@ -17,20 +17,25 @@ and numpy only gathers, adds and subtracts, in the order of the scalar
 expression log|c| + (P(j) - P(tgt)).  The prefix cache grows through
 the same sequence of sizes that scalar ``prefix`` calls in (time, j,
 tgt) order would request, because its cumulative sums depend on it.
+
+The cache holds prefix indices up to DEFAULT_STEP_CAP = 2^23 on each
+side and raises ``ResourceLimitError`` past it.  Orbits have no step
+limit of their own, since an orbit costs its surviving terms whatever N
+is.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainMismatchError, InvalidArgumentError, ResourceLimitError
 from .seqspace import BILATERAL, UNILATERAL, CoeffVector
 
-DEFAULT_STEP_CAP = 1 << 23
+DEFAULT_STEP_CAP = 1 << 23  # largest prefix index |n| the cache holds
 # most terms ``orbit_slices`` gathers per batch: a batch peaks near 125
 # bytes per term, so this caps it near 32 MB
 ORBIT_CHUNK_TERMS = 1 << 18
@@ -79,8 +84,7 @@ class WeightSeq:
     domain = UNILATERAL
     name = "weights"
 
-    def __init__(self, cap: int = DEFAULT_STEP_CAP):
-        self.cap = int(cap)
+    def __init__(self):
         self._lm = np.zeros(1)
         self._ph = np.zeros(1)
         if self.domain == BILATERAL:
@@ -117,11 +121,11 @@ class WeightSeq:
         cur = len(self._lm) - 1
         if n <= cur:
             return
-        if n > self.cap:
+        if n > DEFAULT_STEP_CAP:
             raise ResourceLimitError(
-                f"prefix index {n} exceeds the configured cap {self.cap}"
+                f"prefix index {n} exceeds the cap {DEFAULT_STEP_CAP}"
             )
-        target = min(self.cap, max(n, 2 * cur, 4096))
+        target = min(DEFAULT_STEP_CAP, max(n, 2 * cur, 4096))
         ns = np.arange(cur + 1, target + 1)
         lm, ph = self._log_weight_block(ns)
         self._lm = np.concatenate([self._lm, self._lm[-1] + np.cumsum(lm)])
@@ -132,11 +136,11 @@ class WeightSeq:
         cur = len(self._lm_neg) - 1
         if m <= cur:
             return
-        if m > self.cap:
+        if m > DEFAULT_STEP_CAP:
             raise ResourceLimitError(
-                f"prefix index -{m} exceeds the configured cap {self.cap}"
+                f"prefix index -{m} exceeds the cap {DEFAULT_STEP_CAP}"
             )
-        target = min(self.cap, max(m, 2 * cur, 4096))
+        target = min(DEFAULT_STEP_CAP, max(m, 2 * cur, 4096))
         ns = -np.arange(cur, target)  # weights at 0, -1, ..., -(target-1)
         lm, ph = self._log_weight_block(ns)
         self._lm_neg = np.concatenate([self._lm_neg, self._lm_neg[-1] - np.cumsum(lm)])
@@ -209,13 +213,13 @@ class ConstantWeight(WeightSeq):
 
     name = "constant"
 
-    def __init__(self, lam: complex, domain: str = UNILATERAL, **kw):
+    def __init__(self, lam: complex, domain: str = UNILATERAL):
         lam = complex(lam)
         if lam == 0:
             raise InvalidArgumentError("constant weight must be nonzero")
         self.lam = lam
         self.domain = domain
-        super().__init__(**kw)
+        super().__init__()
 
     def weight(self, n):
         return self.lam
@@ -260,11 +264,11 @@ class RootRatioWeight(WeightSeq):
 
     name = "rootweight"
 
-    def __init__(self, p: int, **kw):
+    def __init__(self, p: int):
         if int(p) < 1:
             raise InvalidArgumentError("rootweight requires a positive integer p")
         self.p = int(p)
-        super().__init__(**kw)
+        super().__init__()
 
     def weight(self, n):
         return ((n + 2) / (n + 1)) ** (1.0 / (2 * self.p))
@@ -295,25 +299,17 @@ class TMuWeight(WeightSeq):
 
     name = "tmu"
 
-    def __init__(self, mu: complex, **kw):
+    def __init__(self, mu: complex):
         mu = complex(mu)
         if mu == 0:
             raise InvalidArgumentError("tmu requires nonzero mu")
         self.mu = mu
-        super().__init__(**kw)
+        super().__init__()
 
     def weight(self, n):
         if n == 1:
             return 1.0 + 0j
         return (n - 1) * self.mu ** (n - 2)
-
-    def log_weight(self, n):
-        if n == 1:
-            return 0.0, 0.0
-        return (
-            math.log(n - 1) + (n - 2) * math.log(abs(self.mu)),
-            (n - 2) * cmath.phase(self.mu),
-        )
 
     def _log_weight_block(self, ns):
         lm = np.empty(len(ns))
@@ -342,12 +338,12 @@ class TableWeight(WeightSeq):
 
     name = "table"
 
-    def __init__(self, values, default: complex, **kw):
+    def __init__(self, values, default: complex):
         self.values = [complex(v) for v in values]
         self.default = complex(default)
         if any(v == 0 for v in self.values) or self.default == 0:
             raise InvalidArgumentError("table weights must be nonzero")
-        super().__init__(**kw)
+        super().__init__()
 
     def weight(self, n):
         if 1 <= n <= len(self.values):
@@ -373,7 +369,7 @@ class BilateralTableWeight(WeightSeq):
     domain = BILATERAL
 
     def __init__(self, entries: dict | None = None, default_pos: complex = 1.0,
-                 default_nonpos: complex = 1.0, **kw):
+                 default_nonpos: complex = 1.0):
         self.entries = {int(k): complex(v) for k, v in (entries or {}).items()}
         self.default_pos = complex(default_pos)
         self.default_nonpos = complex(default_nonpos)
@@ -382,7 +378,7 @@ class BilateralTableWeight(WeightSeq):
             self.default_nonpos,
         ):
             raise InvalidArgumentError("weights must be nonzero")
-        super().__init__(**kw)
+        super().__init__()
 
     def weight(self, n):
         if n in self.entries:
@@ -427,12 +423,6 @@ class OperatorSpec:
             raise InvalidArgumentError("rotation must have unit modulus")
         if int(self.power) < 1:
             raise InvalidArgumentError("power must be >= 1")
-
-    def rotated(self, lam: complex) -> "OperatorSpec":
-        return replace(self, rotation=complex(lam))
-
-    def to_power(self, p: int) -> "OperatorSpec":
-        return replace(self, power=int(p))
 
     def describe(self) -> str:
         s = f"{self.direction} {self.base.describe()}"
@@ -556,16 +546,16 @@ def _materialize(domain: str, idx, lm, ph) -> CoeffVector:
     return CoeffVector(domain, entries)
 
 
-def iterates(op: OperatorSpec, v: CoeffVector, ns,
-             step_cap: int = DEFAULT_STEP_CAP):
-    """Yield op^n v for each n in ``ns``, via log-polar prefix products."""
+def iterates(op: OperatorSpec, v: CoeffVector, ns):
+    """Yield op^n v for each n in ``ns``, via log-polar prefix products.
+
+    Any n is allowed: a unilateral backward orbit past its support is the
+    zero vector, and every other orbit raises ``ResourceLimitError`` once a
+    prefix index it touches passes DEFAULT_STEP_CAP."""
     ns = [int(n) for n in ns]  # Python ints: n * power cannot wrap
     if any(n < 0 for n in ns):
         raise InvalidArgumentError("iteration count must be nonnegative")
     steps = [n * op.power for n in ns]
-    over = next((s for s in steps if s > step_cap), None)
-    if over is not None:
-        raise ResourceLimitError(f"{over} shift steps exceed the horizon cap {step_cap}")
     zero = CoeffVector.zero(v.domain)
     for n, terms in zip(ns, orbit_slices(op, v, steps)):
         if n == 0:
@@ -574,20 +564,9 @@ def iterates(op: OperatorSpec, v: CoeffVector, ns,
             yield _materialize(v.domain, *terms) if terms[0] else zero
 
 
-def iterate(op: OperatorSpec, v: CoeffVector, n: int,
-            step_cap: int = DEFAULT_STEP_CAP) -> CoeffVector:
+def iterate(op: OperatorSpec, v: CoeffVector, n: int) -> CoeffVector:
     """op^n v in one step per support element (one time of ``iterates``)."""
-    return next(iterates(op, v, [n], step_cap))
-
-
-def forward_iterate(w: WeightSeq, basis_index: int, n: int) -> CoeffVector:
-    """Closed-form S_w^n(e_k): e_{k+n} / (w_{k+1}...w_{k+n})."""
-    if n < 1:
-        raise InvalidArgumentError("forward_iterate requires n >= 1")
-    if w.domain == UNILATERAL and basis_index < 1:
-        raise InvalidArgumentError("unilateral basis index must be >= 1")
-    delta = w.prefix(basis_index) * w.prefix(basis_index + n).inverse()
-    return CoeffVector(w.domain, {basis_index + n: delta.to_complex()})
+    return next(iterates(op, v, [n]))
 
 
 def tmu_apply(mu: complex, f: CoeffVector) -> CoeffVector:

@@ -175,6 +175,26 @@ class TestScenarios:
         assert set(rec) == {"n", "exponent", "value", "hit"}
         assert (out / "hits.csv").read_text().splitlines()[0] == "time"
 
+    def test_orbit_overflow_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        # forward Constant(0.5) coefficients grow as 2^n; their l^2 norm
+        # overflows a double long before the horizon
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "scenario": "orbit",
+                "weights": {"family": "Constant", "value": 0.5},
+                "direction": "forward",
+                "vector": {"basis": 1},
+                "target": {"kind": "ball", "center": {"basis": 1}, "radius": 0.1},
+                "horizon": 2000,
+            },
+        )
+        assert run(["orbit", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_weakstar_scenario(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(

@@ -20,7 +20,7 @@ from shiftlab.constructor import (
     verify_eq33,
 )
 from shiftlab.criterion import qfhc_check
-from shiftlab.errors import ConstructionRefusedError, InvalidArgumentError
+from shiftlab.errors import ConstructionRefusedError, InvalidArgumentError, ResourceLimitError
 from shiftlab.density import iroot
 from shiftlab.seqspace import CoeffVector, UNILATERAL, c0, fnorm, lp, scale, weakstar_gap
 from shiftlab.shiftops import (
@@ -312,6 +312,31 @@ class TestHitExperiments:
         # every probed time n^2 hits the huge ball
         assert r.hits.times == tuple(n * n for n in range(1, 21))
         assert r.density.q == 2
+
+    # orbits have no step limit of their own; only prefix indices are capped
+    STEP_TARGETS = [
+        modulus_exceeds(1, 0.5),
+        BallTarget(E1, 0.5),
+        WeakStarTarget(E1, coordinate_functionals(1), 0.5),
+    ]
+
+    @pytest.mark.parametrize("target", STEP_TARGETS, ids=["modulus", "ball", "weakstar"])
+    def test_backward_orbit_past_support_is_zero_at_any_step(self, target):
+        # 3 * 2^22 shift steps exceed the prefix cap, but every term has
+        # fallen off the edge, so no prefix index is touched
+        op = OperatorSpec(ConstantWeight(2), BACKWARD, power=2**22)
+        r = hit_experiment(lp(2), op, E1, target, horizon=3)
+        assert len(r.events) == 3
+        assert len(r.hits) == 0
+        if isinstance(target, BallTarget):
+            # the distance of the zero orbit to e_1
+            assert [e["value"] for e in r.events] == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("target", STEP_TARGETS, ids=["modulus", "ball", "weakstar"])
+    def test_forward_orbit_past_prefix_cap_raises(self, target):
+        op = OperatorSpec(ConstantWeight(2), FORWARD, power=2**23)
+        with pytest.raises(ResourceLimitError):
+            hit_experiment(lp(2), op, E1, target, horizon=3)
 
 
 class TestWeakStarTransfer:

@@ -23,7 +23,6 @@ from shiftlab.shiftops import (
     TMuWeight,
     WeightSeq,
     apply,
-    forward_iterate,
     iterate,
     iterates,
     orbit_batch,
@@ -168,7 +167,7 @@ class TestOperators:
 
     def test_forward_iterate(self):
         w = ConstantWeight(2)
-        out = forward_iterate(w, 1, 3)
+        out = iterate(OperatorSpec(w, FORWARD), CoeffVector.basis(1, w.domain), 3)
         assert out.support == (4,)
         assert close(out[4], 2.0 ** (-3), 1e-12)
 
