@@ -1,10 +1,12 @@
 """Batch experiment runner.
 
 Scenarios are described by a JSON config (unknown keys rejected, all
-defaults materialized into the echoed copy); command-line flags override
-the scalar fields.  Every run writes its resolved config next to its
-outputs, CSV files use a header row, '.' decimals and newline line ends,
-orbit logs are JSON-lines, and all files are written atomically.
+defaults materialized into the resolved copy); command-line flags override
+the scalar fields.  Every run writes its resolved config to
+``config.resolved.json`` next to its outputs and prints only its path.
+CSV files hold the bytes csv.writer would write (header row, '.' decimals,
+newline line ends), streamed from columns; orbit logs are JSON-lines, and
+all files are written atomically.
 
 Exit codes: 0 completed, 1 usage/config error, 2 refusal or violations.
 """
@@ -12,13 +14,15 @@ Exit codes: 0 completed, 1 usage/config error, 2 refusal or violations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import os
 import sys
 import tempfile
 import time
+
+import numpy as np
 
 from . import constructor as ctor
 from . import criterion as crit
@@ -50,6 +54,9 @@ EXIT_USAGE = 1
 EXIT_REFUSED = 2
 
 MAX_GRID = 512
+CSV_CHUNK_ROWS = 1 << 16
+_KIND_CODES = {"f": "%r", "i": "%d", "u": "%d", "b": "%s"}  # numpy dtype kind -> code
+_TYPE_CODES = {float: "%r", int: "%d", bool: "%s"}
 
 
 class ConfigError(Exception):
@@ -80,6 +87,11 @@ def _check_keys(obj: dict, allowed: dict, where: str) -> dict:
     return out
 
 
+def _complex(v) -> complex:
+    """A config number: a real or an [re, im] pair."""
+    return complex(v[0], v[1]) if isinstance(v, list) else complex(v)
+
+
 def parse_weights(spec: dict, where: str = "weights"):
     spec = dict(spec or {})
     family = spec.pop("family", None)
@@ -95,10 +107,7 @@ def parse_weights(spec: dict, where: str = "weights"):
         elif family == "RootWeight":
             w = RootRatioWeight(int(spec.pop("p", 1)))
         elif family == "TMu":
-            mu = spec.pop("mu", 1.0)
-            if isinstance(mu, list):
-                mu = complex(mu[0], mu[1])
-            w = TMuWeight(complex(mu))
+            w = TMuWeight(_complex(spec.pop("mu", 1.0)))
         elif family == "Table":
             values = [complex(v) for v in spec.pop("values", [])]
             w = TableWeight(tuple(values), complex(spec.pop("default", 1.0)))
@@ -144,10 +153,7 @@ def parse_vector(spec: dict, domain: str, where: str = "vector") -> CoeffVector:
     if spec["basis"] is not None:
         return CoeffVector.basis(int(spec["basis"]), domain)
     if spec["entries"] is not None:
-        entries = {}
-        for k, v in spec["entries"].items():
-            entries[int(k)] = complex(v[0], v[1]) if isinstance(v, list) else complex(v)
-        return CoeffVector(domain, entries)
+        return CoeffVector(domain, {int(k): _complex(v) for k, v in spec["entries"].items()})
     raise ConfigError(f"{where}: need 'basis' or 'entries'")
 
 
@@ -178,13 +184,15 @@ def parse_target(spec: dict, domain: str, where: str = "target"):
 # ---------------------------------------------------------------------------
 
 
-def atomic_write(path: str, data: str):
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A text file that replaces ``path`` only once it is fully written."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -192,22 +200,45 @@ def atomic_write(path: str, data: str):
         raise
 
 
-def write_csv(path: str, header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    atomic_write(path, buf.getvalue())
+def atomic_write(path: str, data: str):
+    with _atomic_file(path) as fh:
+        fh.write(data)
+
+
+def _code(column) -> str | None:
+    """The %-code that writes each cell of ``column`` as csv.writer would
+    (ints and bools by str, floats by repr), or None for other cells."""
+    if isinstance(column, np.ndarray):
+        return _KIND_CODES.get(column.dtype.kind)
+    kinds = set(map(type, column))
+    return _TYPE_CODES.get(kinds.pop()) if len(kinds) == 1 else None
+
+
+def write_csv(path: str, header, columns):
+    """Write equal-length ``columns`` (numpy arrays or sequences) under a
+    header row, CSV_CHUNK_ROWS rows at a time.  A chunk of numeric columns
+    is one %-format over its interleaved ``.tolist()`` values; any other
+    chunk goes through csv.writer.  Both give csv.writer's bytes."""
+    rows = len(columns[0]) if len(columns) else 0
+    with _atomic_file(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for lo in range(0, rows, CSV_CHUNK_ROWS):
+            chunk = [c[lo : lo + CSV_CHUNK_ROWS] for c in columns]
+            codes = [_code(c) for c in chunk]
+            if None in codes:
+                writer.writerows(zip(*chunk))
+                continue
+            values = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
+            flat = [None] * (len(values) * len(values[0]))
+            for j, vals in enumerate(values):
+                flat[j :: len(values)] = vals
+            fh.write((",".join(codes) + "\n") * len(values[0]) % tuple(flat))
 
 
 def write_jsonl(path: str, records):
     lines = [json.dumps(rec, sort_keys=True) for rec in records]
     atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +254,8 @@ _COMMON_DEFAULTS = {
 
 
 def _resolve(config: dict, args, allowed_extra: dict) -> dict:
+    """The config with defaults filled and flags applied, written to
+    ``config.resolved.json`` in the output directory."""
     allowed = dict(_COMMON_DEFAULTS)
     allowed.update(allowed_extra)
     cfg = _check_keys(config, allowed, "config")
@@ -232,31 +265,18 @@ def _resolve(config: dict, args, allowed_extra: dict) -> dict:
             cfg[key] = val
     cfg["horizon"] = int(cfg["horizon"])
     cfg["tol"] = float(cfg["tol"])
+    path = os.path.join(cfg["out"], "config.resolved.json")
+    atomic_write(path, json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+    print(f"resolved config: {path}")
     return cfg
 
 
-def _echo(cfg: dict, out_dir: str):
-    payload = json.dumps(cfg, indent=2, sort_keys=True)
-    atomic_write(os.path.join(out_dir, "config.resolved.json"), payload + "\n")
-    print("resolved config:")
-    print(payload)
-
-
 def run_density(config: dict, args) -> int:
-    cfg = _resolve(
-        config,
-        args,
-        {"times": ..., "q": 1, "burn_in": None},
-    )
-    out = cfg["out"]
-    _echo(cfg, out)
+    cfg = _resolve(config, args, {"times": ..., "q": 1, "burn_in": None})
     hs = dens.HitSet.from_iterable(cfg["times"], cfg["horizon"])
     est = dens.q_lower_density(hs, int(cfg["q"]), burn_in=cfg["burn_in"])
-    write_csv(
-        os.path.join(out, "density_profile.csv"),
-        ["N", "count", "p_N"],
-        [(n, c, _fmt(p)) for n, c, p in est.profile],
-    )
+    write_csv(os.path.join(cfg["out"], "density_profile.csv"), ["N", "count", "p_N"],
+              est.profile.columns)
     print(
         f"q={est.q} lower-density estimate {est.value:.6g} "
         f"(burn-in {est.burn_in}, {len(hs)} hit times, horizon {hs.horizon})"
@@ -266,19 +286,16 @@ def run_density(config: dict, args) -> int:
 
 def run_jsets(config: dict, args) -> int:
     cfg = _resolve(config, args, {"nseq": ..., "k": None})
-    out = cfg["out"]
-    _echo(cfg, out)
     fam = dens.generate_jsets(cfg["nseq"], cfg["k"], cfg["horizon"])
     report = dens.verify_jsets(fam)
-    rows = []
-    for k, cls in enumerate(fam.classes, start=1):
-        for v in cls:
-            rows.append((k, v))
-    write_csv(os.path.join(out, "jsets.csv"), ["class", "element"], rows)
+    pos, label = fam.walk.columns
+    by_class = np.argsort(label, kind="stable")
+    write_csv(os.path.join(cfg["out"], "jsets.csv"), ["class", "element"],
+              [label[by_class], pos[by_class]])
     write_csv(
-        os.path.join(out, "jsets_densities.csv"),
+        os.path.join(cfg["out"], "jsets_densities.csv"),
         ["class", "density"],
-        [(k + 1, _fmt(d)) for k, d in enumerate(report.class_densities)],
+        [np.arange(1, fam.k_classes + 1), np.array(report.class_densities)],
     )
     print(
         f"classes={fam.k_classes} elements={len(fam.walk)} "
@@ -300,8 +317,6 @@ def run_criterion(config: dict, args) -> int:
             "max_exp": crit.DEFAULT_MAX_EXP,
         },
     )
-    out = cfg["out"]
-    _echo(cfg, out)
     space = parse_space(cfg["space"])
     w = parse_weights(cfg["weights"])
     report = crit.qfhc_check(
@@ -313,17 +328,10 @@ def run_criterion(config: dict, args) -> int:
         max_exp=int(cfg["max_exp"]),
     )
     write_csv(
-        os.path.join(out, "criterion.csv"),
+        os.path.join(cfg["out"], "criterion.csv"),
         ["series", "verdict", "rule", "sum_estimate"],
-        [
-            (
-                e.label,
-                e.verdict.kind,
-                e.verdict.rule,
-                _fmt(e.verdict.sum_estimate) if e.verdict.sum_estimate is not None else "",
-            )
-            for e in report.entries
-        ],
+        list(zip(*[(e.label, e.verdict.kind, e.verdict.rule, e.verdict.sum_estimate)
+                   for e in report.entries])),
     )
     print(f"operator: {report.operator}\nspace: {report.space}\noverall: {report.overall}")
     return EXIT_OK if report.satisfied else EXIT_REFUSED
@@ -335,8 +343,6 @@ def run_construct(config: dict, args) -> int:
         args,
         {"space": {}, "weights": ..., "q": 1, "k": 3, "n_max": 4096},
     )
-    out = cfg["out"]
-    _echo(cfg, out)
     space = parse_space(cfg["space"])
     w = parse_weights(cfg["weights"])
     targets = ctor.canonical_targets(int(cfg["k"]), w.domain)
@@ -353,14 +359,14 @@ def run_construct(config: dict, args) -> int:
         return EXIT_REFUSED
     report = ctor.verify_eq33(plan)
     write_csv(
-        os.path.join(out, "candidate.csv"),
+        os.path.join(cfg["out"], "candidate.csv"),
         ["index", "re", "im"],
-        [(i, _fmt(c.real), _fmt(c.imag)) for i, c in plan.candidate.entries.items()],
+        list(zip(*[(i, c.real, c.imag) for i, c in plan.candidate.entries.items()])),
     )
     write_csv(
-        os.path.join(out, "eq33.csv"),
+        os.path.join(cfg["out"], "eq33.csv"),
         ["class", "m", "error", "bound", "ok"],
-        [(c.k, c.m, _fmt(c.error), _fmt(c.bound), c.ok) for c in report.checks],
+        list(zip(*[(c.k, c.m, c.error, c.bound, c.ok) for c in report.checks])),
     )
     for msg in plan.warnings:
         print(f"warning: {msg}")
@@ -389,17 +395,12 @@ def run_orbit(config: dict, args) -> int:
             "burn_in": None,
         },
     )
-    out = cfg["out"]
-    _echo(cfg, out)
     space = parse_space(cfg["space"])
     w = parse_weights(cfg["weights"])
-    rot = cfg["rotation"]
-    if isinstance(rot, list):
-        rot = complex(rot[0], rot[1])
     op = OperatorSpec(
         w,
         cfg["direction"],
-        rotation=complex(rot) if rot is not None else 1.0,
+        rotation=1.0 if cfg["rotation"] is None else _complex(cfg["rotation"]),
         power=int(cfg["power"]),
     )
     x = parse_vector(cfg["vector"], w.domain)
@@ -414,12 +415,8 @@ def run_orbit(config: dict, args) -> int:
         horizon=cfg["horizon"],
         burn_in=cfg["burn_in"],
     )
-    write_jsonl(os.path.join(out, "orbit_events.jsonl"), result.events)
-    write_csv(
-        os.path.join(out, "hits.csv"),
-        ["time"],
-        [(t,) for t in result.hits.times],
-    )
+    write_jsonl(os.path.join(cfg["out"], "orbit_events.jsonl"), result.events)
+    write_csv(os.path.join(cfg["out"], "hits.csv"), ["time"], [result.hits.array])
     growth = (
         f"bounded C={result.growth.constant:.6g}"
         if result.growth and result.growth.bounded
@@ -445,8 +442,6 @@ def run_weakstar(config: dict, args) -> int:
             "burn_in": None,
         },
     )
-    out = cfg["out"]
-    _echo(cfg, out)
     w = parse_weights(cfg["weights"])
     x = parse_vector(cfg["vector"], w.domain)
     center = parse_vector(cfg["center"], w.domain, "center")
@@ -462,8 +457,8 @@ def run_weakstar(config: dict, args) -> int:
         )
     except InvalidArgumentError as exc:
         raise ConfigError(str(exc)) from exc
-    write_jsonl(os.path.join(out, "weakstar_events.jsonl"), result.events)
-    write_csv(os.path.join(out, "hits.csv"), ["time"], [(t,) for t in result.hits.times])
+    write_jsonl(os.path.join(cfg["out"], "weakstar_events.jsonl"), result.events)
+    write_csv(os.path.join(cfg["out"], "hits.csv"), ["time"], [result.hits.array])
     print(
         f"weak* target {result.target}: {len(result.hits)} hits, "
         f"density {result.density.value:.6g}"
@@ -484,8 +479,6 @@ def run_sweep(config: dict, args) -> int:
             "mode": "offsets",  # 'offsets' (scalar condition) or 'basis'
         },
     )
-    out = cfg["out"]
-    _echo(cfg, out)
     grid = cfg["grid"]
     qs = [int(q) for q in cfg["q_values"]]
     if not grid or not qs:
@@ -511,9 +504,9 @@ def run_sweep(config: dict, args) -> int:
             row.append(report.overall)
         rows.append(row)
     write_csv(
-        os.path.join(out, "sweep.csv"),
+        os.path.join(cfg["out"], "sweep.csv"),
         ["weights"] + [f"q={q}" for q in qs],
-        rows,
+        list(zip(*rows)),
     )
     for row in rows:
         print("  ".join(str(c) for c in row))

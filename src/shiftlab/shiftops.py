@@ -39,6 +39,10 @@ DEFAULT_STEP_CAP = 1 << 23  # largest prefix index |n| the cache holds
 # most terms ``orbit_slices`` gathers per batch: a batch peaks near 125
 # bytes per term, so this caps it near 32 MB
 ORBIT_CHUNK_TERMS = 1 << 18
+# a step count past int64 acts as this one: it passes every support
+# index below 2^62, so a unilateral backward orbit is zero, and any other
+# orbit asks for a prefix index past DEFAULT_STEP_CAP
+_STEP_CLIP = 1 << 62
 
 BACKWARD = "backward"
 FORWARD = "forward"  # the right inverse S_w, with S_w(e_n) = e_{n+1}/w_{n+1}
@@ -463,6 +467,15 @@ def apply(op: OperatorSpec, v: CoeffVector) -> CoeffVector:
     return CoeffVector(v.domain, entries)
 
 
+def _step_array(steps) -> np.ndarray:
+    """``steps`` as a flat int64 array, counts past int64 clipped."""
+    try:
+        return np.asarray(steps, dtype=np.int64).reshape(-1)
+    except OverflowError:
+        steps = np.ravel(np.array(steps, dtype=object))
+        return np.array([min(max(int(s), -1), _STEP_CLIP) for s in steps], dtype=np.int64)
+
+
 def _survivors(op: OperatorSpec, support: np.ndarray, steps: np.ndarray):
     """Per time: the support position of its first surviving entry, and
     how many survive.  Only a unilateral backward shift drops entries:
@@ -484,7 +497,7 @@ def orbit_batch(op: OperatorSpec, v: CoeffVector, steps):
     Arrays grow with the surviving terms only.
     """
     _check_domains(op, v)
-    steps = np.asarray(steps, dtype=np.int64).reshape(-1)
+    steps = _step_array(steps)
     if (steps < 0).any():
         raise InvalidArgumentError("step count must be nonnegative")
     support, log_c, arg_c = v.log_polar
@@ -516,7 +529,7 @@ def orbit_slices(op: OperatorSpec, v: CoeffVector, steps):
     (indices, logmags, phases), from ``orbit_batch`` calls of at most
     ORBIT_CHUNK_TERMS terms each (a single time may exceed it)."""
     _check_domains(op, v)
-    steps = np.asarray(steps, dtype=np.int64).reshape(-1)
+    steps = _step_array(steps)
     _, counts = _survivors(op, v.log_polar[0], steps)
     ends = np.cumsum(counts)
     lo = 0

@@ -1,7 +1,12 @@
+import csv
+import io
 import json
 import os
 
-from shiftlab.cli import main
+import numpy as np
+import pytest
+
+from shiftlab.cli import CSV_CHUNK_ROWS, main, write_csv
 
 
 def write_config(tmp_path, name, payload):
@@ -195,6 +200,30 @@ class TestScenarios:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("target", [
+        {"kind": "ball", "center": {"basis": 1}, "radius": 0.1},
+        {"kind": "modulus_exceeds", "index": 1, "threshold": 0.1},
+    ])
+    def test_orbit_power_past_int64_is_the_zero_orbit(self, tmp_path, target):
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "scenario": "orbit",
+                "weights": {"family": "Constant", "value": 2},
+                "vector": {"basis": 3},
+                "target": target,
+                "power": 2**70,
+                "horizon": 10,
+            },
+        )
+        assert run(["orbit", "--config", cfg, "--out", out]) == 0
+        events = [json.loads(line) for line in (out / "orbit_events.jsonl").open()]
+        assert [e["exponent"] for e in events] == [n * 2**70 for n in range(1, 11)]
+        assert not any(e["hit"] for e in events)
+        assert (out / "hits.csv").read_text() == "time\n"
+
     def test_weakstar_scenario(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(
@@ -313,3 +342,85 @@ class TestReproducibility:
         )
         assert run(["density", "--config", cfg, "--out", out]) == 0
         assert not [p for p in os.listdir(out) if p.startswith(".tmp-")]
+
+
+class TestResolvedConfigEcho:
+    def test_stdout_names_the_file_only(self, tmp_path, capsys):
+        times = list(range(1, 200_001, 2))  # 1e5 hit times
+        cfg = write_config(
+            tmp_path, "c.json", {"scenario": "density", "times": times, "horizon": 200_000}
+        )
+        out = tmp_path / "out"
+        assert run(["density", "--config", cfg, "--out", out]) == 0
+        stdout = capsys.readouterr().out
+        assert len(stdout.encode()) < 1024
+        path = out / "config.resolved.json"
+        assert f"resolved config: {path}" in stdout.splitlines()
+        echoed = json.loads(path.read_text())
+        assert echoed == {
+            "scenario": "density", "out": str(out), "horizon": 200_000,
+            "tol": 1e-8, "times": times, "q": 1, "burn_in": None,
+        }
+
+
+def csv_writer_bytes(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+TRICKY_STRINGS = [
+    "plain", "", " ", "a,b", 'say "hi"', '"', "line\nbreak", "cr\rret", "crlf\r\n",
+    "tab\tsep", "semi;colon", "é ünïcode", "trailing,", ",", '""', "'single'",
+]
+TRICKY_FLOATS = [
+    0.1, 1 / 3, -0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+    2.2250738585072014e-308, 1e-310, 1e16, 1e22, 123456789012345.6, 1.7976931348623157e308,
+]
+TRICKY_INTS = [0, -1, 2**53, 2**53 + 1, -(2**63), 2**63 - 1, 2**64 + 7, 10**30]
+
+
+class TestWriteCsvMatchesCsvWriter:
+    def check(self, tmp_path, header, columns):
+        """write_csv's bytes equal csv.writer's on the same cells as
+        Python scalars."""
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+        path = tmp_path / "t.csv"
+        write_csv(str(path), header, columns)
+        assert path.read_bytes() == csv_writer_bytes(header, rows).encode("utf-8")
+
+    def test_string_cells(self, tmp_path):
+        n = len(TRICKY_STRINGS)
+        self.check(tmp_path, ["s", "rev", "i"],
+                   [TRICKY_STRINGS, TRICKY_STRINGS[::-1], list(range(n))])
+
+    def test_one_column_empty_cells_are_quoted(self, tmp_path):
+        self.check(tmp_path, ["s"], [TRICKY_STRINGS])
+        self.check(tmp_path, [""], [["", "x", ""]])
+
+    def test_numeric_cells_as_lists_and_arrays(self, tmp_path):
+        floats = TRICKY_FLOATS
+        bools = [i % 3 == 0 for i in range(len(floats))]
+        ints = (TRICKY_INTS * 2)[: len(floats)]
+        self.check(tmp_path, ["f", "b", "i"], [floats, bools, ints])
+        in64 = [i for i in TRICKY_INTS if -(2**63) <= i < 2**63]
+        self.check(tmp_path, ["f", "b"], [np.array(floats), np.array(bools)])
+        unsigned = np.array([0, 1, 2**53 + 1, 2**63, 2**64 - 1, 7], dtype=np.uint64)
+        self.check(tmp_path, ["i", "u"], [np.array(in64), unsigned])
+
+    def test_mixed_object_cells(self, tmp_path):
+        cells = [None, 1.5, "a,b", True, 7, -0.0, float("nan"), "", 2**70, (1, 2)]
+        self.check(tmp_path, ["mixed", "pad"], [cells, ["p"] * len(cells)])
+
+    def test_header_only_and_chunk_edges(self, tmp_path):
+        self.check(tmp_path, ["a", "b,c"], [[], []])
+        for n in (CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, 2 * CSV_CHUNK_ROWS + 1):
+            ns = np.arange(n)
+            self.check(tmp_path, ["n", "x"], [ns, np.sqrt(ns)])
+        # numeric chunks and a last chunk with a None: each chunk picks its writer
+        xs = np.sqrt(ns).tolist()
+        xs[-1] = None
+        self.check(tmp_path, ["n", "x"], [ns, xs])

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from shiftlab.density import (
     HitSet,
+    JSetFamily,
     check_growth_bound,
     dyadic_class,
     generate_jsets,
@@ -185,3 +186,91 @@ class TestSeparatedClasses:
     def test_rejects_nonincreasing(self):
         with pytest.raises(InvalidArgumentError):
             generate_jsets((5, 5), 2, 100)
+
+
+def scalar_walk(nseq, k_classes, horizon):
+    """The dyadic walk one step at a time: the reference for the bulk one."""
+    walk = []
+    a = prev = None
+    n = 1
+    while True:
+        label = dyadic_class(n, k_classes)
+        a = 2 * nseq[0] if a is None else a + nseq[label - 1] + nseq[prev - 1]
+        if a > horizon:
+            return walk
+        walk.append((a, label))
+        prev = label
+        n += 1
+
+
+def all_pair_verify(fam):
+    """O(n^2) reference: the sorted (value, class) elements, the index
+    pairs (i, j) of every pair too close (neighbours or not), the
+    minimum-bound violations, and ok."""
+    elems = sorted((v, k) for k, cls in enumerate(fam.classes, start=1) for v in cls)
+    close = [
+        (i, j)
+        for i in range(len(elems))
+        for j in range(i + 1, len(elems))
+        if elems[j][0] - elems[i][0] < fam.nseq[elems[i][1] - 1] + fam.nseq[elems[j][1] - 1]
+    ]
+    low = [(k, v) for k, cls in enumerate(fam.classes, start=1) for v in cls if v < fam.nseq[k - 1]]
+    disjoint = len({v for v, _ in elems}) == len(elems)
+    return elems, close, low, disjoint and not close and not low
+
+
+def hand_family(nseq, classes, horizon=100):
+    return JSetFamily(nseq=tuple(nseq), k_classes=len(classes), horizon=horizon,
+                      classes=tuple(tuple(c) for c in classes), walk=None)
+
+
+class TestBulkJSets:
+    @pytest.mark.filterwarnings("ignore:walk spacing")
+    def test_walk_matches_scalar_reference(self):
+        rng = random.Random(2014)
+        for _ in range(60):
+            nseq = sorted(rng.sample(range(1, 200), rng.randint(1, 9)))
+            k = rng.randint(1, len(nseq))
+            horizon = rng.choice([0, 1, 2 * nseq[0] - 1, 2 * nseq[0], rng.randint(1, 30_000)])
+            fam = generate_jsets(nseq, k, horizon)
+            want = scalar_walk(nseq, k, horizon)
+            assert list(fam.walk) == want
+            assert fam.classes == tuple(
+                tuple(a for a, lab in want if lab == c) for c in range(1, k + 1)
+            )
+
+    def test_deep_labels_and_huge_thresholds(self):
+        # labels up to 1 + log2(steps), and thresholds far past the horizon
+        fam = generate_jsets((1, 2, 3, 10**30), 4, 5000)
+        assert list(fam.walk) == scalar_walk((1, 2, 3, 10**30), 4, 5000)
+        nseq = tuple(range(1, 21))
+        fam = generate_jsets(nseq, 20, 200_000)
+        assert list(fam.walk) == scalar_walk(nseq, 20, 200_000)
+
+    def test_verify_matches_brute_force_on_hand_built_families(self):
+        cases = [
+            ((2, 5), [[4, 20], [12, 40]]),            # separated
+            ((2, 5), [[4, 7], [12, 40]]),             # 4 -> 7 too close
+            ((2, 5), [[4, 30], [30, 50]]),            # duplicate across classes
+            ((2, 5), [[4, 4, 30], [50]]),             # duplicate inside a class
+            ((2, 5), [[1, 20], [3, 40]]),             # below N_k, far apart
+            ((3, 4, 9), [[6, 9, 40], [15, 30], [60, 61]]),  # several close pairs
+            ((1,), [[]]),                             # empty
+            ((3, 4), [[50, 6], [20, 13]]),            # unsorted classes
+        ]
+        rng = random.Random(7)
+        for _ in range(200):
+            nseq = sorted(rng.sample(range(1, 12), rng.randint(1, 4)))
+            cases.append((nseq, [[rng.randint(0, 120) for _ in range(rng.randint(0, 8))]
+                                 for _ in nseq]))
+        for nseq, classes in cases:
+            fam = hand_family(nseq, classes)
+            rep = verify_jsets(fam)
+            elems, close, low, ok = all_pair_verify(fam)
+            assert rep.ok == ok, (nseq, classes)
+            assert list(rep.gap_violations) == [
+                (elems[i][1], elems[j][1], elems[i][0], elems[j][0])
+                for i, j in close if j == i + 1
+            ]
+            assert list(rep.min_bound_violations) == low
+            assert rep.disjoint == (len({v for v, _ in elems}) == len(elems))

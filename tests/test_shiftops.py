@@ -394,6 +394,37 @@ class TestBatchedOrbitEngine:
             orbit_batch(op, CoeffVector.basis(3, BILATERAL), [1])
 
 
+class TestStepCountsPastInt64:
+    @pytest.mark.parametrize("n", [2**60, 2**63, 2**70, 10**30])
+    def test_unilateral_backward_orbit_is_zero(self, n):
+        op = OperatorSpec(ConstantWeight(2), BACKWARD)
+        assert iterate(op, CoeffVector.basis(1), n).entries == {}
+        powered = OperatorSpec(ConstantWeight(2), BACKWARD, rotation=1j, power=n)
+        assert iterate(powered, CoeffVector.basis(5), 3).entries == {}
+
+    def test_earlier_times_of_a_batch_are_unchanged(self):
+        op = OperatorSpec(ConstantWeight(2), BACKWARD)
+        v = CoeffVector(UNILATERAL, UNI_VECTOR)
+        got = [vector_bits(x) for x in iterates(op, v, [0, 3, 7, 2**70, 5])]
+        want = [vector_bits(scalar_iterate(op, v, n)) for n in (0, 3, 7)]
+        assert got[:3] == want
+        assert got[3] == [] and got[4] == vector_bits(scalar_iterate(op, v, 5))
+
+    def test_negative_counts_still_rejected(self):
+        op = OperatorSpec(ConstantWeight(2), BACKWARD)
+        with pytest.raises(InvalidArgumentError):
+            orbit_batch(op, CoeffVector.basis(3), [1, -2**70])
+
+    @pytest.mark.parametrize("domain,direction", [
+        (UNILATERAL, FORWARD), (BILATERAL, BACKWARD), (BILATERAL, FORWARD),
+    ])
+    def test_other_orbits_hit_the_prefix_cap(self, domain, direction):
+        op = OperatorSpec(ConstantWeight(2, domain), direction)
+        for n in (2**63, 2**70):
+            with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+                iterate(op, CoeffVector.basis(1, domain), n)
+
+
 class TestTableLogWeightBlocks:
     def test_table_block_equals_scalar_fallback(self):
         w = TableWeight((2.0, -1.5j, 0.3 + 0.4j, -0.7), default=1.25 - 0.5j)
