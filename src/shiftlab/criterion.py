@@ -441,8 +441,21 @@ def _indices(indices) -> list:
 
 
 def _series_term_count(q: int, max_exp: int, max_offset: int) -> int:
-    n = min(2**max_exp, iroot(max(2, DEFAULT_EXP_CAP - max_offset), q))
-    return max(n, 2)
+    """Terms per series: 2^max_exp (at least 2), cut so that no term's
+    prefix index n^q + offset passes DEFAULT_EXP_CAP.  Below 2, the
+    series does not fit in that reach (see ``_beyond_reach``)."""
+    room = DEFAULT_EXP_CAP - max_offset
+    return min(max(2**max_exp, 2), iroot(room, q)) if room > 0 else 0
+
+
+def _beyond_reach() -> Verdict:
+    """The verdict on a series with fewer than two terms inside the
+    prefix reach DEFAULT_EXP_CAP: nothing past it is read."""
+    return Verdict(
+        INCONCLUSIVE,
+        "fewer than two terms within the 2^22 prefix reach",
+        SeriesProbe(checkpoints=()),
+    )
 
 
 def _classify_weighted(space, logmag_fn, degree_fn, n_max, tol):
@@ -539,25 +552,27 @@ def qfhc_check(
         else:
 
             def t_logmag(ns, _j=j, _lj=lj):
-                return _lj - w.prefix_logmag(_j - ns.astype(np.int64) ** q)
+                return _lj - w.prefix_logmag(_j - np.asarray(ns, dtype=np.int64) ** q)
 
             entries.append(
                 ProbeEntry(
                     f"T-series j={j}",
-                    _classify_weighted(space, t_logmag, None, n_max, tol),
+                    _classify_weighted(space, t_logmag, None, n_max, tol)
+                    if n_max >= 2 else _beyond_reach(),
                 )
             )
 
         def s_logmag(ns, _j=j, _lj=lj):
-            return _lj - w.prefix_logmag(_j + ns.astype(np.int64) ** q)
+            return _lj - w.prefix_logmag(_j + np.asarray(ns, dtype=np.int64) ** q)
 
         def s_degree(ns, _j=j):
-            return _j + ns.astype(np.int64) ** q - 1
+            return _j + np.asarray(ns, dtype=np.int64) ** q - 1
 
         entries.append(
             ProbeEntry(
                 f"S-series j={j}",
-                _classify_weighted(space, s_logmag, s_degree, n_max, tol),
+                _classify_weighted(space, s_logmag, s_degree, n_max, tol)
+                if n_max >= 2 else _beyond_reach(),
             )
         )
     if w.domain == UNILATERAL:
@@ -591,12 +606,13 @@ def unilateral_condition(
     for j in j_range:
 
         def logmag(ns, _j=j):
-            return -w.prefix_logmag(ns.astype(np.int64) ** q + _j)
+            return -w.prefix_logmag(np.asarray(ns, dtype=np.int64) ** q + _j)
 
         entries.append(
             ProbeEntry(
                 f"j={j}",
-                _classify_weighted(space, logmag, None, n_max, tol),
+                _classify_weighted(space, logmag, None, n_max, tol)
+                if n_max >= 2 else _beyond_reach(),
             )
         )
     return _report(
@@ -632,11 +648,16 @@ def bilateral_condition(
     reach = jmax + n_max**q
     w.warm(reach, nmin=-reach)
     entries = []
+    nq = np.arange(1, n_max + 1, dtype=np.int64) ** q
     for j in j_range:
+        if n_max < 2:
+            kind = "products" if on_c0 else "series"
+            entries += [ProbeEntry(f"{side} {kind} j={j}", _beyond_reach())
+                        for side in ("forward", "backward")]
+            continue
         lj = w.prefix(j).logmag
-        ns = np.arange(1, n_max + 1, dtype=np.int64)
-        fwd = w.prefix_logmag(ns**q + j)  # log products w_1..w_{n^q+j}
-        bwd = lj - w.prefix_logmag(j - ns**q)  # log products w_j..w_{j-n^q+1}
+        fwd = w.prefix_logmag(nq + j)  # log products w_1..w_{n^q+j}
+        bwd = lj - w.prefix_logmag(j - nq)  # log products w_j..w_{j-n^q+1}
         if on_c0:
             entries.append(
                 ProbeEntry(f"forward products j={j}", classify_limit_infinite(fwd))

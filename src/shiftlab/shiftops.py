@@ -81,8 +81,19 @@ class WeightSeq:
     """Base class for weight families.
 
     Subclasses provide ``weight(n)`` and, for speed, a vectorized
-    ``_log_weight_block``.  Prefix sums are cached in growable numpy
-    arrays; the cache may be shared read-only once warmed.
+    ``_log_weight_block(ns)`` over a consecutive range of indices,
+    returning (log|w|, arg w); a phase of None means every arg w is 0.
+
+    Prefix sums are cached as log-magnitude and phase arrays per side
+    (``_lm``/``_ph``, and ``_lm_neg``/``_ph_neg`` when bilateral).  A
+    lookup past the end grows a side to max(n, 2 * end, 4096), at most
+    DEFAULT_STEP_CAP: one new array, the block's cumulative sum in its
+    tail, the previous last prefix added in place.  Each block's sum
+    starts afresh, so a prefix's bits depend on the block boundaries
+    that the sequence of lookups produced, not on n alone.  A family
+    with zero phase keeps a zero-filled phase array, which reads +0.0
+    as a phase sum would.  The cache may be shared read-only once
+    warmed.
     """
 
     domain = UNILATERAL
@@ -105,7 +116,7 @@ class WeightSeq:
             raise InvalidArgumentError(f"weight at {n} is zero")
         return _log_polar(w)
 
-    def _log_weight_block(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _log_weight_block(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         lm = np.empty(len(ns))
         ph = np.empty(len(ns))
         for i, n in enumerate(ns):
@@ -130,10 +141,10 @@ class WeightSeq:
                 f"prefix index {n} exceeds the cap {DEFAULT_STEP_CAP}"
             )
         target = min(DEFAULT_STEP_CAP, max(n, 2 * cur, 4096))
-        ns = np.arange(cur + 1, target + 1)
-        lm, ph = self._log_weight_block(ns)
-        self._lm = np.concatenate([self._lm, self._lm[-1] + np.cumsum(lm)])
-        self._ph = np.concatenate([self._ph, self._ph[-1] + np.cumsum(ph)])
+        lm, ph = self._log_weight_block(np.arange(cur + 1, target + 1))
+        self._lm = _extended(self._lm, lm, np.add)
+        # a zero phase (None) leaves every phase prefix +0.0
+        self._ph = np.zeros(len(self._lm)) if ph is None else _extended(self._ph, ph, np.add)
 
     def _grow_neg(self, m: int):
         # P(-m) = -sum_{i=-m+1}^{0} log w(i)
@@ -145,10 +156,11 @@ class WeightSeq:
                 f"prefix index -{m} exceeds the cap {DEFAULT_STEP_CAP}"
             )
         target = min(DEFAULT_STEP_CAP, max(m, 2 * cur, 4096))
-        ns = -np.arange(cur, target)  # weights at 0, -1, ..., -(target-1)
-        lm, ph = self._log_weight_block(ns)
-        self._lm_neg = np.concatenate([self._lm_neg, self._lm_neg[-1] - np.cumsum(lm)])
-        self._ph_neg = np.concatenate([self._ph_neg, self._ph_neg[-1] - np.cumsum(ph)])
+        # weights at 0, -1, ..., -(target-1)
+        lm, ph = self._log_weight_block(-np.arange(cur, target))
+        self._lm_neg = _extended(self._lm_neg, lm, np.subtract)
+        self._ph_neg = (np.zeros(len(self._lm_neg)) if ph is None
+                        else _extended(self._ph_neg, ph, np.subtract))
 
     def warm(self, n: int, nmin: int = 0):
         """Prefill the prefix cache up to |n| on both sides as applicable."""
@@ -197,19 +209,35 @@ class WeightSeq:
     def prefix_logmag(self, points: np.ndarray) -> np.ndarray:
         """Vectorized log|P| at integer points (criterion probes)."""
         points = np.asarray(points, dtype=np.int64)
+        if not len(points):
+            return np.empty(0)
+        lo, hi = int(points.min()), int(points.max())
+        if hi >= 0:
+            self._grow_pos(hi)
+            if lo >= 0:
+                return self._lm[points]
+        if self.domain != BILATERAL:
+            raise DomainMismatchError("negative prefix index on a unilateral family")
+        self._grow_neg(-lo)
+        if hi < 0:
+            return self._lm_neg[-points]
         out = np.empty(len(points))
         pos = points >= 0
-        if pos.any():
-            self._grow_pos(int(points[pos].max(initial=0)))
-            out[pos] = self._lm[points[pos]]
-        if (~pos).any():
-            if self.domain != BILATERAL:
-                raise DomainMismatchError(
-                    "negative prefix index on a unilateral family"
-                )
-            self._grow_neg(int(-points[~pos].min()))
-            out[~pos] = self._lm_neg[-points[~pos]]
+        out[pos] = self._lm[points[pos]]
+        out[~pos] = self._lm_neg[-points[~pos]]
         return out
+
+
+def _extended(cache: np.ndarray, block, combine) -> np.ndarray:
+    """``cache`` followed by combine(cache[-1], cumsum(block)), combine
+    being np.add or np.subtract, built in one allocation: the same IEEE
+    operations, so the same bits, as concatenating a separate temporary."""
+    out = np.empty(len(cache) + len(block))
+    out[: len(cache)] = cache
+    tail = out[len(cache) :]
+    np.cumsum(block, out=tail)
+    combine(cache[-1], tail, out=tail)
+    return out
 
 
 class ConstantWeight(WeightSeq):
@@ -230,8 +258,8 @@ class ConstantWeight(WeightSeq):
 
     def _log_weight_block(self, ns):
         lm = np.full(len(ns), math.log(abs(self.lam)))
-        ph = np.full(len(ns), cmath.phase(self.lam))
-        return lm, ph
+        phase = cmath.phase(self.lam)
+        return lm, (np.full(len(ns), phase) if phase else None)
 
     def params(self):
         return {"lam": self.lam}
@@ -246,8 +274,11 @@ class BergmanWeight(WeightSeq):
         return math.sqrt((n + 1) / n)
 
     def _log_weight_block(self, ns):
-        ns = ns.astype(float)
-        return 0.5 * (np.log(ns + 1) - np.log(ns)), np.zeros(len(ns))
+        logs = np.arange(ns[0], ns[-1] + 2, dtype=float)
+        np.log(logs, out=logs)  # log n over [lo, hi + 1]
+        lm = logs[1:] - logs[:-1]
+        lm *= 0.5
+        return lm, None
 
 
 class LogRatioWeight(WeightSeq):
@@ -259,8 +290,10 @@ class LogRatioWeight(WeightSeq):
         return math.log(n + 2) / math.log(n + 1)
 
     def _log_weight_block(self, ns):
-        ns = ns.astype(float)
-        return np.log(np.log(ns + 2)) - np.log(np.log(ns + 1)), np.zeros(len(ns))
+        loglogs = np.arange(ns[0] + 1, ns[-1] + 3, dtype=float)
+        np.log(loglogs, out=loglogs)
+        np.log(loglogs, out=loglogs)  # log log n over [lo + 1, hi + 2]
+        return loglogs[1:] - loglogs[:-1], None
 
 
 class RootRatioWeight(WeightSeq):
@@ -278,9 +311,11 @@ class RootRatioWeight(WeightSeq):
         return ((n + 2) / (n + 1)) ** (1.0 / (2 * self.p))
 
     def _log_weight_block(self, ns):
-        ns = ns.astype(float)
-        lm = (np.log(ns + 2) - np.log(ns + 1)) / (2.0 * self.p)
-        return lm, np.zeros(len(ns))
+        logs = np.arange(ns[0] + 1, ns[-1] + 3, dtype=float)
+        np.log(logs, out=logs)  # log n over [lo + 1, hi + 2]
+        lm = logs[1:] - logs[:-1]
+        lm /= 2.0 * self.p
+        return lm, None
 
     def params(self):
         return {"p": self.p}

@@ -15,5 +15,7 @@ def test_workflow_parses_and_keeps_its_limits():
     job = wf["jobs"]["tests"]
     assert job["timeout-minutes"] == 30
     runs = {step.get("name"): step.get("run", "") for step in job["steps"]}
+    assert '"numpy==2.4.*"' in runs["Install dependencies"]
+    assert "pyyaml" in runs["Install dependencies"].split()
     assert "--durations=10" in runs["Tier-1 tests"]
     assert "perfbench/test_smoke.py" in runs["Benchmark smoke test"]

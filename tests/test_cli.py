@@ -263,6 +263,24 @@ class TestScenarios:
         assert lines[1].endswith("fails,satisfies,satisfies")
         assert lines[2].endswith("fails,fails,satisfies")
 
+    def test_sweep_past_the_prefix_reach_is_inconclusive(self, tmp_path):
+        # at q=23 the second term 2^23 + j lies past the 2^22 reach
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "scenario": "sweep",
+                "space": {"kind": "lp", "p": 2},
+                "grid": [{"family": "RootWeight", "p": 1}],
+                "q_values": [1, 23],
+            },
+        )
+        assert run(["sweep", "--config", cfg, "--out", out]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "weights,q=1,q=23"
+        assert lines[1].endswith("fails,inconclusive")
+
     def test_sweep_empty_grid_usage_error(self, tmp_path):
         cfg = write_config(
             tmp_path, "c.json",

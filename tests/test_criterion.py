@@ -8,6 +8,7 @@ from shiftlab.criterion import (
     CONVERGES,
     DIVERGES,
     FAILS,
+    INCONCLUSIVE,
     SATISFIES,
     bilateral_condition,
     classify_magnitudes,
@@ -160,6 +161,45 @@ class TestShiftCriterion:
         v = rep.entry("S-series j=1").verdict
         assert v.kind == DIVERGES
         assert "R=" in v.rule
+
+
+class TestPrefixReach:
+    """A series with fewer than two terms inside the 2^22 reach
+    (n^q + j past DEFAULT_EXP_CAP from n = 2 on) is inconclusive."""
+
+    RULE = "fewer than two terms within the 2^22 prefix reach"
+
+    @pytest.mark.parametrize("q", [22, 23, 40])
+    def test_unilateral_condition_stays_inside_the_reach(self, q):
+        w = RootRatioWeight(1)
+        rep = unilateral_condition(w, lp(2), q, range(0, 5))
+        assert rep.overall == INCONCLUSIVE
+        assert {e.verdict.rule for e in rep.entries} == {self.RULE}
+        assert len(w._lm) <= 2**22 + 1
+
+    @pytest.mark.parametrize("q", [22, 23])
+    def test_qfhc_check_stays_inside_the_reach(self, q):
+        w = BergmanWeight()
+        rep = qfhc_check(lp(2), w, q, [1, 2, 3])
+        assert rep.overall == INCONCLUSIVE
+        assert rep.entry("S-series j=1").verdict.rule == self.RULE
+        # the unilateral T-series stays trivially convergent
+        assert rep.entry("T-series j=1").verdict.kind == CONVERGES
+        assert len(w._lm) <= 2**22 + 1
+
+    @pytest.mark.parametrize("on_c0", [False, True])
+    def test_bilateral_condition_stays_inside_the_reach(self, on_c0):
+        w = BilateralTableWeight({}, default_pos=2.0, default_nonpos=0.5)
+        rep = bilateral_condition(w, 23, range(-2, 3), p=None if on_c0 else 2, on_c0=on_c0)
+        assert rep.overall == INCONCLUSIVE
+        assert len(rep.entries) == 10
+        assert {e.verdict.rule for e in rep.entries} == {self.RULE}
+        assert max(len(w._lm), len(w._lm_neg)) <= 2**22 + 1
+
+    def test_q21_still_decides(self):
+        # 2^21 + 4 <= 2^22: two terms fit, so the scan runs as before
+        rep = unilateral_condition(RootRatioWeight(1), lp(2), 21, [0])
+        assert rep.entries[0].verdict.rule != self.RULE
 
 
 class TestBilateral:

@@ -441,3 +441,229 @@ class TestTableLogWeightBlocks:
         empty = BilateralTableWeight({}, default_pos=2.0, default_nonpos=-0.5)
         for got, want in zip(empty._log_weight_block(ns), WeightSeq._log_weight_block(empty, ns)):
             assert got.tobytes() == want.tobytes()
+
+
+# -- prefix-cache growth against the concatenating reference ----------------
+# Verbatim copies of the growth code and of each family's vectorized block
+# as they were before the cache grew in place.  The cumulative sums depend
+# on the block boundaries, so a growth that changes bits shows here even
+# where two instances of the current class would agree with each other.
+
+
+def _ref_constant_block(self, ns):
+    lm = np.full(len(ns), math.log(abs(self.lam)))
+    ph = np.full(len(ns), cmath.phase(self.lam))
+    return lm, ph
+
+
+def _ref_bergman_block(self, ns):
+    ns = ns.astype(float)
+    return 0.5 * (np.log(ns + 1) - np.log(ns)), np.zeros(len(ns))
+
+
+def _ref_log_ratio_block(self, ns):
+    ns = ns.astype(float)
+    return np.log(np.log(ns + 2)) - np.log(np.log(ns + 1)), np.zeros(len(ns))
+
+
+def _ref_root_ratio_block(self, ns):
+    ns = ns.astype(float)
+    lm = (np.log(ns + 2) - np.log(ns + 1)) / (2.0 * self.p)
+    return lm, np.zeros(len(ns))
+
+
+def _ref_tmu_block(self, ns):
+    lm = np.empty(len(ns))
+    ph = np.empty(len(ns))
+    one = ns == 1
+    rest = ~one
+    lm[one] = 0.0
+    ph[one] = 0.0
+    nf = ns[rest].astype(float)
+    lm[rest] = np.log(nf - 1) + (nf - 2) * math.log(abs(self.mu))
+    ph[rest] = (nf - 2) * cmath.phase(self.mu)
+    return lm, ph
+
+
+def _ref_table_block(self, ns):
+    # scalar log-polar forms of the table, then the default, by index
+    table = np.array([shiftops._log_polar(z) for z in (*self.values, self.default)])
+    size = len(self.values)
+    at = np.where((ns >= 1) & (ns <= size), ns - 1, size)
+    return table[at, 0], table[at, 1]
+
+
+def _ref_bilateral_table_block(self, ns):
+    # scalar log-polar forms of the sorted entries, then both defaults
+    keys, values = zip(*sorted(self.entries.items())) if self.entries else ((), ())
+    table = np.array([shiftops._log_polar(z) for z in (*values, self.default_pos,
+                                                       self.default_nonpos)])
+    size = len(keys)
+    at = np.where(ns >= 1, size, size + 1)
+    if size:
+        keys = np.array(keys, dtype=np.int64)
+        near = np.minimum(np.searchsorted(keys, ns), size - 1)
+        hit = keys[near] == ns
+        at[hit] = near[hit]
+    return table[at, 0], table[at, 1]
+
+
+REFERENCE_BLOCKS = {
+    ConstantWeight: _ref_constant_block,
+    BergmanWeight: _ref_bergman_block,
+    LogRatioWeight: _ref_log_ratio_block,
+    RootRatioWeight: _ref_root_ratio_block,
+    TMuWeight: _ref_tmu_block,
+    TableWeight: _ref_table_block,
+    BilateralTableWeight: _ref_bilateral_table_block,
+}
+DEFAULT_STEP_CAP = shiftops.DEFAULT_STEP_CAP
+
+
+class ReferenceCache:
+    """The prefix cache of ``family``, grown by the concatenating code."""
+
+    def __init__(self, family):
+        self.family = family
+        self._lm = np.zeros(1)
+        self._ph = np.zeros(1)
+        if family.domain == BILATERAL:
+            self._lm_neg = np.zeros(1)
+            self._ph_neg = np.zeros(1)
+
+    def __getattr__(self, name):  # family parameters: lam, p, mu, ...
+        return getattr(self.family, name)
+
+    def _log_weight_block(self, ns):
+        return REFERENCE_BLOCKS[type(self.family)](self, ns)
+
+    def _grow_pos(self, n: int):
+        cur = len(self._lm) - 1
+        if n <= cur:
+            return
+        if n > DEFAULT_STEP_CAP:
+            raise ResourceLimitError(
+                f"prefix index {n} exceeds the cap {DEFAULT_STEP_CAP}"
+            )
+        target = min(DEFAULT_STEP_CAP, max(n, 2 * cur, 4096))
+        ns = np.arange(cur + 1, target + 1)
+        lm, ph = self._log_weight_block(ns)
+        self._lm = np.concatenate([self._lm, self._lm[-1] + np.cumsum(lm)])
+        self._ph = np.concatenate([self._ph, self._ph[-1] + np.cumsum(ph)])
+
+    def _grow_neg(self, m: int):
+        # P(-m) = -sum_{i=-m+1}^{0} log w(i)
+        cur = len(self._lm_neg) - 1
+        if m <= cur:
+            return
+        if m > DEFAULT_STEP_CAP:
+            raise ResourceLimitError(
+                f"prefix index -{m} exceeds the cap {DEFAULT_STEP_CAP}"
+            )
+        target = min(DEFAULT_STEP_CAP, max(m, 2 * cur, 4096))
+        ns = -np.arange(cur, target)  # weights at 0, -1, ..., -(target-1)
+        lm, ph = self._log_weight_block(ns)
+        self._lm_neg = np.concatenate([self._lm_neg, self._lm_neg[-1] - np.cumsum(lm)])
+        self._ph_neg = np.concatenate([self._ph_neg, self._ph_neg[-1] - np.cumsum(ph)])
+
+    def warm(self, n: int, nmin: int = 0):
+        self._grow_pos(max(0, n))
+        if self.domain == BILATERAL and nmin < 0:
+            self._grow_neg(-nmin)
+
+    def prefix(self, n: int):
+        if n >= 0:
+            self._grow_pos(n)
+        else:
+            self._grow_neg(-n)
+
+
+GROWTH_FAMILIES = [
+    ("constant", lambda: ConstantWeight(2)),
+    ("constant -0j", lambda: ConstantWeight(complex(2, -0.0))),
+    ("negative constant", lambda: ConstantWeight(-0.5)),
+    ("complex constant", lambda: ConstantWeight(cmath.rect(1.5, 0.7))),
+    ("bilateral constant", lambda: ConstantWeight(0.5, BILATERAL)),
+    ("bergman", BergmanWeight),
+    ("logratio", LogRatioWeight),
+    ("rootratio p=1", lambda: RootRatioWeight(1)),
+    ("rootratio p=7", lambda: RootRatioWeight(7)),
+    ("tmu", lambda: TMuWeight(0.8 + 0.3j)),
+    ("table", lambda: TableWeight((2.0, -1.5j, 0.3 + 0.4j), default=1.25 - 0.5j)),
+    ("bilateral table", lambda: BilateralTableWeight(
+        {-2: 3.0, 0: 0.5j, 4: -2.0}, default_pos=1.5, default_nonpos=0.75j)),
+]
+
+
+def _scalar_doubling(w):
+    # each call passes the cache end: 4096, then doublings
+    for n in (1, 4097, 8193, 16385, 32769):
+        w.prefix(n)
+        if w.domain == BILATERAL:
+            w.prefix(-n)
+
+
+def _sweep_warm(w):
+    w.warm(2**20 + 4)
+    w.warm(4_190_213)
+
+
+def _bilateral_warm(w):
+    w.warm(2**20 + 2, nmin=-(2**20 + 2))
+
+
+GROWTH_CASES = [
+    (fam, make, seq)
+    for fam, make in GROWTH_FAMILIES
+    for seq in (_scalar_doubling, _sweep_warm, _bilateral_warm)
+    if seq is not _bilateral_warm or make().domain == BILATERAL
+]
+
+
+class TestPrefixCacheGrowthBitwise:
+    @pytest.mark.parametrize("name,make,grow", GROWTH_CASES,
+                             ids=[f"{c[0]}-{c[2].__name__.lstrip('_')}" for c in GROWTH_CASES])
+    def test_cache_bytes_match_reference(self, name, make, grow):
+        w = make()
+        grow(w)
+        got = cache_bytes(w)
+        del w
+        ref = ReferenceCache(make())
+        grow(ref)
+        assert got == cache_bytes(ref)
+
+
+class TestPrefixLogmagGathers:
+    def scalar_logmags(self, w, points):
+        return np.array([w.prefix(int(n)).logmag for n in points]).tobytes()
+
+    @pytest.mark.parametrize("make,points", [
+        (BergmanWeight, [5, 0, 4097, 3, 9000, 9000]),
+        (lambda: BilateralTableWeight({-2: 3.0, 4: -2.0}, 1.5, 0.75j), [-1, -5000, -3, -4097]),
+        (lambda: BilateralTableWeight({-2: 3.0, 4: -2.0}, 1.5, 0.75j), [-3, 0, 7, -4097, 5000]),
+    ], ids=["positive", "negative", "mixed"])
+    def test_matches_scalar_prefix(self, make, points):
+        w = make()
+        got = w.prefix_logmag(np.array(points))
+        assert got.dtype == np.float64
+        assert got.tobytes() == self.scalar_logmags(w, points)
+
+    def test_empty_points_read_and_grow_nothing(self):
+        for w in (BergmanWeight(), BilateralTableWeight({}, 2.0, 0.5)):
+            got = w.prefix_logmag(np.array([], dtype=np.int64))
+            assert got.shape == (0,) and got.dtype == np.float64
+            assert len(w._lm) == 1 and len(getattr(w, "_lm_neg", ())) <= 1
+
+    @pytest.mark.parametrize("points", [[-1], [-3, -7], [4, -1]])
+    def test_negative_point_on_unilateral_family(self, points):
+        with pytest.raises(DomainMismatchError):
+            BergmanWeight().prefix_logmag(np.array(points))
+
+    @pytest.mark.parametrize("make,points", [
+        (BergmanWeight, [1, 2**23 + 1]),
+        (lambda: BilateralTableWeight({}, 2.0, 0.5), [-(2**23 + 1), -4]),
+        (lambda: BilateralTableWeight({}, 2.0, 0.5), [3, -(2**23 + 1)]),
+    ])
+    def test_point_past_the_cap(self, make, points):
+        with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+            make().prefix_logmag(np.array(points))
