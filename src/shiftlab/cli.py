@@ -89,7 +89,22 @@ def _check_keys(obj: dict, allowed: dict, where: str) -> dict:
 
 def _complex(v) -> complex:
     """A config number: a real or an [re, im] pair."""
-    return complex(v[0], v[1]) if isinstance(v, list) else complex(v)
+    if isinstance(v, list):
+        re, im = v
+        return complex(re, im)
+    return complex(v)
+
+
+def _ints(values) -> list[int]:
+    return [int(v) for v in values]
+
+
+def _convert(convert, value, where: str):
+    """convert(value); a value it cannot take is a config error at ``where``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_weights(spec: dict, where: str = "weights"):
@@ -136,11 +151,11 @@ def parse_space(spec: dict, where: str = "space") -> SpaceSpec:
     try:
         kind = spec["kind"]
         if kind == "lp":
-            return lp(float(spec["p"]), spec["domain"])
+            return lp(_convert(float, spec["p"], f"{where}.p"), spec["domain"])
         if kind == "c0":
             return c0(spec["domain"])
         if kind == "entire":
-            return entire(int(spec["rmax"]))
+            return entire(_convert(int, spec["rmax"], f"{where}.rmax"))
         if kind == "linf_weakstar":
             return linf_weakstar()
     except ShiftLabError as exc:
@@ -151,26 +166,32 @@ def parse_space(spec: dict, where: str = "space") -> SpaceSpec:
 def parse_vector(spec: dict, domain: str, where: str = "vector") -> CoeffVector:
     spec = _check_keys(spec or {}, {"basis": None, "entries": None}, where)
     if spec["basis"] is not None:
-        return CoeffVector.basis(int(spec["basis"]), domain)
+        return CoeffVector.basis(_convert(int, spec["basis"], f"{where}.basis"), domain)
     if spec["entries"] is not None:
-        return CoeffVector(domain, {int(k): _complex(v) for k, v in spec["entries"].items()})
+        entries = _convert(lambda es: {int(k): _complex(v) for k, v in es.items()},
+                           spec["entries"], f"{where}.entries")
+        return CoeffVector(domain, entries)
     raise ConfigError(f"{where}: need 'basis' or 'entries'")
 
 
 def parse_target(spec: dict, domain: str, where: str = "target"):
     spec = dict(spec or {})
     kind = spec.pop("kind", None)
+
+    def num(convert, key, default):
+        return _convert(convert, spec.pop(key, default), f"{where}.{key}")
+
     if kind == "ball":
         center = parse_vector(spec.pop("center", {}), domain, f"{where}.center")
-        return ctor.BallTarget(center, float(spec.pop("radius", 0.5)))
+        return ctor.BallTarget(center, num(float, "radius", 0.5))
     if kind == "modulus_exceeds":
-        t = ctor.modulus_exceeds(int(spec.pop("index", 1)), float(spec.pop("threshold", 1.0)))
+        t = ctor.modulus_exceeds(num(int, "index", 1), num(float, "threshold", 1.0))
     elif kind == "modulus_ball":
-        t = ctor.modulus_ball(float(spec.pop("threshold", 0.5)))
+        t = ctor.modulus_ball(num(float, "threshold", 0.5))
     elif kind == "weakstar":
         center = parse_vector(spec.pop("center", {}), domain, f"{where}.center")
-        m = int(spec.pop("functionals", 3))
-        eps = float(spec.pop("eps", 0.5))
+        m = num(int, "functionals", 3)
+        eps = num(float, "eps", 0.5)
         return ctor.WeakStarTarget(center, ctor.coordinate_functionals(m, domain), eps)
     else:
         raise ConfigError(f"{where}: unknown target kind {kind!r}")
@@ -263,8 +284,8 @@ def _resolve(config: dict, args, allowed_extra: dict) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    cfg["horizon"] = int(cfg["horizon"])
-    cfg["tol"] = float(cfg["tol"])
+    cfg["horizon"] = _convert(int, cfg["horizon"], "config.horizon")
+    cfg["tol"] = _convert(float, cfg["tol"], "config.tol")
     path = os.path.join(cfg["out"], "config.resolved.json")
     atomic_write(path, json.dumps(cfg, indent=2, sort_keys=True) + "\n")
     print(f"resolved config: {path}")
@@ -273,8 +294,9 @@ def _resolve(config: dict, args, allowed_extra: dict) -> dict:
 
 def run_density(config: dict, args) -> int:
     cfg = _resolve(config, args, {"times": ..., "q": 1, "burn_in": None})
+    q = _convert(int, cfg["q"], "config.q")
     hs = dens.HitSet.from_iterable(cfg["times"], cfg["horizon"])
-    est = dens.q_lower_density(hs, int(cfg["q"]), burn_in=cfg["burn_in"])
+    est = dens.q_lower_density(hs, q, burn_in=cfg["burn_in"])
     write_csv(os.path.join(cfg["out"], "density_profile.csv"), ["N", "count", "p_N"],
               est.profile.columns)
     print(
@@ -322,10 +344,10 @@ def run_criterion(config: dict, args) -> int:
     report = crit.qfhc_check(
         space,
         w,
-        int(cfg["q"]),
-        [int(j) for j in cfg["indices"]],
+        _convert(int, cfg["q"], "config.q"),
+        _convert(_ints, cfg["indices"], "config.indices"),
         tol=cfg["tol"],
-        max_exp=int(cfg["max_exp"]),
+        max_exp=_convert(int, cfg["max_exp"], "config.max_exp"),
     )
     write_csv(
         os.path.join(cfg["out"], "criterion.csv"),
@@ -345,12 +367,10 @@ def run_construct(config: dict, args) -> int:
     )
     space = parse_space(cfg["space"])
     w = parse_weights(cfg["weights"])
-    targets = ctor.canonical_targets(int(cfg["k"]), w.domain)
+    q, k, n_max = (_convert(int, cfg[key], f"config.{key}") for key in ("q", "k", "n_max"))
+    targets = ctor.canonical_targets(k, w.domain)
     try:
-        plan = ctor.build_vector(
-            space, w, int(cfg["q"]), targets,
-            horizon=cfg["horizon"], n_max=int(cfg["n_max"]),
-        )
+        plan = ctor.build_vector(space, w, q, targets, horizon=cfg["horizon"], n_max=n_max)
     except ConstructionRefusedError as exc:
         print(f"construction refused: {exc}")
         if exc.report is not None:
@@ -397,11 +417,12 @@ def run_orbit(config: dict, args) -> int:
     )
     space = parse_space(cfg["space"])
     w = parse_weights(cfg["weights"])
+    rotation = cfg["rotation"]
     op = OperatorSpec(
         w,
         cfg["direction"],
-        rotation=1.0 if cfg["rotation"] is None else _complex(cfg["rotation"]),
-        power=int(cfg["power"]),
+        rotation=1.0 if rotation is None else _convert(_complex, rotation, "config.rotation"),
+        power=_convert(int, cfg["power"], "config.power"),
     )
     x = parse_vector(cfg["vector"], w.domain)
     target = parse_target(cfg["target"], w.domain)
@@ -411,7 +432,7 @@ def run_orbit(config: dict, args) -> int:
         x,
         target,
         exponents=cfg["exponents"],
-        q=int(cfg["q"]),
+        q=_convert(int, cfg["q"], "config.q"),
         horizon=cfg["horizon"],
         burn_in=cfg["burn_in"],
     )
@@ -449,9 +470,11 @@ def run_weakstar(config: dict, args) -> int:
         result = ctor.transfer_weakstar(
             w,
             x,
-            ctor.coordinate_functionals(int(cfg["functionals"]), w.domain),
+            ctor.coordinate_functionals(
+                _convert(int, cfg["functionals"], "config.functionals"), w.domain
+            ),
             center,
-            eps=float(cfg["eps"]),
+            eps=_convert(float, cfg["eps"], "config.eps"),
             horizon=cfg["horizon"],
             burn_in=cfg["burn_in"],
         )
@@ -480,14 +503,15 @@ def run_sweep(config: dict, args) -> int:
         },
     )
     grid = cfg["grid"]
-    qs = [int(q) for q in cfg["q_values"]]
+    qs = _convert(_ints, cfg["q_values"], "config.q_values")
     if not grid or not qs:
         raise ConfigError("sweep grid and q_values must be nonempty")
     if len(grid) * len(qs) > MAX_GRID:
         print(f"sweep refused: grid size {len(grid) * len(qs)} exceeds {MAX_GRID}")
         return EXIT_REFUSED
     space = parse_space(cfg["space"])
-    indices = [int(j) for j in cfg["indices"]]
+    indices = _convert(_ints, cfg["indices"], "config.indices")
+    max_exp = _convert(int, cfg["max_exp"], "config.max_exp")
     rows = []
     for wspec in grid:
         w = parse_weights(wspec)
@@ -495,11 +519,11 @@ def run_sweep(config: dict, args) -> int:
         for q in qs:
             if cfg["mode"] == "offsets":
                 report = crit.unilateral_condition(
-                    w, space, q, indices, tol=cfg["tol"], max_exp=int(cfg["max_exp"])
+                    w, space, q, indices, tol=cfg["tol"], max_exp=max_exp
                 )
             else:
                 report = crit.qfhc_check(
-                    space, w, q, indices, tol=cfg["tol"], max_exp=int(cfg["max_exp"])
+                    space, w, q, indices, tol=cfg["tol"], max_exp=max_exp
                 )
             row.append(report.overall)
         rows.append(row)

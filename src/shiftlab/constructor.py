@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import SATISFIES, CriterionReport, qfhc_check
+from .criterion import (
+    SATISFIES,
+    CriterionReport,
+    _extrapolate_tail,
+    _shift_series,
+    qfhc_check,
+)
 from .density import (
     DensityEstimate,
     GrowthBound,
@@ -122,11 +128,6 @@ def canonical_targets(count: int, domain: str = UNILATERAL) -> tuple[CoeffVector
 # ---------------------------------------------------------------------------
 
 
-def _s_term_logmags(w: WeightSeq, q: int, j: int, n_max: int) -> np.ndarray:
-    ns = np.arange(1, n_max + 1, dtype=np.int64)
-    return w.prefix(j).logmag - w.prefix_logmag(j + ns**q)
-
-
 def _certified_s_tails(space: SpaceSpec, w: WeightSeq, q: int, j: int,
                        n_max: int) -> np.ndarray:
     """tails[N-1] bounds any finite-subset norm of the index-j forward
@@ -137,26 +138,16 @@ def _certified_s_tails(space: SpaceSpec, w: WeightSeq, q: int, j: int,
     (terms beyond the window are covered by the fitted tail as well).
     """
     with np.errstate(over="ignore", under="ignore"):
-        t = np.exp(_s_term_logmags(w, q, j, n_max))
+        t = np.exp(_shift_series(w, j, q, 1, j)(np.arange(1, n_max + 1)))
     if not np.isfinite(t).all():
         raise InvalidArgumentError("forward series terms overflow; criterion fails")
 
     def beyond(u: np.ndarray) -> float:
-        # summed mass past the window, by geometric ratio or power-law fit
-        un = u[-1]
-        if un == 0:
-            return 0.0
-        if n_max <= 16 or u[-9] == 0:
+        # summed mass past the window (n_max >= 64); inf when no fit bounds it
+        if u[-1] > 0 and u[-9] == 0:
             return math.inf
-        r = (u[-1] / u[-9]) ** (1.0 / 8.0)
-        if 0 < r < 0.9:
-            return un * r / (1.0 - r)
-        uh = u[n_max // 2 - 1]
-        if uh > 0:
-            s_fit = math.log(uh / un) / math.log(n_max / (n_max // 2))
-            if s_fit > 1.05:
-                return un * n_max**s_fit * (n_max + 0.5) ** (1 - s_fit) / (s_fit - 1)
-        return math.inf
+        tail = _extrapolate_tail(lambda ns: u[ns - 1], n_max)
+        return math.inf if tail is None else tail
 
     if space.kind == "lp":
         p = space.p

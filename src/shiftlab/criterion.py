@@ -5,10 +5,16 @@ probe data (dyadic partial-sum checkpoints, tail extrapolation, random
 subset sums).  Dyadic checkpoints make slow harmonic-type divergence
 visible as non-decaying block sums (the condensation view), and the rule
 that fired is always named.
+
+Every weighted-shift series of the checkers and of the constructor's tail
+certificates comes from one function, ``_shift_series``: log term magnitudes
+P(anchor) - P(j +/- n^q) of prefix products P, read lazily per scan chunk.
+One extrapolator, ``_extrapolate_tail``, fits the tail past the last term.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -139,7 +145,7 @@ def _scan(mag_fn, n_max: int, threshold: float):
                 checkpoints.append((next_cp, float(cum[next_cp - start])))
             next_cp *= 2
         total = float(cum[-1])
-        chunk_maxima.append((start, end, float(t.max(initial=0.0))))
+        chunk_maxima.append(float(t.max(initial=0.0)))
         if end >= q_start:
             lo = max(q_start, start)
             last_quarter_max = max(last_quarter_max, float(t[lo - start :].max(initial=0.0)))
@@ -186,33 +192,25 @@ def _block_trend(blocks, tol):
     return window, None
 
 
-def _tail_estimate(mag_fn, n_max: int, blocks) -> float | None:
-    """Extrapolated tail beyond n_max: geometric if the term ratio is
-    clearly below 1, otherwise a midpoint-integral of a fitted power law."""
+def _extrapolate_tail(terms, n_max: int) -> float | None:
+    """Summed mass past n_max of nonnegative terms (an n-array map), from
+    the terms at n_max, n_max - 8 and n_max // 2: geometric if the term
+    ratio is clearly below 1, else a midpoint-integral of a fitted power
+    law; None when neither fits."""
     with np.errstate(over="ignore", under="ignore"):
-        probe_ns = np.array(
-            sorted({max(1, n_max // 2), max(1, n_max - 8), n_max}), dtype=np.int64
-        )
-        tv = np.asarray(mag_fn(probe_ns), dtype=float)
-    t_at = dict(zip((int(n) for n in probe_ns), tv))
-    t_n = t_at[n_max]
+        at = np.array([n_max, max(1, n_max - 8), max(1, n_max // 2)], dtype=np.int64)
+        t_n, t_prev, t_half = np.asarray(terms(at), dtype=float)
     if t_n == 0:
         return 0.0
-    t_prev = t_at.get(max(1, n_max - 8), t_n)
     if t_prev > 0 and n_max > 9:
         r = (t_n / t_prev) ** (1.0 / 8.0)
         if r < 0.9:
             return t_n * r / (1.0 - r)
-    t_half = t_at.get(max(1, n_max // 2), 0.0)
     if t_half > 0 and n_max >= 4:
         s = math.log(t_half / t_n) / math.log(n_max / (n_max // 2))
         if s > 1.05:
             # integral of t_n * (x/n_max)^(-s) from n_max + 1/2
             return t_n * n_max**s * (n_max + 0.5) ** (1.0 - s) / (s - 1.0)
-    if blocks:
-        rb = blocks[-1] / blocks[-2] if len(blocks) > 1 and blocks[-2] > 0 else 0.5
-        rb = min(rb, _DECAY_RATIO)
-        return blocks[-1] * rb / (1.0 - rb)
     return None
 
 
@@ -250,7 +248,12 @@ def classify_magnitudes(
         return Verdict(DIVERGES, "non-decaying dyadic block sums (condensation)", probe)
     if trend is None:
         return Verdict(INCONCLUSIVE, "mixed block-sum behavior", probe)
-    tail = _tail_estimate(mag_fn, n_max, blocks)
+    tail = _extrapolate_tail(mag_fn, n_max)
+    if tail is None and blocks:
+        # the last dyadic block ratio, continued geometrically
+        rb = blocks[-1] / blocks[-2] if len(blocks) > 1 and blocks[-2] > 0 else 0.5
+        rb = min(rb, _DECAY_RATIO)
+        tail = blocks[-1] * rb / (1.0 - rb)
     return Verdict(
         CONVERGES,
         "dyadic block sums decay geometrically"
@@ -267,8 +270,7 @@ def classify_sup_decay(mag_fn, n_max: int, *, tol: float = DEFAULT_TOL) -> Verdi
     series: unconditional convergence needs exactly term decay.)"""
     scan = _scan(mag_fn, n_max, float("inf"))
     probe = SeriesProbe(checkpoints=tuple(scan["checkpoints"]))
-    maxima = [m for _, _, m in scan["chunk_maxima"]]
-    overall = max(maxima)
+    overall = max(scan["chunk_maxima"])
     last = scan["last_quarter_max"]
     if last == 0.0 or last < tol:
         return Verdict(CONVERGES, "terms vanish", probe)
@@ -333,35 +335,32 @@ def series_probe(
     if (terms is None) == (magnitudes is None):
         raise InvalidArgumentError("provide exactly one of terms or magnitudes")
     n_max = 2**max_exp
-    if magnitudes is not None:
-        if space.kind == "lp":
-            p = space.p
-            return classify_magnitudes(
-                lambda ns: np.asarray(magnitudes(ns), dtype=float) ** p,
-                n_max,
-                tol=tol,
-            )
-        if space.kind == "c0":
-            return classify_sup_decay(magnitudes, n_max, tol=tol)
-        raise InvalidArgumentError(
-            "magnitude route supports lp and c0 spaces only"
-        )
-    n_max = min(n_max, 1 << 16)  # generator route materializes every term
-    if space.kind in ("lp", "c0") and _single_support_distinct(
-        terms, min(n_max, 64)
-    ):
+    if terms is not None:
+        n_max = min(n_max, 1 << 16)  # generator route materializes every term
+        if space.kind not in ("lp", "c0") or not _single_support_distinct(
+            terms, min(n_max, 64)
+        ):
+            return _fnorm_probe(space, terms, n_max, tol=tol)
         mags = np.empty(n_max)
         for n in range(1, n_max + 1):
             v = terms(n)
             mags[n - 1] = abs(next(iter(v.entries.values()))) if v.entries else 0.0
-        if space.kind == "lp":
-            return classify_magnitudes(
-                lambda ns: mags[ns - 1] ** space.p,
-                n_max,
-                tol=tol,
-            )
-        return classify_sup_decay(lambda ns: mags[ns - 1], n_max, tol=tol)
-    return _fnorm_probe(space, terms, n_max, tol=tol)
+
+        def magnitudes(ns):
+            return mags[ns - 1]
+
+    if space.kind == "lp":
+        p = space.p
+        return classify_magnitudes(
+            lambda ns: np.asarray(magnitudes(ns), dtype=float) ** p,
+            n_max,
+            tol=tol,
+        )
+    if space.kind == "c0":
+        return classify_sup_decay(magnitudes, n_max, tol=tol)
+    raise InvalidArgumentError(
+        "magnitude route supports lp and c0 spaces only"
+    )
 
 
 def _fnorm_probe(space, terms, n_max, *, tol):
@@ -440,45 +439,64 @@ def _indices(indices) -> list:
     return indices
 
 
+def _offsets(indices) -> list:
+    """Series offsets: at least one, none past the reach DEFAULT_EXP_CAP."""
+    indices = _indices(indices)
+    far = [j for j in indices if abs(j) > DEFAULT_EXP_CAP]
+    if far:
+        raise InvalidArgumentError(f"index {far[0]} is past the 2^22 prefix reach")
+    return indices
+
+
 def _series_term_count(q: int, max_exp: int, max_offset: int) -> int:
     """Terms per series: 2^max_exp (at least 2), cut so that no term's
     prefix index n^q + offset passes DEFAULT_EXP_CAP.  Below 2, the
-    series does not fit in that reach (see ``_beyond_reach``)."""
+    series does not fit in that reach (see ``_classify_weighted``)."""
     room = DEFAULT_EXP_CAP - max_offset
     return min(max(2**max_exp, 2), iroot(room, q)) if room > 0 else 0
 
 
-def _beyond_reach() -> Verdict:
-    """The verdict on a series with fewer than two terms inside the
-    prefix reach DEFAULT_EXP_CAP: nothing past it is read."""
-    return Verdict(
-        INCONCLUSIVE,
-        "fewer than two terms within the 2^22 prefix reach",
-        SeriesProbe(checkpoints=()),
-    )
+def _shift_series(w: WeightSeq, j: int, q: int, direction: int, anchor: int | None):
+    """Log term magnitudes n -> P(anchor) - P(j + direction * n^q) of a criterion
+    series: a closure over int n-arrays that reads only the prefixes asked for.
+    ``anchor=None`` gives -P, keeping the sign of a zero prefix (0.0 - P does not)."""
+    base = None if anchor is None else w.prefix(anchor).logmag
+
+    def logmags(ns):
+        # in place: a scan chunk's arrays are 8 MB, and fresh ones fault in
+        nq = np.asarray(ns, dtype=np.int64) ** q
+        lms = w.prefix_logmag(np.add(j, nq, out=nq) if direction > 0
+                              else np.subtract(j, nq, out=nq))
+        return np.negative(lms, out=lms) if base is None else np.subtract(base, lms, out=lms)
+
+    return logmags
 
 
 def _classify_weighted(space, logmag_fn, degree_fn, n_max, tol):
     """Route a distinct-index weighted-shift series by space kind.
 
     logmag_fn: n-array -> log term magnitude; degree_fn: n-array -> the
-    z-degree of the landing index (entire space only).
-    """
-    if space.kind == "lp":
-        p = space.p
+    z-degree of the landing index (entire space only).  ``space=None`` is
+    the bilateral c0 limit condition, -logmag -> infinity.  Under two terms
+    (n_max < 2), the series is past the prefix reach and none is read."""
+    if n_max < 2:
+        return Verdict(
+            INCONCLUSIVE,
+            "fewer than two terms within the 2^22 prefix reach",
+            SeriesProbe(checkpoints=()),
+        )
+    if space is None:
+        return classify_limit_infinite(-logmag_fn(np.arange(1, n_max + 1)))
+    if space.kind in ("lp", "c0"):
+        p = space.p if space.kind == "lp" else 1.0
 
         def mags(ns):
             with np.errstate(over="ignore", under="ignore"):
                 return np.exp(p * logmag_fn(ns))
 
+        if space.kind == "c0":
+            return classify_sup_decay(mags, n_max, tol=tol)
         return classify_magnitudes(mags, n_max, tol=tol)
-    if space.kind == "c0":
-
-        def mags(ns):
-            with np.errstate(over="ignore", under="ignore"):
-                return np.exp(logmag_fn(ns))
-
-        return classify_sup_decay(mags, n_max, tol=tol)
     if space.kind == "entire":
         worst = None
         for radius in range(1, space.rmax + 1):
@@ -499,25 +517,22 @@ def _classify_weighted(space, logmag_fn, degree_fn, n_max, tol):
     raise InvalidArgumentError(f"unsupported space kind {space.kind} for shifts")
 
 
-def _trivial_t_series_verdict(w: WeightSeq, q: int, j: int) -> Verdict:
+def _trivial_t_series_entry(w: WeightSeq, q: int, j: int) -> ProbeEntry:
     """Unilateral backward T-series on a basis vector: only finitely many
-    nonzero terms (the shift falls off the edge), hence converges."""
-    head = []
-    n = 1
-    total = 0.0
-    while n**q < j:
-        lm = w.prefix(j).logmag - w.prefix(j - n**q).logmag
-        total += math.exp(lm)
-        head.append((n, total))
-        n += 1
-    probe = SeriesProbe(checkpoints=tuple(head) or ((1, 0.0),), tail_estimate=0.0)
-    return Verdict(
+    nonzero terms (the shift falls off the edge), hence converges.  The
+    head n^q < j is summed term by term, in order."""
+    count = iroot(j - 1, q) if j > 0 else 0
+    lms = _shift_series(w, j, q, -1, j)(np.arange(1, count + 1))
+    totals = list(itertools.accumulate(map(math.exp, lms.tolist())))
+    verdict = Verdict(
         CONVERGES,
         "terms eventually zero (backward shift falls off the edge)",
-        probe,
-        sum_estimate=total,
+        SeriesProbe(tuple(zip(range(1, count + 1), totals)) or ((1, 0.0),), 0.0),
+        sum_estimate=totals[-1] if totals else 0.0,
         tail_estimate=0.0,
     )
+    note = "trivially convergent: all terms beyond a finite head are zero"
+    return ProbeEntry(f"T-series j={j}", verdict, note=note)
 
 
 def qfhc_check(
@@ -532,49 +547,24 @@ def qfhc_check(
     """Probe the two basis-vector series (backward orbit sums at
     exponents n^q, and forward right-inverse sums) for every listed
     basis index."""
-    dense_indices = _indices(dense_indices)
+    dense_indices = _offsets(dense_indices)
     jmax = max(abs(j) for j in dense_indices)
     n_max = _series_term_count(q, max_exp, jmax)
     w.warm(jmax + n_max**q, nmin=-(jmax + n_max**q) if w.domain == BILATERAL else 0)
     entries = []
     notes = []
     for j in dense_indices:
-        lj = w.prefix(j).logmag
         if w.domain == UNILATERAL:
-            tv = _trivial_t_series_verdict(w, q, j)
-            entries.append(
-                ProbeEntry(
-                    f"T-series j={j}",
-                    tv,
-                    note="trivially convergent: all terms beyond a finite head are zero",
-                )
-            )
+            t_entry = _trivial_t_series_entry(w, q, j)
         else:
+            t_series = _shift_series(w, j, q, -1, j)
+            t_verdict = _classify_weighted(space, t_series, None, n_max, tol)
+            t_entry = ProbeEntry(f"T-series j={j}", t_verdict)
 
-            def t_logmag(ns, _j=j, _lj=lj):
-                return _lj - w.prefix_logmag(_j - np.asarray(ns, dtype=np.int64) ** q)
-
-            entries.append(
-                ProbeEntry(
-                    f"T-series j={j}",
-                    _classify_weighted(space, t_logmag, None, n_max, tol)
-                    if n_max >= 2 else _beyond_reach(),
-                )
-            )
-
-        def s_logmag(ns, _j=j, _lj=lj):
-            return _lj - w.prefix_logmag(_j + np.asarray(ns, dtype=np.int64) ** q)
-
-        def s_degree(ns, _j=j):
-            return _j + np.asarray(ns, dtype=np.int64) ** q - 1
-
-        entries.append(
-            ProbeEntry(
-                f"S-series j={j}",
-                _classify_weighted(space, s_logmag, s_degree, n_max, tol)
-                if n_max >= 2 else _beyond_reach(),
-            )
+        s_verdict = _classify_weighted(
+            space, _shift_series(w, j, q, 1, j), lambda ns: j + ns**q - 1, n_max, tol
         )
+        entries += [t_entry, ProbeEntry(f"S-series j={j}", s_verdict)]
     if w.domain == UNILATERAL:
         notes.append(
             "unilateral T-series on basis vectors are eventually zero, "
@@ -598,23 +588,14 @@ def unilateral_condition(
     reciprocal prefix products at exponent-spaced indices, per offset j."""
     if space.kind not in ("lp", "c0"):
         raise InvalidArgumentError("unilateral condition reduces to lp or c0 only")
-    j_range = _indices(j_range)
+    j_range = _offsets(j_range)
     jmax = max(j_range)
     n_max = _series_term_count(q, max_exp, jmax)
     w.warm(jmax + n_max**q)
     entries = []
     for j in j_range:
-
-        def logmag(ns, _j=j):
-            return -w.prefix_logmag(np.asarray(ns, dtype=np.int64) ** q + _j)
-
-        entries.append(
-            ProbeEntry(
-                f"j={j}",
-                _classify_weighted(space, logmag, None, n_max, tol)
-                if n_max >= 2 else _beyond_reach(),
-            )
-        )
+        verdict = _classify_weighted(space, _shift_series(w, j, q, 1, None), None, n_max, tol)
+        entries.append(ProbeEntry(f"j={j}", verdict))
     return _report(
         f"backward shift {w.describe()}", space.describe(), q, entries
     )
@@ -642,37 +623,19 @@ def bilateral_condition(
     if not on_c0 and (p is None or p < 1):
         raise InvalidArgumentError("provide p >= 1 or set on_c0=True")
     space = None if on_c0 else lp(p, BILATERAL)
-    j_range = _indices(j_range)
+    kind = "products" if on_c0 else "series"
+    j_range = _offsets(j_range)
     jmax = max(abs(j) for j in j_range)
     n_max = _series_term_count(q, max_exp, jmax)
     reach = jmax + n_max**q
     w.warm(reach, nmin=-reach)
     entries = []
-    nq = np.arange(1, n_max + 1, dtype=np.int64) ** q
     for j in j_range:
-        if n_max < 2:
-            kind = "products" if on_c0 else "series"
-            entries += [ProbeEntry(f"{side} {kind} j={j}", _beyond_reach())
-                        for side in ("forward", "backward")]
-            continue
-        lj = w.prefix(j).logmag
-        fwd = w.prefix_logmag(nq + j)  # log products w_1..w_{n^q+j}
-        bwd = lj - w.prefix_logmag(j - nq)  # log products w_j..w_{j-n^q+1}
-        if on_c0:
-            entries.append(
-                ProbeEntry(f"forward products j={j}", classify_limit_infinite(fwd))
-            )
-            entries.append(
-                ProbeEntry(
-                    f"backward products j={j}", classify_limit_infinite(-bwd)
-                )
-            )
-        else:
-            for side, lms in (("forward", -fwd), ("backward", bwd)):
-                verdict = _classify_weighted(
-                    space, lambda m, _lms=lms: _lms[m - 1], None, n_max, tol
-                )
-                entries.append(ProbeEntry(f"{side} series j={j}", verdict))
+        # -log products w_1..w_{n^q+j}, and log products w_j..w_{j-n^q+1}
+        for side, series in (("forward", _shift_series(w, j, q, 1, None)),
+                             ("backward", _shift_series(w, j, q, -1, j))):
+            verdict = _classify_weighted(space, series, None, n_max, tol)
+            entries.append(ProbeEntry(f"{side} {kind} j={j}", verdict))
     label = "c0(Z)" if on_c0 else f"l^{p:g}(Z)"
     return _report(f"bilateral shift {w.describe()}", label, q, entries)
 
@@ -701,11 +664,12 @@ def hc_check(
     """Orbit-norm decay of T^n e_j and S^n e_j up to the horizon
     (the plain hypercyclicity criterion, not the frequent one)."""
     dense_indices = _indices(dense_indices)
+    if horizon < 1:
+        raise InvalidArgumentError("horizon must be at least 1")
     entries = []
     w.warm(max(abs(j) for j in dense_indices) + horizon)
+    ns = np.arange(1, horizon + 1, dtype=np.int64)
     for j in dense_indices:
-        lj = w.prefix(j).logmag
-        ns = np.arange(1, horizon + 1, dtype=np.int64)
         if w.domain == UNILATERAL:
             # the backward orbit dies at step j
             t_verdict = Verdict(
@@ -714,10 +678,12 @@ def hc_check(
                 SeriesProbe(checkpoints=((min(j, horizon), 0.0),)),
             )
         else:
-            mags_t = np.exp(lj - w.prefix_logmag(j - ns))
-            t_verdict = classify_sup_decay(lambda m, _t=mags_t: _t[m - 1], horizon)
-        mags_s = np.exp(lj - w.prefix_logmag(j + ns))
-        s_verdict = classify_sup_decay(lambda m, _t=mags_s: _t[m - 1], horizon)
+            # read in one piece, not per scan chunk: the negative side is
+            # not warmed, and the read fixes its cache blocks, so its bits
+            mags_t = np.exp(_shift_series(w, j, 1, -1, j)(ns))
+            t_verdict = classify_sup_decay(lambda m: mags_t[m - 1], horizon)
+        mags_s = np.exp(_shift_series(w, j, 1, 1, j)(ns))
+        s_verdict = classify_sup_decay(lambda m: mags_s[m - 1], horizon)
         entries.append(ProbeEntry(f"T-orbit j={j}", t_verdict))
         entries.append(ProbeEntry(f"S-orbit j={j}", s_verdict))
     return _report(
@@ -741,6 +707,8 @@ def salas_check(w: WeightSeq, horizon: int = 10**5) -> SalasEvidence:
     Evidence is positive when the running max crosses
     DEFAULT_DIVERGENCE_THRESHOLD, or keeps setting new records through the
     last tenth of the horizon."""
+    if horizon < 1:
+        raise InvalidArgumentError("horizon must be at least 1")
     threshold = DEFAULT_DIVERGENCE_THRESHOLD
     w.warm(horizon)
     lms = w.prefix_logmag(np.arange(1, horizon + 1, dtype=np.int64))

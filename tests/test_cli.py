@@ -71,6 +71,39 @@ class TestConfigHandling:
         assert echoed["horizon"] == 9
 
 
+BALL = {"kind": "ball", "center": {"basis": 1}}
+ORBIT = {"weights": {"family": "Constant", "value": 2}, "vector": {"basis": 3}}
+
+
+@pytest.mark.parametrize("scenario, config, where", [
+    ("density", {"times": [1, 2, 3], "q": "x"}, "config.q"),
+    ("density", {"times": [1, 2, 3], "horizon": "h"}, "config.horizon"),
+    ("density", {"times": [1, 2, 3], "tol": [1]}, "config.tol"),
+    ("orbit", dict(ORBIT, target=dict(BALL, radius="r")), "target.radius"),
+    ("orbit", dict(ORBIT, target={"kind": "modulus_exceeds", "index": "i"}), "target.index"),
+    ("orbit", dict(ORBIT, target=BALL, rotation=["a", "b"]), "config.rotation"),
+    ("orbit", dict(ORBIT, target=BALL, rotation=[1]), "config.rotation"),
+    ("orbit", dict(ORBIT, target=BALL, power=None), "config.power"),
+    ("orbit", dict(ORBIT, target=BALL, vector={"entries": {"x": 1}}), "vector.entries"),
+    ("orbit", dict(ORBIT, target=BALL, vector={"basis": "b"}), "vector.basis"),
+    ("criterion", {"weights": {"family": "Bergman"}, "indices": ["a"]}, "config.indices"),
+    ("criterion", {"weights": {"family": "Bergman"}, "space": {"p": "x"}}, "space.p"),
+    ("criterion", {"weights": {"family": "Bergman"}, "space": {"kind": "entire", "rmax": "r"}},
+     "space.rmax"),
+    ("construct", {"weights": {"family": "Constant"}, "n_max": "n"}, "config.n_max"),
+    ("weakstar", dict(ORBIT, center={"basis": 1}, eps="e"), "config.eps"),
+    ("sweep", {"grid": [{"family": "Bergman"}], "q_values": ["q"]}, "config.q_values"),
+    ("sweep", {"grid": [{"family": "Bergman"}], "q_values": [1], "max_exp": {}},
+     "config.max_exp"),
+])
+def test_malformed_scalar_is_a_config_error(tmp_path, capsys, scenario, config, where):
+    cfg = write_config(tmp_path, "c.json", dict(config, scenario=scenario))
+    assert run([scenario, "--config", cfg, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {where}: ")
+    assert "Traceback" not in err
+
+
 class TestScenarios:
     def test_density_profile_csv(self, tmp_path):
         out = tmp_path / "out"
@@ -296,6 +329,22 @@ class TestScenarios:
         )
         assert run(["sweep", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert "error: need at least one index" in capsys.readouterr().err
+
+    def test_criterion_index_past_the_reach_is_an_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"scenario": "criterion", "weights": {"family": "Bergman"}, "indices": [5000000]},
+        )
+        assert run(["criterion", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "error: index 5000000 is past the 2^22 prefix reach" in capsys.readouterr().err
+
+    def test_density_non_integral_time_is_an_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "c.json", {"scenario": "density", "times": [1.7, 2, 3], "horizon": 10}
+        )
+        assert run(["density", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "error: hit times must be integers" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "density_profile.csv").exists()
 
     def test_sweep_too_large_refused(self, tmp_path):
         cfg = write_config(

@@ -196,6 +196,23 @@ class TestPrefixReach:
         assert {e.verdict.rule for e in rep.entries} == {self.RULE}
         assert max(len(w._lm), len(w._lm_neg)) <= 2**22 + 1
 
+    @pytest.mark.parametrize("j", [5_000_000, 2**23 + 5, -(2**22) - 1])
+    @pytest.mark.parametrize("check", ["qfhc", "unilateral", "weakstar", "bilateral", "c0"])
+    def test_offsets_past_the_reach_refused_before_any_read(self, check, j):
+        w = (BilateralTableWeight({}, default_pos=2.0, default_nonpos=0.5)
+             if check in ("bilateral", "c0") else BergmanWeight())
+        calls = {
+            "qfhc": lambda: qfhc_check(lp(2), w, 1, [1, j]),
+            "unilateral": lambda: unilateral_condition(w, lp(2), 1, [j]),
+            "weakstar": lambda: weakstar_condition(w, 1, [0, j]),
+            "bilateral": lambda: bilateral_condition(w, 1, [j], p=2),
+            "c0": lambda: bilateral_condition(w, 1, [0, j], on_c0=True),
+        }
+        with pytest.raises(InvalidArgumentError, match="past the 2\\^22 prefix reach"):
+            calls[check]()
+        assert len(w._lm) == 1
+        assert len(getattr(w, "_lm_neg", ())) <= 1
+
     def test_q21_still_decides(self):
         # 2^21 + 4 <= 2^22: two terms fit, so the scan runs as before
         rep = unilateral_condition(RootRatioWeight(1), lp(2), 21, [0])
@@ -241,6 +258,34 @@ def test_empty_index_list_rejected():
     for check in checks:
         with pytest.raises(InvalidArgumentError):
             check()
+
+
+def reference_t_head(w, q, j):
+    """The unilateral T-series head as scalar prefix calls, one n at a time."""
+    head, n, total = [], 1, 0.0
+    while n**q < j:
+        total += math.exp(w.prefix(j).logmag - w.prefix(j - n**q).logmag)
+        head.append((n, total))
+        n += 1
+    return tuple(head) or ((1, 0.0),), total
+
+
+@pytest.mark.parametrize("q, j", [(1, 1), (1, 2), (1, 700), (2, 50), (3, 1000), (2, 0)])
+@pytest.mark.parametrize("weights", [BergmanWeight, lambda: ConstantWeight(1.5 - 0.5j)])
+def test_unilateral_t_head_matches_scalar_prefixes(weights, q, j):
+    rep = qfhc_check(lp(2), weights(), q, [j])
+    v = rep.entry(f"T-series j={j}").verdict
+    want_checkpoints, want_total = reference_t_head(weights(), q, j)
+    assert repr(v.probe.checkpoints) == repr(want_checkpoints)
+    assert repr(v.sum_estimate) == repr(want_total)
+
+
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_horizon_below_one_rejected(horizon):
+    with pytest.raises(InvalidArgumentError, match="horizon"):
+        hc_check(lp(2), ConstantWeight(2), [1], horizon=horizon)
+    with pytest.raises(InvalidArgumentError, match="horizon"):
+        salas_check(ConstantWeight(2), horizon=horizon)
 
 
 class TestWeakStarCondition:

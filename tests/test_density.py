@@ -38,6 +38,17 @@ class TestHitSet:
         with pytest.raises(InvalidArgumentError):
             HitSet((11,), 10)
 
+    @pytest.mark.parametrize("times", [(1.5, 2.9), (1, 2.5), (float("nan"),), ("3",), (None,)])
+    def test_rejects_non_integral_times(self, times):
+        with pytest.raises(InvalidArgumentError, match="integers"):
+            HitSet(times, 10)
+        with pytest.raises(InvalidArgumentError, match="integers"):
+            HitSet.from_iterable(iter(times), 10)
+
+    def test_integral_floats_accepted(self):
+        assert HitSet((1.0, 2.0), 10).times == (1, 2)
+        assert HitSet.from_iterable([3.0, 1, 3], 10).times == (1, 3)
+
     def test_membership(self):
         hs = HitSet((2, 4), 10)
         assert 4 in hs and 3 not in hs
