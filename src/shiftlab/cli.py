@@ -107,6 +107,12 @@ def _convert(convert, value, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _optional(convert, cfg: dict, key: str):
+    """cfg[key] converted as by ``_convert``, or None when it is None."""
+    value = cfg[key]
+    return None if value is None else _convert(convert, value, f"config.{key}")
+
+
 def parse_weights(spec: dict, where: str = "weights"):
     spec = dict(spec or {})
     family = spec.pop("family", None)
@@ -296,7 +302,7 @@ def run_density(config: dict, args) -> int:
     cfg = _resolve(config, args, {"times": ..., "q": 1, "burn_in": None})
     q = _convert(int, cfg["q"], "config.q")
     hs = dens.HitSet.from_iterable(cfg["times"], cfg["horizon"])
-    est = dens.q_lower_density(hs, q, burn_in=cfg["burn_in"])
+    est = dens.q_lower_density(hs, q, burn_in=_optional(int, cfg, "burn_in"))
     write_csv(os.path.join(cfg["out"], "density_profile.csv"), ["N", "count", "p_N"],
               est.profile.columns)
     print(
@@ -308,7 +314,8 @@ def run_density(config: dict, args) -> int:
 
 def run_jsets(config: dict, args) -> int:
     cfg = _resolve(config, args, {"nseq": ..., "k": None})
-    fam = dens.generate_jsets(cfg["nseq"], cfg["k"], cfg["horizon"])
+    fam = dens.generate_jsets(_convert(_ints, cfg["nseq"], "config.nseq"),
+                              _optional(int, cfg, "k"), cfg["horizon"])
     report = dens.verify_jsets(fam)
     pos, label = fam.walk.columns
     by_class = np.argsort(label, kind="stable")
@@ -434,7 +441,7 @@ def run_orbit(config: dict, args) -> int:
         exponents=cfg["exponents"],
         q=_convert(int, cfg["q"], "config.q"),
         horizon=cfg["horizon"],
-        burn_in=cfg["burn_in"],
+        burn_in=_optional(int, cfg, "burn_in"),
     )
     write_jsonl(os.path.join(cfg["out"], "orbit_events.jsonl"), result.events)
     write_csv(os.path.join(cfg["out"], "hits.csv"), ["time"], [result.hits.array])
@@ -476,7 +483,7 @@ def run_weakstar(config: dict, args) -> int:
             center,
             eps=_convert(float, cfg["eps"], "config.eps"),
             horizon=cfg["horizon"],
-            burn_in=cfg["burn_in"],
+            burn_in=_optional(int, cfg, "burn_in"),
         )
     except InvalidArgumentError as exc:
         raise ConfigError(str(exc)) from exc

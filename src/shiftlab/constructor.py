@@ -200,8 +200,7 @@ class SelectionDetail:
 def _criterion_or_refuse(space: SpaceSpec, w: WeightSeq, q: int,
                          targets: tuple[CoeffVector, ...]) -> CriterionReport:
     """The criterion report on the targets' support, or a refusal carrying
-    it.  Runs before any other prefix access: the cached prefix sums
-    depend on the order in which the cache grows."""
+    it."""
     if not targets:
         raise InvalidArgumentError("need at least one target")
     support = sorted({j for x in targets for j in x.support})

@@ -139,7 +139,9 @@ def _scan(mag_fn, n_max: int, threshold: float):
             any_inf = True
             exceeded = True
             t = np.where(np.isfinite(t), t, threshold * 10)
-        cum = total + np.cumsum(t)
+        with np.errstate(over="ignore"):  # a sum past double range is inf: divergent
+            cum = np.cumsum(t)
+            cum += total  # in place: the same bits as total + cumsum
         while next_cp <= end:
             if next_cp >= start:
                 checkpoints.append((next_cp, float(cum[next_cp - start])))
@@ -463,10 +465,15 @@ def _shift_series(w: WeightSeq, j: int, q: int, direction: int, anchor: int | No
     base = None if anchor is None else w.prefix(anchor).logmag
 
     def logmags(ns):
-        # in place: a scan chunk's arrays are 8 MB, and fresh ones fault in
-        nq = np.asarray(ns, dtype=np.int64) ** q
-        lms = w.prefix_logmag(np.add(j, nq, out=nq) if direction > 0
-                              else np.subtract(j, nq, out=nq))
+        # one fresh index array: a scan chunk's arrays are 8 MB, and fresh
+        # ones fault in.  At q = 1 the offset step makes it, not ``** 1``.
+        ns = np.asarray(ns, dtype=np.int64)
+        if q == 1:
+            nq, out = ns, None
+        else:
+            nq = out = ns**q
+        lms = w.prefix_logmag(np.add(j, nq, out=out) if direction > 0
+                              else np.subtract(j, nq, out=out))
         return np.negative(lms, out=lms) if base is None else np.subtract(base, lms, out=lms)
 
     return logmags
@@ -475,10 +482,11 @@ def _shift_series(w: WeightSeq, j: int, q: int, direction: int, anchor: int | No
 def _classify_weighted(space, logmag_fn, degree_fn, n_max, tol):
     """Route a distinct-index weighted-shift series by space kind.
 
-    logmag_fn: n-array -> log term magnitude; degree_fn: n-array -> the
-    z-degree of the landing index (entire space only).  ``space=None`` is
-    the bilateral c0 limit condition, -logmag -> infinity.  Under two terms
-    (n_max < 2), the series is past the prefix reach and none is read."""
+    logmag_fn: n-array -> log term magnitude, a fresh array that may be
+    overwritten; degree_fn: n-array -> the z-degree of the landing index
+    (entire space only).  ``space=None`` is the bilateral c0 limit
+    condition, -logmag -> infinity.  Under two terms (n_max < 2), the
+    series is past the prefix reach and none is read."""
     if n_max < 2:
         return Verdict(
             INCONCLUSIVE,
@@ -491,8 +499,10 @@ def _classify_weighted(space, logmag_fn, degree_fn, n_max, tol):
         p = space.p if space.kind == "lp" else 1.0
 
         def mags(ns):
+            lms = logmag_fn(ns)
             with np.errstate(over="ignore", under="ignore"):
-                return np.exp(p * logmag_fn(ns))
+                lms *= p
+                return np.exp(lms, out=lms)
 
         if space.kind == "c0":
             return classify_sup_decay(mags, n_max, tol=tol)
@@ -550,7 +560,6 @@ def qfhc_check(
     dense_indices = _offsets(dense_indices)
     jmax = max(abs(j) for j in dense_indices)
     n_max = _series_term_count(q, max_exp, jmax)
-    w.warm(jmax + n_max**q, nmin=-(jmax + n_max**q) if w.domain == BILATERAL else 0)
     entries = []
     notes = []
     for j in dense_indices:
@@ -591,7 +600,6 @@ def unilateral_condition(
     j_range = _offsets(j_range)
     jmax = max(j_range)
     n_max = _series_term_count(q, max_exp, jmax)
-    w.warm(jmax + n_max**q)
     entries = []
     for j in j_range:
         verdict = _classify_weighted(space, _shift_series(w, j, q, 1, None), None, n_max, tol)
@@ -627,8 +635,6 @@ def bilateral_condition(
     j_range = _offsets(j_range)
     jmax = max(abs(j) for j in j_range)
     n_max = _series_term_count(q, max_exp, jmax)
-    reach = jmax + n_max**q
-    w.warm(reach, nmin=-reach)
     entries = []
     for j in j_range:
         # -log products w_1..w_{n^q+j}, and log products w_j..w_{j-n^q+1}
@@ -667,8 +673,6 @@ def hc_check(
     if horizon < 1:
         raise InvalidArgumentError("horizon must be at least 1")
     entries = []
-    w.warm(max(abs(j) for j in dense_indices) + horizon)
-    ns = np.arange(1, horizon + 1, dtype=np.int64)
     for j in dense_indices:
         if w.domain == UNILATERAL:
             # the backward orbit dies at step j
@@ -678,12 +682,10 @@ def hc_check(
                 SeriesProbe(checkpoints=((min(j, horizon), 0.0),)),
             )
         else:
-            # read in one piece, not per scan chunk: the negative side is
-            # not warmed, and the read fixes its cache blocks, so its bits
-            mags_t = np.exp(_shift_series(w, j, 1, -1, j)(ns))
-            t_verdict = classify_sup_decay(lambda m: mags_t[m - 1], horizon)
-        mags_s = np.exp(_shift_series(w, j, 1, 1, j)(ns))
-        s_verdict = classify_sup_decay(lambda m: mags_s[m - 1], horizon)
+            t_series = _shift_series(w, j, 1, -1, j)
+            t_verdict = classify_sup_decay(lambda m: np.exp(t_series(m)), horizon)
+        s_series = _shift_series(w, j, 1, 1, j)
+        s_verdict = classify_sup_decay(lambda m: np.exp(s_series(m)), horizon)
         entries.append(ProbeEntry(f"T-orbit j={j}", t_verdict))
         entries.append(ProbeEntry(f"S-orbit j={j}", s_verdict))
     return _report(
@@ -710,7 +712,6 @@ def salas_check(w: WeightSeq, horizon: int = 10**5) -> SalasEvidence:
     if horizon < 1:
         raise InvalidArgumentError("horizon must be at least 1")
     threshold = DEFAULT_DIVERGENCE_THRESHOLD
-    w.warm(horizon)
     lms = w.prefix_logmag(np.arange(1, horizon + 1, dtype=np.int64))
     argmax = int(np.argmax(lms)) + 1
     mx = float(lms.max())

@@ -18,7 +18,7 @@ class InvalidArgumentError(ShiftLabError, ValueError):
 
 
 class ResourceLimitError(ShiftLabError, RuntimeError):
-    """The prefix cache's index cap (``shiftops.DEFAULT_STEP_CAP``) would be exceeded."""
+    """A prefix index past ``shiftops.DEFAULT_STEP_CAP`` was asked for."""
 
 
 class ConstructionRefusedError(ShiftLabError, RuntimeError):

@@ -1,29 +1,28 @@
 """Weighted backward/forward shifts and batched N-step orbit evaluation.
 
-All weight products are accumulated as log-polar prefix sums: the
-product w_{m+1}...w_n is exp(P(n) - P(m)) where P is the cached prefix.
-Phases accumulate without re-wrapping, so products like n! * mu^(n(n-1)/2)
-stay representable far beyond double-precision magnitude limits.
+All weight products are log-polar differences of prefix products: the
+product w_{m+1}...w_n is exp(P(n) - P(m)), where P(n) = log w_1...w_n
+is each family's closed form, evaluated at any array of indices.
+Phases accumulate without re-wrapping, so products like
+n! * mu^(n(n-1)/2) stay representable far beyond double-precision
+magnitude limits.
 
 Single applications (``apply``) use direct complex products.  Every
 multi-step orbit goes through ``orbit_batch``: the terms of op^N v at a
 whole array of times, found with one search of the vector's sorted
-support and one gather of P(j) - P(j -/+ N).  ``orbit_slices``,
+support and one evaluation of P(j) - P(j -/+ N).  ``orbit_slices``,
 ``iterates``, ``iterate`` and ``orbit_entries`` are views of it.
 
 The batched route is exact, not approximate: log|c| and arg c come from
 libm once per vector, exp and rect run per surviving term through libm,
-and numpy only gathers, adds and subtracts, in the order of the scalar
-expression log|c| + (P(j) - P(tgt)).  The prefix cache grows through
-the same sequence of sizes that scalar ``prefix`` calls in (time, j,
-tgt) order would request, because its cumulative sums depend on it.
+and numpy evaluates P elementwise and adds and subtracts in the order of
+the scalar expression log|c| + (P(j) - P(tgt)).  P at an index has the
+same bits whether it is read alone (``prefix``) or in an array.
 
-The cache holds prefix indices up to DEFAULT_STEP_CAP = 2^23 on each
-side and raises ``ResourceLimitError`` past it.  Orbits have no step
-limit of their own, since an orbit costs its surviving terms whatever N
-is.
+Prefix indices are limited to |n| <= DEFAULT_STEP_CAP = 2^23; past it a
+read raises ``ResourceLimitError``.  Orbits have no step limit of their
+own, since an orbit costs its surviving terms whatever N is.
 """
-
 from __future__ import annotations
 
 import cmath
@@ -35,7 +34,7 @@ import numpy as np
 from .errors import DomainMismatchError, InvalidArgumentError, ResourceLimitError
 from .seqspace import BILATERAL, UNILATERAL, CoeffVector
 
-DEFAULT_STEP_CAP = 1 << 23  # largest prefix index |n| the cache holds
+DEFAULT_STEP_CAP = 1 << 23  # largest prefix index |n| a family evaluates
 # most terms ``orbit_slices`` gathers per batch: a batch peaks near 125
 # bytes per term, so this caps it near 32 MB
 ORBIT_CHUNK_TERMS = 1 << 18
@@ -78,50 +77,36 @@ def _log_polar(z: complex) -> tuple[float, float]:
 
 
 class WeightSeq:
-    """Base class for weight families.
+    """Base class for weight families: ``weight(n)`` and the prefix
+    products P(n) = log w_1...w_n, with P(0) = 0 and, on a bilateral
+    family, P(-m) = -(log w_{-m+1} + ... + log w_0), so that the product
+    over (m, n] is exp(P(n) - P(m)) on either side.
 
-    Subclasses provide ``weight(n)`` and, for speed, a vectorized
-    ``_log_weight_block(ns)`` over a consecutive range of indices,
-    returning (log|w|, arg w); a phase of None means every arg w is 0.
-
-    Prefix sums are cached as log-magnitude and phase arrays per side
-    (``_lm``/``_ph``, and ``_lm_neg``/``_ph_neg`` when bilateral).  A
-    lookup past the end grows a side to max(n, 2 * end, 4096), at most
-    DEFAULT_STEP_CAP: one new array, the block's cumulative sum in its
-    tail, the previous last prefix added in place.  Each block's sum
-    starts afresh, so a prefix's bits depend on the block boundaries
-    that the sequence of lookups produced, not on n alone.  A family
-    with zero phase keeps a zero-filled phase array, which reads +0.0
-    as a phase sum would.  The cache may be shared read-only once
-    warmed.
+    P is a closed form, evaluated at any int64 array of indices with
+    |n| <= DEFAULT_STEP_CAP after one domain check (``_at``); ``prefix``
+    is the same evaluation at one index, so it has the same bits.  The
+    base rule is a head plus a linear tail: ``_lm``/``_ph`` hold the
+    log-magnitude and phase of P(0), ..., P(L) (``_lm_neg``/``_ph_neg``
+    those of P(0), P(-1), ..., P(-M)), summed once from the finite
+    weights given to ``__init__``, and each index past a head adds the
+    log-polar form of that side's tail weight.  Constants and tables use
+    this rule.  The other families override ``_logmag_at`` (TMu also
+    ``_phase_at``) and keep one-entry heads with unit tails, which give
+    them the phase +0.0.
     """
 
     domain = UNILATERAL
     name = "weights"
 
-    def __init__(self):
-        self._lm = np.zeros(1)
-        self._ph = np.zeros(1)
-        if self.domain == BILATERAL:
-            self._lm_neg = np.zeros(1)
-            self._ph_neg = np.zeros(1)
+    def __init__(self, head=(), tail: complex = 1.0, head_neg=(), tail_neg: complex = 1.0):
+        self._lm, self._ph = _prefix_sums(head, 1)
+        self._lm_neg, self._ph_neg = _prefix_sums(head_neg, -1)
+        self._step = _log_polar(tail)
+        self._step_neg = tuple(-x for x in _log_polar(tail_neg))
 
     # -- weights -------------------------------------------------------
     def weight(self, n: int) -> complex:
         raise NotImplementedError
-
-    def log_weight(self, n: int) -> tuple[float, float]:
-        w = complex(self.weight(n))
-        if w == 0:
-            raise InvalidArgumentError(f"weight at {n} is zero")
-        return _log_polar(w)
-
-    def _log_weight_block(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        lm = np.empty(len(ns))
-        ph = np.empty(len(ns))
-        for i, n in enumerate(ns):
-            lm[i], ph[i] = self.log_weight(int(n))
-        return lm, ph
 
     def params(self) -> dict:
         return {}
@@ -131,117 +116,86 @@ class WeightSeq:
         inner = ", ".join(f"{k}={v}" for k, v in ps.items())
         return f"{self.name}({inner})" if inner else self.name
 
-    # -- prefix cache --------------------------------------------------
-    def _grow_pos(self, n: int):
-        cur = len(self._lm) - 1
-        if n <= cur:
-            return
-        if n > DEFAULT_STEP_CAP:
-            raise ResourceLimitError(
-                f"prefix index {n} exceeds the cap {DEFAULT_STEP_CAP}"
-            )
-        target = min(DEFAULT_STEP_CAP, max(n, 2 * cur, 4096))
-        lm, ph = self._log_weight_block(np.arange(cur + 1, target + 1))
-        self._lm = _extended(self._lm, lm, np.add)
-        # a zero phase (None) leaves every phase prefix +0.0
-        self._ph = np.zeros(len(self._lm)) if ph is None else _extended(self._ph, ph, np.add)
+    # -- prefix products -----------------------------------------------
+    def _check(self, lo: int, hi: int):
+        """The domain check of every prefix read: indices lo..hi."""
+        if lo < 0 and self.domain != BILATERAL:
+            raise DomainMismatchError("negative prefix index on a unilateral family")
+        if hi > DEFAULT_STEP_CAP or lo < -DEFAULT_STEP_CAP:
+            far = hi if hi > DEFAULT_STEP_CAP else lo
+            raise ResourceLimitError(f"prefix index {far} exceeds the cap {DEFAULT_STEP_CAP}")
 
-    def _grow_neg(self, m: int):
-        # P(-m) = -sum_{i=-m+1}^{0} log w(i)
-        cur = len(self._lm_neg) - 1
-        if m <= cur:
-            return
-        if m > DEFAULT_STEP_CAP:
-            raise ResourceLimitError(
-                f"prefix index -{m} exceeds the cap {DEFAULT_STEP_CAP}"
-            )
-        target = min(DEFAULT_STEP_CAP, max(m, 2 * cur, 4096))
-        # weights at 0, -1, ..., -(target-1)
-        lm, ph = self._log_weight_block(-np.arange(cur, target))
-        self._lm_neg = _extended(self._lm_neg, lm, np.subtract)
-        self._ph_neg = (np.zeros(len(self._lm_neg)) if ph is None
-                        else _extended(self._ph_neg, ph, np.subtract))
+    def _at(self, points, phase: bool = True):
+        """(logmag, phase) of P at integer ``points``; phase None unless asked."""
+        ns = np.asarray(points, dtype=np.int64)
+        if ns.size:
+            self._check(int(ns.min()), int(ns.max()))
+        return self._logmag_at(ns), (self._phase_at(ns) if phase else None)
+
+    def _logmag_at(self, ns: np.ndarray) -> np.ndarray:
+        return _head_tail(ns, self._lm, self._step[0], self._lm_neg, self._step_neg[0])
+
+    def _phase_at(self, ns: np.ndarray) -> np.ndarray:
+        return _head_tail(ns, self._ph, self._step[1], self._ph_neg, self._step_neg[1])
 
     def warm(self, n: int, nmin: int = 0):
-        """Prefill the prefix cache up to |n| on both sides as applicable."""
-        self._grow_pos(max(0, n))
-        if self.domain == BILATERAL and nmin < 0:
-            self._grow_neg(-nmin)
+        """Check that the indices nmin..n (nmin only on a bilateral family)
+        can be read.  Nothing is cached or allocated."""
+        self._check(min(nmin, 0) if self.domain == BILATERAL else 0, max(n, 0))
 
     def prefix(self, n: int) -> LogPolar:
         """P(n) with P(0) = 0; the product over (m, n] is exp(P(n) - P(m))."""
-        if n >= 0:
-            self._grow_pos(n)
-            return LogPolar(float(self._lm[n]), float(self._ph[n]))
-        if self.domain != BILATERAL:
-            raise DomainMismatchError("negative prefix index on a unilateral family")
-        self._grow_neg(-n)
-        return LogPolar(float(self._lm_neg[-n]), float(self._ph_neg[-n]))
-
-    def _grow_through(self, requests: np.ndarray):
-        """Grow the cache as scalar ``prefix`` calls at ``requests``, in
-        order, would: a request below an earlier one never grows it, so
-        only the running maxima are replayed."""
-        neg = requests < 0
-        if neg.any() and self.domain != BILATERAL:
-            raise DomainMismatchError("negative prefix index on a unilateral family")
-        for reqs, grow, cache in ((requests[~neg], self._grow_pos, "_lm"),
-                                  (-requests[neg], self._grow_neg, "_lm_neg")):
-            if not len(reqs) or reqs.max() < len(getattr(self, cache)):
-                continue
-            reach = np.maximum.accumulate(reqs)
-            while reach[-1] >= len(getattr(self, cache)):
-                cur = len(getattr(self, cache)) - 1
-                grow(int(reach[np.searchsorted(reach, cur, side="right")]))
-
-    def _prefix_arrays(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """P at integer points the cache already covers, as (logmag, phase)."""
-        if not len(ns) or ns.min() >= 0:
-            return self._lm[ns], self._ph[ns]
-        lm = np.empty(len(ns))
-        ph = np.empty(len(ns))
-        pos = ns >= 0
-        lm[pos], ph[pos] = self._lm[ns[pos]], self._ph[ns[pos]]
-        neg = -ns[~pos]
-        lm[~pos], ph[~pos] = self._lm_neg[neg], self._ph_neg[neg]
-        return lm, ph
+        self._check(n, n)  # n may be past int64
+        lm, ph = self._at([n])
+        return LogPolar(float(lm[0]), float(ph[0]))
 
     def prefix_logmag(self, points: np.ndarray) -> np.ndarray:
         """Vectorized log|P| at integer points (criterion probes)."""
-        points = np.asarray(points, dtype=np.int64)
-        if not len(points):
-            return np.empty(0)
-        lo, hi = int(points.min()), int(points.max())
-        if hi >= 0:
-            self._grow_pos(hi)
-            if lo >= 0:
-                return self._lm[points]
-        if self.domain != BILATERAL:
-            raise DomainMismatchError("negative prefix index on a unilateral family")
-        self._grow_neg(-lo)
-        if hi < 0:
-            return self._lm_neg[-points]
-        out = np.empty(len(points))
-        pos = points >= 0
-        out[pos] = self._lm[points[pos]]
-        out[~pos] = self._lm_neg[-points[~pos]]
-        return out
+        return self._at(points, phase=False)[0]
 
 
-def _extended(cache: np.ndarray, block, combine) -> np.ndarray:
-    """``cache`` followed by combine(cache[-1], cumsum(block)), combine
-    being np.add or np.subtract, built in one allocation: the same IEEE
-    operations, so the same bits, as concatenating a separate temporary."""
-    out = np.empty(len(cache) + len(block))
-    out[: len(cache)] = cache
-    tail = out[len(cache) :]
-    np.cumsum(block, out=tail)
-    combine(cache[-1], tail, out=tail)
+def _prefix_sums(weights, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """(logmag, phase) arrays of 0 and the running sums of sign * log w."""
+    sums = np.zeros((len(weights) + 1, 2))
+    if len(weights):
+        # + 0.0 keeps a zero sum +0.0 under sign -1, as 0.0 - sum does
+        sums[1:] = sign * np.cumsum([_log_polar(w) for w in weights], axis=0) + 0.0
+    return sums[:, 0].copy(), sums[:, 1].copy()
+
+
+def _head_tail(ns, head, step, head_neg, step_neg) -> np.ndarray:
+    """The head at n >= 0, then ``step`` per index past its end; head_neg
+    and step_neg at -n for n < 0."""
+    if not ns.size:
+        return np.empty(0)
+    lo, hi = int(ns.min()), int(ns.max())
+    if lo >= 0:
+        return _side(ns, 1, lo, head, step)
+    if hi < 0:
+        return _side(ns, -1, -hi, head_neg, step_neg)
+    out = np.empty(len(ns))
+    neg = ns < 0
+    out[~neg] = _side(ns[~neg], 1, 0, head, step)
+    out[neg] = _side(ns[neg], -1, 1, head_neg, step_neg)
+    return out
+
+
+def _side(ns, sign: int, low: int, head, step) -> np.ndarray:
+    """With m = sign * n >= low >= 0: head[m] up to the head's end L, then
+    head[L] + (m - L) * step, computed as (n - sign L) * (sign step), which
+    has the same bits and needs no negated copy of ``ns``."""
+    end = len(head) - 1
+    out = np.subtract(ns, sign * end, dtype=float)  # exact: |n| <= DEFAULT_STEP_CAP
+    out *= sign * step
+    out += head[end]
+    if low < end:
+        inside = ns < end if sign > 0 else ns > -end
+        out[inside] = head[sign * ns[inside]]
     return out
 
 
 class ConstantWeight(WeightSeq):
-    """Rolewicz-style constant weight w_n = lam."""
+    """Rolewicz-style constant weight w_n = lam: P(n) = n * log lam."""
 
     name = "constant"
 
@@ -251,15 +205,10 @@ class ConstantWeight(WeightSeq):
             raise InvalidArgumentError("constant weight must be nonzero")
         self.lam = lam
         self.domain = domain
-        super().__init__()
+        super().__init__(tail=lam, tail_neg=lam)
 
     def weight(self, n):
         return self.lam
-
-    def _log_weight_block(self, ns):
-        lm = np.full(len(ns), math.log(abs(self.lam)))
-        phase = cmath.phase(self.lam)
-        return lm, (np.full(len(ns), phase) if phase else None)
 
     def params(self):
         return {"lam": self.lam}
@@ -273,12 +222,11 @@ class BergmanWeight(WeightSeq):
     def weight(self, n):
         return math.sqrt((n + 1) / n)
 
-    def _log_weight_block(self, ns):
-        logs = np.arange(ns[0], ns[-1] + 2, dtype=float)
-        np.log(logs, out=logs)  # log n over [lo, hi + 1]
-        lm = logs[1:] - logs[:-1]
+    def _logmag_at(self, ns):
+        lm = np.add(ns, 1.0)
+        np.log(lm, out=lm)
         lm *= 0.5
-        return lm, None
+        return lm
 
 
 class LogRatioWeight(WeightSeq):
@@ -289,11 +237,12 @@ class LogRatioWeight(WeightSeq):
     def weight(self, n):
         return math.log(n + 2) / math.log(n + 1)
 
-    def _log_weight_block(self, ns):
-        loglogs = np.arange(ns[0] + 1, ns[-1] + 3, dtype=float)
-        np.log(loglogs, out=loglogs)
-        np.log(loglogs, out=loglogs)  # log log n over [lo + 1, hi + 2]
-        return loglogs[1:] - loglogs[:-1], None
+    def _logmag_at(self, ns):
+        lm = np.add(ns, 2.0)
+        np.log(lm, out=lm)
+        lm /= math.log(2)
+        np.log(lm, out=lm)
+        return lm
 
 
 class RootRatioWeight(WeightSeq):
@@ -310,12 +259,12 @@ class RootRatioWeight(WeightSeq):
     def weight(self, n):
         return ((n + 2) / (n + 1)) ** (1.0 / (2 * self.p))
 
-    def _log_weight_block(self, ns):
-        logs = np.arange(ns[0] + 1, ns[-1] + 3, dtype=float)
-        np.log(logs, out=logs)  # log n over [lo + 1, hi + 2]
-        lm = logs[1:] - logs[:-1]
+    def _logmag_at(self, ns):
+        lm = np.add(ns, 2.0)
+        lm *= 0.5
+        np.log(lm, out=lm)
         lm /= 2.0 * self.p
-        return lm, None
+        return lm
 
     def params(self):
         return {"p": self.p}
@@ -330,7 +279,7 @@ class TMuWeight(WeightSeq):
     backward step (index 1 falls off the edge) nor by forward products,
     and is pinned to 1 so prefixes stay well-defined.  The product of
     derivative factors over degrees 1..n is then exp(P(n+1)), equal to
-    n! * mu^(n(n-1)/2).
+    n! * mu^(n(n-1)/2): P(n) = lgamma(n) + (n-1)(n-2)/2 * log mu.
 
     Phase convention for complex mu: the factor at degree k contributes
     phase k*arg(mu), accumulated without re-wrapping.
@@ -350,17 +299,20 @@ class TMuWeight(WeightSeq):
             return 1.0 + 0j
         return (n - 1) * self.mu ** (n - 2)
 
-    def _log_weight_block(self, ns):
-        lm = np.empty(len(ns))
-        ph = np.empty(len(ns))
-        one = ns == 1
-        rest = ~one
-        lm[one] = 0.0
-        ph[one] = 0.0
-        nf = ns[rest].astype(float)
-        lm[rest] = np.log(nf - 1) + (nf - 2) * math.log(abs(self.mu))
-        ph[rest] = (nf - 2) * cmath.phase(self.mu)
-        return lm, ph
+    @staticmethod
+    def _triangle(ns) -> tuple[np.ndarray, np.ndarray]:
+        """max(n, 1) and its (n-1)(n-2)/2, so that P(0) = P(1) = 0."""
+        m = np.maximum(ns, 1)
+        return m, ((m - 1) * (m - 2) // 2).astype(float)
+
+    def _logmag_at(self, ns):
+        m, tri = self._triangle(ns)
+        lm = np.fromiter(map(math.lgamma, m.tolist()), float, len(m))
+        lm += tri * math.log(abs(self.mu))
+        return lm
+
+    def _phase_at(self, ns):
+        return self._triangle(ns)[1] * cmath.phase(self.mu)
 
     def degree_product(self, n: int) -> LogPolar:
         """Log-polar product of derivative factors for degrees 1..n,
@@ -382,19 +334,12 @@ class TableWeight(WeightSeq):
         self.default = complex(default)
         if any(v == 0 for v in self.values) or self.default == 0:
             raise InvalidArgumentError("table weights must be nonzero")
-        super().__init__()
+        super().__init__(self.values, self.default)
 
     def weight(self, n):
         if 1 <= n <= len(self.values):
             return self.values[n - 1]
         return self.default
-
-    def _log_weight_block(self, ns):
-        # scalar log-polar forms of the table, then the default, by index
-        table = np.array([_log_polar(z) for z in (*self.values, self.default)])
-        size = len(self.values)
-        at = np.where((ns >= 1) & (ns <= size), ns - 1, size)
-        return table[at, 0], table[at, 1]
 
     def params(self):
         return {"values": self.values, "default": self.default}
@@ -417,26 +362,18 @@ class BilateralTableWeight(WeightSeq):
             self.default_nonpos,
         ):
             raise InvalidArgumentError("weights must be nonzero")
-        super().__init__()
+        # heads w_1..w_top and w_0..w_bottom; no prefix reads past the cap
+        top = min(max((k for k in self.entries if k >= 1), default=0), DEFAULT_STEP_CAP)
+        bottom = max(min((k for k in self.entries if k <= 0), default=1),
+                     1 - DEFAULT_STEP_CAP)
+        super().__init__([self.weight(n) for n in range(1, top + 1)], self.default_pos,
+                         [self.weight(n) for n in range(0, bottom - 1, -1)],
+                         self.default_nonpos)
 
     def weight(self, n):
         if n in self.entries:
             return self.entries[n]
         return self.default_pos if n >= 1 else self.default_nonpos
-
-    def _log_weight_block(self, ns):
-        # scalar log-polar forms of the sorted entries, then both defaults
-        keys, values = zip(*sorted(self.entries.items())) if self.entries else ((), ())
-        table = np.array([_log_polar(z) for z in (*values, self.default_pos,
-                                                  self.default_nonpos)])
-        size = len(keys)
-        at = np.where(ns >= 1, size, size + 1)
-        if size:
-            keys = np.array(keys, dtype=np.int64)
-            near = np.minimum(np.searchsorted(keys, ns), size - 1)
-            hit = keys[near] == ns
-            at[hit] = near[hit]
-        return table[at, 0], table[at, 1]
 
     def params(self):
         return {
@@ -543,15 +480,14 @@ def orbit_batch(op: OperatorSpec, v: CoeffVector, steps):
     shift = np.repeat(steps, counts)
     j = support[at]
     tgt = j - shift if op.direction == BACKWARD else j + shift
-    # time 0 leaves its terms in place without touching the prefix cache
+    # time 0 leaves its terms in place without reading P
     moved = shift > 0
     dlm = np.zeros(total)
     dph = np.zeros(total)
     if moved.any():
         w = op.base
         jm, tm = (j, tgt) if moved.all() else (j[moved], tgt[moved])
-        w._grow_through(np.column_stack((jm, tm)).ravel())
-        (lj, pj), (lt, pt) = w._prefix_arrays(jm), w._prefix_arrays(tm)
+        (lj, pj), (lt, pt) = w._at(jm), w._at(tm)
         dlm[moved] = lj - lt
         dph[moved] = pj - pt
     rot = steps * cmath.phase(complex(op.rotation))

@@ -1,7 +1,9 @@
-"""The CI workflow parses, keeps its limits and installs the test extra."""
+"""The CI workflow parses, keeps its limits and installs the test extra;
+the benchmark's tracer finds every name it wraps."""
 
 import os
 import re
+import types
 
 import pytest
 
@@ -22,7 +24,6 @@ def test_workflow_parses_and_keeps_its_limits():
     assert "perfbench/test_smoke.py" in runs["Benchmark smoke test"]
 
 
-
 def _name(requirement: str) -> str:
     """The package name of a requirement such as '"numpy==2.4.*"'."""
     return re.split(r"[=<>!~\[ ]", requirement.strip('"'))[0].lower()
@@ -39,3 +40,24 @@ def test_workflow_installs_the_test_extra():
     installed = {_name(arg) for arg in install.split("pip install", 1)[1].split()}
     runtime = {_name(dep) for dep in project["dependencies"]}
     assert installed - runtime == {_name(dep) for dep in project["optional-dependencies"]["test"]}
+
+
+def test_tracer_wraps_names_that_exist():
+    # perfbench/tracer.py looks up WeightSeq.warm/prefix/prefix_logmag and
+    # reads WeightSeq._lm by name; a rename fails here, not only in the
+    # benchmark's smoke run.  The file is imported read-only.
+    import numpy as np
+
+    from shiftlab.shiftops import BergmanWeight
+
+    path = os.path.join(ROOT, "perfbench", "tracer.py")
+    tracer_mod = types.ModuleType("perfbench_tracer")
+    with open(path, encoding="utf-8") as fh:  # compiled here: no bytecode written
+        exec(compile(fh.read(), path, "exec"), tracer_mod.__dict__)
+    tracer = tracer_mod.Tracer()
+    with tracer.active():
+        got = BergmanWeight().prefix_logmag(np.array([1, 3]))
+    assert got.tolist() == BergmanWeight().prefix_logmag(np.array([1, 3])).tolist()
+    metrics = tracer.pass_metrics()
+    assert metrics["shiftops.prefix_bulk_points"][0] == 2
+    assert metrics["shiftops.prefix_reach"][0] == 3

@@ -79,11 +79,16 @@ ORBIT = {"weights": {"family": "Constant", "value": 2}, "vector": {"basis": 3}}
     ("density", {"times": [1, 2, 3], "q": "x"}, "config.q"),
     ("density", {"times": [1, 2, 3], "horizon": "h"}, "config.horizon"),
     ("density", {"times": [1, 2, 3], "tol": [1]}, "config.tol"),
+    ("density", {"times": [1, 2, 3], "horizon": 10, "burn_in": "x"}, "config.burn_in"),
+    ("jsets", {"nseq": ["a", 2], "horizon": 100}, "config.nseq"),
+    ("jsets", {"nseq": [1, 2], "k": "x", "horizon": 100}, "config.k"),
     ("orbit", dict(ORBIT, target=dict(BALL, radius="r")), "target.radius"),
     ("orbit", dict(ORBIT, target={"kind": "modulus_exceeds", "index": "i"}), "target.index"),
     ("orbit", dict(ORBIT, target=BALL, rotation=["a", "b"]), "config.rotation"),
     ("orbit", dict(ORBIT, target=BALL, rotation=[1]), "config.rotation"),
     ("orbit", dict(ORBIT, target=BALL, power=None), "config.power"),
+    ("orbit", dict(ORBIT, target=BALL, burn_in=[2]), "config.burn_in"),
+    ("weakstar", dict(ORBIT, center={"basis": 1}, burn_in="b"), "config.burn_in"),
     ("orbit", dict(ORBIT, target=BALL, vector={"entries": {"x": 1}}), "vector.entries"),
     ("orbit", dict(ORBIT, target=BALL, vector={"basis": "b"}), "vector.basis"),
     ("criterion", {"weights": {"family": "Bergman"}, "indices": ["a"]}, "config.indices"),

@@ -154,6 +154,20 @@ class TestBuildVector:
         assert given.candidate == auto.candidate
         assert given.criterion.satisfied
 
+    # Constant(1.1)'s candidate reaches index 7797, past the 4096 entries
+    # that the old prefix cache filled on a first small read
+    @pytest.mark.parametrize("make,q", [(lambda: ConstantWeight(1.1), 1), (BergmanWeight, 2)])
+    @pytest.mark.parametrize("first", [10, 10**6])
+    def test_candidate_bytes_do_not_depend_on_earlier_reads(self, make, q, first):
+        # prefix products are closed forms: a read before the build, inside
+        # or far past the candidate's indices, changes no candidate bit
+        fresh = build_vector(lp(2), make(), q, canonical_targets(2), horizon=10**4)
+        w = make()
+        w.prefix(first)
+        after = build_vector(lp(2), w, q, canonical_targets(2), horizon=10**4)
+        assert repr(after.selection) == repr(fresh.selection)  # the certified tails
+        assert repr(after.candidate.entries) == repr(fresh.candidate.entries)
+
     def test_supplied_nseq_refused_when_criterion_fails(self):
         with pytest.raises(ConstructionRefusedError) as exc:
             build_vector(lp(2), BergmanWeight(), 1, [E1], nseq=(2,))

@@ -8,7 +8,10 @@ columnar one; any change to a formatted byte shows here.
 The report goldens pin the sha256 of ``repr`` of whole criterion reports,
 probe checkpoints and tails included, which the CSVs do not carry.  They
 were recorded with the per-checker series closures that preceded
-``criterion._shift_series``.
+``criterion._shift_series``.  The construct candidate and seven reports
+were re-recorded when closed-form prefix products replaced the
+cumulative-sum prefix cache, after a comparison with the cache showed
+the same verdicts, rules, checkpoint indices and structure.
 """
 
 import hashlib
@@ -98,7 +101,7 @@ GOLDENS = {
         {"weights": {"family": "Constant", "value": 2}, "k": 2, "horizon": 300},
         {
             "candidate.csv":
-                "5541016368858edcdf308f8c2617ad679a839ab72a565c9e4c49680f400705b3",
+                "d81b1a6033cd9106e76fa083d892f93500cf10e95041bd8b81259840c40b9071",
             "config.resolved.json":
                 "adf010f7ea6e315e96029d7f970a0ff9dfe397845b51aeb2b696573ccafacb1d",
             "eq33.csv":
@@ -162,7 +165,6 @@ def _table():
                                 default_nonpos=0.5)
 
 
-# Each call builds its weights afresh: prefix bits depend on cache growth.
 REPORT_CALLS = {
     "qfhc l2 bergman q=2": lambda: qfhc_check(lp(2), BergmanWeight(), 2, [1, 3, 40]),
     "qfhc l2 bergman q=1 head": lambda: qfhc_check(lp(2), BergmanWeight(), 1, [2, 3000]),
@@ -199,7 +201,7 @@ REPORT_GOLDENS = {
     "bilateral beyond reach":
         "aab936e93c04db7a9e771a89f3b95c220bd1c90bbcee5f8201e162cab864e03f",
     "bilateral c0":
-        "9bbc062d9305bd8fe9c4fa9e6dce89d8a5827feaefd30c7d0f9ab938701ddded",
+        "efc21575721d22bdce73c595b0eb3ecdb229c5e4caed7f2c140130c77049034d",
     "bilateral c0 beyond reach":
         "5b56e145869a29d22edf67bece99fb6355048b455d949b87aee021a5c1ebdb30",
     "bilateral c0 modulus 1":
@@ -209,15 +211,15 @@ REPORT_GOLDENS = {
     "bilateral l2 modulus 1":
         "5851ae4ee47189e43813fcc38c55adb8ee785218bd339a7b3795cc2babb1cc70",
     "hc bilateral":
-        "1f1acef87970932319c474f50c014537acf191dee9fcb2363c6d409da10894fb",
+        "6110d1dec70c602bdd9820c7fde0cb8992bc9890ae6117fa4bd1f7526c0565a7",
     "hc unilateral":
-        "d7ef01d3f36b1c8a7898105cb56969506422548c2087e47dab46b852ac73243e",
+        "1f5e1ad3f83cb1497eacd880da7da07c9d5dd4eed3374ae790d378395c878cfa",
     "qfhc beyond reach":
         "a271db99258b76b64525e534f8d6efb8004019b7cb8e636ace1244d6875f4fc4",
     "qfhc bilateral beyond reach":
         "ff27587735455b1c721c27be32a7ae5f5aa1eca72f0e086b69448fb3baa1d232",
     "qfhc bilateral table":
-        "478dc3916ca2f1309b10fb1c93daebf718a5d5a0ba4d3903c0b38e037dce1bc7",
+        "7d9bca489831b669c68c52e78fb33c963fdc389b0f546225d12ab24bab362a3a",
     "qfhc c0 constant":
         "ebf99b2600b7ea60c6d0a22544c6585f01c1fe9667867c4c47de7135309a163c",
     "qfhc entire(4)":
@@ -227,9 +229,9 @@ REPORT_GOLDENS = {
     "qfhc l2 bergman q=2":
         "d1f829163e256d4671cf285a3f2e734ab3ac45ee3a45a783165f148ad688f9ca",
     "qfhc tmu":
-        "731c60a2d3002ba9068222f9fa675854fa41697a8e21f9752fc847fb8ab39087",
+        "086eda1899d16acf3e3b5463ba9e262bb5e3b63524e939cc116458fc6140bf36",
     "salas constant":
-        "4100c4b555efb68de952cd9b53447d6e34f43f95129166cf2cbc10c7a7fc7b53",
+        "ad93fd14a529d46affb2564ae8f8b7f5152a9dd94f4d04b16d23412d9958214f",
     "salas rootratio":
         "4776a0e693ccb68b79bd0babdb305a8ee6887863d87f531f27b26baeed81e37e",
     "select c0 constant":
@@ -245,7 +247,7 @@ REPORT_GOLDENS = {
     "unilateral c0":
         "0c9803417487ad8c78725dec90e6b53ddd8d41102c7f851e82be74216d6628a4",
     "unilateral l2":
-        "cec71a595e0800728087f9e5c81d404f930070ffa637ffd9e76a6c01a992100c",
+        "1785f988d81174753c00ce724009fa7314773c13e5c15c9e0a1e5b38fde7ec02",
     "weakstar":
         "0934129d86717053050edf3d55d29a2eaac4e01d4327725968c77f4392f3a2fc",
 }

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,6 @@ from shiftlab.shiftops import (
     RootRatioWeight,
     TableWeight,
     TMuWeight,
-    WeightSeq,
     apply,
     iterate,
     iterates,
@@ -297,16 +297,8 @@ def vector_bits(v):
     return [(i, c.real.hex(), c.imag.hex()) for i, c in v.entries.items()]
 
 
-def cache_bytes(w):
-    arrays = [w._lm, w._ph]
-    if w.domain == BILATERAL:
-        arrays += [w._lm_neg, w._ph_neg]
-    return [a.tobytes() for a in arrays]
-
-
-# Each case builds a fresh (cold-cache) weight.  Unilateral supports sit
-# on both sides of the first cache block (4096) and the times hit the
-# edge j == steps; -0.0 parts exercise signed-zero phases.
+# Supports reach past the table heads and past 4096, and the times hit
+# the edge j == steps; -0.0 parts exercise signed-zero phases.
 UNI_VECTOR = {1: 1.0, 2: complex(1.0, -0.0), 3: -0.5j, 7: 2 + 1j, 4100: 1e-3, 6000: -3.0}
 BI_VECTOR = {-4000: 0.25j, -3: 1.5, 0: complex(-2.0, -0.0), 5: 1 - 1j, 4500: 0.75}
 ENGINE_CASES = [
@@ -335,8 +327,6 @@ class TestBatchedOrbitEngine:
         assert counts.tolist() == [len(t) for t in want]
         flat = list(zip(idx.tolist(), lm.tolist(), ph.tolist()))
         assert term_bits(flat) == term_bits([t for ts in want for t in ts])
-        # the cold cache grew through the same blocks
-        assert cache_bytes(w) == cache_bytes(ref_w)
 
     @pytest.mark.parametrize("name,make,domain", ENGINE_CASES, ids=[c[0] for c in ENGINE_CASES])
     def test_one_time_views_match_scalar_bitwise(self, name, make, domain):
@@ -355,7 +345,6 @@ class TestBatchedOrbitEngine:
                         iterate(op, v, n)
                     continue
                 assert vector_bits(iterate(op, v, n)) == want
-        assert cache_bytes(w) == cache_bytes(ref_w)
 
     def test_chunked_slices_match_one_batch(self, monkeypatch):
         v = CoeffVector(UNILATERAL, UNI_VECTOR)
@@ -425,160 +414,10 @@ class TestStepCountsPastInt64:
                 iterate(op, CoeffVector.basis(1, domain), n)
 
 
-class TestTableLogWeightBlocks:
-    def test_table_block_equals_scalar_fallback(self):
-        w = TableWeight((2.0, -1.5j, 0.3 + 0.4j, -0.7), default=1.25 - 0.5j)
-        ns = np.arange(-3, 12)
-        for got, want in zip(w._log_weight_block(ns), WeightSeq._log_weight_block(w, ns)):
-            assert got.tobytes() == want.tobytes()
-
-    def test_bilateral_block_equals_scalar_fallback(self):
-        w = BilateralTableWeight({-5: 3.0, -1: 0.2 - 0.1j, 0: 0.5j, 2: -2.0, 7: 1.1},
-                                 default_pos=1.5 + 0.5j, default_nonpos=0.75j)
-        ns = np.arange(-9, 11)
-        for got, want in zip(w._log_weight_block(ns), WeightSeq._log_weight_block(w, ns)):
-            assert got.tobytes() == want.tobytes()
-        empty = BilateralTableWeight({}, default_pos=2.0, default_nonpos=-0.5)
-        for got, want in zip(empty._log_weight_block(ns), WeightSeq._log_weight_block(empty, ns)):
-            assert got.tobytes() == want.tobytes()
-
-
-# -- prefix-cache growth against the concatenating reference ----------------
-# Verbatim copies of the growth code and of each family's vectorized block
-# as they were before the cache grew in place.  The cumulative sums depend
-# on the block boundaries, so a growth that changes bits shows here even
-# where two instances of the current class would agree with each other.
-
-
-def _ref_constant_block(self, ns):
-    lm = np.full(len(ns), math.log(abs(self.lam)))
-    ph = np.full(len(ns), cmath.phase(self.lam))
-    return lm, ph
-
-
-def _ref_bergman_block(self, ns):
-    ns = ns.astype(float)
-    return 0.5 * (np.log(ns + 1) - np.log(ns)), np.zeros(len(ns))
-
-
-def _ref_log_ratio_block(self, ns):
-    ns = ns.astype(float)
-    return np.log(np.log(ns + 2)) - np.log(np.log(ns + 1)), np.zeros(len(ns))
-
-
-def _ref_root_ratio_block(self, ns):
-    ns = ns.astype(float)
-    lm = (np.log(ns + 2) - np.log(ns + 1)) / (2.0 * self.p)
-    return lm, np.zeros(len(ns))
-
-
-def _ref_tmu_block(self, ns):
-    lm = np.empty(len(ns))
-    ph = np.empty(len(ns))
-    one = ns == 1
-    rest = ~one
-    lm[one] = 0.0
-    ph[one] = 0.0
-    nf = ns[rest].astype(float)
-    lm[rest] = np.log(nf - 1) + (nf - 2) * math.log(abs(self.mu))
-    ph[rest] = (nf - 2) * cmath.phase(self.mu)
-    return lm, ph
-
-
-def _ref_table_block(self, ns):
-    # scalar log-polar forms of the table, then the default, by index
-    table = np.array([shiftops._log_polar(z) for z in (*self.values, self.default)])
-    size = len(self.values)
-    at = np.where((ns >= 1) & (ns <= size), ns - 1, size)
-    return table[at, 0], table[at, 1]
-
-
-def _ref_bilateral_table_block(self, ns):
-    # scalar log-polar forms of the sorted entries, then both defaults
-    keys, values = zip(*sorted(self.entries.items())) if self.entries else ((), ())
-    table = np.array([shiftops._log_polar(z) for z in (*values, self.default_pos,
-                                                       self.default_nonpos)])
-    size = len(keys)
-    at = np.where(ns >= 1, size, size + 1)
-    if size:
-        keys = np.array(keys, dtype=np.int64)
-        near = np.minimum(np.searchsorted(keys, ns), size - 1)
-        hit = keys[near] == ns
-        at[hit] = near[hit]
-    return table[at, 0], table[at, 1]
-
-
-REFERENCE_BLOCKS = {
-    ConstantWeight: _ref_constant_block,
-    BergmanWeight: _ref_bergman_block,
-    LogRatioWeight: _ref_log_ratio_block,
-    RootRatioWeight: _ref_root_ratio_block,
-    TMuWeight: _ref_tmu_block,
-    TableWeight: _ref_table_block,
-    BilateralTableWeight: _ref_bilateral_table_block,
-}
-DEFAULT_STEP_CAP = shiftops.DEFAULT_STEP_CAP
-
-
-class ReferenceCache:
-    """The prefix cache of ``family``, grown by the concatenating code."""
-
-    def __init__(self, family):
-        self.family = family
-        self._lm = np.zeros(1)
-        self._ph = np.zeros(1)
-        if family.domain == BILATERAL:
-            self._lm_neg = np.zeros(1)
-            self._ph_neg = np.zeros(1)
-
-    def __getattr__(self, name):  # family parameters: lam, p, mu, ...
-        return getattr(self.family, name)
-
-    def _log_weight_block(self, ns):
-        return REFERENCE_BLOCKS[type(self.family)](self, ns)
-
-    def _grow_pos(self, n: int):
-        cur = len(self._lm) - 1
-        if n <= cur:
-            return
-        if n > DEFAULT_STEP_CAP:
-            raise ResourceLimitError(
-                f"prefix index {n} exceeds the cap {DEFAULT_STEP_CAP}"
-            )
-        target = min(DEFAULT_STEP_CAP, max(n, 2 * cur, 4096))
-        ns = np.arange(cur + 1, target + 1)
-        lm, ph = self._log_weight_block(ns)
-        self._lm = np.concatenate([self._lm, self._lm[-1] + np.cumsum(lm)])
-        self._ph = np.concatenate([self._ph, self._ph[-1] + np.cumsum(ph)])
-
-    def _grow_neg(self, m: int):
-        # P(-m) = -sum_{i=-m+1}^{0} log w(i)
-        cur = len(self._lm_neg) - 1
-        if m <= cur:
-            return
-        if m > DEFAULT_STEP_CAP:
-            raise ResourceLimitError(
-                f"prefix index -{m} exceeds the cap {DEFAULT_STEP_CAP}"
-            )
-        target = min(DEFAULT_STEP_CAP, max(m, 2 * cur, 4096))
-        ns = -np.arange(cur, target)  # weights at 0, -1, ..., -(target-1)
-        lm, ph = self._log_weight_block(ns)
-        self._lm_neg = np.concatenate([self._lm_neg, self._lm_neg[-1] - np.cumsum(lm)])
-        self._ph_neg = np.concatenate([self._ph_neg, self._ph_neg[-1] - np.cumsum(ph)])
-
-    def warm(self, n: int, nmin: int = 0):
-        self._grow_pos(max(0, n))
-        if self.domain == BILATERAL and nmin < 0:
-            self._grow_neg(-nmin)
-
-    def prefix(self, n: int):
-        if n >= 0:
-            self._grow_pos(n)
-        else:
-            self._grow_neg(-n)
-
-
-GROWTH_FAMILIES = [
+# Every family configuration the prefix tests cover: real, -0j, negative
+# and complex constants, a bilateral constant, the log-ratio families,
+# TMu and both tables.  Bilateral families are also read at -n.
+FAMILIES = [
     ("constant", lambda: ConstantWeight(2)),
     ("constant -0j", lambda: ConstantWeight(complex(2, -0.0))),
     ("negative constant", lambda: ConstantWeight(-0.5)),
@@ -593,44 +432,131 @@ GROWTH_FAMILIES = [
     ("bilateral table", lambda: BilateralTableWeight(
         {-2: 3.0, 0: 0.5j, 4: -2.0}, default_pos=1.5, default_nonpos=0.75j)),
 ]
+FAMILY_IDS = [f[0] for f in FAMILIES]
+FSUM_POINTS = sorted({*range(0, 65), *range(65, 4098, 97), 4096, 4097})
+FAR_POINTS = [2**20 + 4, 4_190_213, 2**23]
 
 
-def _scalar_doubling(w):
-    # each call passes the cache end: 4096, then doublings
-    for n in (1, 4097, 8193, 16385, 32769):
-        w.prefix(n)
-        if w.domain == BILATERAL:
-            w.prefix(-n)
+def signed(w, points):
+    """``points``, and their mirrors -n on a bilateral family."""
+    return [s * n for n in points for s in ((1, -1) if w.domain == BILATERAL else (1,))]
 
 
-def _sweep_warm(w):
-    w.warm(2**20 + 4)
-    w.warm(4_190_213)
+def log_weight(w, k):
+    """(log|w_k|, arg w_k) from the definition of w_k.  TMu's factor
+    (k-1) mu^(k-2) is taken in log-polar form, its phase unwrapped, as
+    the family accumulates it."""
+    if isinstance(w, TMuWeight) and k >= 2:
+        return (math.log(k - 1) + (k - 2) * math.log(abs(w.mu)),
+                (k - 2) * cmath.phase(w.mu))
+    z = complex(w.weight(k))
+    return math.log(abs(z)), cmath.phase(z)
 
 
-def _bilateral_warm(w):
-    w.warm(2**20 + 2, nmin=-(2**20 + 2))
+def fsum_prefix(logs, n):
+    """P(n) by math.fsum: logs[k] for k in 1..n, or minus those in -n+1..0."""
+    ks = range(1, n + 1) if n >= 0 else range(n + 1, 1)
+    sign = 1 if n >= 0 else -1
+    return tuple(sign * math.fsum(logs[k][i] for k in ks) for i in (0, 1))
 
 
-GROWTH_CASES = [
-    (fam, make, seq)
-    for fam, make in GROWTH_FAMILIES
-    for seq in (_scalar_doubling, _sweep_warm, _bilateral_warm)
-    if seq is not _bilateral_warm or make().domain == BILATERAL
-]
+def mp_prefix(w, n):
+    """P(n) to 50 digits from the family's definition."""
+    mp = mpmath
+    if isinstance(w, BergmanWeight):
+        return mp.log(n + 1) / 2, 0
+    if isinstance(w, LogRatioWeight):
+        return mp.log(mp.log(n + 2) / mp.log(2)), 0
+    if isinstance(w, RootRatioWeight):
+        return mp.log(mp.mpf(n + 2) / 2) / (2 * w.p), 0
+    if isinstance(w, TMuWeight):
+        tri = (n - 1) * (n - 2) // 2
+        mu = mp.mpc(w.mu)
+        return mp.loggamma(n) + tri * mp.log(abs(mu)), tri * mp.arg(mu)
+    # piecewise constant: explicit weights, then the side's default
+    if isinstance(w, ConstantWeight):
+        explicit, default = {}, w.lam
+    elif isinstance(w, TableWeight):
+        explicit, default = dict(enumerate(w.values, start=1)), w.default
+    else:
+        explicit = w.entries
+        default = w.default_pos if n >= 0 else w.default_nonpos
+    ks = range(1, n + 1) if n >= 0 else range(n + 1, 1)
+    inside = [mp.mpc(v) for k, v in explicit.items() if k in ks]
+    rest = len(ks) - len(inside)
+    sign = 1 if n >= 0 else -1
+    lm = sum(mp.log(abs(z)) for z in inside) + rest * mp.log(abs(mp.mpc(default)))
+    ph = sum(mp.arg(z) for z in inside) + rest * mp.arg(mp.mpc(default))
+    return sign * lm, sign * ph
 
 
-class TestPrefixCacheGrowthBitwise:
-    @pytest.mark.parametrize("name,make,grow", GROWTH_CASES,
-                             ids=[f"{c[0]}-{c[2].__name__.lstrip('_')}" for c in GROWTH_CASES])
-    def test_cache_bytes_match_reference(self, name, make, grow):
+def assert_close(got, want):
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+
+class TestClosedFormPrefixes:
+    @pytest.mark.parametrize("name,make", FAMILIES, ids=FAMILY_IDS)
+    def test_matches_fsum_of_log_weights(self, name, make):
         w = make()
-        grow(w)
-        got = cache_bytes(w)
-        del w
-        ref = ReferenceCache(make())
-        grow(ref)
-        assert got == cache_bytes(ref)
+        lo = -4097 if w.domain == BILATERAL else 1
+        logs = {k: log_weight(w, k) for k in range(lo, 4098) if k}
+        if w.domain == BILATERAL:
+            logs[0] = log_weight(w, 0)
+        points = signed(w, FSUM_POINTS)
+        lm, ph = w._at(np.array(points))
+        for n, got_lm, got_ph in zip(points, lm.tolist(), ph.tolist()):
+            want_lm, want_ph = fsum_prefix(logs, n)
+            assert_close(got_lm, want_lm)
+            assert_close(got_ph, want_ph)
+
+    @pytest.mark.parametrize("name,make", FAMILIES, ids=FAMILY_IDS)
+    def test_matches_mpmath_far_out(self, name, make):
+        w = make()
+        points = signed(w, FAR_POINTS)
+        lm, ph = w._at(np.array(points))
+        with mpmath.workdps(50):
+            for n, got_lm, got_ph in zip(points, lm.tolist(), ph.tolist()):
+                want_lm, want_ph = mp_prefix(w, n)
+                assert_close(got_lm, float(want_lm))
+                assert_close(got_ph, float(want_ph))
+
+    @pytest.mark.parametrize("name,make", FAMILIES, ids=FAMILY_IDS)
+    def test_scalar_and_batched_bits_agree(self, name, make):
+        w = make()
+        points = signed(w, [0, 1, 2, 3, 4, 5, 9, 4097, 123_457, 2**23])
+        lm, ph = w._at(np.array(points))
+        for n, got_lm, got_ph in zip(points, lm.tolist(), ph.tolist()):
+            one = w.prefix(n)
+            assert one.logmag.hex() == got_lm.hex() == w.prefix_logmag([n])[0].hex()
+            assert one.phase.hex() == got_ph.hex()
+        assert w.prefix_logmag(np.array(points)).tobytes() == lm.tobytes()
+
+    def test_domain_limits(self):
+        with pytest.raises(DomainMismatchError):
+            BergmanWeight().prefix(-1)
+        for w in (BergmanWeight(), BilateralTableWeight({}, 2.0, 0.5)):
+            for n in (2**23 + 1, 2**70):
+                with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+                    w.prefix(n)
+        with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+            BilateralTableWeight({}, 2.0, 0.5).prefix(-(2**23) - 1)
+
+    def test_warm_only_checks_indices(self):
+        w = BilateralTableWeight({-2: 3.0}, 2.0, 0.5)
+        heads = [len(w._lm), len(w._lm_neg)]
+        w.warm(2**23, nmin=-(2**23))
+        assert [len(w._lm), len(w._lm_neg)] == heads
+        with pytest.raises(ResourceLimitError):
+            w.warm(2**23 + 1)
+        with pytest.raises(ResourceLimitError):
+            w.warm(4, nmin=-(2**23) - 1)
+        BergmanWeight().warm(5, nmin=-3)  # nmin counts on bilateral families only
+
+    def test_heads_hold_only_the_tables(self):
+        assert len(BergmanWeight()._lm) == len(ConstantWeight(2)._lm) == 1
+        assert len(TableWeight((2.0, 3.0), default=1.0)._lm) == 3
+        w = BilateralTableWeight({-3: 2.0, 5: 1.5}, 2.0, 0.5)
+        assert (len(w._lm), len(w._lm_neg)) == (6, 5)
 
 
 class TestPrefixLogmagGathers:
