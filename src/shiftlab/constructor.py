@@ -53,33 +53,16 @@ from .shiftops import (
 
 @dataclass(frozen=True)
 class EpsilonSchedule:
-    """Summable epsilon sequence with its derived alpha_k = k*eps_k +
-    sum_{j>k} eps_j.  The default eps_k = 2^-k gives the closed form
-    alpha_k = (k+1) 2^-k, strictly decreasing from k = 1."""
-
-    table: tuple[float, ...] | None = None  # None means the 2^-k rule
+    """The summable eps_k = 2^-k and its alpha_k = k*eps_k + sum_{j>k}
+    eps_j = (k+1) 2^-k, strictly decreasing from k = 1."""
 
     def eps(self, k: int) -> float:
         if k < 1:
             raise InvalidArgumentError("schedule index starts at 1")
-        if self.table is None:
-            return 2.0 ** (-k)
-        if k > len(self.table):
-            raise InvalidArgumentError("epsilon table too short")
-        return self.table[k - 1]
+        return 2.0 ** (-k)
 
     def alpha(self, k: int) -> float:
-        if self.table is None:
-            return (k + 1) * 2.0 ** (-k)
-        tail = sum(self.table[k:])
-        return k * self.eps(k) + tail
-
-    def validate(self, k_max: int):
-        alphas = [self.alpha(k) for k in range(1, k_max + 1)]
-        if any(b >= a for a, b in zip(alphas, alphas[1:])):
-            raise InvalidArgumentError(
-                "alpha_k must decrease on the used prefix"
-            )
+        return (k + 1) * 2.0 ** (-k)
 
 
 _GRID = sorted(
@@ -215,13 +198,11 @@ def _criterion_or_refuse(space: SpaceSpec, w: WeightSeq, q: int,
 
 
 def _thresholds(space: SpaceSpec, w: WeightSeq, q: int,
-                targets: tuple[CoeffVector, ...], schedule: EpsilonSchedule,
-                n_max: int, report: CriterionReport,
+                targets: tuple[CoeffVector, ...], n_max: int, report: CriterionReport,
                 ) -> tuple[tuple[int, ...], tuple[SelectionDetail, ...]]:
     """The thresholds of ``select_Nk``, once the criterion holds."""
     jmax = max(max(x.support, default=1) for x in targets)
     n_max = max(64, min(n_max, iroot(DEFAULT_STEP_CAP - jmax, q)))
-    schedule.validate(len(targets))
     support = sorted({j for x in targets for j in x.support})
     s_tails = {j: _certified_s_tails(space, w, q, j, n_max) for j in support}
     # per-target combined tails, via the triangle inequality over support
@@ -237,7 +218,7 @@ def _thresholds(space: SpaceSpec, w: WeightSeq, q: int,
     details = []
     prev = 0
     for k in range(1, len(targets) + 1):
-        eps_k = schedule.eps(k)
+        eps_k = EpsilonSchedule().eps(k)
         worst = np.maximum.reduce(tails[:k])
         ok = np.nonzero(worst < eps_k)[0]
         if not len(ok):
@@ -260,7 +241,6 @@ def select_Nk(
     w: WeightSeq,
     q: int,
     targets,
-    schedule: EpsilonSchedule | None = None,
     *,
     n_max: int = 4096,
 ) -> tuple[tuple[int, ...], tuple[SelectionDetail, ...]]:
@@ -273,7 +253,7 @@ def select_Nk(
     """
     targets = tuple(targets)
     report = _criterion_or_refuse(space, w, q, targets)
-    return _thresholds(space, w, q, targets, schedule or EpsilonSchedule(), n_max, report)
+    return _thresholds(space, w, q, targets, n_max, report)
 
 
 @dataclass(frozen=True)
@@ -302,7 +282,6 @@ def build_vector(
     w: WeightSeq,
     q: int,
     targets,
-    schedule: EpsilonSchedule | None = None,
     *,
     horizon: int = 10**4,
     nseq=None,
@@ -311,10 +290,10 @@ def build_vector(
     """Materialize the truncated interleaving sum over the separated
     classes: the horizon caps the exponent n^q, not the class index n."""
     targets = tuple(targets)
-    schedule = schedule or EpsilonSchedule()
+    schedule = EpsilonSchedule()
     crit = _criterion_or_refuse(space, w, q, targets)
     if nseq is None:
-        nseq, details = _thresholds(space, w, q, targets, schedule, n_max, crit)
+        nseq, details = _thresholds(space, w, q, targets, n_max, crit)
     else:
         nseq, details = tuple(int(n) for n in nseq), ()
     k_classes = len(targets)

@@ -8,7 +8,7 @@ that fired is always named.
 
 Every weighted-shift series of the checkers and of the constructor's tail
 certificates comes from one function, ``_shift_series``: log term magnitudes
-P(anchor) - P(j +/- n^q) of prefix products P, read lazily per scan chunk.
+P(anchor) - P(j +/- n^q) of prefix products P, read at the n asked for.
 One extrapolator, ``_extrapolate_tail``, fits the tail past the last term.
 """
 
@@ -23,7 +23,7 @@ import numpy as np
 from .density import iroot
 from .errors import InvalidArgumentError
 from .seqspace import BILATERAL, UNILATERAL, SpaceSpec, entire, fnorm, lp
-from .shiftops import WeightSeq, smu_series_logmags
+from .shiftops import TMuWeight, WeightSeq
 
 CONVERGES = "converges"
 DIVERGES = "diverges"
@@ -212,7 +212,10 @@ def _extrapolate_tail(terms, n_max: int) -> float | None:
         s = math.log(t_half / t_n) / math.log(n_max / (n_max // 2))
         if s > 1.05:
             # integral of t_n * (x/n_max)^(-s) from n_max + 1/2
-            return t_n * n_max**s * (n_max + 0.5) ** (1.0 - s) / (s - 1.0)
+            try:
+                return t_n * n_max**s * (n_max + 0.5) ** (1.0 - s) / (s - 1.0)
+            except OverflowError:  # n_max^s past double range: the same integral
+                return t_n * (n_max + 0.5) * (n_max / (n_max + 0.5)) ** s / (s - 1.0)
     return None
 
 
@@ -508,13 +511,20 @@ def _classify_weighted(space, logmag_fn, degree_fn, n_max, tol):
             return classify_sup_decay(mags, n_max, tol=tol)
         return classify_magnitudes(mags, n_max, tol=tol)
     if space.kind == "entire":
+        # every radius reads the same terms: evaluate them once
+        every = np.arange(1, n_max + 1)
+        logmags, degrees = logmag_fn(every), degree_fn(every).astype(float)
         worst = None
         for radius in range(1, space.rmax + 1):
-            logr = math.log(radius)
 
-            def mags(ns, _logr=logr):
+            def mags(ns, _logr=math.log(radius)):
+                # scan chunks are aranges, read as slices (faster than a
+                # gather); the tail fit's three points are gathered
+                at = slice(ns[0] - 1, ns[-1]) if ns[-1] - ns[0] + 1 == len(ns) else ns - 1
+                t = np.multiply(degrees[at], _logr)
+                t += logmags[at]
                 with np.errstate(over="ignore", under="ignore"):
-                    return np.exp(logmag_fn(ns) + degree_fn(ns) * _logr)
+                    return np.exp(t, out=t)
 
             v = classify_magnitudes(mags, n_max, tol=tol)
             if v.kind == DIVERGES:
@@ -755,36 +765,10 @@ def fhc_check_tmu(
     tol: float = DEFAULT_TOL,
     max_exp: int = 12,
 ) -> CriterionReport:
-    """Frequent-hypercyclicity probe for f(z) -> f'(mu z) on monomials.
-
-    The backward series on a degree-k monomial dies after k derivatives;
-    the forward series uses the closed-form antiderivative coefficients,
-    probed through the truncated majorant norm at radii 1..rmax.
-    """
-    mu = complex(mu)
-    space = entire(rmax)
-    n_max = 2**max_exp
-    entries = []
-    for k in degrees:
-        entries.append(
-            ProbeEntry(
-                f"T-series z^{k}",
-                Verdict(
-                    CONVERGES,
-                    "terms eventually zero (derivatives kill the monomial)",
-                    SeriesProbe(checkpoints=((max(k, 1), 0.0),), tail_estimate=0.0),
-                    tail_estimate=0.0,
-                ),
-                note=f"only the first {k} derivatives are nonzero",
-            )
-        )
-        base = smu_series_logmags(mu, k, np.arange(1, n_max + 1))
-        verdict = _classify_weighted(
-            space,
-            lambda ns, _base=base: _base[ns - 1],
-            lambda ns, _k=k: _k + ns.astype(float),
-            n_max,
-            tol,
-        )
-        entries.append(ProbeEntry(f"S-series z^{k}", verdict))
-    return _report(f"f(z) -> f'(mu z), mu={mu}", space.describe(), 1, entries)
+    """Frequent-hypercyclicity probe for f(z) -> f'(mu z) on the monomials
+    z^k: ``qfhc_check`` of the backward ``TMuWeight(mu)`` shift at j = k+1."""
+    degrees = list(degrees)
+    if any(k < 0 for k in degrees):
+        raise InvalidArgumentError("degrees must be nonnegative")
+    return qfhc_check(entire(rmax), TMuWeight(mu), 1, [k + 1 for k in degrees],
+                      tol=tol, max_exp=max_exp)

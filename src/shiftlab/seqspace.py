@@ -8,7 +8,6 @@ values are immutable and every operation is pure.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +24,11 @@ from .errors import (
 
 UNILATERAL = "unilateral"
 BILATERAL = "bilateral"
+
+
+def _phase(z: complex) -> float:
+    """arg z with ``cmath.phase``'s bits, but +-0.0 where it raises on underflow."""
+    return math.atan2(z.imag, z.real)
 
 
 def _canonical(entries: Mapping[int, complex], domain: str) -> dict[int, complex]:
@@ -76,12 +80,12 @@ class CoeffVector:
     @cached_property
     def log_polar(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only arrays of the sorted support, log|c| and arg c,
-        computed once per vector with libm's log and phase."""
+        computed once per vector with libm's log and ``_phase``."""
         values = self.entries.values()
         arrays = (
             np.fromiter(self.entries, dtype=np.int64, count=len(values)),
             np.array([math.log(abs(c)) for c in values], dtype=float),
-            np.array([cmath.phase(c) for c in values], dtype=float),
+            np.array([_phase(c) for c in values], dtype=float),
         )
         for a in arrays:
             a.flags.writeable = False

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainMismatchError, InvalidArgumentError, ResourceLimitError
-from .seqspace import BILATERAL, UNILATERAL, CoeffVector
+from .seqspace import BILATERAL, UNILATERAL, CoeffVector, _phase
 
 DEFAULT_STEP_CAP = 1 << 23  # largest prefix index |n| a family evaluates
 # most terms ``orbit_slices`` gathers per batch: a batch peaks near 125
@@ -73,7 +73,7 @@ class LogPolar:
 
 
 def _log_polar(z: complex) -> tuple[float, float]:
-    return math.log(abs(z)), cmath.phase(z)
+    return math.log(abs(z)), _phase(z)
 
 
 class WeightSeq:
@@ -312,7 +312,7 @@ class TMuWeight(WeightSeq):
         return lm
 
     def _phase_at(self, ns):
-        return self._triangle(ns)[1] * cmath.phase(self.mu)
+        return self._triangle(ns)[1] * _phase(self.mu)
 
     def degree_product(self, n: int) -> LogPolar:
         """Log-polar product of derivative factors for degrees 1..n,
@@ -490,7 +490,7 @@ def orbit_batch(op: OperatorSpec, v: CoeffVector, steps):
         (lj, pj), (lt, pt) = w._at(jm), w._at(tm)
         dlm[moved] = lj - lt
         dph[moved] = pj - pt
-    rot = steps * cmath.phase(complex(op.rotation))
+    rot = steps * _phase(complex(op.rotation))
     return (tgt, log_c[at] + dlm, (arg_c[at] + dph) + np.repeat(rot, counts),
             counts)
 
@@ -554,7 +554,8 @@ def iterate(op: OperatorSpec, v: CoeffVector, n: int) -> CoeffVector:
 
 
 def tmu_apply(mu: complex, f: CoeffVector) -> CoeffVector:
-    """The operator f(z) -> f'(mu z) on Taylor coefficients.
+    """f(z) -> f'(mu z) by direct derivative products: the reference that
+    ``apply`` of the backward ``TMuWeight(mu)`` shift matches bit for bit.
 
     Index k+1 holds the coefficient of z^k; the output coefficient of
     z^(k-1) is k * a_k * mu^(k-1).
@@ -570,28 +571,9 @@ def tmu_apply(mu: complex, f: CoeffVector) -> CoeffVector:
     return CoeffVector(UNILATERAL, entries)
 
 
-def smu_logterm(mu: complex, k: int, n: int) -> LogPolar:
-    """Log-polar coefficient of S_mu^n(z^k) = k! z^(k+n) / ((k+n)! mu^(nk+n(n-1)/2))."""
-    mu = complex(mu)
-    expo = n * k + n * (n - 1) // 2
-    return LogPolar(
-        math.lgamma(k + 1) - math.lgamma(k + n + 1) - expo * math.log(abs(mu)),
-        -expo * cmath.phase(mu),
-    )
-
-
 def smu_power_basis(mu: complex, k: int, n: int) -> CoeffVector:
-    """The monomial image S_mu^n(z^k) as a Taylor coefficient vector."""
+    """The monomial image S_mu^n(z^k) = k! z^(k+n) / ((k+n)! mu^(nk+n(n-1)/2)):
+    n forward steps of ``TMuWeight(mu)`` from index k+1."""
     if k < 0 or n < 1:
         raise InvalidArgumentError("smu_power_basis requires k >= 0 and n >= 1")
-    lp = smu_logterm(mu, k, n)
-    return CoeffVector(UNILATERAL, {k + n + 1: lp.to_complex()})
-
-
-def smu_series_logmags(mu: complex, k: int, ns: np.ndarray) -> np.ndarray:
-    """Log-magnitudes of the S_mu^n(z^k) coefficients, one per n."""
-    ns = np.asarray(ns, dtype=np.int64)
-    lg = np.array([math.lgamma(k + int(n) + 1) for n in ns])
-    nf = ns.astype(float)
-    expo = nf * k + nf * (nf - 1) / 2.0
-    return math.lgamma(k + 1) - lg - expo * math.log(abs(complex(mu)))
+    return iterate(OperatorSpec(TMuWeight(mu), FORWARD), CoeffVector.basis(k + 1), n)

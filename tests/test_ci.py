@@ -1,5 +1,6 @@
 """The CI workflow parses, keeps its limits and installs the test extra;
-the benchmark's tracer finds every name it wraps."""
+pytest turns RuntimeWarnings into errors; the benchmark's tracer finds
+every name it wraps."""
 
 import os
 import re
@@ -40,6 +41,13 @@ def test_workflow_installs_the_test_extra():
     installed = {_name(arg) for arg in install.split("pip install", 1)[1].split()}
     runtime = {_name(dep) for dep in project["dependencies"]}
     assert installed - runtime == {_name(dep) for dep in project["optional-dependencies"]["test"]}
+
+
+def test_runtime_warnings_fail_the_tests():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        options = tomllib.load(fh)["tool"]["pytest"]["ini_options"]
+    assert "error::RuntimeWarning" in options["filterwarnings"]
 
 
 def test_tracer_wraps_names_that_exist():

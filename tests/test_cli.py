@@ -218,6 +218,40 @@ class TestScenarios:
         assert set(rec) == {"n", "exponent", "value", "hit"}
         assert (out / "hits.csv").read_text().splitlines()[0] == "time"
 
+    def test_construct_with_a_steep_power_law_tail(self, tmp_path, capsys):
+        # the tail fit's n_max^s leaves double range; the criterion holds
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "scenario": "construct",
+                "weights": {"family": "Constant", "value": 1.05},
+                "k": 2,
+                "horizon": 10000,
+            },
+        )
+        assert run(["construct", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        out = capsys.readouterr().out
+        assert "Nseq=(25, 39) support=156 checks=156" in out
+        assert "violations=0" in out
+
+    def test_orbit_of_a_vector_whose_phase_underflows(self, tmp_path):
+        # arg(2 + 5e-324j) underflows; it is 0.0, not a math range error
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "scenario": "orbit",
+                "weights": {"family": "Bergman"},
+                "vector": {"entries": {"1": [2.0, 5e-324], "3": [1.0, 0.0]}},
+                "target": {"kind": "ball", "center": {"basis": 1}, "radius": 0.5},
+                "horizon": 20,
+            },
+        )
+        assert run(["orbit", "--config", cfg, "--out", out]) == 0
+        assert (out / "hits.csv").read_text() == "time\n2\n"
+
     def test_orbit_overflow_is_an_error_not_a_traceback(self, tmp_path, capsys):
         # forward Constant(0.5) coefficients grow as 2^n; their l^2 norm
         # overflows a double long before the horizon

@@ -45,20 +45,8 @@ class TestEpsilonSchedule:
 
     def test_alpha_decreasing(self):
         s = EpsilonSchedule()
-        s.validate(20)
         alphas = [s.alpha(k) for k in range(1, 21)]
         assert all(b < a for a, b in zip(alphas, alphas[1:]))
-
-    def test_table_variant(self):
-        s = EpsilonSchedule(table=(0.5, 0.25, 0.125))
-        assert s.eps(2) == 0.25
-        # alpha_2 = 2*eps_2 + eps_3
-        assert s.alpha(2) == pytest.approx(2 * 0.25 + 0.125)
-
-    def test_bad_table_rejected(self):
-        s = EpsilonSchedule(table=(0.1, 0.1, 0.1))
-        with pytest.raises(InvalidArgumentError):
-            s.validate(3)
 
     def test_index_starts_at_one(self):
         with pytest.raises(InvalidArgumentError):
@@ -172,6 +160,13 @@ class TestBuildVector:
         with pytest.raises(ConstructionRefusedError) as exc:
             build_vector(lp(2), BergmanWeight(), 1, [E1], nseq=(2,))
         assert exc.value.report.overall == "fails"
+
+    def test_steep_power_law_tail_does_not_overflow(self):
+        # the certified tails' power-law fit has n_max^s past double range
+        plan = build_vector(lp(2), ConstantWeight(1.05), 1, canonical_targets(2), horizon=10**4)
+        assert plan.nseq == (25, 39)
+        assert len(plan.candidate.entries) == 156
+        assert all(math.isfinite(d.worst_tail) for d in plan.selection)
 
 
 class TestReturnBound:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,8 @@ from shiftlab.criterion import (
     FAILS,
     INCONCLUSIVE,
     SATISFIES,
+    _extrapolate_tail,
+    _shift_series,
     bilateral_condition,
     classify_magnitudes,
     fhc_check,
@@ -29,6 +32,7 @@ from shiftlab.shiftops import (
     ConstantWeight,
     LogRatioWeight,
     RootRatioWeight,
+    TMuWeight,
     smu_power_basis,
 )
 
@@ -359,3 +363,67 @@ class TestDifferentiationCriterion:
         ]
         rep = fhc_check(entire(6), gens)
         assert rep.overall == SATISFIES
+
+
+class TestTMuShift:
+    """f(z) -> f'(mu z) is the backward TMuWeight(mu) shift; its S-series
+    is checked against an mpmath oracle, not against a second closed form."""
+
+    @pytest.mark.parametrize("mu, k, ns", [
+        (1.5, 0, [1, 2, 10, 4095, 4096]),
+        (1.0, 4, [1, 3, 1000, 4096]),
+        (2.0, 3, [1, 7, 4090, 4096]),
+        (0.5, 5, [1, 2, 2048, 4096]),
+        (1 + 1j, 2, [1, 5, 4000, 4096]),
+        (complex(0.3, -1.7), 7, [1, 64, 4093, 4096]),
+    ])
+    def test_s_series_logmags_match_mpmath(self, mu, k, ns):
+        # log(k! / ((k+n)! |mu|^(nk + n(n-1)/2))) to 50 digits
+        got = _shift_series(TMuWeight(mu), k + 1, 1, 1, k + 1)(np.array(ns))
+        with mpmath.workdps(50):
+            for n, g in zip(ns, got.tolist()):
+                want = float(
+                    mpmath.loggamma(k + 1) - mpmath.loggamma(k + n + 1)
+                    - (n * k + n * (n - 1) // 2) * mpmath.log(abs(mpmath.mpc(mu)))
+                )
+                assert abs(g - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_fhc_check_tmu_is_qfhc_check_of_the_shift(self):
+        got = fhc_check_tmu(1 + 1j, degrees=[0, 2], rmax=3, max_exp=8)
+        want = qfhc_check(entire(3), TMuWeight(1 + 1j), 1, [1, 3], max_exp=8)
+        assert got == want
+
+    @pytest.mark.parametrize("kwargs", [
+        {"mu": 1.5, "degrees": []},
+        {"mu": 1.5, "degrees": [2, -1]},
+        {"mu": 0},
+    ])
+    def test_fhc_check_tmu_refusals(self, kwargs):
+        with pytest.raises(InvalidArgumentError):
+            fhc_check_tmu(**kwargs)
+
+
+def test_entire_space_reads_each_series_once():
+    # the 8 radii scan the same 2^20 S-series terms: one read, not one per radius
+    w = ConstantWeight(8)
+    sizes = []
+    at = w._at
+
+    def recording(points, phase=True):
+        sizes.append(np.size(points))
+        return at(points, phase)
+
+    w._at = recording
+    rep = qfhc_check(entire(8), w, 1, [1])
+    assert rep.entry("S-series j=1").verdict.rule == "majorant series diverges at R=8"
+    assert sizes.count(2**20) == 1
+    assert sum(sizes) <= 2**20 + 2
+
+
+def test_power_law_tail_past_double_range():
+    # terms 1e-10 (n/4096)^-90: the tail fit's 4096^90 overflows a double
+    got = _extrapolate_tail(lambda ns: 1e-10 * (ns / 4096.0) ** -90.0, 4096)
+    with mpmath.workdps(30):
+        # the midpoint integral of t_n (x/n_max)^-s from n_max + 1/2
+        want = 1e-10 * 4096 ** mpmath.mpf(90) * mpmath.mpf(4096.5) ** -89 / 89
+    assert got == pytest.approx(float(want), rel=1e-12)

@@ -11,7 +11,11 @@ were recorded with the per-checker series closures that preceded
 ``criterion._shift_series``.  The construct candidate and seven reports
 were re-recorded when closed-form prefix products replaced the
 cumulative-sum prefix cache, after a comparison with the cache showed
-the same verdicts, rules, checkpoint indices and structure.
+the same verdicts, rules, checkpoint indices and structure.  The ``tmu``
+report was re-recorded when ``fhc_check_tmu`` became ``qfhc_check`` of
+the ``TMuWeight`` shift: its labels, notes, operator string and T-series
+head sums changed, while a comparison with the separate closed form
+showed the same overall verdict and S-series verdicts, rules and sums.
 """
 
 import hashlib
@@ -241,7 +245,7 @@ REPORT_GOLDENS = {
     "select l2 constant":
         "2209cff39aa57a8839ff30cf09c6e806df4efffbff4a950d10a6f292b80f2f71",
     "tmu":
-        "a6d388fc3269be1894c1e7eeda8b7de2db541e6756b15537870c78dda261ef04",
+        "4972ccc6b33b9fb81736100fbf41b6ce79b9801dfc71c200cdd90f1a70ec1f21",
     "unilateral beyond reach":
         "d28a299bd702e450d2bee2405b924f056fbe769fb2294c23d5bcf4963b1067d9",
     "unilateral c0":

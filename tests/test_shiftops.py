@@ -5,7 +5,7 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shiftlab.errors import DomainMismatchError, InvalidArgumentError, ResourceLimitError
 from shiftlab.seqspace import BILATERAL, UNILATERAL, CoeffVector
@@ -52,6 +52,25 @@ class TestLogPolar:
     def test_inverse(self):
         a = LogPolar.from_complex(5.0j)
         assert close((a * a.inverse()).to_complex(), 1.0, 1e-14)
+
+    @pytest.mark.parametrize("z", [2 + 5e-324j, 1e300 + 1e-300j])
+    def test_underflowing_phase_is_zero(self, z):
+        assert LogPolar.from_complex(z).phase == 0.0
+        assert CoeffVector(UNILATERAL, {1: z}).log_polar[2].tolist() == [0.0]
+
+    def test_phase_has_the_bits_of_cmath_phase(self):
+        rng = random.Random(5)
+        zs = [complex(a, b) for a in (0.0, -0.0, 1.0, -1.0) for b in (0.0, -0.0, 2.0, -2.0)]
+        zs += [complex(rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300),
+                       rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300))
+               for _ in range(5000)]
+        for z in filter(None, zs):
+            try:
+                want = cmath.phase(z)
+            except OverflowError:
+                continue
+            assert LogPolar.from_complex(z).phase == want
+            assert CoeffVector(UNILATERAL, {1: z}).log_polar[2][0] == want
 
 
 class TestPrefixProducts:
@@ -183,6 +202,7 @@ bergman_vectors = st.dictionaries(
 class TestSemigroupProperty:
     @settings(max_examples=40, deadline=None)
     @given(bergman_vectors, st.integers(1, 8), st.integers(1, 8))
+    @example({1: 2 + 5e-324j}, 1, 1)  # arg c underflows: cmath.phase raises
     def test_iterate_composes(self, entries, m, n):
         w = BergmanWeight()
         op = OperatorSpec(w, BACKWARD)
@@ -255,6 +275,11 @@ class TestDifferentiationOperator:
         out = iterate(OperatorSpec(w, BACKWARD), v, 4)
         assert out.support == (4,)
         assert close(out[4], 1.0, 1e-10)
+
+
+def test_power_basis_past_the_prefix_domain():
+    with pytest.raises(ResourceLimitError):
+        smu_power_basis(1.5, 0, 2**23)
 
 
 def scalar_orbit_entries(op, v, steps):
