@@ -516,6 +516,8 @@ def run_sweep(config: dict, args) -> int:
     if len(grid) * len(qs) > MAX_GRID:
         print(f"sweep refused: grid size {len(grid) * len(qs)} exceeds {MAX_GRID}")
         return EXIT_REFUSED
+    if cfg["mode"] not in ("offsets", "basis"):
+        raise ConfigError(f"config.mode: unknown mode {cfg['mode']!r} (offsets or basis)")
     space = parse_space(cfg["space"])
     indices = _convert(_ints, cfg["indices"], "config.indices")
     max_exp = _convert(int, cfg["max_exp"], "config.max_exp")

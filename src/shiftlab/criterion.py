@@ -1,10 +1,19 @@
 """Numerical convergence probes and criterion checkers for weighted shifts.
 
-Verdicts are heuristic evidence, never proofs: every verdict carries its
-probe data (dyadic partial-sum checkpoints, tail extrapolation, random
-subset sums).  Dyadic checkpoints make slow harmonic-type divergence
-visible as non-decaying block sums (the condensation view), and the rule
-that fired is always named.
+A weighted-shift series of a built-in weight family is decided from the
+family's asymptotic class (``WeightSeq.asymptotics``): the coefficients of
+P(m) = log|w_1...w_m| in a n^2 + b n log n + c n + d log n + e log log n,
+substituted at m = j +/- n^q (``_decide``).  That verdict is exact up to a
+stated rounding band around each boundary, inside which it is
+``inconclusive``.  A short scan still reports dyadic partial-sum
+checkpoints and sums, and never overrides the class.
+
+Series with no class (``series_probe``, ``hc_check``, ``salas_check``,
+families that give none) get heuristic verdicts from their scanned data
+(dyadic partial-sum checkpoints, tail extrapolation, random subset sums).
+Dyadic checkpoints make slow harmonic-type divergence visible as
+non-decaying block sums (the condensation view).  The rule that fired is
+always named.
 
 Every weighted-shift series of the checkers and of the constructor's tail
 certificates comes from one function, ``_shift_series``: log term magnitudes
@@ -21,9 +30,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .density import iroot
-from .errors import InvalidArgumentError
+from .errors import DomainMismatchError, InvalidArgumentError
 from .seqspace import BILATERAL, UNILATERAL, SpaceSpec, entire, fnorm, lp
-from .shiftops import TMuWeight, WeightSeq
+from .shiftops import AsymptoticClass, TMuWeight, WeightSeq
 
 CONVERGES = "converges"
 DIVERGES = "diverges"
@@ -36,6 +45,11 @@ DEFAULT_TOL = 1e-8
 DEFAULT_DIVERGENCE_THRESHOLD = 1e6
 DEFAULT_MAX_EXP = 20
 DEFAULT_EXP_CAP = 1 << 22
+# most terms a scan reads once the asymptotic class has decided the series
+SCAN_TERMS = 1 << 12
+# a float class coefficient this close to its boundary, relative to its
+# largest part, is too close to call
+_ROUNDING_BAND = 1e-12
 
 # block-sum decay ratio thresholds for the dyadic classification
 _DECAY_RATIO = 0.92
@@ -456,7 +470,8 @@ def _offsets(indices) -> list:
 def _series_term_count(q: int, max_exp: int, max_offset: int) -> int:
     """Terms per series: 2^max_exp (at least 2), cut so that no term's
     prefix index n^q + offset passes DEFAULT_EXP_CAP.  Below 2, the
-    series does not fit in that reach (see ``_classify_weighted``)."""
+    series does not fit in that reach and no term is scanned (see
+    ``_classify_weighted``)."""
     room = DEFAULT_EXP_CAP - max_offset
     return min(max(2**max_exp, 2), iroot(room, q)) if room > 0 else 0
 
@@ -482,59 +497,109 @@ def _shift_series(w: WeightSeq, j: int, q: int, direction: int, anchor: int | No
     return logmags
 
 
-def _classify_weighted(space, logmag_fn, degree_fn, n_max, tol):
-    """Route a distinct-index weighted-shift series by space kind.
+def _exact(x: float):
+    """x as an int when it is an integer, so that products with exact class
+    coefficients stay exact; else the float itself."""
+    return int(x) if float(x).is_integer() else float(x)
 
-    logmag_fn: n-array -> log term magnitude, a fresh array that may be
-    overwritten; degree_fn: n-array -> the z-degree of the landing index
-    (entire space only).  ``space=None`` is the bilateral c0 limit
-    condition, -logmag -> infinity.  Under two terms (n_max < 2), the
-    series is past the prefix reach and none is read."""
-    if n_max < 2:
-        return Verdict(
-            INCONCLUSIVE,
-            "fewer than two terms within the 2^22 prefix reach",
-            SeriesProbe(checkpoints=()),
-        )
-    if space is None:
-        return classify_limit_infinite(-logmag_fn(np.arange(1, n_max + 1)))
-    if space.kind in ("lp", "c0"):
-        p = space.p if space.kind == "lp" else 1.0
 
-        def mags(ns):
-            lms = logmag_fn(ns)
-            with np.errstate(over="ignore", under="ignore"):
-                lms *= p
-                return np.exp(lms, out=lms)
+def _fmt(x) -> str:
+    return f"{x:.6g}" if isinstance(x, float) else str(x)
 
-        if space.kind == "c0":
-            return classify_sup_decay(mags, n_max, tol=tol)
-        return classify_magnitudes(mags, n_max, tol=tol)
-    if space.kind == "entire":
-        # every radius reads the same terms: evaluate them once
-        every = np.arange(1, n_max + 1)
-        logmags, degrees = logmag_fn(every), degree_fn(every).astype(float)
-        worst = None
-        for radius in range(1, space.rmax + 1):
 
-            def mags(ns, _logr=math.log(radius)):
-                # scan chunks are aranges, read as slices (faster than a
-                # gather); the tail fit's three points are gathered
-                at = slice(ns[0] - 1, ns[-1]) if ns[-1] - ns[0] + 1 == len(ns) else ns - 1
-                t = np.multiply(degrees[at], _logr)
-                t += logmags[at]
-                with np.errstate(over="ignore", under="ignore"):
-                    return np.exp(t, out=t)
+def _decide(cls: AsymptoticClass, q: int, s, log_r, summable: bool):
+    """(kind, rule, level) of a series whose log terms are
+    -s * P(n^q +- j) + n^q * log R + O(1), for P of class ``cls``.
 
-            v = classify_magnitudes(mags, n_max, tol=tol)
-            if v.kind == DIVERGES:
-                return Verdict(
-                    DIVERGES, f"majorant series diverges at R={radius}", v.probe
-                )
-            if worst is None or (v.kind == INCONCLUSIVE):
-                worst = v
-        return worst
-    raise InvalidArgumentError(f"unsupported space kind {space.kind} for shifts")
+    Substituting m = n^q +- j gives A n^(2q) + B n^q log n + C n^q
+    + D log n + E log log n + O(1), with A = -s a, B = -s q b,
+    C = log R - s c, D = -s q d and E = -s e; cross terms such as 2aj n^q
+    sit below a nonzero leading term, so they never decide.  The first
+    coefficient off its boundary decides.  The boundary is 0 for the three
+    exponential levels.  For log n and log log n it is -1 on a summable
+    series (the Cauchy-Bertrand scale: the sum of n^D (log n)^E converges
+    iff D < -1, or D = -1 and E < -1) and 0 on a term-decay condition.
+    A float coefficient within _ROUNDING_BAND of its boundary (relative
+    to its largest part) is too close to call: ``inconclusive``.  ``level``
+    indexes the deciding level, 5 when every level sits on its boundary.
+    """
+    levels = ((-s * cls.a,), (-s * q * cls.b,), (log_r, -s * cls.c),
+              (-s * q * cls.d,), (-s * cls.e,))
+    nq = "n" if q == 1 else f"n^{q}"
+    names = (f"n^{2 * q}", f"{nq} log n", nq, "log n", "log log n")
+    for level, parts in enumerate(levels):
+        bound = -1 if summable and level >= 3 else 0
+        x = sum(parts)
+        if x == bound:
+            continue
+        where = f"asymptotic class at {names[level]}: coefficient {_fmt(x)}"
+        if isinstance(x, float) and abs(x - bound) <= _ROUNDING_BAND * max(1.0, *map(abs, parts)):
+            return INCONCLUSIVE, f"{where} within rounding of {bound}", level
+        if x < bound:
+            return CONVERGES, f"{where} < {bound}", level
+        return DIVERGES, f"{where} > {bound}", level
+    limit = "terms of order 1/(n log n)" if summable else "terms tend to a nonzero limit"
+    return DIVERGES, f"asymptotic class: every coefficient on its boundary ({limit})", 5
+
+
+def _classify_weighted(space, w: WeightSeq, j: int, q: int, direction: int,
+                       anchor: int | None, n_max: int, tol) -> Verdict:
+    """Verdict of the weighted-shift series ``_shift_series(w, j, q,
+    direction, anchor)`` in ``space``; ``space=None`` is the bilateral c0
+    limit condition, -logmag -> infinity.  On the entire space term n is
+    weighted by R^(j + n^q - 1) at R = rmax, the worst radius.
+
+    A family with an asymptotic class is decided by it (``_decide``).  A
+    scan then reports checkpoints and sums without overriding the class:
+    SCAN_TERMS terms at most, or all n_max for a series that converges at
+    the log n or log log n level, whose slow tail the sum needs.  A scan
+    that reads otherwise is named in the rule.  A family without a class
+    is decided by the scan of n_max terms.  n_max < 2 (fewer than two
+    terms within the 2^22 reach) reads no term.
+    """
+    kind = None if space is None else space.kind
+    if kind not in (None, "lp", "c0", "entire"):
+        raise InvalidArgumentError(f"unsupported space kind {kind} for shifts")
+    series = _shift_series(w, j, q, direction, anchor)
+    radius = space.rmax if kind == "entire" else 1
+    log_r = math.log(radius) if radius > 1 else 0
+    p = space.p if kind == "lp" else 1.0
+
+    def mags(ns):
+        lms = series(ns)
+        if log_r:  # the majorant factor R^(j + n^q - 1)
+            lms += (np.asarray(ns, dtype=np.int64) ** q + (j - 1)) * log_r
+        with np.errstate(over="ignore", under="ignore"):
+            lms *= p
+            return np.exp(lms, out=lms)
+
+    def scan(n):
+        """The space's block-sum classifier over the first n terms."""
+        if kind is None:
+            return classify_limit_infinite(-series(np.arange(1, n + 1)))
+        if kind == "c0":
+            return classify_sup_decay(mags, n, tol=tol)
+        return classify_magnitudes(mags, n, tol=tol)
+
+    cls = w.asymptotics(direction)
+    if cls is None:
+        if n_max < 2:
+            return Verdict(INCONCLUSIVE, "fewer than two terms within the 2^22 prefix reach",
+                           SeriesProbe(checkpoints=()))
+        return scan(n_max)
+    verdict, rule, level = _decide(cls, q, _exact(p), log_r, kind in ("lp", "entire"))
+    if radius > 1:
+        rule += f" at R={radius}"
+    slow = verdict == CONVERGES and level >= 3  # converges at log n or log log n
+    n_scan = n_max if slow else min(SCAN_TERMS, n_max)
+    if n_scan < 2:
+        return Verdict(verdict, rule, SeriesProbe(checkpoints=()))
+    report = scan(n_scan)
+    if report.kind not in (verdict, INCONCLUSIVE):
+        rule += f" (a {n_scan}-term scan reads {report.kind})"
+    if verdict == CONVERGES and report.kind == CONVERGES:
+        return replace(report, rule=rule)
+    return Verdict(verdict, rule, report.probe)
 
 
 def _trivial_t_series_entry(w: WeightSeq, q: int, j: int) -> ProbeEntry:
@@ -567,6 +632,9 @@ def qfhc_check(
     """Probe the two basis-vector series (backward orbit sums at
     exponents n^q, and forward right-inverse sums) for every listed
     basis index."""
+    if space.domain != w.domain:
+        raise DomainMismatchError(
+            f"{w.domain} weights on a {space.domain} space {space.describe()}")
     dense_indices = _offsets(dense_indices)
     jmax = max(abs(j) for j in dense_indices)
     n_max = _series_term_count(q, max_exp, jmax)
@@ -576,13 +644,10 @@ def qfhc_check(
         if w.domain == UNILATERAL:
             t_entry = _trivial_t_series_entry(w, q, j)
         else:
-            t_series = _shift_series(w, j, q, -1, j)
-            t_verdict = _classify_weighted(space, t_series, None, n_max, tol)
+            t_verdict = _classify_weighted(space, w, j, q, -1, j, n_max, tol)
             t_entry = ProbeEntry(f"T-series j={j}", t_verdict)
 
-        s_verdict = _classify_weighted(
-            space, _shift_series(w, j, q, 1, j), lambda ns: j + ns**q - 1, n_max, tol
-        )
+        s_verdict = _classify_weighted(space, w, j, q, 1, j, n_max, tol)
         entries += [t_entry, ProbeEntry(f"S-series j={j}", s_verdict)]
     if w.domain == UNILATERAL:
         notes.append(
@@ -612,7 +677,7 @@ def unilateral_condition(
     n_max = _series_term_count(q, max_exp, jmax)
     entries = []
     for j in j_range:
-        verdict = _classify_weighted(space, _shift_series(w, j, q, 1, None), None, n_max, tol)
+        verdict = _classify_weighted(space, w, j, q, 1, None, n_max, tol)
         entries.append(ProbeEntry(f"j={j}", verdict))
     return _report(
         f"backward shift {w.describe()}", space.describe(), q, entries
@@ -648,9 +713,8 @@ def bilateral_condition(
     entries = []
     for j in j_range:
         # -log products w_1..w_{n^q+j}, and log products w_j..w_{j-n^q+1}
-        for side, series in (("forward", _shift_series(w, j, q, 1, None)),
-                             ("backward", _shift_series(w, j, q, -1, j))):
-            verdict = _classify_weighted(space, series, None, n_max, tol)
+        for side, direction, anchor in (("forward", 1, None), ("backward", -1, j)):
+            verdict = _classify_weighted(space, w, j, q, direction, anchor, n_max, tol)
             entries.append(ProbeEntry(f"{side} {kind} j={j}", verdict))
     label = "c0(Z)" if on_c0 else f"l^{p:g}(Z)"
     return _report(f"bilateral shift {w.describe()}", label, q, entries)

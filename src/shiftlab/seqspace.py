@@ -149,6 +149,8 @@ class SpaceSpec:
     def __post_init__(self):
         if self.kind not in ("lp", "c0", "entire", "linf_weakstar"):
             raise InvalidArgumentError(f"unknown space kind {self.kind!r}")
+        if self.domain not in (UNILATERAL, BILATERAL):
+            raise InvalidArgumentError(f"unknown domain {self.domain!r}")
         if self.kind == "lp":
             if self.p is None or self.p < 1:
                 raise InvalidArgumentError("lp space requires p >= 1")

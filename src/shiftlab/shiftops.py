@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -76,6 +77,29 @@ def _log_polar(z: complex) -> tuple[float, float]:
     return math.log(abs(z)), _phase(z)
 
 
+@dataclass(frozen=True)
+class AsymptoticClass:
+    """The coefficients of P(m) = log|w_1...w_m| = a m^2 + b m log m + c m
+    + d log m + e log log m + O(1) as m -> infinity.  A coefficient is
+    exact (an int or a ``Fraction``) where the family fixes it and a float
+    where it is the logarithm of a parameter (log|lam|, log|mu|)."""
+
+    a: Real = 0
+    b: Real = 0
+    c: Real = 0
+    d: Real = 0
+    e: Real = 0
+
+
+def _ratio(num: int, den: int):
+    """The exact rational num/den.  ``fractions`` is imported here, on first
+    use, because it pulls in ``decimal``: a few percent of the package's
+    import time, which every CLI run pays."""
+    from fractions import Fraction
+
+    return Fraction(num, den)
+
+
 class WeightSeq:
     """Base class for weight families: ``weight(n)`` and the prefix
     products P(n) = log w_1...w_n, with P(0) = 0 and, on a bilateral
@@ -92,7 +116,8 @@ class WeightSeq:
     log-polar form of that side's tail weight.  Constants and tables use
     this rule.  The other families override ``_logmag_at`` (TMu also
     ``_phase_at``) and keep one-entry heads with unit tails, which give
-    them the phase +0.0.
+    them the phase +0.0.  Each family also gives the asymptotic class of
+    its P (``asymptotics``), from which the criterion checkers decide.
     """
 
     domain = UNILATERAL
@@ -137,6 +162,23 @@ class WeightSeq:
 
     def _phase_at(self, ns: np.ndarray) -> np.ndarray:
         return _head_tail(ns, self._ph, self._step[1], self._ph_neg, self._step_neg[1])
+
+    def asymptotics(self, side: int = 1) -> AsymptoticClass | None:
+        """The asymptotic class of m -> P(side * m) as m -> infinity: the
+        positive side for side > 0, the nonpositive one of a bilateral
+        family for side < 0, where P(-m) = -(log w_{-m+1} + ... + log w_0).
+
+        Under the head/tail rule each side is linear past its head, so
+        c = log|tail| on the positive side and -log|tail_neg| on the
+        other; the head adds O(1).  None where no class is known: the
+        negative side of a unilateral family, or a subclass with its own
+        ``_logmag_at`` that does not give its class here.
+        """
+        if side < 0 and self.domain != BILATERAL:
+            return None
+        if type(self)._logmag_at is not WeightSeq._logmag_at:
+            return None
+        return AsymptoticClass(c=(self._step if side > 0 else self._step_neg)[0])
 
     def warm(self, n: int, nmin: int = 0):
         """Check that the indices nmin..n (nmin only on a bilateral family)
@@ -228,6 +270,9 @@ class BergmanWeight(WeightSeq):
         lm *= 0.5
         return lm
 
+    def asymptotics(self, side=1):
+        return AsymptoticClass(d=_ratio(1, 2)) if side > 0 else None
+
 
 class LogRatioWeight(WeightSeq):
     """w_k = ln(k+2)/ln(k+1); prefix products are ln(k+2)/ln(2)."""
@@ -243,6 +288,9 @@ class LogRatioWeight(WeightSeq):
         lm /= math.log(2)
         np.log(lm, out=lm)
         return lm
+
+    def asymptotics(self, side=1):
+        return AsymptoticClass(e=1) if side > 0 else None
 
 
 class RootRatioWeight(WeightSeq):
@@ -265,6 +313,9 @@ class RootRatioWeight(WeightSeq):
         np.log(lm, out=lm)
         lm /= 2.0 * self.p
         return lm
+
+    def asymptotics(self, side=1):
+        return AsymptoticClass(d=_ratio(1, 2 * self.p)) if side > 0 else None
 
     def params(self):
         return {"p": self.p}
@@ -310,6 +361,14 @@ class TMuWeight(WeightSeq):
         lm = np.fromiter(map(math.lgamma, m.tolist()), float, len(m))
         lm += tri * math.log(abs(self.mu))
         return lm
+
+    def asymptotics(self, side=1):
+        # Stirling: lgamma(m) = m log m - m - (1/2) log m + O(1), plus
+        # (m^2 - 3m)/2 * log|mu| from the triangle numbers
+        if side < 0:
+            return None
+        log_mu = math.log(abs(self.mu))
+        return AsymptoticClass(a=log_mu / 2, b=1, c=-1 - 1.5 * log_mu, d=_ratio(-1, 2))
 
     def _phase_at(self, ns):
         return self._triangle(ns)[1] * _phase(self.mu)

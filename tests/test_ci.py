@@ -1,4 +1,5 @@
-"""The CI workflow parses, keeps its limits and installs the test extra;
+"""The CI workflow parses, keeps its limits, gates on full-size benchmark
+runs and installs the test extra;
 pytest turns RuntimeWarnings into errors; the benchmark's tracer finds
 every name it wraps."""
 
@@ -23,6 +24,12 @@ def test_workflow_parses_and_keeps_its_limits():
     assert "pyyaml" in runs["Install dependencies"].split()
     assert "--durations=10" in runs["Tier-1 tests"]
     assert "perfbench/test_smoke.py" in runs["Benchmark smoke test"]
+    gate = runs["Benchmark gate"]
+    assert "for w in criterion-grid construct-verify orbit-density; do" in gate
+    assert ('python3 perfbench/run.py --workload "$w" --seed 0 --seconds 1 --trace 0'
+            in gate)
+    # run.py exits 0 either way: the step must read "correct" off the last line
+    assert "tail -n 1" in gate and '["correct"] is not True' in gate
 
 
 def _name(requirement: str) -> str:

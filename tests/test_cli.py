@@ -335,8 +335,9 @@ class TestScenarios:
         assert lines[1].endswith("fails,satisfies,satisfies")
         assert lines[2].endswith("fails,fails,satisfies")
 
-    def test_sweep_past_the_prefix_reach_is_inconclusive(self, tmp_path):
-        # at q=23 the second term 2^23 + j lies past the 2^22 reach
+    def test_sweep_past_the_prefix_reach_is_decided(self, tmp_path):
+        # at q=23 the second term 2^23 + j lies past the 2^22 reach: the
+        # asymptotic class decides without reading it
         out = tmp_path / "out"
         cfg = write_config(
             tmp_path,
@@ -351,7 +352,28 @@ class TestScenarios:
         assert run(["sweep", "--config", cfg, "--out", out]) == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "weights,q=1,q=23"
-        assert lines[1].endswith("fails,inconclusive")
+        assert lines[1].endswith("fails,satisfies")
+
+    @pytest.mark.parametrize("mode", ["offset", "Basis", ""])
+    def test_sweep_unknown_mode_is_a_config_error(self, tmp_path, capsys, mode):
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"scenario": "sweep", "grid": [{"family": "RootWeight", "p": 1}],
+             "q_values": [1], "mode": mode},
+        )
+        assert run(["sweep", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config.mode:")
+        assert not (tmp_path / "o" / "sweep.csv").exists()
+
+    def test_criterion_misspelled_domain_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"scenario": "criterion", "space": {"kind": "lp", "p": 2, "domain": "bilaterl"},
+             "weights": {"family": "Bergman"}},
+        )
+        assert run(["criterion", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert "unknown domain 'bilaterl'" in capsys.readouterr().err
 
     def test_sweep_empty_grid_usage_error(self, tmp_path):
         cfg = write_config(

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath
@@ -7,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from shiftlab.criterion import (
     CONVERGES,
+    DEFAULT_EXP_CAP,
     DIVERGES,
     FAILS,
     INCONCLUSIVE,
     SATISFIES,
+    SCAN_TERMS,
     _extrapolate_tail,
     _shift_series,
     bilateral_condition,
@@ -24,6 +27,7 @@ from shiftlab.criterion import (
     unilateral_condition,
     weakstar_condition,
 )
+from shiftlab.density import iroot
 from shiftlab.errors import InvalidArgumentError
 from shiftlab.seqspace import CoeffVector, UNILATERAL, c0, entire, lp
 from shiftlab.shiftops import (
@@ -32,6 +36,7 @@ from shiftlab.shiftops import (
     ConstantWeight,
     LogRatioWeight,
     RootRatioWeight,
+    TableWeight,
     TMuWeight,
     smu_power_basis,
 )
@@ -182,18 +187,19 @@ def record_reads(w):
 
 
 class TestPrefixReach:
-    """A series with fewer than two terms inside the 2^22 reach
-    (n^q + j past DEFAULT_EXP_CAP from n = 2 on) is inconclusive."""
-
-    RULE = "fewer than two terms within the 2^22 prefix reach"
+    """A series with fewer than two terms inside the 2^22 reach (n^q + j
+    past DEFAULT_EXP_CAP from n = 2 on) reads no term: its asymptotic
+    class decides it."""
 
     @pytest.mark.parametrize("q", [22, 23, 40])
     def test_unilateral_condition_stays_inside_the_reach(self, q):
         w = RootRatioWeight(1)
         seen = record_reads(w)
         rep = unilateral_condition(w, lp(2), q, range(0, 5))
-        assert rep.overall == INCONCLUSIVE
-        assert {e.verdict.rule for e in rep.entries} == {self.RULE}
+        assert rep.overall == SATISFIES
+        assert {e.verdict.rule for e in rep.entries} == {
+            f"asymptotic class at log n: coefficient -{q} < -1"}
+        assert {e.verdict.probe.checkpoints for e in rep.entries} == {()}
         assert seen[1] <= 2**22
 
     @pytest.mark.parametrize("q", [22, 23])
@@ -201,8 +207,9 @@ class TestPrefixReach:
         w = BergmanWeight()
         seen = record_reads(w)
         rep = qfhc_check(lp(2), w, q, [1, 2, 3])
-        assert rep.overall == INCONCLUSIVE
-        assert rep.entry("S-series j=1").verdict.rule == self.RULE
+        assert rep.overall == SATISFIES
+        assert rep.entry("S-series j=1").verdict.rule == (
+            f"asymptotic class at log n: coefficient -{q} < -1")
         # the unilateral T-series stays trivially convergent
         assert rep.entry("T-series j=1").verdict.kind == CONVERGES
         assert seen[1] <= 2**22
@@ -212,9 +219,11 @@ class TestPrefixReach:
         w = BilateralTableWeight({}, default_pos=2.0, default_nonpos=0.5)
         seen = record_reads(w)
         rep = bilateral_condition(w, 23, range(-2, 3), p=None if on_c0 else 2, on_c0=on_c0)
-        assert rep.overall == INCONCLUSIVE
+        assert rep.overall == SATISFIES
         assert len(rep.entries) == 10
-        assert {e.verdict.rule for e in rep.entries} == {self.RULE}
+        coefficient = "-0.693147" if on_c0 else "-1.38629"
+        assert {e.verdict.rule for e in rep.entries} == {
+            f"asymptotic class at n^23: coefficient {coefficient} < 0"}
         assert seen[1] <= 2**22
 
     @pytest.mark.parametrize("j", [5_000_000, 2**23 + 5, -(2**22) - 1])
@@ -235,9 +244,10 @@ class TestPrefixReach:
         assert seen == [0, 0]
 
     def test_q21_still_decides(self):
-        # 2^21 + 4 <= 2^22: two terms fit, so the scan runs as before
+        # 2^21 + 4 <= 2^22: two terms fit, so the scan reports them
         rep = unilateral_condition(RootRatioWeight(1), lp(2), 21, [0])
-        assert rep.entries[0].verdict.rule != self.RULE
+        assert rep.entries[0].verdict.kind == CONVERGES
+        assert [m for m, _ in rep.entries[0].verdict.probe.checkpoints] == [1, 2, 2]
 
 
 class TestBilateral:
@@ -404,7 +414,8 @@ class TestTMuShift:
 
 
 def test_entire_space_reads_each_series_once():
-    # the 8 radii scan the same 2^20 S-series terms: one read, not one per radius
+    # the class decides at R = rmax = 8, where the terms 8^-n 8^n do not
+    # decay; the report's scan reads SCAN_TERMS terms once
     w = ConstantWeight(8)
     sizes = []
     at = w._at
@@ -415,9 +426,11 @@ def test_entire_space_reads_each_series_once():
 
     w._at = recording
     rep = qfhc_check(entire(8), w, 1, [1])
-    assert rep.entry("S-series j=1").verdict.rule == "majorant series diverges at R=8"
-    assert sizes.count(2**20) == 1
-    assert sum(sizes) <= 2**20 + 2
+    verdict = rep.entry("S-series j=1").verdict
+    assert verdict.kind == DIVERGES
+    assert verdict.rule == "asymptotic class at log n: coefficient 0 > -1 at R=8"
+    assert sizes.count(SCAN_TERMS) == 1
+    assert sum(sizes) <= SCAN_TERMS + 2
 
 
 def test_power_law_tail_past_double_range():
@@ -427,3 +440,157 @@ def test_power_law_tail_past_double_range():
         # the midpoint integral of t_n (x/n_max)^-s from n_max + 1/2
         want = 1e-10 * 4096 ** mpmath.mpf(90) * mpmath.mpf(4096.5) ** -89 / 89
     assert got == pytest.approx(float(want), rel=1e-12)
+
+
+def _scan_verdict(w, j, q, direction, anchor, p):
+    """``classify_magnitudes`` of the same series over every term inside the
+    2^22 reach, at most 2^20: the scan the class replaces."""
+    series = _shift_series(w, j, q, direction, anchor)
+
+    def mags(ns):
+        with np.errstate(over="ignore", under="ignore"):
+            return np.exp(p * series(ns))
+
+    return classify_magnitudes(mags, min(2**20, iroot(DEFAULT_EXP_CAP - abs(j), q))).kind
+
+
+def _bilateral(pos, nonpos, entries=None):
+    return lambda: BilateralTableWeight(entries or {}, default_pos=pos, default_nonpos=nonpos)
+
+
+class TestAsymptoticClass:
+    """Verdicts read off each family's asymptotic class (``WeightSeq.asymptotics``)."""
+
+    def test_benchmark_grid_follows_the_root_weight_dichotomy(self):
+        # RootRatio(p) on l^2: the terms behave like n^(-q/p), so the series
+        # converges iff q >= p + 1; the 2^20 scan called 9 of these cells wrong
+        wrong = []
+        for p in range(1, 11):
+            w = RootRatioWeight(p)
+            for q in list(range(1, 12)) + [23, 40]:
+                rep = unilateral_condition(w, lp(2), q, range(0, 5))
+                if rep.overall != (FAILS if q <= p else SATISFIES):
+                    wrong.append((p, q, rep.overall))
+        assert wrong == []
+
+    @pytest.mark.parametrize("weights, q, p", [
+        (lambda: ConstantWeight(2), 1, 2),
+        (lambda: ConstantWeight(0.5), 1, 2),
+        (lambda: ConstantWeight(1), 1, 1),
+        (lambda: TableWeight([0.5, 3.0, 0.1], 2.0), 1, 2),
+        (BergmanWeight, 2, 2),
+        (BergmanWeight, 1, 1),
+        (lambda: RootRatioWeight(1), 3, 2),
+        (lambda: RootRatioWeight(3), 1, 2),
+        (LogRatioWeight, 1, 1),
+        (LogRatioWeight, 2, 2),
+        (lambda: TMuWeight(1.5), 1, 1),
+        (lambda: TMuWeight(1), 1, 2),
+        (lambda: TMuWeight(0.5j), 1, 1),
+    ])
+    def test_unilateral_class_matches_the_full_scan(self, weights, q, p):
+        # every case here is decided far from the boundary: |p d q - 1| >= 0.5,
+        # or the deciding level is n^q or higher
+        for j in (0, 3):
+            got = unilateral_condition(weights(), lp(p), q, [j]).entries[0].verdict.kind
+            assert got == _scan_verdict(weights(), j, q, 1, None, p), j
+        got = qfhc_check(lp(p), weights(), q, [3]).entry("S-series j=3").verdict.kind
+        assert got == _scan_verdict(weights(), 3, q, 1, 3, p)
+
+    @pytest.mark.parametrize("weights", [
+        _bilateral(2.0, 0.5, {-3: 3.0, 0: 0.5j, 2: -2.0}),
+        _bilateral(0.5, 2.0),
+        _bilateral(3.0, 1.5),
+    ])
+    def test_bilateral_classes_match_the_full_scan(self, weights):
+        rep = bilateral_condition(weights(), 1, [-1, 2], p=2)
+        for j in (-1, 2):
+            forward = rep.entry(f"forward series j={j}").verdict.kind
+            backward = rep.entry(f"backward series j={j}").verdict.kind
+            assert forward == _scan_verdict(weights(), j, 1, 1, None, 2), j
+            assert backward == _scan_verdict(weights(), j, 1, -1, j, 2), j
+
+    def test_sums_match_mpmath(self):
+        with mpmath.workdps(30):
+            # Bergman, q = 2: sum (j+1)/(n^2 + j+1) = (pi a coth(pi a) - 1)/2, a^2 = j+1
+            rep = qfhc_check(lp(2), BergmanWeight(), 2, [1, 2, 3])
+            for j in (1, 2, 3):
+                a = mpmath.sqrt(j + 1)
+                want = (mpmath.pi * a * mpmath.coth(mpmath.pi * a) - 1) / 2
+                got = rep.entry(f"S-series j={j}").verdict.sum_estimate
+                assert abs(got - float(want)) <= 1e-6, j
+
+            # RootRatio(1), q = 3: sum 2/(n^3 + j + 2), by Euler-Maclaurin at N = 200
+            def euler_maclaurin(f, big_n=200, k_max=6):
+                total = mpmath.fsum(f(n) for n in range(1, big_n))
+                total += mpmath.quad(f, [big_n, mpmath.inf]) + f(big_n) / 2
+                for k in range(1, k_max + 1):
+                    total -= (mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k)
+                              * mpmath.diff(f, big_n, 2 * k - 1))
+                return total
+
+            rep = unilateral_condition(RootRatioWeight(1), lp(2), 3, [0, 1, 2])
+            for j, entry in zip((0, 1, 2), rep.entries):
+                want = euler_maclaurin(lambda x, _j=j: 2 / (x**3 + _j + 2))
+                assert abs(entry.verdict.sum_estimate - float(want)) <= 1e-6, j
+
+            # Constant(2): the geometric sums of 4^-n and 4^-(j+n)
+            rep = qfhc_check(lp(2), ConstantWeight(2), 1, [1, 2])
+            for j in (1, 2):
+                got = rep.entry(f"S-series j={j}").verdict.sum_estimate
+                assert abs(got - float(mpmath.mpf(1) / 3)) <= 1e-6
+            rep = unilateral_condition(ConstantWeight(2), lp(2), 1, [0, 2])
+            for j, entry in zip((0, 2), rep.entries):
+                assert abs(entry.verdict.sum_estimate - float(mpmath.mpf(4) ** -j / 3)) <= 1e-6
+
+    @pytest.mark.parametrize("check, level", [
+        (lambda: unilateral_condition(ConstantWeight(1 + 1e-13), lp(2), 1, [0, 1]), "n"),
+        (lambda: qfhc_check(lp(2), ConstantWeight(1 - 1e-13j + 1e-13), 1, [1]), "n"),
+        (lambda: qfhc_check(entire(3), ConstantWeight(3 * (1 + 1e-14)), 1, [1]), "n"),
+        (lambda: fhc_check_tmu(1 + 1e-13, degrees=[0, 1]), "n^2"),
+    ])
+    def test_rounding_band_is_inconclusive(self, check, level):
+        rep = check()
+        assert rep.overall == INCONCLUSIVE
+        for e in rep.entries:
+            if e.label.startswith("T-series"):
+                continue  # unilateral T-series are trivially convergent
+            assert e.verdict.kind == INCONCLUSIVE
+            assert e.verdict.rule.startswith(f"asymptotic class at {level}: coefficient ")
+            assert "within rounding of 0" in e.verdict.rule
+
+    def test_just_outside_the_band_is_decided(self):
+        assert unilateral_condition(ConstantWeight(1 + 1e-9), lp(2), 1, [0]).overall == SATISFIES
+        assert unilateral_condition(ConstantWeight(1 - 1e-9), lp(2), 1, [0]).overall == FAILS
+
+    def test_families_without_a_class_are_scanned(self):
+        class Doubling(ConstantWeight):
+            def _logmag_at(self, ns):
+                return ns * math.log(2.0)
+
+        w = Doubling(2)
+        assert w.asymptotics() is None
+        v = unilateral_condition(w, lp(2), 1, [0]).entries[0].verdict
+        assert (v.kind, v.rule) == (CONVERGES, "terms eventually zero")
+
+
+class TestTMuTheorem:
+    """The paper's theorem for T_mu: f -> f'(mu z) is frequently hypercyclic
+    on H(C) iff |mu| >= 1.  The class of P has a = log|mu|/2 and b = 1."""
+
+    @pytest.mark.parametrize("max_exp", [12, 20])
+    @pytest.mark.parametrize("mu, overall, level", [
+        (1, SATISFIES, "n log n"),
+        (-1, SATISFIES, "n log n"),
+        (cmath.exp(1j), SATISFIES, "n log n"),
+        (1.5, SATISFIES, "n^2"),
+        (1 + 1j, SATISFIES, "n^2"),
+        (0.5, FAILS, "n^2"),
+        (0.9 * cmath.exp(0.3j), FAILS, "n^2"),
+    ])
+    def test_verdict_and_deciding_level(self, mu, overall, level, max_exp):
+        rep = fhc_check_tmu(mu, rmax=8, max_exp=max_exp)
+        assert rep.overall == overall
+        for k in range(6):
+            assert rep.entry(f"S-series j={k + 1}").verdict.rule.startswith(
+                f"asymptotic class at {level}: coefficient ")

@@ -16,6 +16,13 @@ report was re-recorded when ``fhc_check_tmu`` became ``qfhc_check`` of
 the ``TMuWeight`` shift: its labels, notes, operator string and T-series
 head sums changed, while a comparison with the separate closed form
 showed the same overall verdict and S-series verdicts, rules and sums.
+Nineteen reports and the ``criterion`` CSV were re-recorded when verdicts
+came from the weight families' asymptotic classes, after a per-report
+comparison with the scan-decided checkers showed changes of four kinds
+only: rule strings; checkpoints past 2^12 (the scan now stops there unless
+a sum needs its slow tail); beyond-reach series, now decided instead of
+inconclusive; and H(C) sums, now those of the majorant at R = rmax, the
+radius the class decides at, instead of R = 1's.
 """
 
 import hashlib
@@ -97,7 +104,7 @@ GOLDENS = {
             "config.resolved.json":
                 "d28f5d9cf2cbdcfdc8cf8c02c854ddf7cde4c85915c61d64a43f452ba8356bca",
             "criterion.csv":
-                "73cc30bce58e155cf0030fa578206acbd0c9d0571999a0e8c672c9348d3db998",
+                "cb76a682dbe5d9a2bbb24ec8c14131e488cfc60dce6fd3fe8aee9b0e88eddb22",
         },
     ),
     "construct": (
@@ -203,37 +210,37 @@ REPORT_CALLS = {
 
 REPORT_GOLDENS = {
     "bilateral beyond reach":
-        "aab936e93c04db7a9e771a89f3b95c220bd1c90bbcee5f8201e162cab864e03f",
+        "350e60f1a108f131ea7331b2e767c605f2de02bb5f570be8c593dbccb26d75a2",
     "bilateral c0":
-        "efc21575721d22bdce73c595b0eb3ecdb229c5e4caed7f2c140130c77049034d",
+        "b8e58f6427174308d32a0f18a091dfc03098d5613785fc2202a981dd224584d7",
     "bilateral c0 beyond reach":
-        "5b56e145869a29d22edf67bece99fb6355048b455d949b87aee021a5c1ebdb30",
+        "85583ed8a9e4838e441e851494cb8c216960d527c9a77232826b553d038c5762",
     "bilateral c0 modulus 1":
-        "b61423b0ba64925f88a89addd857cec18a49140d834e7d48426c3c56553a7f03",
+        "abc859eba1223b1170a71bb4955b75cce3167a845c153a93c62158a3d1f335b3",
     "bilateral l2":
-        "22dd68d72334fdfffd69e2ffdc715f5a5374c4c76447a14fa0ce6cdbad82450e",
+        "37e189ad6e170653933c8e4e0cf0aa0ff9ab6324968cb9c0cb027a643af97ac5",
     "bilateral l2 modulus 1":
-        "5851ae4ee47189e43813fcc38c55adb8ee785218bd339a7b3795cc2babb1cc70",
+        "6d85f408666492475f6db39f9d67aaaa37fda89ba187e6839bac0be72f5015c5",
     "hc bilateral":
         "6110d1dec70c602bdd9820c7fde0cb8992bc9890ae6117fa4bd1f7526c0565a7",
     "hc unilateral":
         "1f5e1ad3f83cb1497eacd880da7da07c9d5dd4eed3374ae790d378395c878cfa",
     "qfhc beyond reach":
-        "a271db99258b76b64525e534f8d6efb8004019b7cb8e636ace1244d6875f4fc4",
+        "3ea06a64e40f749ac75851367976201f714e337e88e1ff800b79f2a65708abf5",
     "qfhc bilateral beyond reach":
-        "ff27587735455b1c721c27be32a7ae5f5aa1eca72f0e086b69448fb3baa1d232",
+        "28164f465afa3a0bc4fca492dcfa95744d169ba8135772c1aa3d2cfd6fbb15fc",
     "qfhc bilateral table":
-        "7d9bca489831b669c68c52e78fb33c963fdc389b0f546225d12ab24bab362a3a",
+        "2095aa7fa8a8264c8af94801eb5e7719cd64da86f6045c4d74eb337408f02bc8",
     "qfhc c0 constant":
-        "ebf99b2600b7ea60c6d0a22544c6585f01c1fe9667867c4c47de7135309a163c",
+        "3997335caa6da7bacc05d899e3d4bc5eb7e1ca12d33d2875ae015c68f9f29ba0",
     "qfhc entire(4)":
-        "af4c862520656ad9986a3bc9bcfbbf0940dc07b0c648ab631d5ced6983179639",
+        "703fa54e2b3836bae6cfe0db92105dc2ac72243804a9bef2e8512372050ee805",
     "qfhc l2 bergman q=1 head":
-        "f304f959dfc01adb4f8c6ce1a9f28509438c7b9b44f8f25acc01ed878a8f7aa4",
+        "1ac48bc2dd00da1d5a15c8ad7174b7543cc7707d0c03952d2c683ee5fc1d66bb",
     "qfhc l2 bergman q=2":
-        "d1f829163e256d4671cf285a3f2e734ab3ac45ee3a45a783165f148ad688f9ca",
+        "b4cfbbed98c1e2b648e9d706b6e40a4bc7fb93ebb34c57d28fb5ef87d4dcf7f8",
     "qfhc tmu":
-        "086eda1899d16acf3e3b5463ba9e262bb5e3b63524e939cc116458fc6140bf36",
+        "9872afe7828ceb0f6c547664dedb8ce603a0b316d619ba3ab0c731033692fd7c",
     "salas constant":
         "ad93fd14a529d46affb2564ae8f8b7f5152a9dd94f4d04b16d23412d9958214f",
     "salas rootratio":
@@ -245,15 +252,15 @@ REPORT_GOLDENS = {
     "select l2 constant":
         "2209cff39aa57a8839ff30cf09c6e806df4efffbff4a950d10a6f292b80f2f71",
     "tmu":
-        "4972ccc6b33b9fb81736100fbf41b6ce79b9801dfc71c200cdd90f1a70ec1f21",
+        "081a352e4dce3507cb07bff7300faf227a31c80bc76f79c08c803f5e946d0654",
     "unilateral beyond reach":
-        "d28a299bd702e450d2bee2405b924f056fbe769fb2294c23d5bcf4963b1067d9",
+        "1f083e6f8daf4137a08aa65eb22c8bb145490b4d880f53a5d7891ca77596364d",
     "unilateral c0":
-        "0c9803417487ad8c78725dec90e6b53ddd8d41102c7f851e82be74216d6628a4",
+        "422d8806070c1ed7ae20f8c23155c4612bcd9e8f1a9d731d97bdee7c319074bb",
     "unilateral l2":
-        "1785f988d81174753c00ce724009fa7314773c13e5c15c9e0a1e5b38fde7ec02",
+        "31e407ff41bf3b30e0f508e158520e8a59a65e275c0f3781e1991fe2e3f9d2ce",
     "weakstar":
-        "0934129d86717053050edf3d55d29a2eaac4e01d4327725968c77f4392f3a2fc",
+        "051f6063190684b09f919eff117bf73b88655aa7abdc4f47cf8ca8471efa3102",
 }
 
 

@@ -173,6 +173,24 @@ class TestSpaceSpec:
         with pytest.raises(InvalidArgumentError):
             sq.SpaceSpec("banach")
 
+    @pytest.mark.parametrize("domain", ["bilaterl", "Unilateral", ""])
+    def test_invalid_domain(self, domain):
+        import shiftlab.seqspace as sq
+
+        with pytest.raises(InvalidArgumentError, match="unknown domain"):
+            sq.SpaceSpec("lp", domain=domain, p=2.0)
+        with pytest.raises(InvalidArgumentError, match="unknown domain"):
+            c0(domain)
+
+    def test_criterion_refuses_a_space_of_the_other_domain(self):
+        from shiftlab.criterion import qfhc_check
+        from shiftlab.shiftops import BilateralTableWeight, ConstantWeight
+
+        with pytest.raises(DomainMismatchError):
+            qfhc_check(lp(2, BILATERAL), ConstantWeight(2), 1, [1])
+        with pytest.raises(DomainMismatchError):
+            qfhc_check(lp(2), BilateralTableWeight({}, 2.0, 0.5), 1, [0])
+
     def test_lp_requires_p(self):
         with pytest.raises(InvalidArgumentError):
             lp(0.5)
