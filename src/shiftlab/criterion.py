@@ -1,5 +1,10 @@
 """Numerical convergence probes and criterion checkers for weighted shifts.
 
+Every verdict comes by one of two routes.  A weighted-shift series (of
+``qfhc_check``, ``unilateral_condition``, ``bilateral_condition``,
+``weakstar_condition``, and the orbit decay of ``hc_check``) goes through
+``_classify_weighted``; a bare magnitude map goes through ``series_probe``.
+
 A weighted-shift series of a built-in weight family is decided from the
 family's asymptotic class (``WeightSeq.asymptotics``): the coefficients of
 P(m) = log|w_1...w_m| in a n^2 + b n log n + c n + d log n + e log log n,
@@ -8,12 +13,12 @@ stated rounding band around each boundary, inside which it is
 ``inconclusive``.  A short scan still reports dyadic partial-sum
 checkpoints and sums, and never overrides the class.
 
-Series with no class (``series_probe``, ``hc_check``, ``salas_check``,
-families that give none) get heuristic verdicts from their scanned data
-(dyadic partial-sum checkpoints, tail extrapolation, random subset sums).
-Dyadic checkpoints make slow harmonic-type divergence visible as
-non-decaying block sums (the condensation view).  The rule that fired is
-always named.
+Series with no class (``series_probe``, families that give none) get
+heuristic verdicts from their scanned data (dyadic partial-sum
+checkpoints, tail extrapolation).  Dyadic checkpoints make slow
+harmonic-type divergence visible as non-decaying block sums (the
+condensation view).  The rule that fired is always named.
+``salas_check`` reports running-max evidence, not a verdict.
 
 Every weighted-shift series of the checkers and of the constructor's tail
 certificates comes from one function, ``_shift_series``: log term magnitudes
@@ -31,7 +36,7 @@ import numpy as np
 
 from .density import iroot
 from .errors import DomainMismatchError, InvalidArgumentError
-from .seqspace import BILATERAL, UNILATERAL, SpaceSpec, entire, fnorm, lp
+from .seqspace import BILATERAL, UNILATERAL, SpaceSpec, c0, entire, lp
 from .shiftops import AsymptoticClass, TMuWeight, WeightSeq
 
 CONVERGES = "converges"
@@ -57,17 +62,10 @@ _GROWTH_RATIO = 0.85
 
 
 @dataclass(frozen=True)
-class SeriesProbe:
-    checkpoints: tuple[tuple[int, float], ...]  # (m, partial sum) at m = 2^i
-    tail_estimate: float | None = None
-    random_subset_sums: tuple[tuple[str, float], ...] = ()
-
-
-@dataclass(frozen=True)
 class Verdict:
     kind: str  # converges | diverges | inconclusive
     rule: str
-    probe: SeriesProbe
+    checkpoints: tuple[tuple[int, float], ...] = ()  # (m, partial sum) at m = 2^i
     sum_estimate: float | None = None
     tail_estimate: float | None = None
 
@@ -191,21 +189,21 @@ def _blocks(checkpoints):
 
 
 def _block_trend(blocks, tol):
-    """The block rule shared by both classifiers, over a window of the
-    last positive blocks: ``"decay"`` when every ratio is at most
-    _DECAY_RATIO, else ``"growth"`` when every ratio is at least
-    _GROWTH_RATIO and every block exceeds tol, else ``"small"`` when every
-    block is below tol, else None.  Returns (window, trend)."""
+    """The block rule of ``classify_magnitudes``, over a window of the last
+    positive blocks: ``"decay"`` when every ratio is at most _DECAY_RATIO,
+    else ``"growth"`` when every ratio is at least _GROWTH_RATIO and every
+    block exceeds tol, else ``"small"`` when every block is below tol, else
+    None."""
     pos = [b for b in blocks if b > 0]
     window = pos[-min(4, max(2, len(pos) // 2)) :] if len(pos) >= 2 else pos
     ratios = [b1 / b0 for b0, b1 in zip(window, window[1:]) if b0 > 0]
     if ratios and all(r <= _DECAY_RATIO for r in ratios):
-        return window, "decay"
+        return "decay"
     if ratios and all(r >= _GROWTH_RATIO for r in ratios) and all(b > tol for b in window):
-        return window, "growth"
+        return "growth"
     if window and all(b < tol for b in window):
-        return window, "small"
-    return window, None
+        return "small"
+    return None
 
 
 def _extrapolate_tail(terms, n_max: int) -> float | None:
@@ -247,26 +245,26 @@ def classify_magnitudes(
     if n_max < 2:
         raise InvalidArgumentError("need at least two terms to classify")
     scan = _scan(mag_fn, n_max, divergence_threshold)
-    probe = SeriesProbe(checkpoints=tuple(scan["checkpoints"]))
+    checkpoints = tuple(scan["checkpoints"])
     if scan["exceeded"]:
         rule = "partial sum exceeded divergence threshold" + (
             " (term overflow)" if scan["any_inf"] else ""
         )
-        return Verdict(DIVERGES, rule, probe)
+        return Verdict(DIVERGES, rule, checkpoints)
     blocks = _blocks(scan["checkpoints"])
     if scan["last_quarter_max"] == 0.0:
         return Verdict(
             CONVERGES,
             "terms eventually zero",
-            SeriesProbe(probe.checkpoints, tail_estimate=0.0),
+            checkpoints,
             sum_estimate=scan["total"],
             tail_estimate=0.0,
         )
-    _, trend = _block_trend(blocks, tol)
+    trend = _block_trend(blocks, tol)
     if trend == "growth":
-        return Verdict(DIVERGES, "non-decaying dyadic block sums (condensation)", probe)
+        return Verdict(DIVERGES, "non-decaying dyadic block sums (condensation)", checkpoints)
     if trend is None:
-        return Verdict(INCONCLUSIVE, "mixed block-sum behavior", probe)
+        return Verdict(INCONCLUSIVE, "mixed block-sum behavior", checkpoints)
     tail = _extrapolate_tail(mag_fn, n_max)
     if tail is None and blocks:
         # the last dyadic block ratio, continued geometrically
@@ -278,7 +276,7 @@ def classify_magnitudes(
         "dyadic block sums decay geometrically"
         if trend == "decay"
         else "tail block sums below tolerance",
-        SeriesProbe(probe.checkpoints, tail_estimate=tail),
+        checkpoints,
         sum_estimate=scan["total"] + (tail or 0.0),
         tail_estimate=tail,
     )
@@ -288,32 +286,32 @@ def classify_sup_decay(mag_fn, n_max: int, *, tol: float = DEFAULT_TOL) -> Verdi
     """Does mag_fn(n) tend to 0?  (c0-style criterion for distinct-index
     series: unconditional convergence needs exactly term decay.)"""
     scan = _scan(mag_fn, n_max, float("inf"))
-    probe = SeriesProbe(checkpoints=tuple(scan["checkpoints"]))
+    checkpoints = tuple(scan["checkpoints"])
+    if scan["any_inf"]:  # inf <= 0.2 * inf would read as decay
+        return Verdict(DIVERGES, "term magnitudes do not decay (term overflow)", checkpoints)
     overall = max(scan["chunk_maxima"])
     last = scan["last_quarter_max"]
     if last == 0.0 or last < tol:
-        return Verdict(CONVERGES, "terms vanish", probe)
+        return Verdict(CONVERGES, "terms vanish", checkpoints)
     if overall > 0 and last <= 0.2 * overall:
-        return Verdict(CONVERGES, "term magnitudes decay", probe)
+        return Verdict(CONVERGES, "term magnitudes decay", checkpoints)
     if overall > tol and last >= 0.8 * overall:
-        return Verdict(DIVERGES, "term magnitudes do not decay", probe)
-    return Verdict(INCONCLUSIVE, "slow or mixed term decay", probe)
+        return Verdict(DIVERGES, "term magnitudes do not decay", checkpoints)
+    return Verdict(INCONCLUSIVE, "slow or mixed term decay", checkpoints)
 
 
 def classify_limit_infinite(values: np.ndarray) -> Verdict:
     """Monotone-tail heuristic for values -> +infinity."""
     values = np.asarray(values, dtype=float)
-    probe = SeriesProbe(
-        checkpoints=tuple(
-            (int(m), float(values[m - 1]))
-            for m in [2**i for i in range(int(math.log2(len(values))) + 1)]
-        )
+    checkpoints = tuple(
+        (int(m), float(values[m - 1]))
+        for m in [2**i for i in range(int(math.log2(len(values))) + 1)]
     )
     tail = values[(3 * len(values)) // 4 :]
     head = values[: len(values) // 4] if len(values) >= 4 else values[:1]
     if tail.min() > head.max() and tail[-1] >= tail[0]:
-        return Verdict(CONVERGES, "tail grows monotonically", probe)
-    return Verdict(DIVERGES, "tail does not grow", probe)
+        return Verdict(CONVERGES, "tail grows monotonically", checkpoints)
+    return Verdict(DIVERGES, "tail does not grow", checkpoints)
 
 
 # ---------------------------------------------------------------------------
@@ -321,53 +319,21 @@ def classify_limit_infinite(values: np.ndarray) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _single_support_distinct(terms, n_probe: int):
-    seen = set()
-    for n in range(1, n_probe + 1):
-        v = terms(n)
-        if len(v.entries) > 1:
-            return False
-        if len(v.entries) == 1:
-            (idx,) = v.support
-            if idx in seen:
-                return False
-            seen.add(idx)
-    return True
-
-
 def series_probe(
     space: SpaceSpec,
-    terms=None,
     *,
-    magnitudes=None,
+    magnitudes,
     tol: float = DEFAULT_TOL,
     max_exp: int = DEFAULT_MAX_EXP,
 ) -> Verdict:
-    """Classify unconditional convergence of a term series in a space.
+    """Classify unconditional convergence of a series of terms on pairwise
+    distinct basis indices, given by ``magnitudes`` (a vectorized
+    n -> ||term_n|| map), from its first 2^max_exp terms.
 
-    Terms occupying pairwise distinct basis indices in l^p reduce exactly
-    to the scalar series sum ||term_n||^p; the reported sum estimate is
-    that scalar sum.  Otherwise F-norm partial sums plus random finite
-    subsets (seed 0) beyond a cut are probed.  Pass ``magnitudes`` (a
-    vectorized n -> ||term_n|| map) to probe large n counts cheaply.
+    In l^p that is exactly the scalar series sum ||term_n||^p, whose sum
+    estimate is reported; in c0 it is term decay.
     """
-    if (terms is None) == (magnitudes is None):
-        raise InvalidArgumentError("provide exactly one of terms or magnitudes")
     n_max = 2**max_exp
-    if terms is not None:
-        n_max = min(n_max, 1 << 16)  # generator route materializes every term
-        if space.kind not in ("lp", "c0") or not _single_support_distinct(
-            terms, min(n_max, 64)
-        ):
-            return _fnorm_probe(space, terms, n_max, tol=tol)
-        mags = np.empty(n_max)
-        for n in range(1, n_max + 1):
-            v = terms(n)
-            mags[n - 1] = abs(next(iter(v.entries.values()))) if v.entries else 0.0
-
-        def magnitudes(ns):
-            return mags[ns - 1]
-
     if space.kind == "lp":
         p = space.p
         return classify_magnitudes(
@@ -380,70 +346,6 @@ def series_probe(
     raise InvalidArgumentError(
         "magnitude route supports lp and c0 spaces only"
     )
-
-
-def _fnorm_probe(space, terms, n_max, *, tol):
-    """F-norm route: dyadic block norms plus random finite subsets."""
-    from .seqspace import add, CoeffVector as CV
-
-    checkpoints = []
-    blocks = []
-    running = CV.zero(space.domain)
-    block = CV.zero(space.domain)
-    next_cp = 1
-    cached = {}
-    for n in range(1, n_max + 1):
-        t = terms(n)
-        cached[n] = t
-        running = add(running, t)
-        block = add(block, t)
-        if n == next_cp:
-            checkpoints.append((n, fnorm(space, running)))
-            blocks.append(fnorm(space, block))
-            block = CV.zero(space.domain)
-            next_cp *= 2
-            if checkpoints[-1][1] > DEFAULT_DIVERGENCE_THRESHOLD:
-                return Verdict(
-                    DIVERGES,
-                    "partial-sum F-norm exceeded divergence threshold",
-                    SeriesProbe(checkpoints=tuple(checkpoints)),
-                )
-    rng = np.random.default_rng(0)
-    cut = max(2, n_max // 4)
-    subset_sums = []
-    for i in range(32):
-        size = int(rng.integers(1, 17))
-        picks = sorted(set(rng.integers(cut, n_max + 1, size=size).tolist()))
-        s = CV.zero(space.domain)
-        for n in picks:
-            s = add(s, cached[n])
-        subset_sums.append((f"F{i}:[{picks[0]},{picks[-1]}]x{len(picks)}", fnorm(space, s)))
-    probe = SeriesProbe(
-        checkpoints=tuple(checkpoints),
-        random_subset_sums=tuple(subset_sums),
-    )
-    window, trend = _block_trend(blocks, tol)
-    max_subset = max((v for _, v in subset_sums), default=0.0)
-    if trend == "decay":
-        tail = window[-1] / (1.0 - _DECAY_RATIO)
-        return Verdict(
-            CONVERGES,
-            "block F-norms decay geometrically",
-            SeriesProbe(probe.checkpoints, tail, probe.random_subset_sums),
-            sum_estimate=checkpoints[-1][1],
-            tail_estimate=tail,
-        )
-    if trend == "small" and max_subset < math.sqrt(tol):
-        return Verdict(
-            CONVERGES,
-            "tail block F-norms below tolerance",
-            probe,
-            sum_estimate=checkpoints[-1][1],
-            tail_estimate=window[-1],
-        )
-    if trend == "growth":
-        return Verdict(DIVERGES, "non-decaying block F-norms", probe)
-    return Verdict(INCONCLUSIVE, "mixed block F-norm behavior", probe)
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +486,7 @@ def _classify_weighted(space, w: WeightSeq, j: int, q: int, direction: int,
     cls = w.asymptotics(direction)
     if cls is None:
         if n_max < 2:
-            return Verdict(INCONCLUSIVE, "fewer than two terms within the 2^22 prefix reach",
-                           SeriesProbe(checkpoints=()))
+            return Verdict(INCONCLUSIVE, "fewer than two terms within the 2^22 prefix reach")
         return scan(n_max)
     verdict, rule, level = _decide(cls, q, _exact(p), log_r, kind in ("lp", "entire"))
     if radius > 1:
@@ -593,13 +494,13 @@ def _classify_weighted(space, w: WeightSeq, j: int, q: int, direction: int,
     slow = verdict == CONVERGES and level >= 3  # converges at log n or log log n
     n_scan = n_max if slow else min(SCAN_TERMS, n_max)
     if n_scan < 2:
-        return Verdict(verdict, rule, SeriesProbe(checkpoints=()))
+        return Verdict(verdict, rule)
     report = scan(n_scan)
     if report.kind not in (verdict, INCONCLUSIVE):
         rule += f" (a {n_scan}-term scan reads {report.kind})"
     if verdict == CONVERGES and report.kind == CONVERGES:
         return replace(report, rule=rule)
-    return Verdict(verdict, rule, report.probe)
+    return Verdict(verdict, rule, report.checkpoints)
 
 
 def _trivial_t_series_entry(w: WeightSeq, q: int, j: int) -> ProbeEntry:
@@ -612,7 +513,7 @@ def _trivial_t_series_entry(w: WeightSeq, q: int, j: int) -> ProbeEntry:
     verdict = Verdict(
         CONVERGES,
         "terms eventually zero (backward shift falls off the edge)",
-        SeriesProbe(tuple(zip(range(1, count + 1), totals)) or ((1, 0.0),), 0.0),
+        tuple(zip(range(1, count + 1), totals)) or ((1, 0.0),),
         sum_estimate=totals[-1] if totals else 0.0,
         tail_estimate=0.0,
     )
@@ -741,11 +642,14 @@ def hc_check(
     dense_indices,
     horizon: int = 10**4,
 ) -> CriterionReport:
-    """Orbit-norm decay of T^n e_j and S^n e_j up to the horizon
-    (the plain hypercyclicity criterion, not the frequent one)."""
+    """Orbit-norm decay of T^n e_j and S^n e_j (the plain hypercyclicity
+    criterion, not the frequent one): the c0 condition on the terms
+    P(j) - P(j -/+ n), decided by ``_classify_weighted`` with n_max =
+    horizon."""
     dense_indices = _indices(dense_indices)
     if horizon < 1:
         raise InvalidArgumentError("horizon must be at least 1")
+    orbits = c0(w.domain)
     entries = []
     for j in dense_indices:
         if w.domain == UNILATERAL:
@@ -753,13 +657,11 @@ def hc_check(
             t_verdict = Verdict(
                 CONVERGES,
                 "orbit reaches zero in finitely many steps",
-                SeriesProbe(checkpoints=((min(j, horizon), 0.0),)),
+                ((min(j, horizon), 0.0),),
             )
         else:
-            t_series = _shift_series(w, j, 1, -1, j)
-            t_verdict = classify_sup_decay(lambda m: np.exp(t_series(m)), horizon)
-        s_series = _shift_series(w, j, 1, 1, j)
-        s_verdict = classify_sup_decay(lambda m: np.exp(s_series(m)), horizon)
+            t_verdict = _classify_weighted(orbits, w, j, 1, -1, j, horizon, DEFAULT_TOL)
+        s_verdict = _classify_weighted(orbits, w, j, 1, 1, j, horizon, DEFAULT_TOL)
         entries.append(ProbeEntry(f"T-orbit j={j}", t_verdict))
         entries.append(ProbeEntry(f"S-orbit j={j}", s_verdict))
     return _report(
@@ -796,29 +698,6 @@ def salas_check(w: WeightSeq, horizon: int = 10**5) -> SalasEvidence:
             True, mx, argmax, horizon, threshold, "records persist to the horizon"
         )
     return SalasEvidence(False, mx, argmax, horizon, threshold, "running max stalled")
-
-
-def fhc_check(
-    space: SpaceSpec,
-    generators,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_exp: int = 12,
-) -> CriterionReport:
-    """Frequent-hypercyclicity probe with arbitrary term generators.
-
-    ``generators`` is an iterable of (label, n -> CoeffVector) pairs;
-    each labeled series is probed in the given space.
-    """
-    entries = []
-    for label, gen in generators:
-        entries.append(
-            ProbeEntry(
-                label,
-                series_probe(space, gen, tol=tol, max_exp=max_exp),
-            )
-        )
-    return _report("custom generators", space.describe(), 1, entries)
 
 
 def fhc_check_tmu(

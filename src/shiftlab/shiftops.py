@@ -11,7 +11,7 @@ Single applications (``apply``) use direct complex products.  Every
 multi-step orbit goes through ``orbit_batch``: the terms of op^N v at a
 whole array of times, found with one search of the vector's sorted
 support and one evaluation of P(j) - P(j -/+ N).  ``orbit_slices``,
-``iterates``, ``iterate`` and ``orbit_entries`` are views of it.
+``iterates`` and ``iterate`` are views of it.
 
 The batched route is exact, not approximate: log|c| and arg c come from
 libm once per vector, exp and rect run per surviving term through libm,
@@ -573,13 +573,6 @@ def orbit_slices(op: OperatorSpec, v: CoeffVector, steps):
             yield idx[a : a + c], lm[a : a + c], ph[a : a + c]
             a += c
         lo = hi
-
-
-def orbit_entries(op: OperatorSpec, v: CoeffVector, steps: int):
-    """Support of op^N v for N*power = steps, as (index, logmag, phase)
-    tuples: the one-time case of ``orbit_batch``."""
-    idx, lm, ph, _ = orbit_batch(op, v, [steps])
-    return list(zip(idx.tolist(), lm.tolist(), ph.tolist()))
 
 
 def _materialize(domain: str, idx, lm, ph) -> CoeffVector:

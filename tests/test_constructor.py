@@ -30,7 +30,7 @@ from shiftlab.shiftops import (
     ConstantWeight,
     OperatorSpec,
     iterate,
-    orbit_entries,
+    orbit_batch,
 )
 
 E1 = CoeffVector.basis(1)
@@ -190,7 +190,7 @@ class TestReturnBound:
 
 class TestBatchedOrbitsMatchOneTimeEvaluation:
     """The constructor's batched orbits against one-time ``iterate`` and
-    ``orbit_entries`` calls, value for value (``repr``-equal)."""
+    ``orbit_batch`` calls, value for value (``repr``-equal)."""
 
     @pytest.mark.parametrize("space,w,q,k,horizon", [
         (lp(2), ConstantWeight(2), 1, 3, 10**3),
@@ -214,7 +214,8 @@ class TestBatchedOrbitsMatchOneTimeEvaluation:
         for x_k, cls in zip(targets, plan.jsets.classes):
             block = {}
             for n in cls:
-                for idx, lm, ph in orbit_entries(fwd, x_k, n):
+                idxs, lms, phs, _ = orbit_batch(fwd, x_k, [n])
+                for idx, lm, ph in zip(idxs.tolist(), lms.tolist(), phs.tolist()):
                     block[idx] = block.get(idx, 0j) + cmath.rect(math.exp(lm), ph)
             for idx, val in block.items():
                 entries[idx] = entries.get(idx, 0j) + val
@@ -243,7 +244,8 @@ class TestBatchedOrbitsMatchOneTimeEvaluation:
                 value = fnorm(lp(2), iterate(op, x, steps) - target.center)
                 hit = value < target.radius
             elif kind == "modulus":
-                mags = {i: math.exp(lm) for i, lm, _ in orbit_entries(op, x, steps * power)}
+                idxs, lms, _, _ = orbit_batch(op, x, [steps * power])
+                mags = {i: math.exp(lm) for i, lm in zip(idxs.tolist(), lms.tolist())}
                 hit = bool(target.predicate(mags))
                 value = max(mags.values(), default=0.0)
             else:

@@ -18,7 +18,7 @@ from shiftlab.criterion import (
     _shift_series,
     bilateral_condition,
     classify_magnitudes,
-    fhc_check,
+    classify_sup_decay,
     fhc_check_tmu,
     hc_check,
     qfhc_check,
@@ -29,16 +29,18 @@ from shiftlab.criterion import (
 )
 from shiftlab.density import iroot
 from shiftlab.errors import InvalidArgumentError
-from shiftlab.seqspace import CoeffVector, UNILATERAL, c0, entire, lp
+from shiftlab.seqspace import BILATERAL, CoeffVector, c0, entire, lp
 from shiftlab.shiftops import (
+    BACKWARD,
     BergmanWeight,
     BilateralTableWeight,
     ConstantWeight,
     LogRatioWeight,
+    OperatorSpec,
     RootRatioWeight,
     TableWeight,
     TMuWeight,
-    smu_power_basis,
+    iterate,
 )
 
 
@@ -74,6 +76,13 @@ class TestScalarClassifier:
         v = classify_magnitudes(lambda ns: np.exp(ns.astype(float)), 2**12)
         assert v.kind == DIVERGES
 
+    @pytest.mark.parametrize("max_exp", [8, 12])
+    def test_c0_overflowing_terms_diverge(self, max_exp):
+        # e^4096 overflows to inf, which must not read as decay (inf <= 0.2 * inf)
+        v = series_probe(c0(), magnitudes=lambda ns: np.exp(ns.astype(float)), max_exp=max_exp)
+        assert v.kind == DIVERGES
+        assert v.rule.endswith(" (term overflow)") == (max_exp == 12)
+
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=0.05, max_value=0.8))
     def test_geometric_family_converges(self, r):
@@ -95,24 +104,6 @@ class TestScalarClassifier:
         bad = series_probe(c0(), magnitudes=lambda ns: np.ones(len(ns)))
         assert good.kind == CONVERGES
         assert bad.kind == DIVERGES
-
-    def test_requires_exactly_one_input(self):
-        with pytest.raises(InvalidArgumentError):
-            series_probe(lp(2))
-
-    def test_generator_route_distinct_indices(self):
-        v = series_probe(
-            lp(2), lambda n: CoeffVector(UNILATERAL, {n + 1: 0.5**n}), max_exp=12
-        )
-        assert v.kind == CONVERGES
-        assert abs(v.sum_estimate - 1.0 / 3.0) <= 1e-8
-
-    def test_generator_route_colliding_indices(self):
-        # all terms land on index 1 with constant size: diverges
-        v = series_probe(
-            lp(2), lambda n: CoeffVector(UNILATERAL, {1: 1.0}), max_exp=10
-        )
-        assert v.kind == DIVERGES
 
 
 class TestShiftCriterion:
@@ -199,7 +190,7 @@ class TestPrefixReach:
         assert rep.overall == SATISFIES
         assert {e.verdict.rule for e in rep.entries} == {
             f"asymptotic class at log n: coefficient -{q} < -1"}
-        assert {e.verdict.probe.checkpoints for e in rep.entries} == {()}
+        assert {e.verdict.checkpoints for e in rep.entries} == {()}
         assert seen[1] <= 2**22
 
     @pytest.mark.parametrize("q", [22, 23])
@@ -247,7 +238,7 @@ class TestPrefixReach:
         # 2^21 + 4 <= 2^22: two terms fit, so the scan reports them
         rep = unilateral_condition(RootRatioWeight(1), lp(2), 21, [0])
         assert rep.entries[0].verdict.kind == CONVERGES
-        assert [m for m, _ in rep.entries[0].verdict.probe.checkpoints] == [1, 2, 2]
+        assert [m for m, _ in rep.entries[0].verdict.checkpoints] == [1, 2, 2]
 
 
 class TestBilateral:
@@ -307,7 +298,7 @@ def test_unilateral_t_head_matches_scalar_prefixes(weights, q, j):
     rep = qfhc_check(lp(2), weights(), q, [j])
     v = rep.entry(f"T-series j={j}").verdict
     want_checkpoints, want_total = reference_t_head(weights(), q, j)
-    assert repr(v.probe.checkpoints) == repr(want_checkpoints)
+    assert repr(v.checkpoints) == repr(want_checkpoints)
     assert repr(v.sum_estimate) == repr(want_total)
 
 
@@ -339,6 +330,75 @@ class TestPlainHypercyclicity:
     def test_unweighted_fails(self):
         assert hc_check(lp(2), ConstantWeight(1), [1, 2, 3]).overall == FAILS
 
+    def test_contracting_bilateral_table_fails(self):
+        # weights 0.5 on the positive side and 2 on the rest: B^n e_0 grows
+        w = BilateralTableWeight({}, default_pos=0.5, default_nonpos=2.0)
+        orbit = iterate(OperatorSpec(w, BACKWARD), CoeffVector.basis(0, BILATERAL), 5)
+        assert orbit.support == (-5,) and abs(orbit[-5]) == 32.0
+        rep = hc_check(lp(2, BILATERAL), w, [0, 1])
+        assert rep.overall == FAILS
+        for j in (0, 1):
+            assert rep.entry(f"T-orbit j={j}").verdict.kind == DIVERGES
+            assert rep.entry(f"S-orbit j={j}").verdict.kind == DIVERGES
+
+    def test_slowly_growing_products_satisfy(self):
+        # |w_1...w_n| = ((n+2)/2)^(1/6) tends to infinity, too slowly for a
+        # scan of 10^4 terms to see the S-orbit decay
+        rep = hc_check(lp(2), RootRatioWeight(3), [1])
+        assert rep.overall == SATISFIES
+        assert rep.entry("S-orbit j=1").verdict.rule == (
+            "asymptotic class at log n: coefficient -1/6 < 0")
+
+    @pytest.mark.parametrize("weights", [
+        lambda: ConstantWeight(2),
+        lambda: ConstantWeight(1),
+        BergmanWeight,
+        lambda: RootRatioWeight(2),
+        LogRatioWeight,
+        lambda: TableWeight([0.5, 3.0, 0.1], 2.0),
+    ])
+    def test_s_orbit_is_the_c0_unilateral_condition(self, weights):
+        rep = hc_check(lp(2), weights(), [1, 3])
+        for j in (1, 3):
+            want = unilateral_condition(weights(), c0(), 1, [j]).entries[0].verdict.kind
+            assert rep.entry(f"S-orbit j={j}").verdict.kind == want, j
+
+    @pytest.mark.parametrize("weights", [
+        lambda: _NoClassUnilateral(2),
+        lambda: _NoClassBilateral({}, default_pos=2.0, default_nonpos=0.5),
+    ])
+    def test_families_without_a_class_keep_the_scan(self, weights):
+        w = weights()
+        assert w.asymptotics(1) is None and w.asymptotics(-1) is None
+        rep = hc_check(lp(2, w.domain), w, [1, 4], horizon=3000)
+        for j in (1, 4):
+            got = rep.entry(f"S-orbit j={j}").verdict
+            assert repr(got) == repr(_scanned_orbit_decay(w, j, 1, 3000))
+            if w.domain == BILATERAL:
+                got = rep.entry(f"T-orbit j={j}").verdict
+                assert repr(got) == repr(_scanned_orbit_decay(w, j, -1, 3000))
+
+
+class _NoClassUnilateral(ConstantWeight):
+    """log|w_1...w_n| = 0.3 log(n + 1) + sin(n / 40) / 2: no asymptotic class."""
+
+    def _logmag_at(self, ns):
+        return 0.3 * np.log1p(ns) + 0.5 * np.sin(ns / 40.0)
+
+
+class _NoClassBilateral(BilateralTableWeight):
+    """log|w_1...w_n| = n / 100 + 2 sin(n / 300) on both sides: no class."""
+
+    def _logmag_at(self, ns):
+        return ns / 100.0 + 2.0 * np.sin(ns / 300.0)
+
+
+def _scanned_orbit_decay(w, j, direction, horizon):
+    """The scan that decided every ``hc_check`` orbit before the asymptotic
+    class did, copied verbatim; a family with no class still gets it."""
+    series = _shift_series(w, j, 1, direction, j)
+    return classify_sup_decay(lambda m: np.exp(series(m)), horizon)
+
 
 class TestRunningMaxEvidence:
     def test_bergman_records_persist(self):
@@ -363,16 +423,6 @@ class TestDifferentiationCriterion:
 
     def test_contracting_argument_fails(self):
         assert fhc_check_tmu(0.5).overall == FAILS
-
-    def test_generic_generator_probe(self):
-        gens = [
-            (
-                "antiderivatives of 1",
-                lambda n: smu_power_basis(1.5, 0, n),
-            )
-        ]
-        rep = fhc_check(entire(6), gens)
-        assert rep.overall == SATISFIES
 
 
 class TestTMuShift:

@@ -23,6 +23,17 @@ only: rule strings; checkpoints past 2^12 (the scan now stops there unless
 a sum needs its slow tail); beyond-reach series, now decided instead of
 inconclusive; and H(C) sums, now those of the majorant at R = rmax, the
 radius the class decides at, instead of R = 1's.
+Twenty-one reports (all but ``salas`` and ``select``) were re-recorded
+when ``SeriesProbe`` was folded into ``Verdict``, whose ``checkpoints``
+field replaced its ``probe``, and ``hc_check`` came to be decided by the
+asymptotic class.  A leaf-by-leaf comparison (each entry's label, kind,
+rule, checkpoints, sum and tail, plus ``overall`` and ``notes``) showed
+the same reports except six orbit rules of ``hc unilateral`` and
+``hc bilateral``, now named by the class; their kinds stayed.
+
+Running this file as a script, ``python tests/test_goldens.py [CASE ...]``,
+prints ``case<TAB>repr(report)`` per report case, so that a re-record
+can be reviewed with a plain diff of two trees' outputs.
 """
 
 import hashlib
@@ -210,37 +221,37 @@ REPORT_CALLS = {
 
 REPORT_GOLDENS = {
     "bilateral beyond reach":
-        "350e60f1a108f131ea7331b2e767c605f2de02bb5f570be8c593dbccb26d75a2",
+        "f5fdc5b3dfbec7744dc835a0ecd06571a78233bfa0a84c42d9a89f209446aed4",
     "bilateral c0":
-        "b8e58f6427174308d32a0f18a091dfc03098d5613785fc2202a981dd224584d7",
+        "f38a7fcd217e1445f2e02e2d39b8812cb5ed0681d859e2b1f90460afcc0c3b68",
     "bilateral c0 beyond reach":
-        "85583ed8a9e4838e441e851494cb8c216960d527c9a77232826b553d038c5762",
+        "8b5e1a4386dca9198f5380742e332698b6665f7ca296b52bcf675c742e7e5a7a",
     "bilateral c0 modulus 1":
-        "abc859eba1223b1170a71bb4955b75cce3167a845c153a93c62158a3d1f335b3",
+        "f9689bc77c9b51cda129b2064f6279220ad4b1eab4c394418ed96e58afab5687",
     "bilateral l2":
-        "37e189ad6e170653933c8e4e0cf0aa0ff9ab6324968cb9c0cb027a643af97ac5",
+        "1b8e9b2865831d4f4bd69da156bb3d180abfad2dbc5b611b1401c35c221e70d6",
     "bilateral l2 modulus 1":
-        "6d85f408666492475f6db39f9d67aaaa37fda89ba187e6839bac0be72f5015c5",
+        "ddbe7d148b4e608e7be766246b9fa2c35c8106d82fe6c64767ef444e2f46dfd3",
     "hc bilateral":
-        "6110d1dec70c602bdd9820c7fde0cb8992bc9890ae6117fa4bd1f7526c0565a7",
+        "8693f4ed4758df1eedfc48a6257c179c4ff80da9fb34c11c23fa9d78726fa990",
     "hc unilateral":
-        "1f5e1ad3f83cb1497eacd880da7da07c9d5dd4eed3374ae790d378395c878cfa",
+        "4be070305d4c6494fffd7bffa0b546a159bd85418268d4585b8cb0d854af0303",
     "qfhc beyond reach":
-        "3ea06a64e40f749ac75851367976201f714e337e88e1ff800b79f2a65708abf5",
+        "f9de65216b6cf176bce2720a196bb1eaba82f55fe18d3e107cd42ea418556472",
     "qfhc bilateral beyond reach":
-        "28164f465afa3a0bc4fca492dcfa95744d169ba8135772c1aa3d2cfd6fbb15fc",
+        "ce57fa81e9ac85127f3b4f1bff33b39e1c0fe765323705d16dca2a645c506e2d",
     "qfhc bilateral table":
-        "2095aa7fa8a8264c8af94801eb5e7719cd64da86f6045c4d74eb337408f02bc8",
+        "db98161c7a95017681c4bbcb0c4fe69621b73c23096a8f6034c88f06d27b16e1",
     "qfhc c0 constant":
-        "3997335caa6da7bacc05d899e3d4bc5eb7e1ca12d33d2875ae015c68f9f29ba0",
+        "f558e303d2603406913bc40917dd100f5368d02f7ea586a83fd6c2f5b145cb78",
     "qfhc entire(4)":
-        "703fa54e2b3836bae6cfe0db92105dc2ac72243804a9bef2e8512372050ee805",
+        "7841e8eea35f5f11d43c2e4c369eb55fbf9914572f0074fa2bec99db07829c7a",
     "qfhc l2 bergman q=1 head":
-        "1ac48bc2dd00da1d5a15c8ad7174b7543cc7707d0c03952d2c683ee5fc1d66bb",
+        "6c4ccce2d10903091a5db8f2f68539aa124550d409372f010701b210584432e6",
     "qfhc l2 bergman q=2":
-        "b4cfbbed98c1e2b648e9d706b6e40a4bc7fb93ebb34c57d28fb5ef87d4dcf7f8",
+        "d601d0329023af3b0dc87f08a33e6d521d0ba435a246f02a500560d4afab8972",
     "qfhc tmu":
-        "9872afe7828ceb0f6c547664dedb8ce603a0b316d619ba3ab0c731033692fd7c",
+        "ed4971bb22e449568e41e5c23017d33874805184eaa942bd2977b5c5f437cdf4",
     "salas constant":
         "ad93fd14a529d46affb2564ae8f8b7f5152a9dd94f4d04b16d23412d9958214f",
     "salas rootratio":
@@ -252,15 +263,15 @@ REPORT_GOLDENS = {
     "select l2 constant":
         "2209cff39aa57a8839ff30cf09c6e806df4efffbff4a950d10a6f292b80f2f71",
     "tmu":
-        "081a352e4dce3507cb07bff7300faf227a31c80bc76f79c08c803f5e946d0654",
+        "2a64c881317e1c70aaef570e39b113193ae97fadca351a43bb18c8e88e2e6803",
     "unilateral beyond reach":
-        "1f083e6f8daf4137a08aa65eb22c8bb145490b4d880f53a5d7891ca77596364d",
+        "d9f8f6ac81f6417254ab9dec0bace127be803c0a192a1e945f42a2181834da52",
     "unilateral c0":
-        "422d8806070c1ed7ae20f8c23155c4612bcd9e8f1a9d731d97bdee7c319074bb",
+        "b468999473436c2bd0bb2f62f1fd0ad8bfda9381f18d641a35f96a80877b6616",
     "unilateral l2":
-        "31e407ff41bf3b30e0f508e158520e8a59a65e275c0f3781e1991fe2e3f9d2ce",
+        "6719e0f075f20d4e3c6b998c53a3dd8b74b318584d2c81becf464d1c10207043",
     "weakstar":
-        "051f6063190684b09f919eff117bf73b88655aa7abdc4f47cf8ca8471efa3102",
+        "09a13f62b169277861f2ca78252c72028c8f31ca5561788853c567ed64e27e38",
 }
 
 
@@ -271,3 +282,13 @@ def report_digest(case: str) -> str:
 @pytest.mark.parametrize("case", sorted(REPORT_CALLS))
 def test_report_repr_unchanged(case):
     assert report_digest(case) == REPORT_GOLDENS[case]
+
+
+if __name__ == "__main__":
+    # python tests/test_goldens.py [CASE ...] prints case<TAB>repr(report) for
+    # each report case (all by default), so that a re-record can be reviewed
+    # with a plain diff of two trees' outputs
+    import sys
+
+    for case in sys.argv[1:] or sorted(REPORT_CALLS):
+        print(f"{case}\t{REPORT_CALLS[case]()!r}")

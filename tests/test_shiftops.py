@@ -26,7 +26,6 @@ from shiftlab.shiftops import (
     iterate,
     iterates,
     orbit_batch,
-    orbit_entries,
     orbit_slices,
     smu_power_basis,
     tmu_apply,
@@ -177,12 +176,13 @@ class TestOperators:
 
     def test_orbit_entries_keep_phase_separate(self):
         op = OperatorSpec(ConstantWeight(2), BACKWARD, rotation=1j)
-        rot = orbit_entries(op, CoeffVector.basis(5), 2)
-        plain = orbit_entries(
-            OperatorSpec(ConstantWeight(2), BACKWARD), CoeffVector.basis(5), 2
+        rot_idx, rot_lm, _, _ = orbit_batch(op, CoeffVector.basis(5), [2])
+        idx, lm, _, _ = orbit_batch(
+            OperatorSpec(ConstantWeight(2), BACKWARD), CoeffVector.basis(5), [2]
         )
         # same magnitudes, phases differ by the rotation only
-        assert [(i, lm) for i, lm, _ in rot] == [(i, lm) for i, lm, _ in plain]
+        assert list(zip(rot_idx.tolist(), rot_lm.tolist())) == list(
+            zip(idx.tolist(), lm.tolist()))
 
     def test_forward_iterate(self):
         w = ConstantWeight(2)
@@ -361,7 +361,8 @@ class TestBatchedOrbitEngine:
             ref_op = OperatorSpec(ref_w, direction, rotation=cmath.exp(0.4j), power=2)
             op = OperatorSpec(w, direction, rotation=cmath.exp(0.4j), power=2)
             for n in (0, 1, 3, 3000, 2):
-                assert term_bits(orbit_entries(op, v, n * 2)) == term_bits(
+                idx, lm, ph, _ = orbit_batch(op, v, [n * 2])
+                assert term_bits(zip(idx.tolist(), lm.tolist(), ph.tolist())) == term_bits(
                     scalar_orbit_entries(ref_op, v, n * 2))
                 try:
                     want = vector_bits(scalar_iterate(ref_op, v, n))
