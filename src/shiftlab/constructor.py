@@ -33,20 +33,14 @@ from .density import (
     q_lower_density,
 )
 from .errors import ConstructionRefusedError, InvalidArgumentError
-from .seqspace import (
-    UNILATERAL,
-    CoeffVector,
-    SpaceSpec,
-    fnorm,
-    weakstar_gap,
-)
+from .seqspace import UNILATERAL, CoeffVector, SpaceSpec, _fnorm, _gap, _minus, fnorm
 from .shiftops import (
     BACKWARD,
     DEFAULT_STEP_CAP,
     FORWARD,
     OperatorSpec,
     WeightSeq,
-    iterates,
+    _coefficients,
     orbit_slices,
 )
 
@@ -148,26 +142,24 @@ def _t_norms(space: SpaceSpec, w: WeightSeq, q: int, x: CoeffVector,
              n_max: int) -> np.ndarray:
     """F-norms of the backward orbit terms T^{n^q} x for n = 1..n_max
     (zero once every support index has fallen off the edge)."""
-    ns = range(1, n_max + 1)
-    if w.domain == UNILATERAL:
-        smax = max(x.support, default=0)
-        ns = [n for n in ns if n**q < smax]
-    norms = np.zeros(n_max)
-    orbits = iterates(OperatorSpec(w, BACKWARD), x, [n**q for n in ns])
-    for n, orbit in zip(ns, orbits):
-        norms[n - 1] = fnorm(space, orbit)
-    return norms
+    # a unilateral orbit is zero once n^q reaches the top support index
+    top = n_max if w.domain != UNILATERAL else min(n_max, iroot(max(x.support, default=1) - 1, q))
+    values = _orbit_values(OperatorSpec(w, BACKWARD), x, [n**q for n in range(1, top + 1)],
+                           lambda e: _fnorm(space, x.domain, e))
+    return np.concatenate([np.fromiter(values, float, top), np.zeros(n_max - top)])
 
 
-def _orbit_values(op: OperatorSpec, x: CoeffVector, ns, value):
-    """value(op^n x) for each n in ns; evaluated once for all zero orbits."""
+def _orbit_values(op: OperatorSpec, x: CoeffVector, steps, value):
+    """value(entries) of op^N x for each N*power >= 1 in ``steps``, with the
+    coefficient map of ``iterate``; evaluated once for all zero orbits."""
     at_zero = None
-    for orbit in iterates(op, x, ns):
-        if orbit:
-            yield value(orbit)
+    for terms in orbit_slices(op, x, steps):
+        entries = _coefficients(*terms)
+        if entries:
+            yield value(entries)
         else:
             if at_zero is None:
-                at_zero = value(orbit)
+                at_zero = value(entries)
             yield at_zero
 
 
@@ -379,6 +371,7 @@ def verify_eq33(plan: ConstructionPlan) -> Eq33Report:
     op = OperatorSpec(plan.weights, BACKWARD)
     n_hor = iroot(plan.horizon, plan.q)
     band = n_hor**plan.q - (n_hor - 1) ** plan.q if n_hor > 1 else 0
+    domain = plan.candidate.domain
     checks = []
     edges = []
     for k in range(1, plan.k_classes + 1):
@@ -391,7 +384,7 @@ def verify_eq33(plan: ConstructionPlan) -> Eq33Report:
             else:
                 times.append(m)
         errors = _orbit_values(op, plan.candidate, [m**plan.q for m in times],
-                               lambda orbit: fnorm(plan.space, orbit - x_k))
+                               lambda e: _fnorm(plan.space, domain, _minus(domain, e, x_k)))
         checks.extend(Eq33Check(k=k, m=m, error=err, bound=bound)
                       for m, err in zip(times, errors))
     return Eq33Report(checks=tuple(checks), edge_times=tuple(edges))
@@ -503,30 +496,27 @@ def hit_experiment(
         pairs = [(n, n**q) for n in range(1, iroot(horizon, q) + 1)]
     else:
         pairs = [(n, n) for n in range(1, horizon + 1)]
-    times = [steps for _, steps in pairs]
+    shifts = [steps * op.power for _, steps in pairs]
     if isinstance(target, ModulusTarget):
-        slices = orbit_slices(op, x, [s * op.power for s in times])
+        slices = orbit_slices(op, x, shifts)
         mags = (dict(zip(idxs, map(math.exp, lms))) for idxs, lms, _ in slices)
         outcomes = ((bool(target.predicate(m)), max(m.values(), default=0.0)) for m in mags)
     elif isinstance(target, BallTarget):
-        values = _orbit_values(op, x, times, lambda orbit: fnorm(space, orbit - target.center))
+        values = _orbit_values(
+            op, x, shifts, lambda e: _fnorm(space, x.domain, _minus(x.domain, e, target.center)))
         outcomes = ((v < target.radius, v) for v in values)
     elif isinstance(target, WeakStarTarget):
         values = _orbit_values(
-            op, x, times,
-            lambda orbit: weakstar_gap(orbit, target.center, target.functionals),
-        )
+            op, x, shifts, lambda e: _gap(x.domain, e, target.center, target.functionals))
         outcomes = ((v < target.eps, v) for v in values)
     else:
         raise InvalidArgumentError(f"unknown target type {type(target)!r}")
     hits = []
     events = []
-    for (n, steps), (hit, value) in zip(pairs, outcomes):
+    for (n, steps), shift, (hit, value) in zip(pairs, shifts, outcomes):
         if hit:
             hits.append(steps)
-        events.append(
-            {"n": n, "exponent": steps * op.power, "value": value, "hit": hit}
-        )
+        events.append({"n": n, "exponent": shift, "value": value, "hit": hit})
     hitset = HitSet.from_iterable(hits, horizon)
     density = q_lower_density(hitset, q, burn_in=burn_in)
     growth = check_growth_bound(hitset, q) if hitset.times else None

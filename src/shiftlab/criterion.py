@@ -353,6 +353,12 @@ def series_probe(
 # ---------------------------------------------------------------------------
 
 
+def _check_domain(space: SpaceSpec, w: WeightSeq):
+    if space.domain != w.domain:
+        raise DomainMismatchError(
+            f"{w.domain} weights on a {space.domain} space {space.describe()}")
+
+
 def _indices(indices) -> list:
     indices = list(indices)
     if not indices:
@@ -445,11 +451,12 @@ def _decide(cls: AsymptoticClass, q: int, s, log_r, summable: bool):
 
 
 def _classify_weighted(space, w: WeightSeq, j: int, q: int, direction: int,
-                       anchor: int | None, n_max: int, tol) -> Verdict:
+                       anchor: int | None, n_max: int, tol, decay: bool = False) -> Verdict:
     """Verdict of the weighted-shift series ``_shift_series(w, j, q,
     direction, anchor)`` in ``space``; ``space=None`` is the bilateral c0
     limit condition, -logmag -> infinity.  On the entire space term n is
-    weighted by R^(j + n^q - 1) at R = rmax, the worst radius.
+    weighted by R^(j + n^q - 1) at R = rmax, the worst radius.  ``decay``
+    asks whether the (weighted) terms tend to 0, the c0 rule, on any space.
 
     A family with an asymptotic class is decided by it (``_decide``).  A
     scan then reports checkpoints and sums without overriding the class:
@@ -479,7 +486,7 @@ def _classify_weighted(space, w: WeightSeq, j: int, q: int, direction: int,
         """The space's block-sum classifier over the first n terms."""
         if kind is None:
             return classify_limit_infinite(-series(np.arange(1, n + 1)))
-        if kind == "c0":
+        if kind == "c0" or decay:
             return classify_sup_decay(mags, n, tol=tol)
         return classify_magnitudes(mags, n, tol=tol)
 
@@ -488,7 +495,8 @@ def _classify_weighted(space, w: WeightSeq, j: int, q: int, direction: int,
         if n_max < 2:
             return Verdict(INCONCLUSIVE, "fewer than two terms within the 2^22 prefix reach")
         return scan(n_max)
-    verdict, rule, level = _decide(cls, q, _exact(p), log_r, kind in ("lp", "entire"))
+    summable = kind in ("lp", "entire") and not decay
+    verdict, rule, level = _decide(cls, q, _exact(p), log_r, summable)
     if radius > 1:
         rule += f" at R={radius}"
     slow = verdict == CONVERGES and level >= 3  # converges at log n or log log n
@@ -533,9 +541,7 @@ def qfhc_check(
     """Probe the two basis-vector series (backward orbit sums at
     exponents n^q, and forward right-inverse sums) for every listed
     basis index."""
-    if space.domain != w.domain:
-        raise DomainMismatchError(
-            f"{w.domain} weights on a {space.domain} space {space.describe()}")
+    _check_domain(space, w)
     dense_indices = _offsets(dense_indices)
     jmax = max(abs(j) for j in dense_indices)
     n_max = _series_term_count(q, max_exp, jmax)
@@ -643,13 +649,16 @@ def hc_check(
     horizon: int = 10**4,
 ) -> CriterionReport:
     """Orbit-norm decay of T^n e_j and S^n e_j (the plain hypercyclicity
-    criterion, not the frequent one): the c0 condition on the terms
-    P(j) - P(j -/+ n), decided by ``_classify_weighted`` with n_max =
-    horizon."""
+    criterion, not the frequent one): decay of the terms P(j) - P(j -/+ n),
+    decided by ``_classify_weighted`` with n_max = horizon.  On H(C) the
+    S-orbit terms carry the majorant factor R^(j + n - 1) at R = rmax, the
+    worst radius; on every other space the norm of a basis vector's orbit
+    is the modulus of its one coefficient, the c0 condition."""
+    _check_domain(space, w)
     dense_indices = _indices(dense_indices)
     if horizon < 1:
         raise InvalidArgumentError("horizon must be at least 1")
-    orbits = c0(w.domain)
+    orbits = space if space.kind == "entire" else c0(w.domain)
     entries = []
     for j in dense_indices:
         if w.domain == UNILATERAL:
@@ -660,8 +669,9 @@ def hc_check(
                 ((min(j, horizon), 0.0),),
             )
         else:
-            t_verdict = _classify_weighted(orbits, w, j, 1, -1, j, horizon, DEFAULT_TOL)
-        s_verdict = _classify_weighted(orbits, w, j, 1, 1, j, horizon, DEFAULT_TOL)
+            t_verdict = _classify_weighted(orbits, w, j, 1, -1, j, horizon, DEFAULT_TOL,
+                                           decay=True)
+        s_verdict = _classify_weighted(orbits, w, j, 1, 1, j, horizon, DEFAULT_TOL, decay=True)
         entries.append(ProbeEntry(f"T-orbit j={j}", t_verdict))
         entries.append(ProbeEntry(f"S-orbit j={j}", s_verdict))
     return _report(

@@ -108,7 +108,7 @@ class CoeffVector:
         return add(self, other)
 
     def __sub__(self, other: "CoeffVector") -> "CoeffVector":
-        return add(self, scale(-1, other))
+        return CoeffVector(self.domain, _minus(self.domain, self.entries, other))
 
     def __rmul__(self, lam: complex) -> "CoeffVector":
         return scale(lam, self)
@@ -129,6 +129,16 @@ def add(v: CoeffVector, w: CoeffVector) -> CoeffVector:
 def scale(lam: complex, v: CoeffVector) -> CoeffVector:
     lam = complex(lam)
     return CoeffVector(v.domain, {i: lam * c for i, c in v.entries.items()})
+
+
+def _minus(domain: str, entries: Mapping[int, complex], w: CoeffVector) -> dict[int, complex]:
+    """The canonical entries of v - w, for v = CoeffVector(domain, entries)."""
+    if domain != w.domain:
+        raise DomainMismatchError(f"cannot add {domain} and {w.domain} vectors")
+    merged = dict(entries)
+    for idx, val in w.entries.items():
+        merged[idx] = merged.get(idx, 0j) + complex(-1) * val
+    return {i: c for i, c in sorted(merged.items()) if c != 0}
 
 
 @dataclass(frozen=True)
@@ -208,22 +218,28 @@ def _majorant_term(a: float, radius: float, k: int) -> float:
 
 
 def fnorm(space: SpaceSpec, v: CoeffVector) -> float:
+    return _fnorm(space, v.domain, v.entries)
+
+
+def _fnorm(space: SpaceSpec, domain: str, entries: Mapping[int, complex]) -> float:
+    """``fnorm`` of a vector of this domain with these canonical entries."""
     if space.kind == "linf_weakstar":
         raise UnsupportedOperationError(
             "the weak* space carries no F-norm; use weakstar_gap"
         )
-    if v.domain != space.domain:
+    if domain != space.domain:
         raise DomainMismatchError(
-            f"vector domain {v.domain} does not match space domain {space.domain}"
+            f"vector domain {domain} does not match space domain {space.domain}"
         )
     if space.kind == "lp":
-        return sum(abs(c) ** space.p for c in v.entries.values()) ** (1.0 / space.p)
+        return sum(abs(c) ** space.p for c in entries.values()) ** (1.0 / space.p)
     if space.kind == "c0":
-        return max((abs(c) for c in v.entries.values()), default=0.0)
+        return max((abs(c) for c in entries.values()), default=0.0)
     # entire: sum_R 2^-R min(1, M_R(v))
     total = 0.0
     for r in range(1, space.rmax + 1):
-        total += 2.0 ** (-r) * min(1.0, coeff_majorant(v, float(r)))
+        majorant = sum(_majorant_term(abs(c), float(r), i - 1) for i, c in entries.items())
+        total += 2.0 ** (-r) * min(1.0, majorant)
     return total
 
 
@@ -236,12 +252,18 @@ def weakstar_gap(
 
     A weak* neighborhood test is ``gap < eps``.
     """
+    return _gap(v.domain, v.entries, target, functionals)
+
+
+def _gap(domain: str, entries: Mapping[int, complex], target: CoeffVector,
+         functionals: Iterable[CoeffVector]) -> float:
+    """``weakstar_gap`` of a vector of this domain with these canonical entries."""
     functionals = list(functionals)
     if not functionals:
         raise InvalidArgumentError("weakstar_gap needs at least one functional")
-    diff = v - target
+    diff = _minus(domain, entries, target)
     gap = 0.0
     for g in functionals:
-        val = sum(diff[i] * c for i, c in g.entries.items())
+        val = sum(diff.get(i, 0j) * c for i, c in g.entries.items())
         gap = max(gap, abs(val))
     return gap

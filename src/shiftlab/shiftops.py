@@ -10,8 +10,8 @@ magnitude limits.
 Single applications (``apply``) use direct complex products.  Every
 multi-step orbit goes through ``orbit_batch``: the terms of op^N v at a
 whole array of times, found with one search of the vector's sorted
-support and one evaluation of P(j) - P(j -/+ N).  ``orbit_slices``,
-``iterates`` and ``iterate`` are views of it.
+support and one evaluation of P(j) - P(j -/+ N).  ``orbit_slices``
+and ``iterate`` are views of it.
 
 The batched route is exact, not approximate: log|c| and arg c come from
 libm once per vector, exp and rect run per surviving term through libm,
@@ -77,6 +77,20 @@ def _log_polar(z: complex) -> tuple[float, float]:
     return math.log(abs(z)), _phase(z)
 
 
+def _log_modulus(z: complex) -> float:
+    """log|z| as a class coefficient.  A modulus within an ulp of 1 rounds
+    to abs(z) == 1.0, whose log is 0.0; there the first-order term
+    (|z|^2 - 1)/2 of the exact modulus is used instead, which is 0.0 only
+    at an exact unit modulus and otherwise has the sign of log|z|."""
+    z = complex(z)
+    if abs(z) != 1.0:
+        return math.log(abs(z))
+    # imported on first use, as in ``_ratio``
+    from fractions import Fraction
+
+    return float((Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 - 1) / 2)
+
+
 @dataclass(frozen=True)
 class AsymptoticClass:
     """The coefficients of P(m) = log|w_1...w_m| = a m^2 + b m log m + c m
@@ -126,6 +140,7 @@ class WeightSeq:
     def __init__(self, head=(), tail: complex = 1.0, head_neg=(), tail_neg: complex = 1.0):
         self._lm, self._ph = _prefix_sums(head, 1)
         self._lm_neg, self._ph_neg = _prefix_sums(head_neg, -1)
+        self._tails = (tail, tail_neg)
         self._step = _log_polar(tail)
         self._step_neg = tuple(-x for x in _log_polar(tail_neg))
 
@@ -170,15 +185,17 @@ class WeightSeq:
 
         Under the head/tail rule each side is linear past its head, so
         c = log|tail| on the positive side and -log|tail_neg| on the
-        other; the head adds O(1).  None where no class is known: the
-        negative side of a unilateral family, or a subclass with its own
-        ``_logmag_at`` that does not give its class here.
+        other (``_log_modulus``); the head adds O(1).  None where no class
+        is known: the negative side of a unilateral family, or a subclass
+        with its own ``_logmag_at`` that does not give its class here.
         """
         if side < 0 and self.domain != BILATERAL:
             return None
         if type(self)._logmag_at is not WeightSeq._logmag_at:
             return None
-        return AsymptoticClass(c=(self._step if side > 0 else self._step_neg)[0])
+        if side > 0:
+            return AsymptoticClass(c=_log_modulus(self._tails[0]))
+        return AsymptoticClass(c=-_log_modulus(self._tails[1]))
 
     def warm(self, n: int, nmin: int = 0):
         """Check that the indices nmin..n (nmin only on a bilateral family)
@@ -367,7 +384,7 @@ class TMuWeight(WeightSeq):
         # (m^2 - 3m)/2 * log|mu| from the triangle numbers
         if side < 0:
             return None
-        log_mu = math.log(abs(self.mu))
+        log_mu = _log_modulus(self.mu)
         return AsymptoticClass(a=log_mu / 2, b=1, c=-1 - 1.5 * log_mu, d=_ratio(-1, 2))
 
     def _phase_at(self, ns):
@@ -575,34 +592,22 @@ def orbit_slices(op: OperatorSpec, v: CoeffVector, steps):
         lo = hi
 
 
-def _materialize(domain: str, idx, lm, ph) -> CoeffVector:
-    entries: dict[int, complex] = {}
-    for i, l, p in zip(idx, lm, ph):
-        entries[i] = entries.get(i, 0j) + cmath.rect(math.exp(l), p)
-    return CoeffVector(domain, entries)
-
-
-def iterates(op: OperatorSpec, v: CoeffVector, ns):
-    """Yield op^n v for each n in ``ns``, via log-polar prefix products.
-
-    Any n is allowed: a unilateral backward orbit past its support is the
-    zero vector, and every other orbit raises ``ResourceLimitError`` once a
-    prefix index it touches passes DEFAULT_STEP_CAP."""
-    ns = [int(n) for n in ns]  # Python ints: n * power cannot wrap
-    if any(n < 0 for n in ns):
-        raise InvalidArgumentError("iteration count must be nonnegative")
-    steps = [n * op.power for n in ns]
-    zero = CoeffVector.zero(v.domain)
-    for n, terms in zip(ns, orbit_slices(op, v, steps)):
-        if n == 0:
-            yield v
-        else:
-            yield _materialize(v.domain, *terms) if terms[0] else zero
+def _coefficients(idx, lm, ph) -> dict[int, complex]:
+    """The nonzero coefficients of one time's terms, in index order.  0j +
+    gives each zero part the sign +0.0: the bits of summing into 0j."""
+    return {i: c for i, l, p in zip(idx, lm, ph) if (c := 0j + cmath.rect(math.exp(l), p))}
 
 
 def iterate(op: OperatorSpec, v: CoeffVector, n: int) -> CoeffVector:
-    """op^n v in one step per support element (one time of ``iterates``)."""
-    return next(iterates(op, v, [n]))
+    """op^n v for any n >= 0, from one ``orbit_batch`` call (v itself at
+    n = 0).  A unilateral backward orbit past its support is the zero
+    vector; every other orbit raises ``ResourceLimitError`` once a prefix
+    index it touches passes DEFAULT_STEP_CAP."""
+    n = int(n)  # a Python int: n * power cannot wrap
+    idx, lm, ph, _ = orbit_batch(op, v, [n * op.power])  # checks the domain and n >= 0
+    if n == 0:
+        return v
+    return CoeffVector(v.domain, _coefficients(idx.tolist(), lm.tolist(), ph.tolist()))
 
 
 def tmu_apply(mu: complex, f: CoeffVector) -> CoeffVector:

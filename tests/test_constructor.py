@@ -22,11 +22,22 @@ from shiftlab.constructor import (
 from shiftlab.criterion import qfhc_check
 from shiftlab.errors import ConstructionRefusedError, InvalidArgumentError, ResourceLimitError
 from shiftlab.density import iroot
-from shiftlab.seqspace import CoeffVector, UNILATERAL, c0, fnorm, lp, scale, weakstar_gap
+from shiftlab.seqspace import (
+    BILATERAL,
+    UNILATERAL,
+    CoeffVector,
+    c0,
+    entire,
+    fnorm,
+    lp,
+    scale,
+    weakstar_gap,
+)
 from shiftlab.shiftops import (
     BACKWARD,
     FORWARD,
     BergmanWeight,
+    BilateralTableWeight,
     ConstantWeight,
     OperatorSpec,
     iterate,
@@ -254,6 +265,41 @@ class TestBatchedOrbitsMatchOneTimeEvaluation:
             want.append({"n": n, "exponent": steps * power, "value": value, "hit": hit})
         assert [repr(e) for e in got.events] == [repr(e) for e in want]
         assert any(e["hit"] for e in want) and not all(e["hit"] for e in want)
+
+
+class TestOrbitValuesFromEntryMaps:
+    """Orbit values computed from coefficient maps, with no vector per time."""
+
+    @pytest.mark.parametrize("space,w,x", [
+        (lp(2, BILATERAL), BilateralTableWeight({-2: 3.0, 0: 0.5j, 4: -2.0}, 1.5, 0.75j),
+         CoeffVector(BILATERAL, {-3: 1.5, 0: complex(-2.0, -0.0), 5: 1 - 1j, 40: 0.25j})),
+        (entire(3), ConstantWeight(cmath.rect(0.5, 0.7)),
+         CoeffVector(UNILATERAL, {1: 1.0, 3: -0.5j, 9: 2 + 1j, 30: 1e-3})),
+    ])
+    def test_t_norms_match_fnorm_of_iterate(self, space, w, x):
+        q, n_max = 2, 8
+        got = constructor._t_norms(space, w, q, x, n_max)
+        op = OperatorSpec(w, BACKWARD)
+        want = [fnorm(space, iterate(op, x, n**q)) for n in range(1, n_max + 1)]
+        assert [repr(v) for v in got.tolist()] == [repr(v) for v in want]
+        # the unilateral orbit dies once n^q passes its support
+        assert (got[-1] == 0.0) == (space.domain == UNILATERAL)
+
+    def test_no_vector_per_checked_time(self, monkeypatch):
+        plan = build_vector(lp(2), ConstantWeight(2), 1, canonical_targets(3), horizon=10**3)
+        op = OperatorSpec(ConstantWeight(2), BACKWARD)
+        ball = BallTarget(plan.targets[0], 3 * plan.alpha(3))
+        built = []
+        init = CoeffVector.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CoeffVector, "__init__", counting)
+        assert verify_eq33(plan).checks
+        assert hit_experiment(lp(2), op, plan.candidate, ball, horizon=1000).events
+        assert built == []
 
 
 class TestHitExperiments:

@@ -341,6 +341,16 @@ class TestPlainHypercyclicity:
             assert rep.entry(f"T-orbit j={j}").verdict.kind == DIVERGES
             assert rep.entry(f"S-orbit j={j}").verdict.kind == DIVERGES
 
+    @pytest.mark.parametrize("lam, overall, rule", [
+        # S^n e_1 = z^n / lam^n has sup (8/|lam|)^n on |z| <= 8
+        (2, FAILS, "asymptotic class at n: coefficient 1.38629 > 0 at R=8"),
+        (16, SATISFIES, "asymptotic class at n: coefficient -0.693147 < 0 at R=8"),
+    ])
+    def test_entire_space_decides_orbit_decay_at_rmax(self, lam, overall, rule):
+        rep = hc_check(entire(8), ConstantWeight(lam), [1])
+        assert rep.overall == overall
+        assert rep.entry("S-orbit j=1").verdict.rule == rule
+
     def test_slowly_growing_products_satisfy(self):
         # |w_1...w_n| = ((n+2)/2)^(1/6) tends to infinity, too slowly for a
         # scan of 10^4 terms to see the S-orbit decay
@@ -609,6 +619,31 @@ class TestAsymptoticClass:
             assert e.verdict.rule.startswith(f"asymptotic class at {level}: coefficient ")
             assert "within rounding of 0" in e.verdict.rule
 
+    @pytest.mark.parametrize("check, level", [
+        (lambda z: unilateral_condition(ConstantWeight(z), lp(2), 1, [0]), "n"),
+        (lambda z: qfhc_check(lp(2, BILATERAL), _bilateral(z, z)(), 1, [0]), "n"),
+        (lambda z: fhc_check_tmu(z, degrees=[0, 1]), "n^2"),
+    ])
+    def test_modulus_within_an_ulp_of_one_is_inconclusive(self, check, level):
+        # abs(exp(1j)) rounds to 1.0, but its exact squared modulus is 1 + 4.8e-17
+        rep = check(cmath.exp(1j))
+        assert rep.overall == INCONCLUSIVE
+        for e in rep.entries:
+            if e.label.startswith("T-series") and level == "n^2":
+                continue  # unilateral T-series are trivially convergent
+            assert e.verdict.rule.startswith(f"asymptotic class at {level}: coefficient ")
+            assert "within rounding of 0" in e.verdict.rule
+
+    @pytest.mark.parametrize("lam", [1, -1, 1j])
+    def test_exact_unit_moduli_are_decided(self, lam):
+        rep = unilateral_condition(ConstantWeight(lam), lp(2), 1, [0])
+        assert rep.overall == FAILS
+        assert rep.entries[0].verdict.rule == "asymptotic class at log n: coefficient 0 > -1"
+        rep = fhc_check_tmu(lam, degrees=[0, 1])
+        assert rep.overall == SATISFIES
+        assert rep.entry("S-series j=1").verdict.rule.startswith(
+            "asymptotic class at n log n: coefficient -1 < 0")
+
     def test_just_outside_the_band_is_decided(self):
         assert unilateral_condition(ConstantWeight(1 + 1e-9), lp(2), 1, [0]).overall == SATISFIES
         assert unilateral_condition(ConstantWeight(1 - 1e-9), lp(2), 1, [0]).overall == FAILS
@@ -632,7 +667,9 @@ class TestTMuTheorem:
     @pytest.mark.parametrize("mu, overall, level", [
         (1, SATISFIES, "n log n"),
         (-1, SATISFIES, "n log n"),
-        (cmath.exp(1j), SATISFIES, "n log n"),
+        # |exp(1j)| exceeds 1 by 2.4e-17, so a = 1.2e-17 lies within the
+        # rounding band: the same verdict as mu = 1 + 1e-13
+        (cmath.exp(1j), INCONCLUSIVE, "n^2"),
         (1.5, SATISFIES, "n^2"),
         (1 + 1j, SATISFIES, "n^2"),
         (0.5, FAILS, "n^2"),

@@ -191,6 +191,15 @@ class TestSpaceSpec:
         with pytest.raises(DomainMismatchError):
             qfhc_check(lp(2), BilateralTableWeight({}, 2.0, 0.5), 1, [0])
 
+    def test_hc_check_refuses_a_space_of_the_other_domain(self):
+        from shiftlab.criterion import hc_check
+        from shiftlab.shiftops import BilateralTableWeight, ConstantWeight
+
+        with pytest.raises(DomainMismatchError):
+            hc_check(lp(2, BILATERAL), ConstantWeight(2), [1])
+        with pytest.raises(DomainMismatchError):
+            hc_check(lp(2), BilateralTableWeight({}, 2.0, 0.5), [0])
+
     def test_lp_requires_p(self):
         with pytest.raises(InvalidArgumentError):
             lp(0.5)

@@ -24,7 +24,6 @@ from shiftlab.shiftops import (
     TMuWeight,
     apply,
     iterate,
-    iterates,
     orbit_batch,
     orbit_slices,
     smu_power_basis,
@@ -383,14 +382,28 @@ class TestBatchedOrbitEngine:
         assert sum((s[1] for s in slices), []) == lm.tolist()
         assert sum((s[2] for s in slices), []) == ph.tolist()
 
-    def test_iterates_yields_every_time(self):
+    def test_slices_yield_every_time(self):
         v = CoeffVector(UNILATERAL, UNI_VECTOR)
         op = OperatorSpec(BergmanWeight(), BACKWARD)
         ns = [0, 5, 4100, 6001, 1]
-        got = list(iterates(op, v, ns))
-        assert got[0] is v
-        assert [vector_bits(o) for o in got] == [vector_bits(iterate(op, v, n)) for n in ns]
-        assert got[3] == CoeffVector.zero()
+        got = [term_bits(zip(*terms)) for terms in orbit_slices(op, v, ns)]
+        assert iterate(op, v, 0) is v
+        assert got == [term_bits(scalar_orbit_entries(op, v, n)) for n in ns]
+        assert got[3] == [] and iterate(op, v, 6001) == CoeffVector.zero()
+
+    def test_iterate_keeps_the_zero_signs_of_a_sum_of_terms(self):
+        # phase -0.0 at index 35; at index 40 a phase of -pi whose imaginary
+        # part underflows to -0.0 in rect, where a sum of terms gives +0.0
+        v = CoeffVector(UNILATERAL, {35: complex(2.0, -0.0), 40: complex(-1e-300, -0.0)})
+        op = OperatorSpec(ConstantWeight(0.5), BACKWARD)
+        idx, lm, ph, _ = orbit_batch(op, v, [30])
+        summed = {}
+        for i, l, p in zip(idx.tolist(), lm.tolist(), ph.tolist()):
+            summed[i] = summed.get(i, 0j) + cmath.rect(math.exp(l), p)
+        assert cmath.rect(math.exp(lm[1]), ph[1]).imag.hex() == "-0x0.0p+0"
+        got = vector_bits(iterate(op, v, 30))
+        assert got == vector_bits(CoeffVector(UNILATERAL, summed))
+        assert [imag for _, _, imag in got] == ["0x0.0p+0", "0x0.0p+0"]
 
     def test_memory_follows_surviving_terms(self):
         # a unilateral backward orbit past the support keeps nothing
@@ -404,7 +417,9 @@ class TestBatchedOrbitEngine:
         with pytest.raises(InvalidArgumentError):
             orbit_batch(op, CoeffVector.basis(3), [1, -1])
         with pytest.raises(InvalidArgumentError):
-            list(iterates(op, CoeffVector.basis(3), [2, -2]))
+            iterate(op, CoeffVector.basis(3), -2)
+        with pytest.raises(InvalidArgumentError):
+            list(orbit_slices(op, CoeffVector.basis(3), [2, -2]))
         with pytest.raises(DomainMismatchError):
             orbit_batch(op, CoeffVector.basis(3, BILATERAL), [1])
 
@@ -420,10 +435,11 @@ class TestStepCountsPastInt64:
     def test_earlier_times_of_a_batch_are_unchanged(self):
         op = OperatorSpec(ConstantWeight(2), BACKWARD)
         v = CoeffVector(UNILATERAL, UNI_VECTOR)
-        got = [vector_bits(x) for x in iterates(op, v, [0, 3, 7, 2**70, 5])]
-        want = [vector_bits(scalar_iterate(op, v, n)) for n in (0, 3, 7)]
+        got = [term_bits(zip(*t)) for t in orbit_slices(op, v, [0, 3, 7, 2**70, 5])]
+        want = [term_bits(scalar_orbit_entries(op, v, n)) for n in (0, 3, 7)]
         assert got[:3] == want
-        assert got[3] == [] and got[4] == vector_bits(scalar_iterate(op, v, 5))
+        assert got[3] == [] and got[4] == term_bits(scalar_orbit_entries(op, v, 5))
+        assert vector_bits(iterate(op, v, 2**70)) == []
 
     def test_negative_counts_still_rejected(self):
         op = OperatorSpec(ConstantWeight(2), BACKWARD)
