@@ -276,7 +276,6 @@ _COMMON_DEFAULTS = {
     "scenario": ...,
     "out": ".",
     "horizon": 10**4,
-    "tol": crit.DEFAULT_TOL,
 }
 
 
@@ -286,12 +285,11 @@ def _resolve(config: dict, args, allowed_extra: dict) -> dict:
     allowed = dict(_COMMON_DEFAULTS)
     allowed.update(allowed_extra)
     cfg = _check_keys(config, allowed, "config")
-    for key in ("out", "horizon", "tol"):
+    for key in ("out", "horizon"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     cfg["horizon"] = _convert(int, cfg["horizon"], "config.horizon")
-    cfg["tol"] = _convert(float, cfg["tol"], "config.tol")
     path = os.path.join(cfg["out"], "config.resolved.json")
     atomic_write(path, json.dumps(cfg, indent=2, sort_keys=True) + "\n")
     print(f"resolved config: {path}")
@@ -353,7 +351,6 @@ def run_criterion(config: dict, args) -> int:
         w,
         _convert(int, cfg["q"], "config.q"),
         _convert(_ints, cfg["indices"], "config.indices"),
-        tol=cfg["tol"],
         max_exp=_convert(int, cfg["max_exp"], "config.max_exp"),
     )
     write_csv(
@@ -527,13 +524,9 @@ def run_sweep(config: dict, args) -> int:
         row = [w.describe()]
         for q in qs:
             if cfg["mode"] == "offsets":
-                report = crit.unilateral_condition(
-                    w, space, q, indices, tol=cfg["tol"], max_exp=max_exp
-                )
+                report = crit.unilateral_condition(w, space, q, indices, max_exp=max_exp)
             else:
-                report = crit.qfhc_check(
-                    space, w, q, indices, tol=cfg["tol"], max_exp=max_exp
-                )
+                report = crit.qfhc_check(space, w, q, indices, max_exp=max_exp)
             row.append(report.overall)
         rows.append(row)
     write_csv(
@@ -573,7 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="JSON scenario config")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--horizon", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=None)
     return parser
 
 

@@ -10,6 +10,7 @@ near target x_k at every time in class k.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,8 @@ from .shiftops import (
     OperatorSpec,
     WeightSeq,
     _coefficients,
+    _step_array,
+    _survivors,
     orbit_slices,
 )
 
@@ -70,34 +73,13 @@ def canonical_targets(count: int, domain: str = UNILATERAL) -> tuple[CoeffVector
     vectors: support in {1..s}, coordinates on a small complex grid,
     ordered by increasing (s, grid radius), zero vector excluded."""
     out = []
-    s = 1
-    while len(out) < count:
-        batch = []
-        values = [z for z in _GRID]
-
-        def rec(prefix):
-            if len(prefix) == s:
-                if prefix[-1] != 0:
-                    batch.append(tuple(prefix))
-                return
-            for z in values:
-                rec(prefix + [z])
-
-        rec([])
-        batch.sort(
-            key=lambda tup: (
-                max(abs(z) for z in tup),
-                [(z.real, z.imag) for z in tup],
-            )
-        )
-        for tup in batch:
-            out.append(
-                CoeffVector(domain, {i + 1: z for i, z in enumerate(tup) if z != 0})
-            )
-            if len(out) == count:
-                break
-        s += 1
-    return tuple(out)
+    for s in itertools.count(1):
+        if len(out) >= count:
+            return tuple(out)
+        batch = sorted((t for t in itertools.product(_GRID, repeat=s) if t[-1] != 0),
+                       key=lambda t: (max(map(abs, t)), [(z.real, z.imag) for z in t]))
+        out += [CoeffVector(domain, {i: z for i, z in enumerate(t, 1) if z != 0})
+                for t in batch[: count - len(out)]]
 
 
 # ---------------------------------------------------------------------------
@@ -142,25 +124,23 @@ def _t_norms(space: SpaceSpec, w: WeightSeq, q: int, x: CoeffVector,
              n_max: int) -> np.ndarray:
     """F-norms of the backward orbit terms T^{n^q} x for n = 1..n_max
     (zero once every support index has fallen off the edge)."""
-    # a unilateral orbit is zero once n^q reaches the top support index
-    top = n_max if w.domain != UNILATERAL else min(n_max, iroot(max(x.support, default=1) - 1, q))
-    values = _orbit_values(OperatorSpec(w, BACKWARD), x, [n**q for n in range(1, top + 1)],
+    values = _orbit_values(OperatorSpec(w, BACKWARD), x, [n**q for n in range(1, n_max + 1)],
                            lambda e: _fnorm(space, x.domain, e))
-    return np.concatenate([np.fromiter(values, float, top), np.zeros(n_max - top)])
+    return np.fromiter(values, float, n_max)
 
 
 def _orbit_values(op: OperatorSpec, x: CoeffVector, steps, value):
     """value(entries) of op^N x for each N*power >= 1 in ``steps``, with the
-    coefficient map of ``iterate``; evaluated once for all zero orbits."""
+    coefficient map of ``iterate``.  A time with no surviving term (per
+    ``_survivors``) reads no orbit; value({}) is evaluated once for them all."""
+    steps = _step_array(steps)
+    counts = _survivors(op, x.log_polar[0], steps)[1]
+    live = orbit_slices(op, x, steps[counts > 0])
     at_zero = None
-    for terms in orbit_slices(op, x, steps):
-        entries = _coefficients(*terms)
-        if entries:
-            yield value(entries)
-        else:
-            if at_zero is None:
-                at_zero = value(entries)
-            yield at_zero
+    for count in counts.tolist():
+        if not count and at_zero is None:
+            at_zero = value({})
+        yield value(_coefficients(*next(live))) if count else at_zero
 
 
 @dataclass(frozen=True)

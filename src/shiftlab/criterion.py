@@ -10,15 +10,16 @@ family's asymptotic class (``WeightSeq.asymptotics``): the coefficients of
 P(m) = log|w_1...w_m| in a n^2 + b n log n + c n + d log n + e log log n,
 substituted at m = j +/- n^q (``_decide``).  That verdict is exact up to a
 stated rounding band around each boundary, inside which it is
-``inconclusive``.  A short scan still reports dyadic partial-sum
-checkpoints and sums, and never overrides the class.
+``inconclusive``.  Every family gives a class, so this is the only way a
+weighted-shift series is decided; ``salas_check`` is the c0 condition
+of the reciprocal products at offset 0.  A short scan still reports
+dyadic partial-sum checkpoints and sums, and never overrides the class.
 
-Series with no class (``series_probe``, families that give none) get
-heuristic verdicts from their scanned data (dyadic partial-sum
-checkpoints, tail extrapolation).  Dyadic checkpoints make slow
-harmonic-type divergence visible as non-decaying block sums (the
-condensation view).  The rule that fired is always named.
-``salas_check`` reports running-max evidence, not a verdict.
+A bare magnitude map (``series_probe``) has no class and gets heuristic
+verdicts from its scanned data (dyadic partial-sum checkpoints, tail
+extrapolation).  Dyadic checkpoints make slow harmonic-type divergence
+visible as non-decaying block sums (the condensation view).  The rule
+that fired is always named.
 
 Every weighted-shift series of the checkers and of the constructor's tail
 certificates comes from one function, ``_shift_series``: log term magnitudes
@@ -188,20 +189,21 @@ def _blocks(checkpoints):
     return out
 
 
-def _block_trend(blocks, tol):
+def _block_trend(blocks):
     """The block rule of ``classify_magnitudes``, over a window of the last
     positive blocks: ``"decay"`` when every ratio is at most _DECAY_RATIO,
     else ``"growth"`` when every ratio is at least _GROWTH_RATIO and every
-    block exceeds tol, else ``"small"`` when every block is below tol, else
-    None."""
+    block exceeds DEFAULT_TOL, else ``"small"`` when every block is below
+    DEFAULT_TOL, else None."""
     pos = [b for b in blocks if b > 0]
     window = pos[-min(4, max(2, len(pos) // 2)) :] if len(pos) >= 2 else pos
     ratios = [b1 / b0 for b0, b1 in zip(window, window[1:]) if b0 > 0]
     if ratios and all(r <= _DECAY_RATIO for r in ratios):
         return "decay"
-    if ratios and all(r >= _GROWTH_RATIO for r in ratios) and all(b > tol for b in window):
+    if (ratios and all(r >= _GROWTH_RATIO for r in ratios)
+            and all(b > DEFAULT_TOL for b in window)):
         return "growth"
-    if window and all(b < tol for b in window):
+    if window and all(b < DEFAULT_TOL for b in window):
         return "small"
     return None
 
@@ -231,20 +233,14 @@ def _extrapolate_tail(terms, n_max: int) -> float | None:
     return None
 
 
-def classify_magnitudes(
-    mag_fn,
-    n_max: int,
-    *,
-    tol: float = DEFAULT_TOL,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
-) -> Verdict:
+def classify_magnitudes(mag_fn, n_max: int) -> Verdict:
     """Classify the scalar series sum of mag_fn(n) over n = 1..n_max.
 
     mag_fn maps an int64 array of indices to nonnegative term magnitudes.
     """
     if n_max < 2:
         raise InvalidArgumentError("need at least two terms to classify")
-    scan = _scan(mag_fn, n_max, divergence_threshold)
+    scan = _scan(mag_fn, n_max, DEFAULT_DIVERGENCE_THRESHOLD)
     checkpoints = tuple(scan["checkpoints"])
     if scan["exceeded"]:
         rule = "partial sum exceeded divergence threshold" + (
@@ -260,7 +256,7 @@ def classify_magnitudes(
             sum_estimate=scan["total"],
             tail_estimate=0.0,
         )
-    trend = _block_trend(blocks, tol)
+    trend = _block_trend(blocks)
     if trend == "growth":
         return Verdict(DIVERGES, "non-decaying dyadic block sums (condensation)", checkpoints)
     if trend is None:
@@ -282,7 +278,7 @@ def classify_magnitudes(
     )
 
 
-def classify_sup_decay(mag_fn, n_max: int, *, tol: float = DEFAULT_TOL) -> Verdict:
+def classify_sup_decay(mag_fn, n_max: int) -> Verdict:
     """Does mag_fn(n) tend to 0?  (c0-style criterion for distinct-index
     series: unconditional convergence needs exactly term decay.)"""
     scan = _scan(mag_fn, n_max, float("inf"))
@@ -291,11 +287,11 @@ def classify_sup_decay(mag_fn, n_max: int, *, tol: float = DEFAULT_TOL) -> Verdi
         return Verdict(DIVERGES, "term magnitudes do not decay (term overflow)", checkpoints)
     overall = max(scan["chunk_maxima"])
     last = scan["last_quarter_max"]
-    if last == 0.0 or last < tol:
+    if last == 0.0 or last < DEFAULT_TOL:
         return Verdict(CONVERGES, "terms vanish", checkpoints)
     if overall > 0 and last <= 0.2 * overall:
         return Verdict(CONVERGES, "term magnitudes decay", checkpoints)
-    if overall > tol and last >= 0.8 * overall:
+    if overall > DEFAULT_TOL and last >= 0.8 * overall:
         return Verdict(DIVERGES, "term magnitudes do not decay", checkpoints)
     return Verdict(INCONCLUSIVE, "slow or mixed term decay", checkpoints)
 
@@ -323,7 +319,6 @@ def series_probe(
     space: SpaceSpec,
     *,
     magnitudes,
-    tol: float = DEFAULT_TOL,
     max_exp: int = DEFAULT_MAX_EXP,
 ) -> Verdict:
     """Classify unconditional convergence of a series of terms on pairwise
@@ -336,13 +331,10 @@ def series_probe(
     n_max = 2**max_exp
     if space.kind == "lp":
         p = space.p
-        return classify_magnitudes(
-            lambda ns: np.asarray(magnitudes(ns), dtype=float) ** p,
-            n_max,
-            tol=tol,
-        )
+        return classify_magnitudes(lambda ns: np.asarray(magnitudes(ns), dtype=float) ** p,
+                                   n_max)
     if space.kind == "c0":
-        return classify_sup_decay(magnitudes, n_max, tol=tol)
+        return classify_sup_decay(magnitudes, n_max)
     raise InvalidArgumentError(
         "magnitude route supports lp and c0 spaces only"
     )
@@ -451,20 +443,19 @@ def _decide(cls: AsymptoticClass, q: int, s, log_r, summable: bool):
 
 
 def _classify_weighted(space, w: WeightSeq, j: int, q: int, direction: int,
-                       anchor: int | None, n_max: int, tol, decay: bool = False) -> Verdict:
+                       anchor: int | None, n_max: int, decay: bool = False) -> Verdict:
     """Verdict of the weighted-shift series ``_shift_series(w, j, q,
     direction, anchor)`` in ``space``; ``space=None`` is the bilateral c0
     limit condition, -logmag -> infinity.  On the entire space term n is
     weighted by R^(j + n^q - 1) at R = rmax, the worst radius.  ``decay``
     asks whether the (weighted) terms tend to 0, the c0 rule, on any space.
 
-    A family with an asymptotic class is decided by it (``_decide``).  A
-    scan then reports checkpoints and sums without overriding the class:
-    SCAN_TERMS terms at most, or all n_max for a series that converges at
-    the log n or log log n level, whose slow tail the sum needs.  A scan
-    that reads otherwise is named in the rule.  A family without a class
-    is decided by the scan of n_max terms.  n_max < 2 (fewer than two
-    terms within the 2^22 reach) reads no term.
+    The family's asymptotic class decides (``_decide``).  A scan then
+    reports checkpoints and sums without overriding the class: SCAN_TERMS
+    terms at most, or all n_max for a series that converges at the log n
+    or log log n level, whose slow tail the sum needs.  A scan that reads
+    otherwise is named in the rule.  n_max < 2 (fewer than two terms
+    within the 2^22 reach) reads no term.
     """
     kind = None if space is None else space.kind
     if kind not in (None, "lp", "c0", "entire"):
@@ -487,16 +478,11 @@ def _classify_weighted(space, w: WeightSeq, j: int, q: int, direction: int,
         if kind is None:
             return classify_limit_infinite(-series(np.arange(1, n + 1)))
         if kind == "c0" or decay:
-            return classify_sup_decay(mags, n, tol=tol)
-        return classify_magnitudes(mags, n, tol=tol)
+            return classify_sup_decay(mags, n)
+        return classify_magnitudes(mags, n)
 
-    cls = w.asymptotics(direction)
-    if cls is None:
-        if n_max < 2:
-            return Verdict(INCONCLUSIVE, "fewer than two terms within the 2^22 prefix reach")
-        return scan(n_max)
     summable = kind in ("lp", "entire") and not decay
-    verdict, rule, level = _decide(cls, q, _exact(p), log_r, summable)
+    verdict, rule, level = _decide(w.asymptotics(direction), q, _exact(p), log_r, summable)
     if radius > 1:
         rule += f" at R={radius}"
     slow = verdict == CONVERGES and level >= 3  # converges at log n or log log n
@@ -535,7 +521,6 @@ def qfhc_check(
     q: int,
     dense_indices,
     *,
-    tol: float = DEFAULT_TOL,
     max_exp: int = DEFAULT_MAX_EXP,
 ) -> CriterionReport:
     """Probe the two basis-vector series (backward orbit sums at
@@ -551,10 +536,10 @@ def qfhc_check(
         if w.domain == UNILATERAL:
             t_entry = _trivial_t_series_entry(w, q, j)
         else:
-            t_verdict = _classify_weighted(space, w, j, q, -1, j, n_max, tol)
+            t_verdict = _classify_weighted(space, w, j, q, -1, j, n_max)
             t_entry = ProbeEntry(f"T-series j={j}", t_verdict)
 
-        s_verdict = _classify_weighted(space, w, j, q, 1, j, n_max, tol)
+        s_verdict = _classify_weighted(space, w, j, q, 1, j, n_max)
         entries += [t_entry, ProbeEntry(f"S-series j={j}", s_verdict)]
     if w.domain == UNILATERAL:
         notes.append(
@@ -572,7 +557,6 @@ def unilateral_condition(
     q: int,
     j_range,
     *,
-    tol: float = DEFAULT_TOL,
     max_exp: int = DEFAULT_MAX_EXP,
 ) -> CriterionReport:
     """Scalar reduction of the unilateral shift condition: the series of
@@ -584,7 +568,7 @@ def unilateral_condition(
     n_max = _series_term_count(q, max_exp, jmax)
     entries = []
     for j in j_range:
-        verdict = _classify_weighted(space, w, j, q, 1, None, n_max, tol)
+        verdict = _classify_weighted(space, w, j, q, 1, None, n_max)
         entries.append(ProbeEntry(f"j={j}", verdict))
     return _report(
         f"backward shift {w.describe()}", space.describe(), q, entries
@@ -598,7 +582,6 @@ def bilateral_condition(
     *,
     p: float | None = None,
     on_c0: bool = False,
-    tol: float = DEFAULT_TOL,
     max_exp: int = DEFAULT_MAX_EXP,
 ) -> CriterionReport:
     """Bilateral shift condition: per offset j, the forward series of
@@ -621,7 +604,7 @@ def bilateral_condition(
     for j in j_range:
         # -log products w_1..w_{n^q+j}, and log products w_j..w_{j-n^q+1}
         for side, direction, anchor in (("forward", 1, None), ("backward", -1, j)):
-            verdict = _classify_weighted(space, w, j, q, direction, anchor, n_max, tol)
+            verdict = _classify_weighted(space, w, j, q, direction, anchor, n_max)
             entries.append(ProbeEntry(f"{side} {kind} j={j}", verdict))
     label = "c0(Z)" if on_c0 else f"l^{p:g}(Z)"
     return _report(f"bilateral shift {w.describe()}", label, q, entries)
@@ -632,13 +615,12 @@ def weakstar_condition(
     q: int,
     j_range,
     *,
-    tol: float = DEFAULT_TOL,
     max_exp: int = DEFAULT_MAX_EXP,
 ) -> CriterionReport:
     """Absolute-convergence probe of the reciprocal product series per
     offset (the weak* criterion reduces to absolute scalar convergence,
     i.e. the l^1 case of the unilateral condition)."""
-    report = unilateral_condition(w, lp(1), q, j_range, tol=tol, max_exp=max_exp)
+    report = unilateral_condition(w, lp(1), q, j_range, max_exp=max_exp)
     return replace(report, space="l^inf (weak*)")
 
 
@@ -669,9 +651,8 @@ def hc_check(
                 ((min(j, horizon), 0.0),),
             )
         else:
-            t_verdict = _classify_weighted(orbits, w, j, 1, -1, j, horizon, DEFAULT_TOL,
-                                           decay=True)
-        s_verdict = _classify_weighted(orbits, w, j, 1, 1, j, horizon, DEFAULT_TOL, decay=True)
+            t_verdict = _classify_weighted(orbits, w, j, 1, -1, j, horizon, decay=True)
+        s_verdict = _classify_weighted(orbits, w, j, 1, 1, j, horizon, decay=True)
         entries.append(ProbeEntry(f"T-orbit j={j}", t_verdict))
         entries.append(ProbeEntry(f"S-orbit j={j}", s_verdict))
     return _report(
@@ -681,33 +662,26 @@ def hc_check(
 
 @dataclass(frozen=True)
 class SalasEvidence:
-    limsup_infinite: bool
+    limsup_infinite: bool | None  # None: inconclusive
     max_log_product: float
     argmax: int
     horizon: int
-    threshold: float
     rule: str
 
 
 def salas_check(w: WeightSeq, horizon: int = 10**5) -> SalasEvidence:
-    """Running max of |w_1...w_n|: evidence for limsup = infinity.
-
-    Evidence is positive when the running max crosses
-    DEFAULT_DIVERGENCE_THRESHOLD, or keeps setting new records through the
-    last tenth of the horizon."""
+    """Salas: is sup |w_1...w_n| infinite?  Read off the asymptotic class,
+    that is P -> infinity: the c0 condition 1/|w_1...w_n| -> 0 of
+    ``unilateral_condition`` at offset 0, with that verdict's rule (None
+    when it is inconclusive).  The running max of log|w_1...w_n| over the
+    horizon (its value and first index) is reported as evidence."""
     if horizon < 1:
         raise InvalidArgumentError("horizon must be at least 1")
-    threshold = DEFAULT_DIVERGENCE_THRESHOLD
+    verdict = _classify_weighted(c0(), w, 0, 1, 1, None, horizon)
     lms = w.prefix_logmag(np.arange(1, horizon + 1, dtype=np.int64))
-    argmax = int(np.argmax(lms)) + 1
-    mx = float(lms.max())
-    if mx > math.log(threshold):
-        return SalasEvidence(True, mx, argmax, horizon, threshold, "threshold crossed")
-    if argmax >= int(0.9 * horizon):
-        return SalasEvidence(
-            True, mx, argmax, horizon, threshold, "records persist to the horizon"
-        )
-    return SalasEvidence(False, mx, argmax, horizon, threshold, "running max stalled")
+    limsup = {CONVERGES: True, DIVERGES: False}.get(verdict.kind)
+    return SalasEvidence(limsup, float(lms.max()), int(np.argmax(lms)) + 1, horizon,
+                         verdict.rule)
 
 
 def fhc_check_tmu(
@@ -715,7 +689,6 @@ def fhc_check_tmu(
     degrees=range(0, 6),
     *,
     rmax: int = 8,
-    tol: float = DEFAULT_TOL,
     max_exp: int = 12,
 ) -> CriterionReport:
     """Frequent-hypercyclicity probe for f(z) -> f'(mu z) on the monomials
@@ -724,4 +697,4 @@ def fhc_check_tmu(
     if any(k < 0 for k in degrees):
         raise InvalidArgumentError("degrees must be nonnegative")
     return qfhc_check(entire(rmax), TMuWeight(mu), 1, [k + 1 for k in degrees],
-                      tol=tol, max_exp=max_exp)
+                      max_exp=max_exp)

@@ -178,21 +178,23 @@ class WeightSeq:
     def _phase_at(self, ns: np.ndarray) -> np.ndarray:
         return _head_tail(ns, self._ph, self._step[1], self._ph_neg, self._step_neg[1])
 
-    def asymptotics(self, side: int = 1) -> AsymptoticClass | None:
+    def asymptotics(self, side: int = 1) -> AsymptoticClass:
         """The asymptotic class of m -> P(side * m) as m -> infinity: the
         positive side for side > 0, the nonpositive one of a bilateral
         family for side < 0, where P(-m) = -(log w_{-m+1} + ... + log w_0).
 
         Under the head/tail rule each side is linear past its head, so
         c = log|tail| on the positive side and -log|tail_neg| on the
-        other (``_log_modulus``); the head adds O(1).  None where no class
-        is known: the negative side of a unilateral family, or a subclass
-        with its own ``_logmag_at`` that does not give its class here.
+        other (``_log_modulus``); the head adds O(1).  A unilateral family
+        has no nonpositive side (``DomainMismatchError``), and a subclass
+        with its own ``_logmag_at`` must give its own class
+        (``NotImplementedError``).
         """
         if side < 0 and self.domain != BILATERAL:
-            return None
+            raise DomainMismatchError("a unilateral family has no nonpositive side")
         if type(self)._logmag_at is not WeightSeq._logmag_at:
-            return None
+            raise NotImplementedError(
+                f"{type(self).__name__} overrides _logmag_at without giving its asymptotic class")
         if side > 0:
             return AsymptoticClass(c=_log_modulus(self._tails[0]))
         return AsymptoticClass(c=-_log_modulus(self._tails[1]))
@@ -288,7 +290,7 @@ class BergmanWeight(WeightSeq):
         return lm
 
     def asymptotics(self, side=1):
-        return AsymptoticClass(d=_ratio(1, 2)) if side > 0 else None
+        return AsymptoticClass(d=_ratio(1, 2)) if side > 0 else super().asymptotics(side)
 
 
 class LogRatioWeight(WeightSeq):
@@ -307,7 +309,7 @@ class LogRatioWeight(WeightSeq):
         return lm
 
     def asymptotics(self, side=1):
-        return AsymptoticClass(e=1) if side > 0 else None
+        return AsymptoticClass(e=1) if side > 0 else super().asymptotics(side)
 
 
 class RootRatioWeight(WeightSeq):
@@ -332,7 +334,9 @@ class RootRatioWeight(WeightSeq):
         return lm
 
     def asymptotics(self, side=1):
-        return AsymptoticClass(d=_ratio(1, 2 * self.p)) if side > 0 else None
+        if side < 0:
+            return super().asymptotics(side)
+        return AsymptoticClass(d=_ratio(1, 2 * self.p))
 
     def params(self):
         return {"p": self.p}
@@ -383,7 +387,7 @@ class TMuWeight(WeightSeq):
         # Stirling: lgamma(m) = m log m - m - (1/2) log m + O(1), plus
         # (m^2 - 3m)/2 * log|mu| from the triangle numbers
         if side < 0:
-            return None
+            return super().asymptotics(side)
         log_mu = _log_modulus(self.mu)
         return AsymptoticClass(a=log_mu / 2, b=1, c=-1 - 1.5 * log_mu, d=_ratio(-1, 2))
 

@@ -47,6 +47,16 @@ class TestConfigHandling:
         assert run(["density", "--config", cfg]) == 1
         assert "unknown key 'seed'" in capsys.readouterr().err
 
+    def test_tol_key_and_flag_rejected(self, tmp_path, capsys):
+        # verdicts come from asymptotic classes; no tolerance is configurable
+        cfg = write_config(
+            tmp_path, "c.json", {"scenario": "density", "times": [1, 2, 3], "tol": [1]}
+        )
+        assert run(["density", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err == "config error: config: unknown key 'tol'\n"
+        with pytest.raises(SystemExit):
+            run(["density", "--config", cfg, "--tol", "1e-8"])
+
     def test_scenario_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"scenario": "jsets", "times": [1]})
         assert run(["density", "--config", cfg]) == 1
@@ -57,7 +67,6 @@ class TestConfigHandling:
         assert run(["density", "--config", cfg, "--out", out, "--horizon", 9]) == 0
         echoed = json.loads((out / "config.resolved.json").read_text())
         assert echoed["horizon"] == 9
-        assert echoed["tol"] == 1e-8
         assert echoed["q"] == 1
 
     def test_flag_overrides_config(self, tmp_path):
@@ -78,7 +87,6 @@ ORBIT = {"weights": {"family": "Constant", "value": 2}, "vector": {"basis": 3}}
 @pytest.mark.parametrize("scenario, config, where", [
     ("density", {"times": [1, 2, 3], "q": "x"}, "config.q"),
     ("density", {"times": [1, 2, 3], "horizon": "h"}, "config.horizon"),
-    ("density", {"times": [1, 2, 3], "tol": [1]}, "config.tol"),
     ("density", {"times": [1, 2, 3], "horizon": 10, "burn_in": "x"}, "config.burn_in"),
     ("jsets", {"nseq": ["a", 2], "horizon": 100}, "config.nseq"),
     ("jsets", {"nseq": [1, 2], "k": "x", "horizon": 100}, "config.k"),
@@ -487,7 +495,7 @@ class TestResolvedConfigEcho:
         echoed = json.loads(path.read_text())
         assert echoed == {
             "scenario": "density", "out": str(out), "horizon": 200_000,
-            "tol": 1e-8, "times": times, "q": 1, "burn_in": None,
+            "times": times, "q": 1, "burn_in": None,
         }
 
 

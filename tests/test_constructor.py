@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -79,6 +80,12 @@ class TestCanonicalTargets:
         ts = canonical_targets(60)
         sizes = [max(t.support) for t in ts]
         assert sizes == sorted(sizes)
+
+    def test_first_700_pinned(self):
+        # sha256 of the repr of the recursive enumeration that preceded
+        # ``itertools.product``: 24 of support 1, 600 of support 2, 76 of support 3
+        digest = hashlib.sha256(repr(canonical_targets(700)).encode()).hexdigest()
+        assert digest == "9ab9b9d35875eed8643de9a6a0e74b2d371a1eb366079f93546e3ae8c4d94ba1"
 
 
 class TestThresholdSelection:

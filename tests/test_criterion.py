@@ -18,7 +18,6 @@ from shiftlab.criterion import (
     _shift_series,
     bilateral_condition,
     classify_magnitudes,
-    classify_sup_decay,
     fhc_check_tmu,
     hc_check,
     qfhc_check,
@@ -28,7 +27,7 @@ from shiftlab.criterion import (
     weakstar_condition,
 )
 from shiftlab.density import iroot
-from shiftlab.errors import InvalidArgumentError
+from shiftlab.errors import DomainMismatchError, InvalidArgumentError
 from shiftlab.seqspace import BILATERAL, CoeffVector, c0, entire, lp
 from shiftlab.shiftops import (
     BACKWARD,
@@ -61,9 +60,8 @@ class TestScalarClassifier:
         assert abs(v.sum_estimate - math.pi**2 / 6) <= 1e-6
 
     def test_threshold_divergence(self):
-        v = classify_magnitudes(
-            lambda ns: np.ones(len(ns)), 2**16, divergence_threshold=100.0
-        )
+        # terms of 100 pass the default threshold 1e6 after 10^4 terms
+        v = classify_magnitudes(lambda ns: np.full(len(ns), 100.0), 2**16)
         assert v.kind == DIVERGES
         assert "threshold" in v.rule
 
@@ -373,44 +371,10 @@ class TestPlainHypercyclicity:
             want = unilateral_condition(weights(), c0(), 1, [j]).entries[0].verdict.kind
             assert rep.entry(f"S-orbit j={j}").verdict.kind == want, j
 
-    @pytest.mark.parametrize("weights", [
-        lambda: _NoClassUnilateral(2),
-        lambda: _NoClassBilateral({}, default_pos=2.0, default_nonpos=0.5),
-    ])
-    def test_families_without_a_class_keep_the_scan(self, weights):
-        w = weights()
-        assert w.asymptotics(1) is None and w.asymptotics(-1) is None
-        rep = hc_check(lp(2, w.domain), w, [1, 4], horizon=3000)
-        for j in (1, 4):
-            got = rep.entry(f"S-orbit j={j}").verdict
-            assert repr(got) == repr(_scanned_orbit_decay(w, j, 1, 3000))
-            if w.domain == BILATERAL:
-                got = rep.entry(f"T-orbit j={j}").verdict
-                assert repr(got) == repr(_scanned_orbit_decay(w, j, -1, 3000))
-
-
-class _NoClassUnilateral(ConstantWeight):
-    """log|w_1...w_n| = 0.3 log(n + 1) + sin(n / 40) / 2: no asymptotic class."""
-
-    def _logmag_at(self, ns):
-        return 0.3 * np.log1p(ns) + 0.5 * np.sin(ns / 40.0)
-
-
-class _NoClassBilateral(BilateralTableWeight):
-    """log|w_1...w_n| = n / 100 + 2 sin(n / 300) on both sides: no class."""
-
-    def _logmag_at(self, ns):
-        return ns / 100.0 + 2.0 * np.sin(ns / 300.0)
-
-
-def _scanned_orbit_decay(w, j, direction, horizon):
-    """The scan that decided every ``hc_check`` orbit before the asymptotic
-    class did, copied verbatim; a family with no class still gets it."""
-    series = _shift_series(w, j, 1, direction, j)
-    return classify_sup_decay(lambda m: np.exp(series(m)), horizon)
-
 
 class TestRunningMaxEvidence:
+    """``salas_check``: sup |w_1...w_n| = infinity, read off the class."""
+
     def test_bergman_records_persist(self):
         ev = salas_check(BergmanWeight())
         assert ev.limsup_infinite
@@ -418,10 +382,29 @@ class TestRunningMaxEvidence:
     def test_rolewicz_crosses_threshold(self):
         ev = salas_check(ConstantWeight(2), horizon=10**3)
         assert ev.limsup_infinite
-        assert ev.rule == "threshold crossed"
+        assert ev.rule == "asymptotic class at n: coefficient -0.693147 < 0"
 
     def test_unweighted_stalls(self):
         assert not salas_check(ConstantWeight(1)).limsup_infinite
+
+    @pytest.mark.parametrize("weights, want", [
+        # products tending to 0: a running max past 1e6, or a record at the
+        # horizon's end, once read as limsup = infinity
+        (lambda: TMuWeight(0.9999), False),
+        (lambda: TableWeight([1e7], 0.5), False),
+        (BergmanWeight, True),
+        (lambda: RootRatioWeight(2), True),
+        (LogRatioWeight, True),
+        (lambda: ConstantWeight(1.01), True),
+        (lambda: ConstantWeight(1), False),
+        (lambda: ConstantWeight(1 + 1e-13), None),
+    ])
+    def test_verdict_is_the_class_reading(self, weights, want):
+        ev = salas_check(weights())
+        assert ev.limsup_infinite is want
+        # the c0 condition of the reciprocal products at offset 0
+        v = unilateral_condition(weights(), c0(), 1, [0]).entries[0].verdict
+        assert ev.rule.split(" (")[0] == v.rule.split(" (")[0]
 
 
 class TestDifferentiationCriterion:
@@ -648,15 +631,26 @@ class TestAsymptoticClass:
         assert unilateral_condition(ConstantWeight(1 + 1e-9), lp(2), 1, [0]).overall == SATISFIES
         assert unilateral_condition(ConstantWeight(1 - 1e-9), lp(2), 1, [0]).overall == FAILS
 
-    def test_families_without_a_class_are_scanned(self):
+    def test_a_family_without_a_class_is_refused(self):
         class Doubling(ConstantWeight):
             def _logmag_at(self, ns):
                 return ns * math.log(2.0)
 
         w = Doubling(2)
-        assert w.asymptotics() is None
-        v = unilateral_condition(w, lp(2), 1, [0]).entries[0].verdict
-        assert (v.kind, v.rule) == (CONVERGES, "terms eventually zero")
+        with pytest.raises(NotImplementedError, match="Doubling"):
+            w.asymptotics()
+        with pytest.raises(NotImplementedError, match="Doubling"):
+            qfhc_check(lp(2), w, 1, [1])
+        with pytest.raises(NotImplementedError, match="Doubling"):
+            hc_check(lp(2), w, [1])
+
+    @pytest.mark.parametrize("weights", [
+        lambda: ConstantWeight(2), lambda: TableWeight([3.0], 2.0), BergmanWeight,
+        LogRatioWeight, lambda: RootRatioWeight(2), lambda: TMuWeight(1.5),
+    ])
+    def test_unilateral_families_have_no_nonpositive_side(self, weights):
+        with pytest.raises(DomainMismatchError, match="no nonpositive side"):
+            weights().asymptotics(-1)
 
 
 class TestTMuTheorem:

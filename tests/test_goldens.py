@@ -30,6 +30,12 @@ asymptotic class.  A leaf-by-leaf comparison (each entry's label, kind,
 rule, checkpoints, sum and tail, plus ``overall`` and ``notes``) showed
 the same reports except six orbit rules of ``hc unilateral`` and
 ``hc bilateral``, now named by the class; their kinds stayed.
+The seven ``config.resolved.json`` hashes were re-recorded when the
+``tol`` key left the CLI; a diff showed only the ``"tol": 1e-08`` line
+gone.  The two ``salas`` reports were re-recorded when ``salas_check``
+came to read the asymptotic class: a diff showed the same verdicts
+(both True) and running maxima, a class rule in place of the threshold
+and record rules, and no ``threshold`` field.
 
 Running this file as a script, ``python tests/test_goldens.py [CASE ...]``,
 prints ``case<TAB>repr(report)`` per report case, so that a re-record
@@ -81,7 +87,7 @@ GOLDENS = {
         {"times": density_times(), "q": 1, "horizon": DENSITY_HORIZON},
         {
             "config.resolved.json":
-                "741fc357580d16e5ee4f1b310be1fb3ea2053996795900986297b2682d6c5d7f",
+                "800943a95f7c218e7b2553076f8fc155e7fe7846680531bd3927b2951f297d80",
             "density_profile.csv":
                 "b664e4fb122a099ece6d0a209ca2ab96e14c77aec601bd52913377966343798f",
         },
@@ -91,7 +97,7 @@ GOLDENS = {
         {"times": density_times(), "q": 2, "horizon": DENSITY_HORIZON},
         {
             "config.resolved.json":
-                "04b3a6f63d0af31f5d352c3dd4fdc0beece7113251074650ee62f121846ca426",
+                "986dcd4f9ad5c278fa8f2d122079b845505a1a3e18b06f1ef6ade214610fa108",
             "density_profile.csv":
                 "593cfea3e8cd1f41636e0a6392f40bd6318a1df61cc43646f47f2c4ef0510331",
         },
@@ -101,7 +107,7 @@ GOLDENS = {
         {"nseq": [1, 2, 3, 4, 5], "horizon": 100_000},
         {
             "config.resolved.json":
-                "3a709afed85e590af1dd03e15d0d6254ca8b60b337e0704613fd2744a50099d8",
+                "daa63170dc03dec520c77467eeb67be38c2104ad60a1254f8002416697287323",
             "jsets.csv":
                 "f80dacba3f0b25a9506427964b3202931fde71420b87ff26eb108b56cebd9d5c",
             "jsets_densities.csv":
@@ -113,7 +119,7 @@ GOLDENS = {
         {"weights": {"family": "Bergman"}, "q": 2},
         {
             "config.resolved.json":
-                "d28f5d9cf2cbdcfdc8cf8c02c854ddf7cde4c85915c61d64a43f452ba8356bca",
+                "44de3ceb8e04ca4cbf32d5b709dcf35036b74b89937961ab85b91ab8176c3da8",
             "criterion.csv":
                 "cb76a682dbe5d9a2bbb24ec8c14131e488cfc60dce6fd3fe8aee9b0e88eddb22",
         },
@@ -125,7 +131,7 @@ GOLDENS = {
             "candidate.csv":
                 "d81b1a6033cd9106e76fa083d892f93500cf10e95041bd8b81259840c40b9071",
             "config.resolved.json":
-                "adf010f7ea6e315e96029d7f970a0ff9dfe397845b51aeb2b696573ccafacb1d",
+                "2647bd81c10ddb46ae907c84db7762c8fe32e164ffa9009ba975a1ba7715e3e8",
             "eq33.csv":
                 "49303f707949820b008a41c8edf2a3606b92e8bb71a33ed5b47330a518723665",
         },
@@ -140,7 +146,7 @@ GOLDENS = {
         },
         {
             "config.resolved.json":
-                "8272b1cc6598644186439ccb8b33d8df074fcd9adfcb8c3e009118dcc48b4100",
+                "19afd395abff30f2db742e347a385eccf4372d595e4540cd6314a84c62c1796c",
             "hits.csv":
                 "15f2d63c16512064f608becfc147d458217a46b248d6b7d606c3be3ea9284f8f",
             "orbit_events.jsonl":
@@ -155,7 +161,7 @@ GOLDENS = {
         },
         {
             "config.resolved.json":
-                "9c8723e7cab2c9c088f8ec08f785a6ab99c20ba5afa9288812f23c88a2d42d8d",
+                "1ca002bc554ec013cd3eb47cc35d6b57703fa8f33a9ff3f182c3d40fda392473",
             "sweep.csv":
                 "82f695293064fe869b0d5a004e141ed3bd55a18e4fe1e9f4b008448c4f647f22",
         },
@@ -253,9 +259,9 @@ REPORT_GOLDENS = {
     "qfhc tmu":
         "ed4971bb22e449568e41e5c23017d33874805184eaa942bd2977b5c5f437cdf4",
     "salas constant":
-        "ad93fd14a529d46affb2564ae8f8b7f5152a9dd94f4d04b16d23412d9958214f",
+        "70ec52279a70ace02f2b83565afd1ea5b4573c4e5519d8f7c91a3cdd03ae63ca",
     "salas rootratio":
-        "4776a0e693ccb68b79bd0babdb305a8ee6887863d87f531f27b26baeed81e37e",
+        "c2bb756711b7a1b237ce7351b3409ca6c2f0493a62dd3147a56e4d152cb62138",
     "select c0 constant":
         "1e95a4d1bc5d030d072c50196ae74fea5ac1e2aeed3d90621fcb93e276693e66",
     "select l2 bergman q=2":

@@ -26,7 +26,9 @@ def test_script_exits_zero(name, args, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )
-    argv = [sys.executable, os.path.join(ROOT, "scripts", name)]
+    # the tier-1 warning policy: an unguarded numpy overflow fails the run
+    argv = [sys.executable, "-W", "error::RuntimeWarning",
+            os.path.join(ROOT, "scripts", name)]
     argv += [a.format(tmp=tmp_path) for a in args]
     proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=300)
