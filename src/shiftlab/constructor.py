@@ -169,12 +169,21 @@ def _criterion_or_refuse(space: SpaceSpec, w: WeightSeq, q: int,
     return report
 
 
+def _window(q: int, targets: tuple[CoeffVector, ...], n_max: int) -> int:
+    """The 64 to n_max terms of ``_thresholds`` whose prefix n^q + jmax is
+    within DEFAULT_STEP_CAP; refused when fewer than 64 are."""
+    jmax = max((max(x.support, default=1) for x in targets), default=1)
+    reach = iroot(DEFAULT_STEP_CAP - jmax, q)
+    if reach < 64:
+        raise InvalidArgumentError(f"q={q} leaves {reach} terms within the 2^23 prefix "
+                                   "reach; the tail certificates need 64")
+    return max(64, min(n_max, reach))
+
+
 def _thresholds(space: SpaceSpec, w: WeightSeq, q: int,
                 targets: tuple[CoeffVector, ...], n_max: int, report: CriterionReport,
                 ) -> tuple[tuple[int, ...], tuple[SelectionDetail, ...]]:
-    """The thresholds of ``select_Nk``, once the criterion holds."""
-    jmax = max(max(x.support, default=1) for x in targets)
-    n_max = max(64, min(n_max, iroot(DEFAULT_STEP_CAP - jmax, q)))
+    """The thresholds of ``select_Nk`` over its ``_window``, once the criterion holds."""
     support = sorted({j for x in targets for j in x.support})
     s_tails = {j: _certified_s_tails(space, w, q, j, n_max) for j in support}
     # per-target combined tails, via the triangle inequality over support
@@ -224,6 +233,7 @@ def select_Nk(
     criterion does not hold on the targets' support.
     """
     targets = tuple(targets)
+    n_max = _window(q, targets, n_max)
     report = _criterion_or_refuse(space, w, q, targets)
     return _thresholds(space, w, q, targets, n_max, report)
 
@@ -263,6 +273,8 @@ def build_vector(
     classes: the horizon caps the exponent n^q, not the class index n."""
     targets = tuple(targets)
     schedule = EpsilonSchedule()
+    if nseq is None:
+        n_max = _window(q, targets, n_max)
     crit = _criterion_or_refuse(space, w, q, targets)
     if nseq is None:
         nseq, details = _thresholds(space, w, q, targets, n_max, crit)

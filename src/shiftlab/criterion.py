@@ -2,8 +2,9 @@
 
 Every verdict comes by one of two routes.  A weighted-shift series (of
 ``qfhc_check``, ``unilateral_condition``, ``bilateral_condition``,
-``weakstar_condition``, and the orbit decay of ``hc_check``) goes through
-``_classify_weighted``; a bare magnitude map goes through ``series_probe``.
+``weakstar_condition``, ``salas_check``, the orbit decay of ``hc_check``)
+goes through ``_classify_weighted``, the one domain check of every checker;
+a bare magnitude map goes through ``series_probe``.
 
 A weighted-shift series of a built-in weight family is decided from the
 family's asymptotic class (``WeightSeq.asymptotics``): the coefficients of
@@ -297,7 +298,8 @@ def classify_sup_decay(mag_fn, n_max: int) -> Verdict:
 
 
 def classify_limit_infinite(values: np.ndarray) -> Verdict:
-    """Monotone-tail heuristic for values -> +infinity."""
+    """Monotone-tail heuristic for values -> +infinity.  No checker calls it;
+    it is kept only because the benchmark tracer wraps it by name."""
     values = np.asarray(values, dtype=float)
     checkpoints = tuple(
         (int(m), float(values[m - 1]))
@@ -343,12 +345,6 @@ def series_probe(
 # ---------------------------------------------------------------------------
 # criterion checkers
 # ---------------------------------------------------------------------------
-
-
-def _check_domain(space: SpaceSpec, w: WeightSeq):
-    if space.domain != w.domain:
-        raise DomainMismatchError(
-            f"{w.domain} weights on a {space.domain} space {space.describe()}")
 
 
 def _indices(indices) -> list:
@@ -442,13 +438,13 @@ def _decide(cls: AsymptoticClass, q: int, s, log_r, summable: bool):
     return DIVERGES, f"asymptotic class: every coefficient on its boundary ({limit})", 5
 
 
-def _classify_weighted(space, w: WeightSeq, j: int, q: int, direction: int,
+def _classify_weighted(space: SpaceSpec, w: WeightSeq, j: int, q: int, direction: int,
                        anchor: int | None, n_max: int, decay: bool = False) -> Verdict:
     """Verdict of the weighted-shift series ``_shift_series(w, j, q,
-    direction, anchor)`` in ``space``; ``space=None`` is the bilateral c0
-    limit condition, -logmag -> infinity.  On the entire space term n is
-    weighted by R^(j + n^q - 1) at R = rmax, the worst radius.  ``decay``
-    asks whether the (weighted) terms tend to 0, the c0 rule, on any space.
+    direction, anchor)`` in ``space``, refused before any read unless the
+    space's domain is the family's.  On the entire space term n is weighted
+    by R^(j + n^q - 1) at R = rmax, the worst radius.  ``decay`` asks
+    whether the (weighted) terms tend to 0, the c0 rule, on any space.
 
     The family's asymptotic class decides (``_decide``).  A scan then
     reports checkpoints and sums without overriding the class: SCAN_TERMS
@@ -457,8 +453,11 @@ def _classify_weighted(space, w: WeightSeq, j: int, q: int, direction: int,
     otherwise is named in the rule.  n_max < 2 (fewer than two terms
     within the 2^22 reach) reads no term.
     """
-    kind = None if space is None else space.kind
-    if kind not in (None, "lp", "c0", "entire"):
+    if space.domain != w.domain:
+        raise DomainMismatchError(
+            f"{w.domain} weights on a {space.domain} space {space.describe()}")
+    kind = space.kind
+    if kind not in ("lp", "c0", "entire"):
         raise InvalidArgumentError(f"unsupported space kind {kind} for shifts")
     series = _shift_series(w, j, q, direction, anchor)
     radius = space.rmax if kind == "entire" else 1
@@ -473,14 +472,6 @@ def _classify_weighted(space, w: WeightSeq, j: int, q: int, direction: int,
             lms *= p
             return np.exp(lms, out=lms)
 
-    def scan(n):
-        """The space's block-sum classifier over the first n terms."""
-        if kind is None:
-            return classify_limit_infinite(-series(np.arange(1, n + 1)))
-        if kind == "c0" or decay:
-            return classify_sup_decay(mags, n)
-        return classify_magnitudes(mags, n)
-
     summable = kind in ("lp", "entire") and not decay
     verdict, rule, level = _decide(w.asymptotics(direction), q, _exact(p), log_r, summable)
     if radius > 1:
@@ -489,7 +480,7 @@ def _classify_weighted(space, w: WeightSeq, j: int, q: int, direction: int,
     n_scan = n_max if slow else min(SCAN_TERMS, n_max)
     if n_scan < 2:
         return Verdict(verdict, rule)
-    report = scan(n_scan)
+    report = (classify_magnitudes if summable else classify_sup_decay)(mags, n_scan)
     if report.kind not in (verdict, INCONCLUSIVE):
         rule += f" (a {n_scan}-term scan reads {report.kind})"
     if verdict == CONVERGES and report.kind == CONVERGES:
@@ -526,20 +517,19 @@ def qfhc_check(
     """Probe the two basis-vector series (backward orbit sums at
     exponents n^q, and forward right-inverse sums) for every listed
     basis index."""
-    _check_domain(space, w)
     dense_indices = _offsets(dense_indices)
     jmax = max(abs(j) for j in dense_indices)
     n_max = _series_term_count(q, max_exp, jmax)
     entries = []
     notes = []
     for j in dense_indices:
+        # S first: its domain check comes before the T head's reads
+        s_verdict = _classify_weighted(space, w, j, q, 1, j, n_max)
         if w.domain == UNILATERAL:
             t_entry = _trivial_t_series_entry(w, q, j)
         else:
             t_verdict = _classify_weighted(space, w, j, q, -1, j, n_max)
             t_entry = ProbeEntry(f"T-series j={j}", t_verdict)
-
-        s_verdict = _classify_weighted(space, w, j, q, 1, j, n_max)
         entries += [t_entry, ProbeEntry(f"S-series j={j}", s_verdict)]
     if w.domain == UNILATERAL:
         notes.append(
@@ -561,8 +551,8 @@ def unilateral_condition(
 ) -> CriterionReport:
     """Scalar reduction of the unilateral shift condition: the series of
     reciprocal prefix products at exponent-spaced indices, per offset j."""
-    if space.kind not in ("lp", "c0"):
-        raise InvalidArgumentError("unilateral condition reduces to lp or c0 only")
+    if space.kind not in ("lp", "c0") or space.domain != UNILATERAL:
+        raise InvalidArgumentError("unilateral condition reduces to unilateral lp or c0 only")
     j_range = _offsets(j_range)
     jmax = max(j_range)
     n_max = _series_term_count(q, max_exp, jmax)
@@ -577,26 +567,20 @@ def unilateral_condition(
 
 def bilateral_condition(
     w: WeightSeq,
+    space: SpaceSpec,
     q: int,
     j_range,
     *,
-    p: float | None = None,
-    on_c0: bool = False,
     max_exp: int = DEFAULT_MAX_EXP,
 ) -> CriterionReport:
-    """Bilateral shift condition: per offset j, the forward series of
-    reciprocal products and the backward series of products.
-
-    For l^p both scalar series are classified; on c0 the two limit
-    conditions (products to infinity forward, to zero backward) are
-    checked by monotone-tail heuristics.
-    """
-    if w.domain != BILATERAL:
-        raise InvalidArgumentError("bilateral condition needs bilateral weights")
-    if not on_c0 and (p is None or p < 1):
-        raise InvalidArgumentError("provide p >= 1 or set on_c0=True")
-    space = None if on_c0 else lp(p, BILATERAL)
-    kind = "products" if on_c0 else "series"
+    """Bilateral shift condition on l^p(Z) or c0(Z): per offset j, the
+    forward series of reciprocal products and the backward series of
+    products.  On c0(Z) both are term-decay conditions (products to
+    infinity forward, to zero backward)."""
+    if space.kind not in ("lp", "c0") or space.domain != BILATERAL:
+        raise InvalidArgumentError("bilateral condition needs an lp or c0 bilateral space")
+    kind, label = (("products", "c0(Z)") if space.kind == "c0"
+                   else ("series", f"l^{space.p:g}(Z)"))
     j_range = _offsets(j_range)
     jmax = max(abs(j) for j in j_range)
     n_max = _series_term_count(q, max_exp, jmax)
@@ -606,7 +590,6 @@ def bilateral_condition(
         for side, direction, anchor in (("forward", 1, None), ("backward", -1, j)):
             verdict = _classify_weighted(space, w, j, q, direction, anchor, n_max)
             entries.append(ProbeEntry(f"{side} {kind} j={j}", verdict))
-    label = "c0(Z)" if on_c0 else f"l^{p:g}(Z)"
     return _report(f"bilateral shift {w.describe()}", label, q, entries)
 
 
@@ -636,11 +619,10 @@ def hc_check(
     S-orbit terms carry the majorant factor R^(j + n - 1) at R = rmax, the
     worst radius; on every other space the norm of a basis vector's orbit
     is the modulus of its one coefficient, the c0 condition."""
-    _check_domain(space, w)
     dense_indices = _indices(dense_indices)
     if horizon < 1:
         raise InvalidArgumentError("horizon must be at least 1")
-    orbits = space if space.kind == "entire" else c0(w.domain)
+    orbits = space if space.kind == "entire" else c0(space.domain)
     entries = []
     for j in dense_indices:
         if w.domain == UNILATERAL:
@@ -673,8 +655,9 @@ def salas_check(w: WeightSeq, horizon: int = 10**5) -> SalasEvidence:
     """Salas: is sup |w_1...w_n| infinite?  Read off the asymptotic class,
     that is P -> infinity: the c0 condition 1/|w_1...w_n| -> 0 of
     ``unilateral_condition`` at offset 0, with that verdict's rule (None
-    when it is inconclusive).  The running max of log|w_1...w_n| over the
-    horizon (its value and first index) is reported as evidence."""
+    when it is inconclusive; a bilateral family is refused).  The running
+    max of log|w_1...w_n| over the horizon (its value and first index) is
+    reported as evidence."""
     if horizon < 1:
         raise InvalidArgumentError("horizon must be at least 1")
     verdict = _classify_weighted(c0(), w, 0, 1, 1, None, horizon)

@@ -24,6 +24,7 @@ def test_workflow_parses_and_keeps_its_limits():
     assert "pyyaml" in runs["Install dependencies"].split()
     assert "--durations=10" in runs["Tier-1 tests"]
     assert "perfbench/test_smoke.py" in runs["Benchmark smoke test"]
+    assert runs["Benchmark oracle self-check"] == "python3 perfbench/oracles.py"
     gate = runs["Benchmark gate"]
     assert "for w in criterion-grid construct-verify orbit-density; do" in gate
     assert ('python3 perfbench/run.py --workload "$w" --seed 0 --seconds 1 --trace 0'

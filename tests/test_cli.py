@@ -206,6 +206,19 @@ class TestScenarios:
         )
         assert run(["construct", "--config", bad_cfg, "--out", tmp_path / "o2"]) == 2
 
+    def test_construct_past_the_certificate_reach_is_an_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {"scenario": "construct", "weights": {"family": "Constant", "value": 2},
+             "q": 4, "k": 2},
+        )
+        assert run(["construct", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            "error: q=4 leaves 53 terms within the 2^23 prefix reach; "
+            "the tail certificates need 64\n")
+        assert not (tmp_path / "o" / "candidate.csv").exists()
+
     def test_orbit_events_jsonl(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(
@@ -361,6 +374,23 @@ class TestScenarios:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "weights,q=1,q=23"
         assert lines[1].endswith("fails,satisfies")
+
+    @pytest.mark.parametrize("grid, space, message", [
+        # 2 times a unitary shift on l^2(Z): no offset series can read it
+        ([{"family": "BilateralTable", "default_pos": 2, "default_nonpos": 2}],
+         {"kind": "lp", "p": 2},
+         "error: bilateral weights on a unilateral space l^2 (unilateral)\n"),
+        ([{"family": "Bergman"}], {"kind": "lp", "p": 2, "domain": "bilateral"},
+         "error: unilateral condition reduces to unilateral lp or c0 only\n"),
+    ], ids=["bilateral-family", "bilateral-space"])
+    def test_sweep_across_domains_is_an_error(self, tmp_path, capsys, grid, space, message):
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"scenario": "sweep", "space": space, "grid": grid, "q_values": [1, 2]},
+        )
+        assert run(["sweep", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "o" / "sweep.csv").exists()
 
     @pytest.mark.parametrize("mode", ["offset", "Basis", ""])
     def test_sweep_unknown_mode_is_a_config_error(self, tmp_path, capsys, mode):

@@ -136,6 +136,26 @@ class TestBuildVector:
         with pytest.raises(ConstructionRefusedError):
             build_vector(lp(2), BergmanWeight(), 1, [E1])
 
+    @pytest.mark.parametrize("q, reach", [(4, 53), (11, 4)])
+    def test_q_past_the_certificate_reach_refused_before_any_read(self, q, reach):
+        # a 64-term window passes the 2^23 prefix cap at q = 4 (64^4 = 2^24),
+        # and 64^11 wraps int64
+        w = ConstantWeight(2)
+        reads = []
+        at = w._at
+        w._at = lambda points, phase=True: reads.append(points) or at(points, phase)
+        match = f"q={q} leaves {reach} terms within the 2\\^23 prefix reach"
+        with pytest.raises(InvalidArgumentError, match=match):
+            build_vector(lp(2), w, q, canonical_targets(2), horizon=10**4)
+        with pytest.raises(InvalidArgumentError, match=match):
+            select_Nk(lp(2), w, q, canonical_targets(2))
+        assert reads == []
+
+    def test_supplied_nseq_needs_no_certificate_window(self):
+        plan = build_vector(lp(2), ConstantWeight(2), 4, canonical_targets(2),
+                            horizon=10**4, nseq=(1, 2))
+        assert plan.nseq == (1, 2) and plan.candidate
+
     @pytest.mark.parametrize("supplied", [False, True])
     def test_criterion_runs_once_per_build(self, monkeypatch, supplied):
         calls = []

@@ -28,7 +28,7 @@ from shiftlab.criterion import (
 )
 from shiftlab.density import iroot
 from shiftlab.errors import DomainMismatchError, InvalidArgumentError
-from shiftlab.seqspace import BILATERAL, CoeffVector, c0, entire, lp
+from shiftlab.seqspace import BILATERAL, CoeffVector, c0, entire, linf_weakstar, lp
 from shiftlab.shiftops import (
     BACKWARD,
     BergmanWeight,
@@ -203,14 +203,14 @@ class TestPrefixReach:
         assert rep.entry("T-series j=1").verdict.kind == CONVERGES
         assert seen[1] <= 2**22
 
-    @pytest.mark.parametrize("on_c0", [False, True])
-    def test_bilateral_condition_stays_inside_the_reach(self, on_c0):
+    @pytest.mark.parametrize("space", [lp(2, BILATERAL), c0(BILATERAL)], ids=["l2", "c0"])
+    def test_bilateral_condition_stays_inside_the_reach(self, space):
         w = BilateralTableWeight({}, default_pos=2.0, default_nonpos=0.5)
         seen = record_reads(w)
-        rep = bilateral_condition(w, 23, range(-2, 3), p=None if on_c0 else 2, on_c0=on_c0)
+        rep = bilateral_condition(w, space, 23, range(-2, 3))
         assert rep.overall == SATISFIES
         assert len(rep.entries) == 10
-        coefficient = "-0.693147" if on_c0 else "-1.38629"
+        coefficient = "-0.693147" if space.kind == "c0" else "-1.38629"
         assert {e.verdict.rule for e in rep.entries} == {
             f"asymptotic class at n^23: coefficient {coefficient} < 0"}
         assert seen[1] <= 2**22
@@ -225,8 +225,8 @@ class TestPrefixReach:
             "qfhc": lambda: qfhc_check(lp(2), w, 1, [1, j]),
             "unilateral": lambda: unilateral_condition(w, lp(2), 1, [j]),
             "weakstar": lambda: weakstar_condition(w, 1, [0, j]),
-            "bilateral": lambda: bilateral_condition(w, 1, [j], p=2),
-            "c0": lambda: bilateral_condition(w, 1, [0, j], on_c0=True),
+            "bilateral": lambda: bilateral_condition(w, lp(2, BILATERAL), 1, [j]),
+            "c0": lambda: bilateral_condition(w, c0(BILATERAL), 1, [0, j]),
         }
         with pytest.raises(InvalidArgumentError, match="past the 2\\^22 prefix reach"):
             calls[check]()
@@ -242,27 +242,88 @@ class TestPrefixReach:
 class TestBilateral:
     def test_expanding_both_sides_satisfies(self):
         w = BilateralTableWeight({}, default_pos=2.0, default_nonpos=0.5)
-        rep = bilateral_condition(w, 1, range(-2, 3), p=2)
+        rep = bilateral_condition(w, lp(2, BILATERAL), 1, range(-2, 3))
         assert rep.overall == SATISFIES
 
     def test_symmetric_weights_fail(self):
         w = BilateralTableWeight({}, default_pos=2.0, default_nonpos=2.0)
-        rep = bilateral_condition(w, 1, range(-2, 3), p=2)
+        rep = bilateral_condition(w, lp(2, BILATERAL), 1, range(-2, 3))
         assert rep.overall == FAILS
 
     def test_c0_limit_route(self):
         w = BilateralTableWeight({}, default_pos=2.0, default_nonpos=0.5)
-        rep = bilateral_condition(w, 1, range(-1, 2), on_c0=True)
+        rep = bilateral_condition(w, c0(BILATERAL), 1, range(-1, 2))
         assert rep.overall == SATISFIES
 
-    def test_needs_p_or_c0(self):
+    @pytest.mark.parametrize("space", [lp(2), c0(), entire(4), linf_weakstar()],
+                             ids=["l2", "c0", "entire", "weakstar"])
+    def test_needs_a_bilateral_lp_or_c0_space(self, space):
         w = BilateralTableWeight({}, default_pos=2.0, default_nonpos=0.5)
-        with pytest.raises(InvalidArgumentError):
-            bilateral_condition(w, 1, [0])
+        seen = record_reads(w)
+        with pytest.raises(InvalidArgumentError, match="lp or c0 bilateral space"):
+            bilateral_condition(w, space, 1, [0])
+        assert seen == [0, 0]
 
     def test_rejects_unilateral_weights(self):
-        with pytest.raises(InvalidArgumentError):
-            bilateral_condition(ConstantWeight(2), 1, [0], p=2)
+        w = ConstantWeight(2)
+        seen = record_reads(w)
+        with pytest.raises(DomainMismatchError):
+            bilateral_condition(w, lp(2, BILATERAL), 1, [0])
+        assert seen == [0, 0]
+
+
+class TestDomainRule:
+    """Every checker compares the space's domain with the weight family's
+    in one place, before any prefix is read."""
+
+    @pytest.mark.parametrize("check", [
+        lambda w: unilateral_condition(w, lp(2), 1, [0, 1]),
+        lambda w: weakstar_condition(w, 1, [0, 1]),
+        lambda w: salas_check(w),
+        lambda w: qfhc_check(lp(2), w, 1, [1, 2]),
+        lambda w: hc_check(c0(), w, [1, 2]),
+    ], ids=["unilateral", "weakstar", "salas", "qfhc", "hc"])
+    def test_unilateral_checkers_refuse_a_bilateral_family(self, check):
+        # 2 times a unitary shift: not hypercyclic on any space
+        w = BilateralTableWeight({}, 2.0, 2.0)
+        seen = record_reads(w)
+        with pytest.raises(DomainMismatchError, match="bilateral weights on a unilateral space"):
+            check(w)
+        assert seen == [0, 0]
+
+    @pytest.mark.parametrize("check", [
+        # qfhc: the S-series is classified before the unilateral T head reads
+        lambda w: qfhc_check(lp(2, BILATERAL), w, 1, [1, 2]),
+        lambda w: hc_check(lp(2, BILATERAL), w, [1, 2]),
+    ], ids=["qfhc", "hc"])
+    def test_bilateral_spaces_refuse_a_unilateral_family(self, check):
+        w = ConstantWeight(2)
+        seen = record_reads(w)
+        with pytest.raises(DomainMismatchError, match="unilateral weights on a bilateral space"):
+            check(w)
+        assert seen == [0, 0]
+
+    @pytest.mark.parametrize("space", [lp(2, BILATERAL), c0(BILATERAL)], ids=["l2", "c0"])
+    def test_unilateral_condition_needs_a_unilateral_space(self, space):
+        w = BergmanWeight()
+        seen = record_reads(w)
+        with pytest.raises(InvalidArgumentError, match="unilateral lp or c0"):
+            unilateral_condition(w, space, 1, [0])
+        assert seen == [0, 0]
+
+    def test_c0_limits_are_term_decay_series(self, monkeypatch):
+        import shiftlab.criterion as criterion
+
+        def refuse(values):
+            raise AssertionError("classify_limit_infinite called")
+
+        monkeypatch.setattr(criterion, "classify_limit_infinite", refuse)
+        w = BilateralTableWeight({}, default_pos=2.0, default_nonpos=0.5)
+        rep = bilateral_condition(w, c0(BILATERAL), 1, range(-1, 2))
+        assert rep.overall == SATISFIES
+        assert rep.space == "c0(Z)"
+        assert [e.label for e in rep.entries][:2] == [
+            "forward products j=-1", "backward products j=-1"]
 
 
 def test_empty_index_list_rejected():
@@ -270,8 +331,8 @@ def test_empty_index_list_rejected():
     checks = (
         lambda: qfhc_check(lp(2), ConstantWeight(2), 1, []),
         lambda: unilateral_condition(ConstantWeight(2), lp(2), 1, []),
-        lambda: bilateral_condition(w2, 1, [], p=2),
-        lambda: bilateral_condition(w2, 1, [], on_c0=True),
+        lambda: bilateral_condition(w2, lp(2, BILATERAL), 1, []),
+        lambda: bilateral_condition(w2, c0(BILATERAL), 1, []),
         lambda: weakstar_condition(ConstantWeight(2), 1, []),
         lambda: hc_check(lp(2), ConstantWeight(2), []),
     )
@@ -546,7 +607,7 @@ class TestAsymptoticClass:
         _bilateral(3.0, 1.5),
     ])
     def test_bilateral_classes_match_the_full_scan(self, weights):
-        rep = bilateral_condition(weights(), 1, [-1, 2], p=2)
+        rep = bilateral_condition(weights(), lp(2, BILATERAL), 1, [-1, 2])
         for j in (-1, 2):
             forward = rep.entry(f"forward series j={j}").verdict.kind
             backward = rep.entry(f"backward series j={j}").verdict.kind

@@ -36,6 +36,12 @@ gone.  The two ``salas`` reports were re-recorded when ``salas_check``
 came to read the asymptotic class: a diff showed the same verdicts
 (both True) and running maxima, a class rule in place of the threshold
 and record rules, and no ``threshold`` field.
+The ``bilateral c0`` and ``bilateral c0 modulus 1`` reports were
+re-recorded when ``bilateral_condition`` came to take a space and its c0
+limit conditions became c0(Z) term-decay series: a diff with the
+checkpoints masked showed the same reports, and the checkpoints moved
+from log-products sampled at 2^i to the dyadic partial sums of the c0
+terms, ending at the scan length like every other c0 report.
 
 Running this file as a script, ``python tests/test_goldens.py [CASE ...]``,
 prints ``case<TAB>repr(report)`` per report case, so that a re-record
@@ -206,14 +212,15 @@ REPORT_CALLS = {
     "unilateral c0": lambda: unilateral_condition(BergmanWeight(), c0(), 2, [1, 4]),
     "unilateral beyond reach": lambda: unilateral_condition(
         ConstantWeight(2), lp(2), 23, [0, 1]),
-    "bilateral l2": lambda: bilateral_condition(_table(), 1, [-1, 0, 2], p=2),
-    "bilateral c0": lambda: bilateral_condition(_table(), 2, [-1, 0, 2], on_c0=True),
+    "bilateral l2": lambda: bilateral_condition(_table(), lp(2, BILATERAL), 1, [-1, 0, 2]),
+    "bilateral c0": lambda: bilateral_condition(_table(), c0(BILATERAL), 2, [-1, 0, 2]),
     "bilateral c0 modulus 1": lambda: bilateral_condition(
-        BilateralTableWeight(), 1, [0, 1], on_c0=True),
+        BilateralTableWeight(), c0(BILATERAL), 1, [0, 1]),
     "bilateral l2 modulus 1": lambda: bilateral_condition(
-        BilateralTableWeight(), 1, [0, 1], p=2),
-    "bilateral beyond reach": lambda: bilateral_condition(_table(), 22, [0, 1], p=2),
-    "bilateral c0 beyond reach": lambda: bilateral_condition(_table(), 23, [0], on_c0=True),
+        BilateralTableWeight(), lp(2, BILATERAL), 1, [0, 1]),
+    "bilateral beyond reach": lambda: bilateral_condition(
+        _table(), lp(2, BILATERAL), 22, [0, 1]),
+    "bilateral c0 beyond reach": lambda: bilateral_condition(_table(), c0(BILATERAL), 23, [0]),
     "weakstar": lambda: weakstar_condition(ConstantWeight(2), 2, [1, 2]),
     "hc unilateral": lambda: hc_check(lp(2), ConstantWeight(2), [1, 3], horizon=500),
     "hc bilateral": lambda: hc_check(lp(2, BILATERAL), _table(), [-1, 2], horizon=500),
@@ -229,11 +236,11 @@ REPORT_GOLDENS = {
     "bilateral beyond reach":
         "f5fdc5b3dfbec7744dc835a0ecd06571a78233bfa0a84c42d9a89f209446aed4",
     "bilateral c0":
-        "f38a7fcd217e1445f2e02e2d39b8812cb5ed0681d859e2b1f90460afcc0c3b68",
+        "1cbc0bd79bff915318c793a6e6aea730270c21137f3a806b6b293fa4293ee917",
     "bilateral c0 beyond reach":
         "8b5e1a4386dca9198f5380742e332698b6665f7ca296b52bcf675c742e7e5a7a",
     "bilateral c0 modulus 1":
-        "f9689bc77c9b51cda129b2064f6279220ad4b1eab4c394418ed96e58afab5687",
+        "2677126ee0966346ff2eff127a919e622fd080330db13f4a48412706711c0ac9",
     "bilateral l2":
         "1b8e9b2865831d4f4bd69da156bb3d180abfad2dbc5b611b1401c35c221e70d6",
     "bilateral l2 modulus 1":
