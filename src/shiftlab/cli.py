@@ -268,6 +268,29 @@ def write_jsonl(path: str, records):
     atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
+def _indented_json(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` at indentation
+    ``pad``, with the same bytes for JSON-loaded values (string keys).
+    That call runs the pure-Python encoder, since the C one does not
+    indent; here each list of scalars goes to the C encoder whole, with the
+    line break and indentation as its item separator, and only dicts and
+    nested lists recurse."""
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = pad + "  "
+    if isinstance(value, dict):
+        body = (",\n" + inner).join(f"{json.dumps(key)}: {_indented_json(v, inner)}"
+                                    for key, v in sorted(value.items()))
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if any(isinstance(v, (dict, list, tuple)) for v in value):
+        body = (",\n" + inner).join(_indented_json(v, inner) for v in value)
+    else:
+        body = json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]
+    return "[\n" + inner + body + "\n" + pad + "]"
+
+
 # ---------------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------------
@@ -291,7 +314,7 @@ def _resolve(config: dict, args, allowed_extra: dict) -> dict:
             cfg[key] = val
     cfg["horizon"] = _convert(int, cfg["horizon"], "config.horizon")
     path = os.path.join(cfg["out"], "config.resolved.json")
-    atomic_write(path, json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, _indented_json(cfg) + "\n")
     print(f"resolved config: {path}")
     return cfg
 
@@ -390,14 +413,14 @@ def run_construct(config: dict, args) -> int:
     write_csv(
         os.path.join(cfg["out"], "eq33.csv"),
         ["class", "m", "error", "bound", "ok"],
-        list(zip(*[(c.k, c.m, c.error, c.bound, c.ok) for c in report.checks])),
+        [report.k, report.m, report.error, report.bound, report.passed],
     )
     for msg in plan.warnings:
         print(f"warning: {msg}")
     print(
         f"Nseq={plan.nseq} support={len(plan.candidate.entries)} "
-        f"checks={len(report.checks)} edge_times={len(report.edge_times)} "
-        f"violations={len(report.violations)}"
+        f"checks={len(report.m)} edge_times={len(report.edge_times)} "
+        f"violations={np.count_nonzero(~report.passed)}"
     )
     return EXIT_OK if report.ok else EXIT_REFUSED
 

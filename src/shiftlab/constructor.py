@@ -5,6 +5,11 @@ target family along separated index classes: class thresholds N_k are
 chosen so that certified series tails beyond N_k stay below a summable
 epsilon schedule, and the resulting vector's backward orbit returns
 near target x_k at every time in class k.
+
+Every orbit distance (the return bound, ball and weak* hits, the
+certified T-norms) goes through one route, ``_orbit_distances``, which
+reads ``orbit_batch``'s arrays directly and builds no vector or map per
+time; the candidate's class blocks are summed from the same batches.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,14 +40,23 @@ from .density import (
     q_lower_density,
 )
 from .errors import ConstructionRefusedError, InvalidArgumentError
-from .seqspace import UNILATERAL, CoeffVector, SpaceSpec, _fnorm, _gap, _minus, fnorm
+from .seqspace import (
+    UNILATERAL,
+    CoeffVector,
+    SpaceSpec,
+    _fnorm,
+    _gap,
+    _majorant_term,
+    _minus,
+    fnorm,
+)
 from .shiftops import (
     BACKWARD,
     DEFAULT_STEP_CAP,
     FORWARD,
     OperatorSpec,
     WeightSeq,
-    _coefficients,
+    _orbit_chunks,
     _step_array,
     _survivors,
     orbit_slices,
@@ -124,23 +139,157 @@ def _t_norms(space: SpaceSpec, w: WeightSeq, q: int, x: CoeffVector,
              n_max: int) -> np.ndarray:
     """F-norms of the backward orbit terms T^{n^q} x for n = 1..n_max
     (zero once every support index has fallen off the edge)."""
-    values = _orbit_values(OperatorSpec(w, BACKWARD), x, [n**q for n in range(1, n_max + 1)],
-                           lambda e: _fnorm(space, x.domain, e))
-    return np.fromiter(values, float, n_max)
+    return _orbit_distances(space, OperatorSpec(w, BACKWARD), x,
+                            _powers(np.arange(1, n_max + 1), q), CoeffVector.zero(x.domain))
 
 
-def _orbit_values(op: OperatorSpec, x: CoeffVector, steps, value):
-    """value(entries) of op^N x for each N*power >= 1 in ``steps``, with the
-    coefficient map of ``iterate``.  A time with no surviving term (per
-    ``_survivors``) reads no orbit; value({}) is evaluated once for them all."""
+def _powers(ns, q: int):
+    """n**q for each n >= 0 in ``ns``: an int64 array, or a list of Python
+    ints when the largest passes int64 (``_step_array`` clips those)."""
+    ns = np.asarray(ns, dtype=np.int64)
+    if not len(ns) or int(ns.max()) ** q <= np.iinfo(np.int64).max:
+        return ns**q
+    return [n**q for n in ns.tolist()]
+
+
+# math.exp(x) raises OverflowError exactly for x > _EXP_MAX, and is 0.0 for
+# every x < _EXP_ZERO
+_EXP_MAX = 709.782712893384
+_EXP_ZERO = -746.0
+
+
+def _orbit_distances(space: SpaceSpec, op: OperatorSpec, x: CoeffVector, steps,
+                     center: CoeffVector, functionals=None) -> np.ndarray:
+    """The F-norm of op^N x - center for each N*power in ``steps``, or with
+    ``functionals`` the weak* gap max_g |<op^N x - center, g>|: the one
+    route of every orbit distance (return bounds, ball and weak* hits and
+    the certified T-norms).
+
+    Values and errors are those of ``_fnorm(space, domain, _minus(domain,
+    iterate(op, x, N).entries, center))`` (``_gap`` for the weak* gap), time
+    by time: exp, rect, abs and ``**`` run per term through libm, and every
+    sum runs left to right in index order through Python's ``sum``.  Only
+    the times that ``_survivors`` marks live read the orbit; the others get
+    the value of -center, computed once.  No vector or map is built per time.
+    """
     steps = _step_array(steps)
-    counts = _survivors(op, x.log_polar[0], steps)[1]
-    live = orbit_slices(op, x, steps[counts > 0])
-    at_zero = None
-    for count in counts.tolist():
-        if not count and at_zero is None:
-            at_zero = value({})
-        yield value(_coefficients(*next(live))) if count else at_zero
+    out = np.empty(len(steps))
+    if not len(steps):
+        return out
+    domain = x.domain
+    alive = _survivors(op, x.log_polar[0], steps)[1] > 0
+    live = np.flatnonzero(alive)
+    dead_error = None
+    try:
+        if functionals is None:
+            out[:] = _fnorm(space, domain, _minus(domain, {}, center))
+        else:
+            out[:] = _gap(domain, {}, center, functionals)
+    except OverflowError as exc:
+        # time by time, it is raised at the first dead time, after the live
+        # times before it; with no dead time it is never computed
+        if not alive.all():
+            dead_error = exc
+            live = live[live < np.argmin(alive)]
+    done = 0
+    for tgt, lm, ph, counts in _orbit_chunks(op, x, steps[live]):
+        over = np.flatnonzero(lm > _EXP_MAX)
+        if len(over):
+            # time by time, the first time with an overflowing term stops
+            # the evaluation: the times before it still raise first
+            overflow = float(lm[over[0]])
+            n = int(np.searchsorted(np.cumsum(counts), over[0], side="right"))
+            m = int(counts[:n].sum())
+            tgt, lm, ph, counts = tgt[:m], lm[:m], ph[:m], counts[:n]
+        z = np.fromiter(map(cmath.rect, map(math.exp, lm.tolist()), ph.tolist()),
+                        complex, len(lm))
+        # float arithmetic leaves double range silently, as Python's does
+        with np.errstate(over="ignore", invalid="ignore"):
+            if functionals is None:
+                values = _block_norms(space, tgt, z, counts, center)
+            else:
+                values = _block_gaps(tgt, z, counts, center, functionals)
+        out[live[done : done + len(counts)]] = values
+        done += len(counts)
+        if len(over):
+            math.exp(overflow)  # raises OverflowError
+    if dead_error is not None:
+        raise dead_error
+    return out
+
+
+def _block_norms(space: SpaceSpec, tgt: np.ndarray, z: np.ndarray, counts: np.ndarray,
+                 center: CoeffVector) -> list[float]:
+    """``_fnorm`` of the orbit terms (tgt, z) minus ``center``, per time of
+    ``counts``, each time's terms in index order."""
+    seg = np.repeat(np.arange(len(counts)), counts)
+    if center:
+        # subtract the center where the orbit has the index, and merge in
+        # -center where it has not; the moduli are those of ``_minus``
+        cidx = center.log_polar[0]
+        cz = np.array(list(center.entries.values()), dtype=complex)
+        pos = np.minimum(np.searchsorted(cidx, tgt), len(cidx) - 1)
+        hit = cidx[pos] == tgt
+        z[hit] -= cz[pos[hit]]
+        missing = np.ones((len(counts), len(cidx)), dtype=bool)
+        missing[seg[hit], pos[hit]] = False
+        mt, mc = np.nonzero(missing)
+        seg, tgt, z = (np.concatenate(pair) for pair in ((seg, mt), (tgt, cidx[mc]), (z, -cz[mc])))
+        order = np.lexsort((tgt, seg))
+        seg, tgt, z = seg[order], tgt[order], z[order]
+    if space.kind == "entire":
+        # ``_minus`` drops zero entries: the majorant's log form would take
+        # log 0, while a zero changes no sum of powers and no max
+        keep = z != 0
+        seg, tgt, z = seg[keep], tgt[keep], z[keep]
+    mags = np.hypot(z.real, z.imag)  # abs(complex) bit for bit
+    # abs raises OverflowError where the modulus alone leaves double range
+    too_big = np.flatnonzero(np.isinf(mags) & np.isfinite(z.real) & np.isfinite(z.imag))
+    first_big = int(too_big[0]) if len(too_big) else len(mags)
+    ends = np.cumsum(np.bincount(seg, minlength=len(counts))).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    if space.kind == "lp":
+        # abs and ** raise term by term: a power before the first modulus
+        # past double range raises first
+        terms = [a**space.p for a in mags[:first_big].tolist()]
+        if first_big == len(mags):
+            return [sum(terms[a:b]) ** (1.0 / space.p) for a, b in spans]
+    if first_big < len(mags):
+        abs(complex(z[first_big]))  # raises OverflowError
+    mags = mags.tolist()
+    if space.kind == "c0":
+        return [max(mags[a:b], default=0.0) for a, b in spans]
+    # entire: sum_R 2^-R min(1, M_R)
+    totals = [0.0] * len(spans)
+    ks = (tgt - 1).tolist()
+    for r in range(1, space.rmax + 1):
+        terms = [_majorant_term(a, float(r), k) for a, k in zip(mags, ks)]
+        for t, (a, b) in enumerate(spans):
+            totals[t] += 2.0 ** (-r) * min(1.0, sum(terms[a:b]))
+    return totals
+
+
+def _block_gaps(tgt: np.ndarray, z: np.ndarray, counts: np.ndarray, center: CoeffVector,
+                functionals) -> list[float]:
+    """``_gap`` of the orbit terms (tgt, z) against ``center`` and the
+    functionals, per time of ``counts``."""
+    functionals = list(functionals)
+    read = np.array(sorted({i for g in functionals for i in g.entries}), dtype=np.int64)
+    col = {i: c for c, i in enumerate(read.tolist())}
+    # the orbit's coefficients at the functionals' indices, minus the center's
+    diff = np.zeros((len(counts), len(read)), dtype=complex)
+    seg = np.repeat(np.arange(len(counts)), counts)
+    at = np.isin(tgt, read)
+    diff[seg[at], np.searchsorted(read, tgt[at])] = z[at]
+    diff -= np.array([center[i] for i in read.tolist()], dtype=complex)
+    pairs = [[(col[i], c) for i, c in g.entries.items()] for g in functionals]
+    gaps = []
+    for row in diff.tolist():
+        gap = 0.0
+        for g in pairs:
+            gap = max(gap, abs(sum(row[c] * v for c, v in g)))
+        gaps.append(gap)
+    return gaps
 
 
 @dataclass(frozen=True)
@@ -295,9 +444,13 @@ def build_vector(
                 "its target is not represented in the candidate"
             )
         block: dict[int, complex] = {}
-        for idxs, lms, phs in orbit_slices(fwd, x_k, [n**q for n in cls]):
-            for idx, lm, ph in zip(idxs, lms, phs):
-                block[idx] = block.get(idx, 0j) + cmath.rect(math.exp(lm), ph)
+        for idx, lm, ph, _ in _orbit_chunks(fwd, x_k, _powers(cls, q)):
+            # a term whose log-modulus is below _EXP_ZERO is 0j, which leaves
+            # every sum's bits, zero parts included, as they are
+            nonzero = ~(lm < _EXP_ZERO)
+            terms = map(cmath.rect, map(math.exp, lm[nonzero].tolist()), ph[nonzero].tolist())
+            for i, z in zip(idx[nonzero].tolist(), terms):
+                block[i] = block.get(i, 0j) + z
         bv = CoeffVector(w.domain, block)
         block_norms.append(fnorm(space, bv))
         for idx, val in block.items():
@@ -340,46 +493,62 @@ class Eq33Check:
         return self.error <= self.bound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eq33Report:
-    checks: tuple[Eq33Check, ...]
+    """The return-bound checks as columns, in class then time order: class
+    k, time m, error and bound.  ``checks`` holds them as ``Eq33Check``s,
+    built on first use."""
+
+    k: np.ndarray
+    m: np.ndarray
+    error: np.ndarray
+    bound: np.ndarray
     edge_times: tuple[tuple[int, int], ...]  # (k, m) excluded at the horizon edge
 
     @property
+    def passed(self) -> np.ndarray:
+        """Per check, error <= bound (``Eq33Check.ok``)."""
+        return self.error <= self.bound
+
+    @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return bool(self.passed.all())
+
+    @cached_property
+    def checks(self) -> tuple[Eq33Check, ...]:
+        return tuple(map(Eq33Check, self.k.tolist(), self.m.tolist(), self.error.tolist(),
+                         self.bound.tolist()))
 
     @property
     def violations(self) -> tuple[Eq33Check, ...]:
-        return tuple(c for c in self.checks if not c.ok)
+        return tuple(self.checks[i] for i in np.flatnonzero(~self.passed).tolist())
 
 
 def verify_eq33(plan: ConstructionPlan) -> Eq33Report:
     """Check the return bound: the backward orbit of the candidate at
-    every interior class-k time lies within 3*alpha_k of target x_k.
+    every interior class-k time lies within 3*alpha_k of target x_k, by
+    ``_orbit_distances``.
 
     Times whose exponent falls in the last stored exponent band are
     reported separately; their tail contributions are incomplete."""
     op = OperatorSpec(plan.weights, BACKWARD)
     n_hor = iroot(plan.horizon, plan.q)
     band = n_hor**plan.q - (n_hor - 1) ** plan.q if n_hor > 1 else 0
-    domain = plan.candidate.domain
-    checks = []
+    # m**q > horizon - band exactly when m > m_edge
+    m_edge = iroot(plan.horizon - band, plan.q)
+    columns = []
     edges = []
     for k in range(1, plan.k_classes + 1):
-        bound = 3.0 * plan.alpha(k)
-        x_k = plan.targets[k - 1]
-        times = []
-        for m in plan.jsets.classes[k - 1]:
-            if m**plan.q > plan.horizon - band:
-                edges.append((k, m))
-            else:
-                times.append(m)
-        errors = _orbit_values(op, plan.candidate, [m**plan.q for m in times],
-                               lambda e: _fnorm(plan.space, domain, _minus(domain, e, x_k)))
-        checks.extend(Eq33Check(k=k, m=m, error=err, bound=bound)
-                      for m, err in zip(times, errors))
-    return Eq33Report(checks=tuple(checks), edge_times=tuple(edges))
+        ms = np.asarray(plan.jsets.classes[k - 1], dtype=np.int64)
+        interior = ms <= m_edge
+        edges.extend((k, m) for m in ms[~interior].tolist())
+        ms = ms[interior]
+        errors = _orbit_distances(plan.space, op, plan.candidate, _powers(ms, plan.q),
+                                  plan.targets[k - 1])
+        columns.append((np.full(len(ms), k), ms, errors,
+                        np.full(len(ms), 3.0 * plan.alpha(k))))
+    k, m, error, bound = (np.concatenate(c) for c in zip(*columns))
+    return Eq33Report(k=k, m=m, error=error, bound=bound, edge_times=tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +663,11 @@ def hit_experiment(
         mags = (dict(zip(idxs, map(math.exp, lms))) for idxs, lms, _ in slices)
         outcomes = ((bool(target.predicate(m)), max(m.values(), default=0.0)) for m in mags)
     elif isinstance(target, BallTarget):
-        values = _orbit_values(
-            op, x, shifts, lambda e: _fnorm(space, x.domain, _minus(x.domain, e, target.center)))
+        values = _orbit_distances(space, op, x, shifts, target.center).tolist()
         outcomes = ((v < target.radius, v) for v in values)
     elif isinstance(target, WeakStarTarget):
-        values = _orbit_values(
-            op, x, shifts, lambda e: _gap(x.domain, e, target.center, target.functionals))
+        values = _orbit_distances(space, op, x, shifts, target.center,
+                                  target.functionals).tolist()
         outcomes = ((v < target.eps, v) for v in values)
     else:
         raise InvalidArgumentError(f"unknown target type {type(target)!r}")

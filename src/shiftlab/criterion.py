@@ -554,8 +554,12 @@ def unilateral_condition(
     if space.kind not in ("lp", "c0") or space.domain != UNILATERAL:
         raise InvalidArgumentError("unilateral condition reduces to unilateral lp or c0 only")
     j_range = _offsets(j_range)
-    jmax = max(j_range)
-    n_max = _series_term_count(q, max_exp, jmax)
+    if w.domain == UNILATERAL and min(j_range) < 0:
+        # P(n^q + j) below index 0 does not exist, and at j = -1 the first
+        # term would read P(0) as if it were a product
+        raise InvalidArgumentError(
+            f"offset {min(j_range)} is negative; a unilateral family needs j >= 0")
+    n_max = _series_term_count(q, max_exp, max(abs(j) for j in j_range))
     entries = []
     for j in j_range:
         verdict = _classify_weighted(space, w, j, q, 1, None, n_max)

@@ -10,8 +10,11 @@ magnitude limits.
 Single applications (``apply``) use direct complex products.  Every
 multi-step orbit goes through ``orbit_batch``: the terms of op^N v at a
 whole array of times, found with one search of the vector's sorted
-support and one evaluation of P(j) - P(j -/+ N).  ``orbit_slices``
-and ``iterate`` are views of it.
+support and one evaluation of P(j) - P(j -/+ N).  ``_orbit_chunks``
+cuts a long run of times into batches of at most ORBIT_CHUNK_TERMS
+terms; ``orbit_slices`` (per-time lists) and ``iterate`` (one time) are
+views of it, and ``constructor._orbit_distances``, the one route of
+every orbit distance, reads the batches' arrays directly.
 
 The batched route is exact, not approximate: log|c| and arg c come from
 libm once per vector, exp and rect run per surviving term through libm,
@@ -36,7 +39,7 @@ from .errors import DomainMismatchError, InvalidArgumentError, ResourceLimitErro
 from .seqspace import BILATERAL, UNILATERAL, CoeffVector, _phase
 
 DEFAULT_STEP_CAP = 1 << 23  # largest prefix index |n| a family evaluates
-# most terms ``orbit_slices`` gathers per batch: a batch peaks near 125
+# most terms ``_orbit_chunks`` gathers per batch: a batch peaks near 125
 # bytes per term, so this caps it near 32 MB
 ORBIT_CHUNK_TERMS = 1 << 18
 # a step count past int64 acts as this one: it passes every support
@@ -575,10 +578,9 @@ def orbit_batch(op: OperatorSpec, v: CoeffVector, steps):
             counts)
 
 
-def orbit_slices(op: OperatorSpec, v: CoeffVector, steps):
-    """Yield the terms of op^N v for each N*power in ``steps`` as lists
-    (indices, logmags, phases), from ``orbit_batch`` calls of at most
-    ORBIT_CHUNK_TERMS terms each (a single time may exceed it)."""
+def _orbit_chunks(op: OperatorSpec, v: CoeffVector, steps):
+    """Yield ``orbit_batch`` of ``steps`` in consecutive runs of times of at
+    most ORBIT_CHUNK_TERMS terms each (a single time may exceed it)."""
     _check_domains(op, v)
     steps = _step_array(steps)
     _, counts = _survivors(op, v.log_polar[0], steps)
@@ -587,13 +589,19 @@ def orbit_slices(op: OperatorSpec, v: CoeffVector, steps):
     while lo < len(steps):
         limit = (int(ends[lo - 1]) if lo else 0) + ORBIT_CHUNK_TERMS
         hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
-        idx, lm, ph, got = orbit_batch(op, v, steps[lo:hi])
+        yield orbit_batch(op, v, steps[lo:hi])
+        lo = hi
+
+
+def orbit_slices(op: OperatorSpec, v: CoeffVector, steps):
+    """Yield the terms of op^N v for each N*power in ``steps`` as lists
+    (indices, logmags, phases), from ``_orbit_chunks``."""
+    for idx, lm, ph, got in _orbit_chunks(op, v, steps):
         idx, lm, ph = idx.tolist(), lm.tolist(), ph.tolist()
         a = 0
         for c in got.tolist():
             yield idx[a : a + c], lm[a : a + c], ph[a : a + c]
             a += c
-        lo = hi
 
 
 def _coefficients(idx, lm, ph) -> dict[int, complex]:

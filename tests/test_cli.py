@@ -5,8 +5,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shiftlab.cli import CSV_CHUNK_ROWS, main, write_csv
+from shiftlab.cli import CSV_CHUNK_ROWS, _indented_json, main, write_csv
 
 
 def write_config(tmp_path, name, payload):
@@ -392,6 +393,18 @@ class TestScenarios:
         assert capsys.readouterr().err == message
         assert not (tmp_path / "o" / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("indices, named", [([-5], -5), ([-1, 0], -1)])
+    def test_sweep_negative_offset_is_an_error(self, tmp_path, capsys, indices, named):
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"scenario": "sweep", "grid": [{"family": "Bergman"}], "q_values": [1],
+             "indices": indices},
+        )
+        assert run(["sweep", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: offset {named} is negative; a unilateral family needs j >= 0\n")
+        assert not (tmp_path / "o" / "sweep.csv").exists()
+
     @pytest.mark.parametrize("mode", ["offset", "Basis", ""])
     def test_sweep_unknown_mode_is_a_config_error(self, tmp_path, capsys, mode):
         cfg = write_config(
@@ -511,6 +524,18 @@ class TestReproducibility:
 
 
 class TestResolvedConfigEcho:
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        max_leaves=20,
+    )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(json_values)
+    def test_indented_json_matches_json_dumps(self, value):
+        assert _indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
     def test_stdout_names_the_file_only(self, tmp_path, capsys):
         times = list(range(1, 200_001, 2))  # 1e5 hit times
         cfg = write_config(

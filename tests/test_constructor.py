@@ -1,9 +1,11 @@
 import cmath
 import dataclasses
 import hashlib
+import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftlab import constructor
 from shiftlab.constructor import (
@@ -30,10 +32,12 @@ from shiftlab.seqspace import (
     c0,
     entire,
     fnorm,
+    linf_weakstar,
     lp,
     scale,
     weakstar_gap,
 )
+from shiftlab.seqspace import _fnorm, _minus
 from shiftlab.shiftops import (
     BACKWARD,
     FORWARD,
@@ -41,6 +45,7 @@ from shiftlab.shiftops import (
     BilateralTableWeight,
     ConstantWeight,
     OperatorSpec,
+    TableWeight,
     iterate,
     orbit_batch,
 )
@@ -327,6 +332,187 @@ class TestOrbitValuesFromEntryMaps:
         assert verify_eq33(plan).checks
         assert hit_experiment(lp(2), op, plan.candidate, ball, horizon=1000).events
         assert built == []
+
+
+def _scalar_distance(space, op, x, n, center, functionals):
+    """The per-time reference of ``_orbit_distances``."""
+    orbit = iterate(op, x, n)
+    if functionals is not None:
+        return weakstar_gap(orbit, center, functionals)
+    return _fnorm(space, x.domain, _minus(x.domain, orbit.entries, center))
+
+
+coefficients = st.builds(
+    complex,
+    st.floats(-2, 2, allow_subnormal=False),
+    st.floats(-2, 2, allow_subnormal=False),
+).filter(bool)
+
+
+@st.composite
+def distance_cases(draw):
+    """A space, an operator, a vector and a center with overlapping or
+    disjoint support, times with and without survivors, and (for the
+    weak* gap) functionals."""
+    domain = draw(st.sampled_from([UNILATERAL, BILATERAL]))
+    kinds = ["l1", "l2", "l3", "c0", "weak*"] + (["entire"] if domain == UNILATERAL else [])
+    kind = draw(st.sampled_from(kinds))
+    space = {"l1": lp(1, domain), "l2": lp(2, domain), "l3": lp(3, domain),
+             "c0": c0(domain), "entire": entire(3), "weak*": linf_weakstar()}[kind]
+    lam = cmath.rect(draw(st.floats(0.5, 2.5)), draw(st.floats(-3.1, 3.1)))
+    if domain == BILATERAL:
+        w = BilateralTableWeight({draw(st.integers(-5, 5)): draw(coefficients)}, lam,
+                                 cmath.rect(draw(st.floats(0.5, 2.0)), 0.4))
+        low = -12
+    else:
+        w = draw(st.sampled_from([ConstantWeight(lam), TableWeight([draw(coefficients)], lam)]))
+        low = 1
+    rotation = draw(st.sampled_from([1.0, cmath.exp(0.7j), cmath.exp(-2.9j)]))
+    op = OperatorSpec(w, draw(st.sampled_from([BACKWARD, FORWARD])), rotation=rotation,
+                      power=draw(st.sampled_from([1, 2])))
+    indices = st.integers(low, 24)
+    x = CoeffVector(domain, draw(st.dictionaries(indices, coefficients, min_size=1,
+                                                 max_size=6)))
+    ns = draw(st.lists(st.integers(1, 30), min_size=1, max_size=10))
+    if draw(st.booleans()):
+        # a center on the support of the orbit at some drawn time
+        n = draw(st.sampled_from(ns)) * op.power
+        moved = [j - n if op.direction == BACKWARD else j + n for j in x.support]
+        picks = [i for i in moved if i >= low]
+        center = {i: draw(coefficients) for i in draw(st.lists(st.sampled_from(picks), max_size=3))
+                  } if picks else {}
+    else:
+        center = draw(st.dictionaries(st.integers(low + 40, low + 60), coefficients, max_size=3))
+    functionals = None
+    if kind == "weak*":
+        functionals = tuple(CoeffVector(domain, g) for g in draw(st.lists(
+            st.dictionaries(st.integers(low, 12), coefficients, max_size=3), min_size=1,
+            max_size=3)))
+    return space, op, x, ns, CoeffVector(domain, center), functionals
+
+
+class TestOrbitDistances:
+    """``_orbit_distances`` against the per-time scalar route, with ``==``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(distance_cases())
+    def test_matches_the_scalar_route(self, case):
+        space, op, x, ns, center, functionals = case
+        got = constructor._orbit_distances(space, op, x, [n * op.power for n in ns], center,
+                                           functionals)
+        want = [_scalar_distance(space, op, x, n, center, functionals) for n in ns]
+        assert got.tolist() == want
+
+    # each part below 2^1023, the modulus past double range
+    HUGE = complex(7e307, 7e307)
+    OVERFLOWS = {
+        # forward Constant(0.5) coefficients grow as 2^n: their square
+        # leaves double range near n = 512, their exp near n = 1024
+        "exp": (OperatorSpec(ConstantWeight(0.5), FORWARD), {1: 1.0}, {1: 1.0}, range(1, 1100)),
+        # at n = 1 the difference at index 1 has a modulus past double range;
+        # at n = 2 the orbit is 0 and the distance is the center's norm,
+        # whose square overflows
+        "abs": (OperatorSpec(ConstantWeight(1.0), BACKWARD), {2: HUGE}, {1: -HUGE}, [1, 2]),
+        "dead time first": (OperatorSpec(ConstantWeight(1.0), BACKWARD), {2: HUGE},
+                            {1: -HUGE}, [2, 1]),
+        # the square at index 1 overflows before the modulus at index 3,
+        # and the other way round
+        "pow then abs": (OperatorSpec(ConstantWeight(1.0), BACKWARD), {2: 1e200, 4: HUGE},
+                         {3: -HUGE}, [1]),
+        "abs then pow": (OperatorSpec(ConstantWeight(1.0), BACKWARD), {2: HUGE, 4: 1e200},
+                         {1: -HUGE}, [1]),
+    }
+
+    @pytest.mark.parametrize("case", OVERFLOWS)
+    @pytest.mark.parametrize("space", [lp(1), lp(2), c0(), entire(2), linf_weakstar()],
+                             ids=["l1", "l2", "c0", "entire", "weak*"])
+    def test_overflow_raises_what_the_first_time_raises(self, space, case):
+        op, x, center, ns = self.OVERFLOWS[case]
+        x, center = CoeffVector(UNILATERAL, x), CoeffVector(UNILATERAL, center)
+        functionals = coordinate_functionals(2000) if space.kind == "linf_weakstar" else None
+        with pytest.raises(OverflowError) as want:
+            for n in ns:
+                _scalar_distance(space, op, x, n, center, functionals)
+        with pytest.raises(OverflowError) as got:
+            constructor._orbit_distances(space, op, x, ns, center, functionals)
+        assert str(got.value) == str(want.value)
+
+    def test_no_time_reads_the_scalar_route(self, monkeypatch):
+        # the value of -center is computed once per call; no time builds a
+        # coefficient map
+        plan = build_vector(lp(2), ConstantWeight(2), 1, canonical_targets(3), horizon=10**3)
+        op = OperatorSpec(ConstantWeight(2), BACKWARD)
+        calls = []
+        for name in ("_minus", "_fnorm", "_gap"):
+            real = getattr(constructor, name)
+            monkeypatch.setattr(constructor, name,
+                                lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+        verify_eq33(plan)
+        assert calls == ["_minus", "_fnorm"] * 3
+        calls.clear()
+        weak = WeakStarTarget(plan.targets[0], coordinate_functionals(3), 0.5)
+        hit_experiment(linf_weakstar(), op, plan.candidate, weak, horizon=1000)
+        assert calls == ["_gap"]
+
+
+class TestEq33ReportColumns:
+    def test_checks_are_the_columns(self):
+        plan = build_vector(lp(2), ConstantWeight(2), 1, canonical_targets(3), horizon=10**3)
+        bad = dataclasses.replace(plan, candidate=scale(20.0, plan.candidate))
+        rep = verify_eq33(bad)
+        assert [(c.k, c.m, c.error, c.bound) for c in rep.checks] == list(zip(
+            rep.k.tolist(), rep.m.tolist(), rep.error.tolist(), rep.bound.tolist()))
+        assert rep.passed.tolist() == [c.ok for c in rep.checks]
+        assert rep.violations == tuple(c for c in rep.checks if not c.ok)
+        assert rep.violations and not rep.ok
+        assert rep.checks is rep.checks  # built once
+
+    def test_no_interior_time(self):
+        plan = build_vector(lp(2), ConstantWeight(2), 1, canonical_targets(2), horizon=1)
+        rep = verify_eq33(plan)
+        assert rep.checks == () and rep.ok and rep.violations == ()
+        assert rep.error.dtype == float and rep.m.dtype == rep.k.dtype
+
+
+def _sha(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestBenchmarkScale:
+    """The construct-verify and orbit-density results at the benchmark's
+    sizes, pinned when every distance still went through a coefficient
+    map per time.  The goldens elsewhere use horizon 300 and k = 2, where
+    every return-bound check is vacuous."""
+
+    LAM = 2.0 * complex(math.cos(0.7), math.sin(0.7))
+
+    @pytest.mark.parametrize("space,k,checks,violations,edges,support,errors", [
+        (lp(2), 5, 25807, 1595, 0, 278,
+         "2f34be839b98bd389d9c9cacb864c7dcdea3a773747d6df8b294fb078ef8f12d"),
+        (c0(), 3, 28571, 0, 1, 307,
+         "619588f989ec061522febd3dbed35715df4f20254791cbe723fd66ccca4385fc"),
+    ], ids=["l2-k5", "c0-k3"])
+    def test_construction(self, space, k, checks, violations, edges, support, errors):
+        plan = build_vector(space, ConstantWeight(self.LAM), 1, canonical_targets(k),
+                            horizon=10**5)
+        rep = verify_eq33(plan)
+        assert len(plan.candidate.entries) == support
+        assert (len(rep.checks), len(rep.violations), len(rep.edge_times)) == (
+            checks, violations, edges)
+        assert _sha(repr(c.error) for c in rep.checks) == errors
+
+    def test_orbit_ball(self):
+        plan = build_vector(lp(2), ConstantWeight(2), 1, canonical_targets(3), horizon=10**4)
+        ball = BallTarget(E1, 3 * plan.alpha(3))
+        r = hit_experiment(lp(2), OperatorSpec(ConstantWeight(2), BACKWARD), plan.candidate,
+                           ball, horizon=10**4)
+        assert len(r.hits) == 9846
+        assert _sha(json.dumps(e, sort_keys=True) for e in r.events) == (
+            "8e485bcf835cd07357fb4b1a363c89456b3d576588b5625da0c325ecfce54980")
+        # the exact distance at n = 1072 is the radius 1.5; rounding puts it
+        # just outside
+        assert r.events[1071] == {"n": 1072, "exponent": 1072, "value": 1.5000000000000275,
+                                  "hit": False}
 
 
 class TestHitExperiments:

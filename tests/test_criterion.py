@@ -311,6 +311,17 @@ class TestDomainRule:
             unilateral_condition(w, space, 1, [0])
         assert seen == [0, 0]
 
+    @pytest.mark.parametrize("offsets, named", [([-5], -5), ([-1, 0], -1), ([3, -2, -7], -7)])
+    def test_negative_offset_on_a_unilateral_family_refused_before_any_read(
+            self, offsets, named):
+        w = BergmanWeight()
+        seen = record_reads(w)
+        with pytest.raises(InvalidArgumentError, match=f"offset {named} is negative"):
+            unilateral_condition(w, lp(2), 1, offsets)
+        with pytest.raises(InvalidArgumentError, match=f"offset {named} is negative"):
+            weakstar_condition(w, 1, offsets)
+        assert seen == [0, 0]
+
     def test_c0_limits_are_term_decay_series(self, monkeypatch):
         import shiftlab.criterion as criterion
 
