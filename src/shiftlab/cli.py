@@ -5,8 +5,9 @@ defaults materialized into the resolved copy); command-line flags override
 the scalar fields.  Every run writes its resolved config to
 ``config.resolved.json`` next to its outputs and prints only its path.
 CSV files hold the bytes csv.writer would write (header row, '.' decimals,
-newline line ends), streamed from columns; orbit logs are JSON-lines, and
-all files are written atomically.
+newline line ends), streamed from columns, and a large one is formatted on
+every allowed CPU by forked helpers; orbit logs are JSON-lines, and all
+files are written atomically.
 
 Exit codes: 0 completed, 1 usage/config error, 2 refusal or violations.
 """
@@ -16,10 +17,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import os
+import signal
 import sys
 import tempfile
+import threading
 import time
 
 import numpy as np
@@ -55,6 +59,12 @@ EXIT_REFUSED = 2
 
 MAX_GRID = 512
 CSV_CHUNK_ROWS = 1 << 16
+# write_csv formats fewer rows than this in one process.  Forking a
+# 230 MB process and copying a helper's bytes back costs about 19 ms,
+# which halving the work repays from about 2 * 19 ms / 0.26 us = 146k rows
+# of int pairs, the cheapest rows to format (floats, at 1.7 us a row,
+# repay it from 22k).
+CSV_FORK_ROWS = 1 << 17
 _KIND_CODES = {"f": "%r", "i": "%d", "u": "%d", "b": "%s"}  # numpy dtype kind -> code
 _TYPE_CODES = {float: "%r", int: "%d", bool: "%s"}
 
@@ -241,30 +251,127 @@ def _code(column) -> str | None:
     return _TYPE_CODES.get(kinds.pop()) if len(kinds) == 1 else None
 
 
+def _csv_rows(columns, lo: int, hi: int) -> str:
+    """Rows lo..hi-1 of ``columns``, one chunk, as csv.writer writes them.
+    A chunk of numeric columns is one %-format over its interleaved
+    ``.tolist()`` values; any other chunk goes through csv.writer."""
+    chunk = [c[lo:hi] for c in columns]
+    codes = [_code(c) for c in chunk]
+    if None in codes:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(zip(*chunk))
+        return buf.getvalue()
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
+    flat = [None] * (len(values) * len(values[0]))
+    for j, vals in enumerate(values):
+        flat[j :: len(values)] = vals
+    return (",".join(codes) + "\n") * len(values[0]) % tuple(flat)
+
+
+def _chunks(lo: int, hi: int):
+    """The CSV_CHUNK_ROWS-row chunks of rows lo..hi-1, as (start, stop)."""
+    return ((a, min(a + CSV_CHUNK_ROWS, hi)) for a in range(lo, hi, CSV_CHUNK_ROWS))
+
+
+def _range_cuts(rows: int) -> list[int]:
+    """Chunk-aligned row cuts, one range per process that formats rows:
+    this one and a forked helper for each further allowed CPU.  A single
+    range when the rows are few, forking is missing, or a second thread
+    runs (fork is unsafe then)."""
+    chunks = -(-rows // CSV_CHUNK_ROWS)
+    if (rows < CSV_FORK_ROWS or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1):
+        parts = 1
+    else:
+        parts = min(len(os.sched_getaffinity(0)), chunks)
+    return [min(i * chunks // parts * CSV_CHUNK_ROWS, rows) for i in range(parts + 1)]
+
+
+def _fork_helper(columns, lo: int, hi: int, helpers: list) -> None:
+    """Fork a helper that formats rows lo..hi-1 and sends their UTF-8
+    bytes, after an 8-byte length, down a pipe; append (pid, the pipe's
+    read end as a binary file) to ``helpers``.  The helper closes every
+    read end, so it gets EPIPE once its reader is gone, and it leaves by
+    ``os._exit`` only, so it never flushes an inherited buffer or returns
+    into the caller."""
+    r, w = os.pipe()
+    pipe = open(r, "rb")
+    try:
+        pid = os.fork()
+    except BaseException:
+        pipe.close()
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            for reader in [pipe] + [p for _, p in helpers]:
+                reader.close()
+            blocks = [_csv_rows(columns, a, b).encode("utf-8") for a, b in _chunks(lo, hi)]
+            with open(w, "wb") as out:
+                out.write(sum(map(len, blocks)).to_bytes(8, "little"))
+                out.writelines(blocks)
+            code = 0
+        finally:
+            os._exit(code)
+    helpers.append((pid, pipe))
+    os.close(w)
+
+
+def _copy_helper(pipe, out) -> tuple[int, int]:
+    """Copy a helper's bytes from ``pipe`` to the binary file ``out`` until
+    the helper closes it; return (bytes copied, bytes announced)."""
+    head = pipe.read(8)
+    sent = 0
+    while block := pipe.read1(1 << 20):
+        out.write(block)
+        sent += len(block)
+    return sent, int.from_bytes(head, "little") if len(head) == 8 else -1
+
+
 def write_csv(path: str, header, columns):
     """Write equal-length ``columns`` (numpy arrays or sequences) under a
-    header row, CSV_CHUNK_ROWS rows at a time.  A chunk of numeric columns
-    is one %-format over its interleaved ``.tolist()`` values; any other
-    chunk goes through csv.writer.  Both give csv.writer's bytes."""
+    header row, CSV_CHUNK_ROWS rows at a time, in csv.writer's bytes (see
+    ``_csv_rows``).  From CSV_FORK_ROWS rows on, with more than one allowed
+    CPU and no second thread, the rows are split into contiguous
+    chunk-aligned ranges, one per CPU: this process formats and writes the
+    first, and a forked helper formats each other range and sends its bytes
+    back, which are written in range order.  The bytes are those of the
+    serial path.  A helper that fails or sends short makes write_csv raise,
+    leaving ``path`` untouched; every helper is reaped before write_csv
+    returns or raises, and killed first if the write failed."""
     rows = len(columns[0]) if len(columns) else 0
+    cuts = _range_cuts(rows)
+    helpers = []  # (pid, pipe) of each helper not yet reaped, in range order
     with _atomic_file(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for lo in range(0, rows, CSV_CHUNK_ROWS):
-            chunk = [c[lo : lo + CSV_CHUNK_ROWS] for c in columns]
-            codes = [_code(c) for c in chunk]
-            if None in codes:
-                writer.writerows(zip(*chunk))
-                continue
-            values = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
-            flat = [None] * (len(values) * len(values[0]))
-            for j, vals in enumerate(values):
-                flat[j :: len(values)] = vals
-            fh.write((",".join(codes) + "\n") * len(values[0]) % tuple(flat))
+        try:
+            for lo, hi in zip(cuts[1:], cuts[2:]):
+                _fork_helper(columns, lo, hi, helpers)
+            csv.writer(fh, lineterminator="\n").writerow(header)
+            for lo, hi in _chunks(0, cuts[1]):
+                fh.write(_csv_rows(columns, lo, hi))
+            fh.flush()
+            while helpers:
+                pid, pipe = helpers[0]
+                sent, size = _copy_helper(pipe, fh.buffer)
+                status = os.waitpid(pid, 0)[1]
+                del helpers[0]
+                pipe.close()
+                if status != 0 or sent != size:
+                    raise ChildProcessError(
+                        f"CSV helper {pid}: wait status {status}, {sent} of {size} bytes")
+        finally:  # on an error: stop and reap the helpers still listed
+            for pid, pipe in helpers:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                with contextlib.suppress(ChildProcessError):  # reaped just before the error
+                    os.waitpid(pid, 0)
+                pipe.close()
 
 
 def write_jsonl(path: str, records):
-    lines = [json.dumps(rec, sort_keys=True) for rec in records]
+    encode = json.JSONEncoder(sort_keys=True).encode
+    lines = [encode(rec) for rec in records]
     atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
 
 

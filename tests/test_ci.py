@@ -1,5 +1,5 @@
 """The CI workflow parses, keeps its limits, gates on full-size benchmark
-runs and installs the test extra;
+runs, compares a serial and a forked CSV write and installs the test extra;
 pytest turns RuntimeWarnings into errors; the benchmark's tracer finds
 every name it wraps."""
 
@@ -31,6 +31,14 @@ def test_workflow_parses_and_keeps_its_limits():
             in gate)
     # run.py exits 0 either way: the step must read "correct" off the last line
     assert "tail -n 1" in gate and '["correct"] is not True' in gate
+    # the same 10^6-row profile on one pinned CPU (serial) and unpinned
+    # (forked helpers) must be byte-identical
+    forked = runs["Forked CSV matches serial CSV"]
+    assert "10**6" in forked
+    density = ' python3 -m shiftlab.cli density --config "$d/density.json" --out '
+    assert f'PYTHONPATH=src taskset -c 0{density}"$d/serial"' in forked
+    assert f'PYTHONPATH=src{density}"$d/forked"' in forked
+    assert 'cmp "$d/serial/density_profile.csv" "$d/forked/density_profile.csv"' in forked
 
 
 def _name(requirement: str) -> str:

@@ -2,12 +2,15 @@ import csv
 import io
 import json
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftlab.cli import CSV_CHUNK_ROWS, _indented_json, main, write_csv
+from shiftlab import cli
+from shiftlab.cli import CSV_CHUNK_ROWS, _indented_json, main, write_csv, write_jsonl
 
 
 def write_config(tmp_path, name, payload):
@@ -574,7 +577,51 @@ TRICKY_FLOATS = [
 TRICKY_INTS = [0, -1, 2**53, 2**53 + 1, -(2**63), 2**63 - 1, 2**64 + 7, 10**30]
 
 
+def no_children_left():
+    """True when this process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """write_csv on its forked path: any output of two or more chunks is
+    split over three ranges at most, whatever this host's CPU count.
+    Yields the pids that os.fork returned."""
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli, "CSV_FORK_ROWS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", counted_fork)
+    yield pids
+    assert no_children_left()
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    def refuse():
+        raise AssertionError("write_csv forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+
+
 class TestWriteCsvMatchesCsvWriter:
+    @pytest.fixture(autouse=True, params=["serial", "forked"])
+    def path_taken(self, request, monkeypatch):
+        """Every case runs on the serial path and on the forked one."""
+        if request.param == "forked":
+            return request.getfixturevalue("forked")
+        monkeypatch.setattr(cli, "CSV_FORK_ROWS", 1 << 62)
+        return None
+
     def check(self, tmp_path, header, columns):
         """write_csv's bytes equal csv.writer's on the same cells as
         Python scalars."""
@@ -606,7 +653,7 @@ class TestWriteCsvMatchesCsvWriter:
         cells = [None, 1.5, "a,b", True, 7, -0.0, float("nan"), "", 2**70, (1, 2)]
         self.check(tmp_path, ["mixed", "pad"], [cells, ["p"] * len(cells)])
 
-    def test_header_only_and_chunk_edges(self, tmp_path):
+    def test_header_only_and_chunk_edges(self, tmp_path, path_taken):
         self.check(tmp_path, ["a", "b,c"], [[], []])
         for n in (CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, 2 * CSV_CHUNK_ROWS + 1):
             ns = np.arange(n)
@@ -615,3 +662,126 @@ class TestWriteCsvMatchesCsvWriter:
         xs = np.sqrt(ns).tolist()
         xs[-1] = None
         self.check(tmp_path, ["n", "x"], [ns, xs])
+        if path_taken is not None:  # 2 helpers for each of the 3-chunk outputs
+            assert len(path_taken) == 4
+
+    def test_ranges_of_uneven_chunk_counts(self, tmp_path, monkeypatch, path_taken):
+        # 23 rows in 5-row chunks: ranges [0, 5), [5, 15), [15, 23) on the
+        # forked path, so the last range ends inside a chunk and the middle
+        # one holds a numeric chunk, then a chunk whose None sits mid-chunk
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 5)
+        xs = np.sqrt(np.arange(23)).tolist()
+        xs[12] = None
+        self.check(tmp_path, ["n", "x"], [np.arange(23), xs])
+        strings = [f"r{i}" if i % 4 else f"r,{i}\n" for i in range(23)]
+        self.check(tmp_path, ["s", "n"], [strings, np.arange(23)])
+        if path_taken is not None:
+            assert len(path_taken) == 4
+
+
+class TestWriteCsvHelpers:
+    """The forked path's failures and clean-up, and when it must not fork."""
+
+    def columns(self, n=12):
+        return [np.arange(n), np.sqrt(np.arange(n))]
+
+    def test_a_failing_helper_fails_the_write(self, tmp_path, monkeypatch, forked):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)
+        rows = cli._csv_rows
+
+        def fail_past_first(columns, lo, hi):
+            if lo > 0:
+                raise ValueError("helper fails")
+            return rows(columns, lo, hi)
+
+        monkeypatch.setattr(cli, "_csv_rows", fail_past_first)
+        target = tmp_path / "t.csv"
+        with pytest.raises(ChildProcessError):
+            write_csv(str(target), ["n", "x"], self.columns())
+        assert len(forked) == 2
+        assert not target.exists()
+        target.write_text("old\n")
+        with pytest.raises(ChildProcessError):
+            write_csv(str(target), ["n", "x"], self.columns())
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["t.csv"]
+        assert no_children_left()
+
+    def test_a_failing_parent_kills_and_reaps_its_helpers(self, tmp_path, monkeypatch,
+                                                           forked):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)
+
+        def stall_or_interrupt(columns, lo, hi):
+            if lo > 0:  # a helper: would outlive the test unless killed
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_csv_rows", stall_or_interrupt)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            write_csv(str(tmp_path / "t.csv"), ["n", "x"], self.columns())
+        assert time.monotonic() - start < 30
+        assert len(forked) == 2
+        assert os.listdir(tmp_path) == []
+        assert no_children_left()
+
+    def test_a_successful_write_reaps_its_helpers(self, tmp_path, monkeypatch, forked):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)
+        write_csv(str(tmp_path / "t.csv"), ["n", "x"], self.columns())
+        assert len(forked) == 2
+        assert no_children_left()
+
+    def test_one_allowed_cpu_stays_serial(self, tmp_path, monkeypatch, no_fork):
+        monkeypatch.setattr(cli, "CSV_FORK_ROWS", 1)
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        write_csv(str(tmp_path / "t.csv"), ["n", "x"], self.columns())
+
+    def test_a_second_thread_keeps_it_serial(self, tmp_path, monkeypatch, no_fork):
+        monkeypatch.setattr(cli, "CSV_FORK_ROWS", 1)
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            write_csv(str(tmp_path / "t.csv"), ["n", "x"], self.columns())
+        finally:
+            done.set()
+            thread.join()
+
+    def test_no_fork_on_this_platform_stays_serial(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_FORK_ROWS", 1)
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)
+        monkeypatch.delattr(os, "fork")
+        write_csv(str(tmp_path / "t.csv"), ["n", "x"], self.columns())
+
+    def test_an_eq33_sized_output_stays_serial(self, tmp_path, monkeypatch, no_fork):
+        # about 26-28k rows of (class, m, error, bound, ok) at the real constants
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        n = 28_000
+        write_csv(str(tmp_path / "eq33.csv"), ["class", "m", "error", "bound", "ok"],
+                  [np.arange(n) % 5 + 1, np.arange(n), np.sqrt(np.arange(n)),
+                   np.full(n, 0.5), np.arange(n) % 2 == 0])
+
+
+json_scalars = (
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+    | st.integers() | st.integers(min_value=2**63 - 2, max_value=2**70)
+    | st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0, -(2**64)])
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.dictionaries(
+    st.text(max_size=4),
+    st.recursive(json_scalars,
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                 max_leaves=8),
+    max_size=5), max_size=6))
+def test_write_jsonl_matches_json_dumps_per_record(tmp_path_factory, records):
+    path = tmp_path_factory.getbasetemp() / "events.jsonl"
+    write_jsonl(str(path), records)
+    want = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+    assert path.read_text(encoding="utf-8") == want
