@@ -20,7 +20,12 @@ A bare magnitude map (``series_probe``) has no class and gets heuristic
 verdicts from its scanned data (dyadic partial-sum checkpoints, tail
 extrapolation).  Dyadic checkpoints make slow harmonic-type divergence
 visible as non-decaying block sums (the condensation view).  The rule
-that fired is always named.
+that fired is always named.  The rules read only ratios of terms and of
+block sums, and exact zeros, never an absolute size: scaling every term
+by a positive constant leaves the verdict as it is, within double range.
+Past it, a non-finite term (inf or NaN) reads ``diverges`` with a rule
+ending in ``(term overflow)``, and so does an l^p partial sum past double
+range; a term that underflows to 0 reads as 0.
 
 Every weighted-shift series of the checkers and of the constructor's tail
 certificates comes from one function, ``_shift_series``: log term magnitudes
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,8 +54,6 @@ INCONCLUSIVE = "inconclusive"
 SATISFIES = "satisfies"
 FAILS = "fails"
 
-DEFAULT_TOL = 1e-8
-DEFAULT_DIVERGENCE_THRESHOLD = 1e6
 DEFAULT_MAX_EXP = 20
 DEFAULT_EXP_CAP = 1 << 22
 # most terms a scan reads once the asymptotic class has decided the series
@@ -132,51 +136,41 @@ def _report(operator, space_desc, q, entries, notes=()) -> CriterionReport:
 # ---------------------------------------------------------------------------
 
 
-def _scan(mag_fn, n_max: int, threshold: float):
-    """Stream the nonnegative terms once; keep dyadic partials and summaries."""
+def _scan(mag_fn, n_max: int):
+    """Stream the nonnegative terms once, up to the first non-finite one
+    (read as inf).  Returns the dyadic checkpoints, the total, the largest
+    term, the largest term of the last quarter and whether a term was
+    non-finite."""
+    if n_max < 2:
+        raise InvalidArgumentError("need at least two terms to classify")
     chunk = 1 << 20
-    total = 0.0
+    total = largest = last_quarter_max = 0.0
     checkpoints = []  # (m, S_m)
     next_cp = 1
-    last_quarter_max = 0.0
-    chunk_maxima = []
-    exceeded = False
     any_inf = False
     q_start = max(1, (3 * n_max) // 4)
-    start = 1
-    while start <= n_max and not exceeded:
+    for start in range(1, n_max + 1, chunk):
         end = min(n_max, start + chunk - 1)
         ns = np.arange(start, end + 1, dtype=np.int64)
         with np.errstate(over="ignore", under="ignore"):
             t = np.asarray(mag_fn(ns), dtype=float)
         if not np.isfinite(t).all():
             any_inf = True
-            exceeded = True
-            t = np.where(np.isfinite(t), t, threshold * 10)
+            t = np.where(np.isfinite(t), t, np.inf)
         with np.errstate(over="ignore"):  # a sum past double range is inf: divergent
             cum = np.cumsum(t)
             cum += total  # in place: the same bits as total + cumsum
         while next_cp <= end:
-            if next_cp >= start:
-                checkpoints.append((next_cp, float(cum[next_cp - start])))
+            checkpoints.append((next_cp, float(cum[next_cp - start])))
             next_cp *= 2
         total = float(cum[-1])
-        chunk_maxima.append(float(t.max(initial=0.0)))
-        if end >= q_start:
-            lo = max(q_start, start)
-            last_quarter_max = max(last_quarter_max, float(t[lo - start :].max(initial=0.0)))
-        if total > threshold:
-            exceeded = True
-        start = end + 1
+        largest = max(largest, float(t.max(initial=0.0)))
+        late = t[max(q_start - start, 0) :]  # the terms in the last quarter
+        last_quarter_max = max(last_quarter_max, float(late.max(initial=0.0)))
+        if any_inf:
+            break
     checkpoints.append((n_max, total))
-    return {
-        "checkpoints": checkpoints,
-        "total": total,
-        "last_quarter_max": last_quarter_max,
-        "chunk_maxima": chunk_maxima,
-        "exceeded": exceeded,
-        "any_inf": any_inf,
-    }
+    return tuple(checkpoints), total, largest, last_quarter_max, any_inf
 
 
 def _blocks(checkpoints):
@@ -188,25 +182,6 @@ def _blocks(checkpoints):
         if m1 == 2 * m0:
             out.append(s1 - s0)
     return out
-
-
-def _block_trend(blocks):
-    """The block rule of ``classify_magnitudes``, over a window of the last
-    positive blocks: ``"decay"`` when every ratio is at most _DECAY_RATIO,
-    else ``"growth"`` when every ratio is at least _GROWTH_RATIO and every
-    block exceeds DEFAULT_TOL, else ``"small"`` when every block is below
-    DEFAULT_TOL, else None."""
-    pos = [b for b in blocks if b > 0]
-    window = pos[-min(4, max(2, len(pos) // 2)) :] if len(pos) >= 2 else pos
-    ratios = [b1 / b0 for b0, b1 in zip(window, window[1:]) if b0 > 0]
-    if ratios and all(r <= _DECAY_RATIO for r in ratios):
-        return "decay"
-    if (ratios and all(r >= _GROWTH_RATIO for r in ratios)
-            and all(b > DEFAULT_TOL for b in window)):
-        return "growth"
-    if window and all(b < DEFAULT_TOL for b in window):
-        return "small"
-    return None
 
 
 def _extrapolate_tail(terms, n_max: int) -> float | None:
@@ -238,61 +213,45 @@ def classify_magnitudes(mag_fn, n_max: int) -> Verdict:
     """Classify the scalar series sum of mag_fn(n) over n = 1..n_max.
 
     mag_fn maps an int64 array of indices to nonnegative term magnitudes.
+    The block rule reads a window of the last positive dyadic blocks:
+    decay when every ratio is at most _DECAY_RATIO, growth when every ratio
+    is at least _GROWTH_RATIO.
     """
-    if n_max < 2:
-        raise InvalidArgumentError("need at least two terms to classify")
-    scan = _scan(mag_fn, n_max, DEFAULT_DIVERGENCE_THRESHOLD)
-    checkpoints = tuple(scan["checkpoints"])
-    if scan["exceeded"]:
-        rule = "partial sum exceeded divergence threshold" + (
-            " (term overflow)" if scan["any_inf"] else ""
-        )
+    checkpoints, total, _, last_quarter_max, any_inf = _scan(mag_fn, n_max)
+    if total == math.inf:
+        rule = "partial sum past double range" + (" (term overflow)" if any_inf else "")
         return Verdict(DIVERGES, rule, checkpoints)
-    blocks = _blocks(scan["checkpoints"])
-    if scan["last_quarter_max"] == 0.0:
-        return Verdict(
-            CONVERGES,
-            "terms eventually zero",
-            checkpoints,
-            sum_estimate=scan["total"],
-            tail_estimate=0.0,
-        )
-    trend = _block_trend(blocks)
-    if trend == "growth":
-        return Verdict(DIVERGES, "non-decaying dyadic block sums (condensation)", checkpoints)
-    if trend is None:
+    if last_quarter_max == 0.0:
+        return Verdict(CONVERGES, "terms eventually zero", checkpoints,
+                       sum_estimate=total, tail_estimate=0.0)
+    blocks = _blocks(checkpoints)
+    pos = [b for b in blocks if b > 0]
+    window = pos[-min(4, max(2, len(pos) // 2)) :]
+    ratios = [b1 / b0 for b0, b1 in zip(window, window[1:])]
+    if not (ratios and max(ratios) <= _DECAY_RATIO):
+        if ratios and min(ratios) >= _GROWTH_RATIO:
+            return Verdict(DIVERGES, "non-decaying dyadic block sums (condensation)", checkpoints)
         return Verdict(INCONCLUSIVE, "mixed block-sum behavior", checkpoints)
     tail = _extrapolate_tail(mag_fn, n_max)
-    if tail is None and blocks:
+    if tail is None:
         # the last dyadic block ratio, continued geometrically
-        rb = blocks[-1] / blocks[-2] if len(blocks) > 1 and blocks[-2] > 0 else 0.5
-        rb = min(rb, _DECAY_RATIO)
+        rb = min(blocks[-1] / blocks[-2] if blocks[-2] > 0 else 0.5, _DECAY_RATIO)
         tail = blocks[-1] * rb / (1.0 - rb)
-    return Verdict(
-        CONVERGES,
-        "dyadic block sums decay geometrically"
-        if trend == "decay"
-        else "tail block sums below tolerance",
-        checkpoints,
-        sum_estimate=scan["total"] + (tail or 0.0),
-        tail_estimate=tail,
-    )
+    return Verdict(CONVERGES, "dyadic block sums decay geometrically", checkpoints,
+                   sum_estimate=total + tail, tail_estimate=tail)
 
 
 def classify_sup_decay(mag_fn, n_max: int) -> Verdict:
     """Does mag_fn(n) tend to 0?  (c0-style criterion for distinct-index
     series: unconditional convergence needs exactly term decay.)"""
-    scan = _scan(mag_fn, n_max, float("inf"))
-    checkpoints = tuple(scan["checkpoints"])
-    if scan["any_inf"]:  # inf <= 0.2 * inf would read as decay
+    checkpoints, _, largest, last, any_inf = _scan(mag_fn, n_max)
+    if any_inf:  # inf <= 0.2 * inf would read as decay
         return Verdict(DIVERGES, "term magnitudes do not decay (term overflow)", checkpoints)
-    overall = max(scan["chunk_maxima"])
-    last = scan["last_quarter_max"]
-    if last == 0.0 or last < DEFAULT_TOL:
+    if last == 0.0:
         return Verdict(CONVERGES, "terms vanish", checkpoints)
-    if overall > 0 and last <= 0.2 * overall:
+    if last <= 0.2 * largest:
         return Verdict(CONVERGES, "term magnitudes decay", checkpoints)
-    if overall > DEFAULT_TOL and last >= 0.8 * overall:
+    if last >= 0.8 * largest:
         return Verdict(DIVERGES, "term magnitudes do not decay", checkpoints)
     return Verdict(INCONCLUSIVE, "slow or mixed term decay", checkpoints)
 
@@ -328,8 +287,11 @@ def series_probe(
     n -> ||term_n|| map), from its first 2^max_exp terms.
 
     In l^p that is exactly the scalar series sum ||term_n||^p, whose sum
-    estimate is reported; in c0 it is term decay.
+    estimate is reported; in c0 it is term decay.  ``max_exp`` must be an
+    integer >= 1.
     """
+    if not isinstance(max_exp, numbers.Integral) or max_exp < 1:
+        raise InvalidArgumentError(f"max_exp must be an integer >= 1, got {max_exp!r}")
     n_max = 2**max_exp
     if space.kind == "lp":
         p = space.p

@@ -1,7 +1,7 @@
 """The CI workflow parses, keeps its limits, gates on full-size benchmark
 runs, compares a serial and a forked CSV write and installs the test extra;
-pytest turns RuntimeWarnings into errors; the benchmark's tracer finds
-every name it wraps."""
+pytest turns RuntimeWarnings, ResourceWarnings and unraisable exceptions
+into errors; the benchmark's tracer finds every name it wraps."""
 
 import os
 import re
@@ -64,6 +64,10 @@ def test_runtime_warnings_fail_the_tests():
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
         options = tomllib.load(fh)["tool"]["pytest"]["ini_options"]
     assert "error::RuntimeWarning" in options["filterwarnings"]
+    # an unclosed file fails the run too, also when it is only reported
+    # at garbage collection
+    assert "error::ResourceWarning" in options["filterwarnings"]
+    assert "error::pytest.PytestUnraisableExceptionWarning" in options["filterwarnings"]
 
 
 def test_tracer_wraps_names_that_exist():

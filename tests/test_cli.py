@@ -316,7 +316,8 @@ class TestScenarios:
             },
         )
         assert run(["orbit", "--config", cfg, "--out", out]) == 0
-        events = [json.loads(line) for line in (out / "orbit_events.jsonl").open()]
+        with (out / "orbit_events.jsonl").open() as fh:
+            events = [json.loads(line) for line in fh]
         assert [e["exponent"] for e in events] == [n * 2**70 for n in range(1, 11)]
         assert not any(e["hit"] for e in events)
         assert (out / "hits.csv").read_text() == "time\n"

@@ -18,6 +18,7 @@ from shiftlab.criterion import (
     _shift_series,
     bilateral_condition,
     classify_magnitudes,
+    classify_sup_decay,
     fhc_check_tmu,
     hc_check,
     qfhc_check,
@@ -60,10 +61,10 @@ class TestScalarClassifier:
         assert abs(v.sum_estimate - math.pi**2 / 6) <= 1e-6
 
     def test_threshold_divergence(self):
-        # terms of 100 pass the default threshold 1e6 after 10^4 terms
+        # terms of 100 diverge as constant terms of 1 do: no size threshold
         v = classify_magnitudes(lambda ns: np.full(len(ns), 100.0), 2**16)
         assert v.kind == DIVERGES
-        assert "threshold" in v.rule
+        assert v.rule == "non-decaying dyadic block sums (condensation)"
 
     def test_condensation_divergence(self):
         v = classify_magnitudes(lambda ns: np.ones(len(ns)), 2**16)
@@ -102,6 +103,71 @@ class TestScalarClassifier:
         bad = series_probe(c0(), magnitudes=lambda ns: np.ones(len(ns)))
         assert good.kind == CONVERGES
         assert bad.kind == DIVERGES
+
+    def test_large_terms_of_a_convergent_series_converge(self):
+        v = series_probe(lp(1), magnitudes=lambda ns: 1e7 / ns**2)
+        assert v.kind == CONVERGES
+        assert v.sum_estimate == pytest.approx(1e7 * math.pi**2 / 6, rel=1e-12)
+
+    def test_small_harmonic_terms_diverge(self):
+        v = series_probe(lp(1), magnitudes=lambda ns: 1e-10 / ns)
+        assert v.kind == DIVERGES
+
+    def test_small_constant_terms_do_not_vanish_in_c0(self):
+        v = series_probe(c0(), magnitudes=lambda ns: np.full(len(ns), 1e-9))
+        assert v.kind == DIVERGES
+
+    @pytest.mark.parametrize("space", [lp(1), c0()], ids=["l1", "c0"])
+    def test_nan_terms_diverge_as_overflow(self, space):
+        v = series_probe(space, magnitudes=lambda ns: np.where(ns > 5, np.nan, 1.0 / ns))
+        assert v.kind == DIVERGES
+        assert v.rule.endswith(" (term overflow)")
+        assert v.checkpoints[-1][1] == math.inf
+
+    def test_finite_terms_past_double_range_diverge(self):
+        v = series_probe(lp(1), magnitudes=lambda ns: np.full(len(ns), 1e305), max_exp=12)
+        assert v.kind == DIVERGES
+        assert v.rule == "partial sum past double range"
+
+    @pytest.mark.parametrize("space", [lp(1), c0()], ids=["l1", "c0"])
+    @pytest.mark.parametrize("max_exp", [0, -1, 2.5, "8"])
+    def test_max_exp_must_be_a_positive_integer(self, space, max_exp):
+        with pytest.raises(InvalidArgumentError, match="max_exp"):
+            series_probe(space, magnitudes=lambda ns: 1.0 / ns, max_exp=max_exp)
+
+    def test_sup_decay_needs_two_terms(self):
+        with pytest.raises(InvalidArgumentError):
+            classify_sup_decay(lambda ns: 1.0 / ns, 1)
+
+    def test_one_term_horizons_are_not_scanned(self):
+        # a weighted series of fewer than two terms is decided by its class
+        # alone, so the two-term floor of the classifiers never refuses it
+        assert hc_check(lp(2), ConstantWeight(2), [1, 3], horizon=1).overall == SATISFIES
+        assert salas_check(ConstantWeight(2), horizon=1).limsup_infinite
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([lp(1), lp(2), c0()]),
+        st.one_of(
+            st.tuples(st.just("geometric"), st.floats(min_value=0.05, max_value=0.8)),
+            st.tuples(st.just("power"), st.floats(min_value=1.3, max_value=3.0)),
+            st.tuples(st.just("harmonic"), st.just(1.0)),
+            st.tuples(st.just("constant"), st.just(1.0)),
+        ),
+        st.integers(min_value=-12, max_value=12),
+    )
+    def test_verdict_is_invariant_under_scaling(self, space, family, e):
+        name, x = family
+        terms = {
+            "geometric": lambda ns: x ** ns.astype(float),
+            "power": lambda ns: ns.astype(float) ** -x,
+            "harmonic": lambda ns: 1.0 / ns,
+            "constant": lambda ns: np.ones(len(ns)),
+        }[name]
+        scale = 10.0**e
+        base = series_probe(space, magnitudes=terms, max_exp=16)
+        scaled = series_probe(space, magnitudes=lambda ns: scale * terms(ns), max_exp=16)
+        assert scaled.kind == base.kind
 
 
 class TestShiftCriterion:
