@@ -5,7 +5,9 @@ defaults materialized into the resolved copy); command-line flags override
 the scalar fields.  Every run writes its resolved config to
 ``config.resolved.json`` next to its outputs and prints only its path.
 CSV files hold the bytes csv.writer would write (header row, '.' decimals,
-newline line ends), streamed from columns, and a large one is formatted on
+newline line ends), streamed from columns.  A column whose cells come in
+long runs of equal values is formatted once per run, as literal text in
+the row template of each run's segment, and a large CSV is formatted on
 every allowed CPU by forked helpers; orbit logs are JSON-lines, and all
 files are written atomically.
 
@@ -62,9 +64,22 @@ CSV_CHUNK_ROWS = 1 << 16
 # write_csv formats fewer rows than this in one process.  Forking a
 # 230 MB process and copying a helper's bytes back costs about 19 ms,
 # which halving the work repays from about 2 * 19 ms / 0.26 us = 146k rows
-# of int pairs, the cheapest rows to format (floats, at 1.7 us a row,
-# repay it from 22k).
+# of int pairs (floats, at 1.7 us a row, repay it from 22k).  A steady
+# column (CSV_RUN_ROWS) makes rows cheaper still.  Medians of 15 on
+# 2 CPUs with 230 MB resident, serial against forked: rows shaped like
+# jsets.csv (a steady class, a changing int) take 28 against 41 ms at
+# 2^17 rows and 43 against 36 ms at 258k rows; density-profile rows
+# (two ints, a float, none steady) take 238 against 143 ms at 2^17 and
+# 433 against 279 ms at 2^18.  So the bar stays here: below 2^18, only
+# rows that are mostly steady columns lose, by up to 13 ms.
 CSV_FORK_ROWS = 1 << 17
+# A numpy column with at most one run of equal cells per this many rows
+# of a chunk is steady: its text is formatted once per run, in the row
+# template of each segment of the chunk (see _csv_rows).  A segment costs
+# 2-3 us, and a cell formatted once instead of on every row saves 55-130
+# ns (bools, ints) to 0.4-1.1 us (floats), so 64 rows of the cheapest
+# cells repay a segment.
+CSV_RUN_ROWS = 64
 _KIND_CODES = {"f": "%r", "i": "%d", "u": "%d", "b": "%s"}  # numpy dtype kind -> code
 _TYPE_CODES = {float: "%r", int: "%d", bool: "%s"}
 
@@ -251,21 +266,46 @@ def _code(column) -> str | None:
     return _TYPE_CODES.get(kinds.pop()) if len(kinds) == 1 else None
 
 
+def _changes(column) -> np.ndarray:
+    """Whether each cell of a numpy chunk after its first differs from the
+    cell before it, compared as bytes: 0.0 next to -0.0 starts a new run
+    of equal cells, and a run of NaNs stays one run."""
+    if column.dtype.kind == "f":
+        column = column.view(f"i{column.itemsize}")
+    return column[1:] != column[:-1]
+
+
 def _csv_rows(columns, lo: int, hi: int) -> str:
     """Rows lo..hi-1 of ``columns``, one chunk, as csv.writer writes them.
-    A chunk of numeric columns is one %-format over its interleaved
-    ``.tolist()`` values; any other chunk goes through csv.writer."""
+    A chunk of numeric columns is cut at each run start of its steady
+    columns: numpy columns with at most one run of equal cells per
+    CSV_RUN_ROWS rows.  Each segment is one %-format over the interleaved
+    ``.tolist()`` values of the other columns, in a row template that holds
+    each steady column's text, formatted once; a chunk without a steady
+    column is one segment.  Any other chunk goes through csv.writer."""
     chunk = [c[lo:hi] for c in columns]
     codes = [_code(c) for c in chunk]
     if None in codes:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(zip(*chunk))
         return buf.getvalue()
-    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
-    flat = [None] * (len(values) * len(values[0]))
-    for j, vals in enumerate(values):
-        flat[j :: len(values)] = vals
-    return (",".join(codes) + "\n") * len(values[0]) % tuple(flat)
+    rows = hi - lo
+    changes = {j: _changes(c) for j, c in enumerate(chunk) if isinstance(c, np.ndarray)}
+    steady = {j for j, d in changes.items() if (np.count_nonzero(d) + 1) * CSV_RUN_ROWS <= rows}
+    starts = [np.flatnonzero(changes[j]) + 1 for j in steady]
+    cuts = np.unique(np.concatenate([[0, rows], *starts])).tolist()
+    # each column's field in the row template of each segment
+    fields = [[(code % v).replace("%", "%%") for v in c[cuts[:-1]].tolist()] if j in steady
+              else [code] * (len(cuts) - 1) for j, (c, code) in enumerate(zip(chunk, codes))]
+    free = [c.tolist() if isinstance(c, np.ndarray) else c
+            for j, c in enumerate(chunk) if j not in steady]
+    width = len(free)
+    flat = [None] * (width * rows)
+    for j, vals in enumerate(free):
+        flat[j :: width] = vals
+    flat = tuple(flat)
+    return "".join((",".join(row) + "\n") * (b - a) % flat[a * width : b * width]
+                   for a, b, row in zip(cuts, cuts[1:], zip(*fields)))
 
 
 def _chunks(lo: int, hi: int):

@@ -31,14 +31,16 @@ def test_workflow_parses_and_keeps_its_limits():
             in gate)
     # run.py exits 0 either way: the step must read "correct" off the last line
     assert "tail -n 1" in gate and '["correct"] is not True' in gate
-    # the same 10^6-row profile on one pinned CPU (serial) and unpinned
-    # (forked helpers) must be byte-identical
+    # the same 10^6-row profile, and the same 258,065-row jsets.csv, on one
+    # pinned CPU (serial) and unpinned (forked helpers) must be byte-identical
     forked = runs["Forked CSV matches serial CSV"]
     assert "10**6" in forked
-    density = ' python3 -m shiftlab.cli density --config "$d/density.json" --out '
-    assert f'PYTHONPATH=src taskset -c 0{density}"$d/serial"' in forked
-    assert f'PYTHONPATH=src{density}"$d/forked"' in forked
-    assert 'cmp "$d/serial/density_profile.csv" "$d/forked/density_profile.csv"' in forked
+    for scenario, csv_name in [("density", "density_profile.csv"), ("jsets", "jsets.csv")]:
+        cli = f' python3 -m shiftlab.cli {scenario} --config "$d/{scenario}.json" --out '
+        assert f'PYTHONPATH=src taskset -c 0{cli}"$d/serial"' in forked
+        assert f'PYTHONPATH=src{cli}"$d/forked"' in forked
+        assert f'cmp "$d/serial/{csv_name}" "$d/forked/{csv_name}"' in forked
+    assert '"nseq": [1, 2, 3, 4, 5], "horizon": 10**6' in forked
 
 
 def _name(requirement: str) -> str:

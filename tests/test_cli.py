@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from shiftlab import cli
 from shiftlab.cli import CSV_CHUNK_ROWS, _indented_json, main, write_csv, write_jsonl
@@ -578,6 +578,34 @@ TRICKY_FLOATS = [
 TRICKY_INTS = [0, -1, 2**53, 2**53 + 1, -(2**63), 2**63 - 1, 2**64 + 7, 10**30]
 
 
+@st.composite
+def run_columns(draw):
+    """Up to six columns of one length: int64, uint64, bool and float64
+    numpy columns made of runs of repeated cells (0.0 next to -0.0, NaN,
+    infinities and subnormals among the floats), a float column that
+    changes on every row and a Python-list column, in any order."""
+    rows = draw(st.integers(1, 150))
+
+    def runs(cells, dtype):
+        values = draw(st.lists(cells, min_size=1, max_size=6))
+        lengths = draw(st.lists(st.integers(1, 60), min_size=len(values),
+                                max_size=len(values)))
+        return np.resize(np.repeat(np.array(values, dtype=dtype), lengths), rows)
+
+    floats = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+                              5e-324, 1e-310, 2.2250738585072014e-308]) | st.floats()
+    make = [
+        lambda: runs(st.integers(-(2**63), 2**63 - 1), np.int64),
+        lambda: runs(st.integers(0, 2**64 - 1), np.uint64),
+        lambda: runs(st.booleans(), bool),
+        lambda: runs(floats, np.float64),
+        lambda: np.sqrt(np.arange(rows)) + draw(st.floats(0, 1)),
+        lambda: runs(st.integers(-(2**70), 2**70), object).tolist(),
+    ]
+    picks = draw(st.lists(st.sampled_from(range(len(make))), min_size=1, max_size=6))
+    return [make[j]() for j in picks]
+
+
 def no_children_left():
     """True when this process has no child, running or unreaped."""
     with pytest.raises(ChildProcessError):
@@ -678,6 +706,24 @@ class TestWriteCsvMatchesCsvWriter:
         self.check(tmp_path, ["s", "n"], [strings, np.arange(23)])
         if path_taken is not None:
             assert len(path_taken) == 4
+
+    # 14 rows in 13-row chunks: every column of the first chunk is steady
+    # at CSV_RUN_ROWS 2, and the second chunk is one row, steady at 1
+    @example(columns=[np.array([0.0] * 5 + [-0.0] * 4 + [float("nan")] * 5),
+                      np.array([True] * 13 + [False]), np.full(14, 2**64 - 1, np.uint64)],
+             chunk_rows=13, run_rows=2)
+    @example(columns=[np.array([-0.0] * 13 + [0.0]), np.arange(14)], chunk_rows=13, run_rows=1)
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(columns=run_columns(), chunk_rows=st.integers(1, 40),
+           run_rows=st.sampled_from([1, 2, 4, 64]))
+    def test_runs_of_equal_cells(self, tmp_path, columns, chunk_rows, run_rows):
+        # small chunks and run bars put run starts, steady columns and
+        # one-row chunks on both sides of chunk and range cuts
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+            mp.setattr(cli, "CSV_RUN_ROWS", run_rows)
+            self.check(tmp_path, [f"c{j}" for j in range(len(columns))], columns)
 
 
 class TestWriteCsvHelpers:

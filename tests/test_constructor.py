@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftlab import constructor
+from shiftlab.cli import main
 from shiftlab.constructor import (
     BallTarget,
     EpsilonSchedule,
@@ -500,6 +501,28 @@ class TestBenchmarkScale:
         assert (len(rep.checks), len(rep.violations), len(rep.edge_times)) == (
             checks, violations, edges)
         assert _sha(repr(c.error) for c in rep.checks) == errors
+
+    CONSTANT = {"family": "Constant", "value": repr(LAM)}
+
+    @pytest.mark.parametrize("scenario,config,name,code,rows,digest", [
+        ("construct", {"space": {"kind": "lp", "p": 2}, "weights": CONSTANT, "k": 5,
+                       "horizon": 10**5}, "eq33.csv", 2, 25807,
+         "765eb3a498a8c6df459259d08114635e36673e88c81e0bbb26e20994b8a3a29e"),
+        ("construct", {"space": {"kind": "c0"}, "weights": CONSTANT, "k": 3,
+                       "horizon": 10**5}, "eq33.csv", 0, 28571,
+         "f00c64e6dff21556126a808febc69d99e159a4b8827843055837912b79a2f0d6"),
+        ("jsets", {"nseq": [1, 2, 3, 4, 5], "horizon": 10**6}, "jsets.csv", 0, 258065,
+         "a6799e6ae488e4d0bda14339d440737f56833efaa2e68f7c4643592bdf543207"),
+    ], ids=["eq33-l2-k5", "eq33-c0-k3", "jsets-1e6"])
+    def test_cli_csv_bytes(self, tmp_path, scenario, config, name, code, rows, digest):
+        # the bytes write_csv writes for the benchmark's largest CSVs,
+        # recorded when every numeric chunk was a single %-format
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"scenario": scenario, **config}), encoding="utf-8")
+        assert main([scenario, "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+        data = (tmp_path / "out" / name).read_bytes()
+        assert data.count(b"\n") == rows + 1
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_orbit_ball(self):
         plan = build_vector(lp(2), ConstantWeight(2), 1, canonical_targets(3), horizon=10**4)
