@@ -1,12 +1,16 @@
 import cmath
+import hashlib
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftlab import criterion
 from shiftlab.criterion import (
+    _SCAN_BLOCK,
     CONVERGES,
     DEFAULT_EXP_CAP,
     DIVERGES,
@@ -15,6 +19,7 @@ from shiftlab.criterion import (
     SATISFIES,
     SCAN_TERMS,
     _extrapolate_tail,
+    _scan,
     _shift_series,
     bilateral_condition,
     classify_magnitudes,
@@ -813,3 +818,218 @@ class TestTMuTheorem:
         for k in range(6):
             assert rep.entry(f"S-series j={k + 1}").verdict.rule.startswith(
                 f"asymptotic class at {level}: coefficient ")
+
+
+# ---------------------------------------------------------------------------
+# the streaming scan
+# ---------------------------------------------------------------------------
+
+
+def _chunked_scan(mag_fn, n_max: int):
+    """The scan as it was before it streamed: chunks of 2^20 terms, each
+    its own cumsum plus the running total.  The reference for n_max <= 2^20."""
+    if n_max < 2:
+        raise InvalidArgumentError("need at least two terms to classify")
+    chunk = 1 << 20
+    total = largest = last_quarter_max = 0.0
+    checkpoints = []  # (m, S_m)
+    next_cp = 1
+    any_inf = False
+    q_start = max(1, (3 * n_max) // 4)
+    for start in range(1, n_max + 1, chunk):
+        end = min(n_max, start + chunk - 1)
+        ns = np.arange(start, end + 1, dtype=np.int64)
+        with np.errstate(over="ignore", under="ignore"):
+            t = np.asarray(mag_fn(ns), dtype=float)
+        if not np.isfinite(t).all():
+            any_inf = True
+            t = np.where(np.isfinite(t), t, np.inf)
+        with np.errstate(over="ignore"):  # a sum past double range is inf: divergent
+            cum = np.cumsum(t)
+            cum += total  # in place: the same bits as total + cumsum
+        while next_cp <= end:
+            checkpoints.append((next_cp, float(cum[next_cp - start])))
+            next_cp *= 2
+        total = float(cum[-1])
+        largest = max(largest, float(t.max(initial=0.0)))
+        late = t[max(q_start - start, 0) :]  # the terms in the last quarter
+        last_quarter_max = max(last_quarter_max, float(late.max(initial=0.0)))
+        if any_inf:
+            break
+    checkpoints.append((n_max, total))
+    return tuple(checkpoints), total, largest, last_quarter_max, any_inf
+
+
+def _bits(scan):
+    """A scan's fields with every float as its exact hex string."""
+    checkpoints, total, largest, last_quarter_max, any_inf = scan
+    return ([(m, float(s).hex()) for m, s in checkpoints], total.hex(), largest.hex(),
+            last_quarter_max.hex(), any_inf)
+
+
+def _verdict_reprs(mag_fn, n_max):
+    return [repr(classify_magnitudes(mag_fn, n_max)), repr(classify_sup_decay(mag_fn, n_max))]
+
+
+def _p_series(s):
+    return lambda ns: np.asarray(ns, dtype=float) ** -s
+
+
+def _bertrand(b):
+    # term n is f(n + 1), f(x) = 1 / (x ln^b x), as in the benchmark's probes
+    def mags(ns):
+        x = np.asarray(ns, dtype=float) + 1.0
+        return 1.0 / (x * np.log(x) ** b)
+
+    return mags
+
+
+SCAN_MAPS = {
+    "p-series": _p_series(2.0),
+    "bertrand": _bertrand(1.5),
+    "geometric": lambda ns: 0.9999 ** np.asarray(ns, dtype=float),
+}
+
+
+class TestStreamingScan:
+    """``_scan`` streams blocks of _SCAN_BLOCK terms through one running
+    sum: for n_max <= 2^20 the same bits as the 2^20-chunk scan."""
+
+    @pytest.mark.parametrize("name", sorted(SCAN_MAPS))
+    @pytest.mark.parametrize("n_max", [2, 3, _SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1,
+                                       2**20 - 1, 2**20])
+    def test_same_bits_as_the_chunked_scan(self, monkeypatch, name, n_max):
+        mags = SCAN_MAPS[name]
+        assert _bits(_scan(mags, n_max)) == _bits(_chunked_scan(mags, n_max))
+        got = _verdict_reprs(mags, n_max)  # the l^p route, then the c0 route
+        monkeypatch.setattr(criterion, "_scan", _chunked_scan)
+        assert got == _verdict_reprs(mags, n_max)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("n_max", [4 * _SCAN_BLOCK, 4 * _SCAN_BLOCK + 3])
+    def test_non_finite_terms_read_as_the_chunked_scan(self, monkeypatch, bad, n_max):
+        # the first, middle and last position of the first block, of the
+        # block that holds the start of the last quarter and of the last block
+        b = _SCAN_BLOCK
+        last = (n_max - 1) // b * b
+        for pos in sorted({1, b // 2, b, 3 * b + 1, 3 * b + b // 2, 4 * b,
+                           last + 1, (last + 1 + n_max) // 2, n_max}):
+            def mags(ns, _pos=pos):
+                t = 1.0 / np.asarray(ns, dtype=float) ** 2
+                t[ns == _pos] = bad
+                return t
+
+            new, old = _bits(_scan(mags, n_max)), _bits(_chunked_scan(mags, n_max))
+            assert new[4] and new[3] == math.inf.hex(), pos
+            # past a non-finite term every term reads inf; the chunked scan
+            # still took the finite ones of its chunk into the last-quarter
+            # maximum, which no verdict reads once a term is non-finite
+            if pos >= max(1, (3 * n_max) // 4):
+                assert new == old, pos
+            else:
+                assert new[:3] == old[:3] and new[4] == old[4], pos
+            got = _verdict_reprs(mags, n_max)
+            with monkeypatch.context() as m:
+                m.setattr(criterion, "_scan", _chunked_scan)
+                assert got == _verdict_reprs(mags, n_max), pos
+
+    def test_finite_sum_past_double_range_reads_as_the_chunked_scan(self, monkeypatch):
+        def mags(ns):
+            return np.full(len(ns), 1e307)
+
+        n_max = 3 * _SCAN_BLOCK + 7
+        new = _scan(mags, n_max)
+        assert new[1] == math.inf and not new[4]
+        assert _bits(new) == _bits(_chunked_scan(mags, n_max))
+        got = _verdict_reprs(mags, n_max)
+        monkeypatch.setattr(criterion, "_scan", _chunked_scan)
+        assert got == _verdict_reprs(mags, n_max)
+
+    @pytest.mark.parametrize("n_max", [2**20 + 1, 2**21 + 5])
+    def test_past_2_20_terms_the_sum_is_one_cumsum(self, n_max):
+        # one strict left-to-right sum, where the chunked scan restarted
+        # its cumsum at every 2^20 terms
+        mags = SCAN_MAPS["bertrand"]
+        t = mags(np.arange(1, n_max + 1, dtype=np.int64))
+        cum = np.cumsum(t)
+        dyadic = [2**i for i in range(n_max.bit_length()) if 2**i <= n_max]
+        want = (tuple((m, float(cum[m - 1])) for m in dyadic) + ((n_max, float(cum[-1])),),
+                float(cum[-1]), float(t.max()), float(t[(3 * n_max) // 4 - 1 :].max()), False)
+        assert _bits(_scan(mags, n_max)) == _bits(want)
+
+    def test_benchmark_probe_verdicts_are_pinned(self):
+        # the nine criterion-grid probes at full size (max_exp = 20); the
+        # digest was recorded with the 2^20-chunk scan
+        maps = ([_p_series(s) for s in (0.9, 1.05, 1.1, 1.5, 2.0, 3.0)]
+                + [_bertrand(b) for b in (1.0, 1.5, 2.0)])
+        reprs = [repr(series_probe(lp(1), magnitudes=m, max_exp=20)) for m in maps]
+        assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == (
+            "3cc82f3fd9649b769d61e521dc6cec636c77d61bbb4c1eac5665537b227a3fa6")
+
+    def test_reads_each_index_once_in_order_and_never_writes(self):
+        n_max = 3 * _SCAN_BLOCK + 5
+        cache = 1.0 / np.arange(1, n_max + 1, dtype=float) ** 2
+        cache.flags.writeable = False
+        before = cache.copy()
+        calls = []
+
+        def mags(ns):
+            calls.append(ns.copy())
+            return cache[ns[0] - 1 : ns[-1]]  # a read-only view
+
+        _scan(mags, n_max)
+        assert all(ns.dtype == np.int64 and 1 <= len(ns) <= _SCAN_BLOCK for ns in calls)
+        assert np.concatenate(calls).tolist() == list(range(1, n_max + 1))
+        assert np.array_equal(cache, before)
+
+    @pytest.mark.parametrize("space", [lp(1), c0()], ids=["l1", "c0"])
+    def test_a_full_size_probe_stays_within_a_few_mib(self, space):
+        def mags(ns):
+            return 1.0 / np.asarray(ns, dtype=float) ** 2
+
+        series_probe(space, magnitudes=mags, max_exp=4)  # first-call set-up
+        tracemalloc.start()
+        try:
+            series_probe(space, magnitudes=mags, max_exp=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class TestGeometricTail:
+    """A summable series that converges at the n level, with c the class's
+    only nonzero coefficient, whose short scan gives no sum: the sum is the
+    scan total plus the exact geometric tail."""
+
+    @pytest.mark.parametrize("lam", [1.001, 1.0001])
+    def test_slowly_decaying_constant_weights_get_their_sum(self, lam):
+        v = unilateral_condition(ConstantWeight(lam), lp(2), 1, [0]).entries[0].verdict
+        assert v.kind == CONVERGES
+        with mpmath.workdps(30):
+            want = float(1 / (mpmath.mpf(lam) ** 2 - 1))  # sum of lam^(-2n), n >= 1
+        assert v.sum_estimate == pytest.approx(want, rel=1e-8)
+        assert v.sum_estimate == v.checkpoints[-1][1] + v.tail_estimate
+
+    def test_bilateral_tails_take_each_side_s_ratio(self):
+        # forward ratio 1/1.001, backward 0.999, past heads at -3 and 0
+        w = BilateralTableWeight({-3: 3.0, 0: 0.5j}, default_pos=1.001, default_nonpos=0.999)
+        rep = bilateral_condition(w, lp(1, BILATERAL), 1, [-1, 2])
+        ns = np.arange(1, 200_001)  # the terms past 2 * 10^5 are below e^-200
+        for j in (-1, 2):
+            for side, direction, anchor in (("forward", 1, None), ("backward", -1, j)):
+                want = math.fsum(np.exp(_shift_series(w, j, 1, direction, anchor)(ns)))
+                got = rep.entry(f"{side} series j={j}").verdict.sum_estimate
+                assert got == pytest.approx(want, rel=1e-12), (side, j)
+
+    @pytest.mark.parametrize("lam", [1.5, 2.0])
+    def test_a_sum_the_scan_gives_is_kept(self, lam):
+        w = ConstantWeight(lam)
+        v = unilateral_condition(w, lp(2), 1, [0]).entries[0].verdict
+        series = _shift_series(w, 0, 1, 1, None)
+        scan = classify_magnitudes(lambda ns: np.exp(2 * series(ns)), SCAN_TERMS)
+        assert (v.sum_estimate, v.tail_estimate) == (scan.sum_estimate, scan.tail_estimate)
+
+    def test_decay_conditions_get_no_sum(self):
+        v = unilateral_condition(ConstantWeight(1.0001), c0(), 1, [0]).entries[0].verdict
+        assert v.kind == CONVERGES and v.sum_estimate is None
