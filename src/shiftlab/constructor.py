@@ -8,8 +8,8 @@ near target x_k at every time in class k.
 
 Every orbit distance (the return bound, ball and weak* hits, the
 certified T-norms) goes through one route, ``_orbit_distances``, which
-reads ``orbit_batch``'s arrays directly and builds no vector or map per
-time; the candidate's class blocks are summed from the same batches.
+reads the orbit engine's batch arrays directly and builds no vector or map
+per time; the candidate's class blocks are summed from the same batches.
 """
 
 from __future__ import annotations
@@ -52,13 +52,11 @@ from .seqspace import (
 )
 from .shiftops import (
     BACKWARD,
-    DEFAULT_STEP_CAP,
+    EXACT_INDEX,
     FORWARD,
     OperatorSpec,
     WeightSeq,
     _orbit_chunks,
-    _step_array,
-    _survivors,
     orbit_slices,
 )
 
@@ -152,9 +150,7 @@ def _powers(ns, q: int):
     return [n**q for n in ns.tolist()]
 
 
-# math.exp(x) raises OverflowError exactly for x > _EXP_MAX, and is 0.0 for
-# every x < _EXP_ZERO
-_EXP_MAX = 709.782712893384
+# math.exp(x) is 0.0 for every x < _EXP_ZERO
 _EXP_ZERO = -746.0
 
 
@@ -169,52 +165,40 @@ def _orbit_distances(space: SpaceSpec, op: OperatorSpec, x: CoeffVector, steps,
     iterate(op, x, N).entries, center))`` (``_gap`` for the weak* gap), time
     by time: exp, rect, abs and ``**`` run per term through libm, and every
     sum runs left to right in index order through Python's ``sum``.  Only
-    the times that ``_survivors`` marks live read the orbit; the others get
-    the value of -center, computed once.  No vector or map is built per time.
+    the times with surviving terms read the orbit; the others get the value
+    of -center, computed once.  No vector or map is built per time.
     """
-    steps = _step_array(steps)
-    out = np.empty(len(steps))
-    if not len(steps):
-        return out
     domain = x.domain
-    alive = _survivors(op, x.log_polar[0], steps)[1] > 0
-    live = np.flatnonzero(alive)
-    dead_error = None
-    try:
-        if functionals is None:
-            out[:] = _fnorm(space, domain, _minus(domain, {}, center))
-        else:
-            out[:] = _gap(domain, {}, center, functionals)
-    except OverflowError as exc:
-        # time by time, it is raised at the first dead time, after the live
-        # times before it; with no dead time it is never computed
-        if not alive.all():
-            dead_error = exc
-            live = live[live < np.argmin(alive)]
+    dead = None  # the value at a time with no term
+    out = np.empty(len(steps))
     done = 0
-    for tgt, lm, ph, counts in _orbit_chunks(op, x, steps[live]):
-        over = np.flatnonzero(lm > _EXP_MAX)
-        if len(over):
-            # time by time, the first time with an overflowing term stops
-            # the evaluation: the times before it still raise first
-            overflow = float(lm[over[0]])
-            n = int(np.searchsorted(np.cumsum(counts), over[0], side="right"))
+    for tgt, lm, ph, counts in _orbit_chunks(op, x, steps):
+        if dead is None:
+            try:
+                dead = (_fnorm(space, domain, _minus(domain, {}, center)) if functionals is None
+                        else _gap(domain, {}, center, functionals))
+            except OverflowError as exc:
+                dead = exc  # time by time, raised at the first time with no term
+        alive = counts > 0
+        stop = isinstance(dead, OverflowError) and not alive.all()
+        if stop:  # the times before the first dead one still raise first
+            n = int(np.argmin(alive))
             m = int(counts[:n].sum())
-            tgt, lm, ph, counts = tgt[:m], lm[:m], ph[:m], counts[:n]
+            tgt, lm, ph, counts, alive = tgt[:m], lm[:m], ph[:m], counts[:n], alive[:n]
         z = np.fromiter(map(cmath.rect, map(math.exp, lm.tolist()), ph.tolist()),
                         complex, len(lm))
+        values = out[done : done + len(counts)]
         # float arithmetic leaves double range silently, as Python's does
         with np.errstate(over="ignore", invalid="ignore"):
             if functionals is None:
-                values = _block_norms(space, tgt, z, counts, center)
+                values[alive] = _block_norms(space, tgt, z, counts[alive], center)
             else:
-                values = _block_gaps(tgt, z, counts, center, functionals)
-        out[live[done : done + len(counts)]] = values
+                values[alive] = _block_gaps(tgt, z, counts[alive], center, functionals)
+        if stop:
+            raise dead
+        if not alive.all():
+            values[~alive] = dead
         done += len(counts)
-        if len(over):
-            math.exp(overflow)  # raises OverflowError
-    if dead_error is not None:
-        raise dead_error
     return out
 
 
@@ -320,12 +304,12 @@ def _criterion_or_refuse(space: SpaceSpec, w: WeightSeq, q: int,
 
 def _window(q: int, targets: tuple[CoeffVector, ...], n_max: int) -> int:
     """The 64 to n_max terms of ``_thresholds`` whose prefix n^q + jmax is
-    within DEFAULT_STEP_CAP; refused when fewer than 64 are."""
+    within EXACT_INDEX; refused when fewer than 64 are (from q = 9 on)."""
     jmax = max((max(x.support, default=1) for x in targets), default=1)
-    reach = iroot(DEFAULT_STEP_CAP - jmax, q)
+    reach = iroot(EXACT_INDEX - jmax, q)
     if reach < 64:
-        raise InvalidArgumentError(f"q={q} leaves {reach} terms within the 2^23 prefix "
-                                   "reach; the tail certificates need 64")
+        raise InvalidArgumentError(f"q={q} leaves {reach} terms within the exact-index "
+                                   "limit 2^53; the tail certificates need 64")
     return max(64, min(n_max, reach))
 
 

@@ -30,7 +30,9 @@ range; a term that underflows to 0 reads as 0.
 Every weighted-shift series of the checkers and of the constructor's tail
 certificates comes from one function, ``_shift_series``: log term magnitudes
 P(anchor) - P(j +/- n^q) of prefix products P, read at the n asked for.
-One extrapolator, ``_extrapolate_tail``, fits the tail past the last term.
+The tail past the last scanned term comes from the class where it fixes
+the terms' shape (``_power_tail`` at the log n level, a geometric tail at
+the n level), else from ``_extrapolate_tail``'s fit to the scanned terms.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 from .density import iroot
 from .errors import DomainMismatchError, InvalidArgumentError
 from .seqspace import BILATERAL, UNILATERAL, SpaceSpec, c0, entire, lp
-from .shiftops import AsymptoticClass, TMuWeight, WeightSeq
+from .shiftops import EXACT_INDEX, AsymptoticClass, TMuWeight, WeightSeq, _check_anchors
 
 CONVERGES = "converges"
 DIVERGES = "diverges"
@@ -55,8 +57,9 @@ SATISFIES = "satisfies"
 FAILS = "fails"
 
 DEFAULT_MAX_EXP = 20
-DEFAULT_EXP_CAP = 1 << 22
-# most terms a scan reads once the asymptotic class has decided the series
+# most terms the scan of a weighted-shift series reads, once its asymptotic
+# class has decided it: the power-law tail (``_power_tail``) is
+# O(N^-4)-accurate at q = 1, so 2^12 terms give its sum
 SCAN_TERMS = 1 << 12
 # indices per mag_fn call of a scan, so that a block's arrays (256 KB each)
 # stay in cache.  The nine 2^20-term criterion-grid probes (Xeon, 2 MiB L2
@@ -225,6 +228,25 @@ def _extrapolate_tail(terms, n_max: int) -> float | None:
     return None
 
 
+def _power_tail(terms, n: int, q: int, power: float) -> float | None:
+    """Summed mass past n of terms t(k) = K (k^q + c)^(-power/q), with the
+    power given (> 1) and c fitted to the terms at n and n // 2; None when
+    they do not decrease.  In x = (k^q + c)^(1/q) the terms are K x^-power:
+    the midpoint integral from n + 1/2 less its Euler-Maclaurin correction,
+    to a relative O(n^-4) at q = 1 whatever c is, and O(c n^-q) past it."""
+    h = n // 2
+    with np.errstate(under="ignore"):
+        t_n, t_h = np.asarray(terms(np.array([n, h], dtype=np.int64)), dtype=float)
+    if t_n == 0:
+        return 0.0
+    rho = (t_h / t_n) ** (q / power)  # (n^q + c) / (h^q + c)
+    if not 1 < rho < math.inf:
+        return None
+    c = (n**q - rho * h**q) / (rho - 1.0)
+    x_n, x_half = (n**q + c) ** (1.0 / q), ((n + 0.5) ** q + c) ** (1.0 / q)
+    return t_n * (x_n / x_half) ** power * (x_half / (power - 1.0) - power / (24.0 * x_half))
+
+
 def classify_magnitudes(mag_fn, n_max: int) -> Verdict:
     """Classify the scalar series sum of mag_fn(n) over n = 1..n_max.
 
@@ -332,29 +354,27 @@ def _indices(indices) -> list:
     return indices
 
 
-def _offsets(indices) -> list:
-    """Series offsets: at least one, none past the reach DEFAULT_EXP_CAP."""
-    indices = _indices(indices)
-    far = [j for j in indices if abs(j) > DEFAULT_EXP_CAP]
-    if far:
-        raise InvalidArgumentError(f"index {far[0]} is past the 2^22 prefix reach")
-    return indices
-
-
-def _series_term_count(q: int, max_exp: int, max_offset: int) -> int:
-    """Terms per series: 2^max_exp (at least 2), cut so that no term's
-    prefix index n^q + offset passes DEFAULT_EXP_CAP.  Below 2, the
-    series does not fit in that reach and no term is scanned (see
+def _offsets(indices, q: int, max_exp: int) -> tuple[list, int]:
+    """Series offsets (at least one, none past EXACT_INDEX) and the terms
+    per series: 2^max_exp (at least 2), cut so that no term's prefix index
+    n^q + |j| passes EXACT_INDEX.  Below 2, no term is scanned (see
     ``_classify_weighted``)."""
-    room = DEFAULT_EXP_CAP - max_offset
-    return min(max(2**max_exp, 2), iroot(room, q)) if room > 0 else 0
+    indices = _indices(indices)
+    far = [j for j in indices if abs(j) > EXACT_INDEX]
+    if far:
+        raise InvalidArgumentError(f"index {far[0]} is past the exact-index limit 2^53")
+    room = EXACT_INDEX - max(map(abs, indices))
+    return indices, (min(max(2**max_exp, 2), iroot(room, q)) if room > 0 else 0)
 
 
 def _shift_series(w: WeightSeq, j: int, q: int, direction: int, anchor: int | None):
     """Log term magnitudes n -> P(anchor) - P(j + direction * n^q) of a criterion
     series: a closure over int n-arrays that reads only the prefixes asked for.
-    ``anchor=None`` gives -P, keeping the sign of a zero prefix (0.0 - P does not)."""
+    ``anchor=None`` gives -P, keeping the sign of a zero prefix (0.0 - P does not).
+    An anchor with |P(anchor)| >= ANCHOR_LOGMAG is refused before any term is read."""
     base = None if anchor is None else w.prefix(anchor).logmag
+    if base is not None:
+        _check_anchors([anchor], [base])
 
     def logmags(ns):
         # one fresh index array: at q = 1 the offset step makes it, not ``** 1``
@@ -381,7 +401,7 @@ def _fmt(x) -> str:
 
 
 def _decide(cls: AsymptoticClass, q: int, s, log_r, summable: bool):
-    """(kind, rule, level) of a series whose log terms are
+    """(kind, rule) of a series whose log terms are
     -s * P(n^q +- j) + n^q * log R + O(1), for P of class ``cls``.
 
     Substituting m = n^q +- j gives A n^(2q) + B n^q log n + C n^q
@@ -393,8 +413,7 @@ def _decide(cls: AsymptoticClass, q: int, s, log_r, summable: bool):
     series (the Cauchy-Bertrand scale: the sum of n^D (log n)^E converges
     iff D < -1, or D = -1 and E < -1) and 0 on a term-decay condition.
     A float coefficient within _ROUNDING_BAND of its boundary (relative
-    to its largest part) is too close to call: ``inconclusive``.  ``level``
-    indexes the deciding level, 5 when every level sits on its boundary.
+    to its largest part) is too close to call: ``inconclusive``.
     """
     levels = ((-s * cls.a,), (-s * q * cls.b,), (log_r, -s * cls.c),
               (-s * q * cls.d,), (-s * cls.e,))
@@ -407,12 +426,12 @@ def _decide(cls: AsymptoticClass, q: int, s, log_r, summable: bool):
             continue
         where = f"asymptotic class at {names[level]}: coefficient {_fmt(x)}"
         if isinstance(x, float) and abs(x - bound) <= _ROUNDING_BAND * max(1.0, *map(abs, parts)):
-            return INCONCLUSIVE, f"{where} within rounding of {bound}", level
+            return INCONCLUSIVE, f"{where} within rounding of {bound}"
         if x < bound:
-            return CONVERGES, f"{where} < {bound}", level
-        return DIVERGES, f"{where} > {bound}", level
+            return CONVERGES, f"{where} < {bound}"
+        return DIVERGES, f"{where} > {bound}"
     limit = "terms of order 1/(n log n)" if summable else "terms tend to a nonzero limit"
-    return DIVERGES, f"asymptotic class: every coefficient on its boundary ({limit})", 5
+    return DIVERGES, f"asymptotic class: every coefficient on its boundary ({limit})"
 
 
 def _classify_weighted(space: SpaceSpec, w: WeightSeq, j: int, q: int, direction: int,
@@ -423,15 +442,16 @@ def _classify_weighted(space: SpaceSpec, w: WeightSeq, j: int, q: int, direction
     by R^(j + n^q - 1) at R = rmax, the worst radius.  ``decay`` asks
     whether the (weighted) terms tend to 0, the c0 rule, on any space.
 
-    The family's asymptotic class decides (``_decide``).  A scan then
-    reports checkpoints and sums without overriding the class: SCAN_TERMS
-    terms at most, or all n_max for a series that converges at the log n
-    or log log n level, whose slow tail the sum needs.  A scan that reads
-    otherwise is named in the rule.  n_max < 2 (fewer than two terms
-    within the 2^22 reach) reads no term.  A summable series that converges
-    at the n level (q = 1, c the class's only nonzero coefficient) and
-    whose scan gives no sum gets the scan total plus its exact geometric
-    tail, exact once the scan is past a table's head.
+    The family's asymptotic class decides (``_decide``).  A scan of
+    min(n_max, SCAN_TERMS) terms then reports checkpoints and sums without
+    overriding the class; a scan that reads otherwise is named in the rule.
+    n_max < 2 (fewer than two terms within the exact-index limit) reads no
+    term.  A summable series that converges at the log n level gets the
+    scan total plus its power-law tail (``_power_tail``, with the class's
+    exponent -s q d).  One that converges at the n level (q = 1, c the
+    class's only nonzero coefficient) and whose scan gives no sum gets the
+    scan total plus its exact geometric tail, exact once the scan is past
+    a table's head.
     """
     if space.domain != w.domain:
         raise DomainMismatchError(
@@ -454,42 +474,47 @@ def _classify_weighted(space: SpaceSpec, w: WeightSeq, j: int, q: int, direction
 
     summable = kind in ("lp", "entire") and not decay
     cls = w.asymptotics(direction)
-    verdict, rule, level = _decide(cls, q, _exact(p), log_r, summable)
+    s = _exact(p)
+    verdict, rule = _decide(cls, q, s, log_r, summable)
     if radius > 1:
         rule += f" at R={radius}"
-    slow = verdict == CONVERGES and level >= 3  # converges at log n or log log n
-    n_scan = n_max if slow else min(SCAN_TERMS, n_max)
+    n_scan = min(SCAN_TERMS, n_max)
     if n_scan < 2:
         return Verdict(verdict, rule)
     report = (classify_magnitudes if summable else classify_sup_decay)(mags, n_scan)
     if report.kind not in (verdict, INCONCLUSIVE):
         rule += f" (a {n_scan}-term scan reads {report.kind})"
+    tail = None
+    if verdict == CONVERGES and summable and cls.a == cls.b == cls.e == 0:
+        if log_r == s * cls.c:  # decided at log n: a power law in n^q +- j
+            tail = _power_tail(mags, n_scan, q, float(s * q * cls.d))
+        elif q == 1 and cls.d == 0 and report.kind != CONVERGES:
+            # log terms C n + const past the head: the tail past the scan is
+            # geometric with ratio exp(C), C = log R - p c < 0
+            tail = float(mags(np.array([n_scan]))[0]) / math.expm1(p * cls.c - log_r)
+    if tail is not None and math.isfinite(total := report.checkpoints[-1][1] + tail):
+        return Verdict(verdict, rule, report.checkpoints, sum_estimate=total, tail_estimate=tail)
     if verdict == CONVERGES and report.kind == CONVERGES:
         return replace(report, rule=rule)
-    if verdict == CONVERGES and summable and q == 1 and cls.a == cls.b == cls.d == cls.e == 0:
-        # log terms C n + const past the head: the tail past the scan is
-        # geometric with ratio exp(C), C = log R - p c < 0
-        tail = float(mags(np.array([n_scan]))[0]) / math.expm1(p * cls.c - log_r)
-        total = report.checkpoints[-1][1] + tail
-        if math.isfinite(total):
-            return Verdict(verdict, rule, report.checkpoints, sum_estimate=total,
-                           tail_estimate=tail)
     return Verdict(verdict, rule, report.checkpoints)
 
 
 def _trivial_t_series_entry(w: WeightSeq, q: int, j: int) -> ProbeEntry:
     """Unilateral backward T-series on a basis vector: only finitely many
     nonzero terms (the shift falls off the edge), hence converges.  The
-    head n^q < j is summed term by term, in order."""
+    head n^q < j is summed term by term, in order, up to SCAN_TERMS terms;
+    a longer head is read that far and reports no sum."""
     count = iroot(j - 1, q) if j > 0 else 0
-    lms = _shift_series(w, j, q, -1, j)(np.arange(1, count + 1))
+    read = min(count, SCAN_TERMS)
+    lms = _shift_series(w, j, q, -1, j)(np.arange(1, read + 1))
     totals = list(itertools.accumulate(map(math.exp, lms.tolist())))
+    whole = read == count
     verdict = Verdict(
         CONVERGES,
         "terms eventually zero (backward shift falls off the edge)",
-        tuple(zip(range(1, count + 1), totals)) or ((1, 0.0),),
-        sum_estimate=totals[-1] if totals else 0.0,
-        tail_estimate=0.0,
+        tuple(zip(range(1, read + 1), totals)) or ((1, 0.0),),
+        sum_estimate=(totals[-1] if totals else 0.0) if whole else None,
+        tail_estimate=0.0 if whole else None,
     )
     note = "trivially convergent: all terms beyond a finite head are zero"
     return ProbeEntry(f"T-series j={j}", verdict, note=note)
@@ -506,9 +531,7 @@ def qfhc_check(
     """Probe the two basis-vector series (backward orbit sums at
     exponents n^q, and forward right-inverse sums) for every listed
     basis index."""
-    dense_indices = _offsets(dense_indices)
-    jmax = max(abs(j) for j in dense_indices)
-    n_max = _series_term_count(q, max_exp, jmax)
+    dense_indices, n_max = _offsets(dense_indices, q, max_exp)
     entries = []
     notes = []
     for j in dense_indices:
@@ -542,13 +565,12 @@ def unilateral_condition(
     reciprocal prefix products at exponent-spaced indices, per offset j."""
     if space.kind not in ("lp", "c0") or space.domain != UNILATERAL:
         raise InvalidArgumentError("unilateral condition reduces to unilateral lp or c0 only")
-    j_range = _offsets(j_range)
+    j_range, n_max = _offsets(j_range, q, max_exp)
     if w.domain == UNILATERAL and min(j_range) < 0:
         # P(n^q + j) below index 0 does not exist, and at j = -1 the first
         # term would read P(0) as if it were a product
         raise InvalidArgumentError(
             f"offset {min(j_range)} is negative; a unilateral family needs j >= 0")
-    n_max = _series_term_count(q, max_exp, max(abs(j) for j in j_range))
     entries = []
     for j in j_range:
         verdict = _classify_weighted(space, w, j, q, 1, None, n_max)
@@ -574,9 +596,7 @@ def bilateral_condition(
         raise InvalidArgumentError("bilateral condition needs an lp or c0 bilateral space")
     kind, label = (("products", "c0(Z)") if space.kind == "c0"
                    else ("series", f"l^{space.p:g}(Z)"))
-    j_range = _offsets(j_range)
-    jmax = max(abs(j) for j in j_range)
-    n_max = _series_term_count(q, max_exp, jmax)
+    j_range, n_max = _offsets(j_range, q, max_exp)
     entries = []
     for j in j_range:
         # -log products w_1..w_{n^q+j}, and log products w_j..w_{j-n^q+1}

@@ -18,7 +18,9 @@ class InvalidArgumentError(ShiftLabError, ValueError):
 
 
 class ResourceLimitError(ShiftLabError, RuntimeError):
-    """A prefix index past ``shiftops.DEFAULT_STEP_CAP`` was asked for."""
+    """A prefix index past ``shiftops.EXACT_INDEX`` (2^53), an anchor with
+    |P| >= ``shiftops.ANCHOR_LOGMAG`` (2^27) or an orbit term past double
+    range was asked for."""
 
 
 class ConstructionRefusedError(ShiftLabError, RuntimeError):

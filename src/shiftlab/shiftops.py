@@ -22,9 +22,15 @@ and numpy evaluates P elementwise and adds and subtracts in the order of
 the scalar expression log|c| + (P(j) - P(tgt)).  P at an index has the
 same bits whether it is read alone (``prefix``) or in an array.
 
-Prefix indices are limited to |n| <= DEFAULT_STEP_CAP = 2^23; past it a
-read raises ``ResourceLimitError``.  Orbits have no step limit of their
-own, since an orbit costs its surviving terms whatever N is.
+Every prefix read has |n| <= EXACT_INDEX = 2^53, where an int64 index
+converts to float exactly; past it a read raises ``ResourceLimitError``.
+An anchored log term P(j) - P(m) is refused before any term is read when
+|P(j)| >= ANCHOR_LOGMAG = 2^27, where the subtraction would lose its
+digits to cancellation: the support indices of an orbit's vector here,
+the criterion anchors in ``criterion``.  An orbit term past double range
+ends the orbit in ``_orbit_chunks`` with ``ResourceLimitError`` naming its
+time, after the times before it.  Orbits have no step limit of their own,
+since an orbit costs its surviving terms whatever N is.
 """
 from __future__ import annotations
 
@@ -38,13 +44,27 @@ import numpy as np
 from .errors import DomainMismatchError, InvalidArgumentError, ResourceLimitError
 from .seqspace import BILATERAL, UNILATERAL, CoeffVector, _phase
 
-DEFAULT_STEP_CAP = 1 << 23  # largest prefix index |n| a family evaluates
+# the exact-index limit: every prefix read has |n| <= 2^53, where an int64
+# index converts to float exactly (``_side`` and the closed forms rely on it)
+EXACT_INDEX = 1 << 53
+# an anchored log term P(j) - P(m) carries up to 2 ulp(P(j)) of rounding,
+# from P(j) and from the subtraction, whatever its size: an anchor with
+# |P(j)| >= 2^27 is refused, which bounds that error by 2 * 2^-25 = 2^-24.
+# Every anchor |j| <= 2^23 of Constant(|lam| < e^16), Bergman, LogWeight,
+# RootWeight and TMu(|mu| = 1) passes, since lgamma(2^23) ~ 1.25e8 < 2^27.
+ANCHOR_LOGMAG = 1 << 27
+# most |k| of an explicit BilateralTableWeight entry: its dense heads hold
+# one prefix per index up to the farthest entry
+TABLE_INDEX = 1 << 23
 # most terms ``_orbit_chunks`` gathers per batch: a batch peaks near 125
 # bytes per term, so this caps it near 32 MB
 ORBIT_CHUNK_TERMS = 1 << 18
+# math.exp(x) raises OverflowError exactly for x > _EXP_MAX: an orbit term
+# past it is past double range
+_EXP_MAX = 709.782712893384
 # a step count past int64 acts as this one: it passes every support
 # index below 2^62, so a unilateral backward orbit is zero, and any other
-# orbit asks for a prefix index past DEFAULT_STEP_CAP
+# orbit asks for a prefix index past EXACT_INDEX
 _STEP_CLIP = 1 << 62
 
 BACKWARD = "backward"
@@ -124,7 +144,7 @@ class WeightSeq:
     over (m, n] is exp(P(n) - P(m)) on either side.
 
     P is a closed form, evaluated at any int64 array of indices with
-    |n| <= DEFAULT_STEP_CAP after one domain check (``_at``); ``prefix``
+    |n| <= EXACT_INDEX after one domain check (``_at``); ``prefix``
     is the same evaluation at one index, so it has the same bits.  The
     base rule is a head plus a linear tail: ``_lm``/``_ph`` hold the
     log-magnitude and phase of P(0), ..., P(L) (``_lm_neg``/``_ph_neg``
@@ -164,9 +184,9 @@ class WeightSeq:
         """The domain check of every prefix read: indices lo..hi."""
         if lo < 0 and self.domain != BILATERAL:
             raise DomainMismatchError("negative prefix index on a unilateral family")
-        if hi > DEFAULT_STEP_CAP or lo < -DEFAULT_STEP_CAP:
-            far = hi if hi > DEFAULT_STEP_CAP else lo
-            raise ResourceLimitError(f"prefix index {far} exceeds the cap {DEFAULT_STEP_CAP}")
+        if hi > EXACT_INDEX or lo < -EXACT_INDEX:
+            far = hi if hi > EXACT_INDEX else lo
+            raise ResourceLimitError(f"prefix index {far} is past the exact-index limit 2^53")
 
     def _at(self, points, phase: bool = True):
         """(logmag, phase) of P at integer ``points``; phase None unless asked."""
@@ -249,7 +269,7 @@ def _side(ns, sign: int, low: int, head, step) -> np.ndarray:
     head[L] + (m - L) * step, computed as (n - sign L) * (sign step), which
     has the same bits and needs no negated copy of ``ns``."""
     end = len(head) - 1
-    out = np.subtract(ns, sign * end, dtype=float)  # exact: |n| <= DEFAULT_STEP_CAP
+    out = np.subtract(ns, sign * end, dtype=float)  # exact: |n| <= EXACT_INDEX
     out *= sign * step
     out += head[end]
     if low < end:
@@ -376,9 +396,16 @@ class TMuWeight(WeightSeq):
 
     @staticmethod
     def _triangle(ns) -> tuple[np.ndarray, np.ndarray]:
-        """max(n, 1) and its (n-1)(n-2)/2, so that P(0) = P(1) = 0."""
-        m = np.maximum(ns, 1)
-        return m, ((m - 1) * (m - 2) // 2).astype(float)
+        """max(n, 2) and its (n-1)(n-2)/2, so that P(0) = P(1) = P(2) = +0.0
+        (lgamma(2) is +0.0, as lgamma(1) is).  Taken in floats, which hold
+        the factors exactly below 2^53: the product rounds once and halving
+        is exact, so these are the bits of the exact integer, with no int64
+        wrap past m = 3.04e9."""
+        m = np.maximum(ns, 2)
+        tri = np.subtract(m, 1.0)
+        tri *= m - 2.0
+        tri *= 0.5
+        return m, tri
 
     def _logmag_at(self, ns):
         m, tri = self._triangle(ns)
@@ -445,10 +472,13 @@ class BilateralTableWeight(WeightSeq):
             self.default_nonpos,
         ):
             raise InvalidArgumentError("weights must be nonzero")
-        # heads w_1..w_top and w_0..w_bottom; no prefix reads past the cap
-        top = min(max((k for k in self.entries if k >= 1), default=0), DEFAULT_STEP_CAP)
-        bottom = max(min((k for k in self.entries if k <= 0), default=1),
-                     1 - DEFAULT_STEP_CAP)
+        far = [k for k in self.entries if abs(k) > TABLE_INDEX]
+        if far:
+            raise InvalidArgumentError(f"entry index {far[0]} is past 2^23; the dense "
+                                       "heads hold one prefix per index up to it")
+        # heads w_1..w_top and w_0..w_bottom
+        top = max((k for k in self.entries if k >= 1), default=0)
+        bottom = min((k for k in self.entries if k <= 0), default=1)
         super().__init__([self.weight(n) for n in range(1, top + 1)], self.default_pos,
                          [self.weight(n) for n in range(0, bottom - 1, -1)],
                          self.default_nonpos)
@@ -542,21 +572,49 @@ def _survivors(op: OperatorSpec, support: np.ndarray, steps: np.ndarray):
     return start, len(support) - start
 
 
-def orbit_batch(op: OperatorSpec, v: CoeffVector, steps):
-    """Support of op^N v for every N*power in ``steps``, as flat arrays
-    (index, logmag, phase, counts).
+def _check_anchors(anchors, logmags):
+    """Refuse the first anchor j with |P(j)| >= ANCHOR_LOGMAG, naming the
+    rounding bound of its log terms."""
+    big = np.flatnonzero(np.abs(logmags) >= ANCHOR_LOGMAG)
+    if big.size:
+        j, lm = int(anchors[big[0]]), abs(float(logmags[big[0]]))
+        raise ResourceLimitError(f"anchor {j}: |P({j})| = {lm:.6g} >= 2^27, so each log term "
+                                 f"P({j}) - P(m) may be off by 2 ulp = {2 * math.ulp(lm):.3g}")
 
-    The terms of time i are the counts[i] entries after those of the
-    earlier times, in support order.  The rotation enters only through
-    the phase, so coefficient moduli are manifestly rotation-invariant.
-    Arrays grow with the surviving terms only.
-    """
+
+def _orbit_plan(op: OperatorSpec, v: CoeffVector, steps):
+    """The checks of one orbit call, made once: the domains, the steps
+    (int64, none negative) and the anchors of the terms that move.  Returns
+    the steps, each time's first surviving support position and count, and
+    (first, logmag, phase) of P at the support positions from first on."""
     _check_domains(op, v)
     steps = _step_array(steps)
     if (steps < 0).any():
         raise InvalidArgumentError("step count must be nonnegative")
-    support, log_c, arg_c = v.log_polar
+    support = v.log_polar[0]
     start, counts = _survivors(op, support, steps)
+    # a time with no survivor starts at len(support)
+    first = int(start[steps > 0].min(initial=len(support)))
+    lm, ph = op.base._at(support[first:])
+    _check_anchors(support[first:], lm)
+    return steps, start, counts, (first, lm, ph)
+
+
+def orbit_batch(op: OperatorSpec, v: CoeffVector, steps):
+    """Support of op^N v for every N*power in ``steps``, as flat arrays
+    (index, logmag, phase, counts).
+
+    Terms are ordered by time, then by source index.  Rotation touches only
+    the phase, so coefficient moduli are manifestly rotation-invariant.
+    Arrays grow with the surviving terms only.
+    """
+    return _batch(op, v, *_orbit_plan(op, v, steps))
+
+
+def _batch(op: OperatorSpec, v: CoeffVector, steps, start, counts, anchors):
+    """``orbit_batch`` of times whose ``_orbit_plan`` was made."""
+    first, lj, pj = anchors
+    support, log_c, arg_c = v.log_polar
     total = int(counts.sum())
     offsets = np.cumsum(counts) - counts
     at = np.arange(total) + np.repeat(start - offsets, counts)
@@ -568,11 +626,11 @@ def orbit_batch(op: OperatorSpec, v: CoeffVector, steps):
     dlm = np.zeros(total)
     dph = np.zeros(total)
     if moved.any():
-        w = op.base
-        jm, tm = (j, tgt) if moved.all() else (j[moved], tgt[moved])
-        (lj, pj), (lt, pt) = w._at(jm), w._at(tm)
-        dlm[moved] = lj - lt
-        dph[moved] = pj - pt
+        # P(j) from the plan's anchors, P(tgt) read here
+        am, tm = (at, tgt) if moved.all() else (at[moved], tgt[moved])
+        lt, pt = op.base._at(tm)
+        dlm[moved] = lj[am - first] - lt
+        dph[moved] = pj[am - first] - pt
     rot = steps * _phase(complex(op.rotation))
     return (tgt, log_c[at] + dlm, (arg_c[at] + dph) + np.repeat(rot, counts),
             counts)
@@ -580,16 +638,26 @@ def orbit_batch(op: OperatorSpec, v: CoeffVector, steps):
 
 def _orbit_chunks(op: OperatorSpec, v: CoeffVector, steps):
     """Yield ``orbit_batch`` of ``steps`` in consecutive runs of times of at
-    most ORBIT_CHUNK_TERMS terms each (a single time may exceed it)."""
-    _check_domains(op, v)
-    steps = _step_array(steps)
-    _, counts = _survivors(op, v.log_polar[0], steps)
+    most ORBIT_CHUNK_TERMS terms each (a single time may exceed it), after
+    one ``_orbit_plan``.  A time with a term past double range ends the
+    orbit: the times before it are yielded, then ``ResourceLimitError``
+    names it and the term's log-magnitude."""
+    steps, start, counts, anchors = _orbit_plan(op, v, steps)
     ends = np.cumsum(counts)
     lo = 0
     while lo < len(steps):
         limit = (int(ends[lo - 1]) if lo else 0) + ORBIT_CHUNK_TERMS
         hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
-        yield orbit_batch(op, v, steps[lo:hi])
+        tgt, lm, ph, got = _batch(op, v, steps[lo:hi], start[lo:hi], counts[lo:hi], anchors)
+        over = np.flatnonzero(lm > _EXP_MAX)
+        if len(over):
+            n = int(np.searchsorted(np.cumsum(got), over[0], side="right"))
+            m = int(got[:n].sum())
+            if n:
+                yield tgt[:m], lm[:m], ph[:m], got[:n]
+            raise ResourceLimitError(f"time {int(steps[lo + n]) // op.power}: a term of log-"
+                                     f"magnitude {lm[m : m + got[n]].max():g} is past double range")
+        yield tgt, lm, ph, got
         lo = hi
 
 
@@ -611,12 +679,14 @@ def _coefficients(idx, lm, ph) -> dict[int, complex]:
 
 
 def iterate(op: OperatorSpec, v: CoeffVector, n: int) -> CoeffVector:
-    """op^n v for any n >= 0, from one ``orbit_batch`` call (v itself at
-    n = 0).  A unilateral backward orbit past its support is the zero
-    vector; every other orbit raises ``ResourceLimitError`` once a prefix
-    index it touches passes DEFAULT_STEP_CAP."""
+    """op^n v for any n >= 0, from ``_orbit_chunks`` at one time (v itself
+    at n = 0).  A unilateral backward orbit past its support is the zero
+    vector.  Every other orbit raises ``ResourceLimitError`` at a prefix
+    index past EXACT_INDEX, at an anchor past ANCHOR_LOGMAG, and at a term
+    past double range, naming n and its log-magnitude."""
     n = int(n)  # a Python int: n * power cannot wrap
-    idx, lm, ph, _ = orbit_batch(op, v, [n * op.power])  # checks the domain and n >= 0
+    # checks the domain and n >= 0
+    ((idx, lm, ph, _),) = _orbit_chunks(op, v, [n * op.power])
     if n == 0:
         return v
     return CoeffVector(v.domain, _coefficients(idx.tolist(), lm.tolist(), ph.tolist()))

@@ -196,6 +196,18 @@ def test_07_construction_bound():
     report(7, "return bound holds at every interior class time; hit set dense and bounded")
 
 
+def test_07_construction_bound_past_q3():
+    # the tail certificates read their 64 to 4096 terms at every q <= 8
+    targets = canonical_targets(3)
+    for w, q in ((BergmanWeight(), 4), (BergmanWeight(), 5), (ConstantWeight(2), 4)):
+        plan = build_vector(lp(2), w, q, targets, horizon=10**6)
+        assert plan.criterion.satisfied and not plan.warnings, (w.describe(), q)
+        rep = verify_eq33(plan)
+        assert rep.checks, (w.describe(), q)
+        assert not rep.violations, (w.describe(), q)
+    report(7, "return bound holds at q = 4 and q = 5 too")
+
+
 def test_08_differentiation_operator():
     rng = random.Random(0)
     for _ in range(100):

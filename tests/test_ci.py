@@ -1,5 +1,6 @@
 """The CI workflow parses, keeps its limits, gates on full-size benchmark
-runs, compares a serial and a forked CSV write and installs the test extra;
+runs, compares a serial and a forked CSV write, shows a pull request's
+golden report diff without failing on it and installs the test extra;
 pytest turns RuntimeWarnings, ResourceWarnings and unraisable exceptions
 into errors; the benchmark's tracer finds every name it wraps."""
 
@@ -44,6 +45,27 @@ def test_workflow_parses_and_keeps_its_limits():
         assert f'PYTHONPATH=src{cli}"$d/forked"' in forked
         assert f'cmp "$d/serial/{csv_name}" "$d/forked/{csv_name}"' in forked
     assert '"nseq": [1, 2, 3, 4, 5], "horizon": 10**6' in forked
+
+
+def test_golden_diff_runs_on_pull_requests_and_never_fails():
+    yaml = pytest.importorskip("yaml")
+    with open(os.path.join(ROOT, ".github", "workflows", "tests.yml"), encoding="utf-8") as fh:
+        steps = yaml.safe_load(fh)["jobs"]["tests"]["steps"]
+    step = next(s for s in steps if s.get("name") == "Golden report diff against the base commit")
+    assert step["if"] == "github.event_name == 'pull_request'"
+    # the one guard: no command of the step can fail the job
+    assert step["continue-on-error"] is True
+    lines = step["run"].strip().splitlines()
+    assert lines[0] == 'base_sha="${{ github.event.pull_request.base.sha }}"'
+    # only this step needs the base commit, so only it fetches it
+    assert lines[1] == 'git fetch --depth=1 origin "$base_sha"'
+    assert "with" not in steps[0]
+    assert lines[2] == 'git worktree add --detach "$RUNNER_TEMP/base" "$base_sha"'
+    # the base tree's and the head tree's report reprs, then their diff
+    assert lines[3].startswith(
+        '(cd "$RUNNER_TEMP/base" && PYTHONPATH=src python tests/test_goldens.py)')
+    assert lines[4].startswith("PYTHONPATH=src python tests/test_goldens.py")
+    assert lines[5] == 'diff "$RUNNER_TEMP/goldens-base.txt" "$RUNNER_TEMP/goldens-head.txt"'
 
 
 def _name(requirement: str) -> str:

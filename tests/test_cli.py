@@ -215,13 +215,23 @@ class TestScenarios:
             tmp_path,
             "c.json",
             {"scenario": "construct", "weights": {"family": "Constant", "value": 2},
-             "q": 4, "k": 2},
+             "q": 9, "k": 2},
         )
         assert run(["construct", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert capsys.readouterr().err == (
-            "error: q=4 leaves 53 terms within the 2^23 prefix reach; "
+            "error: q=9 leaves 59 terms within the exact-index limit 2^53; "
             "the tail certificates need 64\n")
         assert not (tmp_path / "o" / "candidate.csv").exists()
+
+    def test_construct_at_q4_builds(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {"scenario": "construct", "weights": {"family": "Constant", "value": 2},
+             "q": 4, "k": 2},
+        )
+        assert run(["construct", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        assert (tmp_path / "o" / "candidate.csv").exists()
 
     def test_orbit_events_jsonl(self, tmp_path):
         out = tmp_path / "out"
@@ -361,9 +371,9 @@ class TestScenarios:
         assert lines[1].endswith("fails,satisfies,satisfies")
         assert lines[2].endswith("fails,fails,satisfies")
 
-    def test_sweep_past_the_prefix_reach_is_decided(self, tmp_path):
-        # at q=23 the second term 2^23 + j lies past the 2^22 reach: the
-        # asymptotic class decides without reading it
+    def test_sweep_past_the_exact_index_limit_is_decided(self, tmp_path):
+        # at q=54 the first term 1 + j is the only one within 2^53: the
+        # asymptotic class decides without reading any
         out = tmp_path / "out"
         cfg = write_config(
             tmp_path,
@@ -372,12 +382,12 @@ class TestScenarios:
                 "scenario": "sweep",
                 "space": {"kind": "lp", "p": 2},
                 "grid": [{"family": "RootWeight", "p": 1}],
-                "q_values": [1, 23],
+                "q_values": [1, 54],
             },
         )
         assert run(["sweep", "--config", cfg, "--out", out]) == 0
         lines = (out / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "weights,q=1,q=23"
+        assert lines[0] == "weights,q=1,q=54"
         assert lines[1].endswith("fails,satisfies")
 
     @pytest.mark.parametrize("grid, space, message", [
@@ -446,13 +456,35 @@ class TestScenarios:
         assert run(["sweep", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert "error: need at least one index" in capsys.readouterr().err
 
-    def test_criterion_index_past_the_reach_is_an_error(self, tmp_path, capsys):
+    def test_criterion_index_past_the_exact_index_limit_is_an_error(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "c.json",
-            {"scenario": "criterion", "weights": {"family": "Bergman"}, "indices": [5000000]},
+            {"scenario": "criterion", "weights": {"family": "Bergman"},
+             "indices": [2**53 + 1]},
         )
         assert run(["criterion", "--config", cfg, "--out", tmp_path / "o"]) == 2
-        assert "error: index 5000000 is past the 2^22 prefix reach" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: index 9007199254740993 is past the exact-index limit 2^53\n")
+        # an index past the former 2^22 reach is read
+        cfg = write_config(
+            tmp_path, "d.json",
+            {"scenario": "criterion", "weights": {"family": "Bergman"}, "q": 2,
+             "indices": [5000000]},
+        )
+        assert run(["criterion", "--config", cfg, "--out", tmp_path / "d"]) == 0
+        rows = (tmp_path / "d" / "criterion.csv").read_text().splitlines()
+        # the 2236-term T-series head is read whole, so it keeps its sum
+        assert rows[1].startswith("T-series j=5000000,converges,") and rows[1][-1] != ","
+
+    def test_criterion_anchor_past_the_precision_limit_is_an_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"scenario": "criterion", "weights": {"family": "Constant", "value": 2},
+             "indices": [2**40]},
+        )
+        assert run(["criterion", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: anchor 1099511627776: |P(1099511627776)| = 7.62123e+11 >= 2^27")
 
     def test_density_non_integral_time_is_an_error(self, tmp_path, capsys):
         cfg = write_config(

@@ -39,6 +39,7 @@ from shiftlab.seqspace import (
     weakstar_gap,
 )
 from shiftlab.seqspace import _fnorm, _minus
+from shiftlab import shiftops
 from shiftlab.shiftops import (
     BACKWARD,
     FORWARD,
@@ -49,6 +50,7 @@ from shiftlab.shiftops import (
     TableWeight,
     iterate,
     orbit_batch,
+    orbit_slices,
 )
 
 E1 = CoeffVector.basis(1)
@@ -142,15 +144,15 @@ class TestBuildVector:
         with pytest.raises(ConstructionRefusedError):
             build_vector(lp(2), BergmanWeight(), 1, [E1])
 
-    @pytest.mark.parametrize("q, reach", [(4, 53), (11, 4)])
+    @pytest.mark.parametrize("q, reach", [(9, 59), (11, 28)])
     def test_q_past_the_certificate_reach_refused_before_any_read(self, q, reach):
-        # a 64-term window passes the 2^23 prefix cap at q = 4 (64^4 = 2^24),
-        # and 64^11 wraps int64
+        # a 64-term window passes the exact-index limit at q = 9
+        # (64^9 = 2^54), and 64^11 wraps int64
         w = ConstantWeight(2)
         reads = []
         at = w._at
         w._at = lambda points, phase=True: reads.append(points) or at(points, phase)
-        match = f"q={q} leaves {reach} terms within the 2\\^23 prefix reach"
+        match = f"q={q} leaves {reach} terms within the exact-index limit 2\\^53"
         with pytest.raises(InvalidArgumentError, match=match):
             build_vector(lp(2), w, q, canonical_targets(2), horizon=10**4)
         with pytest.raises(InvalidArgumentError, match=match):
@@ -431,12 +433,43 @@ class TestOrbitDistances:
         op, x, center, ns = self.OVERFLOWS[case]
         x, center = CoeffVector(UNILATERAL, x), CoeffVector(UNILATERAL, center)
         functionals = coordinate_functionals(2000) if space.kind == "linf_weakstar" else None
-        with pytest.raises(OverflowError) as want:
+        # ``iterate`` refuses a coefficient past double range by name
+        errors = (OverflowError, ResourceLimitError)
+        with pytest.raises(errors) as want:
             for n in ns:
                 _scalar_distance(space, op, x, n, center, functionals)
-        with pytest.raises(OverflowError) as got:
+        with pytest.raises(errors) as got:
             constructor._orbit_distances(space, op, x, ns, center, functionals)
-        assert str(got.value) == str(want.value)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    def test_overflow_names_the_time_of_the_power(self):
+        # forward Constant(0.5) at power 3: time 342 is step 1026, the first
+        # whose coefficient 2^1026 leaves double range
+        op = OperatorSpec(ConstantWeight(0.5), FORWARD, power=3)
+        with pytest.raises(ResourceLimitError, match="^time 342: a term of log-magnitude "
+                                                     "711.169 is past double range$"):
+            constructor._orbit_distances(c0(), op, E1, [3 * n for n in range(1, 400)], E1)
+
+    def test_orbits_are_checked_once_per_call(self, monkeypatch):
+        # chunks of 4 terms: each call runs several batches
+        monkeypatch.setattr(shiftops, "ORBIT_CHUNK_TERMS", 4)
+        calls = []
+        for name in ("_survivors", "_check_anchors", "_check_domains", "_step_array"):
+            real = getattr(shiftops, name)
+            monkeypatch.setattr(shiftops, name,
+                                lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+        op = OperatorSpec(ConstantWeight(2), BACKWARD)
+        x = CoeffVector(UNILATERAL, {1: 1.0, 3: 0.5j, 7: 2.0, 40: -1.0})
+        steps = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+        once = ["_check_domains", "_step_array", "_survivors", "_check_anchors"]
+        iterate(op, x, 3)
+        assert calls == once
+        calls.clear()
+        assert len(list(orbit_slices(op, x, steps))) == len(steps)
+        assert calls == once
+        calls.clear()
+        constructor._orbit_distances(lp(2), op, x, steps, E1)
+        assert calls == once
 
     def test_no_time_reads_the_scalar_route(self, monkeypatch):
         # the value of -center is computed once per call; no time builds a
@@ -606,7 +639,7 @@ class TestHitExperiments:
         assert r.hits.times == tuple(n * n for n in range(1, 21))
         assert r.density.q == 2
 
-    # orbits have no step limit of their own; only prefix indices are capped
+    # orbits have no step limit of their own; only prefix indices are limited
     STEP_TARGETS = [
         modulus_exceeds(1, 0.5),
         BallTarget(E1, 0.5),
@@ -615,9 +648,9 @@ class TestHitExperiments:
 
     @pytest.mark.parametrize("target", STEP_TARGETS, ids=["modulus", "ball", "weakstar"])
     def test_backward_orbit_past_support_is_zero_at_any_step(self, target):
-        # 3 * 2^22 shift steps exceed the prefix cap, but every term has
-        # fallen off the edge, so no prefix index is touched
-        op = OperatorSpec(ConstantWeight(2), BACKWARD, power=2**22)
+        # 3 * 2^60 shift steps pass the exact-index limit, but every term
+        # has fallen off the edge, so no prefix index is touched
+        op = OperatorSpec(ConstantWeight(2), BACKWARD, power=2**60)
         r = hit_experiment(lp(2), op, E1, target, horizon=3)
         assert len(r.events) == 3
         assert len(r.hits) == 0
@@ -626,10 +659,26 @@ class TestHitExperiments:
             assert [e["value"] for e in r.events] == [1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize("target", STEP_TARGETS, ids=["modulus", "ball", "weakstar"])
-    def test_forward_orbit_past_prefix_cap_raises(self, target):
-        op = OperatorSpec(ConstantWeight(2), FORWARD, power=2**23)
-        with pytest.raises(ResourceLimitError):
+    def test_forward_orbit_past_the_exact_index_limit_raises(self, target):
+        # 2^53 steps from e_1 read P(2^53 + 1)
+        op = OperatorSpec(ConstantWeight(2), FORWARD, power=2**53)
+        with pytest.raises(ResourceLimitError, match="past the exact-index limit"):
             hit_experiment(lp(2), op, E1, target, horizon=3)
+        # 2^23 steps read through: the terms 2^-(2^23) underflow to zero
+        r = hit_experiment(lp(2), OperatorSpec(ConstantWeight(2), FORWARD, power=2**23),
+                           E1, target, horizon=3)
+        assert len(r.events) == 3 and len(r.hits) == 0
+
+
+    @pytest.mark.parametrize("target", STEP_TARGETS, ids=["modulus", "ball", "weakstar"])
+    def test_term_past_double_range_is_refused_by_name(self, target):
+        # forward Constant(0.5) from e_1: time 1025 is the first whose
+        # coefficient 2^1025 leaves double range, whichever target reads it
+        # (on c0, where no norm overflows before it)
+        op = OperatorSpec(ConstantWeight(0.5), FORWARD)
+        with pytest.raises(ResourceLimitError, match="^time 1025: a term of log-magnitude "
+                                                     "710.476 is past double range$"):
+            hit_experiment(c0(), op, E1, target, horizon=1100)
 
 
 class TestWeakStarTransfer:

@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -12,7 +13,6 @@ from shiftlab import criterion
 from shiftlab.criterion import (
     _SCAN_BLOCK,
     CONVERGES,
-    DEFAULT_EXP_CAP,
     DIVERGES,
     FAILS,
     INCONCLUSIVE,
@@ -33,7 +33,7 @@ from shiftlab.criterion import (
     weakstar_condition,
 )
 from shiftlab.density import iroot
-from shiftlab.errors import DomainMismatchError, InvalidArgumentError
+from shiftlab.errors import DomainMismatchError, InvalidArgumentError, ResourceLimitError
 from shiftlab.seqspace import BILATERAL, CoeffVector, c0, entire, linf_weakstar, lp
 from shiftlab.shiftops import (
     BACKWARD,
@@ -246,13 +246,13 @@ def record_reads(w):
     return seen
 
 
-class TestPrefixReach:
-    """A series with fewer than two terms inside the 2^22 reach (n^q + j
-    past DEFAULT_EXP_CAP from n = 2 on) reads no term: its asymptotic
-    class decides it."""
+class TestExactIndexLimit:
+    """Every term's prefix index j +/- n^q stays within 2^53, where an int64
+    index converts to float exactly.  A series with fewer than two terms
+    inside that limit reads no term: its asymptotic class decides it."""
 
-    @pytest.mark.parametrize("q", [22, 23, 40])
-    def test_unilateral_condition_stays_inside_the_reach(self, q):
+    @pytest.mark.parametrize("q", [53, 54, 80])
+    def test_unilateral_condition_stays_inside_the_limit(self, q):
         w = RootRatioWeight(1)
         seen = record_reads(w)
         rep = unilateral_condition(w, lp(2), q, range(0, 5))
@@ -260,35 +260,36 @@ class TestPrefixReach:
         assert {e.verdict.rule for e in rep.entries} == {
             f"asymptotic class at log n: coefficient -{q} < -1"}
         assert {e.verdict.checkpoints for e in rep.entries} == {()}
-        assert seen[1] <= 2**22
+        assert seen == [0, 0]
 
-    @pytest.mark.parametrize("q", [22, 23])
-    def test_qfhc_check_stays_inside_the_reach(self, q):
+    @pytest.mark.parametrize("q", [53, 54])
+    def test_qfhc_check_stays_inside_the_limit(self, q):
         w = BergmanWeight()
         seen = record_reads(w)
         rep = qfhc_check(lp(2), w, q, [1, 2, 3])
         assert rep.overall == SATISFIES
         assert rep.entry("S-series j=1").verdict.rule == (
             f"asymptotic class at log n: coefficient -{q} < -1")
+        assert rep.entry("S-series j=1").verdict.checkpoints == ()
         # the unilateral T-series stays trivially convergent
         assert rep.entry("T-series j=1").verdict.kind == CONVERGES
-        assert seen[1] <= 2**22
+        assert seen[1] <= 3  # the anchors and the T-series heads only
 
     @pytest.mark.parametrize("space", [lp(2, BILATERAL), c0(BILATERAL)], ids=["l2", "c0"])
-    def test_bilateral_condition_stays_inside_the_reach(self, space):
+    def test_bilateral_condition_stays_inside_the_limit(self, space):
         w = BilateralTableWeight({}, default_pos=2.0, default_nonpos=0.5)
         seen = record_reads(w)
-        rep = bilateral_condition(w, space, 23, range(-2, 3))
+        rep = bilateral_condition(w, space, 54, range(-2, 3))
         assert rep.overall == SATISFIES
         assert len(rep.entries) == 10
         coefficient = "-0.693147" if space.kind == "c0" else "-1.38629"
         assert {e.verdict.rule for e in rep.entries} == {
-            f"asymptotic class at n^23: coefficient {coefficient} < 0"}
-        assert seen[1] <= 2**22
+            f"asymptotic class at n^54: coefficient {coefficient} < 0"}
+        assert seen[1] <= 2  # the backward anchors only
 
-    @pytest.mark.parametrize("j", [5_000_000, 2**23 + 5, -(2**22) - 1])
+    @pytest.mark.parametrize("j", [2**53 + 1, 2**60, -(2**53) - 1, 2**70])
     @pytest.mark.parametrize("check", ["qfhc", "unilateral", "weakstar", "bilateral", "c0"])
-    def test_offsets_past_the_reach_refused_before_any_read(self, check, j):
+    def test_offsets_past_the_limit_refused_before_any_read(self, check, j):
         w = (BilateralTableWeight({}, default_pos=2.0, default_nonpos=0.5)
              if check in ("bilateral", "c0") else BergmanWeight())
         seen = record_reads(w)
@@ -299,15 +300,112 @@ class TestPrefixReach:
             "bilateral": lambda: bilateral_condition(w, lp(2, BILATERAL), 1, [j]),
             "c0": lambda: bilateral_condition(w, c0(BILATERAL), 1, [0, j]),
         }
-        with pytest.raises(InvalidArgumentError, match="past the 2\\^22 prefix reach"):
+        with pytest.raises(InvalidArgumentError,
+                           match=f"^index {j} is past the exact-index limit 2\\^53$"):
             calls[check]()
         assert seen == [0, 0]
 
-    def test_q21_still_decides(self):
-        # 2^21 + 4 <= 2^22: two terms fit, so the scan reports them
-        rep = unilateral_condition(RootRatioWeight(1), lp(2), 21, [0])
+    def test_q52_still_decides(self):
+        # 2^52 <= 2^53: two terms fit, so the scan reports them
+        rep = unilateral_condition(RootRatioWeight(1), lp(2), 52, [0])
         assert rep.entries[0].verdict.kind == CONVERGES
         assert [m for m, _ in rep.entries[0].verdict.checkpoints] == [1, 2, 2]
+
+    def test_offset_near_the_limit_cuts_the_scan(self):
+        # 2^53 - 100 + n^2 stays within 2^53 up to n = 10
+        w = BergmanWeight()
+        seen = record_reads(w)
+        rep = unilateral_condition(w, lp(2), 2, [2**53 - 100])
+        assert [m for m, _ in rep.entries[0].verdict.checkpoints][-1] == 10
+        assert seen[1] == 2**53
+
+
+class TestAnchorPrecision:
+    """An anchored log term P(j) - P(m) is refused before any of its terms
+    is read when |P(j)| >= 2^27, where it could lose more than 2^-24."""
+
+    def test_constant_anchor_refused(self):
+        # |P(2^40)| = 2^40 log 2, about 7.6e11
+        message = (r"^anchor 1099511627776: \|P\(1099511627776\)\| = 7\.62123e\+11 >= 2\^27, "
+                   r"so each log term P\(1099511627776\) - P\(m\) may be off by 2 ulp = "
+                   r"0\.000244$")
+        j = 2**40
+        for call in (lambda w: qfhc_check(lp(2), w, 1, [j]),
+                     lambda w: hc_check(lp(2), w, [j])):
+            w = ConstantWeight(2)
+            sizes = []
+            at = w._at
+            w._at = lambda points, phase=True: sizes.append(np.size(points)) or at(points, phase)
+            with pytest.raises(ResourceLimitError, match=message):
+                call(w)
+            assert sizes == [1]  # the anchor alone
+        w = BilateralTableWeight({}, 2.0, 0.5)
+        with pytest.raises(ResourceLimitError, match="^anchor 1099511627776: "):
+            bilateral_condition(w, lp(2, BILATERAL), 1, [j])
+
+    def test_unanchored_series_are_not_checked(self):
+        # -P(2^40 + n) does not cancel: the offset is read, not refused
+        v = unilateral_condition(ConstantWeight(2), lp(2), 1, [2**40]).entries[0].verdict
+        assert v.kind == CONVERGES and v.checkpoints
+
+    def test_limit_admits_every_anchor_up_to_2_23_of_slow_families(self):
+        # lgamma(2^23) is about 1.25e8 < 2^27
+        for w in (ConstantWeight(math.exp(15.99)), ConstantWeight(-math.exp(-15.99)),
+                  BergmanWeight(), LogRatioWeight(), RootRatioWeight(1), TMuWeight(1),
+                  TMuWeight(-1j)):
+            assert hc_check(c0(), w, [2**23]).overall in (SATISFIES, FAILS), w.describe()
+
+    def test_bergman_far_anchor_is_decided_from_short_reads(self):
+        w = BergmanWeight()
+        sizes = []
+        at = w._at
+        w._at = lambda points, phase=True: sizes.append(np.size(points)) or at(points, phase)
+        rep = qfhc_check(lp(2), w, 1, [2**40])
+        t = rep.entry("T-series j=1099511627776").verdict
+        assert rep.entry("S-series j=1099511627776").verdict.kind == DIVERGES
+        assert t.kind == CONVERGES and t.sum_estimate is None and t.tail_estimate is None
+        assert len(t.checkpoints) == SCAN_TERMS
+        assert max(sizes) <= SCAN_TERMS
+
+    @pytest.mark.parametrize("j", [2, 5, 40])
+    def test_a_whole_t_series_head_keeps_its_sum(self, j):
+        w = BergmanWeight()
+        t = qfhc_check(lp(2), w, 2, [j]).entry(f"T-series j={j}").verdict
+        lms = _shift_series(w, j, 2, -1, j)(np.arange(1, iroot(j - 1, 2) + 1))
+        totals = list(itertools.accumulate(map(math.exp, lms.tolist())))
+        assert t.sum_estimate == (totals[-1] if totals else 0.0)
+        assert t.tail_estimate == 0.0
+
+
+def _hurwitz_sum(q, s, c, scale=1.0, head=64):
+    """scale * sum over n >= 1 of (n^q + c)^(-s): the head to N exactly, then
+    sum_k binom(-s, k) c^k zeta(qs + qk, N + 1)."""
+    with mpmath.workdps(40):
+        s, c = mpmath.mpf(s), mpmath.mpf(c)
+        total = mpmath.fsum((mpmath.mpf(n) ** q + c) ** -s for n in range(1, head + 1))
+        total += mpmath.fsum(mpmath.binomial(-s, k) * c**k * mpmath.zeta(q * s + q * k, head + 1)
+                             for k in range(12))
+        return float(scale * total)
+
+
+class TestWeightedSumsAgainstHurwitzZeta:
+    @pytest.mark.parametrize("w, p, q, j, want", [
+        # Bergman: -P(n^q + j) = -log(n^q + j + 1)/2, terms (n^q + j + 1)^(-1/2) on l^1
+        (BergmanWeight(), 1, 3, 0, lambda: _hurwitz_sum(3, 0.5, 1)),
+        (BergmanWeight(), 1, 4, 0, lambda: _hurwitz_sum(4, 0.5, 1)),
+        (BergmanWeight(), 1, 5, 0, lambda: _hurwitz_sum(5, 0.5, 1)),
+        # at q = 1 the offset shifts the power law by j + 1, which a fit in n
+        # alone reads as a wrong exponent
+        (BergmanWeight(), 3, 1, 0, lambda: _hurwitz_sum(1, 1.5, 1)),
+        (BergmanWeight(), 3, 1, 5, lambda: _hurwitz_sum(1, 1.5, 6)),
+        # RootRatio(2): -2 P(n^3) = -log((n^3 + 2)/2)/2, terms sqrt(2) (n^3 + 2)^(-1/2)
+        (RootRatioWeight(2), 2, 3, 0, lambda: _hurwitz_sum(3, 0.5, 2, math.sqrt(2))),
+    ], ids=["bergman l1 q=3", "bergman l1 q=4", "bergman l1 q=5", "bergman l3 q=1",
+            "bergman l3 q=1 j=5", "rootratio(2) l2 q=3"])
+    def test_unilateral_sum_within_1e_10(self, w, p, q, j, want):
+        v = unilateral_condition(w, lp(p), q, [j]).entries[0].verdict
+        assert v.kind == CONVERGES
+        assert abs(v.sum_estimate / want() - 1) <= 1e-10
 
 
 class TestBilateral:
@@ -629,15 +727,15 @@ def test_power_law_tail_past_double_range():
 
 
 def _scan_verdict(w, j, q, direction, anchor, p):
-    """``classify_magnitudes`` of the same series over every term inside the
-    2^22 reach, at most 2^20: the scan the class replaces."""
+    """``classify_magnitudes`` of the same series over every term of prefix
+    index below 2^22, at most 2^20: the scan the class replaced."""
     series = _shift_series(w, j, q, direction, anchor)
 
     def mags(ns):
         with np.errstate(over="ignore", under="ignore"):
             return np.exp(p * series(ns))
 
-    return classify_magnitudes(mags, min(2**20, iroot(DEFAULT_EXP_CAP - abs(j), q))).kind
+    return classify_magnitudes(mags, min(2**20, iroot(2**22 - abs(j), q))).kind
 
 
 def _bilateral(pos, nonpos, entries=None):

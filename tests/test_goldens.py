@@ -42,6 +42,22 @@ limit conditions became c0(Z) term-decay series: a diff with the
 checkpoints masked showed the same reports, and the checkpoints moved
 from log-products sampled at 2^i to the dyadic partial sums of the c0
 terms, ending at the scan length like every other c0 report.
+Ten reports and the ``criterion`` CSV were re-recorded when the 2^22
+series reach gave way to the 2^53 exact-index limit and one scan length
+of 2^12 terms.  A leaf-by-leaf comparison showed the same labels, kinds,
+rules, notes and overall verdicts, and changes of three kinds only: q = 2
+series now scan 4096 terms instead of 2047, so their checkpoints run on
+to 4096 and their sums and tails move; the six "beyond reach" reports at q =
+22 and 23 now read their 4 or 5 terms within 2^53, and report
+checkpoints, sums and tails; and the worst tails of ``select l2 bergman
+q=2`` move in their last digits, with the same thresholds.  The
+``qfhc l2 bergman q=2`` report and the ``criterion`` CSV were re-recorded
+once more when a series decided at the log n level came to take its tail
+from the class's power law, with a fitted shift, instead of a secant fit
+in n: a diff showed only the Bergman S-series sums and tails moved (the
+CSV's five sums come within 5.6e-12 to 2.6e-11 of the closed form
+(j+1)(pi sqrt(j+1) coth(pi sqrt(j+1)) - 1)/(2(j+1)), against 1.0e-9 to
+4.6e-9 at the 2^22 reach).
 
 Running this file as a script, ``python tests/test_goldens.py [CASE ...]``,
 prints ``case<TAB>repr(report)`` per report case, so that a re-record
@@ -127,7 +143,7 @@ GOLDENS = {
             "config.resolved.json":
                 "44de3ceb8e04ca4cbf32d5b709dcf35036b74b89937961ab85b91ab8176c3da8",
             "criterion.csv":
-                "cb76a682dbe5d9a2bbb24ec8c14131e488cfc60dce6fd3fe8aee9b0e88eddb22",
+                "31d12e916579bfb244a4d244a7620399fd5f1667875db11ba14d28721fcf56a3",
         },
     ),
     "construct": (
@@ -234,11 +250,11 @@ REPORT_CALLS = {
 
 REPORT_GOLDENS = {
     "bilateral beyond reach":
-        "f5fdc5b3dfbec7744dc835a0ecd06571a78233bfa0a84c42d9a89f209446aed4",
+        "35fffd117ce557037eca5e37e94d9faf3e1a14a564735a8624cb281f15c5285e",
     "bilateral c0":
-        "1cbc0bd79bff915318c793a6e6aea730270c21137f3a806b6b293fa4293ee917",
+        "e6eae4ba3ddd20d27db149ed6298734cb57f65dc071dbb5252484b4ecf7e30ff",
     "bilateral c0 beyond reach":
-        "8b5e1a4386dca9198f5380742e332698b6665f7ca296b52bcf675c742e7e5a7a",
+        "dd9181bf28e9f03164f31bc117962d011ca0beaa85adcb62f826b8314cf3f900",
     "bilateral c0 modulus 1":
         "2677126ee0966346ff2eff127a919e622fd080330db13f4a48412706711c0ac9",
     "bilateral l2":
@@ -250,9 +266,9 @@ REPORT_GOLDENS = {
     "hc unilateral":
         "4be070305d4c6494fffd7bffa0b546a159bd85418268d4585b8cb0d854af0303",
     "qfhc beyond reach":
-        "f9de65216b6cf176bce2720a196bb1eaba82f55fe18d3e107cd42ea418556472",
+        "bf86f05948ecc514b728019822dc651ad4ccd0db4e1356c4f83a53d396477cef",
     "qfhc bilateral beyond reach":
-        "ce57fa81e9ac85127f3b4f1bff33b39e1c0fe765323705d16dca2a645c506e2d",
+        "a059a98437dfbdaeef2f00258773f65558c0d4f7aca273b7eef6b18f97a3d150",
     "qfhc bilateral table":
         "db98161c7a95017681c4bbcb0c4fe69621b73c23096a8f6034c88f06d27b16e1",
     "qfhc c0 constant":
@@ -262,7 +278,7 @@ REPORT_GOLDENS = {
     "qfhc l2 bergman q=1 head":
         "6c4ccce2d10903091a5db8f2f68539aa124550d409372f010701b210584432e6",
     "qfhc l2 bergman q=2":
-        "d601d0329023af3b0dc87f08a33e6d521d0ba435a246f02a500560d4afab8972",
+        "6b279b0d40dde3549bf1324a92d590e3caa7dff59f5cc3a504e0c8b5e3923866",
     "qfhc tmu":
         "ed4971bb22e449568e41e5c23017d33874805184eaa942bd2977b5c5f437cdf4",
     "salas constant":
@@ -272,19 +288,19 @@ REPORT_GOLDENS = {
     "select c0 constant":
         "1e95a4d1bc5d030d072c50196ae74fea5ac1e2aeed3d90621fcb93e276693e66",
     "select l2 bergman q=2":
-        "7f702b9d6911e5a3a064adaa432d9c6dd5de5ab8c16f0914c3541809a2fa4d45",
+        "ed038f4b3896a085a5988f9406b8f99e01ebbf6c3b53373353af88b565c83bfa",
     "select l2 constant":
         "2209cff39aa57a8839ff30cf09c6e806df4efffbff4a950d10a6f292b80f2f71",
     "tmu":
         "2a64c881317e1c70aaef570e39b113193ae97fadca351a43bb18c8e88e2e6803",
     "unilateral beyond reach":
-        "d9f8f6ac81f6417254ab9dec0bace127be803c0a192a1e945f42a2181834da52",
+        "68a756e10cfcabf85338cf702aa6e21f2a20e62ef8fe8d820ab42a8bd0dc823f",
     "unilateral c0":
-        "b468999473436c2bd0bb2f62f1fd0ad8bfda9381f18d641a35f96a80877b6616",
+        "34011c9ea9788cee74dee579d01f7e722c7f9f6933380ab6908cdb52964acfe6",
     "unilateral l2":
         "6719e0f075f20d4e3c6b998c53a3dd8b74b318584d2c81becf464d1c10207043",
     "weakstar":
-        "09a13f62b169277861f2ca78252c72028c8f31ca5561788853c567ed64e27e38",
+        "2d2b5e5575fc97bd5a27cd4e2d492fbc414bf6cfb278ce93bad01433dc468e90",
 }
 
 

@@ -167,10 +167,12 @@ class TestOperators:
         v = CoeffVector(UNILATERAL, {2: 1.0})
         assert iterate(OperatorSpec(ConstantWeight(2), BACKWARD), v, 0) == v
 
-    def test_step_cap(self):
+    def test_overflow_names_the_time_and_log_magnitude(self):
+        # P(0) - P(-10^9) = 10^9 log 2: no coefficient dict can hold e^that
         v = CoeffVector(BILATERAL, {0: 1.0})
         op = OperatorSpec(ConstantWeight(2, domain=BILATERAL), BACKWARD)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match=(
+                r"^time 1000000000: a term of log-magnitude 6\.93147e\+08 is past double range$")):
             iterate(op, v, 10**9)
 
     def test_orbit_entries_keep_phase_separate(self):
@@ -276,9 +278,35 @@ class TestDifferentiationOperator:
         assert close(out[4], 1.0, 1e-10)
 
 
-def test_power_basis_past_the_prefix_domain():
-    with pytest.raises(ResourceLimitError):
-        smu_power_basis(1.5, 0, 2**23)
+def test_power_basis_past_the_exact_index_limit():
+    # 2^23 steps read P(2^23 + 1) and underflow to the zero vector
+    assert smu_power_basis(1.5, 0, 2**23).entries == {}
+    with pytest.raises(ResourceLimitError, match="prefix index 9007199254740993 is past "
+                                                 "the exact-index limit 2\\^53"):
+        smu_power_basis(1.5, 0, 2**53)
+
+
+def test_orbit_anchor_past_the_precision_limit_is_refused():
+    # |P(2^22)| of TMu(1.5) is about 3.56e12: each log term anchored there
+    # could be off by 2 ulp = 9.8e-4
+    w = TMuWeight(1.5)
+    reads = []
+    at = w._at
+    w._at = lambda points, phase=True: reads.append(np.size(points)) or at(points, phase)
+    v = CoeffVector(UNILATERAL, {2: 1.0, 2**22: 1.0})
+    with pytest.raises(ResourceLimitError, match=(
+            r"^anchor 4194304: \|P\(4194304\)\| = 3\.56657e\+12 >= 2\^27, so each log "
+            r"term P\(4194304\) - P\(m\) may be off by 2 ulp = 0\.000977$")):
+        iterate(OperatorSpec(w, FORWARD), v, 1)
+    assert reads == [2]  # the anchors only, before any term's target
+    # a backward orbit that has dropped the anchor's term never reads it
+    op = OperatorSpec(w, BACKWARD)
+    assert iterate(op, v, 2**22).entries == {}
+    # at time 0 no term moves, so no anchor is read
+    assert iterate(op, v, 0) == v
+    # |P(2^23)| of TMu(1) is lgamma(2^23), about 1.25e8 < 2^27
+    big = CoeffVector(UNILATERAL, {2**23: 1.0})
+    assert iterate(OperatorSpec(TMuWeight(1), BACKWARD), big, 1).support == (2**23 - 1,)
 
 
 def scalar_orbit_entries(op, v, steps):
@@ -366,7 +394,7 @@ class TestBatchedOrbitEngine:
                 try:
                     want = vector_bits(scalar_iterate(ref_op, v, n))
                 except OverflowError:  # TMu's forward products outgrow floats
-                    with pytest.raises(OverflowError):
+                    with pytest.raises(ResourceLimitError, match=f"^time {n}: a term of "):
                         iterate(op, v, n)
                     continue
                 assert vector_bits(iterate(op, v, n)) == want
@@ -376,11 +404,18 @@ class TestBatchedOrbitEngine:
         op = OperatorSpec(ConstantWeight(1.5), BACKWARD)
         idx, lm, ph, counts = orbit_batch(op, v, STEPS)
         monkeypatch.setattr(shiftops, "ORBIT_CHUNK_TERMS", 4)
-        slices = list(orbit_slices(op, v, STEPS))
-        assert [len(s[0]) for s in slices] == counts.tolist()
-        assert sum((s[0] for s in slices), []) == idx.tolist()
-        assert sum((s[1] for s in slices), []) == lm.tolist()
-        assert sum((s[2] for s in slices), []) == ph.tolist()
+        slices = []
+        # time 5000 moves 1.5^5000 e_1000 past double range: the times
+        # before it are yielded, then it is refused by name
+        with pytest.raises(ResourceLimitError,
+                           match="^time 5000: a term of log-magnitude 2028.42 "):
+            slices.extend(orbit_slices(op, v, STEPS))
+        n = STEPS.index(5000)
+        m = int(counts[:n].sum())
+        assert [len(s[0]) for s in slices] == counts[:n].tolist()
+        assert sum((s[0] for s in slices), []) == idx[:m].tolist()
+        assert sum((s[1] for s in slices), []) == lm[:m].tolist()
+        assert sum((s[2] for s in slices), []) == ph[:m].tolist()
 
     def test_slices_yield_every_time(self):
         v = CoeffVector(UNILATERAL, UNI_VECTOR)
@@ -449,10 +484,10 @@ class TestStepCountsPastInt64:
     @pytest.mark.parametrize("domain,direction", [
         (UNILATERAL, FORWARD), (BILATERAL, BACKWARD), (BILATERAL, FORWARD),
     ])
-    def test_other_orbits_hit_the_prefix_cap(self, domain, direction):
+    def test_other_orbits_hit_the_exact_index_limit(self, domain, direction):
         op = OperatorSpec(ConstantWeight(2, domain), direction)
         for n in (2**63, 2**70):
-            with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+            with pytest.raises(ResourceLimitError, match="past the exact-index limit 2\\^53"):
                 iterate(op, CoeffVector.basis(1, domain), n)
 
 
@@ -476,7 +511,7 @@ FAMILIES = [
 ]
 FAMILY_IDS = [f[0] for f in FAMILIES]
 FSUM_POINTS = sorted({*range(0, 65), *range(65, 4098, 97), 4096, 4097})
-FAR_POINTS = [2**20 + 4, 4_190_213, 2**23]
+FAR_POINTS = [2**20 + 4, 4_190_213, 2**23, 3_100_000_000, 2**40, 2**53]
 
 
 def signed(w, points):
@@ -565,7 +600,7 @@ class TestClosedFormPrefixes:
     @pytest.mark.parametrize("name,make", FAMILIES, ids=FAMILY_IDS)
     def test_scalar_and_batched_bits_agree(self, name, make):
         w = make()
-        points = signed(w, [0, 1, 2, 3, 4, 5, 9, 4097, 123_457, 2**23])
+        points = signed(w, [0, 1, 2, 3, 4, 5, 9, 4097, 123_457, 2**23, 2**53])
         lm, ph = w._at(np.array(points))
         for n, got_lm, got_ph in zip(points, lm.tolist(), ph.tolist()):
             one = w.prefix(n)
@@ -577,22 +612,60 @@ class TestClosedFormPrefixes:
         with pytest.raises(DomainMismatchError):
             BergmanWeight().prefix(-1)
         for w in (BergmanWeight(), BilateralTableWeight({}, 2.0, 0.5)):
-            for n in (2**23 + 1, 2**70):
-                with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+            w.prefix(2**53)
+            for n in (2**53 + 1, 2**70):
+                with pytest.raises(ResourceLimitError, match=(
+                        f"^prefix index {n} is past the exact-index limit 2\\^53$")):
                     w.prefix(n)
-        with pytest.raises(ResourceLimitError, match="exceeds the cap"):
-            BilateralTableWeight({}, 2.0, 0.5).prefix(-(2**23) - 1)
+        BilateralTableWeight({}, 2.0, 0.5).prefix(-(2**53))
+        with pytest.raises(ResourceLimitError, match="past the exact-index limit"):
+            BilateralTableWeight({}, 2.0, 0.5).prefix(-(2**53) - 1)
 
     def test_warm_only_checks_indices(self):
         w = BilateralTableWeight({-2: 3.0}, 2.0, 0.5)
         heads = [len(w._lm), len(w._lm_neg)]
-        w.warm(2**23, nmin=-(2**23))
+        w.warm(2**53, nmin=-(2**53))
         assert [len(w._lm), len(w._lm_neg)] == heads
         with pytest.raises(ResourceLimitError):
-            w.warm(2**23 + 1)
+            w.warm(2**53 + 1)
         with pytest.raises(ResourceLimitError):
-            w.warm(4, nmin=-(2**23) - 1)
+            w.warm(4, nmin=-(2**53) - 1)
         BergmanWeight().warm(5, nmin=-3)  # nmin counts on bilateral families only
+
+    @pytest.mark.parametrize("entries, k", [({2**23 + 1: 2.0}, 2**23 + 1),
+                                            ({3: 2.0, -(2**23) - 1: 0.5}, -(2**23) - 1)])
+    def test_table_entry_past_2_23_refused(self, entries, k):
+        with pytest.raises(InvalidArgumentError, match=f"^entry index {k} is past 2\\^23"):
+            BilateralTableWeight(entries, 2.0, 0.5)
+
+    def test_table_heads_reach_the_farthest_entry(self):
+        w = BilateralTableWeight({2**16: 3.0, -(2**16): 0.25}, 2.0, 0.5)
+        assert (len(w._lm), len(w._lm_neg)) == (2**16 + 1, 2**16 + 2)
+        # past the heads each index adds its side's default
+        n = 2**30
+        assert w.prefix(n).logmag == pytest.approx(
+            math.log(3.0) + (n - 1) * math.log(2.0), rel=1e-12)
+        assert w.prefix(-n).logmag == pytest.approx(
+            -(math.log(0.25) + (n - 1) * math.log(0.5)), rel=1e-12)
+
+
+class TestTMuTriangleNumbers:
+    """(m-1)(m-2)/2 of ``TMuWeight._triangle``, which int64 would wrap past
+    m = 3.04e9."""
+
+    @pytest.mark.parametrize("m", [3_100_000_000, 2**40, 2**53])
+    def test_within_an_ulp_of_the_exact_integer(self, m):
+        got = float(TMuWeight._triangle(np.array([m]))[1][0])
+        assert abs(int(got) - (m - 1) * (m - 2) // 2) <= math.ulp(got)
+
+    def test_bits_of_the_int64_formula_up_to_2_26(self):
+        # every index read before the exact-index limit replaced the 2^23 cap
+        step = 2**21
+        for lo in range(0, 2**26 + 1, step):
+            ns = np.arange(lo, min(lo + step, 2**26 + 1), dtype=np.int64)
+            m = np.maximum(ns, 1)
+            want = ((m - 1) * (m - 2) // 2).astype(float)
+            assert TMuWeight._triangle(ns)[1].tobytes() == want.tobytes(), lo
 
     def test_heads_hold_only_the_tables(self):
         assert len(BergmanWeight()._lm) == len(ConstantWeight(2)._lm) == 1
@@ -628,10 +701,10 @@ class TestPrefixLogmagGathers:
             BergmanWeight().prefix_logmag(np.array(points))
 
     @pytest.mark.parametrize("make,points", [
-        (BergmanWeight, [1, 2**23 + 1]),
-        (lambda: BilateralTableWeight({}, 2.0, 0.5), [-(2**23 + 1), -4]),
-        (lambda: BilateralTableWeight({}, 2.0, 0.5), [3, -(2**23 + 1)]),
+        (BergmanWeight, [1, 2**53 + 1]),
+        (lambda: BilateralTableWeight({}, 2.0, 0.5), [-(2**53 + 1), -4]),
+        (lambda: BilateralTableWeight({}, 2.0, 0.5), [3, -(2**53 + 1)]),
     ])
-    def test_point_past_the_cap(self, make, points):
-        with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+    def test_point_past_the_exact_index_limit(self, make, points):
+        with pytest.raises(ResourceLimitError, match="past the exact-index limit 2\\^53"):
             make().prefix_logmag(np.array(points))
