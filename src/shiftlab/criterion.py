@@ -3,41 +3,39 @@
 Every verdict comes by one of two routes.  A weighted-shift series (of
 ``qfhc_check``, ``unilateral_condition``, ``bilateral_condition``,
 ``weakstar_condition``, ``salas_check``, the orbit decay of ``hc_check``)
-goes through ``_classify_weighted``, the one domain check of every checker;
-a bare magnitude map goes through ``series_probe``.
+goes through ``_classify_weighted``, the one path of every checker's
+series; a bare magnitude map goes through ``series_probe``.
 
 A weighted-shift series of a built-in weight family is decided from the
 family's asymptotic class (``WeightSeq.asymptotics``): the coefficients of
 P(m) = log|w_1...w_m| in a n^2 + b n log n + c n + d log n + e log log n,
 substituted at m = j +/- n^q (``_decide``).  That verdict is exact up to a
 stated rounding band around each boundary, inside which it is
-``inconclusive``.  Every family gives a class, so this is the only way a
-weighted-shift series is decided; ``salas_check`` is the c0 condition
-of the reciprocal products at offset 0.  A short scan still reports
-dyadic partial-sum checkpoints and sums, and never overrides the class.
+``inconclusive``.  A unilateral backward series needs no class: it is 0
+once n^q >= j, so it converges.  ``_scan`` then reads a short run of its
+terms for dyadic partial-sum checkpoints, and ``_class_tail`` adds the
+tail past them from the level that decided, or reports no sum; neither
+overrides the verdict.
 
 A bare magnitude map (``series_probe``) has no class and gets heuristic
-verdicts from its scanned data (dyadic partial-sum checkpoints, tail
-extrapolation).  Dyadic checkpoints make slow harmonic-type divergence
-visible as non-decaying block sums (the condensation view).  The rule
-that fired is always named.  The rules read only ratios of terms and of
-block sums, and exact zeros, never an absolute size: scaling every term
-by a positive constant leaves the verdict as it is, within double range.
-Past it, a non-finite term (inf or NaN) reads ``diverges`` with a rule
-ending in ``(term overflow)``, and so does an l^p partial sum past double
-range; a term that underflows to 0 reads as 0.
+verdicts from the block-ratio ladder (``classify_magnitudes``,
+``classify_sup_decay``): dyadic partial-sum checkpoints and
+``_extrapolate_tail``'s fit.  Dyadic checkpoints make slow harmonic-type
+divergence visible as non-decaying block sums (the condensation view).
+The rule that fired is always named.  The rules read only ratios of terms
+and of block sums, and exact zeros, never an absolute size: scaling every
+term by a positive constant leaves the verdict as it is, within double
+range.  Past it, a non-finite term (inf or NaN) reads ``diverges`` with a
+rule ending in ``(term overflow)``, and so does an l^p partial sum past
+double range; a term that underflows to 0 reads as 0.
 
 Every weighted-shift series of the checkers and of the constructor's tail
 certificates comes from one function, ``_shift_series``: log term magnitudes
 P(anchor) - P(j +/- n^q) of prefix products P, read at the n asked for.
-The tail past the last scanned term comes from the class where it fixes
-the terms' shape (``_power_tail`` at the log n level, a geometric tail at
-the n level), else from ``_extrapolate_tail``'s fit to the scanned terms.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -58,7 +56,7 @@ FAILS = "fails"
 
 DEFAULT_MAX_EXP = 20
 # most terms the scan of a weighted-shift series reads, once its asymptotic
-# class has decided it: the power-law tail (``_power_tail``) is
+# class has decided it: the power-law tail of ``_class_tail`` is
 # O(N^-4)-accurate at q = 1, so 2^12 terms give its sum
 SCAN_TERMS = 1 << 12
 # indices per mag_fn call of a scan, so that a block's arrays (256 KB each)
@@ -155,8 +153,6 @@ def _scan(mag_fn, n_max: int):
     are copied after the running sum into one buffer, whose in-place
     cumsum carries it on.  mag_fn's arrays are never written to.  Past a
     non-finite term every term and partial sum reads inf."""
-    if n_max < 2:
-        raise InvalidArgumentError("need at least two terms to classify")
     buf = np.empty(min(n_max, _SCAN_BLOCK) + 1)
     total = largest = last_quarter_max = 0.0
     checkpoints = []  # (m, S_m)
@@ -228,25 +224,6 @@ def _extrapolate_tail(terms, n_max: int) -> float | None:
     return None
 
 
-def _power_tail(terms, n: int, q: int, power: float) -> float | None:
-    """Summed mass past n of terms t(k) = K (k^q + c)^(-power/q), with the
-    power given (> 1) and c fitted to the terms at n and n // 2; None when
-    they do not decrease.  In x = (k^q + c)^(1/q) the terms are K x^-power:
-    the midpoint integral from n + 1/2 less its Euler-Maclaurin correction,
-    to a relative O(n^-4) at q = 1 whatever c is, and O(c n^-q) past it."""
-    h = n // 2
-    with np.errstate(under="ignore"):
-        t_n, t_h = np.asarray(terms(np.array([n, h], dtype=np.int64)), dtype=float)
-    if t_n == 0:
-        return 0.0
-    rho = (t_h / t_n) ** (q / power)  # (n^q + c) / (h^q + c)
-    if not 1 < rho < math.inf:
-        return None
-    c = (n**q - rho * h**q) / (rho - 1.0)
-    x_n, x_half = (n**q + c) ** (1.0 / q), ((n + 0.5) ** q + c) ** (1.0 / q)
-    return t_n * (x_n / x_half) ** power * (x_half / (power - 1.0) - power / (24.0 * x_half))
-
-
 def classify_magnitudes(mag_fn, n_max: int) -> Verdict:
     """Classify the scalar series sum of mag_fn(n) over n = 1..n_max.
 
@@ -255,6 +232,8 @@ def classify_magnitudes(mag_fn, n_max: int) -> Verdict:
     decay when every ratio is at most _DECAY_RATIO, growth when every ratio
     is at least _GROWTH_RATIO.
     """
+    if n_max < 2:
+        raise InvalidArgumentError("need at least two terms to classify")
     checkpoints, total, _, last_quarter_max, any_inf = _scan(mag_fn, n_max)
     if total == math.inf:
         rule = "partial sum past double range" + (" (term overflow)" if any_inf else "")
@@ -282,6 +261,8 @@ def classify_magnitudes(mag_fn, n_max: int) -> Verdict:
 def classify_sup_decay(mag_fn, n_max: int) -> Verdict:
     """Does mag_fn(n) tend to 0?  (c0-style criterion for distinct-index
     series: unconditional convergence needs exactly term decay.)"""
+    if n_max < 2:
+        raise InvalidArgumentError("need at least two terms to classify")
     checkpoints, _, largest, last, any_inf = _scan(mag_fn, n_max)
     if any_inf:  # inf <= 0.2 * inf would read as decay
         return Verdict(DIVERGES, "term magnitudes do not decay (term overflow)", checkpoints)
@@ -357,14 +338,14 @@ def _indices(indices) -> list:
 def _offsets(indices, q: int, max_exp: int) -> tuple[list, int]:
     """Series offsets (at least one, none past EXACT_INDEX) and the terms
     per series: 2^max_exp (at least 2), cut so that no term's prefix index
-    n^q + |j| passes EXACT_INDEX.  Below 2, no term is scanned (see
-    ``_classify_weighted``)."""
+    n^q + |j| passes EXACT_INDEX, and 0 (no term read; the class alone
+    decides) where that leaves fewer than two."""
     indices = _indices(indices)
     far = [j for j in indices if abs(j) > EXACT_INDEX]
     if far:
         raise InvalidArgumentError(f"index {far[0]} is past the exact-index limit 2^53")
-    room = EXACT_INDEX - max(map(abs, indices))
-    return indices, (min(max(2**max_exp, 2), iroot(room, q)) if room > 0 else 0)
+    n_max = min(max(2**max_exp, 2), iroot(EXACT_INDEX - max(map(abs, indices)), q))
+    return indices, n_max if n_max > 1 else 0
 
 
 def _shift_series(w: WeightSeq, j: int, q: int, direction: int, anchor: int | None):
@@ -434,24 +415,69 @@ def _decide(cls: AsymptoticClass, q: int, s, log_r, summable: bool):
     return DIVERGES, f"asymptotic class: every coefficient on its boundary ({limit})"
 
 
+def _class_tail(cls: AsymptoticClass, mags, n: int, q: int, s, log_r,
+                total: float) -> float | None:
+    """Summed mass past the first n >= 2 terms of a summable series that
+    ``_decide`` read as converging, from the level that decided it; None
+    when that level gives no tail within the scan's rounding.
+
+    - log n: the terms are a power law K (k^q + c)^(-s q d) in k, with c
+      fitted to the terms at n and n // 2.  In x = (k^q + c)^(1/q) they
+      are K x^(-s q d): the midpoint integral from n + 1/2 less its
+      Euler-Maclaurin correction, to a relative O(n^-4) at q = 1 whatever
+      c is, and O(c n^-q) past it.
+    - n, at q = 1 with c the only nonzero coefficient: log terms
+      (log R - s c) n + const past a table's head, so the tail is exactly
+      geometric, t(n) / expm1(s c - log R).
+    - any other exponential level: the term ratios fall, so t(n) r / (1 - r),
+      r = t(n) / t(n - 1) < 1, bounds the tail from above.  It is kept only
+      when it is at most n ulp(total), the rounding the scan's sum carries.
+    """
+    if cls.a == cls.b == 0 and log_r == s * cls.c:  # decided at log n or log log n
+        if cls.e:  # log factors, which no power law fits
+            return None
+        power = float(s * q * cls.d)
+        h = n // 2
+        with np.errstate(under="ignore"):
+            t_n, t_h = mags(np.array([n, h], dtype=np.int64))
+        if t_n == 0:
+            return 0.0
+        rho = (t_h / t_n) ** (q / power)  # (n^q + c) / (h^q + c)
+        if not 1 < rho < math.inf:
+            return None
+        c = (n**q - rho * h**q) / (rho - 1.0)
+        x_n, x_half = (n**q + c) ** (1.0 / q), ((n + 0.5) ** q + c) ** (1.0 / q)
+        return t_n * (x_n / x_half) ** power * (x_half / (power - 1.0) - power / (24.0 * x_half))
+    t_prev, t_n = mags(np.array([n - 1, n], dtype=np.int64)).tolist()
+    if q == 1 and cls.a == cls.b == cls.d == cls.e == 0:
+        return t_n / math.expm1(s * cls.c - log_r)
+    if t_n == 0:
+        return 0.0
+    if not t_n < t_prev:
+        return None
+    r = t_n / t_prev
+    bound = t_n * r / (1.0 - r)
+    return bound if bound <= n * math.ulp(total) else None
+
+
 def _classify_weighted(space: SpaceSpec, w: WeightSeq, j: int, q: int, direction: int,
                        anchor: int | None, n_max: int, decay: bool = False) -> Verdict:
     """Verdict of the weighted-shift series ``_shift_series(w, j, q,
     direction, anchor)`` in ``space``, refused before any read unless the
-    space's domain is the family's.  On the entire space term n is weighted
-    by R^(j + n^q - 1) at R = rmax, the worst radius.  ``decay`` asks
-    whether the (weighted) terms tend to 0, the c0 rule, on any space.
+    space's domain is the family's: the one path of every criterion series.
+    On the entire space term n is weighted by R^(j - 1 + direction n^q) at
+    R = rmax, the worst radius.  ``decay`` asks whether the (weighted)
+    terms tend to 0, the c0 rule, on any space.
 
-    The family's asymptotic class decides (``_decide``).  A scan of
-    min(n_max, SCAN_TERMS) terms then reports checkpoints and sums without
-    overriding the class; a scan that reads otherwise is named in the rule.
-    n_max < 2 (fewer than two terms within the exact-index limit) reads no
-    term.  A summable series that converges at the log n level gets the
-    scan total plus its power-law tail (``_power_tail``, with the class's
-    exponent -s q d).  One that converges at the n level (q = 1, c the
-    class's only nonzero coefficient) and whose scan gives no sum gets the
-    scan total plus its exact geometric tail, exact once the scan is past
-    a table's head.
+    The family's asymptotic class decides (``_decide``), except on a
+    unilateral backward series: e_(j - n^q) is 0 once n^q >= j, so it
+    converges on its finite head n^q < j.  ``_scan`` then reads
+    min(n_max, SCAN_TERMS) terms (n_max = 0 reads none), or min(head,
+    SCAN_TERMS) of a head, for checkpoints and sums that never override
+    the verdict.  A convergent summable series reports the scan total plus
+    ``_class_tail``; a whole head reports its total, with tail 0.  A head
+    longer than SCAN_TERMS, a non-finite sum, a decay condition, or a
+    tail the class does not give reports no sum.
     """
     if space.domain != w.domain:
         raise DomainMismatchError(
@@ -466,58 +492,34 @@ def _classify_weighted(space: SpaceSpec, w: WeightSeq, j: int, q: int, direction
 
     def mags(ns):
         lms = series(ns)
-        if log_r:  # the majorant factor R^(j + n^q - 1)
-            lms += (np.asarray(ns, dtype=np.int64) ** q + (j - 1)) * log_r
+        if log_r:  # the majorant factor R^(j - 1 + direction n^q)
+            lms += (direction * np.asarray(ns, dtype=np.int64) ** q + (j - 1)) * log_r
         with np.errstate(over="ignore", under="ignore"):
             lms *= p
             return np.exp(lms, out=lms)
 
     summable = kind in ("lp", "entire") and not decay
-    cls = w.asymptotics(direction)
     s = _exact(p)
-    verdict, rule = _decide(cls, q, s, log_r, summable)
-    if radius > 1:
-        rule += f" at R={radius}"
-    n_scan = min(SCAN_TERMS, n_max)
-    if n_scan < 2:
-        return Verdict(verdict, rule)
-    report = (classify_magnitudes if summable else classify_sup_decay)(mags, n_scan)
-    if report.kind not in (verdict, INCONCLUSIVE):
-        rule += f" (a {n_scan}-term scan reads {report.kind})"
+    head = None  # the term count of a unilateral backward series
+    if w.domain == UNILATERAL and direction < 0:
+        head = iroot(j - 1, q) if j > 0 else 0
+        verdict, rule = CONVERGES, "terms eventually zero (backward shift falls off the edge)"
+    else:
+        cls = w.asymptotics(direction)
+        verdict, rule = _decide(cls, q, s, log_r, summable)
+        if radius > 1:
+            rule += f" at R={radius}"
+    n_scan = min(n_max if head is None else head, SCAN_TERMS)
+    checkpoints, total = _scan(mags, n_scan)[:2] if n_scan else ((), 0.0)
     tail = None
-    if verdict == CONVERGES and summable and cls.a == cls.b == cls.e == 0:
-        if log_r == s * cls.c:  # decided at log n: a power law in n^q +- j
-            tail = _power_tail(mags, n_scan, q, float(s * q * cls.d))
-        elif q == 1 and cls.d == 0 and report.kind != CONVERGES:
-            # log terms C n + const past the head: the tail past the scan is
-            # geometric with ratio exp(C), C = log R - p c < 0
-            tail = float(mags(np.array([n_scan]))[0]) / math.expm1(p * cls.c - log_r)
-    if tail is not None and math.isfinite(total := report.checkpoints[-1][1] + tail):
-        return Verdict(verdict, rule, report.checkpoints, sum_estimate=total, tail_estimate=tail)
-    if verdict == CONVERGES and report.kind == CONVERGES:
-        return replace(report, rule=rule)
-    return Verdict(verdict, rule, report.checkpoints)
-
-
-def _trivial_t_series_entry(w: WeightSeq, q: int, j: int) -> ProbeEntry:
-    """Unilateral backward T-series on a basis vector: only finitely many
-    nonzero terms (the shift falls off the edge), hence converges.  The
-    head n^q < j is summed term by term, in order, up to SCAN_TERMS terms;
-    a longer head is read that far and reports no sum."""
-    count = iroot(j - 1, q) if j > 0 else 0
-    read = min(count, SCAN_TERMS)
-    lms = _shift_series(w, j, q, -1, j)(np.arange(1, read + 1))
-    totals = list(itertools.accumulate(map(math.exp, lms.tolist())))
-    whole = read == count
-    verdict = Verdict(
-        CONVERGES,
-        "terms eventually zero (backward shift falls off the edge)",
-        tuple(zip(range(1, read + 1), totals)) or ((1, 0.0),),
-        sum_estimate=(totals[-1] if totals else 0.0) if whole else None,
-        tail_estimate=0.0 if whole else None,
-    )
-    note = "trivially convergent: all terms beyond a finite head are zero"
-    return ProbeEntry(f"T-series j={j}", verdict, note=note)
+    if verdict == CONVERGES and summable:
+        if head is not None:
+            tail = 0.0 if n_scan == head else None
+        elif n_scan:
+            tail = _class_tail(cls, mags, n_scan, q, s, log_r, total)
+    if tail is not None and math.isfinite(total + tail):
+        return Verdict(verdict, rule, checkpoints, sum_estimate=total + tail, tail_estimate=tail)
+    return Verdict(verdict, rule, checkpoints)
 
 
 def qfhc_check(
@@ -528,26 +530,23 @@ def qfhc_check(
     *,
     max_exp: int = DEFAULT_MAX_EXP,
 ) -> CriterionReport:
-    """Probe the two basis-vector series (backward orbit sums at
-    exponents n^q, and forward right-inverse sums) for every listed
-    basis index."""
+    """Probe the two basis-vector series of the q-FHC criterion for every
+    listed basis index j: the T-series of T^(n^q) e_j (backward products
+    P(j) - P(j - n^q)) and the S-series of S^(n^q) e_j (forward
+    reciprocal products P(j) - P(j + n^q)), each by ``_classify_weighted``.
+    A T-series sum, like an S-series sum, is the sum of the terms'
+    p-th powers on l^p and of their majorants at R = rmax on H(C)."""
     dense_indices, n_max = _offsets(dense_indices, q, max_exp)
+    unilateral = w.domain == UNILATERAL
+    note = "trivially convergent: all terms beyond a finite head are zero" if unilateral else ""
     entries = []
-    notes = []
     for j in dense_indices:
-        # S first: its domain check comes before the T head's reads
-        s_verdict = _classify_weighted(space, w, j, q, 1, j, n_max)
-        if w.domain == UNILATERAL:
-            t_entry = _trivial_t_series_entry(w, q, j)
-        else:
-            t_verdict = _classify_weighted(space, w, j, q, -1, j, n_max)
-            t_entry = ProbeEntry(f"T-series j={j}", t_verdict)
-        entries += [t_entry, ProbeEntry(f"S-series j={j}", s_verdict)]
-    if w.domain == UNILATERAL:
-        notes.append(
-            "unilateral T-series on basis vectors are eventually zero, "
-            "so their convergence is automatic"
-        )
+        entries += [
+            ProbeEntry(f"T-series j={j}", _classify_weighted(space, w, j, q, -1, j, n_max), note),
+            ProbeEntry(f"S-series j={j}", _classify_weighted(space, w, j, q, 1, j, n_max)),
+        ]
+    notes = ["unilateral T-series on basis vectors are eventually zero, "
+             "so their convergence is automatic"] if unilateral else []
     return _report(
         f"backward shift {w.describe()}", space.describe(), q, entries, notes
     )
@@ -628,28 +627,20 @@ def hc_check(
 ) -> CriterionReport:
     """Orbit-norm decay of T^n e_j and S^n e_j (the plain hypercyclicity
     criterion, not the frequent one): decay of the terms P(j) - P(j -/+ n),
-    decided by ``_classify_weighted`` with n_max = horizon.  On H(C) the
-    S-orbit terms carry the majorant factor R^(j + n - 1) at R = rmax, the
-    worst radius; on every other space the norm of a basis vector's orbit
-    is the modulus of its one coefficient, the c0 condition."""
+    decided by ``_classify_weighted`` with n_max = horizon, where a
+    unilateral T-orbit is a finite head.  On H(C) the terms carry the
+    majorant factor R^(j - 1 -/+ n) at R = rmax, the worst radius; on every
+    other space the norm of a basis vector's orbit is the modulus of its
+    one coefficient, the c0 condition."""
     dense_indices = _indices(dense_indices)
     if horizon < 1:
         raise InvalidArgumentError("horizon must be at least 1")
     orbits = space if space.kind == "entire" else c0(space.domain)
     entries = []
     for j in dense_indices:
-        if w.domain == UNILATERAL:
-            # the backward orbit dies at step j
-            t_verdict = Verdict(
-                CONVERGES,
-                "orbit reaches zero in finitely many steps",
-                ((min(j, horizon), 0.0),),
-            )
-        else:
-            t_verdict = _classify_weighted(orbits, w, j, 1, -1, j, horizon, decay=True)
-        s_verdict = _classify_weighted(orbits, w, j, 1, 1, j, horizon, decay=True)
-        entries.append(ProbeEntry(f"T-orbit j={j}", t_verdict))
-        entries.append(ProbeEntry(f"S-orbit j={j}", s_verdict))
+        for label, direction in (("T-orbit", -1), ("S-orbit", 1)):
+            verdict = _classify_weighted(orbits, w, j, 1, direction, j, horizon, decay=True)
+            entries.append(ProbeEntry(f"{label} j={j}", verdict))
     return _report(
         f"backward shift {w.describe()}", space.describe(), 1, entries
     )
@@ -673,7 +664,7 @@ def salas_check(w: WeightSeq, horizon: int = 10**5) -> SalasEvidence:
     reported as evidence."""
     if horizon < 1:
         raise InvalidArgumentError("horizon must be at least 1")
-    verdict = _classify_weighted(c0(), w, 0, 1, 1, None, horizon)
+    verdict = _classify_weighted(c0(), w, 0, 1, 1, None, 0)  # the class alone
     lms = w.prefix_logmag(np.arange(1, horizon + 1, dtype=np.int64))
     limsup = {CONVERGES: True, DIVERGES: False}.get(verdict.kind)
     return SalasEvidence(limsup, float(lms.max()), int(np.argmax(lms)) + 1, horizon,

@@ -1,6 +1,7 @@
 """The CI workflow parses, keeps its limits, gates on full-size benchmark
 runs, compares a serial and a forked CSV write, shows a pull request's
-golden report diff without failing on it and installs the test extra;
+golden report and benchmark output diffs without failing on them and
+installs the test extra;
 pytest turns RuntimeWarnings, ResourceWarnings and unraisable exceptions
 into errors; the benchmark's tracer finds every name it wraps."""
 
@@ -65,7 +66,19 @@ def test_golden_diff_runs_on_pull_requests_and_never_fails():
     assert lines[3].startswith(
         '(cd "$RUNNER_TEMP/base" && PYTHONPATH=src python tests/test_goldens.py)')
     assert lines[4].startswith("PYTHONPATH=src python tests/test_goldens.py")
-    assert lines[5] == 'diff "$RUNNER_TEMP/goldens-base.txt" "$RUNNER_TEMP/goldens-head.txt"'
+    # the benchmark's output digests on the base tree and on this one; the
+    # script imports each tree's program and workloads itself
+    assert lines[5] == (
+        'python tests/bench_outputs.py "$RUNNER_TEMP/base" > "$RUNNER_TEMP/bench-base.txt"')
+    assert lines[6] == 'python tests/bench_outputs.py . > "$RUNNER_TEMP/bench-head.txt"'
+    # both diffs print, whichever differs; a difference only sets the status
+    assert lines[7:] == [
+        "status=0",
+        'diff "$RUNNER_TEMP/goldens-base.txt" "$RUNNER_TEMP/goldens-head.txt" || status=$?',
+        'diff "$RUNNER_TEMP/bench-base.txt" "$RUNNER_TEMP/bench-head.txt" || status=$?',
+        'exit "$status"',
+    ]
+    assert os.path.isfile(os.path.join(ROOT, "tests", "bench_outputs.py"))
 
 
 def _name(requirement: str) -> str:

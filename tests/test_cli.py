@@ -181,6 +181,27 @@ class TestScenarios:
         )
         assert run(["criterion", "--config", cfg, "--out", tmp_path / "o"]) == 2
 
+    def test_criterion_with_an_overflowing_t_head_exits_zero(self, tmp_path):
+        # the T-series head's terms 4^n pass double range before n = 1999:
+        # it converges with an empty sum cell
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "scenario": "criterion",
+                "space": {"kind": "lp", "p": 2},
+                "weights": {"family": "Constant", "value": 2},
+                "q": 1,
+                "indices": [2000],
+            },
+        )
+        assert run(["criterion", "--config", cfg, "--out", out]) == 0
+        rows = (out / "criterion.csv").read_text().splitlines()
+        assert rows[1] == (
+            "T-series j=2000,converges,terms eventually zero (backward shift falls off the edge),")
+        assert rows[2].startswith("S-series j=2000,converges,")
+
     def test_construct_and_refusal(self, tmp_path):
         ok_cfg = write_config(
             tmp_path,

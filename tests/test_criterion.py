@@ -1,6 +1,5 @@
 import cmath
 import hashlib
-import itertools
 import math
 import tracemalloc
 
@@ -145,8 +144,9 @@ class TestScalarClassifier:
             classify_sup_decay(lambda ns: 1.0 / ns, 1)
 
     def test_one_term_horizons_are_not_scanned(self):
-        # a weighted series of fewer than two terms is decided by its class
-        # alone, so the two-term floor of the classifiers never refuses it
+        # a weighted series is decided by its class and scanned by ``_scan``
+        # alone, so the two-term floor of the ladder classifiers never
+        # refuses a one-term horizon
         assert hc_check(lp(2), ConstantWeight(2), [1, 3], horizon=1).overall == SATISFIES
         assert salas_check(ConstantWeight(2), horizon=1).limsup_infinite
 
@@ -364,16 +364,16 @@ class TestAnchorPrecision:
         t = rep.entry("T-series j=1099511627776").verdict
         assert rep.entry("S-series j=1099511627776").verdict.kind == DIVERGES
         assert t.kind == CONVERGES and t.sum_estimate is None and t.tail_estimate is None
-        assert len(t.checkpoints) == SCAN_TERMS
+        # the 2^40 - 1 term head is read up to SCAN_TERMS
+        assert t.checkpoints[-1][0] == SCAN_TERMS
         assert max(sizes) <= SCAN_TERMS
 
     @pytest.mark.parametrize("j", [2, 5, 40])
     def test_a_whole_t_series_head_keeps_its_sum(self, j):
         w = BergmanWeight()
         t = qfhc_check(lp(2), w, 2, [j]).entry(f"T-series j={j}").verdict
-        lms = _shift_series(w, j, 2, -1, j)(np.arange(1, iroot(j - 1, 2) + 1))
-        totals = list(itertools.accumulate(map(math.exp, lms.tolist())))
-        assert t.sum_estimate == (totals[-1] if totals else 0.0)
+        _, want = reference_t_head(lp(2), w, 2, j)
+        assert t.sum_estimate == pytest.approx(want, rel=1e-14)
         assert t.tail_estimate == 0.0
 
 
@@ -521,24 +521,55 @@ def test_empty_index_list_rejected():
             check()
 
 
-def reference_t_head(w, q, j):
-    """The unilateral T-series head as scalar prefix calls, one n at a time."""
-    head, n, total = [], 1, 0.0
+def reference_t_head(space, w, q, j):
+    """(dyadic checkpoints, sum) of the unilateral T-series head n^q < j,
+    from scalar prefix calls, one n at a time.  Term n is |w_(j-n^q+1)...w_j|,
+    times R^(j - n^q - 1) at R = rmax on H(C), to the p-th power on l^p.
+    On c0, or past double range, there is no sum."""
+    p = space.p if space.kind == "lp" else 1
+    log_r = math.log(space.rmax) if space.kind == "entire" else 0.0
+    partials, n, total = [], 1, 0.0
     while n**q < j:
-        total += math.exp(w.prefix(j).logmag - w.prefix(j - n**q).logmag)
-        head.append((n, total))
+        x = p * (w.prefix(j).logmag - w.prefix(j - n**q).logmag + (j - n**q - 1) * log_r)
+        try:
+            total += math.exp(x)
+        except OverflowError:
+            total = math.inf
+        partials.append(total)
         n += 1
-    return tuple(head) or ((1, 0.0),), total
+    dyadic = [2**i for i in range(len(partials).bit_length())]
+    checkpoints = [(m, partials[m - 1]) for m in dyadic]
+    checkpoints += [(len(partials), total)] if partials else []
+    summed = space.kind != "c0" and math.isfinite(total)
+    return checkpoints, total if summed else None
 
 
+@pytest.mark.parametrize("space", [lp(2), c0(), entire(3)], ids=["l2", "c0", "entire(3)"])
 @pytest.mark.parametrize("q, j", [(1, 1), (1, 2), (1, 700), (2, 50), (3, 1000), (2, 0)])
 @pytest.mark.parametrize("weights", [BergmanWeight, lambda: ConstantWeight(1.5 - 0.5j)])
-def test_unilateral_t_head_matches_scalar_prefixes(weights, q, j):
-    rep = qfhc_check(lp(2), weights(), q, [j])
-    v = rep.entry(f"T-series j={j}").verdict
-    want_checkpoints, want_total = reference_t_head(weights(), q, j)
-    assert repr(v.checkpoints) == repr(want_checkpoints)
-    assert repr(v.sum_estimate) == repr(want_total)
+def test_unilateral_t_head_matches_scalar_prefixes(weights, q, j, space):
+    v = qfhc_check(space, weights(), q, [j]).entry(f"T-series j={j}").verdict
+    want_checkpoints, want_sum = reference_t_head(space, weights(), q, j)
+    assert v.kind == CONVERGES
+    assert v.rule == "terms eventually zero (backward shift falls off the edge)"
+    assert [m for m, _ in v.checkpoints] == [m for m, _ in want_checkpoints]
+    assert [s for _, s in v.checkpoints] == pytest.approx([s for _, s in want_checkpoints],
+                                                          rel=1e-13)
+    if want_sum is None:
+        assert v.sum_estimate is None and v.tail_estimate is None
+    else:
+        assert v.sum_estimate == pytest.approx(want_sum, rel=1e-13)
+        assert v.tail_estimate == 0.0
+
+
+def test_an_overflowing_t_head_converges_without_a_sum():
+    # term n of the head is 4^n up to n = 1999, past double range
+    rep = qfhc_check(lp(2), ConstantWeight(2), 1, [2000])
+    t = rep.entry("T-series j=2000").verdict
+    assert t.kind == CONVERGES and t.sum_estimate is None and t.tail_estimate is None
+    assert t.checkpoints[-1] == (1999, math.inf)
+    assert rep.entry("S-series j=2000").verdict.sum_estimate == pytest.approx(1 / 3, abs=1e-12)
+    assert rep.overall == SATISFIES
 
 
 @pytest.mark.parametrize("horizon", [0, -3])
@@ -627,6 +658,17 @@ class TestRunningMaxEvidence:
 
     def test_unweighted_stalls(self):
         assert not salas_check(ConstantWeight(1)).limsup_infinite
+
+    def test_reads_the_horizon_once(self):
+        # the class decides without a scan: the one prefix read is the
+        # evidence's running max over the horizon
+        w = BergmanWeight()
+        sizes = []
+        at = w._at
+        w._at = lambda points, phase=True: sizes.append(np.size(points)) or at(points, phase)
+        ev = salas_check(w, horizon=1000)
+        assert ev.limsup_infinite and ev.horizon == 1000
+        assert sizes == [1000]
 
     @pytest.mark.parametrize("weights, want", [
         # products tending to 0: a running max past 1e6, or a record at the
@@ -1097,16 +1139,16 @@ class TestStreamingScan:
 
 class TestGeometricTail:
     """A summable series that converges at the n level, with c the class's
-    only nonzero coefficient, whose short scan gives no sum: the sum is the
-    scan total plus the exact geometric tail."""
+    only nonzero coefficient: the sum is the scan total plus the exact
+    geometric tail."""
 
-    @pytest.mark.parametrize("lam", [1.001, 1.0001])
+    @pytest.mark.parametrize("lam", [1.01, 1.001, 1.0001])
     def test_slowly_decaying_constant_weights_get_their_sum(self, lam):
         v = unilateral_condition(ConstantWeight(lam), lp(2), 1, [0]).entries[0].verdict
         assert v.kind == CONVERGES
         with mpmath.workdps(30):
             want = float(1 / (mpmath.mpf(lam) ** 2 - 1))  # sum of lam^(-2n), n >= 1
-        assert v.sum_estimate == pytest.approx(want, rel=1e-8)
+        assert v.sum_estimate == pytest.approx(want, rel=1e-12)
         assert v.sum_estimate == v.checkpoints[-1][1] + v.tail_estimate
 
     def test_bilateral_tails_take_each_side_s_ratio(self):
@@ -1131,3 +1173,62 @@ class TestGeometricTail:
     def test_decay_conditions_get_no_sum(self):
         v = unilateral_condition(ConstantWeight(1.0001), c0(), 1, [0]).entries[0].verdict
         assert v.kind == CONVERGES and v.sum_estimate is None
+
+
+class TestRatioBoundTail:
+    """``_class_tail`` at an exponential level other than the geometric
+    one, on terms lam^(-2 n^2): the ratio bound of the tail, kept only
+    within the scan's rounding."""
+
+    @pytest.mark.parametrize("lam", [1.000001, 1.00001, 1.0001])
+    def test_gaussian_sums_within_1e_14(self, lam):
+        # by Poisson summation, the sum over n >= 1 of exp(-a n^2) is
+        # (sqrt(pi/a) - 1)/2 plus sqrt(pi/a) sum_k exp(-pi^2 k^2/a), which
+        # is below exp(-49000) at a = 2 log lam <= 2e-4
+        v = unilateral_condition(ConstantWeight(lam), lp(2), 2, [0]).entries[0].verdict
+        with mpmath.workdps(30):
+            a = 2 * mpmath.log(mpmath.mpf(lam))
+            want = float((mpmath.sqrt(mpmath.pi / a) - 1) / 2)
+        assert v.kind == CONVERGES
+        assert v.sum_estimate == pytest.approx(want, rel=1e-14)
+
+    def test_a_tail_past_the_scan_rounding_gives_no_sum(self):
+        # at a = 2e-8 the term at n = 4096 is still 0.71, so the ratio bound
+        # (about 4300) is far past rounding; the true sum is 6266.07
+        v = unilateral_condition(ConstantWeight(1 + 1e-8), lp(2), 2, [0]).entries[0].verdict
+        assert v.kind == CONVERGES
+        assert v.sum_estimate is None and v.tail_estimate is None
+        assert v.checkpoints[-1][0] == SCAN_TERMS
+
+
+def test_checkers_never_call_the_ladder(monkeypatch):
+    # every checker's series goes magnitude map -> class verdict -> _scan ->
+    # _class_tail; only series_probe reads the block-ratio ladder
+    def refuse(*args):
+        raise AssertionError("ladder called")
+
+    for name in ("classify_magnitudes", "classify_sup_decay", "_extrapolate_tail"):
+        monkeypatch.setattr(criterion, name, refuse)
+    table = BilateralTableWeight({-3: 3.0, 0: 0.5j}, default_pos=1.001, default_nonpos=0.999)
+    reports = [
+        qfhc_check(lp(2), BergmanWeight(), 2, [1, 40]),  # log n
+        qfhc_check(lp(2), ConstantWeight(2), 1, [3]),  # n, geometric
+        qfhc_check(entire(4), ConstantWeight(8), 1, [1, 2]),
+        qfhc_check(lp(2, BILATERAL), table, 1, [-1, 2]),
+        unilateral_condition(ConstantWeight(1.0001), lp(2), 2, [0]),  # n^2, ratio bound
+        unilateral_condition(RootRatioWeight(1), c0(), 3, [0, 2]),
+        bilateral_condition(table, lp(1, BILATERAL), 1, [-1, 2]),
+        bilateral_condition(table, c0(BILATERAL), 1, [0]),
+        weakstar_condition(ConstantWeight(2), 2, [1]),
+        hc_check(lp(2), BergmanWeight(), [1, 3]),
+        hc_check(lp(2, BILATERAL), table, [0]),
+        hc_check(entire(8), ConstantWeight(16), [2]),
+        fhc_check_tmu(1.5),  # n^2 log n and above, ratio bound
+    ]
+    assert [r.overall for r in reports] == [SATISFIES] * 13
+    summed = [e.verdict.sum_estimate for r in reports for e in r.entries]
+    assert sum(s is not None for s in summed) >= 20
+    assert salas_check(BergmanWeight()).limsup_infinite
+    for space in (lp(1), c0()):
+        with pytest.raises(AssertionError, match="ladder called"):
+            series_probe(space, magnitudes=lambda ns: 1.0 / ns**2)

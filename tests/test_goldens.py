@@ -58,6 +58,16 @@ in n: a diff showed only the Bergman S-series sums and tails moved (the
 CSV's five sums come within 5.6e-12 to 2.6e-11 of the closed form
 (j+1)(pi sqrt(j+1) coth(pi sqrt(j+1)) - 1)/(2(j+1)), against 1.0e-9 to
 4.6e-9 at the 2^22 reach).
+Eight reports and the ``criterion`` CSV were re-recorded when every
+criterion series, the unilateral T-series heads and T-orbits included,
+came to take one path through ``_classify_weighted``.  A leaf-by-leaf
+comparison showed changes of three kinds only: the T-series checkpoints
+and sums of ``qfhc beyond reach``, ``qfhc c0 constant``, ``qfhc
+entire(4)``, ``qfhc l2 bergman q=1 head``, ``qfhc l2 bergman q=2``,
+``qfhc tmu`` and ``tmu`` (a head now sums the p-th powers of its terms on
+l^p and their majorants at R = rmax on H(C), at dyadic checkpoints, and
+reports no sum on c0); the T-orbit rule and checkpoints of ``hc
+unilateral``; and the T-series sum cells of the ``criterion`` CSV.
 
 Running this file as a script, ``python tests/test_goldens.py [CASE ...]``,
 prints ``case<TAB>repr(report)`` per report case, so that a re-record
@@ -143,7 +153,7 @@ GOLDENS = {
             "config.resolved.json":
                 "44de3ceb8e04ca4cbf32d5b709dcf35036b74b89937961ab85b91ab8176c3da8",
             "criterion.csv":
-                "31d12e916579bfb244a4d244a7620399fd5f1667875db11ba14d28721fcf56a3",
+                "4d0846eacd57fe71c607d20fde147961277da35bb94f06465fe0602bb954a413",
         },
     ),
     "construct": (
@@ -264,23 +274,23 @@ REPORT_GOLDENS = {
     "hc bilateral":
         "8693f4ed4758df1eedfc48a6257c179c4ff80da9fb34c11c23fa9d78726fa990",
     "hc unilateral":
-        "4be070305d4c6494fffd7bffa0b546a159bd85418268d4585b8cb0d854af0303",
+        "f69b0f574c25c6aa13219453f4d49234a762831926d0d914af03ebeadc5f7b1b",
     "qfhc beyond reach":
-        "bf86f05948ecc514b728019822dc651ad4ccd0db4e1356c4f83a53d396477cef",
+        "a128acbef646da89831d091d63ac64639bef6971acc4afd952aa2174f1ca3f5c",
     "qfhc bilateral beyond reach":
         "a059a98437dfbdaeef2f00258773f65558c0d4f7aca273b7eef6b18f97a3d150",
     "qfhc bilateral table":
         "db98161c7a95017681c4bbcb0c4fe69621b73c23096a8f6034c88f06d27b16e1",
     "qfhc c0 constant":
-        "f558e303d2603406913bc40917dd100f5368d02f7ea586a83fd6c2f5b145cb78",
+        "6d74e6ef24811ec0ce46e4cd24e4219fb297a8ab6d30e91ccc02c7b25a475fb1",
     "qfhc entire(4)":
-        "7841e8eea35f5f11d43c2e4c369eb55fbf9914572f0074fa2bec99db07829c7a",
+        "0d18791c8d4f32cad5fbb18a48d4cf3bba4285b24350ca342ff28c3400f93b13",
     "qfhc l2 bergman q=1 head":
-        "6c4ccce2d10903091a5db8f2f68539aa124550d409372f010701b210584432e6",
+        "3f30e21f62ce89d8d44988a5bf6f4769d2ff60fdf9230d2f1ab4248c0843c602",
     "qfhc l2 bergman q=2":
-        "6b279b0d40dde3549bf1324a92d590e3caa7dff59f5cc3a504e0c8b5e3923866",
+        "8ab3f2fde613119a570943874ece3ae4a52a60876cee094dbf0f8d2fbb9d030b",
     "qfhc tmu":
-        "ed4971bb22e449568e41e5c23017d33874805184eaa942bd2977b5c5f437cdf4",
+        "9083f9d481cc2b44b9f18e22951aa4dcd895c2214e470b9d1b916bbdc290f969",
     "salas constant":
         "70ec52279a70ace02f2b83565afd1ea5b4573c4e5519d8f7c91a3cdd03ae63ca",
     "salas rootratio":
@@ -292,7 +302,7 @@ REPORT_GOLDENS = {
     "select l2 constant":
         "2209cff39aa57a8839ff30cf09c6e806df4efffbff4a950d10a6f292b80f2f71",
     "tmu":
-        "2a64c881317e1c70aaef570e39b113193ae97fadca351a43bb18c8e88e2e6803",
+        "5ee5063444e4f6ced6d8f06b9d8bd179d77935e0658fe2b82df45d69db4c1d68",
     "unilateral beyond reach":
         "68a756e10cfcabf85338cf702aa6e21f2a20e62ef8fe8d820ab42a8bd0dc823f",
     "unilateral c0":
