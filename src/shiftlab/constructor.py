@@ -23,9 +23,12 @@ from functools import cached_property
 import numpy as np
 
 from .criterion import (
+    CONVERGES,
     SATISFIES,
     CriterionReport,
-    _extrapolate_tail,
+    _class_tail,
+    _decide,
+    _exact,
     _shift_series,
     qfhc_check,
 )
@@ -105,32 +108,26 @@ def _certified_s_tails(space: SpaceSpec, w: WeightSeq, q: int, j: int,
     """tails[N-1] bounds any finite-subset norm of the index-j forward
     series restricted to [N, infinity), for N = 1..n_max.
 
-    l^p: root of the reverse-cumulative p-powered sums plus a fitted
-    monotone-majorant tail beyond the window.  c0: reverse running max
-    (terms beyond the window are covered by the fitted tail as well).
+    l^p: root of the reverse-cumulative p-powered sums plus the mass past
+    the window.  c0: reverse running max, and past the window the summed
+    mass of the terms, which dominates their sup.  That mass is
+    ``_class_tail`` of the family's class where the class makes it a
+    convergent sum, and inf where it does not or gives no tail.
     """
     with np.errstate(over="ignore", under="ignore"):
         t = np.exp(_shift_series(w, j, q, 1, j)(np.arange(1, n_max + 1)))
     if not np.isfinite(t).all():
         raise InvalidArgumentError("forward series terms overflow; criterion fails")
-
-    def beyond(u: np.ndarray) -> float:
-        # summed mass past the window (n_max >= 64); inf when no fit bounds it
-        if u[-1] > 0 and u[-9] == 0:
-            return math.inf
-        tail = _extrapolate_tail(lambda ns: u[ns - 1], n_max)
-        return math.inf if tail is None else tail
-
+    if space.kind not in ("lp", "c0"):
+        raise InvalidArgumentError("tail certification supports lp and c0 spaces")
+    s, u = (_exact(space.p), t**space.p) if space.kind == "lp" else (1, t)
+    cls = w.asymptotics(1)
+    tail = (_class_tail(cls, lambda ns: u[ns - 1], n_max, q, s, 0, float(u.sum()))
+            if _decide(cls, q, s, 0, True)[0] == CONVERGES else None)
+    beyond = math.inf if tail is None else tail
     if space.kind == "lp":
-        p = space.p
-        u = t**p
-        suffix = np.cumsum(u[::-1])[::-1] + beyond(u)
-        return suffix ** (1.0 / p)
-    if space.kind == "c0":
-        rmax = np.maximum.accumulate(t[::-1])[::-1]
-        # sup over the unseen tail is dominated by its summed mass
-        return np.maximum(rmax, beyond(t))
-    raise InvalidArgumentError("tail certification supports lp and c0 spaces")
+        return (np.cumsum(u[::-1])[::-1] + beyond) ** (1.0 / space.p)
+    return np.maximum(np.maximum.accumulate(t[::-1])[::-1], beyond)
 
 
 def _t_norms(space: SpaceSpec, w: WeightSeq, q: int, x: CoeffVector,

@@ -1,33 +1,28 @@
 """Numerical convergence probes and criterion checkers for weighted shifts.
 
-Every verdict comes by one of two routes.  A weighted-shift series (of
-``qfhc_check``, ``unilateral_condition``, ``bilateral_condition``,
-``weakstar_condition``, ``salas_check``, the orbit decay of ``hc_check``)
-goes through ``_classify_weighted``, the one path of every checker's
-series; a bare magnitude map goes through ``series_probe``.
+Every series takes one path: an asymptotic class decides (``_decide``),
+``_scan`` reads a short run of its terms for dyadic partial-sum
+checkpoints, and ``_class_tail`` adds the tail past them from the level
+that decided, or reports no sum; neither overrides the verdict.
 
-A weighted-shift series of a built-in weight family is decided from the
-family's asymptotic class (``WeightSeq.asymptotics``): the coefficients of
-P(m) = log|w_1...w_m| in a n^2 + b n log n + c n + d log n + e log log n,
-substituted at m = j +/- n^q (``_decide``).  That verdict is exact up to a
-stated rounding band around each boundary, inside which it is
+A weighted-shift series (of ``qfhc_check``, ``unilateral_condition``,
+``bilateral_condition``, ``weakstar_condition``, ``salas_check``, the
+orbit decay of ``hc_check``) goes through ``_classify_weighted`` and is
+decided from the family's class (``WeightSeq.asymptotics``): the
+coefficients of P(m) = log|w_1...w_m| in a n^2 + b n log n + c n + d log n
++ e log log n, substituted at m = j +/- n^q.  That verdict is exact up to
+a stated rounding band around each boundary, inside which it is
 ``inconclusive``.  A unilateral backward series needs no class: it is 0
-once n^q >= j, so it converges.  ``_scan`` then reads a short run of its
-terms for dyadic partial-sum checkpoints, and ``_class_tail`` adds the
-tail past them from the level that decided, or reports no sum; neither
-overrides the verdict.
+once n^q >= j, so it converges.
 
-A bare magnitude map (``series_probe``) has no class and gets heuristic
-verdicts from the block-ratio ladder (``classify_magnitudes``,
-``classify_sup_decay``): dyadic partial-sum checkpoints and
-``_extrapolate_tail``'s fit.  Dyadic checkpoints make slow harmonic-type
-divergence visible as non-decaying block sums (the condensation view).
-The rule that fired is always named.  The rules read only ratios of terms
-and of block sums, and exact zeros, never an absolute size: scaling every
-term by a positive constant leaves the verdict as it is, within double
-range.  Past it, a non-finite term (inf or NaN) reads ``diverges`` with a
-rule ending in ``(term overflow)``, and so does an l^p partial sum past
-double range; a term that underflows to 0 reads as 0.
+A bare magnitude map (``series_probe``: ``classify_magnitudes`` on l^p,
+``classify_sup_decay`` on c0) gets a fitted class (``_fitted_class``)
+and the same path.  Where no class fits, the exact rules hold: a
+non-finite term reads ``diverges`` with a rule ending in ``(term
+overflow)``, as does an l^p partial sum past double range, and samples
+that are all 0 read "terms eventually zero".  Scaling every term by a
+positive constant moves only the fitted constant, so it leaves the
+verdict as it is, within double range.
 
 Every weighted-shift series of the checkers and of the constructor's tail
 certificates comes from one function, ``_shift_series``: log term magnitudes
@@ -55,23 +50,44 @@ SATISFIES = "satisfies"
 FAILS = "fails"
 
 DEFAULT_MAX_EXP = 20
-# most terms the scan of a weighted-shift series reads, once its asymptotic
-# class has decided it: the power-law tail of ``_class_tail`` is
+# most terms any scan reads: the power-law tail of ``_class_tail`` is
 # O(N^-4)-accurate at q = 1, so 2^12 terms give its sum
 SCAN_TERMS = 1 << 12
-# indices per mag_fn call of a scan, so that a block's arrays (256 KB each)
-# stay in cache.  The nine 2^20-term criterion-grid probes (Xeon, 2 MiB L2
-# per core, medians of 9, two runs) took 153 ms at 2^12, 113-121 ms at 2^14,
-# 103-113 ms at 2^15, 102-171 ms at 2^16 and 170-235 ms at 2^17, against
-# 227 ms as one 2^20 chunk.
-_SCAN_BLOCK = 1 << 15
 # a float class coefficient this close to its boundary, relative to its
 # largest part, is too close to call
 _ROUNDING_BAND = 1e-12
 
-# block-sum decay ratio thresholds for the dyadic classification
-_DECAY_RATIO = 0.92
-_GROWTH_RATIO = 0.85
+# a fitted class's points n = 2^30, ..., 2^62, as floats (no map squares a
+# wrapped int64), and columns log n, log log n, 1 and the first order of a
+# shift n -> n + c, c/n and c/(n log n) (scaled by 2^30)
+_FAR = np.ldexp(1.0, np.arange(30, 63))
+_FIT = np.column_stack([np.log(_FAR), np.log(np.log(_FAR)), np.ones(len(_FAR)),
+                        2.0**30 / _FAR, 2.0**30 / (_FAR * np.log(_FAR))])
+
+
+def _pseudo_inverse(x: np.ndarray) -> np.ndarray:
+    """R^-1 Q^T of x = Q R, by Gram-Schmidt run twice per column and back
+    substitution, in ufuncs and products only: LAPACK's workspace would add
+    1.7 MB to the resident set of every process that imports this module."""
+    q, k = x.T.copy(), x.shape[1]
+    r = np.zeros((k, k))
+    for j in range(k):
+        for _ in range(2):
+            dots = q[:j] @ q[j]
+            q[j] -= dots @ q[:j]
+            r[:j, j] += dots
+        r[j, j] = math.sqrt(q[j] @ q[j])
+        q[j] /= r[j, j]
+    for i in range(k - 1, -1, -1):  # row i of R^-1 Q^T, from the rows below it
+        q[i] = (q[i] - r[i, i + 1 :] @ q[i + 1 :]) / r[i, i]
+    return q
+
+
+_FIT_SOLVE = _pseudo_inverse(_FIT)
+# a fit residual (largest, in log t) past this is no class: inconclusive.
+# Measured: about 1e-13 on power laws, Bertrand series and 1/(n + c) up to
+# c = 1000; 1.4e-4 on 1/(n log n log log n)
+_FIT_LIMIT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -144,135 +160,101 @@ def _report(operator, space_desc, q, entries, notes=()) -> CriterionReport:
 
 
 def _scan(mag_fn, n_max: int):
-    """Stream the nonnegative terms once, in blocks of _SCAN_BLOCK indices,
-    up to the block of the first non-finite term (read as inf).  Returns
-    the dyadic checkpoints, the total, the largest term, the largest term
-    of the last quarter and whether a term was non-finite.
-
-    The partial sums are one strict left-to-right sum: each block's terms
-    are copied after the running sum into one buffer, whose in-place
-    cumsum carries it on.  mag_fn's arrays are never written to.  Past a
-    non-finite term every term and partial sum reads inf."""
-    buf = np.empty(min(n_max, _SCAN_BLOCK) + 1)
-    total = largest = last_quarter_max = 0.0
-    checkpoints = []  # (m, S_m)
-    next_cp = 1
-    any_inf = False
-    q_start = max(1, (3 * n_max) // 4)
-    for start in range(1, n_max + 1, _SCAN_BLOCK):
-        end = min(n_max, start + _SCAN_BLOCK - 1)
-        cum = buf[: end - start + 2]  # slot 0 the running sum, then S_start..S_end
-        t = cum[1:]
-        with np.errstate(over="ignore", under="ignore"):
-            t[...] = mag_fn(np.arange(start, end + 1, dtype=np.int64))
-        if not np.isfinite(t).all():
-            any_inf = True
-            t[~np.isfinite(t)] = np.inf
-        largest = max(largest, float(t.max(initial=0.0)))
-        late = t[max(q_start - start, 0) :]  # the terms in the last quarter
-        last_quarter_max = max(last_quarter_max, float(late.max(initial=0.0)))
-        cum[0] = total
-        with np.errstate(over="ignore"):  # a sum past double range is inf: divergent
-            np.cumsum(cum, out=cum)
-        while next_cp <= end:
-            checkpoints.append((next_cp, float(cum[next_cp - start + 1])))
-            next_cp *= 2
-        total = float(cum[-1])
-        if any_inf:
-            largest = last_quarter_max = math.inf
-            break
-    while next_cp <= n_max:  # only after a non-finite term
-        checkpoints.append((next_cp, math.inf))
-        next_cp *= 2
-    checkpoints.append((n_max, total))
-    return tuple(checkpoints), total, largest, last_quarter_max, any_inf
-
-
-def _blocks(checkpoints):
-    """Sums over full dyadic blocks (2^i, 2^(i+1)] from checkpoint
-    partials; a trailing partial block is dropped so ratios compare
-    equal-width windows."""
-    out = []
-    for (m0, s0), (m1, s1) in zip(checkpoints, checkpoints[1:]):
-        if m1 == 2 * m0:
-            out.append(s1 - s0)
-    return out
-
-
-def _extrapolate_tail(terms, n_max: int) -> float | None:
-    """Summed mass past n_max of nonnegative terms (an n-array map), from
-    the terms at n_max, n_max - 8 and n_max // 2: geometric if the term
-    ratio is clearly below 1, else a midpoint-integral of a fitted power
-    law; None when neither fits."""
+    """The first n_max >= 1 nonnegative terms, read in one mag_fn call and
+    summed strictly left to right by one cumsum.  Returns the dyadic
+    checkpoints (m, S_m) at m = 2^i and at n_max, the total, and whether
+    a term was non-finite (inf or NaN), which reads as inf, as does every
+    partial sum past it.  mag_fn's array is never written to."""
     with np.errstate(over="ignore", under="ignore"):
-        at = np.array([n_max, max(1, n_max - 8), max(1, n_max // 2)], dtype=np.int64)
-        t_n, t_prev, t_half = np.asarray(terms(at), dtype=float)
-    if t_n == 0:
-        return 0.0
-    if t_prev > 0 and n_max > 9:
-        r = (t_n / t_prev) ** (1.0 / 8.0)
-        if r < 0.9:
-            return t_n * r / (1.0 - r)
-    if t_half > 0 and n_max >= 4:
-        s = math.log(t_half / t_n) / math.log(n_max / (n_max // 2))
-        if s > 1.05:
-            # integral of t_n * (x/n_max)^(-s) from n_max + 1/2
-            try:
-                return t_n * n_max**s * (n_max + 0.5) ** (1.0 - s) / (s - 1.0)
-            except OverflowError:  # n_max^s past double range: the same integral
-                return t_n * (n_max + 0.5) * (n_max / (n_max + 0.5)) ** s / (s - 1.0)
-    return None
+        t = np.asarray(mag_fn(np.arange(1, n_max + 1, dtype=np.int64)), dtype=float)
+    any_inf = not np.isfinite(t).all()
+    if any_inf:
+        t = np.where(np.isfinite(t), t, np.inf)
+    with np.errstate(over="ignore"):  # a sum past double range is inf: divergent
+        cum = np.cumsum(t)
+    checkpoints = [(1 << i, float(cum[(1 << i) - 1])) for i in range(n_max.bit_length())]
+    return tuple(checkpoints) + ((n_max, float(cum[-1])),), float(cum[-1]), any_inf
+
+
+def _fitted_class(far: np.ndarray):
+    """(class, None) of a map's samples ``far`` at n = 2^30, ..., 2^62, or
+    (None, rule) when no class fits.
+
+    log t(n) ~ D log n + E log log n + C, plus the first order of a shift
+    n -> n + c, is fitted by least squares.  D or E within 100 times the
+    largest residual (at least _ROUNDING_BAND) of -1 or 0, the boundaries
+    of ``_decide``, is read as exactly that.  A residual past _FIT_LIMIT,
+    or NaN (a sample NaN, negative or 0), is no class.  The class is
+    d = -D, e = -E, read at q = s = 1, where ``_decide``'s log n and
+    log log n levels are D and E."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.log(far)
+        coef = _FIT_SOLVE @ y
+        residual = float(np.abs(_FIT @ coef - y).max())
+    if not residual <= _FIT_LIMIT:
+        return None, f"fitted class: residual {residual:.3g} is not below {_FIT_LIMIT:g}"
+    band = max(100 * residual, _ROUNDING_BAND)
+    d, e = (next((b for b in (-1, 0) if abs(x - b) <= band), float(x)) for x in coef[:2])
+    return AsymptoticClass(d=-d, e=-e), None
+
+
+def _probe(mag_fn, n_max: int, summable: bool) -> Verdict:
+    """The one route of a bare magnitude map: ``_scan`` reads the first
+    min(n_max, SCAN_TERMS) terms, the fitted class decides, and on a
+    convergent summable series ``_class_tail`` adds the tail past them."""
+    if n_max < 2:
+        raise InvalidArgumentError("need at least two terms to classify")
+
+    def mags(ns):
+        with np.errstate(over="ignore", under="ignore"):
+            return np.asarray(mag_fn(ns), dtype=float)
+
+    n = min(n_max, SCAN_TERMS)
+    checkpoints, total, any_inf = _scan(mags, n)
+    far = mags(_FAR.copy())  # a fresh array, as the scan's: a map may write to it
+    overflow = any_inf or bool(np.isposinf(far).any())
+    if overflow or (summable and total == math.inf):
+        rule = "partial sum past double range" if summable else "term magnitudes do not decay"
+        return Verdict(DIVERGES, rule + (" (term overflow)" if overflow else ""), checkpoints)
+    tail = None
+    if not far.any():
+        kind, rule = CONVERGES, "terms eventually zero"
+        if summable:
+            t_h, t_n = mags(np.array([n // 2, n], dtype=np.int64))
+            if t_n == 0:
+                tail = 0.0
+            elif t_h > t_n:  # the last terms' ratio, continued geometrically
+                ratio = AsymptoticClass(c=math.log(t_h / t_n) / (n - n // 2))
+                tail = _class_tail(ratio, mags, n, 1, 1, 0, total)
+    else:
+        cls, rule = _fitted_class(far)
+        if cls is None:
+            return Verdict(INCONCLUSIVE, rule, checkpoints)
+        kind, rule = _decide(cls, 1, 1, 0, summable)
+        rule = "fitted " + rule
+        if kind == CONVERGES and summable:
+            tail = _class_tail(cls, mags, n, 1, 1, 0, total)
+    return _summed(kind, rule, checkpoints, total, tail)
+
+
+def _summed(kind: str, rule: str, checkpoints, total: float, tail) -> Verdict:
+    """A verdict that reports total + tail as its sum when the tail is known
+    and the sum is finite."""
+    if tail is not None and math.isfinite(total + tail):
+        return Verdict(kind, rule, checkpoints, sum_estimate=total + tail, tail_estimate=tail)
+    return Verdict(kind, rule, checkpoints)
 
 
 def classify_magnitudes(mag_fn, n_max: int) -> Verdict:
-    """Classify the scalar series sum of mag_fn(n) over n = 1..n_max.
-
-    mag_fn maps an int64 array of indices to nonnegative term magnitudes.
-    The block rule reads a window of the last positive dyadic blocks:
-    decay when every ratio is at most _DECAY_RATIO, growth when every ratio
-    is at least _GROWTH_RATIO.
-    """
-    if n_max < 2:
-        raise InvalidArgumentError("need at least two terms to classify")
-    checkpoints, total, _, last_quarter_max, any_inf = _scan(mag_fn, n_max)
-    if total == math.inf:
-        rule = "partial sum past double range" + (" (term overflow)" if any_inf else "")
-        return Verdict(DIVERGES, rule, checkpoints)
-    if last_quarter_max == 0.0:
-        return Verdict(CONVERGES, "terms eventually zero", checkpoints,
-                       sum_estimate=total, tail_estimate=0.0)
-    blocks = _blocks(checkpoints)
-    pos = [b for b in blocks if b > 0]
-    window = pos[-min(4, max(2, len(pos) // 2)) :]
-    ratios = [b1 / b0 for b0, b1 in zip(window, window[1:])]
-    if not (ratios and max(ratios) <= _DECAY_RATIO):
-        if ratios and min(ratios) >= _GROWTH_RATIO:
-            return Verdict(DIVERGES, "non-decaying dyadic block sums (condensation)", checkpoints)
-        return Verdict(INCONCLUSIVE, "mixed block-sum behavior", checkpoints)
-    tail = _extrapolate_tail(mag_fn, n_max)
-    if tail is None:
-        # the last dyadic block ratio, continued geometrically
-        rb = min(blocks[-1] / blocks[-2] if blocks[-2] > 0 else 0.5, _DECAY_RATIO)
-        tail = blocks[-1] * rb / (1.0 - rb)
-    return Verdict(CONVERGES, "dyadic block sums decay geometrically", checkpoints,
-                   sum_estimate=total + tail, tail_estimate=tail)
+    """The sum of the nonnegative terms mag_fn(n), n >= 1, from at most
+    min(n_max, SCAN_TERMS) of them and a fitted class: ``series_probe`` on l^p."""
+    return _probe(mag_fn, n_max, summable=True)
 
 
 def classify_sup_decay(mag_fn, n_max: int) -> Verdict:
-    """Does mag_fn(n) tend to 0?  (c0-style criterion for distinct-index
-    series: unconditional convergence needs exactly term decay.)"""
-    if n_max < 2:
-        raise InvalidArgumentError("need at least two terms to classify")
-    checkpoints, _, largest, last, any_inf = _scan(mag_fn, n_max)
-    if any_inf:  # inf <= 0.2 * inf would read as decay
-        return Verdict(DIVERGES, "term magnitudes do not decay (term overflow)", checkpoints)
-    if last == 0.0:
-        return Verdict(CONVERGES, "terms vanish", checkpoints)
-    if last <= 0.2 * largest:
-        return Verdict(CONVERGES, "term magnitudes decay", checkpoints)
-    if last >= 0.8 * largest:
-        return Verdict(DIVERGES, "term magnitudes do not decay", checkpoints)
-    return Verdict(INCONCLUSIVE, "slow or mixed term decay", checkpoints)
+    """Does mag_fn(n) tend to 0?  ``series_probe`` on c0, read as
+    ``classify_magnitudes`` reads, with no sum."""
+    return _probe(mag_fn, n_max, summable=False)
 
 
 def classify_limit_infinite(values: np.ndarray) -> Verdict:
@@ -303,11 +285,14 @@ def series_probe(
 ) -> Verdict:
     """Classify unconditional convergence of a series of terms on pairwise
     distinct basis indices, given by ``magnitudes`` (a vectorized
-    n -> ||term_n|| map), from its first 2^max_exp terms.
+    n -> ||term_n|| map), from its first min(2^max_exp, SCAN_TERMS) terms
+    and its fitted class (see the module docstring).
 
-    In l^p that is exactly the scalar series sum ||term_n||^p, whose sum
-    estimate is reported; in c0 it is term decay.  ``max_exp`` must be an
-    integer >= 1.
+    In l^p that is exactly the scalar series sum ||term_n||^p
+    (``classify_magnitudes``), whose sum estimate is reported; in c0 it is
+    term decay (``classify_sup_decay``).  ``magnitudes`` is read on an
+    int64 array for the scan and on the float64 array n = 2^30, ..., 2^62
+    for the class.  ``max_exp`` must be an integer >= 1.
     """
     if not isinstance(max_exp, numbers.Integral) or max_exp < 1:
         raise InvalidArgumentError(f"max_exp must be an integer >= 1, got {max_exp!r}")
@@ -421,11 +406,13 @@ def _class_tail(cls: AsymptoticClass, mags, n: int, q: int, s, log_r,
     ``_decide`` read as converging, from the level that decided it; None
     when that level gives no tail within the scan's rounding.
 
-    - log n: the terms are a power law K (k^q + c)^(-s q d) in k, with c
-      fitted to the terms at n and n // 2.  In x = (k^q + c)^(1/q) they
-      are K x^(-s q d): the midpoint integral from n + 1/2 less its
-      Euler-Maclaurin correction, to a relative O(n^-4) at q = 1 whatever
-      c is, and O(c n^-q) past it.
+    - log n or log log n: the terms are K x^-P (log x)^E in
+      x = (k^q + c)^(1/q), P = s q d and E = -s e, with c fitted to the
+      terms at n and n // 2 (by fixed-point steps when E moves their ratio
+      with c).  The tail is the integral from x(n + 1/2) less its
+      Euler-Maclaurin correction: K x^(1-P)/(P-1) at E = 0, to a relative
+      O(n^-4) at q = 1 whatever c is, and O(c n^-q) past it;
+      K (log x)^(1+E)/(-(1+E)) at P = 1.  Other log factors have no tail.
     - n, at q = 1 with c the only nonzero coefficient: log terms
       (log R - s c) n + const past a table's head, so the tail is exactly
       geometric, t(n) / expm1(s c - log R).
@@ -434,20 +421,34 @@ def _class_tail(cls: AsymptoticClass, mags, n: int, q: int, s, log_r,
       when it is at most n ulp(total), the rounding the scan's sum carries.
     """
     if cls.a == cls.b == 0 and log_r == s * cls.c:  # decided at log n or log log n
-        if cls.e:  # log factors, which no power law fits
+        power, e = float(s * q * cls.d), float(-s * cls.e)
+        if e and power != 1:
             return None
-        power = float(s * q * cls.d)
         h = n // 2
         with np.errstate(under="ignore"):
             t_n, t_h = mags(np.array([n, h], dtype=np.int64))
         if t_n == 0:
             return 0.0
-        rho = (t_h / t_n) ** (q / power)  # (n^q + c) / (h^q + c)
-        if not 1 < rho < math.inf:
+        c = 0.0
+        for _ in range(64 if e else 1):
+            ratio, prev = t_h / t_n, c
+            if e:  # (log x_n / log x_h)^E of the ratio, at this c
+                if h**q + c <= 1:
+                    return None
+                ratio *= (math.log(n**q + c) / math.log(h**q + c)) ** e
+            rho = ratio ** (q / power)  # (n^q + c) / (h^q + c)
+            if not 1 < rho < math.inf:
+                return None
+            c = (n**q - rho * h**q) / (rho - 1.0)
+        if e and abs(c - prev) > 1e-9 * (1.0 + abs(c)):  # the steps did not settle
             return None
-        c = (n**q - rho * h**q) / (rho - 1.0)
         x_n, x_half = (n**q + c) ** (1.0 / q), ((n + 0.5) ** q + c) ** (1.0 / q)
-        return t_n * (x_n / x_half) ** power * (x_half / (power - 1.0) - power / (24.0 * x_half))
+        t_half = t_n * (x_n / x_half) ** power  # K x^-P at x_half
+        if not e:
+            return t_half * (x_half / (power - 1.0) - power / (24.0 * x_half))
+        log_n, log_half = math.log(x_n), math.log(x_half)
+        t_half *= (log_half / log_n) ** e
+        return t_half * (x_half * log_half / (-1.0 - e) - (1.0 - e / log_half) / (24.0 * x_half))
     t_prev, t_n = mags(np.array([n - 1, n], dtype=np.int64)).tolist()
     if q == 1 and cls.a == cls.b == cls.d == cls.e == 0:
         return t_n / math.expm1(s * cls.c - log_r)
@@ -517,9 +518,7 @@ def _classify_weighted(space: SpaceSpec, w: WeightSeq, j: int, q: int, direction
             tail = 0.0 if n_scan == head else None
         elif n_scan:
             tail = _class_tail(cls, mags, n_scan, q, s, log_r, total)
-    if tail is not None and math.isfinite(total + tail):
-        return Verdict(verdict, rule, checkpoints, sum_estimate=total + tail, tail_estimate=tail)
-    return Verdict(verdict, rule, checkpoints)
+    return _summed(verdict, rule, checkpoints, total, tail)
 
 
 def qfhc_check(

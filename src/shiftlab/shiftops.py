@@ -188,18 +188,23 @@ class WeightSeq:
             far = hi if hi > EXACT_INDEX else lo
             raise ResourceLimitError(f"prefix index {far} is past the exact-index limit 2^53")
 
+    # a family's closed forms of log|P| and arg P on an int64 n-array, in
+    # place of the head/tail rule; None keeps the rule
+    _logmag_at = None
+    _phase_at = None
+
     def _at(self, points, phase: bool = True):
-        """(logmag, phase) of P at integer ``points``; phase None unless asked."""
+        """(logmag, phase) of P at integer ``points``; phase None unless asked.
+        The index range is read once, for the domain check and the rule."""
         ns = np.asarray(points, dtype=np.int64)
-        if ns.size:
-            self._check(int(ns.min()), int(ns.max()))
-        return self._logmag_at(ns), (self._phase_at(ns) if phase else None)
-
-    def _logmag_at(self, ns: np.ndarray) -> np.ndarray:
-        return _head_tail(ns, self._lm, self._step[0], self._lm_neg, self._step_neg[0])
-
-    def _phase_at(self, ns: np.ndarray) -> np.ndarray:
-        return _head_tail(ns, self._ph, self._step[1], self._ph_neg, self._step_neg[1])
+        lo, hi = (int(ns.min()), int(ns.max())) if ns.size else (0, 0)
+        self._check(lo, hi)
+        lm = (self._logmag_at(ns) if self._logmag_at else
+              _head_tail(ns, lo, hi, self._lm, self._step[0], self._lm_neg, self._step_neg[0]))
+        if not phase:
+            return lm, None
+        return lm, (self._phase_at(ns) if self._phase_at else
+                    _head_tail(ns, lo, hi, self._ph, self._step[1], self._ph_neg, self._step_neg[1]))
 
     def asymptotics(self, side: int = 1) -> AsymptoticClass:
         """The asymptotic class of m -> P(side * m) as m -> infinity: the
@@ -215,7 +220,7 @@ class WeightSeq:
         """
         if side < 0 and self.domain != BILATERAL:
             raise DomainMismatchError("a unilateral family has no nonpositive side")
-        if type(self)._logmag_at is not WeightSeq._logmag_at:
+        if self._logmag_at:
             raise NotImplementedError(
                 f"{type(self).__name__} overrides _logmag_at without giving its asymptotic class")
         if side > 0:
@@ -247,12 +252,9 @@ def _prefix_sums(weights, sign: int) -> tuple[np.ndarray, np.ndarray]:
     return sums[:, 0].copy(), sums[:, 1].copy()
 
 
-def _head_tail(ns, head, step, head_neg, step_neg) -> np.ndarray:
+def _head_tail(ns, lo: int, hi: int, head, step, head_neg, step_neg) -> np.ndarray:
     """The head at n >= 0, then ``step`` per index past its end; head_neg
-    and step_neg at -n for n < 0."""
-    if not ns.size:
-        return np.empty(0)
-    lo, hi = int(ns.min()), int(ns.max())
+    and step_neg at -n for n < 0.  lo and hi are the least and greatest n."""
     if lo >= 0:
         return _side(ns, 1, lo, head, step)
     if hi < 0:

@@ -1,7 +1,7 @@
 """The CI workflow parses, keeps its limits, gates on full-size benchmark
-runs, compares a serial and a forked CSV write, shows a pull request's
-golden report and benchmark output diffs without failing on them and
-installs the test extra;
+runs and a tiny criterion-grid run, compares a serial and a forked CSV
+write, shows a pull request's golden report and benchmark output diffs
+without failing on them and installs the test extra;
 pytest turns RuntimeWarnings, ResourceWarnings and unraisable exceptions
 into errors; the benchmark's tracer finds every name it wraps."""
 
@@ -28,9 +28,10 @@ def test_workflow_parses_and_keeps_its_limits():
     assert "perfbench/test_smoke.py" in runs["Benchmark smoke test"]
     assert runs["Benchmark oracle self-check"] == "python3 perfbench/oracles.py"
     gate = runs["Benchmark gate"]
-    assert "for w in criterion-grid construct-verify orbit-density; do" in gate
-    assert ('python3 perfbench/run.py --workload "$w" --seed 0 --seconds 1 --trace 0'
+    # every workload at full size, and criterion-grid at --tiny as well
+    assert ('for w in criterion-grid construct-verify orbit-density "criterion-grid --tiny"; do'
             in gate)
+    assert "python3 perfbench/run.py --workload $w --seed 0 --seconds 1 --trace 0" in gate
     # each workload's ops:, oracle: and counters: lines go to the log under
     # its name, so a moved verdict or sum shows there, not only in "correct"
     assert 'sed -nE "s/^(ops|oracle|counters):/$w \\1:/p"' in gate

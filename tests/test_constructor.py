@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -47,6 +49,7 @@ from shiftlab.shiftops import (
     BilateralTableWeight,
     ConstantWeight,
     OperatorSpec,
+    RootRatioWeight,
     TableWeight,
     iterate,
     orbit_batch,
@@ -121,6 +124,36 @@ class TestThresholdSelection:
     def test_needs_targets(self):
         with pytest.raises(InvalidArgumentError):
             select_Nk(lp(2), ConstantWeight(2), 1, [])
+
+    # the thresholds, which the tail past the window (``_class_tail`` of the
+    # family's class) must leave as they were under the two-point power-law fit
+    @pytest.mark.parametrize("space, weights, q, k, want", [
+        (lp(2), lambda: ConstantWeight(2), 1, 5, (1, 2, 3, 4, 5)),
+        (c0(), lambda: ConstantWeight(2), 1, 3, (1, 2, 3)),
+        (lp(2), BergmanWeight, 2, 3, (3, 9, 33)),
+        (lp(2), BergmanWeight, 3, 4, (2, 3, 5, 9)),
+        (lp(1), BergmanWeight, 4, 3, (2, 4, 7)),
+        (lp(2), lambda: RootRatioWeight(1), 3, 3, (2, 3, 6)),
+        (lp(2), lambda: ConstantWeight(1.01), 1, 4, (198, 267, 337, 407)),
+    ], ids=["constant2-l2", "constant2-c0", "bergman-q2", "bergman-q3", "bergman-l1-q4",
+            "rootratio1-q3", "constant1.01"])
+    def test_thresholds_pinned(self, space, weights, q, k, want):
+        assert select_Nk(space, weights(), q, canonical_targets(k))[0] == want
+
+    def test_the_tail_past_the_window_is_the_class_tail(self):
+        # Bergman on l^2 at q = 2, j = 1: the squared tail from N = 4096 is
+        # sum over n >= 4096 of 2/(n^2 + 2) = (pi a coth(pi a) - 1)/2 - head, a^2 = 2
+        tails = constructor._certified_s_tails(lp(2), BergmanWeight(), 2, 1, 4096)
+        with mpmath.workdps(30):
+            a = mpmath.sqrt(2)
+            full = (mpmath.pi * a * mpmath.coth(mpmath.pi * a) - 1) / 2
+            want = full - mpmath.fsum(2 / (mpmath.mpf(n) ** 2 + 2) for n in range(1, 4096))
+        assert tails[-1] ** 2 == pytest.approx(float(want), rel=1e-7)
+
+    def test_a_mass_the_class_does_not_sum_is_unbounded(self):
+        # Bergman on c0 at q = 1: the terms (n + 2)^(-1/2) decay, so the
+        # criterion holds, but their mass past the window is not finite
+        assert np.isinf(constructor._certified_s_tails(c0(), BergmanWeight(), 1, 1, 64)).all()
 
 
 class TestBuildVector:
