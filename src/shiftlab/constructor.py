@@ -29,6 +29,7 @@ from .criterion import (
     _class_tail,
     _decide,
     _exact,
+    _past_head,
     _shift_series,
     qfhc_check,
 )
@@ -112,7 +113,8 @@ def _certified_s_tails(space: SpaceSpec, w: WeightSeq, q: int, j: int,
     the window.  c0: reverse running max, and past the window the summed
     mass of the terms, which dominates their sup.  That mass is
     ``_class_tail`` of the family's class where the class makes it a
-    convergent sum, and inf where it does not or gives no tail.
+    convergent sum and the window reaches past a table's head
+    (``_past_head``), and inf where it does not or gives no tail.
     """
     with np.errstate(over="ignore", under="ignore"):
         t = np.exp(_shift_series(w, j, q, 1, j)(np.arange(1, n_max + 1)))
@@ -123,7 +125,8 @@ def _certified_s_tails(space: SpaceSpec, w: WeightSeq, q: int, j: int,
     s, u = (_exact(space.p), t**space.p) if space.kind == "lp" else (1, t)
     cls = w.asymptotics(1)
     tail = (_class_tail(cls, lambda ns: u[ns - 1], n_max, q, s, 0, float(u.sum()))
-            if _decide(cls, q, s, 0, True)[0] == CONVERGES else None)
+            if _decide(cls, q, s, 0, True)[0] == CONVERGES and _past_head(w, j, q, 1, n_max)
+            else None)
     beyond = math.inf if tail is None else tail
     if space.kind == "lp":
         return (np.cumsum(u[::-1])[::-1] + beyond) ** (1.0 / space.p)

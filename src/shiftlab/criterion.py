@@ -17,12 +17,14 @@ once n^q >= j, so it converges.
 
 A bare magnitude map (``series_probe``: ``classify_magnitudes`` on l^p,
 ``classify_sup_decay`` on c0) gets a fitted class (``_fitted_class``)
-and the same path.  Where no class fits, the exact rules hold: a
-non-finite term reads ``diverges`` with a rule ending in ``(term
-overflow)``, as does an l^p partial sum past double range, and samples
-that are all 0 read "terms eventually zero".  Scaling every term by a
-positive constant moves only the fitted constant, so it leaves the
-verdict as it is, within double range.
+and the same path, with a sum only from a full SCAN_TERMS scan.  Where
+no class fits, the exact rules hold: a non-finite term reads
+``diverges`` with a rule ending in ``(term overflow)``, as does an l^p
+partial sum past double range, and samples that are all 0 from n = 2^30
+on read "terms eventually zero".  Scaling every term by a positive
+constant moves only the fitted constant, and samples that leave normal
+double range are fitted nearer, so it leaves the verdict as it is while
+10 samples stay in range.
 
 Every weighted-shift series of the checkers and of the constructor's tail
 certificates comes from one function, ``_shift_series``: log term magnitudes
@@ -57,33 +59,14 @@ SCAN_TERMS = 1 << 12
 # largest part, is too close to call
 _ROUNDING_BAND = 1e-12
 
-# a fitted class's points n = 2^30, ..., 2^62, as floats (no map squares a
-# wrapped int64), and columns log n, log log n, 1 and the first order of a
-# shift n -> n + c, c/n and c/(n log n) (scaled by 2^30)
-_FAR = np.ldexp(1.0, np.arange(30, 63))
-_FIT = np.column_stack([np.log(_FAR), np.log(np.log(_FAR)), np.ones(len(_FAR)),
-                        2.0**30 / _FAR, 2.0**30 / (_FAR * np.log(_FAR))])
-
-
-def _pseudo_inverse(x: np.ndarray) -> np.ndarray:
-    """R^-1 Q^T of x = Q R, by Gram-Schmidt run twice per column and back
-    substitution, in ufuncs and products only: LAPACK's workspace would add
-    1.7 MB to the resident set of every process that imports this module."""
-    q, k = x.T.copy(), x.shape[1]
-    r = np.zeros((k, k))
-    for j in range(k):
-        for _ in range(2):
-            dots = q[:j] @ q[j]
-            q[j] -= dots @ q[:j]
-            r[:j, j] += dots
-        r[j, j] = math.sqrt(q[j] @ q[j])
-        q[j] /= r[j, j]
-    for i in range(k - 1, -1, -1):  # row i of R^-1 Q^T, from the rows below it
-        q[i] = (q[i] - r[i, i + 1 :] @ q[i + 1 :]) / r[i, i]
-    return q
-
-
-_FIT_SOLVE = _pseudo_inverse(_FIT)
+# a fitted class's sample points n = 2^12, ..., 2^62, as floats (no map
+# squares a wrapped int64); _LADDER[_FAR:] are those from 2^30 on
+_LADDER = np.ldexp(1.0, np.arange(12, 63))
+_FAR = 18
+# the fit reads at most _FIT_POINTS samples in normal double range, and no
+# class from fewer than _FIT_MIN
+_FIT_POINTS = 33
+_FIT_MIN = 10
 # a fit residual (largest, in log t) past this is no class: inconclusive.
 # Measured: about 1e-13 on power laws, Bertrand series and 1/(n + c) up to
 # c = 1000; 1.4e-4 on 1/(n log n log log n)
@@ -144,14 +127,7 @@ def _overall(entries) -> str:
 
 
 def _report(operator, space_desc, q, entries, notes=()) -> CriterionReport:
-    return CriterionReport(
-        operator=operator,
-        space=space_desc,
-        q=q,
-        entries=tuple(entries),
-        overall=_overall(entries),
-        notes=tuple(notes),
-    )
+    return CriterionReport(operator, space_desc, q, tuple(entries), _overall(entries), tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -176,21 +152,34 @@ def _scan(mag_fn, n_max: int):
     return tuple(checkpoints) + ((n_max, float(cum[-1])),), float(cum[-1]), any_inf
 
 
-def _fitted_class(far: np.ndarray):
-    """(class, None) of a map's samples ``far`` at n = 2^30, ..., 2^62, or
+def _fitted_class(samples: np.ndarray):
+    """(class, None) of a map's finite samples at the _LADDER points, or
     (None, rule) when no class fits.
 
+    The fit reads the last _FIT_POINTS samples before the trailing ones
+    below normal double range (0 or subnormal: underflow), so a map too
+    small for double range at the far points is fitted nearer.  On them
     log t(n) ~ D log n + E log log n + C, plus the first order of a shift
-    n -> n + c, is fitted by least squares.  D or E within 100 times the
-    largest residual (at least _ROUNDING_BAND) of -1 or 0, the boundaries
-    of ``_decide``, is read as exactly that.  A residual past _FIT_LIMIT,
-    or NaN (a sample NaN, negative or 0), is no class.  The class is
-    d = -D, e = -E, read at q = s = 1, where ``_decide``'s log n and
-    log log n levels are D and E."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.log(far)
-        coef = _FIT_SOLVE @ y
-        residual = float(np.abs(_FIT @ coef - y).max())
+    n -> n + c (columns c/n and c/(n log n)), is fitted by least squares.
+    D or E within 100 times the largest residual (at least
+    _ROUNDING_BAND) of -1 or 0, the boundaries of ``_decide``, is read as
+    exactly that.  A sample NaN or negative, fewer than _FIT_MIN points
+    or one below normal range among them, or a residual past _FIT_LIMIT
+    is no class.  The class is d = -D, e = -E, read at q = s = 1, where
+    ``_decide``'s log n and log log n levels are D and E."""
+    if not (samples >= 0).all():
+        return None, "fitted class: a sample is NaN or negative"
+    normal = samples >= np.finfo(float).tiny
+    end = len(samples) - int(np.argmax(normal[::-1])) if normal.any() else 0
+    start = max(end - _FIT_POINTS, 0)
+    if end - start < _FIT_MIN or not normal[start:end].all():
+        return None, (f"fitted class: fewer than {_FIT_MIN} samples, or one below normal "
+                      f"double range, among the last {_FIT_POINTS} before underflow")
+    x, y = _LADDER[start:end], np.log(samples[start:end])
+    log_x = np.log(x)
+    fit = np.column_stack([log_x, np.log(log_x), np.ones(len(x)), x[0] / x, x[0] / (x * log_x)])
+    coef = np.linalg.lstsq(fit, y, rcond=None)[0]
+    residual = float(np.abs(fit @ coef - y).max())
     if not residual <= _FIT_LIMIT:
         return None, f"fitted class: residual {residual:.3g} is not below {_FIT_LIMIT:g}"
     band = max(100 * residual, _ROUNDING_BAND)
@@ -201,7 +190,9 @@ def _fitted_class(far: np.ndarray):
 def _probe(mag_fn, n_max: int, summable: bool) -> Verdict:
     """The one route of a bare magnitude map: ``_scan`` reads the first
     min(n_max, SCAN_TERMS) terms, the fitted class decides, and on a
-    convergent summable series ``_class_tail`` adds the tail past them."""
+    convergent summable series ``_class_tail`` adds the tail past them.
+    A shorter scan reports no sum: only from SCAN_TERMS terms on is the
+    tail's error below the sum's rounding."""
     if n_max < 2:
         raise InvalidArgumentError("need at least two terms to classify")
 
@@ -211,15 +202,16 @@ def _probe(mag_fn, n_max: int, summable: bool) -> Verdict:
 
     n = min(n_max, SCAN_TERMS)
     checkpoints, total, any_inf = _scan(mags, n)
-    far = mags(_FAR.copy())  # a fresh array, as the scan's: a map may write to it
-    overflow = any_inf or bool(np.isposinf(far).any())
+    samples = mags(_LADDER.copy())  # a fresh array, as the scan's: a map may write to it
+    overflow = any_inf or bool(np.isposinf(samples).any())
     if overflow or (summable and total == math.inf):
         rule = "partial sum past double range" if summable else "term magnitudes do not decay"
         return Verdict(DIVERGES, rule + (" (term overflow)" if overflow else ""), checkpoints)
+    summed = summable and n == SCAN_TERMS
     tail = None
-    if not far.any():
+    if not samples[_FAR:].any():
         kind, rule = CONVERGES, "terms eventually zero"
-        if summable:
+        if summed:
             t_h, t_n = mags(np.array([n // 2, n], dtype=np.int64))
             if t_n == 0:
                 tail = 0.0
@@ -227,12 +219,12 @@ def _probe(mag_fn, n_max: int, summable: bool) -> Verdict:
                 ratio = AsymptoticClass(c=math.log(t_h / t_n) / (n - n // 2))
                 tail = _class_tail(ratio, mags, n, 1, 1, 0, total)
     else:
-        cls, rule = _fitted_class(far)
+        cls, rule = _fitted_class(samples)
         if cls is None:
             return Verdict(INCONCLUSIVE, rule, checkpoints)
         kind, rule = _decide(cls, 1, 1, 0, summable)
         rule = "fitted " + rule
-        if kind == CONVERGES and summable:
+        if kind == CONVERGES and summed:
             tail = _class_tail(cls, mags, n, 1, 1, 0, total)
     return _summed(kind, rule, checkpoints, total, tail)
 
@@ -289,10 +281,10 @@ def series_probe(
     and its fitted class (see the module docstring).
 
     In l^p that is exactly the scalar series sum ||term_n||^p
-    (``classify_magnitudes``), whose sum estimate is reported; in c0 it is
-    term decay (``classify_sup_decay``).  ``magnitudes`` is read on an
-    int64 array for the scan and on the float64 array n = 2^30, ..., 2^62
-    for the class.  ``max_exp`` must be an integer >= 1.
+    (``classify_magnitudes``), with a sum estimate from a full SCAN_TERMS
+    scan; in c0 it is term decay (``classify_sup_decay``).  ``magnitudes``
+    is read on an int64 array for the scan and on the float64 array
+    n = 2^12, ..., 2^62 for the class.  ``max_exp`` must be an integer >= 1.
     """
     if not isinstance(max_exp, numbers.Integral) or max_exp < 1:
         raise InvalidArgumentError(f"max_exp must be an integer >= 1, got {max_exp!r}")
@@ -414,8 +406,8 @@ def _class_tail(cls: AsymptoticClass, mags, n: int, q: int, s, log_r,
       O(n^-4) at q = 1 whatever c is, and O(c n^-q) past it;
       K (log x)^(1+E)/(-(1+E)) at P = 1.  Other log factors have no tail.
     - n, at q = 1 with c the only nonzero coefficient: log terms
-      (log R - s c) n + const past a table's head, so the tail is exactly
-      geometric, t(n) / expm1(s c - log R).
+      (log R - s c) n + const past a table's head (``_past_head``), so the
+      tail is exactly geometric, t(n) / expm1(s c - log R).
     - any other exponential level: the term ratios fall, so t(n) r / (1 - r),
       r = t(n) / t(n - 1) < 1, bounds the tail from above.  It is kept only
       when it is at most n ulp(total), the rounding the scan's sum carries.
@@ -461,6 +453,12 @@ def _class_tail(cls: AsymptoticClass, mags, n: int, q: int, s, log_r,
     return bound if bound <= n * math.ulp(total) else None
 
 
+def _past_head(w: WeightSeq, j: int, q: int, direction: int, n: int) -> bool:
+    """Whether terms n - 1, n, ... of P(j + direction k^q) read P past the
+    head of its side (``WeightSeq.head_end``), where its class is exact."""
+    return direction * j + (n - 1) ** q >= w.head_end(direction)
+
+
 def _classify_weighted(space: SpaceSpec, w: WeightSeq, j: int, q: int, direction: int,
                        anchor: int | None, n_max: int, decay: bool = False) -> Verdict:
     """Verdict of the weighted-shift series ``_shift_series(w, j, q,
@@ -477,8 +475,9 @@ def _classify_weighted(space: SpaceSpec, w: WeightSeq, j: int, q: int, direction
     SCAN_TERMS) of a head, for checkpoints and sums that never override
     the verdict.  A convergent summable series reports the scan total plus
     ``_class_tail``; a whole head reports its total, with tail 0.  A head
-    longer than SCAN_TERMS, a non-finite sum, a decay condition, or a
-    tail the class does not give reports no sum.
+    longer than SCAN_TERMS, a non-finite sum, a decay condition, a scan
+    that ends inside a table's head, or a tail the class does not give
+    reports no sum.
     """
     if space.domain != w.domain:
         raise DomainMismatchError(
@@ -516,7 +515,7 @@ def _classify_weighted(space: SpaceSpec, w: WeightSeq, j: int, q: int, direction
     if verdict == CONVERGES and summable:
         if head is not None:
             tail = 0.0 if n_scan == head else None
-        elif n_scan:
+        elif n_scan and _past_head(w, j, q, direction, n_scan):
             tail = _class_tail(cls, mags, n_scan, q, s, log_r, total)
     return _summed(verdict, rule, checkpoints, total, tail)
 
@@ -546,9 +545,7 @@ def qfhc_check(
         ]
     notes = ["unilateral T-series on basis vectors are eventually zero, "
              "so their convergence is automatic"] if unilateral else []
-    return _report(
-        f"backward shift {w.describe()}", space.describe(), q, entries, notes
-    )
+    return _report(f"backward shift {w.describe()}", space.describe(), q, entries, notes)
 
 
 def unilateral_condition(
@@ -573,9 +570,7 @@ def unilateral_condition(
     for j in j_range:
         verdict = _classify_weighted(space, w, j, q, 1, None, n_max)
         entries.append(ProbeEntry(f"j={j}", verdict))
-    return _report(
-        f"backward shift {w.describe()}", space.describe(), q, entries
-    )
+    return _report(f"backward shift {w.describe()}", space.describe(), q, entries)
 
 
 def bilateral_condition(
@@ -640,9 +635,7 @@ def hc_check(
         for label, direction in (("T-orbit", -1), ("S-orbit", 1)):
             verdict = _classify_weighted(orbits, w, j, 1, direction, j, horizon, decay=True)
             entries.append(ProbeEntry(f"{label} j={j}", verdict))
-    return _report(
-        f"backward shift {w.describe()}", space.describe(), 1, entries
-    )
+    return _report(f"backward shift {w.describe()}", space.describe(), 1, entries)
 
 
 @dataclass(frozen=True)

@@ -227,6 +227,11 @@ class WeightSeq:
             return AsymptoticClass(c=_log_modulus(self._tails[0]))
         return AsymptoticClass(c=-_log_modulus(self._tails[1]))
 
+    def head_end(self, side: int = 1) -> int:
+        """The least m >= 0 from which P(side * m) is linear in m (the
+        head/tail rule's class is exact): 0 for a closed-form family."""
+        return len(self._lm if side > 0 else self._lm_neg) - 1
+
     def warm(self, n: int, nmin: int = 0):
         """Check that the indices nmin..n (nmin only on a bilateral family)
         can be read.  Nothing is cached or allocated."""

@@ -150,6 +150,19 @@ class TestThresholdSelection:
             want = full - mpmath.fsum(2 / (mpmath.mpf(n) ** 2 + 2) for n in range(1, 4096))
         assert tails[-1] ** 2 == pytest.approx(float(want), rel=1e-7)
 
+    def test_a_window_inside_a_table_head_bounds_nothing_past_it(self):
+        # 300 weights 1.05, then 2: the class (log 2) says nothing of the
+        # mass past a 64-term window, which is still inside the head
+        w = TableWeight([1.05] * 300, 2.0)
+        assert np.isinf(constructor._certified_s_tails(lp(2), w, 1, 1, 64)).all()
+        with pytest.raises(ConstructionRefusedError):
+            select_Nk(lp(2), w, 1, canonical_targets(4), n_max=64)
+        # past the head it is exactly geometric: at j = 1 the squared tail
+        # from N = 400 is 1.05^-598 4^-101 (4/3)
+        tails = constructor._certified_s_tails(lp(2), w, 1, 1, 400)
+        assert tails[-1] ** 2 == pytest.approx(1.05**-598 * 4.0**-101 * 4 / 3, rel=1e-12)
+        assert select_Nk(lp(2), w, 1, canonical_targets(4), n_max=400)[0] == (25, 39, 53, 67)
+
     def test_a_mass_the_class_does_not_sum_is_unbounded(self):
         # Bergman on c0 at q = 1: the terms (n + 2)^(-1/2) decay, so the
         # criterion holds, but their mass past the window is not finite

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import tracemalloc
 
@@ -98,12 +99,14 @@ class TestScalarClassifier:
         assert abs(v.sum_estimate - truth) <= 1e-6 * max(1, truth)
 
     @settings(max_examples=20, deadline=None)
-    @given(st.floats(min_value=1.3, max_value=3.0))
+    @given(st.floats(min_value=1.3, max_value=30.0))
     def test_power_family_converges(self, s):
+        # past s = 17 the far samples underflow and the class is fitted nearer
         v = series_probe(
             lp(1), magnitudes=lambda ns, _s=s: ns.astype(float) ** (-_s)
         )
         assert v.kind == CONVERGES
+        assert v.sum_estimate == pytest.approx(float(mpmath.zeta(s)), rel=1e-10)
 
     def test_c0_route_checks_term_decay(self):
         good = series_probe(c0(), magnitudes=lambda ns: 1.0 / ns)
@@ -158,7 +161,7 @@ class TestScalarClassifier:
         st.sampled_from([lp(1), lp(2), c0()]),
         st.one_of(
             st.tuples(st.just("geometric"), st.floats(min_value=0.05, max_value=0.8)),
-            st.tuples(st.just("power"), st.floats(min_value=1.3, max_value=3.0)),
+            st.tuples(st.just("power"), st.floats(min_value=1.3, max_value=30.0)),
             st.tuples(st.just("harmonic"), st.just(1.0)),
             st.tuples(st.just("constant"), st.just(1.0)),
         ),
@@ -1043,8 +1046,18 @@ class TestScan:
             return 1.0 / np.asarray(ns, dtype=float) ** 2
 
         series_probe(space, magnitudes=mags, max_exp=20)
-        assert sizes[:2] == [(SCAN_TERMS, np.int64), (33, np.float64)]
-        assert sum(n for n, _ in sizes) <= SCAN_TERMS + 33 + 2
+        samples = len(criterion._LADDER)  # n = 2^12, ..., 2^62
+        assert sizes[:2] == [(SCAN_TERMS, np.int64), (samples, np.float64)]
+        assert sum(n for n, _ in sizes) <= SCAN_TERMS + samples + 2
+
+    def test_benchmark_probe_verdicts_are_pinned(self):
+        # the nine criterion-grid probes at full size (max_exp = 20): rules,
+        # checkpoints and sums; re-recorded for the fitted class
+        maps = ([_p_series(s) for s in (0.9, 1.05, 1.1, 1.5, 2.0, 3.0)]
+                + [_bertrand(b) for b in (1.0, 1.5, 2.0)])
+        reprs = [repr(series_probe(lp(1), magnitudes=m, max_exp=20)) for m in maps]
+        assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == (
+            "fc6dfc9e2b9a705d10338e44f3682859aa0046d047d97f4401f7e1396cf6017f")
 
 
 def _bertrand_reference(b):
@@ -1080,6 +1093,10 @@ def _probe_oracles():
         out.append((f"{r}^n", lambda ns, _r=r: _r ** np.asarray(ns, dtype=float), CONVERGES,
                     r / (1 - r), CONVERGES))
     return out
+
+
+_UNDERFLOW = ("fewer than 10 samples, or one below normal double range, among the last 33 "
+              "before underflow")
 
 
 class TestProbeOracle:
@@ -1130,16 +1147,64 @@ class TestProbeOracle:
         assert v.kind == INCONCLUSIVE
         assert v.rule.startswith("fitted class: residual ")
 
-    @pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0], ids=["nan", "negative", "zero"])
-    def test_a_bad_sample_is_inconclusive(self, bad):
-        # terms 1/n^2 in the scan, and one bad sample among the class's
+    @pytest.mark.parametrize("bad, rule", [
+        (math.nan, "a sample is NaN or negative"), (-1.0, "a sample is NaN or negative"),
+        (0.0, _UNDERFLOW), (1e-310, _UNDERFLOW),
+    ], ids=["nan", "negative", "zero", "subnormal"])
+    @pytest.mark.parametrize("at", [2.0**40, 2.0**62], ids=["inside", "last"])
+    def test_a_bad_sample_is_inconclusive(self, bad, rule, at):
+        # terms 1/n^2 in the scan, and one bad sample among the class's; a
+        # last one below normal range is underflow, and is not read
         def mags(ns):
             t = 1.0 / np.asarray(ns, dtype=float) ** 2
-            return np.where(ns == 2.0**40, bad, t)
+            return np.where(ns == at, bad, t)
 
         v = series_probe(lp(1), magnitudes=mags)
+        if at == 2.0**62 and bad in (0.0, 1e-310):
+            assert v.kind == CONVERGES and v.sum_estimate == pytest.approx(math.pi**2 / 6)
+        else:
+            assert v.kind == INCONCLUSIVE
+            assert v.rule == "fitted class: " + rule
+
+    @pytest.mark.parametrize("space, mags, want", [
+        (lp(1), _p_series(20), lambda: mpmath.zeta(20)),
+        (lp(1), _p_series(35), lambda: mpmath.zeta(35)),
+        (lp(2), _p_series(9), lambda: mpmath.zeta(18)),
+        (lp(1), lambda ns: 1e-290 / np.asarray(ns, dtype=float) ** 2,
+         lambda: 1e-290 * mpmath.zeta(2)),
+        (c0(), _p_series(20), None),
+        (c0(), lambda ns: 1e-290 / np.asarray(ns, dtype=float) ** 2, None),
+    ], ids=["n^-20 l1", "n^-35 l1", "n^-9 l2", "1e-290/n^2 l1", "n^-20 c0", "1e-290/n^2 c0"])
+    def test_samples_that_underflow_are_fitted_nearer(self, space, mags, want):
+        # the far samples fall to 0 or below normal double range; the fit
+        # reads the last 33 (n^-20, n^-9 on l^2) or all (n^-35, 1e-290/n^2)
+        # samples above it, down to n = 2^12
+        v = series_probe(space, magnitudes=mags)
+        assert v.kind == CONVERGES and v.rule.startswith("fitted asymptotic class at log n")
+        if want is not None:
+            assert v.sum_estimate == pytest.approx(float(want()), rel=1e-13)
+
+    def test_a_tiny_harmonic_series_still_diverges(self):
+        # 1e-300/n is below normal double range from n = 2^26 on
+        v = series_probe(lp(1), magnitudes=lambda ns: 1e-300 / np.asarray(ns, dtype=float))
+        assert v.kind == DIVERGES
+        assert v.rule == "fitted asymptotic class at log log n: coefficient 0 > -1"
+
+    def test_too_few_samples_above_underflow_are_inconclusive(self):
+        # 1e-300/n^2 is in normal double range at n = 2^12 only of the samples
+        v = series_probe(lp(1), magnitudes=lambda ns: 1e-300 / np.asarray(ns, dtype=float) ** 2)
         assert v.kind == INCONCLUSIVE
-        assert v.rule == "fitted class: residual nan is not below 1e-06"
+        assert v.rule == "fitted class: " + _UNDERFLOW
+
+    @pytest.mark.parametrize("max_exp", [1, 4, 11, 12])
+    @pytest.mark.parametrize("mags", [_p_series(3), lambda ns: 0.5 ** np.asarray(ns, dtype=float)],
+                             ids=["n^-3", "2^-n"])
+    def test_a_scan_shorter_than_scan_terms_reports_no_sum(self, max_exp, mags):
+        # the tail past n terms is within the sum's rounding only at
+        # n = SCAN_TERMS: the power law's is off by 2.1e-4 of zeta(3) at n = 2
+        v = series_probe(lp(1), magnitudes=mags, max_exp=max_exp)
+        assert v.kind == CONVERGES
+        assert (v.sum_estimate is None) == (2**max_exp < SCAN_TERMS)
 
 
 class TestGeometricTail:
@@ -1175,6 +1240,24 @@ class TestGeometricTail:
         assert v.tail_estimate == 0.0
         assert v.sum_estimate == v.checkpoints[-1][1]
         assert v.sum_estimate == pytest.approx(1 / (lam**2 - 1), rel=4e-16)
+
+    def test_a_scan_inside_a_table_head_gets_no_sum(self):
+        # 10^4 weights 1.0001 (0.9999 on the nonpositive side) run past the
+        # 2^12-term scan, so the default weight's geometric tail is not
+        # theirs: the true l^2 sum is 4323.08, the default's tail gives 2796
+        w = TableWeight([1.0001] * 10**4, 2.0)
+        for v in (unilateral_condition(w, lp(2), 1, [0]).entries[0].verdict,
+                  qfhc_check(lp(2), w, 1, [1]).entry("S-series j=1").verdict):
+            assert v.kind == CONVERGES and v.sum_estimate is None
+        wb = BilateralTableWeight({k: 0.9999 for k in range(-9000, 1)}, 2.0, 0.5)
+        v = bilateral_condition(wb, lp(2, BILATERAL), 1, [0]).entry("backward series j=0").verdict
+        assert v.kind == CONVERGES and v.sum_estimate is None
+        # past the head the tail is the default's again
+        w = TableWeight([1.0001] * 4000, 2.0)
+        v = unilateral_condition(w, lp(2), 1, [0]).entries[0].verdict
+        r = 1.0001**-2
+        want = r * (1 - r**4000) / (1 - r) + r**4000 / 3
+        assert v.sum_estimate == pytest.approx(want, rel=1e-12)
 
     def test_decay_conditions_get_no_sum(self):
         v = unilateral_condition(ConstantWeight(1.0001), c0(), 1, [0]).entries[0].verdict
