@@ -3,17 +3,19 @@
 Every series takes one path: an asymptotic class decides (``_decide``),
 ``_scan`` reads a short run of its terms for dyadic partial-sum
 checkpoints, and ``_class_tail`` adds the tail past them from the level
-that decided, or reports no sum; neither overrides the verdict.
+that decided, or reports no sum; neither overrides the verdict.  A
+checker runs them on the first read of a verdict's checkpoints or sums
+(``Verdict.__getattr__``): ``sweep`` and the constructor's gate read no term.
 
 A weighted-shift series (of ``qfhc_check``, ``unilateral_condition``,
 ``bilateral_condition``, ``weakstar_condition``, ``salas_check``, the
 orbit decay of ``hc_check``) goes through ``_classify_weighted`` and is
-decided from the family's class (``WeightSeq.asymptotics``): the
-coefficients of P(m) = log|w_1...w_m| in a n^2 + b n log n + c n + d log n
-+ e log log n, substituted at m = j +/- n^q.  That verdict is exact up to
-a stated rounding band around each boundary, inside which it is
-``inconclusive``.  A unilateral backward series needs no class: it is 0
-once n^q >= j, so it converges.
+decided, once per call and direction, from the family's class
+(``WeightSeq.asymptotics``): the coefficients of P(m) = log|w_1...w_m| in
+a n^2 + b n log n + c n + d log n + e log log n, substituted at
+m = j +/- n^q.  That verdict is exact up to a stated rounding band around
+each boundary, inside which it is ``inconclusive``.  A unilateral
+backward series needs no class: it is 0 once n^q >= j, so it converges.
 
 A bare magnitude map (``series_probe``: ``classify_magnitudes`` on l^p,
 ``classify_sup_decay`` on c0) gets a fitted class (``_fitted_class``)
@@ -33,9 +35,10 @@ P(anchor) - P(j +/- n^q) of prefix products P, read at the n asked for.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,9 +80,23 @@ _FIT_LIMIT = 1e-6
 class Verdict:
     kind: str  # converges | diverges | inconclusive
     rule: str
-    checkpoints: tuple[tuple[int, float], ...] = ()  # (m, partial sum) at m = 2^i
-    sum_estimate: float | None = None
-    tail_estimate: float | None = None
+    # a checker's verdict holds a reader, ``_read``, for these until one is read;
+    # factories leave no class attribute, so that first read reaches ``__getattr__``
+    _READ = ("checkpoints", "sum_estimate", "tail_estimate")
+    checkpoints: tuple[tuple[int, float], ...] = field(default_factory=tuple)  # (m, S_m), m = 2^i
+    sum_estimate: float | None = field(default_factory=lambda: None)
+    tail_estimate: float | None = field(default_factory=lambda: None)
+
+    def __getattr__(self, name):
+        if name not in self._READ or "_read" not in self.__dict__:
+            raise AttributeError(f"'Verdict' object has no attribute {name!r}")
+        self.__dict__.update(zip(self._READ, self.__dict__["_read"]()))
+        self.__dict__.pop("_read", None)
+        return self.__dict__[name]
+
+    def __getstate__(self):  # pickle what the reader reads, not the reader
+        self.checkpoints
+        return self.__dict__
 
     @property
     def converges(self) -> bool:
@@ -226,15 +243,15 @@ def _probe(mag_fn, n_max: int, summable: bool) -> Verdict:
         rule = "fitted " + rule
         if kind == CONVERGES and summed:
             tail = _class_tail(cls, mags, n, 1, 1, 0, total)
-    return _summed(kind, rule, checkpoints, total, tail)
+    return Verdict(kind, rule, *_summed(checkpoints, total, tail))
 
 
-def _summed(kind: str, rule: str, checkpoints, total: float, tail) -> Verdict:
-    """A verdict that reports total + tail as its sum when the tail is known
-    and the sum is finite."""
+def _summed(checkpoints, total: float, tail):
+    """A verdict's (checkpoints, sum_estimate, tail_estimate): total + tail
+    as its sum when the tail is known and the sum is finite."""
     if tail is not None and math.isfinite(total + tail):
-        return Verdict(kind, rule, checkpoints, sum_estimate=total + tail, tail_estimate=tail)
-    return Verdict(kind, rule, checkpoints)
+        return checkpoints, total + tail, tail
+    return checkpoints, None, None
 
 
 def classify_magnitudes(mag_fn, n_max: int) -> Verdict:
@@ -312,17 +329,19 @@ def _indices(indices) -> list:
     return indices
 
 
-def _offsets(indices, q: int, max_exp: int) -> tuple[list, int]:
-    """Series offsets (at least one, none past EXACT_INDEX) and the terms
-    per series: 2^max_exp (at least 2), cut so that no term's prefix index
+def _offsets(indices, q: int, max_exp: int) -> tuple[list, int, bool]:
+    """Series offsets (at least one, none past EXACT_INDEX), the terms per
+    series: 2^max_exp (at least 2), cut so that no term's prefix index
     n^q + |j| passes EXACT_INDEX, and 0 (no term read; the class alone
-    decides) where that leaves fewer than two."""
+    decides) where that leaves fewer than two, and whether the scan is
+    full: SCAN_TERMS terms, or cut by that limit rather than by max_exp."""
     indices = _indices(indices)
     far = [j for j in indices if abs(j) > EXACT_INDEX]
     if far:
         raise InvalidArgumentError(f"index {far[0]} is past the exact-index limit 2^53")
-    n_max = min(max(2**max_exp, 2), iroot(EXACT_INDEX - max(map(abs, indices)), q))
-    return indices, n_max if n_max > 1 else 0
+    reach = iroot(EXACT_INDEX - max(map(abs, indices)), q)
+    n_max = min(max(2**max_exp, 2), reach)
+    return indices, n_max if n_max > 1 else 0, n_max >= min(reach, SCAN_TERMS)
 
 
 def _shift_series(w: WeightSeq, j: int, q: int, direction: int, anchor: int | None):
@@ -393,12 +412,13 @@ def _decide(cls: AsymptoticClass, q: int, s, log_r, summable: bool):
 
 
 def _class_tail(cls: AsymptoticClass, mags, n: int, q: int, s, log_r,
-                total: float) -> float | None:
+                total: float, full: bool = True) -> float | None:
     """Summed mass past the first n >= 2 terms of a summable series that
     ``_decide`` read as converging, from the level that decided it; None
     when that level gives no tail within the scan's rounding.
 
-    - log n or log log n: the terms are K x^-P (log x)^E in
+    - log n or log log n, after a ``full`` scan (``_offsets``; a shorter
+      one is off by 2.5e-8 at n = 16, q = 1): the terms are K x^-P (log x)^E in
       x = (k^q + c)^(1/q), P = s q d and E = -s e, with c fitted to the
       terms at n and n // 2 (by fixed-point steps when E moves their ratio
       with c).  The tail is the integral from x(n + 1/2) less its
@@ -407,14 +427,15 @@ def _class_tail(cls: AsymptoticClass, mags, n: int, q: int, s, log_r,
       K (log x)^(1+E)/(-(1+E)) at P = 1.  Other log factors have no tail.
     - n, at q = 1 with c the only nonzero coefficient: log terms
       (log R - s c) n + const past a table's head (``_past_head``), so the
-      tail is exactly geometric, t(n) / expm1(s c - log R).
+      tail is exactly geometric, t(n) / expm1(x) at x = s c - log R, or
+      t(n) e^-x / (1 - e^-x) where e^x is past double range.
     - any other exponential level: the term ratios fall, so t(n) r / (1 - r),
       r = t(n) / t(n - 1) < 1, bounds the tail from above.  It is kept only
       when it is at most n ulp(total), the rounding the scan's sum carries.
     """
     if cls.a == cls.b == 0 and log_r == s * cls.c:  # decided at log n or log log n
         power, e = float(s * q * cls.d), float(-s * cls.e)
-        if e and power != 1:
+        if not full or e and power != 1:
             return None
         h = n // 2
         with np.errstate(under="ignore"):
@@ -443,7 +464,11 @@ def _class_tail(cls: AsymptoticClass, mags, n: int, q: int, s, log_r,
         return t_half * (x_half * log_half / (-1.0 - e) - (1.0 - e / log_half) / (24.0 * x_half))
     t_prev, t_n = mags(np.array([n - 1, n], dtype=np.int64)).tolist()
     if q == 1 and cls.a == cls.b == cls.d == cls.e == 0:
-        return t_n / math.expm1(s * cls.c - log_r)
+        x = s * cls.c - log_r
+        try:
+            return t_n / math.expm1(x)
+        except OverflowError:
+            return t_n * math.exp(-x) / -math.expm1(-x)
     if t_n == 0:
         return 0.0
     if not t_n < t_prev:
@@ -459,25 +484,27 @@ def _past_head(w: WeightSeq, j: int, q: int, direction: int, n: int) -> bool:
     return direction * j + (n - 1) ** q >= w.head_end(direction)
 
 
-def _classify_weighted(space: SpaceSpec, w: WeightSeq, j: int, q: int, direction: int,
-                       anchor: int | None, n_max: int, decay: bool = False) -> Verdict:
-    """Verdict of the weighted-shift series ``_shift_series(w, j, q,
-    direction, anchor)`` in ``space``, refused before any read unless the
-    space's domain is the family's: the one path of every criterion series.
-    On the entire space term n is weighted by R^(j - 1 + direction n^q) at
-    R = rmax, the worst radius.  ``decay`` asks whether the (weighted)
-    terms tend to 0, the c0 rule, on any space.
+def _classify_weighted(space: SpaceSpec, w: WeightSeq, q: int, n_max: int,
+                       decay: bool = False, full: bool = True):
+    """The one path of every criterion series in one checker call:
+    ``verdict(j, direction, anchor)`` of the series ``_shift_series(w, j,
+    q, direction, anchor)`` in ``space``, refused before any read unless
+    the space's domain is the family's.  On the entire space term n is
+    weighted by R^(j - 1 + direction n^q) at R = rmax, the worst radius.
+    ``decay`` asks whether the (weighted) terms tend to 0, the c0 rule, on
+    any space.
 
-    The family's asymptotic class decides (``_decide``), except on a
-    unilateral backward series: e_(j - n^q) is 0 once n^q >= j, so it
-    converges on its finite head n^q < j.  ``_scan`` then reads
-    min(n_max, SCAN_TERMS) terms (n_max = 0 reads none), or min(head,
-    SCAN_TERMS) of a head, for checkpoints and sums that never override
-    the verdict.  A convergent summable series reports the scan total plus
-    ``_class_tail``; a whole head reports its total, with tail 0.  A head
-    longer than SCAN_TERMS, a non-finite sum, a decay condition, a scan
-    that ends inside a table's head, or a tail the class does not give
-    reports no sum.
+    The family's class decides (``_decide``, once per direction), except
+    on a unilateral backward series: e_(j - n^q) is 0 once n^q >= j, so it
+    converges on its finite head n^q < j.  A verdict reads only its anchor
+    and checks its scan's index range; the first read of its checkpoints
+    or sums (``Verdict.__getattr__``) runs ``_scan`` on min(n_max,
+    SCAN_TERMS) terms (n_max = 0 reads none), or min(head, SCAN_TERMS) of
+    a head.  A convergent summable series reports the scan total plus
+    ``_class_tail`` (``full``: see ``_offsets``); a whole head reports its
+    total, with tail 0.  A head longer than SCAN_TERMS, a non-finite sum,
+    a decay condition, a scan that ends inside a table's head, or a tail
+    the class does not give reports no sum.
     """
     if space.domain != w.domain:
         raise DomainMismatchError(
@@ -485,39 +512,53 @@ def _classify_weighted(space: SpaceSpec, w: WeightSeq, j: int, q: int, direction
     kind = space.kind
     if kind not in ("lp", "c0", "entire"):
         raise InvalidArgumentError(f"unsupported space kind {kind} for shifts")
-    series = _shift_series(w, j, q, direction, anchor)
     radius = space.rmax if kind == "entire" else 1
     log_r = math.log(radius) if radius > 1 else 0
     p = space.p if kind == "lp" else 1.0
-
-    def mags(ns):
-        lms = series(ns)
-        if log_r:  # the majorant factor R^(j - 1 + direction n^q)
-            lms += (direction * np.asarray(ns, dtype=np.int64) ** q + (j - 1)) * log_r
-        with np.errstate(over="ignore", under="ignore"):
-            lms *= p
-            return np.exp(lms, out=lms)
-
     summable = kind in ("lp", "entire") and not decay
     s = _exact(p)
-    head = None  # the term count of a unilateral backward series
-    if w.domain == UNILATERAL and direction < 0:
-        head = iroot(j - 1, q) if j > 0 else 0
-        verdict, rule = CONVERGES, "terms eventually zero (backward shift falls off the edge)"
-    else:
+
+    @functools.cache
+    def decided(direction):
         cls = w.asymptotics(direction)
         verdict, rule = _decide(cls, q, s, log_r, summable)
-        if radius > 1:
-            rule += f" at R={radius}"
-    n_scan = min(n_max if head is None else head, SCAN_TERMS)
-    checkpoints, total = _scan(mags, n_scan)[:2] if n_scan else ((), 0.0)
-    tail = None
-    if verdict == CONVERGES and summable:
-        if head is not None:
-            tail = 0.0 if n_scan == head else None
-        elif n_scan and _past_head(w, j, q, direction, n_scan):
-            tail = _class_tail(cls, mags, n_scan, q, s, log_r, total)
-    return _summed(verdict, rule, checkpoints, total, tail)
+        return cls, verdict, rule + (f" at R={radius}" if radius > 1 else "")
+
+    def classify(j: int, direction: int, anchor: int | None) -> Verdict:
+        series = _shift_series(w, j, q, direction, anchor)  # reads the anchor
+
+        def mags(ns):
+            lms = series(ns)
+            if log_r:  # the majorant factor R^(j - 1 + direction n^q)
+                lms += (direction * np.asarray(ns, dtype=np.int64) ** q + (j - 1)) * log_r
+            with np.errstate(over="ignore", under="ignore"):
+                lms *= p
+                return np.exp(lms, out=lms)
+        head = None  # the term count of a unilateral backward series
+        if w.domain == UNILATERAL and direction < 0:
+            head = iroot(j - 1, q) if j > 0 else 0
+            cls, verdict = None, CONVERGES
+            rule = "terms eventually zero (backward shift falls off the edge)"
+        else:
+            cls, verdict, rule = decided(direction)
+        n_scan = min(n_max if head is None else head, SCAN_TERMS)
+        if n_scan:  # the prefix indices j + direction n^q the scan will read
+            w._check(*sorted((j + direction, j + direction * n_scan**q)))
+
+        def read():
+            checkpoints, total = _scan(mags, n_scan)[:2] if n_scan else ((), 0.0)
+            tail = None
+            if verdict == CONVERGES and summable:
+                if head is not None:
+                    tail = 0.0 if n_scan == head else None
+                elif n_scan and _past_head(w, j, q, direction, n_scan):
+                    tail = _class_tail(cls, mags, n_scan, q, s, log_r, total, full)
+            return _summed(checkpoints, total, tail)
+        deferred = object.__new__(Verdict)  # its last three fields wait for read()
+        deferred.__dict__.update(kind=verdict, rule=rule, _read=read)
+        return deferred
+
+    return classify
 
 
 def qfhc_check(
@@ -534,14 +575,15 @@ def qfhc_check(
     reciprocal products P(j) - P(j + n^q)), each by ``_classify_weighted``.
     A T-series sum, like an S-series sum, is the sum of the terms'
     p-th powers on l^p and of their majorants at R = rmax on H(C)."""
-    dense_indices, n_max = _offsets(dense_indices, q, max_exp)
+    dense_indices, n_max, full = _offsets(dense_indices, q, max_exp)
+    verdict = _classify_weighted(space, w, q, n_max, full=full)
     unilateral = w.domain == UNILATERAL
     note = "trivially convergent: all terms beyond a finite head are zero" if unilateral else ""
     entries = []
     for j in dense_indices:
         entries += [
-            ProbeEntry(f"T-series j={j}", _classify_weighted(space, w, j, q, -1, j, n_max), note),
-            ProbeEntry(f"S-series j={j}", _classify_weighted(space, w, j, q, 1, j, n_max)),
+            ProbeEntry(f"T-series j={j}", verdict(j, -1, j), note),
+            ProbeEntry(f"S-series j={j}", verdict(j, 1, j)),
         ]
     notes = ["unilateral T-series on basis vectors are eventually zero, "
              "so their convergence is automatic"] if unilateral else []
@@ -560,16 +602,14 @@ def unilateral_condition(
     reciprocal prefix products at exponent-spaced indices, per offset j."""
     if space.kind not in ("lp", "c0") or space.domain != UNILATERAL:
         raise InvalidArgumentError("unilateral condition reduces to unilateral lp or c0 only")
-    j_range, n_max = _offsets(j_range, q, max_exp)
+    j_range, n_max, full = _offsets(j_range, q, max_exp)
     if w.domain == UNILATERAL and min(j_range) < 0:
         # P(n^q + j) below index 0 does not exist, and at j = -1 the first
         # term would read P(0) as if it were a product
         raise InvalidArgumentError(
             f"offset {min(j_range)} is negative; a unilateral family needs j >= 0")
-    entries = []
-    for j in j_range:
-        verdict = _classify_weighted(space, w, j, q, 1, None, n_max)
-        entries.append(ProbeEntry(f"j={j}", verdict))
+    verdict = _classify_weighted(space, w, q, n_max, full=full)
+    entries = [ProbeEntry(f"j={j}", verdict(j, 1, None)) for j in j_range]
     return _report(f"backward shift {w.describe()}", space.describe(), q, entries)
 
 
@@ -589,13 +629,13 @@ def bilateral_condition(
         raise InvalidArgumentError("bilateral condition needs an lp or c0 bilateral space")
     kind, label = (("products", "c0(Z)") if space.kind == "c0"
                    else ("series", f"l^{space.p:g}(Z)"))
-    j_range, n_max = _offsets(j_range, q, max_exp)
+    j_range, n_max, full = _offsets(j_range, q, max_exp)
+    verdict = _classify_weighted(space, w, q, n_max, full=full)
     entries = []
     for j in j_range:
         # -log products w_1..w_{n^q+j}, and log products w_j..w_{j-n^q+1}
         for side, direction, anchor in (("forward", 1, None), ("backward", -1, j)):
-            verdict = _classify_weighted(space, w, j, q, direction, anchor, n_max)
-            entries.append(ProbeEntry(f"{side} {kind} j={j}", verdict))
+            entries.append(ProbeEntry(f"{side} {kind} j={j}", verdict(j, direction, anchor)))
     return _report(f"bilateral shift {w.describe()}", label, q, entries)
 
 
@@ -630,11 +670,11 @@ def hc_check(
     if horizon < 1:
         raise InvalidArgumentError("horizon must be at least 1")
     orbits = space if space.kind == "entire" else c0(space.domain)
+    verdict = _classify_weighted(orbits, w, 1, horizon, decay=True)
     entries = []
     for j in dense_indices:
         for label, direction in (("T-orbit", -1), ("S-orbit", 1)):
-            verdict = _classify_weighted(orbits, w, j, 1, direction, j, horizon, decay=True)
-            entries.append(ProbeEntry(f"{label} j={j}", verdict))
+            entries.append(ProbeEntry(f"{label} j={j}", verdict(j, direction, j)))
     return _report(f"backward shift {w.describe()}", space.describe(), 1, entries)
 
 
@@ -656,7 +696,7 @@ def salas_check(w: WeightSeq, horizon: int = 10**5) -> SalasEvidence:
     reported as evidence."""
     if horizon < 1:
         raise InvalidArgumentError("horizon must be at least 1")
-    verdict = _classify_weighted(c0(), w, 0, 1, 1, None, 0)  # the class alone
+    verdict = _classify_weighted(c0(), w, 1, 0)(0, 1, None)  # the class alone
     lms = w.prefix_logmag(np.arange(1, horizon + 1, dtype=np.int64))
     limsup = {CONVERGES: True, DIVERGES: False}.get(verdict.kind)
     return SalasEvidence(limsup, float(lms.max()), int(np.argmax(lms)) + 1, horizon,

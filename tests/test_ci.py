@@ -32,9 +32,10 @@ def test_workflow_parses_and_keeps_its_limits():
     assert ('for w in criterion-grid construct-verify orbit-density "criterion-grid --tiny"; do'
             in gate)
     assert "python3 perfbench/run.py --workload $w --seed 0 --seconds 1 --trace 0" in gate
-    # each workload's ops:, oracle: and counters: lines go to the log under
-    # its name, so a moved verdict or sum shows there, not only in "correct"
-    assert 'sed -nE "s/^(ops|oracle|counters):/$w \\1:/p"' in gate
+    # each workload's ops:, oracle:, counters: and passes: lines go to the
+    # log under its name, so a moved verdict or sum shows there, not only in
+    # "correct", and so does the pass count that peak_rss_mb creeps with
+    assert 'sed -nE "s/^(ops|oracle|counters|passes):/$w \\1:/p"' in gate
     # run.py exits 0 either way: the step must read "correct" off the last line
     assert "tail -n 1" in gate and '["correct"] is not True' in gate
     # the same 10^6-row profile, and the same 258,065-row jsets.csv, on one

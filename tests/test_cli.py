@@ -202,6 +202,46 @@ class TestScenarios:
             "T-series j=2000,converges,terms eventually zero (backward shift falls off the edge),")
         assert rows[2].startswith("S-series j=2000,converges,")
 
+    def test_criterion_past_the_geometric_tail_range_exits_zero(self, tmp_path):
+        # the log ratio 2 log(1e160) = 736.8 is past e^x's double range:
+        # every series converges, the S-series with its one term 1e-320
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {"scenario": "criterion", "weights": {"family": "Constant", "value": 1e160},
+             "indices": [1]},
+        )
+        assert run(["criterion", "--config", cfg, "--out", out]) == 0
+        rows = (out / "criterion.csv").read_text().splitlines()
+        assert rows[2] == (
+            "S-series j=1,converges,asymptotic class at n: coefficient -736.827 < 0,1e-320")
+
+    def test_construct_past_the_geometric_tail_range_builds(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {"scenario": "construct", "weights": {"family": "Constant", "value": 1e160}},
+        )
+        assert run(["construct", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        assert (tmp_path / "o" / "candidate.csv").exists()
+
+    @pytest.mark.parametrize("max_exp, cell", [(4, ""), (12, "1.6123753486854908")])
+    def test_criterion_short_scan_reports_no_power_law_sum(self, tmp_path, max_exp, cell):
+        # Bergman on l^3: the terms (n + 1)^(-3/2) sum to zeta(1.5) - 1,
+        # which a 16-term scan and its power-law tail miss by 2.5e-8
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {"scenario": "criterion", "space": {"kind": "lp", "p": 3},
+             "weights": {"family": "Bergman"}, "indices": [0], "max_exp": max_exp},
+        )
+        assert run(["criterion", "--config", cfg, "--out", out]) == 0
+        rows = (out / "criterion.csv").read_text().splitlines()
+        assert rows[2] == ("S-series j=0,converges,"
+                           f"asymptotic class at log n: coefficient -3/2 < -1,{cell}")
+
     def test_construct_and_refusal(self, tmp_path):
         ok_cfg = write_config(
             tmp_path,
@@ -372,6 +412,8 @@ class TestScenarios:
         assert (out / "weakstar_events.jsonl").exists()
 
     def test_sweep_matrix(self, tmp_path):
+        # the benchmark's grid.  RootWeight(p) on l^2 has terms of order
+        # n^(-q/p) (Bayart-Ruzsa), summable iff q >= p + 1
         out = tmp_path / "out"
         cfg = write_config(
             tmp_path,
@@ -379,18 +421,18 @@ class TestScenarios:
             {
                 "scenario": "sweep",
                 "space": {"kind": "lp", "p": 2},
-                "grid": [
-                    {"family": "RootWeight", "p": 1},
-                    {"family": "RootWeight", "p": 2},
-                ],
-                "q_values": [1, 2, 3],
+                "grid": [{"family": "RootWeight", "p": p} for p in range(1, 11)],
+                "q_values": list(range(1, 12)),
+                "mode": "offsets",
+                "max_exp": 20,
             },
         )
         assert run(["sweep", "--config", cfg, "--out", out]) == 0
-        lines = (out / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "weights,q=1,q=2,q=3"
-        assert lines[1].endswith("fails,satisfies,satisfies")
-        assert lines[2].endswith("fails,fails,satisfies")
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["weights"] + [f"q={q}" for q in range(1, 12)]] + [
+            [f"rootweight(p={p})"] + ["fails" if q <= p else "satisfies" for q in range(1, 12)]
+            for p in range(1, 11)]
 
     def test_sweep_past_the_exact_index_limit_is_decided(self, tmp_path):
         # at q=54 the first term 1 + j is the only one within 2^53: the

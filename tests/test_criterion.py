@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import math
+import pickle
 import tracemalloc
 
 import mpmath
@@ -326,6 +327,74 @@ class TestExactIndexLimit:
         assert seen[1] == 2**53
 
 
+class TestDeferredReads:
+    """A checker's verdict reads only its anchor: its scan and tail run on
+    the first read of its checkpoints or sums, once, with the bits an eager
+    scan gave."""
+
+    # sha256 of repr(report.entries) over the grid below, pinned from the
+    # eager scan, which read every series at the checker call
+    SWEEP_GRID_DIGEST = "27be4bbc6a3eeca4129612d406edcb181790fd4000d0bedb4730c5603be03580"
+
+    def test_benchmark_sweep_grid_reads_terms_only_for_checkpoints_and_sums(self):
+        reports, seen = [], {}
+        for p in range(1, 11):
+            w = RootRatioWeight(p)
+            seen[p] = record_reads(w)
+            reports += [unilateral_condition(w, lp(2), q, range(0, 5), max_exp=20)
+                        for q in range(1, 12)]
+        assert [r.overall for r in reports] == [
+            FAILS if q <= p else SATISFIES for p in range(1, 11) for q in range(1, 12)]
+        assert all(reads == [0, 0] for reads in seen.values())
+        verdicts = [e.verdict for r in reports for e in r.entries]
+        for v in verdicts:
+            v.checkpoints
+        scanned = {p: list(reads) for p, reads in seen.items()}
+        # 55 series per weight: one scan each, and one tail read at most
+        assert all(55 <= reads[0] <= 110 for reads in scanned.values())
+        for v in verdicts:
+            v.sum_estimate, v.tail_estimate, v.checkpoints
+        assert seen == scanned
+        digest = hashlib.sha256()
+        for r in reports:
+            digest.update(repr(r.entries).encode())
+        assert digest.hexdigest() == self.SWEEP_GRID_DIGEST
+
+    def test_qfhc_check_overall_reads_only_the_anchors(self):
+        w = BergmanWeight()
+        seen = record_reads(w)
+        assert qfhc_check(lp(2), w, 1, [1, 2, 3, 4, 5]).overall == FAILS
+        assert seen == [10, 5]  # P(j), once per series
+
+    def test_a_report_pickles_what_its_verdicts_read(self):
+        rep = unilateral_condition(BergmanWeight(), lp(3), 1, [0, 1])
+        again = pickle.loads(pickle.dumps(rep))
+        assert again == rep and repr(again) == repr(rep)
+        assert again.entries[0].verdict.sum_estimate == pytest.approx(2.612375348685488 - 1)
+
+    def test_each_checker_call_decides_each_direction_once(self):
+        w = BilateralTableWeight({-3: 3.0, 0: 0.5j}, default_pos=2.0, default_nonpos=0.5)
+        sides = []
+        asymptotics = w.asymptotics
+        w.asymptotics = lambda side=1: sides.append(side) or asymptotics(side)
+        assert qfhc_check(lp(2, BILATERAL), w, 1, range(-2, 3)).overall == SATISFIES
+        assert sorted(sides) == [-1, 1]
+        assert bilateral_condition(w, lp(2, BILATERAL), 1, range(-2, 3)).overall == SATISFIES
+        assert sorted(sides) == [-1, -1, 1, 1]
+
+    @pytest.mark.parametrize("check, far", [
+        (lambda: hc_check(c0(), BergmanWeight(), [2**53 - 2], horizon=10), 2**53 + 8),
+        (lambda: hc_check(entire(4), BergmanWeight(), [1, 2**53 - 2], horizon=10), 2**53 + 8),
+        (lambda: hc_check(c0(BILATERAL), BilateralTableWeight({}, 1.0, 1.0), [-(2**53) + 2],
+                          horizon=10), -(2**53) - 8),
+    ], ids=["c0", "entire", "bilateral"])
+    def test_a_scan_past_the_limit_is_refused_by_the_call(self, check, far):
+        # the orbit's scan would read P(j +/- 10): the call checks its range
+        with pytest.raises(ResourceLimitError,
+                           match=f"^prefix index {far} is past the exact-index limit 2\\^53$"):
+            check()
+
+
 class TestAnchorPrecision:
     """An anchored log term P(j) - P(m) is refused before any of its terms
     is read when |P(j)| >= 2^27, where it could lose more than 2^-24."""
@@ -412,6 +481,30 @@ class TestWeightedSumsAgainstHurwitzZeta:
         v = unilateral_condition(w, lp(p), q, [j]).entries[0].verdict
         assert v.kind == CONVERGES
         assert abs(v.sum_estimate / want() - 1) <= 1e-10
+
+    @pytest.mark.parametrize("max_exp", [1, 2, 4, 11, 12, 20])
+    def test_a_scan_max_exp_cuts_short_gets_no_power_law_tail(self, max_exp):
+        # the power-law tail past n terms misses zeta(1.5) - 1 by a relative
+        # 3.4e-5 at n = 2 and 2.5e-8 at n = 16: only a full scan is summed
+        rep = unilateral_condition(BergmanWeight(), lp(3), 1, [0], max_exp=max_exp)
+        v = rep.entries[0].verdict
+        assert v.kind == CONVERGES
+        assert v.checkpoints[-1][0] == min(2**max_exp, SCAN_TERMS)
+        if 2**max_exp < SCAN_TERMS:
+            assert v.sum_estimate is None and v.tail_estimate is None
+        else:
+            assert abs(v.sum_estimate / _hurwitz_sum(1, 1.5, 1) - 1) <= 1e-14
+
+    @pytest.mark.parametrize("max_exp, summed", [(10, False), (11, True), (20, True)])
+    def test_a_scan_the_exact_index_limit_cuts_keeps_its_sum(self, max_exp, summed):
+        # at q = 5, 1552 terms fit within 2^53: max_exp 10 asks for fewer
+        rep = unilateral_condition(BergmanWeight(), lp(1), 5, [0], max_exp=max_exp)
+        v = rep.entries[0].verdict
+        assert v.checkpoints[-1][0] == min(2**max_exp, 1552)
+        if summed:
+            assert abs(v.sum_estimate / _hurwitz_sum(5, 0.5, 1) - 1) <= 1e-10
+        else:
+            assert v.sum_estimate is None
 
 
 class TestBilateral:
@@ -747,7 +840,8 @@ class TestTMuShift:
 
 def test_entire_space_reads_each_series_once():
     # the class decides at R = rmax = 8, where the terms 8^-n 8^n do not
-    # decay; the report's scan reads SCAN_TERMS terms once
+    # decay; the verdicts read only their anchors, and the first read of
+    # the checkpoints scans SCAN_TERMS terms once
     w = ConstantWeight(8)
     sizes = []
     at = w._at
@@ -761,6 +855,8 @@ def test_entire_space_reads_each_series_once():
     verdict = rep.entry("S-series j=1").verdict
     assert verdict.kind == DIVERGES
     assert verdict.rule == "asymptotic class at log n: coefficient 0 > -1 at R=8"
+    assert sizes == [1, 1]
+    assert verdict.checkpoints[-1][0] == verdict.checkpoints[-1][0] == SCAN_TERMS
     assert sizes.count(SCAN_TERMS) == 1
     assert sum(sizes) <= SCAN_TERMS + 2
 
@@ -1262,6 +1358,16 @@ class TestGeometricTail:
     def test_decay_conditions_get_no_sum(self):
         v = unilateral_condition(ConstantWeight(1.0001), c0(), 1, [0]).entries[0].verdict
         assert v.kind == CONVERGES and v.sum_estimate is None
+
+    @pytest.mark.parametrize("lam", [1e155, 1e160, 1e300])
+    def test_a_ratio_past_double_range_gets_its_sum(self, lam):
+        # at lam = 1e160 the log ratio 2 log lam = 736.8 is past 709.78,
+        # where expm1 overflows; the terms lam^(-2n) are 0 from n = 2 on
+        rep = qfhc_check(lp(2), ConstantWeight(lam), 1, [1])
+        v = rep.entry("S-series j=1").verdict
+        assert rep.overall == SATISFIES
+        assert v.tail_estimate == 0.0
+        assert v.sum_estimate == v.checkpoints[0][1] == pytest.approx(lam**-2, rel=1e-2, abs=0)
 
 
 class TestRatioBoundTail:
