@@ -5,11 +5,11 @@ defaults materialized into the resolved copy); command-line flags override
 the scalar fields.  Every run writes its resolved config to
 ``config.resolved.json`` next to its outputs and prints only its path.
 CSV files hold the bytes csv.writer would write (header row, '.' decimals,
-newline line ends), streamed from columns.  A column whose cells come in
-long runs of equal values is formatted once per run, as literal text in
-the row template of each run's segment, and a large CSV is formatted on
-every allowed CPU by forked helpers; orbit logs are JSON-lines, and all
-files are written atomically.
+newline line ends), streamed from columns in chunks.  A chunk of numpy
+bool, int and float columns is formatted in numpy, each run of equal
+cells once, with repr's shortest float digits computed exactly in uint64
+arithmetic; any other chunk goes through csv.writer.  Orbit logs are
+JSON-lines, and all files are written atomically.
 
 Exit codes: 0 completed, 1 usage/config error, 2 refusal or violations.
 """
@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import csv
 import io
 import json
 import os
-import signal
 import sys
 import tempfile
-import threading
 import time
 
 import numpy as np
@@ -61,27 +60,38 @@ EXIT_REFUSED = 2
 
 MAX_GRID = 512
 CSV_CHUNK_ROWS = 1 << 16
-# write_csv formats fewer rows than this in one process.  Forking a
-# 230 MB process and copying a helper's bytes back costs about 19 ms,
-# which halving the work repays from about 2 * 19 ms / 0.26 us = 146k rows
-# of int pairs (floats, at 1.7 us a row, repay it from 22k).  A steady
-# column (CSV_RUN_ROWS) makes rows cheaper still.  Medians of 15 on
-# 2 CPUs with 230 MB resident, serial against forked: rows shaped like
-# jsets.csv (a steady class, a changing int) take 28 against 41 ms at
-# 2^17 rows and 43 against 36 ms at 258k rows; density-profile rows
-# (two ints, a float, none steady) take 238 against 143 ms at 2^17 and
-# 433 against 279 ms at 2^18.  So the bar stays here: below 2^18, only
-# rows that are mostly steady columns lose, by up to 13 ms.
-CSV_FORK_ROWS = 1 << 17
-# A numpy column with at most one run of equal cells per this many rows
-# of a chunk is steady: its text is formatted once per run, in the row
-# template of each segment of the chunk (see _csv_rows).  A segment costs
-# 2-3 us, and a cell formatted once instead of on every row saves 55-130
-# ns (bools, ints) to 0.4-1.1 us (floats), so 64 rows of the cheapest
-# cells repay a segment.
-CSV_RUN_ROWS = 64
-_KIND_CODES = {"f": "%r", "i": "%d", "u": "%d", "b": "%s"}  # numpy dtype kind -> code
-_TYPE_CODES = {float: "%r", int: "%d", bool: "%s"}
+# A chunk of fewer rows goes through csv.writer, which writes it faster
+# than the numpy route's fixed cost of about 0.2 ms a float column: on 2
+# CPUs they break even near 200 rows of (int, int, float) and 500 rows of
+# eq33.csv's (int, int, float, float, bool).
+_WRITER_ROWS = 256
+
+
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """The text of each 4-digit group g as one uint32 word, in five states
+    at _digit_words()[g + state]: all four digits (_FULL); leading zeros as
+    pads (_LEAD), keeping a last 0 (_LEAD1); trailing zeros as pads
+    (_TRAIL), keeping a first 0 (_TRAIL1).  A pad is a 0 byte.  Built on
+    first use, so a run that writes no numeric CSV never holds it."""
+    g, at = np.arange(10000, dtype=np.uint16)[:, None], np.arange(4, dtype=np.uint16)
+    digits = (g // 10 ** (3 - at) % 10 + 48).astype(np.uint8)
+    lead = (g >= 10 ** (3 - at)).sum(1, keepdims=True, dtype=np.uint8)  # digits of g
+    trail = (g % 10 ** (4 - at) != 0).sum(1, keepdims=True, dtype=np.uint8)  # to its last nonzero
+    keep = [at >= 0, at >= 4 - lead, at >= 4 - np.maximum(lead, 1),
+            at < trail, at < np.maximum(trail, 1)]
+    return np.concatenate([np.where(k, digits, 0) for k in keep]).view(np.uint32).ravel()
+
+
+_FULL, _LEAD, _LEAD1, _TRAIL, _TRAIL1 = range(0, 50000, 10000)
+_BOOL_TEXT = np.frombuffer(b"False\0True", np.uint8).reshape(2, 5)
+_U64 = np.uint64
+_POW5 = 5 ** np.arange(22, dtype=np.uint64)
+_POW10 = 10 ** np.arange(18, dtype=np.uint64)
+# for kt digits after the point: 10^kt, and the cut and the scales that
+# spread a kt-digit fraction f over 20 digits, f // cut * hi and f % cut * lo
+_FRACTION = np.array([[10 ** min(kt, 19), 10 ** max(kt - 12, 0), 10 ** (12 - min(kt, 12)),
+                       10 ** (20 - max(kt, 12))] for kt in range(21)], dtype=np.uint64).T
 
 
 class ConfigError(Exception):
@@ -257,15 +267,6 @@ def atomic_write(path: str, data: str):
         fh.write(data)
 
 
-def _code(column) -> str | None:
-    """The %-code that writes each cell of ``column`` as csv.writer would
-    (ints and bools by str, floats by repr), or None for other cells."""
-    if isinstance(column, np.ndarray):
-        return _KIND_CODES.get(column.dtype.kind)
-    kinds = set(map(type, column))
-    return _TYPE_CODES.get(kinds.pop()) if len(kinds) == 1 else None
-
-
 def _changes(column) -> np.ndarray:
     """Whether each cell of a numpy chunk after its first differs from the
     cell before it, compared as bytes: 0.0 next to -0.0 starts a new run
@@ -275,138 +276,183 @@ def _changes(column) -> np.ndarray:
     return column[1:] != column[:-1]
 
 
-def _csv_rows(columns, lo: int, hi: int) -> str:
-    """Rows lo..hi-1 of ``columns``, one chunk, as csv.writer writes them.
-    A chunk of numeric columns is cut at each run start of its steady
-    columns: numpy columns with at most one run of equal cells per
-    CSV_RUN_ROWS rows.  Each segment is one %-format over the interleaved
-    ``.tolist()`` values of the other columns, in a row template that holds
-    each steady column's text, formatted once; a chunk without a steady
-    column is one segment.  Any other chunk goes through csv.writer."""
+def _groups(mag: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` lowest 4-digit groups of uint64 ``mag``, most
+    significant first, one row each."""
+    out = np.empty((count, len(mag)), np.uint64)
+    for j in range(count - 1, 0, -1):
+        high = mag // _U64(10000)
+        out[j] = mag - high * _U64(10000)
+        mag = high
+    out[0] = mag
+    return out
+
+
+def _put_groups(words, groups, pad: int, pad_one: int, reverse: bool = False) -> None:
+    """words[:, j] = the text of groups[j]; zero digits met before the first
+    nonzero one, scanning from the first group (the last if ``reverse``),
+    are pads, and the last group scanned keeps one 0."""
+    order = range(len(groups))[::-1] if reverse else range(len(groups))
+    seen = np.zeros(groups.shape[1], bool)
+    for j in order:
+        state = pad_one if j == order[-1] else pad
+        # clipped: the cells repr writes may hold any group
+        words[:, j] = np.take(_digit_words(), groups[j] + ~seen * _U64(state), mode="clip")
+        seen |= groups[j] != 0
+
+
+def _number_text(mag, neg, frac=None) -> np.ndarray:
+    """One row of bytes per cell: '-' where ``neg``, the digits of uint64
+    ``mag`` and, given ``frac``'s 4-digit groups, '.' and those digits up
+    to the last nonzero one; the rest are pads."""
+    digits = len(str(mag.max()))
+    groups = -(-digits // 4)
+    words = np.zeros((len(mag), 1 + groups + (0 if frac is None else 1 + len(frac))), np.uint32)
+    _put_groups(words[:, 1 : 1 + groups], _groups(mag, groups), _LEAD, _LEAD1)
+    if frac is not None:
+        words[:, 1 + groups] = 46  # '.' and 3 pads
+        _put_groups(words[:, 2 + groups :], frac, _TRAIL, _TRAIL1, reverse=True)
+    text = words.view(np.uint8)
+    text[neg, 3] = 45  # '-' in the pad word ahead of the digits
+    end = text.shape[1]  # less the last word's pad bytes on every row
+    if frac is not None:
+        end -= 4 - len(np.bitwise_or.reduce(words[:, -1]).tobytes().rstrip(b"\0"))
+    return text[:, 3 if neg.any() else 4 + 4 * groups - digits : end]
+
+
+def _shift_product(m, p, u):
+    """(floor(m p 2^-u), m p mod 2^u) for m < 2^53, p < 2^47 and
+    1 <= u < 64: m p < 2^100 in two 64-bit limbs, from 32-bit halves."""
+    m32, b32 = _U64(0xFFFFFFFF), _U64(32)
+    ll, lh = (m & m32) * (p & m32), (m & m32) * (p >> b32)
+    hl, hh = (m >> b32) * (p & m32), (m >> b32) * (p >> b32)
+    mid = (ll >> b32) + (lh & m32) + (hl & m32)
+    lo = (ll & m32) | (mid << b32)
+    hi = hh + (lh >> b32) + (hl >> b32) + (mid >> b32)
+    return (hi << (_U64(64) - u)) | (lo >> u), lo & ((_U64(1) << u) - _U64(1))
+
+
+def _shortest(x: np.ndarray):
+    """(c, kt, exact, floor |x|): where ``exact``, c / 10^kt is the decimal
+    repr writes for |x|, the fewest significant digits that read back as
+    x and of those the nearest to x.  In uint64 arithmetic, |x| = m 2^e
+    is scaled to 17 digits, m 5^k 2^-u with k = 16 - floor(log10 |x|),
+    and the 15-, 16- and 17-digit decimals on either side of it are tested
+    against the half-ulp gaps around x.  Not ``exact``: |x| outside
+    [1e-4, 1e15) (NaN, ±inf and ±0.0 among them), a log10 off by one and
+    a tie between the two nearest decimals."""
+    a = np.abs(x)
+    exact = (a >= 1e-4) & (a < 1e15)
+    np.copyto(a, 1.0, where=~exact)
+    bits = a.view(np.uint64)
+    m = (bits & _U64((1 << 52) - 1)) | _U64(1 << 52)
+    k = (16 - np.floor(np.log10(a))).astype(np.uint64)
+    u = _U64(1075) - (bits >> _U64(52)) - k  # 1 <= u <= 46 in range
+    p = np.take(_POW5, k, mode="clip")
+    q, rem = _shift_product(m, p, u)  # floor(|x| 10^k), and the rest in units of 2^-u
+    exact &= (q >= _POW10[16]) & (q < _POW10[17])  # 17 digits: log10 was right
+    # In units of 2^-u the gap above x is 5^k / 2, and so is the gap below
+    # but at a power of two (m = 2^52), where it is 5^k / 4.  In range no
+    # decimal of 17 digits or fewer lies on a gap's edge (such a midpoint
+    # has 19 or more), so the tests are strict.
+    one = _U64(1) << u
+    below = _U64(2) << (m == _U64(1 << 52)).view(np.uint8)
+    c = q + (rem * _U64(2) > one)  # the nearest 17-digit decimal is always inside
+    exact &= rem * _U64(2) != one
+    kt = k.copy()
+    for d in (1, 2):  # 16 digits, then 15: the shortest wins
+        unit = _POW10[d]
+        base = q // unit
+        r = (q - base * unit) * one + rem  # distance down to base, unit - r up
+        up = unit * one - r
+        in_lo, in_hi = r * below < p, up * _U64(2) < p
+        inside = in_lo | in_hi
+        np.copyto(c, base + (in_hi & ~(in_lo & (r <= up))), where=inside)
+        kt -= inside
+        exact &= ~(in_lo & in_hi & (r == up))
+    return c, kt, exact, a.astype(np.uint64)
+
+
+def _float_text(column) -> np.ndarray:
+    """One row of bytes per cell of a float column: repr's text, and pads."""
+    x = column.astype(np.float64, copy=False)
+    c, kt, exact, ip = _shortest(x)
+    # The integer part is floor |x|: an integer between x and its repr
+    # would round to x.  The fraction's kt digits go into 20 digits.
+    scale, cut, hi, lo = np.take(_FRACTION, kt, axis=1, mode="clip")
+    f = c - ip * scale
+    fhi = f // cut
+    frac = np.concatenate([_groups(fhi * hi, 3), _groups((f - fhi * cut) * lo, 2)])
+    frac = frac[: 1 + np.flatnonzero(frac.any(axis=1)).max(initial=0)]
+    text = _number_text(ip, np.signbit(x) & exact, frac)
+    fallback = np.flatnonzero(~exact)
+    if len(fallback):
+        rep = np.array([repr(v) for v in x[fallback].tolist()], dtype="S")
+        rep = rep.view(np.uint8).reshape(len(fallback), -1)
+        if rep.shape[1] > text.shape[1]:
+            text = np.pad(text, ((0, 0), (0, rep.shape[1] - text.shape[1])))
+        text[fallback] = 0
+        text[fallback, : rep.shape[1]] = rep
+    return text
+
+
+def _text(column) -> np.ndarray:
+    """One row of bytes per cell of a numpy column, as str writes it."""
+    if column.dtype.kind == "f":
+        return _float_text(column)
+    if column.dtype.kind == "b":
+        return _BOOL_TEXT[column.view(np.uint8)][:, int(column.all()) :]
+    mag, neg = column.astype(np.uint64), column < 0
+    np.negative(mag, out=mag, where=neg)
+    return _number_text(mag, neg)
+
+
+def _writer_bytes(rows) -> bytes:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def _csv_rows(columns, lo: int, hi: int) -> bytes:
+    """Rows lo..hi-1 of ``columns``, one chunk, in csv.writer's bytes.  A
+    chunk of numpy bool, int and float columns is formatted in numpy: the
+    text of each run of equal cells once, as a row of bytes with 0 bytes as
+    pads, spread over a row matrix, one row per CSV row, whose pads are
+    then dropped.  Any other chunk, or one of fewer than _WRITER_ROWS rows,
+    goes through csv.writer."""
     chunk = [c[lo:hi] for c in columns]
-    codes = [_code(c) for c in chunk]
-    if None in codes:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(zip(*chunk))
-        return buf.getvalue()
-    rows = hi - lo
-    changes = {j: _changes(c) for j, c in enumerate(chunk) if isinstance(c, np.ndarray)}
-    steady = {j for j, d in changes.items() if (np.count_nonzero(d) + 1) * CSV_RUN_ROWS <= rows}
-    starts = [np.flatnonzero(changes[j]) + 1 for j in steady]
-    cuts = np.unique(np.concatenate([[0, rows], *starts])).tolist()
-    # each column's field in the row template of each segment
-    fields = [[(code % v).replace("%", "%%") for v in c[cuts[:-1]].tolist()] if j in steady
-              else [code] * (len(cuts) - 1) for j, (c, code) in enumerate(zip(chunk, codes))]
-    free = [c.tolist() if isinstance(c, np.ndarray) else c
-            for j, c in enumerate(chunk) if j not in steady]
-    width = len(free)
-    flat = [None] * (width * rows)
-    for j, vals in enumerate(free):
-        flat[j :: width] = vals
-    flat = tuple(flat)
-    return "".join((",".join(row) + "\n") * (b - a) % flat[a * width : b * width]
-                   for a, b, row in zip(cuts, cuts[1:], zip(*fields)))
-
-
-def _chunks(lo: int, hi: int):
-    """The CSV_CHUNK_ROWS-row chunks of rows lo..hi-1, as (start, stop)."""
-    return ((a, min(a + CSV_CHUNK_ROWS, hi)) for a in range(lo, hi, CSV_CHUNK_ROWS))
-
-
-def _range_cuts(rows: int) -> list[int]:
-    """Chunk-aligned row cuts, one range per process that formats rows:
-    this one and a forked helper for each further allowed CPU.  A single
-    range when the rows are few, forking is missing, or a second thread
-    runs (fork is unsafe then)."""
-    chunks = -(-rows // CSV_CHUNK_ROWS)
-    if (rows < CSV_FORK_ROWS or not hasattr(os, "fork")
-            or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1):
-        parts = 1
-    else:
-        parts = min(len(os.sched_getaffinity(0)), chunks)
-    return [min(i * chunks // parts * CSV_CHUNK_ROWS, rows) for i in range(parts + 1)]
-
-
-def _fork_helper(columns, lo: int, hi: int, helpers: list) -> None:
-    """Fork a helper that formats rows lo..hi-1 and sends their UTF-8
-    bytes, after an 8-byte length, down a pipe; append (pid, the pipe's
-    read end as a binary file) to ``helpers``.  The helper closes every
-    read end, so it gets EPIPE once its reader is gone, and it leaves by
-    ``os._exit`` only, so it never flushes an inherited buffer or returns
-    into the caller."""
-    r, w = os.pipe()
-    pipe = open(r, "rb")
-    try:
-        pid = os.fork()
-    except BaseException:
-        pipe.close()
-        os.close(w)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            for reader in [pipe] + [p for _, p in helpers]:
-                reader.close()
-            blocks = [_csv_rows(columns, a, b).encode("utf-8") for a, b in _chunks(lo, hi)]
-            with open(w, "wb") as out:
-                out.write(sum(map(len, blocks)).to_bytes(8, "little"))
-                out.writelines(blocks)
-            code = 0
-        finally:
-            os._exit(code)
-    helpers.append((pid, pipe))
-    os.close(w)
-
-
-def _copy_helper(pipe, out) -> tuple[int, int]:
-    """Copy a helper's bytes from ``pipe`` to the binary file ``out`` until
-    the helper closes it; return (bytes copied, bytes announced)."""
-    head = pipe.read(8)
-    sent = 0
-    while block := pipe.read1(1 << 20):
-        out.write(block)
-        sent += len(block)
-    return sent, int.from_bytes(head, "little") if len(head) == 8 else -1
+    if hi - lo < _WRITER_ROWS or not all(
+            isinstance(c, np.ndarray) and c.dtype.kind in "biuf" and c.itemsize <= 8
+            for c in chunk):
+        return _writer_bytes(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk)))
+    cells = []
+    for c in chunk:
+        starts = np.flatnonzero(np.concatenate(([True], _changes(c))))
+        runs = len(starts) < len(c)  # some run of equal cells is longer than one
+        text = _text(c[starts] if runs else c)
+        text = text.view(f"V{text.shape[1]}")[:, 0]  # a cell's bytes as one item
+        cells.append(text.repeat(np.diff(starts, append=len(c))) if runs else text)
+    width = sum(c.itemsize + 1 for c in cells)
+    buf = bytearray((hi - lo) * width)  # translate drops the pads without a copy
+    matrix = np.frombuffer(buf, np.uint8).reshape(hi - lo, width)
+    at = 0
+    for c in cells:
+        matrix[:, at : at + c.itemsize].view(c.dtype)[:, 0] = c
+        matrix[:, at + c.itemsize] = 44
+        at += c.itemsize + 1
+    matrix[:, -1] = 10
+    return buf.translate(None, b"\0")
 
 
 def write_csv(path: str, header, columns):
     """Write equal-length ``columns`` (numpy arrays or sequences) under a
     header row, CSV_CHUNK_ROWS rows at a time, in csv.writer's bytes (see
-    ``_csv_rows``).  From CSV_FORK_ROWS rows on, with more than one allowed
-    CPU and no second thread, the rows are split into contiguous
-    chunk-aligned ranges, one per CPU: this process formats and writes the
-    first, and a forked helper formats each other range and sends its bytes
-    back, which are written in range order.  The bytes are those of the
-    serial path.  A helper that fails or sends short makes write_csv raise,
-    leaving ``path`` untouched; every helper is reaped before write_csv
-    returns or raises, and killed first if the write failed."""
+    ``_csv_rows``)."""
     rows = len(columns[0]) if len(columns) else 0
-    cuts = _range_cuts(rows)
-    helpers = []  # (pid, pipe) of each helper not yet reaped, in range order
     with _atomic_file(path) as fh:
-        try:
-            for lo, hi in zip(cuts[1:], cuts[2:]):
-                _fork_helper(columns, lo, hi, helpers)
-            csv.writer(fh, lineterminator="\n").writerow(header)
-            for lo, hi in _chunks(0, cuts[1]):
-                fh.write(_csv_rows(columns, lo, hi))
-            fh.flush()
-            while helpers:
-                pid, pipe = helpers[0]
-                sent, size = _copy_helper(pipe, fh.buffer)
-                status = os.waitpid(pid, 0)[1]
-                del helpers[0]
-                pipe.close()
-                if status != 0 or sent != size:
-                    raise ChildProcessError(
-                        f"CSV helper {pid}: wait status {status}, {sent} of {size} bytes")
-        finally:  # on an error: stop and reap the helpers still listed
-            for pid, pipe in helpers:
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-                with contextlib.suppress(ChildProcessError):  # reaped just before the error
-                    os.waitpid(pid, 0)
-                pipe.close()
+        fh.buffer.write(_writer_bytes([header]))
+        for lo in range(0, rows, CSV_CHUNK_ROWS):
+            fh.buffer.write(_csv_rows(columns, lo, min(lo + CSV_CHUNK_ROWS, rows)))
 
 
 def write_jsonl(path: str, records):
@@ -421,7 +467,8 @@ def _indented_json(value, pad: str = "") -> str:
     That call runs the pure-Python encoder, since the C one does not
     indent; here each list of scalars goes to the C encoder whole, with the
     line break and indentation as its item separator, and only dicts and
-    nested lists recurse."""
+    nested lists recurse.  Whether a list holds only scalars is read off
+    the set of its element types."""
     if not isinstance(value, (dict, list, tuple)):
         return json.dumps(value)
     if not value:
@@ -431,7 +478,7 @@ def _indented_json(value, pad: str = "") -> str:
         body = (",\n" + inner).join(f"{json.dumps(key)}: {_indented_json(v, inner)}"
                                     for key, v in sorted(value.items()))
         return "{\n" + inner + body + "\n" + pad + "}"
-    if any(isinstance(v, (dict, list, tuple)) for v in value):
+    if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, value))):
         body = (",\n" + inner).join(_indented_json(v, inner) for v in value)
     else:
         body = json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]

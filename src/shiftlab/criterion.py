@@ -26,7 +26,8 @@ partial sum past double range, and samples that are all 0 from n = 2^30
 on read "terms eventually zero".  Scaling every term by a positive
 constant moves only the fitted constant, and samples that leave normal
 double range are fitted nearer, so it leaves the verdict as it is while
-10 samples stay in range.
+10 samples stay in range; samples that a scale brings back from a
+subnormal, with its lost digits, are refitted without (``_FIT_FLOOR``).
 
 Every weighted-shift series of the checkers and of the constructor's tail
 certificates comes from one function, ``_shift_series``: log term magnitudes
@@ -74,6 +75,12 @@ _FIT_MIN = 10
 # Measured: about 1e-13 on power laws, Bertrand series and 1/(n + c) up to
 # c = 1000; 1.4e-4 on 1/(n log n log log n)
 _FIT_LIMIT = 1e-6
+# a fit past _FIT_LIMIT is tried once more on the samples from this floor
+# (2^53 times the least normal double) up: a map s * f(n) with f(n)
+# subnormal brings f's lost digits back into normal range, and from the
+# floor on f's rounding is at most s * 2^-106 of a sample (2^-40 for a
+# scale s up to 2^66, about 7e19)
+_FIT_FLOOR = np.ldexp(np.finfo(float).tiny, 53)
 
 
 @dataclass(frozen=True)
@@ -182,26 +189,40 @@ def _fitted_class(samples: np.ndarray):
     _ROUNDING_BAND) of -1 or 0, the boundaries of ``_decide``, is read as
     exactly that.  A sample NaN or negative, fewer than _FIT_MIN points
     or one below normal range among them, or a residual past _FIT_LIMIT
-    is no class.  The class is d = -D, e = -E, read at q = s = 1, where
-    ``_decide``'s log n and log log n levels are D and E."""
+    is no class; a residual past it on a window that reaches below
+    _FIT_FLOOR is refitted on the samples above the floor, and the first
+    rule stands unless that refit gives a class.  The class is d = -D,
+    e = -E, read at q = s = 1, where ``_decide``'s log n and log log n
+    levels are D and E."""
     if not (samples >= 0).all():
         return None, "fitted class: a sample is NaN or negative"
-    normal = samples >= np.finfo(float).tiny
+    cls, rule, low = _fit(samples, np.finfo(float).tiny)
+    if low:
+        cls = _fit(samples, _FIT_FLOOR)[0]
+    return (cls, None) if cls is not None else (None, rule)
+
+
+def _fit(samples: np.ndarray, floor: float):
+    """``_fitted_class`` on the last _FIT_POINTS samples before the trailing
+    ones below floor: (class, None, False), or (None, rule, whether the
+    residual failed on a window with a sample below _FIT_FLOOR)."""
+    normal = samples >= floor
     end = len(samples) - int(np.argmax(normal[::-1])) if normal.any() else 0
     start = max(end - _FIT_POINTS, 0)
     if end - start < _FIT_MIN or not normal[start:end].all():
         return None, (f"fitted class: fewer than {_FIT_MIN} samples, or one below normal "
-                      f"double range, among the last {_FIT_POINTS} before underflow")
+                      f"double range, among the last {_FIT_POINTS} before underflow"), False
     x, y = _LADDER[start:end], np.log(samples[start:end])
     log_x = np.log(x)
     fit = np.column_stack([log_x, np.log(log_x), np.ones(len(x)), x[0] / x, x[0] / (x * log_x)])
     coef = np.linalg.lstsq(fit, y, rcond=None)[0]
     residual = float(np.abs(fit @ coef - y).max())
     if not residual <= _FIT_LIMIT:
-        return None, f"fitted class: residual {residual:.3g} is not below {_FIT_LIMIT:g}"
+        return (None, f"fitted class: residual {residual:.3g} is not below {_FIT_LIMIT:g}",
+                bool(samples[end - 1] < _FIT_FLOOR))
     band = max(100 * residual, _ROUNDING_BAND)
     d, e = (next((b for b in (-1, 0) if abs(x - b) <= band), float(x)) for x in coef[:2])
-    return AsymptoticClass(d=-d, e=-e), None
+    return AsymptoticClass(d=-d, e=-e), None, False
 
 
 def _probe(mag_fn, n_max: int, summable: bool) -> Verdict:
@@ -458,10 +479,11 @@ def _class_tail(cls: AsymptoticClass, mags, n: int, q: int, s, log_r,
         x_n, x_half = (n**q + c) ** (1.0 / q), ((n + 0.5) ** q + c) ** (1.0 / q)
         t_half = t_n * (x_n / x_half) ** power  # K x^-P at x_half
         if not e:
-            return t_half * (x_half / (power - 1.0) - power / (24.0 * x_half))
+            return float(t_half * (x_half / (power - 1.0) - power / (24.0 * x_half)))
         log_n, log_half = math.log(x_n), math.log(x_half)
         t_half *= (log_half / log_n) ** e
-        return t_half * (x_half * log_half / (-1.0 - e) - (1.0 - e / log_half) / (24.0 * x_half))
+        return float(t_half * (x_half * log_half / (-1.0 - e)
+                               - (1.0 - e / log_half) / (24.0 * x_half)))
     t_prev, t_n = mags(np.array([n - 1, n], dtype=np.int64)).tolist()
     if q == 1 and cls.a == cls.b == cls.d == cls.e == 0:
         x = s * cls.c - log_r

@@ -1,7 +1,7 @@
 """The CI workflow parses, keeps its limits, gates on full-size benchmark
-runs and a tiny criterion-grid run, compares a serial and a forked CSV
-write, shows a pull request's golden report and benchmark output diffs
-without failing on them and installs the test extra;
+runs and a tiny criterion-grid run, compares full-size numeric CSVs with
+csv.writer's bytes, shows a pull request's golden report and benchmark
+output diffs without failing on them and installs the test extra;
 pytest turns RuntimeWarnings, ResourceWarnings and unraisable exceptions
 into errors; the benchmark's tracer finds every name it wraps."""
 
@@ -38,16 +38,14 @@ def test_workflow_parses_and_keeps_its_limits():
     assert 'sed -nE "s/^(ops|oracle|counters|passes):/$w \\1:/p"' in gate
     # run.py exits 0 either way: the step must read "correct" off the last line
     assert "tail -n 1" in gate and '["correct"] is not True' in gate
-    # the same 10^6-row profile, and the same 258,065-row jsets.csv, on one
-    # pinned CPU (serial) and unpinned (forked helpers) must be byte-identical
-    forked = runs["Forked CSV matches serial CSV"]
-    assert "10**6" in forked
-    for scenario, csv_name in [("density", "density_profile.csv"), ("jsets", "jsets.csv")]:
-        cli = f' python3 -m shiftlab.cli {scenario} --config "$d/{scenario}.json" --out '
-        assert f'PYTHONPATH=src taskset -c 0{cli}"$d/serial"' in forked
-        assert f'PYTHONPATH=src{cli}"$d/forked"' in forked
-        assert f'cmp "$d/serial/{csv_name}" "$d/forked/{csv_name}"' in forked
-    assert '"nseq": [1, 2, 3, 4, 5], "horizon": 10**6' in forked
+    # full-size numeric CSVs against csv.writer: the script names its files
+    assert runs["Numeric CSV matches csv.writer"] == "PYTHONPATH=src python3 tests/csv_bytes.py"
+    with open(os.path.join(ROOT, "tests", "csv_bytes.py"), encoding="utf-8") as fh:
+        script = fh.read()
+    assert '"times": list(range(1, 10**6 + 1, 3))' in script
+    assert '"nseq": [1, 2, 3, 4, 5], "horizon": 10**6' in script
+    assert 'CHECKED = ("density_profile.csv", "jsets.csv", "bit_patterns.csv")' in script
+    assert "Forked CSV matches serial CSV" not in runs
 
 
 def test_golden_diff_runs_on_pull_requests_and_never_fails():

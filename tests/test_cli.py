@@ -2,8 +2,6 @@ import csv
 import io
 import json
 import os
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -635,6 +633,16 @@ class TestResolvedConfigEcho:
     def test_indented_json_matches_json_dumps(self, value):
         assert _indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
+    def test_dict_and_list_subclasses_in_a_list_recurse(self):
+        class Record(dict):
+            pass
+
+        class Row(list):
+            pass
+
+        value = {"rows": [Record(b=[1, 2], a=None), Row([3, Record()]), 4.5, "s", Row()]}
+        assert _indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
     def test_stdout_names_the_file_only(self, tmp_path, capsys):
         times = list(range(1, 200_001, 2))  # 1e5 hit times
         cfg = write_config(
@@ -701,58 +709,76 @@ def run_columns(draw):
     return [make[j]() for j in picks]
 
 
-def no_children_left():
-    """True when this process has no child, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
+def bits_to_floats(bits) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64).view(np.float64)
 
 
-@pytest.fixture
-def forked(monkeypatch):
-    """write_csv on its forked path: any output of two or more chunks is
-    split over three ranges at most, whatever this host's CPU count.
-    Yields the pids that os.fork returned."""
-    pids = []
-    fork = os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(cli, "CSV_FORK_ROWS", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.setattr(os, "fork", counted_fork)
-    yield pids
-    assert no_children_left()
+def float_bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
 
 
-@pytest.fixture
-def no_fork(monkeypatch):
-    def refuse():
-        raise AssertionError("write_csv forked")
+# the digit kernel covers 1e-4 <= |x| < 1e15; repr writes the rest
+KERNEL_EDGES = [float(np.nextafter(x, to)) for x in (1e-4, 1e15, 1e16)
+                for to in (0.0, x, np.inf)]
+SPECIAL_FLOATS = (
+    [2.0**j for j in range(-20, 51)] + KERNEL_EDGES
+    # just below powers of ten, where log10 can round up to the power
+    + [float(np.nextafter(10.0**j, 0.0)) for j in range(-3, 16)]
+    + [0.1 + 0.2, 9.999999999999999e14, 5e-324, 1e-310, 2.2250738585072014e-308,
+       float(np.nextafter(2.2250738585072014e-308, 0.0)), 0.0, -0.0,
+       float("nan"), float("inf"), float("-inf")]
+)
+SPECIAL_COLUMNS = [
+    np.array(SPECIAL_FLOATS + [-v for v in SPECIAL_FLOATS]),
+    np.resize(np.array([-(2**63), 2**63 - 1, 0, -1, 10**4, 9999]), 2 * len(SPECIAL_FLOATS)),
+    np.resize(np.array([2**64 - 1, 0, 2**63], dtype=np.uint64), 2 * len(SPECIAL_FLOATS)),
+    np.resize(np.array([True, False, False]), 2 * len(SPECIAL_FLOATS)),
+]
 
-    monkeypatch.setattr(os, "fork", refuse)
+
+# the special floats by kind, each written on its own
+TINY = 2.2250738585072014e-308
+SPECIAL_KINDS = {
+    "powers of two": [2.0**j for j in range(-1074, 1024)],
+    "kernel edges": KERNEL_EDGES,
+    "below powers of ten": [float(np.nextafter(10.0**j, 0.0)) for j in range(-6, 18)],
+    "short and long digits": [0.1 + 0.2, 0.3, 1 / 3, 2 / 3, 9.999999999999999e14, 123.0,
+                              123456789012345.6, 1.7976931348623157e308],
+    "subnormals": [5e-324, 1e-310, TINY, float(np.nextafter(TINY, 0.0))],
+    "zeros and non-finite": [0.0, -0.0, float("nan"), float("inf"), float("-inf")],
+}
+
+
+@st.composite
+def bit_pattern_columns(draw):
+    """A float64 column of raw uint64 bit patterns, in runs of up to 5
+    equal cells: any pattern, or one in the kernel's range of either sign;
+    and int64, uint64 and bool columns of the same length."""
+    in_range = st.integers(float_bits(1e-4) - 8, float_bits(1e15) + 8)
+    bits = draw(st.lists(in_range | in_range.map(lambda b: b | 1 << 63)
+                         | st.integers(0, 2**64 - 1), min_size=1, max_size=60))
+    lengths = draw(st.lists(st.integers(1, 5), min_size=len(bits), max_size=len(bits)))
+    floats = np.repeat(bits_to_floats(bits), lengths)
+    n = len(floats)
+    ints = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
+    uints = draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return [floats, np.array(ints, np.int64), np.array(uints, np.uint64), np.array(flags)]
 
 
 class TestWriteCsvMatchesCsvWriter:
-    @pytest.fixture(autouse=True, params=["serial", "forked"])
-    def path_taken(self, request, monkeypatch):
-        """Every case runs on the serial path and on the forked one."""
-        if request.param == "forked":
-            return request.getfixturevalue("forked")
-        monkeypatch.setattr(cli, "CSV_FORK_ROWS", 1 << 62)
-        return None
-
     def check(self, tmp_path, header, columns):
         """write_csv's bytes equal csv.writer's on the same cells as
-        Python scalars."""
+        Python scalars, also when every numeric chunk, however short,
+        takes the numpy route."""
         rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+        want = csv_writer_bytes(header, rows).encode("utf-8")
         path = tmp_path / "t.csv"
-        write_csv(str(path), header, columns)
-        assert path.read_bytes() == csv_writer_bytes(header, rows).encode("utf-8")
+        for writer_rows in (cli._WRITER_ROWS, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "_WRITER_ROWS", writer_rows)
+                write_csv(str(path), header, columns)
+            assert path.read_bytes() == want
 
     def test_string_cells(self, tmp_path):
         n = len(TRICKY_STRINGS)
@@ -773,11 +799,18 @@ class TestWriteCsvMatchesCsvWriter:
         unsigned = np.array([0, 1, 2**53 + 1, 2**63, 2**64 - 1, 7], dtype=np.uint64)
         self.check(tmp_path, ["i", "u"], [np.array(in64), unsigned])
 
+    def test_narrow_numpy_dtypes(self, tmp_path):
+        n = 300
+        self.check(tmp_path, ["i8", "u16", "f32", "f16"],
+                   [np.arange(n, dtype=np.int8) - 100, np.arange(n, dtype=np.uint16) * 200,
+                    np.float32(1 / 3) * np.arange(n, dtype=np.float32),
+                    np.arange(n, dtype=np.float16) / 7])
+
     def test_mixed_object_cells(self, tmp_path):
         cells = [None, 1.5, "a,b", True, 7, -0.0, float("nan"), "", 2**70, (1, 2)]
         self.check(tmp_path, ["mixed", "pad"], [cells, ["p"] * len(cells)])
 
-    def test_header_only_and_chunk_edges(self, tmp_path, path_taken):
+    def test_header_only_and_chunk_edges(self, tmp_path):
         self.check(tmp_path, ["a", "b,c"], [[], []])
         for n in (CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, 2 * CSV_CHUNK_ROWS + 1):
             ns = np.arange(n)
@@ -786,125 +819,79 @@ class TestWriteCsvMatchesCsvWriter:
         xs = np.sqrt(ns).tolist()
         xs[-1] = None
         self.check(tmp_path, ["n", "x"], [ns, xs])
-        if path_taken is not None:  # 2 helpers for each of the 3-chunk outputs
-            assert len(path_taken) == 4
 
-    def test_ranges_of_uneven_chunk_counts(self, tmp_path, monkeypatch, path_taken):
-        # 23 rows in 5-row chunks: ranges [0, 5), [5, 15), [15, 23) on the
-        # forked path, so the last range ends inside a chunk and the middle
-        # one holds a numeric chunk, then a chunk whose None sits mid-chunk
+    def test_a_chunk_with_a_none_mid_chunk(self, tmp_path, monkeypatch):
+        # 23 rows in 5-row chunks: numeric chunks, a chunk whose None sits
+        # mid-chunk and a last chunk of 3 rows
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 5)
         xs = np.sqrt(np.arange(23)).tolist()
         xs[12] = None
         self.check(tmp_path, ["n", "x"], [np.arange(23), xs])
         strings = [f"r{i}" if i % 4 else f"r,{i}\n" for i in range(23)]
         self.check(tmp_path, ["s", "n"], [strings, np.arange(23)])
-        if path_taken is not None:
-            assert len(path_taken) == 4
 
-    # 14 rows in 13-row chunks: every column of the first chunk is steady
-    # at CSV_RUN_ROWS 2, and the second chunk is one row, steady at 1
+    def test_never_forks(self, tmp_path, monkeypatch):
+        def refuse():
+            raise AssertionError("write_csv forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        ns = np.arange(3 * CSV_CHUNK_ROWS)
+        self.check(tmp_path, ["n", "x"], [ns, np.sqrt(ns)])
+
+    # 14 rows in 13-row chunks: runs on both sides of the chunk edge, and a
+    # one-row second chunk
     @example(columns=[np.array([0.0] * 5 + [-0.0] * 4 + [float("nan")] * 5),
                       np.array([True] * 13 + [False]), np.full(14, 2**64 - 1, np.uint64)],
-             chunk_rows=13, run_rows=2)
-    @example(columns=[np.array([-0.0] * 13 + [0.0]), np.arange(14)], chunk_rows=13, run_rows=1)
+             chunk_rows=13)
+    @example(columns=[np.array([-0.0] * 13 + [0.0]), np.arange(14)], chunk_rows=13)
     @settings(max_examples=100, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(columns=run_columns(), chunk_rows=st.integers(1, 40),
-           run_rows=st.sampled_from([1, 2, 4, 64]))
-    def test_runs_of_equal_cells(self, tmp_path, columns, chunk_rows, run_rows):
-        # small chunks and run bars put run starts, steady columns and
-        # one-row chunks on both sides of chunk and range cuts
+    @given(columns=run_columns(), chunk_rows=st.integers(1, 40))
+    def test_runs_of_equal_cells(self, tmp_path, columns, chunk_rows):
+        # small chunks put run starts and one-row chunks on both sides of
+        # chunk edges
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
-            mp.setattr(cli, "CSV_RUN_ROWS", run_rows)
             self.check(tmp_path, [f"c{j}" for j in range(len(columns))], columns)
 
+    @example(columns=SPECIAL_COLUMNS, chunk_rows=7)
+    @example(columns=SPECIAL_COLUMNS, chunk_rows=CSV_CHUNK_ROWS)
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(columns=bit_pattern_columns(), chunk_rows=st.integers(1, 64))
+    def test_float_bit_patterns(self, tmp_path, columns, chunk_rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+            self.check(tmp_path, ["x", "i", "u", "b"], columns)
 
-class TestWriteCsvHelpers:
-    """The forked path's failures and clean-up, and when it must not fork."""
+    @pytest.mark.parametrize("values", SPECIAL_KINDS.values(), ids=SPECIAL_KINDS)
+    def test_special_floats_by_kind(self, tmp_path, values):
+        # either sign, in runs of three equal cells, in 7-row chunks that
+        # split the runs, 300-row ones and the default
+        column = np.repeat(np.array(values + [-v for v in values]), 3)
+        for chunk_rows in (7, 300, CSV_CHUNK_ROWS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+                self.check(tmp_path, ["x", "i"], [column, np.arange(len(column))])
 
-    def columns(self, n=12):
-        return [np.arange(n), np.sqrt(np.arange(n))]
+    def test_powers_of_two_in_range_take_the_kernel(self):
+        # 2^-13, ..., 2^49: the kernel's own digits, not repr's; every power
+        # of two outside [1e-4, 1e15) falls back
+        x = np.ldexp(1.0, np.arange(-1074, 1024))
+        c, kt, exact, _ = cli._shortest(x.copy())
+        in_range = (x >= 1e-4) & (x < 1e15)
+        assert in_range.sum() == 63 and exact[in_range].all() and not exact[~in_range].any()
+        for ci, ki, xi in zip(c[in_range].tolist(), kt[in_range].tolist(), x[in_range].tolist()):
+            assert float(f"{ci}e-{ki}") == xi
 
-    def test_a_failing_helper_fails_the_write(self, tmp_path, monkeypatch, forked):
-        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)
-        rows = cli._csv_rows
-
-        def fail_past_first(columns, lo, hi):
-            if lo > 0:
-                raise ValueError("helper fails")
-            return rows(columns, lo, hi)
-
-        monkeypatch.setattr(cli, "_csv_rows", fail_past_first)
-        target = tmp_path / "t.csv"
-        with pytest.raises(ChildProcessError):
-            write_csv(str(target), ["n", "x"], self.columns())
-        assert len(forked) == 2
-        assert not target.exists()
-        target.write_text("old\n")
-        with pytest.raises(ChildProcessError):
-            write_csv(str(target), ["n", "x"], self.columns())
-        assert target.read_text() == "old\n"
-        assert os.listdir(tmp_path) == ["t.csv"]
-        assert no_children_left()
-
-    def test_a_failing_parent_kills_and_reaps_its_helpers(self, tmp_path, monkeypatch,
-                                                           forked):
-        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)
-
-        def stall_or_interrupt(columns, lo, hi):
-            if lo > 0:  # a helper: would outlive the test unless killed
-                time.sleep(60)
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(cli, "_csv_rows", stall_or_interrupt)
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            write_csv(str(tmp_path / "t.csv"), ["n", "x"], self.columns())
-        assert time.monotonic() - start < 30
-        assert len(forked) == 2
-        assert os.listdir(tmp_path) == []
-        assert no_children_left()
-
-    def test_a_successful_write_reaps_its_helpers(self, tmp_path, monkeypatch, forked):
-        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)
-        write_csv(str(tmp_path / "t.csv"), ["n", "x"], self.columns())
-        assert len(forked) == 2
-        assert no_children_left()
-
-    def test_one_allowed_cpu_stays_serial(self, tmp_path, monkeypatch, no_fork):
-        monkeypatch.setattr(cli, "CSV_FORK_ROWS", 1)
-        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        write_csv(str(tmp_path / "t.csv"), ["n", "x"], self.columns())
-
-    def test_a_second_thread_keeps_it_serial(self, tmp_path, monkeypatch, no_fork):
-        monkeypatch.setattr(cli, "CSV_FORK_ROWS", 1)
-        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        done = threading.Event()
-        thread = threading.Thread(target=done.wait)
-        thread.start()
-        try:
-            write_csv(str(tmp_path / "t.csv"), ["n", "x"], self.columns())
-        finally:
-            done.set()
-            thread.join()
-
-    def test_no_fork_on_this_platform_stays_serial(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "CSV_FORK_ROWS", 1)
-        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)
-        monkeypatch.delattr(os, "fork")
-        write_csv(str(tmp_path / "t.csv"), ["n", "x"], self.columns())
-
-    def test_an_eq33_sized_output_stays_serial(self, tmp_path, monkeypatch, no_fork):
-        # about 26-28k rows of (class, m, error, bound, ok) at the real constants
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        n = 28_000
-        write_csv(str(tmp_path / "eq33.csv"), ["class", "m", "error", "bound", "ok"],
-                  [np.arange(n) % 5 + 1, np.arange(n), np.sqrt(np.arange(n)),
-                   np.full(n, 0.5), np.arange(n) % 2 == 0])
+    def test_the_kernel_range_in_bulk(self, tmp_path):
+        # 2^17 bit patterns spread over the digit kernel's range, either sign,
+        # with a column of their 17-digit neighbours' ratios
+        rng = np.random.default_rng(7)
+        bits = rng.integers(float_bits(1e-4), float_bits(1e15), 1 << 17, dtype=np.uint64)
+        bits[::2] |= np.uint64(1 << 63)
+        ratios = rng.integers(1, 10**6, 1 << 17) / rng.integers(1, 10**6, 1 << 17)
+        self.check(tmp_path, ["x", "r"], [bits.view(np.float64), ratios])
 
 
 json_scalars = (

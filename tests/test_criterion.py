@@ -7,7 +7,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shiftlab import criterion
 from shiftlab.criterion import (
@@ -157,6 +157,9 @@ class TestScalarClassifier:
         assert hc_check(lp(2), ConstantWeight(2), [1, 3], horizon=1).overall == SATISFIES
         assert salas_check(ConstantWeight(2), horizon=1).limsup_infinite
 
+    # n^-18.625 times 10^12 reaches normal range through a subnormal n^-18.625
+    @example(lp(1), ("power", 18.625), 12)
+    @example(c0(), ("power", 18.625), 12)
     @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from([lp(1), lp(2), c0()]),
@@ -333,8 +336,9 @@ class TestDeferredReads:
     scan gave."""
 
     # sha256 of repr(report.entries) over the grid below, pinned from the
-    # eager scan, which read every series at the checker call
-    SWEEP_GRID_DIGEST = "27be4bbc6a3eeca4129612d406edcb181790fd4000d0bedb4730c5603be03580"
+    # eager scan, which read every series at the checker call; re-pinned
+    # when _class_tail's power-law tail became a float (the same digits)
+    SWEEP_GRID_DIGEST = "ea0811b65ec24836b7a3214c8adc1c1427999cd57fd9560e088bbc0787aa8b08"
 
     def test_benchmark_sweep_grid_reads_terms_only_for_checkpoints_and_sums(self):
         reports, seen = [], {}
@@ -365,6 +369,13 @@ class TestDeferredReads:
         seen = record_reads(w)
         assert qfhc_check(lp(2), w, 1, [1, 2, 3, 4, 5]).overall == FAILS
         assert seen == [10, 5]  # P(j), once per series
+
+    def test_sums_are_python_floats_from_every_tail(self):
+        # Bergman on l^3 takes the power-law tail, Constant(1.001) on l^2
+        # the geometric one
+        for w, space in [(BergmanWeight(), lp(3)), (ConstantWeight(1.001), lp(2))]:
+            v = unilateral_condition(w, space, 1, [0]).entries[0].verdict
+            assert type(v.sum_estimate) is float and type(v.tail_estimate) is float
 
     def test_a_report_pickles_what_its_verdicts_read(self):
         rep = unilateral_condition(BergmanWeight(), lp(3), 1, [0, 1])
@@ -1148,12 +1159,13 @@ class TestScan:
 
     def test_benchmark_probe_verdicts_are_pinned(self):
         # the nine criterion-grid probes at full size (max_exp = 20): rules,
-        # checkpoints and sums; re-recorded for the fitted class
+        # checkpoints and sums; re-recorded for the fitted class, and when
+        # _class_tail's power-law tail became a float (the same digits)
         maps = ([_p_series(s) for s in (0.9, 1.05, 1.1, 1.5, 2.0, 3.0)]
                 + [_bertrand(b) for b in (1.0, 1.5, 2.0)])
         reprs = [repr(series_probe(lp(1), magnitudes=m, max_exp=20)) for m in maps]
         assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == (
-            "fc6dfc9e2b9a705d10338e44f3682859aa0046d047d97f4401f7e1396cf6017f")
+            "8c986ad7130f038bf67f20e8df32185ea6d1230437e1bc9c842fb900236e433d")
 
 
 def _bertrand_reference(b):
@@ -1291,6 +1303,29 @@ class TestProbeOracle:
         v = series_probe(lp(1), magnitudes=lambda ns: 1e-300 / np.asarray(ns, dtype=float) ** 2)
         assert v.kind == INCONCLUSIVE
         assert v.rule == "fitted class: " + _UNDERFLOW
+
+    @pytest.mark.parametrize("space", [lp(1), c0()], ids=["l1", "c0"])
+    @pytest.mark.parametrize("scale", [1e12, 1e18], ids=["1e12", "1e18"])
+    def test_a_scaled_subnormal_is_refitted_above_the_floor(self, space, scale):
+        # scale * n^-18.625 is normal up to n = 2^57 (1e12) or 2^58 (1e18), but
+        # its far samples carry the lost digits of a subnormal n^-18.625: the
+        # fit on them is past the limit, and the refit from 2^-969 up decides
+        v = series_probe(space, magnitudes=lambda ns: scale * np.asarray(ns, dtype=float) ** -18.625)
+        assert v.kind == CONVERGES
+        assert v.rule.startswith("fitted asymptotic class at log n: coefficient -18.625 < ")
+        if space.kind == "lp":
+            assert v.sum_estimate == pytest.approx(scale * float(mpmath.zeta(18.625)), rel=1e-13)
+
+    def test_a_failed_refit_keeps_the_first_rule(self):
+        # 1/(x log x log log x)^17.5, x = n + 2, fails the fit on the samples
+        # down to normal range and again on those above the floor
+        def mags(ns):
+            x = np.asarray(ns, dtype=float) + 2.0
+            return (1.0 / (x * np.log(x) * np.log(np.log(x)))) ** 17.5
+
+        v = series_probe(lp(1), magnitudes=mags)
+        assert v.kind == INCONCLUSIVE
+        assert v.rule == "fitted class: residual 0.00672 is not below 1e-06"
 
     @pytest.mark.parametrize("max_exp", [1, 4, 11, 12])
     @pytest.mark.parametrize("mags", [_p_series(3), lambda ns: 0.5 ** np.asarray(ns, dtype=float)],
