@@ -87,7 +87,6 @@ from .shiftops import (
     apply,
     iterate,
     orbit_batch,
-    orbit_slices,
     smu_power_basis,
     tmu_apply,
 )

@@ -820,8 +820,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ShiftLabError, OverflowError) as exc:
-        # OverflowError: a value past double range, e.g. an l^p norm of a
-        # forward orbit whose coefficients outgrow floats
+        # OverflowError: Python float arithmetic past double range (an F-norm
+        # or orbit distance past it is a ResourceLimitError)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     print(f"elapsed: {time.monotonic() - start:.2f}s")

@@ -7,14 +7,17 @@ epsilon schedule, and the resulting vector's backward orbit returns
 near target x_k at every time in class k.
 
 Every orbit distance (the return bound, ball and weak* hits, the
-certified T-norms) goes through one route, ``_orbit_distances``, which
-reads the orbit engine's batch arrays directly and builds no vector or map
-per time; the candidate's class blocks are summed from the same batches.
+certified T-norms) goes through one route, ``_orbit_distances``: the
+F-norm kernel ``seqspace._distances`` of each batch of complex terms from
+``shiftops._orbit_chunks``, with no vector or map per time; the modulus
+targets read the same kernel on batches of moduli.  The
+candidate's class blocks are summed from the same batches by
+``np.bincount``, which adds each index's terms left to right from +0.0, as
+summing into 0j does.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,11 +51,10 @@ from .seqspace import (
     UNILATERAL,
     CoeffVector,
     SpaceSpec,
-    _fnorm,
-    _gap,
-    _majorant_term,
-    _minus,
+    _distances,
+    c0,
     fnorm,
+    linf_weakstar,
 )
 from .shiftops import (
     BACKWARD,
@@ -61,7 +63,6 @@ from .shiftops import (
     OperatorSpec,
     WeightSeq,
     _orbit_chunks,
-    orbit_slices,
 )
 
 
@@ -133,14 +134,6 @@ def _certified_s_tails(space: SpaceSpec, w: WeightSeq, q: int, j: int,
     return np.maximum(np.maximum.accumulate(t[::-1])[::-1], beyond)
 
 
-def _t_norms(space: SpaceSpec, w: WeightSeq, q: int, x: CoeffVector,
-             n_max: int) -> np.ndarray:
-    """F-norms of the backward orbit terms T^{n^q} x for n = 1..n_max
-    (zero once every support index has fallen off the edge)."""
-    return _orbit_distances(space, OperatorSpec(w, BACKWARD), x,
-                            _powers(np.arange(1, n_max + 1), q), CoeffVector.zero(x.domain))
-
-
 def _powers(ns, q: int):
     """n**q for each n >= 0 in ``ns``: an int64 array, or a list of Python
     ints when the largest passes int64 (``_step_array`` clips those)."""
@@ -150,130 +143,27 @@ def _powers(ns, q: int):
     return [n**q for n in ns.tolist()]
 
 
-# math.exp(x) is 0.0 for every x < _EXP_ZERO
-_EXP_ZERO = -746.0
-
-
 def _orbit_distances(space: SpaceSpec, op: OperatorSpec, x: CoeffVector, steps,
                      center: CoeffVector, functionals=None) -> np.ndarray:
     """The F-norm of op^N x - center for each N*power in ``steps``, or with
-    ``functionals`` the weak* gap max_g |<op^N x - center, g>|: the one
-    route of every orbit distance (return bounds, ball and weak* hits and
-    the certified T-norms).
-
-    Values and errors are those of ``_fnorm(space, domain, _minus(domain,
-    iterate(op, x, N).entries, center))`` (``_gap`` for the weak* gap), time
-    by time: exp, rect, abs and ``**`` run per term through libm, and every
-    sum runs left to right in index order through Python's ``sum``.  Only
-    the times with surviving terms read the orbit; the others get the value
-    of -center, computed once.  No vector or map is built per time.
-    """
-    domain = x.domain
-    dead = None  # the value at a time with no term
-    out = np.empty(len(steps))
-    done = 0
-    for tgt, lm, ph, counts in _orbit_chunks(op, x, steps):
-        if dead is None:
-            try:
-                dead = (_fnorm(space, domain, _minus(domain, {}, center)) if functionals is None
-                        else _gap(domain, {}, center, functionals))
-            except OverflowError as exc:
-                dead = exc  # time by time, raised at the first time with no term
-        alive = counts > 0
-        stop = isinstance(dead, OverflowError) and not alive.all()
-        if stop:  # the times before the first dead one still raise first
-            n = int(np.argmin(alive))
-            m = int(counts[:n].sum())
-            tgt, lm, ph, counts, alive = tgt[:m], lm[:m], ph[:m], counts[:n], alive[:n]
-        z = np.fromiter(map(cmath.rect, map(math.exp, lm.tolist()), ph.tolist()),
-                        complex, len(lm))
-        values = out[done : done + len(counts)]
-        # float arithmetic leaves double range silently, as Python's does
-        with np.errstate(over="ignore", invalid="ignore"):
-            if functionals is None:
-                values[alive] = _block_norms(space, tgt, z, counts[alive], center)
-            else:
-                values[alive] = _block_gaps(tgt, z, counts[alive], center, functionals)
-        if stop:
-            raise dead
-        if not alive.all():
-            values[~alive] = dead
-        done += len(counts)
-    return out
-
-
-def _block_norms(space: SpaceSpec, tgt: np.ndarray, z: np.ndarray, counts: np.ndarray,
-                 center: CoeffVector) -> list[float]:
-    """``_fnorm`` of the orbit terms (tgt, z) minus ``center``, per time of
-    ``counts``, each time's terms in index order."""
-    seg = np.repeat(np.arange(len(counts)), counts)
-    if center:
-        # subtract the center where the orbit has the index, and merge in
-        # -center where it has not; the moduli are those of ``_minus``
-        cidx = center.log_polar[0]
-        cz = np.array(list(center.entries.values()), dtype=complex)
-        pos = np.minimum(np.searchsorted(cidx, tgt), len(cidx) - 1)
-        hit = cidx[pos] == tgt
-        z[hit] -= cz[pos[hit]]
-        missing = np.ones((len(counts), len(cidx)), dtype=bool)
-        missing[seg[hit], pos[hit]] = False
-        mt, mc = np.nonzero(missing)
-        seg, tgt, z = (np.concatenate(pair) for pair in ((seg, mt), (tgt, cidx[mc]), (z, -cz[mc])))
-        order = np.lexsort((tgt, seg))
-        seg, tgt, z = seg[order], tgt[order], z[order]
-    if space.kind == "entire":
-        # ``_minus`` drops zero entries: the majorant's log form would take
-        # log 0, while a zero changes no sum of powers and no max
-        keep = z != 0
-        seg, tgt, z = seg[keep], tgt[keep], z[keep]
-    mags = np.hypot(z.real, z.imag)  # abs(complex) bit for bit
-    # abs raises OverflowError where the modulus alone leaves double range
-    too_big = np.flatnonzero(np.isinf(mags) & np.isfinite(z.real) & np.isfinite(z.imag))
-    first_big = int(too_big[0]) if len(too_big) else len(mags)
-    ends = np.cumsum(np.bincount(seg, minlength=len(counts))).tolist()
-    spans = list(zip([0] + ends[:-1], ends))
-    if space.kind == "lp":
-        # abs and ** raise term by term: a power before the first modulus
-        # past double range raises first
-        terms = [a**space.p for a in mags[:first_big].tolist()]
-        if first_big == len(mags):
-            return [sum(terms[a:b]) ** (1.0 / space.p) for a, b in spans]
-    if first_big < len(mags):
-        abs(complex(z[first_big]))  # raises OverflowError
-    mags = mags.tolist()
-    if space.kind == "c0":
-        return [max(mags[a:b], default=0.0) for a, b in spans]
-    # entire: sum_R 2^-R min(1, M_R)
-    totals = [0.0] * len(spans)
-    ks = (tgt - 1).tolist()
-    for r in range(1, space.rmax + 1):
-        terms = [_majorant_term(a, float(r), k) for a, k in zip(mags, ks)]
-        for t, (a, b) in enumerate(spans):
-            totals[t] += 2.0 ** (-r) * min(1.0, sum(terms[a:b]))
-    return totals
-
-
-def _block_gaps(tgt: np.ndarray, z: np.ndarray, counts: np.ndarray, center: CoeffVector,
-                functionals) -> list[float]:
-    """``_gap`` of the orbit terms (tgt, z) against ``center`` and the
-    functionals, per time of ``counts``."""
-    functionals = list(functionals)
-    read = np.array(sorted({i for g in functionals for i in g.entries}), dtype=np.int64)
-    col = {i: c for c, i in enumerate(read.tolist())}
-    # the orbit's coefficients at the functionals' indices, minus the center's
-    diff = np.zeros((len(counts), len(read)), dtype=complex)
-    seg = np.repeat(np.arange(len(counts)), counts)
-    at = np.isin(tgt, read)
-    diff[seg[at], np.searchsorted(read, tgt[at])] = z[at]
-    diff -= np.array([center[i] for i in read.tolist()], dtype=complex)
-    pairs = [[(col[i], c) for i, c in g.entries.items()] for g in functionals]
-    gaps = []
-    for row in diff.tolist():
-        gap = 0.0
-        for g in pairs:
-            gap = max(gap, abs(sum(row[c] * v for c, v in g)))
-        gaps.append(gap)
-    return gaps
+    ``functionals`` the weak* gap max_g |<op^N x - center, g>|:
+    ``seqspace._distances`` of each batch of ``_orbit_chunks``.  Every time
+    with no term has the value of -center, read once, at the first."""
+    dead = None
+    out = [np.empty(0)]
+    for run, idx, z, counts in _orbit_chunks(op, x, steps, pad=len(center.entries)):
+        empty = counts == 0
+        read = ~empty
+        if dead is None and empty.any():
+            read[np.argmax(empty)] = True
+        values = np.empty(len(run))
+        values[read] = _distances(space, x.domain, idx, z, counts[read], center, functionals,
+                                  run[read], op.power)
+        if empty.any():
+            dead = values[np.argmax(empty)] if dead is None else dead
+            values[empty] = dead
+        out.append(values)
+    return np.concatenate(out)
 
 
 @dataclass(frozen=True)
@@ -321,8 +211,10 @@ def _thresholds(space: SpaceSpec, w: WeightSeq, q: int,
     s_tails = {j: _certified_s_tails(space, w, q, j, n_max) for j in support}
     # per-target combined tails, via the triangle inequality over support
     tails = []
+    back, steps = OperatorSpec(w, BACKWARD), _powers(np.arange(1, n_max + 1), q)
     for x in targets:
-        tn = _t_norms(space, w, q, x, n_max)
+        # the F-norms of T^{n^q} x, zero once every index has fallen off the edge
+        tn = _orbit_distances(space, back, x, steps, CoeffVector.zero(x.domain))
         t_suffix = np.cumsum(tn[::-1])[::-1]
         s_part = np.zeros(n_max)
         for j, c in x.entries.items():
@@ -427,16 +319,15 @@ def build_vector(
                 f"class {k} has no elements below the exponent horizon; "
                 "its target is not represented in the candidate"
             )
-        block: dict[int, complex] = {}
-        for idx, lm, ph, _ in _orbit_chunks(fwd, x_k, _powers(cls, q)):
-            # a term whose log-modulus is below _EXP_ZERO is 0j, which leaves
-            # every sum's bits, zero parts included, as they are
-            nonzero = ~(lm < _EXP_ZERO)
-            terms = map(cmath.rect, map(math.exp, lm[nonzero].tolist()), ph[nonzero].tolist())
-            for i, z in zip(idx[nonzero].tolist(), terms):
-                block[i] = block.get(i, 0j) + z
-        bv = CoeffVector(w.domain, block)
-        block_norms.append(fnorm(space, bv))
+        runs = [(np.empty(0, np.int64), np.empty(0, complex))]
+        runs += [(idx, z) for _, idx, z, _ in _orbit_chunks(fwd, x_k, _powers(cls, q))]
+        idx, z = (np.concatenate(c) for c in zip(*runs))
+        idx, z = idx[z != 0], z[z != 0]  # a zero term leaves every sum's bits as they are
+        keys, at = np.unique(idx, return_inverse=True)
+        sums = np.empty(len(keys), dtype=complex)
+        sums.real, sums.imag = np.bincount(at, z.real), np.bincount(at, z.imag)
+        block = dict(zip(keys.tolist(), sums.tolist()))
+        block_norms.append(fnorm(space, CoeffVector(w.domain, block)))
         for idx, val in block.items():
             entries[idx] = entries.get(idx, 0j) + val
     candidate = CoeffVector(w.domain, entries)
@@ -553,34 +444,30 @@ class BallTarget:
 
 @dataclass(frozen=True)
 class ModulusTarget:
-    """Open set defined purely by coefficient moduli, e.g. |y_1| > 1.
+    """Open set defined purely by coefficient moduli: |y_index| > threshold,
+    or with index None every |y_n| < threshold.
 
-    ``predicate`` receives a map index -> |coefficient| (absent = 0).
     Rotations of the operator leave hit sets of such targets unchanged
     exactly, because the test never sees a phase.
     """
 
-    predicate: object
-    description: str = "modulus predicate"
+    index: int | None
+    threshold: float
 
     def describe(self) -> str:
-        return self.description
+        if self.index is None:
+            return f"max|y_n| < {self.threshold:g}"
+        return f"|y_{self.index}| > {self.threshold:g}"
 
 
 def modulus_exceeds(index: int, threshold: float) -> ModulusTarget:
-    return ModulusTarget(
-        predicate=lambda mags: mags.get(index, 0.0) > threshold,
-        description=f"|y_{index}| > {threshold:g}",
-    )
+    return ModulusTarget(index, threshold)
 
 
 def modulus_ball(threshold: float) -> ModulusTarget:
     """All coefficient moduli below a threshold (a modulus-defined
     neighborhood of the origin)."""
-    return ModulusTarget(
-        predicate=lambda mags: all(v < threshold for v in mags.values()),
-        description=f"max|y_n| < {threshold:g}",
-    )
+    return ModulusTarget(None, threshold)
 
 
 @dataclass(frozen=True)
@@ -643,24 +530,31 @@ def hit_experiment(
         pairs = [(n, n) for n in range(1, horizon + 1)]
     shifts = [steps * op.power for _, steps in pairs]
     if isinstance(target, ModulusTarget):
-        slices = orbit_slices(op, x, shifts)
-        mags = (dict(zip(idxs, map(math.exp, lms))) for idxs, lms, _ in slices)
-        outcomes = ((bool(target.predicate(m)), max(m.values(), default=0.0)) for m in mags)
+        # moduli by libm's exp: the largest (the c0 norm of the moduli), and
+        # the one at the index, 0.0 where the orbit has no term there
+        values, at = [np.empty(0)], [np.empty(0)]
+        for _, idx, mags, counts in _orbit_chunks(op, x, shifts, phases=False):
+            values.append(_distances(c0(x.domain), x.domain, idx, mags, counts,
+                                     CoeffVector.zero(x.domain)))
+            on = idx == target.index  # all False for index None
+            at.append(np.bincount(np.repeat(np.arange(len(counts)), counts)[on], mags.real[on],
+                                  minlength=len(counts)))
+        values, at = np.concatenate(values), np.concatenate(at)
+        hit = values < target.threshold if target.index is None else at > target.threshold
     elif isinstance(target, BallTarget):
-        values = _orbit_distances(space, op, x, shifts, target.center).tolist()
-        outcomes = ((v < target.radius, v) for v in values)
+        values = _orbit_distances(space, op, x, shifts, target.center)
+        hit = values < target.radius
     elif isinstance(target, WeakStarTarget):
-        values = _orbit_distances(space, op, x, shifts, target.center,
-                                  target.functionals).tolist()
-        outcomes = ((v < target.eps, v) for v in values)
+        values = _orbit_distances(space, op, x, shifts, target.center, target.functionals)
+        hit = values < target.eps
     else:
         raise InvalidArgumentError(f"unknown target type {type(target)!r}")
     hits = []
     events = []
-    for (n, steps), shift, (hit, value) in zip(pairs, shifts, outcomes):
-        if hit:
+    for (n, steps), shift, h, value in zip(pairs, shifts, hit.tolist(), values.tolist()):
+        if h:
             hits.append(steps)
-        events.append({"n": n, "exponent": shift, "value": value, "hit": hit})
+        events.append({"n": n, "exponent": shift, "value": value, "hit": h})
     hitset = HitSet.from_iterable(hits, horizon)
     density = q_lower_density(hitset, q, burn_in=burn_in)
     growth = check_growth_bound(hitset, q) if hitset.times else None
@@ -688,16 +582,5 @@ def transfer_weakstar(
     constructed for the sup-norm space (the identity embedding is norm
     to weak* continuous, so sup-norm hits survive)."""
     ws = WeakStarTarget(target, tuple(functionals), eps)
-    op = OperatorSpec(w, BACKWARD)
-    from .seqspace import linf_weakstar
-
-    return hit_experiment(
-        linf_weakstar(),
-        op,
-        x,
-        ws,
-        exponents="linear",
-        q=1,
-        horizon=horizon,
-        burn_in=burn_in,
-    )
+    return hit_experiment(linf_weakstar(), OperatorSpec(w, BACKWARD), x, ws, horizon=horizon,
+                          burn_in=burn_in)

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     DomainMismatchError,
     InvalidArgumentError,
+    ResourceLimitError,
     UnsupportedOperationError,
 )
 
@@ -78,12 +79,21 @@ class CoeffVector:
         return tuple(self.entries.keys())
 
     @cached_property
+    def terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only arrays of the sorted support and the coefficients."""
+        arrays = (np.fromiter(self.entries, dtype=np.int64, count=len(self.entries)),
+                  np.fromiter(self.entries.values(), dtype=complex, count=len(self.entries)))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
+    @cached_property
     def log_polar(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only arrays of the sorted support, log|c| and arg c,
         computed once per vector with libm's log and ``_phase``."""
         values = self.entries.values()
         arrays = (
-            np.fromiter(self.entries, dtype=np.int64, count=len(values)),
+            self.terms[0],
             np.array([math.log(abs(c)) for c in values], dtype=float),
             np.array([_phase(c) for c in values], dtype=float),
         )
@@ -108,7 +118,7 @@ class CoeffVector:
         return add(self, other)
 
     def __sub__(self, other: "CoeffVector") -> "CoeffVector":
-        return CoeffVector(self.domain, _minus(self.domain, self.entries, other))
+        return add(self, scale(-1, other))
 
     def __rmul__(self, lam: complex) -> "CoeffVector":
         return scale(lam, self)
@@ -129,16 +139,6 @@ def add(v: CoeffVector, w: CoeffVector) -> CoeffVector:
 def scale(lam: complex, v: CoeffVector) -> CoeffVector:
     lam = complex(lam)
     return CoeffVector(v.domain, {i: lam * c for i, c in v.entries.items()})
-
-
-def _minus(domain: str, entries: Mapping[int, complex], w: CoeffVector) -> dict[int, complex]:
-    """The canonical entries of v - w, for v = CoeffVector(domain, entries)."""
-    if domain != w.domain:
-        raise DomainMismatchError(f"cannot add {domain} and {w.domain} vectors")
-    merged = dict(entries)
-    for idx, val in w.entries.items():
-        merged[idx] = merged.get(idx, 0j) + complex(-1) * val
-    return {i: c for i, c in sorted(merged.items()) if c != 0}
 
 
 @dataclass(frozen=True)
@@ -196,74 +196,109 @@ def linf_weakstar() -> SpaceSpec:
     return SpaceSpec("linf_weakstar")
 
 
-def coeff_majorant(v: CoeffVector, radius: float) -> float:
-    """Sum of |a_k| * radius^k over the Taylor coefficients of v.
-
-    Dominates sup_{|z|<=radius} |f(z)|, with equality for nonnegative
-    coefficients.  Index k+1 holds the coefficient of z^k.
-    """
-    return sum(_majorant_term(abs(c), radius, idx - 1) for idx, c in v.entries.items())
-
-
-def _majorant_term(a: float, radius: float, k: int) -> float:
-    try:
-        return a * radius**k
-    except OverflowError:
-        # radius^k alone leaves the float range, but a tiny |a| can bring
-        # the term back: form it in log space
-        try:
-            return math.exp(math.log(a) + k * math.log(radius))
-        except OverflowError:
-            return math.inf
-
-
 def fnorm(space: SpaceSpec, v: CoeffVector) -> float:
-    return _fnorm(space, v.domain, v.entries)
+    """The F-norm of v in ``space``: the kernel ``_distances`` at one time."""
+    return float(_distances(space, v.domain, *v.terms, [len(v.entries)],
+                            CoeffVector.zero(v.domain))[0])
 
 
-def _fnorm(space: SpaceSpec, domain: str, entries: Mapping[int, complex]) -> float:
-    """``fnorm`` of a vector of this domain with these canonical entries."""
-    if space.kind == "linf_weakstar":
-        raise UnsupportedOperationError(
-            "the weak* space carries no F-norm; use weakstar_gap"
-        )
-    if domain != space.domain:
+def weakstar_gap(v: CoeffVector, target: CoeffVector,
+                 functionals: Iterable[CoeffVector]) -> float:
+    """Largest |<v - target, g>| over the given l^1 functionals; a weak*
+    neighborhood test is ``gap < eps``."""
+    return float(_distances(linf_weakstar(), v.domain, *v.terms, [len(v.entries)], target,
+                            functionals)[0])
+
+
+def _distances(space: SpaceSpec, domain: str, index: np.ndarray, z: np.ndarray, counts,
+               center: CoeffVector, functionals=None, steps=None, power: int = 1) -> np.ndarray:
+    """The one F-norm kernel: per time t, the F-norm in ``space`` of the
+    terms (index, z) of that time minus ``center``, or with ``functionals``
+    the weak* gap max_g |<terms - center, g>|.  The terms come time by
+    time, ``counts[t]`` of them at time t, each time's in index order.
+
+    Moduli come from ``np.hypot`` (abs(complex) bit for bit; np.abs
+    differs), l^2 squares and roots from x*x and ``np.sqrt`` (correctly
+    rounded; libm's pow is not), per-time sums from ``np.bincount``, which
+    adds left to right as Python's ``sum`` does, and weak* products from
+    real multiplications (numpy's complex multiply rounds differently).
+    Other powers (l^p, the majorant's R^k) are numpy's own, within an ulp.
+    A value past double range raises ``ResourceLimitError``, naming the first
+    such time, ``steps[t] // power``, when ``steps`` are given."""
+    if center.domain != domain:
+        raise DomainMismatchError(f"cannot add {domain} and {center.domain} vectors")
+    if functionals is None and space.kind == "linf_weakstar":
+        raise UnsupportedOperationError("the weak* space carries no F-norm; use weakstar_gap")
+    if functionals is None and domain != space.domain:
         raise DomainMismatchError(
-            f"vector domain {domain} does not match space domain {space.domain}"
-        )
-    if space.kind == "lp":
-        return sum(abs(c) ** space.p for c in entries.values()) ** (1.0 / space.p)
+            f"vector domain {domain} does not match space domain {space.domain}")
+    n = len(counts)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        seg, index, z = _merged(np.repeat(np.arange(n), counts), index, z, n, center)
+        out = (_norms(space, seg, index, z, n) if functionals is None
+               else _gaps(seg, index, z, n, list(functionals)))
+    bad = np.flatnonzero(~np.isfinite(out))
+    if len(bad):
+        at = "" if steps is None else f"time {int(steps[bad[0]]) // power}: "
+        raise ResourceLimitError(f"{at}the distance {out[bad[0]]} is past double range")
+    return out
+
+
+def _merged(seg, index, z, n: int, center: CoeffVector):
+    """The terms minus ``center``: the center subtracted where a time has
+    its index, and -center merged in, in index order, where it has not."""
+    if not center:
+        return seg, index, z
+    cidx, cz = center.terms
+    # each term's count of center indices at or below its own; at 0, cidx[-1]
+    # is above the term's index, so it is no hit
+    pos = np.searchsorted(cidx, index, side="right")
+    hit = cidx[pos - 1] == index
+    z = z.copy()
+    z[hit] -= cz[pos[hit] - 1]
+    missing = np.ones((n, len(cidx)), dtype=bool)
+    missing[seg[hit], pos[hit] - 1] = False
+    mt, mc = np.nonzero(missing)
+    # sorted keys: center entry c of a time goes after the terms below it
+    width = 2 * len(cidx) + 2
+    at = np.searchsorted(seg * width + 2 * pos, mt * width + 2 * mc + 1)
+    return np.insert(seg, at, mt), np.insert(index, at, cidx[mc]), np.insert(z, at, -cz[mc])
+
+
+def _norms(space: SpaceSpec, seg, index, z, n: int) -> np.ndarray:
+    mags = np.hypot(z.real, z.imag)
     if space.kind == "c0":
-        return max((abs(c) for c in entries.values()), default=0.0)
-    # entire: sum_R 2^-R min(1, M_R(v))
-    total = 0.0
+        out = np.zeros(n)
+        np.maximum.at(out, seg, mags)
+        return out
+    if space.kind == "lp":
+        p = space.p
+        terms = mags if p == 1 else mags * mags if p == 2 else mags**p
+        sums = np.bincount(seg, terms, minlength=n)
+        return sums if p == 1 else np.sqrt(sums) if p == 2 else sums ** (1.0 / p)
+    # entire: sum_R 2^-R min(1, M_R), M_R = sum |a_k| R^k with a_k at index k + 1;
+    # where R^k leaves double range, |a_k| R^k is formed in log space
+    k = index - 1
+    out = np.zeros(n)
     for r in range(1, space.rmax + 1):
-        majorant = sum(_majorant_term(abs(c), float(r), i - 1) for i, c in entries.items())
-        total += 2.0 ** (-r) * min(1.0, majorant)
-    return total
+        terms = mags * np.power(float(r), k)
+        far = ~np.isfinite(terms)  # also 0 * inf: a zero modulus past it
+        terms[far] = np.exp(np.log(mags[far]) + k[far] * math.log(r))
+        out += 2.0 ** (-r) * np.minimum(1.0, np.bincount(seg, terms, minlength=n))
+    return out
 
 
-def weakstar_gap(
-    v: CoeffVector,
-    target: CoeffVector,
-    functionals: Iterable[CoeffVector],
-) -> float:
-    """Largest |<v - target, g>| over the given l^1 functionals.
-
-    A weak* neighborhood test is ``gap < eps``.
-    """
-    return _gap(v.domain, v.entries, target, functionals)
-
-
-def _gap(domain: str, entries: Mapping[int, complex], target: CoeffVector,
-         functionals: Iterable[CoeffVector]) -> float:
-    """``weakstar_gap`` of a vector of this domain with these canonical entries."""
-    functionals = list(functionals)
+def _gaps(seg, index, z, n: int, functionals) -> np.ndarray:
     if not functionals:
         raise InvalidArgumentError("weakstar_gap needs at least one functional")
-    diff = _minus(domain, entries, target)
-    gap = 0.0
+    out = np.zeros(n)
     for g in functionals:
-        val = sum(diff.get(i, 0j) * c for i, c in g.entries.items())
-        gap = max(gap, abs(val))
-    return gap
+        # each time's sum over the functional's indices, in index order; an
+        # index the time lacks adds a zero product, which changes no sum
+        gi, gc = g.terms
+        at = np.isin(index, gi)
+        d, c = z[at], gc[np.searchsorted(gi, index[at])]
+        re = np.bincount(seg[at], d.real * c.real - d.imag * c.imag, minlength=n)
+        im = np.bincount(seg[at], d.real * c.imag + d.imag * c.real, minlength=n)
+        out = np.maximum(out, np.hypot(re, im))
+    return out

@@ -11,16 +11,19 @@ Single applications (``apply``) use direct complex products.  Every
 multi-step orbit goes through ``orbit_batch``: the terms of op^N v at a
 whole array of times, found with one search of the vector's sorted
 support and one evaluation of P(j) - P(j -/+ N).  ``_orbit_chunks``
-cuts a long run of times into batches of at most ORBIT_CHUNK_TERMS
-terms; ``orbit_slices`` (per-time lists) and ``iterate`` (one time) are
-views of it, and ``constructor._orbit_distances``, the one route of
-every orbit distance, reads the batches' arrays directly.
+cuts a long run of times into batches of at most ORBIT_CHUNK_TERMS terms
+and hands each out as complex coefficients, which ``iterate`` (one time),
+the F-norm kernel behind every orbit distance and ``build_vector``'s
+class blocks read.
 
-The batched route is exact, not approximate: log|c| and arg c come from
-libm once per vector, exp and rect run per surviving term through libm,
-and numpy evaluates P elementwise and adds and subtracts in the order of
-the scalar expression log|c| + (P(j) - P(tgt)).  P at an index has the
-same bits whether it is read alone (``prefix``) or in an array.
+The batched route keeps libm's bits: log|c| and arg c come from libm once
+per vector, numpy evaluates P elementwise and adds and subtracts in the
+order of the scalar expression log|c| + (P(j) - P(tgt)), and a
+coefficient is np.exp(logmag + 1j*phase).  numpy's complex exp is libm's
+cexp, which has the bits of cmath.rect(math.exp(logmag), phase) up to a
+log-magnitude of 709, where cexp starts to scale; numpy's real exp is its
+own and differs from libm's on a few percent of inputs.  P at an index
+has the same bits whether it is read alone (``prefix``) or in an array.
 
 Every prefix read has |n| <= EXACT_INDEX = 2^53, where an int64 index
 converts to float exactly; past it a read raises ``ResourceLimitError``.
@@ -643,60 +646,48 @@ def _batch(op: OperatorSpec, v: CoeffVector, steps, start, counts, anchors):
             counts)
 
 
-def _orbit_chunks(op: OperatorSpec, v: CoeffVector, steps):
-    """Yield ``orbit_batch`` of ``steps`` in consecutive runs of times of at
-    most ORBIT_CHUNK_TERMS terms each (a single time may exceed it), after
-    one ``_orbit_plan``.  A time with a term past double range ends the
-    orbit: the times before it are yielded, then ``ResourceLimitError``
-    names it and the term's log-magnitude."""
+def _orbit_chunks(op: OperatorSpec, v: CoeffVector, steps, phases: bool = True, pad: int = 0):
+    """Yield the terms of op^N v for each N*power in ``steps`` as complex
+    coefficients, (steps, index, coefficient, counts) per consecutive run of
+    times of at most ORBIT_CHUNK_TERMS terms (a single time may exceed it),
+    after one ``_orbit_plan``.  A time with a term counts ``pad`` terms more
+    (a center merged into it).  Without ``phases`` a coefficient is
+    np.exp(logmag + 0j), whose real part is libm's exp(logmag), the
+    modulus.  A time with a term past double range ends the orbit: the
+    times before it are yielded, then ``ResourceLimitError`` names it and
+    the term's log-magnitude."""
     steps, start, counts, anchors = _orbit_plan(op, v, steps)
-    ends = np.cumsum(counts)
+    ends = np.cumsum(counts + pad * (counts > 0))
     lo = 0
     while lo < len(steps):
         limit = (int(ends[lo - 1]) if lo else 0) + ORBIT_CHUNK_TERMS
         hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
         tgt, lm, ph, got = _batch(op, v, steps[lo:hi], start[lo:hi], counts[lo:hi], anchors)
         over = np.flatnonzero(lm > _EXP_MAX)
-        if len(over):
-            n = int(np.searchsorted(np.cumsum(got), over[0], side="right"))
-            m = int(got[:n].sum())
-            if n:
-                yield tgt[:m], lm[:m], ph[:m], got[:n]
+        n = int(np.searchsorted(np.cumsum(got), over[0], side="right")) if len(over) else hi - lo
+        m = int(got[:n].sum())
+        if n:
+            z = np.exp(lm[:m] + 1j * ph[:m] if phases else lm[:m] + 0j)
+            yield steps[lo : lo + n], tgt[:m], z, got[:n]
+        if n < hi - lo:
             raise ResourceLimitError(f"time {int(steps[lo + n]) // op.power}: a term of log-"
                                      f"magnitude {lm[m : m + got[n]].max():g} is past double range")
-        yield tgt, lm, ph, got
         lo = hi
 
 
-def orbit_slices(op: OperatorSpec, v: CoeffVector, steps):
-    """Yield the terms of op^N v for each N*power in ``steps`` as lists
-    (indices, logmags, phases), from ``_orbit_chunks``."""
-    for idx, lm, ph, got in _orbit_chunks(op, v, steps):
-        idx, lm, ph = idx.tolist(), lm.tolist(), ph.tolist()
-        a = 0
-        for c in got.tolist():
-            yield idx[a : a + c], lm[a : a + c], ph[a : a + c]
-            a += c
-
-
-def _coefficients(idx, lm, ph) -> dict[int, complex]:
-    """The nonzero coefficients of one time's terms, in index order.  0j +
-    gives each zero part the sign +0.0: the bits of summing into 0j."""
-    return {i: c for i, l, p in zip(idx, lm, ph) if (c := 0j + cmath.rect(math.exp(l), p))}
-
-
 def iterate(op: OperatorSpec, v: CoeffVector, n: int) -> CoeffVector:
-    """op^n v for any n >= 0, from ``_orbit_chunks`` at one time (v itself
-    at n = 0).  A unilateral backward orbit past its support is the zero
-    vector.  Every other orbit raises ``ResourceLimitError`` at a prefix
-    index past EXACT_INDEX, at an anchor past ANCHOR_LOGMAG, and at a term
-    past double range, naming n and its log-magnitude."""
+    """op^n v for any n >= 0: v itself at n = 0, else ``_orbit_chunks`` at
+    one time, with 0j + each coefficient: a zero part gets the sign +0.0 of
+    summing into 0j.  A unilateral backward orbit past its support is the
+    zero vector.  Every other orbit raises ``ResourceLimitError`` at a
+    prefix index past EXACT_INDEX, at an anchor past ANCHOR_LOGMAG, and at a
+    term past double range, naming n and its log-magnitude."""
     n = int(n)  # a Python int: n * power cannot wrap
     # checks the domain and n >= 0
-    ((idx, lm, ph, _),) = _orbit_chunks(op, v, [n * op.power])
+    ((_, idx, z, _),) = _orbit_chunks(op, v, [n * op.power])
     if n == 0:
         return v
-    return CoeffVector(v.domain, _coefficients(idx.tolist(), lm.tolist(), ph.tolist()))
+    return CoeffVector(v.domain, dict(zip(idx.tolist(), (0j + z).tolist())))
 
 
 def tmu_apply(mu: complex, f: CoeffVector) -> CoeffVector:

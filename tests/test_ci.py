@@ -25,6 +25,8 @@ def test_workflow_parses_and_keeps_its_limits():
     assert '"numpy==2.4.*"' in runs["Install dependencies"]
     assert "pyyaml" in runs["Install dependencies"].split()
     assert "--durations=10" in runs["Tier-1 tests"]
+    # the log shows each module's lines against the package's line budget
+    assert runs["Line budget"] == "wc -l src/shiftlab/*.py"
     assert "perfbench/test_smoke.py" in runs["Benchmark smoke test"]
     assert runs["Benchmark oracle self-check"] == "python3 perfbench/oracles.py"
     gate = runs["Benchmark gate"]

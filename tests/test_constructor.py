@@ -40,7 +40,6 @@ from shiftlab.seqspace import (
     scale,
     weakstar_gap,
 )
-from shiftlab.seqspace import _fnorm, _minus
 from shiftlab import shiftops
 from shiftlab.shiftops import (
     BACKWARD,
@@ -53,7 +52,6 @@ from shiftlab.shiftops import (
     TableWeight,
     iterate,
     orbit_batch,
-    orbit_slices,
 )
 
 E1 = CoeffVector.basis(1)
@@ -338,7 +336,7 @@ class TestBatchedOrbitsMatchOneTimeEvaluation:
             elif kind == "modulus":
                 idxs, lms, _, _ = orbit_batch(op, x, [steps * power])
                 mags = {i: math.exp(lm) for i, lm in zip(idxs.tolist(), lms.tolist())}
-                hit = bool(target.predicate(mags))
+                hit = mags.get(target.index, 0.0) > target.threshold
                 value = max(mags.values(), default=0.0)
             else:
                 value = weakstar_gap(iterate(op, x, steps), target.center, target.functionals)
@@ -359,8 +357,9 @@ class TestOrbitValuesFromEntryMaps:
     ])
     def test_t_norms_match_fnorm_of_iterate(self, space, w, x):
         q, n_max = 2, 8
-        got = constructor._t_norms(space, w, q, x, n_max)
         op = OperatorSpec(w, BACKWARD)
+        got = constructor._orbit_distances(space, op, x, [n**q for n in range(1, n_max + 1)],
+                                           CoeffVector.zero(x.domain))
         want = [fnorm(space, iterate(op, x, n**q)) for n in range(1, n_max + 1)]
         assert [repr(v) for v in got.tolist()] == [repr(v) for v in want]
         # the unilateral orbit dies once n^q passes its support
@@ -383,12 +382,42 @@ class TestOrbitValuesFromEntryMaps:
         assert built == []
 
 
-def _scalar_distance(space, op, x, n, center, functionals):
-    """The per-time reference of ``_orbit_distances``."""
-    orbit = iterate(op, x, n)
-    if functionals is not None:
-        return weakstar_gap(orbit, center, functionals)
-    return _fnorm(space, x.domain, _minus(x.domain, orbit.entries, center))
+def _exact_distance(space, op, x, n, center, functionals):
+    """The distance at time n in mpmath (50 digits), of the orbit's
+    log-polar terms from ``orbit_batch`` taken as exact, and a bound on the
+    error of a float evaluation: 4 m eps mass, where m is the time's term
+    count (orbit and center merged) and mass the same expression on the
+    terms' moduli added without cancellation (Higham's gamma_m times the
+    sum of |terms|, section 4.2); plus the underflow floor of m products,
+    2^-1074 each (through the p-th root on l^p), and on l^p the skew of a
+    root taken at the double nearest 1/p."""
+    idx, lm, ph, _ = orbit_batch(op, x, [n * op.power])
+    mpf = mpmath.mpf
+    with mpmath.workdps(50):
+        orbit = {i: mpmath.exp(mpf(a)) * mpmath.expj(mpf(b))
+                 for i, a, b in zip(idx.tolist(), lm.tolist(), ph.tolist())}
+        keys = sorted(set(orbit) | set(center.entries))
+        diff = {i: orbit.get(i, 0) - mpmath.mpc(center[i]) for i in keys}
+        mods = {i: abs(orbit.get(i, 0)) + abs(center[i]) for i in keys}
+        m, root, skew = max(1, len(keys)), 1, 0
+        if functionals is not None:
+            exact, mass = (max(abs(mpmath.fsum(d.get(i, 0) * (c if d is diff else abs(c))
+                                               for i, c in g.entries.items()))
+                               for g in functionals) for d in (diff, mods))
+        elif space.kind == "lp":
+            root = space.p
+            s, s_mass = (mpmath.fsum(abs(v) ** root for v in d.values()) for d in (diff, mods))
+            exact, mass = s ** (1 / mpf(root)), s_mass ** (1 / mpf(root))
+            skew = abs(exact - s ** mpf(1.0 / root))
+        elif space.kind == "c0":
+            exact, mass = (max((abs(v) for v in d.values()), default=mpf(0))
+                           for d in (diff, mods))
+        else:
+            exact, mass = (mpmath.fsum(mpf(2) ** -r * cap(mpmath.fsum(
+                abs(v) * r ** (i - 1) for i, v in d.items())) for r in range(1, space.rmax + 1))
+                for d, cap in ((diff, lambda t: min(1, t)), (mods, lambda t: t)))
+        bound = 4 * m * mpf(2) ** -52 * mass + (m * mpf(2) ** -1074) ** (1 / mpf(root)) + skew
+        return exact, bound
 
 
 coefficients = st.builds(
@@ -441,22 +470,55 @@ def distance_cases(draw):
 
 
 class TestOrbitDistances:
-    """``_orbit_distances`` against the per-time scalar route, with ``==``."""
+    """``_orbit_distances`` against mpmath, and the one kernel behind it
+    and ``fnorm``/``weakstar_gap``."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(distance_cases())
-    def test_matches_the_scalar_route(self, case):
+    def test_within_the_error_bound_of_mpmath(self, case):
         space, op, x, ns, center, functionals = case
         got = constructor._orbit_distances(space, op, x, [n * op.power for n in ns], center,
                                            functionals)
-        want = [_scalar_distance(space, op, x, n, center, functionals) for n in ns]
-        assert got.tolist() == want
+        for n, value in zip(ns, got.tolist()):
+            exact, bound = _exact_distance(space, op, x, n, center, functionals)
+            assert abs(value - exact) <= bound, (n, value, exact, bound)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(distance_cases())
+    def test_fnorm_of_iterate_is_the_orbit_distance(self, case):
+        # one kernel: each time's distance has the bits of ``fnorm`` (the
+        # weak* gap) of that time's vector
+        space, op, x, ns, center, functionals = case
+        got = constructor._orbit_distances(space, op, x, [n * op.power for n in ns], center,
+                                           functionals)
+        for n, value in zip(ns, got.tolist()):
+            y = iterate(op, x, n)
+            want = (fnorm(space, y - center) if functionals is None
+                    else weakstar_gap(y, center, functionals))
+            assert value.hex() == want.hex()
+
+    def test_a_dead_tail_reads_the_center_once(self, monkeypatch):
+        # the backward orbit of e_1 + ... + e_5 has no term from time 5 on:
+        # 10^5 times read a 300-entry center once, and no kernel call merges
+        # more than ORBIT_CHUNK_TERMS terms (the center counts at every
+        # time with a term)
+        monkeypatch.setattr(shiftops, "ORBIT_CHUNK_TERMS", 1000)
+        x = CoeffVector(UNILATERAL, {j: 1.0 for j in range(1, 6)})
+        center = CoeffVector(UNILATERAL, {j: 0.5 for j in range(1, 301)})
+        merged = []
+        real = constructor._distances
+        monkeypatch.setattr(constructor, "_distances",
+                            lambda *a: merged.append(sum(a[4]) + 300 * len(a[4])) or real(*a))
+        got = constructor._orbit_distances(lp(2), OperatorSpec(ConstantWeight(2), BACKWARD), x,
+                                           np.arange(1, 10**5 + 1), center)
+        assert merged == [4 + 3 + 2 + 3 * 300, 1 + 2 * 300]
+        assert len(got) == 10**5 and (got[4:] == fnorm(lp(2), -center)).all()
 
     # each part below 2^1023, the modulus past double range
     HUGE = complex(7e307, 7e307)
     OVERFLOWS = {
         # forward Constant(0.5) coefficients grow as 2^n: their square
-        # leaves double range near n = 512, their exp near n = 1024
+        # leaves double range at n = 513, the terms themselves at n = 1025
         "exp": (OperatorSpec(ConstantWeight(0.5), FORWARD), {1: 1.0}, {1: 1.0}, range(1, 1100)),
         # at n = 1 the difference at index 1 has a modulus past double range;
         # at n = 2 the orbit is 0 and the distance is the center's norm,
@@ -465,28 +527,47 @@ class TestOrbitDistances:
         "dead time first": (OperatorSpec(ConstantWeight(1.0), BACKWARD), {2: HUGE},
                             {1: -HUGE}, [2, 1]),
         # the square at index 1 overflows before the modulus at index 3,
-        # and the other way round
+        # and the other way round: either way one error names time 1
         "pow then abs": (OperatorSpec(ConstantWeight(1.0), BACKWARD), {2: 1e200, 4: HUGE},
                          {3: -HUGE}, [1]),
         "abs then pow": (OperatorSpec(ConstantWeight(1.0), BACKWARD), {2: HUGE, 4: 1e200},
                          {1: -HUGE}, [1]),
     }
+    TERM = "time 1025: a term of log-magnitude 710.476 is past double range"
+    RAISED = {
+        ("exp", "l1"): TERM,
+        ("exp", "l2"): "time 513: the distance inf is past double range",
+        ("exp", "c0"): TERM,
+        ("exp", "entire"): TERM,
+        ("exp", "weak*"): TERM,
+        ("abs", "l1"): "time 1: the distance inf is past double range",
+        ("abs", "l2"): "time 1: the distance inf is past double range",
+        ("abs", "c0"): "time 1: the distance inf is past double range",
+        ("abs", "weak*"): "time 1: the distance inf is past double range",
+        ("dead time first", "l1"): "time 1: the distance inf is past double range",
+        ("dead time first", "l2"): "time 2: the distance inf is past double range",
+        ("dead time first", "c0"): "time 1: the distance inf is past double range",
+        ("dead time first", "weak*"): "time 1: the distance inf is past double range",
+        **{(case, space): "time 1: the distance inf is past double range"
+           for case in ("pow then abs", "abs then pow") for space in ("l1", "l2", "c0", "weak*")},
+    }
 
     @pytest.mark.parametrize("case", OVERFLOWS)
-    @pytest.mark.parametrize("space", [lp(1), lp(2), c0(), entire(2), linf_weakstar()],
+    @pytest.mark.parametrize("name,space", [("l1", lp(1)), ("l2", lp(2)), ("c0", c0()),
+                                            ("entire", entire(2)), ("weak*", linf_weakstar())],
                              ids=["l1", "l2", "c0", "entire", "weak*"])
-    def test_overflow_raises_what_the_first_time_raises(self, space, case):
+    def test_overflow_raises_one_error_naming_the_first_time(self, name, space, case):
         op, x, center, ns = self.OVERFLOWS[case]
         x, center = CoeffVector(UNILATERAL, x), CoeffVector(UNILATERAL, center)
         functionals = coordinate_functionals(2000) if space.kind == "linf_weakstar" else None
-        # ``iterate`` refuses a coefficient past double range by name
-        errors = (OverflowError, ResourceLimitError)
-        with pytest.raises(errors) as want:
-            for n in ns:
-                _scalar_distance(space, op, x, n, center, functionals)
-        with pytest.raises(errors) as got:
+        want = self.RAISED.get((case, name))
+        if want is None:
+            # an H(C) distance is at most 1 whatever its moduli
+            got = constructor._orbit_distances(space, op, x, ns, center, functionals)
+            assert ((0 < got) & (got <= 1)).all()
+            return
+        with pytest.raises(ResourceLimitError, match=f"^{want}$"):
             constructor._orbit_distances(space, op, x, ns, center, functionals)
-        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
     def test_overflow_names_the_time_of_the_power(self):
         # forward Constant(0.5) at power 3: time 342 is step 1026, the first
@@ -511,28 +592,23 @@ class TestOrbitDistances:
         iterate(op, x, 3)
         assert calls == once
         calls.clear()
-        assert len(list(orbit_slices(op, x, steps))) == len(steps)
-        assert calls == once
-        calls.clear()
         constructor._orbit_distances(lp(2), op, x, steps, E1)
         assert calls == once
 
-    def test_no_time_reads_the_scalar_route(self, monkeypatch):
-        # the value of -center is computed once per call; no time builds a
-        # coefficient map
+    def test_the_kernel_runs_once_per_batch(self, monkeypatch):
+        # no time builds a vector or map, or calls the kernel of its own
         plan = build_vector(lp(2), ConstantWeight(2), 1, canonical_targets(3), horizon=10**3)
         op = OperatorSpec(ConstantWeight(2), BACKWARD)
         calls = []
-        for name in ("_minus", "_fnorm", "_gap"):
-            real = getattr(constructor, name)
-            monkeypatch.setattr(constructor, name,
-                                lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
-        verify_eq33(plan)
-        assert calls == ["_minus", "_fnorm"] * 3
+        real = constructor._distances
+        monkeypatch.setattr(constructor, "_distances",
+                            lambda *a: calls.append(len(a[4])) or real(*a))
+        rep = verify_eq33(plan)
+        assert len(calls) == 3 and sum(calls) == len(rep.checks)
         calls.clear()
         weak = WeakStarTarget(plan.targets[0], coordinate_functionals(3), 0.5)
         hit_experiment(linf_weakstar(), op, plan.candidate, weak, horizon=1000)
-        assert calls == ["_gap"]
+        assert calls == [1000]
 
 
 class TestEq33ReportColumns:
@@ -654,10 +730,32 @@ class TestHitExperiments:
             )
             assert rot.hits.times == base.hits.times
 
-    def test_modulus_ball_target(self):
-        tgt = modulus_ball(0.5)
-        assert tgt.predicate({1: 0.2, 5: 0.4})
-        assert not tgt.predicate({1: 0.7})
+    def test_modulus_targets_carry_their_data(self):
+        assert modulus_ball(0.5) == constructor.ModulusTarget(None, 0.5)
+        assert modulus_ball(0.5).describe() == "max|y_n| < 0.5"
+        assert modulus_exceeds(3, 0.25) == constructor.ModulusTarget(3, 0.25)
+        assert modulus_exceeds(3, 0.25).describe() == "|y_3| > 0.25"
+
+    def test_modulus_ball_hits(self):
+        x = CoeffVector(UNILATERAL, {1: 0.2, 3: 0.7})
+        r = hit_experiment(lp(2), OperatorSpec(ConstantWeight(1), BACKWARD), x,
+                           modulus_ball(0.5), horizon=4)
+        # times 1 and 2 move 0.7 to indices 2 and 1 (a modulus by libm's exp
+        # of its log); from time 3 the orbit is zero, whose largest modulus is 0
+        top = math.exp(math.log(0.7))
+        assert [(e["value"], e["hit"]) for e in r.events] == [
+            (top, False), (top, False), (0.0, True), (0.0, True)]
+
+    def test_modulus_at_an_index_the_orbit_lacks_is_zero(self):
+        # a unilateral orbit has no index 0: |y_0| reads 0.0, as at any
+        # index past the orbit's support, so it exceeds no threshold >= 0
+        x = CoeffVector(UNILATERAL, {1: 0.2, 3: 0.7})
+        op = OperatorSpec(ConstantWeight(1), BACKWARD)
+        for index in (0, -3, 9):
+            r = hit_experiment(lp(2), op, x, modulus_exceeds(index, 0.0), horizon=4)
+            assert len(r.hits) == 0
+        r = hit_experiment(lp(2), op, x, modulus_exceeds(1, 0.5), horizon=4)
+        assert r.hits.times == (2,)
 
     def test_event_log_shape(self):
         r = hit_experiment(

@@ -160,7 +160,7 @@ class TestScalarClassifier:
     # n^-18.625 times 10^12 reaches normal range through a subnormal n^-18.625
     @example(lp(1), ("power", 18.625), 12)
     @example(c0(), ("power", 18.625), 12)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         st.sampled_from([lp(1), lp(2), c0()]),
         st.one_of(

@@ -4,13 +4,13 @@ from hypothesis import given, strategies as st
 from shiftlab.errors import (
     DomainMismatchError,
     InvalidArgumentError,
+    ResourceLimitError,
     UnsupportedOperationError,
 )
 from shiftlab.seqspace import (
     BILATERAL,
     UNILATERAL,
     CoeffVector,
-    coeff_majorant,
     c0,
     entire,
     fnorm,
@@ -104,10 +104,21 @@ class TestFNorms:
         v = vec({3: 1e9})
         assert fnorm(entire(8), v) < 1.0
 
-    def test_coeff_majorant_indexing(self):
-        # 2 z^0 + 3 z^2 at radius 2 -> 2 + 12
-        v = vec({1: 2.0, 3: 3.0})
-        assert coeff_majorant(v, 2.0) == pytest.approx(14.0)
+    def test_entire_norm_indexing(self):
+        # z^0 / 4 + z^2 / 8: M_1 = 3/8 and M_2 = 1/4 + 4/8, all exact
+        v = vec({1: 0.25, 3: 0.125})
+        assert fnorm(entire(2), v) == 0.5 * 0.375 + 0.25 * 0.75
+
+    def test_a_norm_past_double_range_raises_without_a_time(self):
+        # each part finite, the modulus past double range
+        v = vec({1: complex(1.5e308, 1.5e308), 2: 1e200})
+        for space in (lp(1), lp(2), c0()):
+            with pytest.raises(ResourceLimitError,
+                               match="^the distance inf is past double range$"):
+                fnorm(space, v)
+        with pytest.raises(ResourceLimitError, match="^the distance inf is past double range$"):
+            weakstar_gap(v, vec({}), [vec({1: 1.0})])
+        assert fnorm(entire(2), v) == 0.75
 
     def test_entire_norm_survives_overflowing_powers(self):
         # R^399 overflows for R >= 6, where M_R >= 1 saturates
@@ -120,12 +131,6 @@ class TestFNorms:
         # 14 digits and log space loses about one more.
         got = fnorm(entire(8), vec({343: 1e-310}))
         assert got == pytest.approx(0.000280889552322237, rel=1e-13)
-
-    def test_majorant_terms_in_range_keep_their_bits(self):
-        v = vec({1: 0.3 - 0.1j, 7: 2.5, 40: 1e-20j, 300: 1e-250})
-        for r in range(1, 9):
-            want = sum(abs(c) * float(r) ** (i - 1) for i, c in v.entries.items())
-            assert coeff_majorant(v, float(r)).hex() == want.hex()
 
     def test_weakstar_space_has_no_norm(self):
         with pytest.raises(UnsupportedOperationError):

@@ -25,7 +25,6 @@ from shiftlab.shiftops import (
     apply,
     iterate,
     orbit_batch,
-    orbit_slices,
     smu_power_basis,
     tmu_apply,
 )
@@ -345,6 +344,14 @@ def term_bits(terms):
     return [(i, lm.hex(), ph.hex()) for i, lm, ph in terms]
 
 
+def batch_terms(op, v, steps):
+    """``orbit_batch``'s terms, per time as (index, logmag, phase) lists."""
+    idx, lm, ph, counts = orbit_batch(op, v, steps)
+    ends = np.cumsum(counts).tolist()
+    return [list(zip(idx[a:b].tolist(), lm[a:b].tolist(), ph[a:b].tolist()))
+            for a, b in zip([0] + ends[:-1], ends)]
+
+
 def vector_bits(v):
     return [(i, c.real.hex(), c.imag.hex()) for i, c in v.entries.items()]
 
@@ -399,29 +406,41 @@ class TestBatchedOrbitEngine:
                     continue
                 assert vector_bits(iterate(op, v, n)) == want
 
-    def test_chunked_slices_match_one_batch(self, monkeypatch):
+    def test_chunks_match_one_batch(self, monkeypatch):
         v = CoeffVector(UNILATERAL, UNI_VECTOR)
         op = OperatorSpec(ConstantWeight(1.5), BACKWARD)
         idx, lm, ph, counts = orbit_batch(op, v, STEPS)
         monkeypatch.setattr(shiftops, "ORBIT_CHUNK_TERMS", 4)
-        slices = []
+        runs = []
         # time 5000 moves 1.5^5000 e_1000 past double range: the times
         # before it are yielded, then it is refused by name
         with pytest.raises(ResourceLimitError,
                            match="^time 5000: a term of log-magnitude 2028.42 "):
-            slices.extend(orbit_slices(op, v, STEPS))
+            runs.extend(shiftops._orbit_chunks(op, v, STEPS))
         n = STEPS.index(5000)
         m = int(counts[:n].sum())
-        assert [len(s[0]) for s in slices] == counts[:n].tolist()
-        assert sum((s[0] for s in slices), []) == idx[:m].tolist()
-        assert sum((s[1] for s in slices), []) == lm[:m].tolist()
-        assert sum((s[2] for s in slices), []) == ph[:m].tolist()
+        assert len(runs) > 1
+        assert np.concatenate([r[0] for r in runs]).tolist() == STEPS[:n]
+        assert np.concatenate([r[3] for r in runs]).tolist() == counts[:n].tolist()
+        assert np.concatenate([r[1] for r in runs]).tolist() == idx[:m].tolist()
+        # the coefficients are libm's rect(exp) of the batch's terms
+        z = [cmath.rect(math.exp(a), b) for a, b in zip(lm[:m].tolist(), ph[:m].tolist())]
+        got = np.concatenate([r[2] for r in runs]).tolist()
+        assert [(c.real.hex(), c.imag.hex()) for c in got] == [
+            (c.real.hex(), c.imag.hex()) for c in z]
 
-    def test_slices_yield_every_time(self):
+    def test_moduli_are_libm_exp(self):
+        v = CoeffVector(UNILATERAL, UNI_VECTOR)
+        op = OperatorSpec(ConstantWeight(cmath.rect(1.5, 0.7)), FORWARD)
+        _, lm, _, _ = orbit_batch(op, v, STEPS)
+        ((_, _, z, _),) = shiftops._orbit_chunks(op, v, STEPS, phases=False)
+        assert z.real.tolist() == [math.exp(a) for a in lm.tolist()] and not z.imag.any()
+
+    def test_batch_yields_every_time(self):
         v = CoeffVector(UNILATERAL, UNI_VECTOR)
         op = OperatorSpec(BergmanWeight(), BACKWARD)
         ns = [0, 5, 4100, 6001, 1]
-        got = [term_bits(zip(*terms)) for terms in orbit_slices(op, v, ns)]
+        got = [term_bits(t) for t in batch_terms(op, v, ns)]
         assert iterate(op, v, 0) is v
         assert got == [term_bits(scalar_orbit_entries(op, v, n)) for n in ns]
         assert got[3] == [] and iterate(op, v, 6001) == CoeffVector.zero()
@@ -454,7 +473,7 @@ class TestBatchedOrbitEngine:
         with pytest.raises(InvalidArgumentError):
             iterate(op, CoeffVector.basis(3), -2)
         with pytest.raises(InvalidArgumentError):
-            list(orbit_slices(op, CoeffVector.basis(3), [2, -2]))
+            list(shiftops._orbit_chunks(op, CoeffVector.basis(3), [2, -2]))
         with pytest.raises(DomainMismatchError):
             orbit_batch(op, CoeffVector.basis(3, BILATERAL), [1])
 
@@ -470,7 +489,7 @@ class TestStepCountsPastInt64:
     def test_earlier_times_of_a_batch_are_unchanged(self):
         op = OperatorSpec(ConstantWeight(2), BACKWARD)
         v = CoeffVector(UNILATERAL, UNI_VECTOR)
-        got = [term_bits(zip(*t)) for t in orbit_slices(op, v, [0, 3, 7, 2**70, 5])]
+        got = [term_bits(t) for t in batch_terms(op, v, [0, 3, 7, 2**70, 5])]
         want = [term_bits(scalar_orbit_entries(op, v, n)) for n in (0, 3, 7)]
         assert got[:3] == want
         assert got[3] == [] and got[4] == term_bits(scalar_orbit_entries(op, v, 5))
