@@ -9,7 +9,8 @@ newline line ends), streamed from columns in chunks.  A chunk of numpy
 bool, int and float columns is formatted in numpy, each run of equal
 cells once, with repr's shortest float digits computed exactly in uint64
 arithmetic; any other chunk goes through csv.writer.  Orbit logs are
-JSON-lines, and all files are written atomically.
+JSON-lines, the bytes of json.dumps per record, from the same row kernel,
+and all files are written atomically.
 
 Exit codes: 0 completed, 1 usage/config error, 2 refusal or violations.
 """
@@ -84,7 +85,8 @@ def _digit_words() -> np.ndarray:
 
 
 _FULL, _LEAD, _LEAD1, _TRAIL, _TRAIL1 = range(0, 50000, 10000)
-_BOOL_TEXT = np.frombuffer(b"False\0True", np.uint8).reshape(2, 5)
+# str's and JSON's bool spellings, 0 bytes as pads
+_BOOL_TEXT = np.frombuffer(b"False\0Truefalse\0true", np.uint8).reshape(2, 2, 5)
 _U64 = np.uint64
 _POW5 = 5 ** np.arange(22, dtype=np.uint64)
 _POW10 = 10 ** np.arange(18, dtype=np.uint64)
@@ -373,8 +375,9 @@ def _shortest(x: np.ndarray):
     return c, kt, exact, a.astype(np.uint64)
 
 
-def _float_text(column) -> np.ndarray:
-    """One row of bytes per cell of a float column: repr's text, and pads."""
+def _float_text(column, spell=repr) -> np.ndarray:
+    """One row of bytes per cell of a float column: repr's text, and pads;
+    ``spell`` writes the cells outside the digit kernel."""
     x = column.astype(np.float64, copy=False)
     c, kt, exact, ip = _shortest(x)
     # The integer part is floor |x|: an integer between x and its repr
@@ -387,7 +390,7 @@ def _float_text(column) -> np.ndarray:
     text = _number_text(ip, np.signbit(x) & exact, frac)
     fallback = np.flatnonzero(~exact)
     if len(fallback):
-        rep = np.array([repr(v) for v in x[fallback].tolist()], dtype="S")
+        rep = np.array([spell(v) for v in x[fallback].tolist()], dtype="S")
         rep = rep.view(np.uint8).reshape(len(fallback), -1)
         if rep.shape[1] > text.shape[1]:
             text = np.pad(text, ((0, 0), (0, rep.shape[1] - text.shape[1])))
@@ -396,12 +399,13 @@ def _float_text(column) -> np.ndarray:
     return text
 
 
-def _text(column) -> np.ndarray:
-    """One row of bytes per cell of a numpy column, as str writes it."""
+def _text(column, json_cells: bool) -> np.ndarray:
+    """One row of bytes per cell of a numpy column, as str writes it, or
+    with ``json_cells`` as json.dumps does (bools and non-finite floats)."""
     if column.dtype.kind == "f":
-        return _float_text(column)
+        return _float_text(column, json.dumps if json_cells else repr)
     if column.dtype.kind == "b":
-        return _BOOL_TEXT[column.view(np.uint8)][:, int(column.all()) :]
+        return _BOOL_TEXT[int(json_cells)][column.view(np.uint8)][:, int(column.all()) :]
     mag, neg = column.astype(np.uint64), column < 0
     np.negative(mag, out=mag, where=neg)
     return _number_text(mag, neg)
@@ -413,52 +417,68 @@ def _writer_bytes(rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def _csv_rows(columns, lo: int, hi: int) -> bytes:
-    """Rows lo..hi-1 of ``columns``, one chunk, in csv.writer's bytes.  A
-    chunk of numpy bool, int and float columns is formatted in numpy: the
-    text of each run of equal cells once, as a row of bytes with 0 bytes as
-    pads, spread over a row matrix, one row per CSV row, whose pads are
-    then dropped.  Any other chunk, or one of fewer than _WRITER_ROWS rows,
-    goes through csv.writer."""
-    chunk = [c[lo:hi] for c in columns]
-    if hi - lo < _WRITER_ROWS or not all(
-            isinstance(c, np.ndarray) and c.dtype.kind in "biuf" and c.itemsize <= 8
-            for c in chunk):
-        return _writer_bytes(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk)))
-    cells = []
-    for c in chunk:
-        starts = np.flatnonzero(np.concatenate(([True], _changes(c))))
-        runs = len(starts) < len(c)  # some run of equal cells is longer than one
-        text = _text(c[starts] if runs else c)
-        text = text.view(f"V{text.shape[1]}")[:, 0]  # a cell's bytes as one item
-        cells.append(text.repeat(np.diff(starts, append=len(c))) if runs else text)
-    width = sum(c.itemsize + 1 for c in cells)
-    buf = bytearray((hi - lo) * width)  # translate drops the pads without a copy
-    matrix = np.frombuffer(buf, np.uint8).reshape(hi - lo, width)
-    at = 0
-    for c in cells:
-        matrix[:, at : at + c.itemsize].view(c.dtype)[:, 0] = c
-        matrix[:, at + c.itemsize] = 44
-        at += c.itemsize + 1
-    matrix[:, -1] = 10
-    return buf.translate(None, b"\0")
+def _formatted(columns, seps, json_cells: bool, scalar_rows):
+    """The bytes of each CSV_CHUNK_ROWS rows of ``columns``.  A chunk of at
+    least _WRITER_ROWS rows of numpy bool, int and float columns goes
+    through the row kernel: row i is seps[0], cell i of the first column,
+    seps[1], ..., cell i of the last column and seps[-1], each cell as
+    ``_text`` writes it.  The text of each run of equal cells is made once,
+    as a row of bytes with 0 bytes as pads, and spread over a row matrix,
+    one row per output row, whose pads are then dropped.  Any other chunk
+    goes to ``scalar_rows`` as rows of Python scalars."""
+    for lo in range(0, len(columns[0]) if len(columns) else 0, CSV_CHUNK_ROWS):
+        chunk = [c[lo : lo + CSV_CHUNK_ROWS] for c in columns]
+        if len(chunk[0]) < _WRITER_ROWS or not all(
+                isinstance(c, np.ndarray) and c.dtype.kind in "biuf" and c.itemsize <= 8
+                for c in chunk):
+            yield scalar_rows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                                    for c in chunk)))
+            continue
+        cells = []
+        for c in chunk:
+            starts = np.flatnonzero(np.concatenate(([True], _changes(c))))
+            runs = len(starts) < len(c)  # some run of equal cells is longer than one
+            text = _text(c[starts] if runs else c, json_cells)
+            text = text.view(f"V{text.shape[1]}")[:, 0]  # a cell's bytes as one item
+            cells.append(text.repeat(np.diff(starts, append=len(c))) if runs else text)
+        width = sum(map(len, seps)) + sum(c.itemsize for c in cells)
+        buf = bytearray(len(chunk[0]) * width)  # translate drops the pads without a copy
+        matrix = np.frombuffer(buf, np.uint8).reshape(-1, width)
+        at = 0
+        for sep, c in zip(seps, cells + [None]):
+            matrix[:, at : at + len(sep)] = np.frombuffer(sep, np.uint8)
+            at += len(sep)
+            if c is not None:
+                matrix[:, at : at + c.itemsize].view(c.dtype)[:, 0] = c
+                at += c.itemsize
+        yield buf.translate(None, b"\0")
 
 
 def write_csv(path: str, header, columns):
     """Write equal-length ``columns`` (numpy arrays or sequences) under a
-    header row, CSV_CHUNK_ROWS rows at a time, in csv.writer's bytes (see
-    ``_csv_rows``)."""
-    rows = len(columns[0]) if len(columns) else 0
+    header row in csv.writer's bytes, chunk by chunk (``_formatted``)."""
+    seps = [b""] + [b","] * (len(columns) - 1) + [b"\n"]
     with _atomic_file(path) as fh:
         fh.buffer.write(_writer_bytes([header]))
-        for lo in range(0, rows, CSV_CHUNK_ROWS):
-            fh.buffer.write(_csv_rows(columns, lo, min(lo + CSV_CHUNK_ROWS, rows)))
+        for part in _formatted(columns, seps, False, _writer_bytes):
+            fh.buffer.write(part)
 
 
-def write_jsonl(path: str, records):
-    encode = json.JSONEncoder(sort_keys=True).encode
-    lines = [encode(rec) for rec in records]
-    atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
+def write_jsonl(path: str, keys, columns):
+    """Write one JSON object per row of equal-length ``columns`` named by
+    ``keys``, each line the bytes of json.dumps(record, sort_keys=True):
+    through ``_formatted`` with the keys in the separators, JSON's spelling
+    of bools and non-finite floats, and json.dumps for the other chunks.
+    The text goes to ``atomic_write``."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    keys = [keys[i] for i in order]
+    seps = [f"{', ' if i else '{'}{json.dumps(k)}: ".encode() for i, k in enumerate(keys)]
+
+    def dumps(rows):
+        return "".join(json.dumps(dict(zip(keys, row)), sort_keys=True) + "\n"
+                       for row in rows).encode()
+    parts = _formatted([columns[i] for i in order], seps + [b"}\n"], True, dumps)
+    atomic_write(path, b"".join(parts).decode())
 
 
 def _indented_json(value, pad: str = "") -> str:
@@ -620,44 +640,24 @@ def run_construct(config: dict, args) -> int:
 
 
 def run_orbit(config: dict, args) -> int:
-    cfg = _resolve(
-        config,
-        args,
-        {
-            "space": {},
-            "weights": ...,
-            "vector": ...,
-            "target": ...,
-            "q": 1,
-            "exponents": "linear",
-            "direction": BACKWARD,
-            "rotation": None,
-            "power": 1,
-            "burn_in": None,
-        },
-    )
+    cfg = _resolve(config, args, {
+        "space": {}, "weights": ..., "vector": ..., "target": ..., "q": 1,
+        "exponents": "linear", "direction": BACKWARD, "rotation": None, "power": 1,
+        "burn_in": None})
     space = parse_space(cfg["space"])
     w = parse_weights(cfg["weights"])
     rotation = cfg["rotation"]
     op = OperatorSpec(
-        w,
-        cfg["direction"],
+        w, cfg["direction"],
         rotation=1.0 if rotation is None else _convert(_complex, rotation, "config.rotation"),
-        power=_convert(int, cfg["power"], "config.power"),
-    )
+        power=_convert(int, cfg["power"], "config.power"))
     x = parse_vector(cfg["vector"], w.domain)
     target = parse_target(cfg["target"], w.domain)
     result = ctor.hit_experiment(
-        space,
-        op,
-        x,
-        target,
-        exponents=cfg["exponents"],
-        q=_convert(int, cfg["q"], "config.q"),
-        horizon=cfg["horizon"],
-        burn_in=_optional(int, cfg, "burn_in"),
-    )
-    write_jsonl(os.path.join(cfg["out"], "orbit_events.jsonl"), result.events)
+        space, op, x, target, exponents=cfg["exponents"], q=_convert(int, cfg["q"], "config.q"),
+        horizon=cfg["horizon"], burn_in=_optional(int, cfg, "burn_in"))
+    write_jsonl(os.path.join(cfg["out"], "orbit_events.jsonl"), ctor.EVENT_KEYS,
+                result.events.columns)
     write_csv(os.path.join(cfg["out"], "hits.csv"), ["time"], [result.hits.array])
     growth = (
         f"bounded C={result.growth.constant:.6g}"
@@ -672,36 +672,21 @@ def run_orbit(config: dict, args) -> int:
 
 
 def run_weakstar(config: dict, args) -> int:
-    cfg = _resolve(
-        config,
-        args,
-        {
-            "weights": ...,
-            "vector": ...,
-            "center": ...,
-            "functionals": 3,
-            "eps": 0.5,
-            "burn_in": None,
-        },
-    )
+    cfg = _resolve(config, args, {"weights": ..., "vector": ..., "center": ...,
+                                  "functionals": 3, "eps": 0.5, "burn_in": None})
     w = parse_weights(cfg["weights"])
     x = parse_vector(cfg["vector"], w.domain)
     center = parse_vector(cfg["center"], w.domain, "center")
     try:
+        functionals = ctor.coordinate_functionals(
+            _convert(int, cfg["functionals"], "config.functionals"), w.domain)
         result = ctor.transfer_weakstar(
-            w,
-            x,
-            ctor.coordinate_functionals(
-                _convert(int, cfg["functionals"], "config.functionals"), w.domain
-            ),
-            center,
-            eps=_convert(float, cfg["eps"], "config.eps"),
-            horizon=cfg["horizon"],
-            burn_in=_optional(int, cfg, "burn_in"),
-        )
+            w, x, functionals, center, eps=_convert(float, cfg["eps"], "config.eps"),
+            horizon=cfg["horizon"], burn_in=_optional(int, cfg, "burn_in"))
     except InvalidArgumentError as exc:
         raise ConfigError(str(exc)) from exc
-    write_jsonl(os.path.join(cfg["out"], "weakstar_events.jsonl"), result.events)
+    write_jsonl(os.path.join(cfg["out"], "weakstar_events.jsonl"), ctor.EVENT_KEYS,
+                result.events.columns)
     write_csv(os.path.join(cfg["out"], "hits.csv"), ["time"], [result.hits.array])
     print(
         f"weak* target {result.target}: {len(result.hits)} hits, "

@@ -37,6 +37,7 @@ from .criterion import (
     qfhc_check,
 )
 from .density import (
+    Columns,
     DensityEstimate,
     GrowthBound,
     HitSet,
@@ -134,13 +135,13 @@ def _certified_s_tails(space: SpaceSpec, w: WeightSeq, q: int, j: int,
     return np.maximum(np.maximum.accumulate(t[::-1])[::-1], beyond)
 
 
-def _powers(ns, q: int):
-    """n**q for each n >= 0 in ``ns``: an int64 array, or a list of Python
-    ints when the largest passes int64 (``_step_array`` clips those)."""
+def _powers(ns, q: int, factor: int = 1) -> np.ndarray:
+    """n**q * factor for each n >= 0 in ``ns``: int64, or Python ints in an
+    object array when the largest passes int64 (``_step_array`` clips those)."""
     ns = np.asarray(ns, dtype=np.int64)
-    if not len(ns) or int(ns.max()) ** q <= np.iinfo(np.int64).max:
-        return ns**q
-    return [n**q for n in ns.tolist()]
+    if len(ns) and int(ns.max()) ** q * factor > np.iinfo(np.int64).max:
+        ns = ns.astype(object)
+    return ns**q * factor
 
 
 def _orbit_distances(space: SpaceSpec, op: OperatorSpec, x: CoeffVector, steps,
@@ -314,7 +315,7 @@ def build_vector(
     block_norms = []
     for k, x_k in enumerate(targets, start=1):
         cls = jsets.classes[k - 1]
-        if not cls:
+        if not len(cls):
             warns.append(
                 f"class {k} has no elements below the exponent horizon; "
                 "its target is not represented in the candidate"
@@ -414,7 +415,7 @@ def verify_eq33(plan: ConstructionPlan) -> Eq33Report:
     columns = []
     edges = []
     for k in range(1, plan.k_classes + 1):
-        ms = np.asarray(plan.jsets.classes[k - 1], dtype=np.int64)
+        ms = plan.jsets.classes[k - 1]
         interior = ms <= m_edge
         edges.extend((k, m) for m in ms[~interior].tolist())
         ms = ms[interior]
@@ -493,12 +494,16 @@ def coordinate_functionals(m: int, domain: str = UNILATERAL) -> tuple[CoeffVecto
     return tuple(CoeffVector.basis(i, domain) for i in range(1, m + 1))
 
 
+# the columns of HitExperimentResult.events, one row per orbit time
+EVENT_KEYS = ("n", "exponent", "value", "hit")
+
+
 @dataclass(frozen=True)
 class HitExperimentResult:
     hits: HitSet
     density: DensityEstimate
     growth: GrowthBound | None
-    events: tuple[dict, ...]
+    events: Columns  # EVENT_KEYS
     target: str
     operator: str
 
@@ -520,15 +525,14 @@ def hit_experiment(
 
     ``exponents='powers'`` visits only times n^q; either way membership
     is recorded at the actual time, and the density estimate uses the
-    supplied q.
+    supplied q.  The events are columns: n, the exponent (time times the
+    operator's power), the value and the hit flag.
     """
     if exponents not in ("linear", "powers"):
         raise InvalidArgumentError("exponents must be 'linear' or 'powers'")
-    if exponents == "powers":
-        pairs = [(n, n**q) for n in range(1, iroot(horizon, q) + 1)]
-    else:
-        pairs = [(n, n) for n in range(1, horizon + 1)]
-    shifts = [steps * op.power for _, steps in pairs]
+    q_time = q if exponents == "powers" else 1
+    ns = np.arange(1, iroot(horizon, q_time) + 1, dtype=np.int64)
+    steps, shifts = _powers(ns, q_time), _powers(ns, q_time, op.power)
     if isinstance(target, ModulusTarget):
         # moduli by libm's exp: the largest (the c0 norm of the moduli), and
         # the one at the index, 0.0 where the orbit has no term there
@@ -549,20 +553,12 @@ def hit_experiment(
         hit = values < target.eps
     else:
         raise InvalidArgumentError(f"unknown target type {type(target)!r}")
-    hits = []
-    events = []
-    for (n, steps), shift, h, value in zip(pairs, shifts, hit.tolist(), values.tolist()):
-        if h:
-            hits.append(steps)
-        events.append({"n": n, "exponent": shift, "value": value, "hit": h})
-    hitset = HitSet.from_iterable(hits, horizon)
-    density = q_lower_density(hitset, q, burn_in=burn_in)
-    growth = check_growth_bound(hitset, q) if hitset.times else None
+    hitset = HitSet(steps[hit], horizon)
     return HitExperimentResult(
         hits=hitset,
-        density=density,
-        growth=growth,
-        events=tuple(events),
+        density=q_lower_density(hitset, q, burn_in=burn_in),
+        growth=check_growth_bound(hitset, q) if len(hitset) else None,
+        events=Columns(ns, shifts, values, hit),
         target=target.describe(),
         operator=op.describe(),
     )

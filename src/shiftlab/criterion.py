@@ -522,11 +522,12 @@ def _classify_weighted(space: SpaceSpec, w: WeightSeq, q: int, n_max: int,
     and checks its scan's index range; the first read of its checkpoints
     or sums (``Verdict.__getattr__``) runs ``_scan`` on min(n_max,
     SCAN_TERMS) terms (n_max = 0 reads none), or min(head, SCAN_TERMS) of
-    a head.  A convergent summable series reports the scan total plus
-    ``_class_tail`` (``full``: see ``_offsets``); a whole head reports its
-    total, with tail 0.  A head longer than SCAN_TERMS, a non-finite sum,
-    a decay condition, a scan that ends inside a table's head, or a tail
-    the class does not give reports no sum.
+    a head (under ``decay`` at most n_max).  A convergent summable series
+    reports the scan total plus ``_class_tail`` (``full``: see
+    ``_offsets``); a whole head reports its total, with tail 0.  A head
+    longer than SCAN_TERMS, a non-finite sum, a decay condition, a scan
+    that ends inside a table's head, or a tail the class does not give
+    reports no sum.
     """
     if space.domain != w.domain:
         raise DomainMismatchError(
@@ -563,7 +564,8 @@ def _classify_weighted(space: SpaceSpec, w: WeightSeq, q: int, n_max: int,
             rule = "terms eventually zero (backward shift falls off the edge)"
         else:
             cls, verdict, rule = decided(direction)
-        n_scan = min(n_max if head is None else head, SCAN_TERMS)
+        # a decay condition reports no sum, so a head's scan, too, stops at n_max
+        n_scan = min(n_max if head is None else min(head, n_max) if decay else head, SCAN_TERMS)
         if n_scan:  # the prefix indices j + direction n^q the scan will read
             w._check(*sorted((j + direction, j + direction * n_scan**q)))
 
@@ -684,10 +686,10 @@ def hc_check(
     """Orbit-norm decay of T^n e_j and S^n e_j (the plain hypercyclicity
     criterion, not the frequent one): decay of the terms P(j) - P(j -/+ n),
     decided by ``_classify_weighted`` with n_max = horizon, where a
-    unilateral T-orbit is a finite head.  On H(C) the terms carry the
-    majorant factor R^(j - 1 -/+ n) at R = rmax, the worst radius; on every
-    other space the norm of a basis vector's orbit is the modulus of its
-    one coefficient, the c0 condition."""
+    unilateral T-orbit is a finite head, scanned up to the horizon.  On H(C)
+    the terms carry the majorant factor R^(j - 1 -/+ n) at R = rmax, the
+    worst radius; on every other space the norm of a basis vector's orbit
+    is the modulus of its one coefficient, the c0 condition."""
     dense_indices = _indices(dense_indices)
     if horizon < 1:
         raise InvalidArgumentError("horizon must be at least 1")

@@ -9,7 +9,8 @@ so convergence can be inspected.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,8 @@ def _integral(times) -> np.ndarray:
     """``times`` as a new flat int64 array; a value that is not an integer
     is refused rather than truncated."""
     raw = np.asarray(times).reshape(-1)
+    if raw.dtype == np.int64:
+        return raw.copy()
     try:
         with np.errstate(invalid="ignore"):
             arr = raw.astype(np.int64)
@@ -57,17 +60,18 @@ def _integral(times) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HitSet:
     """Strictly increasing hit times, complete up to the horizon, as a
-    tuple (``times``) and a read-only int64 array (``array``)."""
+    read-only int64 array (``array``), validated once; ``times`` is the
+    same as a tuple, made on first read.  Equality and hash are those of
+    (times, horizon)."""
 
-    times: tuple[int, ...]
+    array: np.ndarray
     horizon: int
-    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = _integral(self.times)
+        arr = _integral(self.array)
         if (arr < 0).any():
             raise InvalidArgumentError("hit times must be nonnegative")
         if (np.diff(arr) <= 0).any():
@@ -75,14 +79,26 @@ class HitSet:
         if (arr > self.horizon).any():
             raise InvalidArgumentError("hit times exceed the horizon")
         arr.flags.writeable = False
-        object.__setattr__(self, "times", tuple(arr.tolist()))
         object.__setattr__(self, "array", arr)
+
+    @cached_property
+    def times(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
     @classmethod
     def from_iterable(cls, times, horizon: int) -> "HitSet":
         # sort and drop repeats (np.unique took ~50x longer on 3e5 times)
-        arr = np.sort(_integral(list(times)))
+        if not isinstance(times, (list, tuple, np.ndarray)):
+            times = list(times)  # an iterator or a set
+        arr = np.sort(_integral(times))
         return cls(arr[np.diff(arr, prepend=arr[:1] - 1) != 0], horizon)
+
+    def __eq__(self, other):
+        return (isinstance(other, HitSet) and self.horizon == other.horizon
+                and np.array_equal(self.array, other.array))
+
+    def __hash__(self):
+        return hash((self.times, self.horizon))
 
     def __len__(self):
         return len(self.array)
@@ -112,7 +128,10 @@ def q_lower_density(a: HitSet, q: int, burn_in: int | None = None) -> DensityEst
     """Finite-horizon estimate of the q-lower density of a hit set.
 
     p_N = card{n in A : n <= N^q}/N for every N with N^q <= horizon; the
-    estimate is min p_N over N >= burn_in.
+    estimate is min p_N over N >= burn_in.  The counts are a cumulative sum
+    of one ``np.bincount`` of each time's first admissible N, the least N
+    with N^q >= t (t itself at q = 1): O(len(A) + n_max) memory whatever
+    the horizon.
     """
     if q < 1:
         raise InvalidArgumentError("q must be a positive integer")
@@ -126,7 +145,10 @@ def q_lower_density(a: HitSet, q: int, burn_in: int | None = None) -> DensityEst
             f"horizon {a.horizon} too small for burn_in {burn_in} at q={q}"
         )
     ns = np.arange(1, n_max + 1, dtype=np.int64)
-    counts = np.searchsorted(a.array, ns**q, side="right")
+    # an N whose N^q passes int64 is past every time: its power is not formed
+    reach = ns[: iroot(np.iinfo(np.int64).max, q)]
+    first = np.maximum(a.array, 1) if q == 1 else np.searchsorted(reach**q, a.array) + 1
+    counts = np.bincount(first, minlength=n_max + 1)[1 : n_max + 1].cumsum()
     ps = counts / ns
     value = float(ps[burn_in - 1 :].min())
     return DensityEstimate(q=q, value=value, burn_in=burn_in,
@@ -193,25 +215,18 @@ def shifted_union(a: HitSet, blocks, horizon: int) -> HitSet:
     The block predicates must cover 1..horizon; the result is exact up
     to min(horizon, A.horizon) since shifts are nonnegative.
     """
-    blocks = list(blocks)
+    blocks = [(pred, int(shift)) for pred, shift in blocks]
     if not blocks:
         raise InvalidArgumentError("at least one block is required")
-    shifts = []
-    for pred, shift in blocks:
-        shift = int(shift)
-        if shift < 0:
-            raise InvalidArgumentError("shifts must be nonnegative")
-        shifts.append((pred, shift))
+    if any(shift < 0 for _, shift in blocks):
+        raise InvalidArgumentError("shifts must be nonnegative")
     out_horizon = min(int(horizon), a.horizon)
     for n in range(1, out_horizon + 1):
-        if not any(pred(n) for pred, _ in shifts):
+        if not any(pred(n) for pred, _ in blocks):
             raise InvalidArgumentError(f"blocks do not cover n={n}")
-    out = set()
-    for pred, shift in shifts:
-        for t in a.times:
-            if t >= 1 and pred(t) and t + shift <= out_horizon:
-                out.add(t + shift)
-    return HitSet.from_iterable(out, out_horizon)
+    times = a.array[a.array >= 1].tolist()
+    return HitSet.from_iterable({t + shift for pred, shift in blocks for t in times
+                                 if pred(t) and t + shift <= out_horizon}, out_horizon)
 
 
 @dataclass(frozen=True)
@@ -226,8 +241,13 @@ class JSetFamily:
     nseq: tuple[int, ...]
     k_classes: int
     horizon: int
-    classes: tuple[tuple[int, ...], ...]
     walk: Columns  # (a_n, class label)
+
+    @cached_property
+    def classes(self) -> tuple[np.ndarray, ...]:
+        """J_1..J_K's prefixes, int64 arrays of the walk points of each label."""
+        pos, label = self.walk.columns
+        return tuple(pos[label == k] for k in range(1, self.k_classes + 1))
 
 
 def dyadic_class(n: int, k_cap: int) -> int:
@@ -280,7 +300,6 @@ def generate_jsets(nseq, k_classes: int | None = None,
         nseq=nseq,
         k_classes=k_classes,
         horizon=horizon,
-        classes=tuple(tuple(pos[label == k].tolist()) for k in range(1, k_classes + 1)),
         walk=Columns(pos, label),
     )
 
@@ -299,7 +318,7 @@ class JSetReport:
 
 def verify_jsets(fam: JSetFamily) -> JSetReport:
     """Check separation, minimum-element bounds, and disjointness on the
-    stored prefix; report per-class densities.
+    stored prefix, from the walk's columns; report per-class densities.
 
     Separation is checked on neighbours in the merged sorted prefix: with
     positive thresholds the gaps telescope, so if every neighbouring pair
@@ -308,20 +327,18 @@ def verify_jsets(fam: JSetFamily) -> JSetReport:
     The per-class density is the terminal ratio card(J_k)/horizon, which
     for an arithmetic-progression class is exact to within 1/horizon.
     """
-    values = np.concatenate(
-        [np.asarray(cls, dtype=np.int64).reshape(-1) for cls in fam.classes]
-    )
-    labels = np.repeat(np.arange(1, len(fam.classes) + 1),
-                       [len(cls) for cls in fam.classes])
+    values, labels = fam.walk.columns
     need = np.asarray(fam.nseq, dtype=np.int64)[labels - 1]
-    low = values < need
+    low = np.flatnonzero(values < need)
+    low = low[np.argsort(labels[low], kind="stable")]  # class, then walk order
     order = np.lexsort((labels, values))
     v, k, t = values[order], labels[order], need[order]
     bad = np.flatnonzero(v[1:] - v[:-1] < t[:-1] + t[1:])
+    sizes = np.bincount(labels, minlength=fam.k_classes + 1)[1 : fam.k_classes + 1]
     return JSetReport(
         disjoint=bool((v[1:] != v[:-1]).all()),
         gap_violations=tuple(zip(k[bad].tolist(), k[bad + 1].tolist(),
                                  v[bad].tolist(), v[bad + 1].tolist())),
         min_bound_violations=tuple(zip(labels[low].tolist(), values[low].tolist())),
-        class_densities=tuple(len(cls) / fam.horizon for cls in fam.classes),
+        class_densities=tuple((sizes / fam.horizon).tolist()),
     )

@@ -1,9 +1,10 @@
 """The CI workflow parses, keeps its limits, gates on full-size benchmark
 runs and a tiny criterion-grid run, compares full-size numeric CSVs with
-csv.writer's bytes, shows a pull request's golden report and benchmark
-output diffs without failing on them and installs the test extra;
-pytest turns RuntimeWarnings, ResourceWarnings and unraisable exceptions
-into errors; the benchmark's tracer finds every name it wraps."""
+csv.writer's bytes and JSON-lines logs with json.dumps's, shows a pull
+request's golden report and benchmark output diffs without failing on
+them and installs the test extra; pytest turns RuntimeWarnings,
+ResourceWarnings and unraisable exceptions into errors; the benchmark's
+tracer finds every name it wraps."""
 
 import os
 import re
@@ -40,13 +41,17 @@ def test_workflow_parses_and_keeps_its_limits():
     assert 'sed -nE "s/^(ops|oracle|counters|passes):/$w \\1:/p"' in gate
     # run.py exits 0 either way: the step must read "correct" off the last line
     assert "tail -n 1" in gate and '["correct"] is not True' in gate
-    # full-size numeric CSVs against csv.writer: the script names its files
-    assert runs["Numeric CSV matches csv.writer"] == "PYTHONPATH=src python3 tests/csv_bytes.py"
+    # full-size numeric CSVs against csv.writer and JSON-lines logs against
+    # json.dumps: the script names its files
+    assert (runs["Numeric CSV and JSON lines match csv.writer and json.dumps"]
+            == "PYTHONPATH=src python3 tests/csv_bytes.py")
     with open(os.path.join(ROOT, "tests", "csv_bytes.py"), encoding="utf-8") as fh:
         script = fh.read()
     assert '"times": list(range(1, 10**6 + 1, 3))' in script
     assert '"nseq": [1, 2, 3, 4, 5], "horizon": 10**6' in script
     assert 'CHECKED = ("density_profile.csv", "jsets.csv", "bit_patterns.csv")' in script
+    assert 'JSONL_CHECKED = ("orbit_events.jsonl", "bit_patterns.jsonl")' in script
+    assert "Numeric CSV matches csv.writer" not in runs
     assert "Forked CSV matches serial CSV" not in runs
 
 

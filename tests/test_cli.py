@@ -894,23 +894,55 @@ class TestWriteCsvMatchesCsvWriter:
         self.check(tmp_path, ["x", "r"], [bits.view(np.float64), ratios])
 
 
-json_scalars = (
-    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
-    | st.integers() | st.integers(min_value=2**63 - 2, max_value=2**70)
-    | st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0, -(2**64)])
-)
+# JSON spells these floats NaN, Infinity and -Infinity, and writes the rest
+# of them, outside the digit kernel's range, by repr
+JSON_FLOATS = SPECIAL_KINDS["zeros and non-finite"] + SPECIAL_KINDS["subnormals"] + KERNEL_EDGES
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.lists(st.dictionaries(
-    st.text(max_size=4),
-    st.recursive(json_scalars,
-                 lambda inner: st.lists(inner, max_size=3)
-                 | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-                 max_leaves=8),
-    max_size=5), max_size=6))
-def test_write_jsonl_matches_json_dumps_per_record(tmp_path_factory, records):
-    path = tmp_path_factory.getbasetemp() / "events.jsonl"
-    write_jsonl(str(path), records)
-    want = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
-    assert path.read_text(encoding="utf-8") == want
+@st.composite
+def event_columns(draw):
+    """The columns (n, exponent, value, hit) of one length, 0, 1, just
+    below _WRITER_ROWS or any up to 700 rows, in runs of equal cells: int64
+    cells at the extremes or anywhere, an exponent column that may hold
+    Python ints past int64, float64 cells from raw bit patterns or the
+    special floats, and bools."""
+    rows = draw(st.sampled_from([0, 1, cli._WRITER_ROWS - 1]) | st.integers(0, 700))
+
+    def runs(cells, dtype):
+        values = draw(st.lists(cells, min_size=1, max_size=8))
+        lengths = draw(st.lists(st.integers(1, 90), min_size=len(values),
+                                max_size=len(values)))
+        return np.resize(np.repeat(np.array(values, dtype=dtype), lengths), rows)
+
+    ints = st.sampled_from([-(2**63), 2**63 - 1, 0, -1]) | st.integers(-(2**63), 2**63 - 1)
+    exponents = (st.integers(2**63, 2**70), object) if draw(st.booleans()) else (ints, np.int64)
+    bits = runs(st.integers(0, 2**64 - 1) | st.sampled_from(JSON_FLOATS).map(float_bits),
+                np.uint64)
+    return [runs(ints, np.int64), runs(*exponents), bits.view(np.float64),
+            runs(st.booleans(), bool)]
+
+
+class TestWriteJsonlMatchesJsonDumps:
+    # a numeric chunk of exactly _WRITER_ROWS rows, then a 1-row chunk that
+    # goes to json.dumps
+    @example(columns=[np.arange(257), np.full(257, -(2**63)),
+                      np.resize(np.array(JSON_FLOATS), 257), np.arange(257) % 3 == 0],
+             chunk_rows=256)
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(columns=event_columns(),
+           chunk_rows=st.sampled_from([7, CSV_CHUNK_ROWS]) | st.integers(1, 600))
+    def test_event_columns(self, tmp_path, columns, chunk_rows):
+        # the columns in the event log's order; each line is json.dumps of
+        # its record with sorted keys, also when every chunk, however
+        # short, takes the row kernel
+        keys = ("n", "exponent", "value", "hit")
+        want = "".join(json.dumps(dict(zip(keys, row)), sort_keys=True) + "\n"
+                       for row in zip(*(c.tolist() for c in columns)))
+        path = tmp_path / "events.jsonl"
+        for writer_rows in (cli._WRITER_ROWS, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+                mp.setattr(cli, "_WRITER_ROWS", writer_rows)
+                write_jsonl(str(path), keys, columns)
+            assert path.read_text(encoding="utf-8") == want

@@ -157,6 +157,17 @@ class TestScalarClassifier:
         assert hc_check(lp(2), ConstantWeight(2), [1, 3], horizon=1).overall == SATISFIES
         assert salas_check(ConstantWeight(2), horizon=1).limsup_infinite
 
+    def test_hc_check_scans_a_t_orbit_head_up_to_the_horizon(self):
+        # the T-orbit of e_(10^6) has a head of 999,999 terms; at horizon 10
+        # its scan stops at n = 10, like the S-orbit's, and no verdict moves
+        rep = hc_check(lp(2), BergmanWeight(), [10**6], horizon=10)
+        assert [e.label for e in rep.entries] == ["T-orbit j=1000000", "S-orbit j=1000000"]
+        for e in rep.entries:
+            assert e.verdict.kind == CONVERGES and e.verdict.sum_estimate is None
+            assert [n for n, _ in e.verdict.checkpoints] == [1, 2, 4, 8, 10]
+        assert rep.overall == SATISFIES
+        assert rep.overall == hc_check(lp(2), BergmanWeight(), [10**6], horizon=4096).overall
+
     # n^-18.625 times 10^12 reaches normal range through a subnormal n^-18.625
     @example(lp(1), ("power", 18.625), 12)
     @example(c0(), ("power", 18.625), 12)

@@ -1,9 +1,13 @@
+import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shiftlab.density import (
+    Columns,
     HitSet,
     JSetFamily,
     check_growth_bound,
@@ -54,6 +58,20 @@ class TestHitSet:
         assert 4 in hs and 3 not in hs
 
 
+@st.composite
+def profile_cases(draw):
+    """(times, horizon, q, burn_in): up to 40 times, with repeats, among
+    them 0, 1, the horizon and n_max^q and its neighbours, or none; q in
+    1..4; the default burn-in or an explicit one."""
+    q = draw(st.integers(1, 4))
+    horizon = draw(st.integers(1, 2000 if q == 1 else 10**6))
+    n_max = iroot(horizon, q)
+    edges = [t for t in (0, 1, horizon, n_max**q - 1, n_max**q, n_max**q + 1) if t <= horizon]
+    times = draw(st.lists(st.sampled_from(edges) | st.integers(0, horizon), max_size=40))
+    burn_in = draw(st.none() | st.integers(1, n_max))
+    return times, horizon, q, burn_in
+
+
 class TestLowerDensity:
     def test_squares_full_density(self):
         hs = HitSet.from_iterable([k * k for k in range(1, 101)], 100**2)
@@ -95,6 +113,38 @@ class TestLowerDensity:
     def test_burn_in_too_large(self):
         with pytest.raises(InvalidArgumentError):
             q_lower_density(HitSet((1,), 100), 1, burn_in=200)
+
+    # from N = 79 on, N^10 passes int64
+    @example(([1, 2, 3, 2**62, 2**63 - 1], 10**30, 10, None))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(profile_cases())
+    def test_counts_match_a_brute_force_count(self, case):
+        times, horizon, q, burn_in = case
+        est = q_lower_density(HitSet.from_iterable(times, horizon), q, burn_in=burn_in)
+        n_max = iroot(horizon, q)
+        want = []
+        for n in range(1, n_max + 1):
+            count = sum(1 for t in set(times) if t <= n**q)
+            want.append((n, count, count / n))
+        assert list(est.profile) == want
+        burn_in = max(1, math.ceil(math.sqrt(n_max))) if burn_in is None else burn_in
+        assert est.burn_in == burn_in
+        assert est.value == min(p for n, _, p in want if n >= burn_in)
+
+    def test_memory_is_the_profile_whatever_the_horizon(self):
+        # q = 2 at horizon 10^12: 10^6 profile rows, and nothing of the
+        # horizon's size; past the profile's own 24 MB the count peaks
+        # under 1 MB
+        hs = HitSet.from_iterable([0, 1, 3, 7, 10**6, 10**9, 10**11, 999_999_999_999,
+                                   10**12 - 1, 10**12], 10**12)
+        tracemalloc.start()
+        try:
+            est = q_lower_density(hs, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(est.profile) == 10**6
+        assert peak - sum(c.nbytes for c in est.profile.columns) < 2**20
 
 
 class TestGrowthBound:
@@ -231,8 +281,10 @@ def all_pair_verify(fam):
 
 
 def hand_family(nseq, classes, horizon=100):
-    return JSetFamily(nseq=tuple(nseq), k_classes=len(classes), horizon=horizon,
-                      classes=tuple(tuple(c) for c in classes), walk=None)
+    """A family whose walk holds the given classes, one after another."""
+    walk = Columns(np.array([v for c in classes for v in c], dtype=np.int64),
+                   np.array([k for k, c in enumerate(classes, start=1) for _ in c], dtype=np.int64))
+    return JSetFamily(nseq=tuple(nseq), k_classes=len(classes), horizon=horizon, walk=walk)
 
 
 class TestBulkJSets:
@@ -246,9 +298,9 @@ class TestBulkJSets:
             fam = generate_jsets(nseq, k, horizon)
             want = scalar_walk(nseq, k, horizon)
             assert list(fam.walk) == want
-            assert fam.classes == tuple(
-                tuple(a for a, lab in want if lab == c) for c in range(1, k + 1)
-            )
+            assert [cls.tolist() for cls in fam.classes] == [
+                [a for a, lab in want if lab == c] for c in range(1, k + 1)
+            ]
 
     def test_deep_labels_and_huge_thresholds(self):
         # labels up to 1 + log2(steps), and thresholds far past the horizon
