@@ -33,7 +33,7 @@ import numpy as np
 from . import constructor as ctor
 from . import criterion as crit
 from . import density as dens
-from .errors import ConstructionRefusedError, InvalidArgumentError, ShiftLabError
+from .errors import ConstructionRefusedError, ShiftLabError
 from .seqspace import (
     UNILATERAL,
     CoeffVector,
@@ -105,23 +105,45 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _check_keys(obj: dict, allowed: dict, where: str) -> dict:
-    """Reject unknown keys; fill defaults.  ``allowed`` maps key ->
-    default (``...`` marks a required key)."""
+def _convert(convert, value, where: str):
+    """convert(value); a value it cannot take is a config error at ``where``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _read(obj, fields: dict, where: str, convert: bool = True) -> dict:
+    """A config object's values by ``fields``, key -> (default, converter):
+    unknown keys are rejected, defaults filled (``...`` marks a required
+    key) and, with ``convert``, each value converted as by ``_convert`` at
+    ``where.key`` (a converter of None keeps it; None stays None where the
+    default is None)."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
     for key in obj:
-        if key not in allowed:
+        if key not in fields:
             raise ConfigError(f"{where}: unknown key {key!r}")
     out = {}
-    for key, default in allowed.items():
-        if key in obj:
-            out[key] = obj[key]
-        elif default is ...:
+    for key, (default, conv) in fields.items():
+        value = obj.get(key, default)
+        if value is ...:
             raise ConfigError(f"{where}: missing required key {key!r}")
-        else:
-            out[key] = default
+        if convert and conv is not None and (value is not None or default is not None):
+            value = _convert(conv, value, f"{where}.{key}")
+        out[key] = value
     return out
+
+
+def _kind(obj, key: str, kinds: dict, where: str, what: str) -> str:
+    """obj[key], the name of one of ``kinds``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
+    if key not in obj:
+        raise ConfigError(f"{where}: missing required key {key!r}")
+    if not isinstance(obj[key], str) or obj[key] not in kinds:
+        raise ConfigError(f"{where}: unknown {what} {obj[key]!r}")
+    return obj[key]
 
 
 def _complex(v) -> complex:
@@ -136,111 +158,81 @@ def _ints(values) -> list[int]:
     return [int(v) for v in values]
 
 
-def _convert(convert, value, where: str):
-    """convert(value); a value it cannot take is a config error at ``where``."""
+def _entries(value) -> dict[int, complex]:
+    """A config object of index -> number."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, not {type(value).__name__}")
+    return {int(k): _complex(v) for k, v in value.items()}
+
+
+# family -> (weight class, the fields of its arguments in order)
+WEIGHT_FAMILIES = {
+    "Constant": (ConstantWeight, {"value": (2.0, complex)}),
+    "Bergman": (BergmanWeight, {}),
+    "LogWeight": (LogRatioWeight, {}),
+    "RootWeight": (RootRatioWeight, {"p": (1, int)}),
+    "TMu": (TMuWeight, {"mu": (1.0, _complex)}),
+    "Table": (TableWeight, {"values": ([], list), "default": (1.0, complex)}),
+    "BilateralTable": (BilateralTableWeight, {
+        "entries": ({}, _entries), "default_pos": (1.0, complex),
+        "default_nonpos": (1.0, complex)}),
+}
+SPACE_FIELDS = {"kind": ("lp", None), "p": (2.0, float), "domain": (UNILATERAL, None),
+                "rmax": (8, int)}
+VECTOR_FIELDS = {"basis": (None, int), "entries": (None, _entries)}
+TARGET_KINDS = {
+    "ball": {"center": ({}, None), "radius": (0.5, float)},
+    "modulus_exceeds": {"index": (1, int), "threshold": (1.0, float)},
+    "modulus_ball": {"threshold": (0.5, float)},
+    "weakstar": {"center": ({}, None), "functionals": (3, int), "eps": (0.5, float)},
+}
+
+
+def parse_weights(spec, where: str = "weights"):
+    family = _kind(spec, "family", WEIGHT_FAMILIES, where, "weight family")
+    make, fields = WEIGHT_FAMILIES[family]
+    params = _read(spec, {"family": (..., None), **fields}, where)
+    del params["family"]
     try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _optional(convert, cfg: dict, key: str):
-    """cfg[key] converted as by ``_convert``, or None when it is None."""
-    value = cfg[key]
-    return None if value is None else _convert(convert, value, f"config.{key}")
-
-
-def parse_weights(spec: dict, where: str = "weights"):
-    spec = dict(spec or {})
-    family = spec.pop("family", None)
-    if family is None:
-        raise ConfigError(f"{where}: missing 'family'")
-    try:
-        if family == "Constant":
-            w = ConstantWeight(complex(spec.pop("value", 2.0)))
-        elif family == "Bergman":
-            w = BergmanWeight()
-        elif family == "LogWeight":
-            w = LogRatioWeight()
-        elif family == "RootWeight":
-            w = RootRatioWeight(int(spec.pop("p", 1)))
-        elif family == "TMu":
-            w = TMuWeight(_complex(spec.pop("mu", 1.0)))
-        elif family == "Table":
-            values = [complex(v) for v in spec.pop("values", [])]
-            w = TableWeight(tuple(values), complex(spec.pop("default", 1.0)))
-        elif family == "BilateralTable":
-            entries = {int(k): complex(v) for k, v in spec.pop("entries", {}).items()}
-            w = BilateralTableWeight(
-                entries,
-                complex(spec.pop("default_pos", 1.0)),
-                complex(spec.pop("default_nonpos", 1.0)),
-            )
-        else:
-            raise ConfigError(f"{where}: unknown weight family {family!r}")
+        return make(*params.values())
     except (ShiftLabError, ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    if spec:
-        raise ConfigError(f"{where}: unknown keys {sorted(spec)}")
-    return w
 
 
-def parse_space(spec: dict, where: str = "space") -> SpaceSpec:
-    spec = _check_keys(
-        spec or {},
-        {"kind": "lp", "p": 2.0, "domain": UNILATERAL, "rmax": 8},
-        where,
-    )
+def parse_space(spec, where: str = "space") -> SpaceSpec:
+    spec = _read(spec, SPACE_FIELDS, where)
+    kind = spec["kind"]
+    make = {"lp": lambda: lp(spec["p"], spec["domain"]), "c0": lambda: c0(spec["domain"]),
+            "entire": lambda: entire(spec["rmax"]), "linf_weakstar": linf_weakstar}
+    if not isinstance(kind, str) or kind not in make:
+        raise ConfigError(f"{where}: unknown space kind {kind!r}")
     try:
-        kind = spec["kind"]
-        if kind == "lp":
-            return lp(_convert(float, spec["p"], f"{where}.p"), spec["domain"])
-        if kind == "c0":
-            return c0(spec["domain"])
-        if kind == "entire":
-            return entire(_convert(int, spec["rmax"], f"{where}.rmax"))
-        if kind == "linf_weakstar":
-            return linf_weakstar()
+        return make[kind]()
     except ShiftLabError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown space kind {spec['kind']!r}")
 
 
-def parse_vector(spec: dict, domain: str, where: str = "vector") -> CoeffVector:
-    spec = _check_keys(spec or {}, {"basis": None, "entries": None}, where)
+def parse_vector(spec, domain: str, where: str = "vector") -> CoeffVector:
+    spec = _read(spec, VECTOR_FIELDS, where)
     if spec["basis"] is not None:
-        return CoeffVector.basis(_convert(int, spec["basis"], f"{where}.basis"), domain)
+        return CoeffVector.basis(spec["basis"], domain)
     if spec["entries"] is not None:
-        entries = _convert(lambda es: {int(k): _complex(v) for k, v in es.items()},
-                           spec["entries"], f"{where}.entries")
-        return CoeffVector(domain, entries)
+        return CoeffVector(domain, spec["entries"])
     raise ConfigError(f"{where}: need 'basis' or 'entries'")
 
 
-def parse_target(spec: dict, domain: str, where: str = "target"):
-    spec = dict(spec or {})
-    kind = spec.pop("kind", None)
-
-    def num(convert, key, default):
-        return _convert(convert, spec.pop(key, default), f"{where}.{key}")
-
-    if kind == "ball":
-        center = parse_vector(spec.pop("center", {}), domain, f"{where}.center")
-        return ctor.BallTarget(center, num(float, "radius", 0.5))
+def parse_target(spec, domain: str, where: str = "target"):
+    kind = _kind(spec, "kind", TARGET_KINDS, where, "target kind")
+    t = _read(spec, {"kind": (..., None), **TARGET_KINDS[kind]}, where)
     if kind == "modulus_exceeds":
-        t = ctor.modulus_exceeds(num(int, "index", 1), num(float, "threshold", 1.0))
-    elif kind == "modulus_ball":
-        t = ctor.modulus_ball(num(float, "threshold", 0.5))
-    elif kind == "weakstar":
-        center = parse_vector(spec.pop("center", {}), domain, f"{where}.center")
-        m = num(int, "functionals", 3)
-        eps = num(float, "eps", 0.5)
-        return ctor.WeakStarTarget(center, ctor.coordinate_functionals(m, domain), eps)
-    else:
-        raise ConfigError(f"{where}: unknown target kind {kind!r}")
-    if spec:
-        raise ConfigError(f"{where}: unknown keys {sorted(spec)}")
-    return t
+        return ctor.modulus_exceeds(t["index"], t["threshold"])
+    if kind == "modulus_ball":
+        return ctor.modulus_ball(t["threshold"])
+    center = parse_vector(t["center"], domain, f"{where}.center")
+    if kind == "ball":
+        return ctor.BallTarget(center, t["radius"])
+    return ctor.WeakStarTarget(center, ctor.coordinate_functionals(t["functionals"], domain),
+                               t["eps"])
 
 
 # ---------------------------------------------------------------------------
@@ -509,19 +501,39 @@ def _indented_json(value, pad: str = "") -> str:
 # scenarios
 # ---------------------------------------------------------------------------
 
-_COMMON_DEFAULTS = {
-    "scenario": ...,
-    "out": ".",
-    "horizon": 10**4,
+
+def _scenario(**fields) -> dict:
+    """A scenario's config fields: the common ones and ``fields``."""
+    return {"scenario": (..., None), "out": (".", None), "horizon": (10**4, int), **fields}
+
+
+# scenario -> key -> (default, converter), as ``_read`` takes them; the
+# objects (space, weights, vector, target, center) are read by parse_*
+FIELDS = {
+    "density": _scenario(times=(..., list), q=(1, int), burn_in=(None, int)),
+    "jsets": _scenario(nseq=(..., _ints), k=(None, int)),
+    "criterion": _scenario(space=({}, None), weights=(..., None), q=(1, int),
+                           indices=([1, 2, 3, 4, 5], _ints), max_exp=(crit.DEFAULT_MAX_EXP, int)),
+    "construct": _scenario(space=({}, None), weights=(..., None), q=(1, int), k=(3, int),
+                           n_max=(4096, int)),
+    "orbit": _scenario(space=({}, None), weights=(..., None), vector=(..., None),
+                       target=(..., None), q=(1, int), exponents=("linear", None),
+                       direction=(BACKWARD, None), rotation=(None, _complex), power=(1, int),
+                       burn_in=(None, int)),
+    "weakstar": _scenario(weights=(..., None), vector=(..., None), center=(..., None),
+                          functionals=(3, int), eps=(0.5, float), burn_in=(None, int)),
+    "sweep": _scenario(space=({}, None), grid=(..., list), q_values=(..., _ints),
+                       indices=([0, 1, 2, 3, 4], _ints), max_exp=(crit.DEFAULT_MAX_EXP, int),
+                       mode=("offsets", None)),  # 'offsets' (scalar condition) or 'basis'
 }
 
 
-def _resolve(config: dict, args, allowed_extra: dict) -> dict:
-    """The config with defaults filled and flags applied, written to
-    ``config.resolved.json`` in the output directory."""
-    allowed = dict(_COMMON_DEFAULTS)
-    allowed.update(allowed_extra)
-    cfg = _check_keys(config, allowed, "config")
+def _resolve(config: dict, args, scenario: str) -> dict:
+    """The config read through the scenario's ``FIELDS``: defaults filled
+    and flags applied, written to ``config.resolved.json`` in the output
+    directory as given (``horizon`` converted), then converted."""
+    fields = FIELDS[scenario]
+    cfg = _read(config, fields, "config", convert=False)
     for key in ("out", "horizon"):
         val = getattr(args, key, None)
         if val is not None:
@@ -530,14 +542,13 @@ def _resolve(config: dict, args, allowed_extra: dict) -> dict:
     path = os.path.join(cfg["out"], "config.resolved.json")
     atomic_write(path, _indented_json(cfg) + "\n")
     print(f"resolved config: {path}")
-    return cfg
+    return _read(cfg, fields, "config")
 
 
 def run_density(config: dict, args) -> int:
-    cfg = _resolve(config, args, {"times": ..., "q": 1, "burn_in": None})
-    q = _convert(int, cfg["q"], "config.q")
+    cfg = _resolve(config, args, "density")
     hs = dens.HitSet.from_iterable(cfg["times"], cfg["horizon"])
-    est = dens.q_lower_density(hs, q, burn_in=_optional(int, cfg, "burn_in"))
+    est = dens.q_lower_density(hs, cfg["q"], burn_in=cfg["burn_in"])
     write_csv(os.path.join(cfg["out"], "density_profile.csv"), ["N", "count", "p_N"],
               est.profile.columns)
     print(
@@ -548,19 +559,15 @@ def run_density(config: dict, args) -> int:
 
 
 def run_jsets(config: dict, args) -> int:
-    cfg = _resolve(config, args, {"nseq": ..., "k": None})
-    fam = dens.generate_jsets(_convert(_ints, cfg["nseq"], "config.nseq"),
-                              _optional(int, cfg, "k"), cfg["horizon"])
+    cfg = _resolve(config, args, "jsets")
+    fam = dens.generate_jsets(cfg["nseq"], cfg["k"], cfg["horizon"])
     report = dens.verify_jsets(fam)
     pos, label = fam.walk.columns
     by_class = np.argsort(label, kind="stable")
     write_csv(os.path.join(cfg["out"], "jsets.csv"), ["class", "element"],
               [label[by_class], pos[by_class]])
-    write_csv(
-        os.path.join(cfg["out"], "jsets_densities.csv"),
-        ["class", "density"],
-        [np.arange(1, fam.k_classes + 1), np.array(report.class_densities)],
-    )
+    write_csv(os.path.join(cfg["out"], "jsets_densities.csv"), ["class", "density"],
+              [np.arange(1, fam.k_classes + 1), np.array(report.class_densities)])
     print(
         f"classes={fam.k_classes} elements={len(fam.walk)} "
         f"disjoint={report.disjoint} gap_violations={len(report.gap_violations)} "
@@ -570,48 +577,26 @@ def run_jsets(config: dict, args) -> int:
 
 
 def run_criterion(config: dict, args) -> int:
-    cfg = _resolve(
-        config,
-        args,
-        {
-            "space": {},
-            "weights": ...,
-            "q": 1,
-            "indices": [1, 2, 3, 4, 5],
-            "max_exp": crit.DEFAULT_MAX_EXP,
-        },
-    )
+    cfg = _resolve(config, args, "criterion")
     space = parse_space(cfg["space"])
     w = parse_weights(cfg["weights"])
-    report = crit.qfhc_check(
-        space,
-        w,
-        _convert(int, cfg["q"], "config.q"),
-        _convert(_ints, cfg["indices"], "config.indices"),
-        max_exp=_convert(int, cfg["max_exp"], "config.max_exp"),
-    )
-    write_csv(
-        os.path.join(cfg["out"], "criterion.csv"),
-        ["series", "verdict", "rule", "sum_estimate"],
-        list(zip(*[(e.label, e.verdict.kind, e.verdict.rule, e.verdict.sum_estimate)
-                   for e in report.entries])),
-    )
+    report = crit.qfhc_check(space, w, cfg["q"], cfg["indices"], max_exp=cfg["max_exp"])
+    write_csv(os.path.join(cfg["out"], "criterion.csv"),
+              ["series", "verdict", "rule", "sum_estimate"],
+              list(zip(*[(e.label, e.verdict.kind, e.verdict.rule, e.verdict.sum_estimate)
+                         for e in report.entries])))
     print(f"operator: {report.operator}\nspace: {report.space}\noverall: {report.overall}")
     return EXIT_OK if report.satisfied else EXIT_REFUSED
 
 
 def run_construct(config: dict, args) -> int:
-    cfg = _resolve(
-        config,
-        args,
-        {"space": {}, "weights": ..., "q": 1, "k": 3, "n_max": 4096},
-    )
+    cfg = _resolve(config, args, "construct")
     space = parse_space(cfg["space"])
     w = parse_weights(cfg["weights"])
-    q, k, n_max = (_convert(int, cfg[key], f"config.{key}") for key in ("q", "k", "n_max"))
-    targets = ctor.canonical_targets(k, w.domain)
+    targets = ctor.canonical_targets(cfg["k"], w.domain)
     try:
-        plan = ctor.build_vector(space, w, q, targets, horizon=cfg["horizon"], n_max=n_max)
+        plan = ctor.build_vector(space, w, cfg["q"], targets, horizon=cfg["horizon"],
+                                 n_max=cfg["n_max"])
     except ConstructionRefusedError as exc:
         print(f"construction refused: {exc}")
         if exc.report is not None:
@@ -619,16 +604,11 @@ def run_construct(config: dict, args) -> int:
                 print(f"  {e.label}: {e.verdict.kind} [{e.verdict.rule}]")
         return EXIT_REFUSED
     report = ctor.verify_eq33(plan)
-    write_csv(
-        os.path.join(cfg["out"], "candidate.csv"),
-        ["index", "re", "im"],
-        list(zip(*[(i, c.real, c.imag) for i, c in plan.candidate.entries.items()])),
-    )
-    write_csv(
-        os.path.join(cfg["out"], "eq33.csv"),
-        ["class", "m", "error", "bound", "ok"],
-        [report.k, report.m, report.error, report.bound, report.passed],
-    )
+    index, c = plan.candidate.terms
+    write_csv(os.path.join(cfg["out"], "candidate.csv"), ["index", "re", "im"],
+              [index, c.real, c.imag])
+    write_csv(os.path.join(cfg["out"], "eq33.csv"), ["class", "m", "error", "bound", "ok"],
+              [report.k, report.m, report.error, report.bound, report.passed])
     for msg in plan.warnings:
         print(f"warning: {msg}")
     print(
@@ -640,22 +620,16 @@ def run_construct(config: dict, args) -> int:
 
 
 def run_orbit(config: dict, args) -> int:
-    cfg = _resolve(config, args, {
-        "space": {}, "weights": ..., "vector": ..., "target": ..., "q": 1,
-        "exponents": "linear", "direction": BACKWARD, "rotation": None, "power": 1,
-        "burn_in": None})
+    cfg = _resolve(config, args, "orbit")
     space = parse_space(cfg["space"])
     w = parse_weights(cfg["weights"])
-    rotation = cfg["rotation"]
-    op = OperatorSpec(
-        w, cfg["direction"],
-        rotation=1.0 if rotation is None else _convert(_complex, rotation, "config.rotation"),
-        power=_convert(int, cfg["power"], "config.power"))
+    rotation = 1.0 if cfg["rotation"] is None else cfg["rotation"]
+    op = OperatorSpec(w, cfg["direction"], rotation=rotation, power=cfg["power"])
     x = parse_vector(cfg["vector"], w.domain)
     target = parse_target(cfg["target"], w.domain)
     result = ctor.hit_experiment(
-        space, op, x, target, exponents=cfg["exponents"], q=_convert(int, cfg["q"], "config.q"),
-        horizon=cfg["horizon"], burn_in=_optional(int, cfg, "burn_in"))
+        space, op, x, target, exponents=cfg["exponents"], q=cfg["q"],
+        horizon=cfg["horizon"], burn_in=cfg["burn_in"])
     write_jsonl(os.path.join(cfg["out"], "orbit_events.jsonl"), ctor.EVENT_KEYS,
                 result.events.columns)
     write_csv(os.path.join(cfg["out"], "hits.csv"), ["time"], [result.hits.array])
@@ -672,19 +646,13 @@ def run_orbit(config: dict, args) -> int:
 
 
 def run_weakstar(config: dict, args) -> int:
-    cfg = _resolve(config, args, {"weights": ..., "vector": ..., "center": ...,
-                                  "functionals": 3, "eps": 0.5, "burn_in": None})
+    cfg = _resolve(config, args, "weakstar")
     w = parse_weights(cfg["weights"])
     x = parse_vector(cfg["vector"], w.domain)
     center = parse_vector(cfg["center"], w.domain, "center")
-    try:
-        functionals = ctor.coordinate_functionals(
-            _convert(int, cfg["functionals"], "config.functionals"), w.domain)
-        result = ctor.transfer_weakstar(
-            w, x, functionals, center, eps=_convert(float, cfg["eps"], "config.eps"),
-            horizon=cfg["horizon"], burn_in=_optional(int, cfg, "burn_in"))
-    except InvalidArgumentError as exc:
-        raise ConfigError(str(exc)) from exc
+    functionals = ctor.coordinate_functionals(cfg["functionals"], w.domain)
+    result = ctor.transfer_weakstar(w, x, functionals, center, eps=cfg["eps"],
+                                    horizon=cfg["horizon"], burn_in=cfg["burn_in"])
     write_jsonl(os.path.join(cfg["out"], "weakstar_events.jsonl"), ctor.EVENT_KEYS,
                 result.events.columns)
     write_csv(os.path.join(cfg["out"], "hits.csv"), ["time"], [result.hits.array])
@@ -696,20 +664,8 @@ def run_weakstar(config: dict, args) -> int:
 
 
 def run_sweep(config: dict, args) -> int:
-    cfg = _resolve(
-        config,
-        args,
-        {
-            "space": {},
-            "grid": ...,
-            "q_values": ...,
-            "indices": [0, 1, 2, 3, 4],
-            "max_exp": crit.DEFAULT_MAX_EXP,
-            "mode": "offsets",  # 'offsets' (scalar condition) or 'basis'
-        },
-    )
-    grid = cfg["grid"]
-    qs = _convert(_ints, cfg["q_values"], "config.q_values")
+    cfg = _resolve(config, args, "sweep")
+    grid, qs = cfg["grid"], cfg["q_values"]
     if not grid or not qs:
         raise ConfigError("sweep grid and q_values must be nonempty")
     if len(grid) * len(qs) > MAX_GRID:
@@ -718,24 +674,20 @@ def run_sweep(config: dict, args) -> int:
     if cfg["mode"] not in ("offsets", "basis"):
         raise ConfigError(f"config.mode: unknown mode {cfg['mode']!r} (offsets or basis)")
     space = parse_space(cfg["space"])
-    indices = _convert(_ints, cfg["indices"], "config.indices")
-    max_exp = _convert(int, cfg["max_exp"], "config.max_exp")
     rows = []
-    for wspec in grid:
-        w = parse_weights(wspec)
+    for i, wspec in enumerate(grid):
+        w = parse_weights(wspec, f"config.grid[{i}]")
         row = [w.describe()]
         for q in qs:
             if cfg["mode"] == "offsets":
-                report = crit.unilateral_condition(w, space, q, indices, max_exp=max_exp)
+                report = crit.unilateral_condition(w, space, q, cfg["indices"],
+                                                   max_exp=cfg["max_exp"])
             else:
-                report = crit.qfhc_check(space, w, q, indices, max_exp=max_exp)
+                report = crit.qfhc_check(space, w, q, cfg["indices"], max_exp=cfg["max_exp"])
             row.append(report.overall)
         rows.append(row)
-    write_csv(
-        os.path.join(cfg["out"], "sweep.csv"),
-        ["weights"] + [f"q={q}" for q in qs],
-        list(zip(*rows)),
-    )
+    write_csv(os.path.join(cfg["out"], "sweep.csv"), ["weights"] + [f"q={q}" for q in qs],
+              list(zip(*rows)))
     for row in rows:
         print("  ".join(str(c) for c in row))
     return EXIT_OK

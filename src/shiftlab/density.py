@@ -236,6 +236,7 @@ class JSetFamily:
     Built by a dyadic walk: n is labeled by its dyadic class (capped at
     K) and consecutive walk points are separated by the sum of the two
     class thresholds, which telescopes into the full separation property.
+    A walk lists equal values in class order; ``verify_jsets`` relies on it.
     """
 
     nseq: tuple[int, ...]
@@ -331,7 +332,7 @@ def verify_jsets(fam: JSetFamily) -> JSetReport:
     need = np.asarray(fam.nseq, dtype=np.int64)[labels - 1]
     low = np.flatnonzero(values < need)
     low = low[np.argsort(labels[low], kind="stable")]  # class, then walk order
-    order = np.lexsort((labels, values))
+    order = np.argsort(values, kind="stable")
     v, k, t = values[order], labels[order], need[order]
     bad = np.flatnonzero(v[1:] - v[:-1] < t[:-1] + t[1:])
     sizes = np.bincount(labels, minlength=fam.k_classes + 1)[1 : fam.k_classes + 1]

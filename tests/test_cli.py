@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,16 @@ ORBIT = {"weights": {"family": "Constant", "value": 2}, "vector": {"basis": 3}}
     ("sweep", {"grid": [{"family": "Bergman"}], "q_values": ["q"]}, "config.q_values"),
     ("sweep", {"grid": [{"family": "Bergman"}], "q_values": [1], "max_exp": {}},
      "config.max_exp"),
+    # malformed objects, at any depth
+    ("criterion", {"weights": "Bergman"}, "weights"),
+    ("criterion", {"weights": [["family", "Bergman"]]}, "weights"),
+    ("criterion", {"weights": {"family": "Bergman"}, "space": "lp"}, "space"),
+    ("orbit", dict(ORBIT, target="ball"), "target"),
+    ("orbit", dict(ORBIT, target=BALL, vector=[0, 1]), "vector"),
+    ("criterion", {"weights": {"family": "BilateralTable", "entries": [1, 2]}},
+     "weights.entries"),
+    ("criterion", {"weights": {"family": "Table", "values": 5}}, "weights.values"),
+    ("sweep", {"grid": [{"family": "Bergman"}, "Bergman"], "q_values": [1]}, "config.grid[1]"),
 ])
 def test_malformed_scalar_is_a_config_error(tmp_path, capsys, scenario, config, where):
     cfg = write_config(tmp_path, "c.json", dict(config, scenario=scenario))
@@ -117,6 +128,65 @@ def test_malformed_scalar_is_a_config_error(tmp_path, capsys, scenario, config, 
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {where}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("scenario, config, where", [
+    ("criterion", {"weights": {"family": "Constant", "bogus": 1}}, "weights"),
+    ("criterion", {"weights": {"family": "Bergman"}, "space": {"bogus": 1}}, "space"),
+    ("orbit", dict(ORBIT, target=dict(BALL, bogus=1)), "target"),
+    ("orbit", dict(ORBIT, target=BALL, vector={"basis": 1, "bogus": 1}), "vector"),
+])
+def test_unknown_key_is_named_in_every_object(tmp_path, capsys, scenario, config, where):
+    cfg = write_config(tmp_path, "c.json", dict(config, scenario=scenario))
+    assert run([scenario, "--config", cfg, "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err == f"config error: {where}: unknown key 'bogus'\n"
+
+
+WEAKSTAR_TARGET = {"kind": "weakstar", "center": {"basis": 1}}
+
+
+@pytest.mark.parametrize("scenario, config", [
+    ("weakstar", dict(ORBIT, center={"basis": 1}, functionals=0)),
+    ("orbit", dict(ORBIT, target=dict(WEAKSTAR_TARGET, functionals=0))),
+    ("weakstar", dict(ORBIT, center={"basis": 1}, horizon=10, burn_in=50)),
+    ("orbit", dict(ORBIT, target=WEAKSTAR_TARGET, horizon=10, burn_in=50)),
+])
+def test_refused_value_exits_two_in_every_scenario(tmp_path, capsys, scenario, config):
+    cfg = write_config(tmp_path, "c.json", dict(config, scenario=scenario))
+    assert run([scenario, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def readme_config_table() -> dict:
+    """README's table of config keys: row label -> {key: default as JSON
+    text, or None for a required key}."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    table = text[text.index("| Object | Keys and defaults |"):].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        label, keys = line.strip("| ").split(" | ")
+        rows[label] = {k: d or None for k, d in re.findall(r"`([a-z_]+)(?:=([^`]*))?`", keys)}
+    return rows
+
+
+def test_readme_config_table_matches_declared_fields():
+    def declared(fields):
+        return {k: None if d is ... else json.dumps(d) for k, (d, _) in fields.items()}
+
+    rows = readme_config_table()
+    common = rows.pop("every scenario")
+    got = {label: {**common, **keys} if label.strip("`") in cli.FIELDS else keys
+           for label, keys in rows.items()}
+    want = {f"`{name}`": declared(fields) for name, fields in cli.FIELDS.items()}
+    want["`space`"] = declared(cli.SPACE_FIELDS)
+    want["`vector`"] = declared(cli.VECTOR_FIELDS)
+    for family, (_, fields) in cli.WEIGHT_FAMILIES.items():
+        want[f"`weights` `{family}`"] = declared(fields)
+    for kind, fields in cli.TARGET_KINDS.items():
+        want[f"`target` `{kind}`"] = declared(fields)
+    assert got == want
 
 
 class TestScenarios:

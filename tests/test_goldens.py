@@ -58,6 +58,9 @@ in n: a diff showed only the Bergman S-series sums and tails moved (the
 CSV's five sums come within 5.6e-12 to 2.6e-11 of the closed form
 (j+1)(pi sqrt(j+1) coth(pi sqrt(j+1)) - 1)/(2(j+1)), against 1.0e-9 to
 4.6e-9 at the 2^22 reach).
+The ``weakstar`` case was recorded when every config object came to be
+read through one declared table of fields, with the program before that
+change, so that every scenario's ``config.resolved.json`` is pinned.
 Eight reports and the ``criterion`` CSV were re-recorded when every
 criterion series, the unilateral T-series heads and T-orbits included,
 came to take one path through ``_classify_weighted``.  A leaf-by-leaf
@@ -189,6 +192,24 @@ GOLDENS = {
                 "15f2d63c16512064f608becfc147d458217a46b248d6b7d606c3be3ea9284f8f",
             "orbit_events.jsonl":
                 "e9ee1f5914dfe3c51eba64d2a15dc5ee8b6d5b6a34c0214c5d9097657b009aa6",
+        },
+    ),
+    "weakstar": (
+        "weakstar",
+        {
+            "weights": {"family": "Constant", "value": 2},
+            "vector": {"entries": {"4": 0.125, "7": [0.015625, 0.001]}},
+            "center": {"basis": 1},
+            "functionals": 2,
+            "horizon": 300,
+        },
+        {
+            "config.resolved.json":
+                "31df468a902732e44cc082e9f4c937ab22347c60fd415d37d5b2216e18f74e46",
+            "hits.csv":
+                "1ab01c339c445daf084b61d93150bc89b1852100ad02d798dd1bf9af49337d30",
+            "weakstar_events.jsonl":
+                "319c1faccc049032000a9a60c4949f95d271336e3c98e21b67397e2e550dd20d",
         },
     ),
     "sweep": (
