@@ -181,10 +181,10 @@ SPACE_FIELDS = {"kind": ("lp", None), "p": (2.0, float), "domain": (UNILATERAL, 
                 "rmax": (8, int)}
 VECTOR_FIELDS = {"basis": (None, int), "entries": (None, _entries)}
 TARGET_KINDS = {
-    "ball": {"center": ({}, None), "radius": (0.5, float)},
+    "ball": {"center": (..., None), "radius": (0.5, float)},
     "modulus_exceeds": {"index": (1, int), "threshold": (1.0, float)},
     "modulus_ball": {"threshold": (0.5, float)},
-    "weakstar": {"center": ({}, None), "functionals": (3, int), "eps": (0.5, float)},
+    "weakstar": {"center": (..., None), "functionals": (3, int), "eps": (0.5, float)},
 }
 
 
@@ -460,8 +460,8 @@ def write_jsonl(path: str, keys, columns):
     """Write one JSON object per row of equal-length ``columns`` named by
     ``keys``, each line the bytes of json.dumps(record, sort_keys=True):
     through ``_formatted`` with the keys in the separators, JSON's spelling
-    of bools and non-finite floats, and json.dumps for the other chunks.
-    The text goes to ``atomic_write``."""
+    of bools and non-finite floats, and json.dumps for the other chunks,
+    chunk by chunk as ``write_csv`` writes."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
     keys = [keys[i] for i in order]
     seps = [f"{', ' if i else '{'}{json.dumps(k)}: ".encode() for i, k in enumerate(keys)]
@@ -469,8 +469,8 @@ def write_jsonl(path: str, keys, columns):
     def dumps(rows):
         return "".join(json.dumps(dict(zip(keys, row)), sort_keys=True) + "\n"
                        for row in rows).encode()
-    parts = _formatted([columns[i] for i in order], seps + [b"}\n"], True, dumps)
-    atomic_write(path, b"".join(parts).decode())
+    with _atomic_file(path) as fh:
+        fh.buffer.writelines(_formatted([columns[i] for i in order], seps + [b"}\n"], True, dumps))
 
 
 def _indented_json(value, pad: str = "") -> str:

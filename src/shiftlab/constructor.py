@@ -6,21 +6,20 @@ chosen so that certified series tails beyond N_k stay below a summable
 epsilon schedule, and the resulting vector's backward orbit returns
 near target x_k at every time in class k.
 
-Every orbit distance (the return bound, ball and weak* hits, the
-certified T-norms) goes through one route, ``_orbit_distances``: the
+Every orbit distance (the return bound, ball, weak* and modulus hits,
+the certified T-norms) goes through one route, ``_orbit_distances``: the
 F-norm kernel ``seqspace._distances`` of each batch of complex terms from
-``shiftops._orbit_chunks``, with no vector or map per time; the modulus
-targets read the same kernel on batches of moduli.  The
-candidate's class blocks are summed from the same batches by
-``np.bincount``, which adds each index's terms left to right from +0.0, as
-summing into 0j does.
+``shiftops._orbit_chunks``, with no vector or map per time; a modulus
+target reads the orbit with the rotation dropped.  The candidate's class
+blocks are summed from the same batches by ``np.bincount``, which adds
+each index's terms left to right from +0.0, as summing into 0j does.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -49,6 +48,7 @@ from .density import (
 )
 from .errors import ConstructionRefusedError, InvalidArgumentError
 from .seqspace import (
+    BILATERAL,
     UNILATERAL,
     CoeffVector,
     SpaceSpec,
@@ -449,7 +449,8 @@ class ModulusTarget:
     or with index None every |y_n| < threshold.
 
     Rotations of the operator leave hit sets of such targets unchanged
-    exactly, because the test never sees a phase.
+    exactly: ``hit_experiment`` drops the rotation before it reads the
+    orbit's ``_orbit_distances``.
     """
 
     index: int | None
@@ -525,8 +526,10 @@ def hit_experiment(
 
     ``exponents='powers'`` visits only times n^q; either way membership
     is recorded at the actual time, and the density estimate uses the
-    supplied q.  The events are columns: n, the exponent (time times the
-    operator's power), the value and the hit flag.
+    supplied q.  Every target reads ``_orbit_distances``, a modulus target
+    with the rotation dropped.  The events are columns: n, the exponent
+    (time times the operator's power), the value the hit compares and the
+    hit flag.
     """
     if exponents not in ("linear", "powers"):
         raise InvalidArgumentError("exponents must be 'linear' or 'powers'")
@@ -534,17 +537,12 @@ def hit_experiment(
     ns = np.arange(1, iroot(horizon, q_time) + 1, dtype=np.int64)
     steps, shifts = _powers(ns, q_time), _powers(ns, q_time, op.power)
     if isinstance(target, ModulusTarget):
-        # moduli by libm's exp: the largest (the c0 norm of the moduli), and
-        # the one at the index, 0.0 where the orbit has no term there
-        values, at = [np.empty(0)], [np.empty(0)]
-        for _, idx, mags, counts in _orbit_chunks(op, x, shifts, phases=False):
-            values.append(_distances(c0(x.domain), x.domain, idx, mags, counts,
-                                     CoeffVector.zero(x.domain)))
-            on = idx == target.index  # all False for index None
-            at.append(np.bincount(np.repeat(np.arange(len(counts)), counts)[on], mags.real[on],
-                                  minlength=len(counts)))
-        values, at = np.concatenate(values), np.concatenate(at)
-        hit = values < target.threshold if target.index is None else at > target.threshold
+        # max|y_n| is the c0 distance to 0, |y_index| the gap at e_index: 0.0
+        # where the orbit has no term there
+        e = None if target.index is None else (CoeffVector.basis(target.index, BILATERAL),)
+        values = _orbit_distances(c0(x.domain), replace(op, rotation=1.0), x, shifts,
+                                  CoeffVector.zero(x.domain), e)
+        hit = values < target.threshold if e is None else values > target.threshold
     elif isinstance(target, BallTarget):
         values = _orbit_distances(space, op, x, shifts, target.center)
         hit = values < target.radius

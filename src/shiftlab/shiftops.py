@@ -646,14 +646,14 @@ def _batch(op: OperatorSpec, v: CoeffVector, steps, start, counts, anchors):
             counts)
 
 
-def _orbit_chunks(op: OperatorSpec, v: CoeffVector, steps, phases: bool = True, pad: int = 0):
+def _orbit_chunks(op: OperatorSpec, v: CoeffVector, steps, pad: int = 0):
     """Yield the terms of op^N v for each N*power in ``steps`` as complex
     coefficients, (steps, index, coefficient, counts) per consecutive run of
     times of at most ORBIT_CHUNK_TERMS terms (a single time may exceed it),
     after one ``_orbit_plan``.  A time with a term counts ``pad`` terms more
-    (a center merged into it).  Without ``phases`` a coefficient is
-    np.exp(logmag + 0j), whose real part is libm's exp(logmag), the
-    modulus.  A time with a term past double range ends the orbit: the
+    (a center merged into it).  Every orbit distance reads them through
+    ``constructor._orbit_distances``, a modulus target's with the rotation
+    dropped.  A time with a term past double range ends the orbit: the
     times before it are yielded, then ``ResourceLimitError`` names it and
     the term's log-magnitude."""
     steps, start, counts, anchors = _orbit_plan(op, v, steps)
@@ -667,8 +667,7 @@ def _orbit_chunks(op: OperatorSpec, v: CoeffVector, steps, phases: bool = True, 
         n = int(np.searchsorted(np.cumsum(got), over[0], side="right")) if len(over) else hi - lo
         m = int(got[:n].sum())
         if n:
-            z = np.exp(lm[:m] + 1j * ph[:m] if phases else lm[:m] + 0j)
-            yield steps[lo : lo + n], tgt[:m], z, got[:n]
+            yield steps[lo : lo + n], tgt[:m], np.exp(lm[:m] + 1j * ph[:m]), got[:n]
         if n < hi - lo:
             raise ResourceLimitError(f"time {int(steps[lo + n]) // op.power}: a term of log-"
                                      f"magnitude {lm[m : m + got[n]].max():g} is past double range")

@@ -13,7 +13,10 @@ job (the Constant(2) k=3 candidate against the ball of radius 3 alpha_3
 around e_1, horizon 10^4: a 10^4-event ``orbit_events.jsonl``) and writes
 a 10^6-event log whose values are random float64 bit patterns.  Each file
 is compared byte for byte with csv.writer's or json.dumps's text; the
-script prints one line per file and exits 1 on any difference.
+script prints one line per file and exits 1 on any difference.  It also
+prints the ``tracemalloc`` peak of the 10^6-event ``write_jsonl`` and of
+``write_csv`` on the same columns, and exits 1 when the first is more
+than twice the second: the log streams, chunk by chunk, as the CSV does.
 
 This is a script, not a test module: pytest does not collect it.
 """
@@ -24,6 +27,7 @@ import json
 import os
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 
@@ -70,6 +74,16 @@ def same_as_json_dumps(path, keys, columns) -> bool:
         return fh.read() == b""
 
 
+def traced_peak(write, *args) -> int:
+    """The ``tracemalloc`` peak, in bytes, of the call write(*args)."""
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> int:
     cells, records = {}, {}
     write_csv, write_jsonl = cli.write_csv, cli.write_jsonl
@@ -102,8 +116,16 @@ def main() -> int:
             status |= not same
         n = np.arange(1, 10**6 + 1)
         values = np.random.default_rng(1).integers(0, 2**64, 10**6, dtype=np.uint64)
-        keep_records(os.path.join(out, "bit_patterns.jsonl"), ("n", "exponent", "value", "hit"),
-                     [n, 3 * n, values.view(np.float64), n % 3 == 0])
+        keys = ("n", "exponent", "value", "hit")
+        columns = [n, 3 * n, values.view(np.float64), n % 3 == 0]
+        jsonl_peak = traced_peak(keep_records, os.path.join(out, "bit_patterns.jsonl"), keys,
+                                 columns)
+        csv_peak = traced_peak(write_csv, os.path.join(out, "bit_columns.csv"), keys, columns)
+        streams = jsonl_peak <= 2 * csv_peak
+        print(f"bit_patterns.jsonl: write_jsonl peaks at {jsonl_peak / 1e6:.1f} MB, write_csv "
+              f"at {csv_peak / 1e6:.1f} MB on the same columns, "
+              f"{'within' if streams else 'PAST'} twice its peak")
+        status |= not streams
         for path, (keys, columns) in sorted(records.items()):
             name = os.path.basename(path)
             if name not in JSONL_CHECKED:

@@ -51,6 +51,11 @@ def test_workflow_parses_and_keeps_its_limits():
     assert '"nseq": [1, 2, 3, 4, 5], "horizon": 10**6' in script
     assert 'CHECKED = ("density_profile.csv", "jsets.csv", "bit_patterns.csv")' in script
     assert 'JSONL_CHECKED = ("orbit_events.jsonl", "bit_patterns.jsonl")' in script
+    # the memory gate: the 10^6-event log streams within twice write_csv's
+    # tracemalloc peak on the same columns
+    assert "tracemalloc.start()" in script
+    assert "streams = jsonl_peak <= 2 * csv_peak" in script
+    assert "status |= not streams" in script
     assert "Numeric CSV matches csv.writer" not in runs
     assert "Forked CSV matches serial CSV" not in runs
 

@@ -116,6 +116,8 @@ ORBIT = {"weights": {"family": "Constant", "value": 2}, "vector": {"basis": 3}}
     ("criterion", {"weights": [["family", "Bergman"]]}, "weights"),
     ("criterion", {"weights": {"family": "Bergman"}, "space": "lp"}, "space"),
     ("orbit", dict(ORBIT, target="ball"), "target"),
+    ("orbit", dict(ORBIT, target={"kind": "ball"}), "target"),
+    ("orbit", dict(ORBIT, target={"kind": "weakstar"}), "target"),
     ("orbit", dict(ORBIT, target=BALL, vector=[0, 1]), "vector"),
     ("criterion", {"weights": {"family": "BilateralTable", "entries": [1, 2]}},
      "weights.entries"),

@@ -339,16 +339,34 @@ class TestBatchedOrbitsMatchOneTimeEvaluation:
                 value = fnorm(lp(2), iterate(op, x, steps) - target.center)
                 hit = value < target.radius
             elif kind == "modulus":
-                idxs, lms, _, _ = orbit_batch(op, x, [steps * power])
-                mags = {i: math.exp(lm) for i, lm in zip(idxs.tolist(), lms.tolist())}
-                hit = mags.get(target.index, 0.0) > target.threshold
-                value = max(mags.values(), default=0.0)
+                # the modulus at the index, of the orbit with the rotation dropped
+                value = abs(iterate(dataclasses.replace(op, rotation=1.0), x, steps)[target.index])
+                hit = value > target.threshold
             else:
                 value = weakstar_gap(iterate(op, x, steps), target.center, target.functionals)
                 hit = value < target.eps
             want.append({"n": n, "exponent": steps * power, "value": value, "hit": hit})
         assert [repr(e) for e in event_records(got)] == [repr(e) for e in want]
         assert any(e["hit"] for e in want) and not all(e["hit"] for e in want)
+
+    @pytest.mark.parametrize("kind", ["ball", "weakstar", "modulus_ball", "modulus_exceeds"])
+    def test_every_hit_is_its_values_comparison(self, kind):
+        plan = build_vector(lp(2), ConstantWeight(2), 1, canonical_targets(3), horizon=10**3)
+        op = OperatorSpec(ConstantWeight(2), BACKWARD, rotation=cmath.exp(0.3j), power=2)
+        center = plan.targets[0]
+        target, bound = {
+            "ball": (BallTarget(center, 0.5), 0.5),
+            "weakstar": (WeakStarTarget(center, coordinate_functionals(3), 0.5), 0.5),
+            "modulus_ball": (modulus_ball(0.3), 0.3),
+            "modulus_exceeds": (modulus_exceeds(1, 0.1), 0.1),
+        }[kind]
+        r = hit_experiment(lp(2), op, plan.candidate, target, horizon=600)
+        events = event_records(r)
+        assert any(e["hit"] for e in events) and not all(e["hit"] for e in events)
+        if kind == "modulus_exceeds":
+            assert all(e["hit"] == (e["value"] > bound) for e in events)
+        else:
+            assert all(e["hit"] == (e["value"] < bound) for e in events)
 
 
 class TestOrbitValuesFromEntryMaps:

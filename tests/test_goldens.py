@@ -77,6 +77,11 @@ the tail certificates' window came from the class's power law
 same thresholds (3, 9) and the two worst tails moved by 7e-11 and 5e-11
 relative.  The S-series tail past n = 4096 at j = 1 is now within 2e-8 of
 the closed form, against 4.4e-7 before.
+The ``orbit`` case's ``orbit_events.jsonl`` was re-recorded when a
+``modulus_exceeds`` event's value became the modulus its hit compares,
+|y_index|, instead of the largest modulus: a leaf-by-leaf comparison
+showed the same ``hits.csv`` and the same n, exponent and hit at every
+event, and every value equal to |y_1| of the unrotated orbit.
 
 Running this file as a script, ``python tests/test_goldens.py [CASE ...]``,
 prints ``case<TAB>repr(report)`` per report case, so that a re-record
@@ -191,7 +196,7 @@ GOLDENS = {
             "hits.csv":
                 "15f2d63c16512064f608becfc147d458217a46b248d6b7d606c3be3ea9284f8f",
             "orbit_events.jsonl":
-                "e9ee1f5914dfe3c51eba64d2a15dc5ee8b6d5b6a34c0214c5d9097657b009aa6",
+                "bfaf52aa9ed7e669bcecc8ea7beab7691703efabd9af9715a796d53e92caa220",
         },
     ),
     "weakstar": (

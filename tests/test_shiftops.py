@@ -429,13 +429,6 @@ class TestBatchedOrbitEngine:
         assert [(c.real.hex(), c.imag.hex()) for c in got] == [
             (c.real.hex(), c.imag.hex()) for c in z]
 
-    def test_moduli_are_libm_exp(self):
-        v = CoeffVector(UNILATERAL, UNI_VECTOR)
-        op = OperatorSpec(ConstantWeight(cmath.rect(1.5, 0.7)), FORWARD)
-        _, lm, _, _ = orbit_batch(op, v, STEPS)
-        ((_, _, z, _),) = shiftops._orbit_chunks(op, v, STEPS, phases=False)
-        assert z.real.tolist() == [math.exp(a) for a in lm.tolist()] and not z.imag.any()
-
     def test_batch_yields_every_time(self):
         v = CoeffVector(UNILATERAL, UNI_VECTOR)
         op = OperatorSpec(BergmanWeight(), BACKWARD)
