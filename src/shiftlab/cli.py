@@ -242,13 +242,18 @@ def parse_target(spec, domain: str, where: str = "target"):
 
 @contextlib.contextmanager
 def _atomic_file(path: str):
-    """A text file that replaces ``path`` only once it is fully written."""
+    """A text file that replaces ``path`` only once it is fully written,
+    with the mode a plain ``open`` would give it (0666 less the umask, not
+    ``mkstemp``'s 0600)."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -514,8 +519,7 @@ FIELDS = {
     "jsets": _scenario(nseq=(..., _ints), k=(None, int)),
     "criterion": _scenario(space=({}, None), weights=(..., None), q=(1, int),
                            indices=([1, 2, 3, 4, 5], _ints), max_exp=(crit.DEFAULT_MAX_EXP, int)),
-    "construct": _scenario(space=({}, None), weights=(..., None), q=(1, int), k=(3, int),
-                           n_max=(4096, int)),
+    "construct": _scenario(space=({}, None), weights=(..., None), q=(1, int), k=(3, int)),
     "orbit": _scenario(space=({}, None), weights=(..., None), vector=(..., None),
                        target=(..., None), q=(1, int), exponents=("linear", None),
                        direction=(BACKWARD, None), rotation=(None, _complex), power=(1, int),
@@ -595,8 +599,7 @@ def run_construct(config: dict, args) -> int:
     w = parse_weights(cfg["weights"])
     targets = ctor.canonical_targets(cfg["k"], w.domain)
     try:
-        plan = ctor.build_vector(space, w, cfg["q"], targets, horizon=cfg["horizon"],
-                                 n_max=cfg["n_max"])
+        plan = ctor.build_vector(space, w, cfg["q"], targets, horizon=cfg["horizon"])
     except ConstructionRefusedError as exc:
         print(f"construction refused: {exc}")
         if exc.report is not None:

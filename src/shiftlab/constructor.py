@@ -27,10 +27,11 @@ import numpy as np
 from .criterion import (
     CONVERGES,
     SATISFIES,
-    CriterionReport,
+    SCAN_TERMS,
     _class_tail,
     _decide,
     _exact,
+    _offsets,
     _past_head,
     _shift_series,
     qfhc_check,
@@ -59,7 +60,6 @@ from .seqspace import (
 )
 from .shiftops import (
     BACKWARD,
-    EXACT_INDEX,
     FORWARD,
     OperatorSpec,
     WeightSeq,
@@ -106,17 +106,27 @@ def canonical_targets(count: int, domain: str = UNILATERAL) -> tuple[CoeffVector
 # ---------------------------------------------------------------------------
 
 
+def _beyond(w: WeightSeq, j: int, q: int, direction: int, s, u: np.ndarray) -> float:
+    """The summed mass past the window of the index-j series in
+    ``direction`` whose window terms' s-th powers are ``u``: ``_class_tail``
+    of the side's class where the class makes it a convergent sum and the
+    window reaches past the side's head (``_past_head``), and inf where it
+    does not or gives no tail."""
+    n, cls = len(u), w.asymptotics(direction)
+    tail = (_class_tail(cls, lambda ns: u[ns - 1], n, q, s, 0, float(u.sum()))
+            if _decide(cls, q, s, 0, True)[0] == CONVERGES and _past_head(w, j, q, direction, n)
+            else None)
+    return math.inf if tail is None else tail
+
+
 def _certified_s_tails(space: SpaceSpec, w: WeightSeq, q: int, j: int,
                        n_max: int) -> np.ndarray:
     """tails[N-1] bounds any finite-subset norm of the index-j forward
     series restricted to [N, infinity), for N = 1..n_max.
 
     l^p: root of the reverse-cumulative p-powered sums plus the mass past
-    the window.  c0: reverse running max, and past the window the summed
-    mass of the terms, which dominates their sup.  That mass is
-    ``_class_tail`` of the family's class where the class makes it a
-    convergent sum and the window reaches past a table's head
-    (``_past_head``), and inf where it does not or gives no tail.
+    the window (``_beyond``).  c0: reverse running max, and past the
+    window the summed mass of the terms, which dominates their sup.
     """
     with np.errstate(over="ignore", under="ignore"):
         t = np.exp(_shift_series(w, j, q, 1, j)(np.arange(1, n_max + 1)))
@@ -125,11 +135,7 @@ def _certified_s_tails(space: SpaceSpec, w: WeightSeq, q: int, j: int,
     if space.kind not in ("lp", "c0"):
         raise InvalidArgumentError("tail certification supports lp and c0 spaces")
     s, u = (_exact(space.p), t**space.p) if space.kind == "lp" else (1, t)
-    cls = w.asymptotics(1)
-    tail = (_class_tail(cls, lambda ns: u[ns - 1], n_max, q, s, 0, float(u.sum()))
-            if _decide(cls, q, s, 0, True)[0] == CONVERGES and _past_head(w, j, q, 1, n_max)
-            else None)
-    beyond = math.inf if tail is None else tail
+    beyond = _beyond(w, j, q, 1, s, u)
     if space.kind == "lp":
         return (np.cumsum(u[::-1])[::-1] + beyond) ** (1.0 / space.p)
     return np.maximum(np.maximum.accumulate(t[::-1])[::-1], beyond)
@@ -176,13 +182,31 @@ class SelectionDetail:
     worst_tail: float
 
 
-def _criterion_or_refuse(space: SpaceSpec, w: WeightSeq, q: int,
-                         targets: tuple[CoeffVector, ...]) -> CriterionReport:
-    """The criterion report on the targets' support, or a refusal carrying
-    it."""
+def select_Nk(
+    space: SpaceSpec,
+    w: WeightSeq,
+    q: int,
+    targets,
+) -> tuple[tuple[int, ...], tuple[SelectionDetail, ...]]:
+    """Choose strictly increasing thresholds N_k so that, for every
+    target with index at most k, the certified tail of the backward and
+    forward series beyond N_k stays below eps_k.
+
+    The tails are read over the criterion's own scan window (``_offsets``
+    at SCAN_TERMS terms), refused below 64 terms; past it the T-series of
+    each index adds the mass ``_beyond`` gives it, or nothing once a
+    unilateral head has fallen off the edge inside the window.  Refuses
+    (with the failing report attached) when the convergence criterion
+    does not hold on the targets' support.
+    """
+    targets = tuple(targets)
     if not targets:
         raise InvalidArgumentError("need at least one target")
     support = sorted({j for x in targets for j in x.support})
+    n_max = _offsets(support, q, SCAN_TERMS.bit_length() - 1)[1]
+    if n_max < 64:
+        raise InvalidArgumentError(f"q={q} leaves {n_max} terms within the exact-index "
+                                   "limit 2^53; the tail certificates need 64")
     report = qfhc_check(space, w, q, support)
     if report.overall != SATISFIES:
         raise ConstructionRefusedError(
@@ -190,37 +214,26 @@ def _criterion_or_refuse(space: SpaceSpec, w: WeightSeq, q: int,
             f"{w.describe()} at q={q}",
             report=report,
         )
-    return report
-
-
-def _window(q: int, targets: tuple[CoeffVector, ...], n_max: int) -> int:
-    """The 64 to n_max terms of ``_thresholds`` whose prefix n^q + jmax is
-    within EXACT_INDEX; refused when fewer than 64 are (from q = 9 on)."""
-    jmax = max((max(x.support, default=1) for x in targets), default=1)
-    reach = iroot(EXACT_INDEX - jmax, q)
-    if reach < 64:
-        raise InvalidArgumentError(f"q={q} leaves {reach} terms within the exact-index "
-                                   "limit 2^53; the tail certificates need 64")
-    return max(64, min(n_max, reach))
-
-
-def _thresholds(space: SpaceSpec, w: WeightSeq, q: int,
-                targets: tuple[CoeffVector, ...], n_max: int, report: CriterionReport,
-                ) -> tuple[tuple[int, ...], tuple[SelectionDetail, ...]]:
-    """The thresholds of ``select_Nk`` over its ``_window``, once the criterion holds."""
-    support = sorted({j for x in targets for j in x.support})
-    s_tails = {j: _certified_s_tails(space, w, q, j, n_max) for j in support}
+    ns = np.arange(1, n_max + 1)
+    index_tails = {}  # per index: its S-tails from each N plus its T-series mass past the window
+    for j in support:
+        if w.domain == UNILATERAL:  # T^(n^q) e_j is 0 once n^q >= j
+            t_beyond = 0.0 if iroot(j - 1, q) <= n_max else math.inf
+        else:
+            with np.errstate(over="ignore", under="ignore"):
+                t_beyond = _beyond(w, j, q, -1, 1, np.exp(_shift_series(w, j, q, -1, j)(ns)))
+        index_tails[j] = _certified_s_tails(space, w, q, j, n_max) + t_beyond
     # per-target combined tails, via the triangle inequality over support
     tails = []
-    back, steps = OperatorSpec(w, BACKWARD), _powers(np.arange(1, n_max + 1), q)
+    back, steps = OperatorSpec(w, BACKWARD), _powers(ns, q)
     for x in targets:
         # the F-norms of T^{n^q} x, zero once every index has fallen off the edge
         tn = _orbit_distances(space, back, x, steps, CoeffVector.zero(x.domain))
         t_suffix = np.cumsum(tn[::-1])[::-1]
-        s_part = np.zeros(n_max)
+        j_part = np.zeros(n_max)
         for j, c in x.entries.items():
-            s_part += abs(c) * s_tails[j]
-        tails.append(t_suffix + s_part)
+            j_part += abs(c) * index_tails[j]
+        tails.append(t_suffix + j_part)
     nseq = []
     details = []
     prev = 0
@@ -243,46 +256,22 @@ def _thresholds(space: SpaceSpec, w: WeightSeq, q: int,
     return tuple(nseq), tuple(details)
 
 
-def select_Nk(
-    space: SpaceSpec,
-    w: WeightSeq,
-    q: int,
-    targets,
-    *,
-    n_max: int = 4096,
-) -> tuple[tuple[int, ...], tuple[SelectionDetail, ...]]:
-    """Choose strictly increasing thresholds N_k so that, for every
-    target with index at most k, the certified tail of the backward and
-    forward series beyond N_k stays below eps_k.
-
-    Refuses (with the failing report attached) when the convergence
-    criterion does not hold on the targets' support.
-    """
-    targets = tuple(targets)
-    n_max = _window(q, targets, n_max)
-    report = _criterion_or_refuse(space, w, q, targets)
-    return _thresholds(space, w, q, targets, n_max, report)
-
-
 @dataclass(frozen=True)
 class ConstructionPlan:
     q: int
     space: SpaceSpec
     weights: WeightSeq
-    schedule: EpsilonSchedule
     targets: tuple[CoeffVector, ...]
     nseq: tuple[int, ...]
     jsets: JSetFamily
-    k_classes: int
     horizon: int
     candidate: CoeffVector
     block_norms: tuple[float, ...]
-    criterion: CriterionReport
     selection: tuple[SelectionDetail, ...]
     warnings: tuple[str, ...] = ()
 
     def alpha(self, k: int) -> float:
-        return self.schedule.alpha(k)
+        return EpsilonSchedule().alpha(k)
 
 
 def build_vector(
@@ -292,23 +281,13 @@ def build_vector(
     targets,
     *,
     horizon: int = 10**4,
-    nseq=None,
-    n_max: int = 4096,
 ) -> ConstructionPlan:
     """Materialize the truncated interleaving sum over the separated
-    classes: the horizon caps the exponent n^q, not the class index n."""
+    classes at the thresholds of ``select_Nk``: the horizon caps the
+    exponent n^q, not the class index n."""
     targets = tuple(targets)
-    schedule = EpsilonSchedule()
-    if nseq is None:
-        n_max = _window(q, targets, n_max)
-    crit = _criterion_or_refuse(space, w, q, targets)
-    if nseq is None:
-        nseq, details = _thresholds(space, w, q, targets, n_max, crit)
-    else:
-        nseq, details = tuple(int(n) for n in nseq), ()
-    k_classes = len(targets)
-    n_horizon = iroot(horizon, q)
-    jsets = generate_jsets(nseq, k_classes, n_horizon)
+    nseq, details = select_Nk(space, w, q, targets)
+    jsets = generate_jsets(nseq, len(targets), iroot(horizon, q))
     fwd = OperatorSpec(w, FORWARD)
     warns = []
     entries: dict[int, complex] = {}
@@ -335,23 +314,19 @@ def build_vector(
     if not candidate.entries:
         warns.append("candidate is the zero vector (horizon too small)")
     for k, bn in enumerate(block_norms, start=1):
-        if bn > schedule.eps(k) * (1 + 1e-9):
-            warns.append(
-                f"block {k} norm {bn:.3g} exceeds eps_{k}={schedule.eps(k):g}"
-            )
+        eps_k = EpsilonSchedule().eps(k)
+        if bn > eps_k * (1 + 1e-9):
+            warns.append(f"block {k} norm {bn:.3g} exceeds eps_{k}={eps_k:g}")
     return ConstructionPlan(
         q=q,
         space=space,
         weights=w,
-        schedule=schedule,
         targets=targets,
         nseq=nseq,
         jsets=jsets,
-        k_classes=k_classes,
         horizon=horizon,
         candidate=candidate,
         block_norms=tuple(block_norms),
-        criterion=crit,
         selection=details,
         warnings=tuple(warns),
     )
@@ -414,7 +389,7 @@ def verify_eq33(plan: ConstructionPlan) -> Eq33Report:
     m_edge = iroot(plan.horizon - band, plan.q)
     columns = []
     edges = []
-    for k in range(1, plan.k_classes + 1):
+    for k in range(1, len(plan.targets) + 1):
         ms = plan.jsets.classes[k - 1]
         interior = ms <= m_edge
         edges.extend((k, m) for m in ms[~interior].tolist())

@@ -1,8 +1,8 @@
 """The CI workflow parses, keeps its limits, gates on full-size benchmark
 runs and a tiny criterion-grid run, compares full-size numeric CSVs with
 csv.writer's bytes and JSON-lines logs with json.dumps's, shows a pull
-request's golden report and benchmark output diffs without failing on
-them and installs the test extra; pytest turns RuntimeWarnings,
+request's golden report, benchmark output and line-count diffs without
+failing on them and installs the test extra; pytest turns RuntimeWarnings,
 ResourceWarnings and unraisable exceptions into errors; the benchmark's
 tracer finds every name it wraps."""
 
@@ -83,11 +83,16 @@ def test_golden_diff_runs_on_pull_requests_and_never_fails():
     assert lines[5] == (
         'python tests/bench_outputs.py "$RUNNER_TEMP/base" > "$RUNNER_TEMP/bench-base.txt"')
     assert lines[6] == 'python tests/bench_outputs.py . > "$RUNNER_TEMP/bench-head.txt"'
-    # both diffs print, whichever differs; a difference only sets the status
-    assert lines[7:] == [
+    # the package modules' line counts on the base tree and on this one
+    assert lines[7] == (
+        '(cd "$RUNNER_TEMP/base" && wc -l src/shiftlab/*.py) > "$RUNNER_TEMP/lines-base.txt"')
+    assert lines[8] == 'wc -l src/shiftlab/*.py > "$RUNNER_TEMP/lines-head.txt"'
+    # all three diffs print, whichever differs; a difference only sets the status
+    assert lines[9:] == [
         "status=0",
         'diff "$RUNNER_TEMP/goldens-base.txt" "$RUNNER_TEMP/goldens-head.txt" || status=$?',
         'diff "$RUNNER_TEMP/bench-base.txt" "$RUNNER_TEMP/bench-head.txt" || status=$?',
+        'diff "$RUNNER_TEMP/lines-base.txt" "$RUNNER_TEMP/lines-head.txt" || status=$?',
         'exit "$status"',
     ]
     assert os.path.isfile(os.path.join(ROOT, "tests", "bench_outputs.py"))
@@ -122,22 +127,43 @@ def test_runtime_warnings_fail_the_tests():
     assert "error::pytest.PytestUnraisableExceptionWarning" in options["filterwarnings"]
 
 
-def test_tracer_wraps_names_that_exist():
-    # perfbench/tracer.py looks up WeightSeq.warm/prefix/prefix_logmag and
-    # reads WeightSeq._lm by name; a rename fails here, not only in the
-    # benchmark's smoke run.  The file is imported read-only.
-    import numpy as np
-
-    from shiftlab.shiftops import BergmanWeight
-
+def _tracer():
+    """A ``Tracer`` of perfbench/tracer.py, imported read-only."""
     path = os.path.join(ROOT, "perfbench", "tracer.py")
     tracer_mod = types.ModuleType("perfbench_tracer")
     with open(path, encoding="utf-8") as fh:  # compiled here: no bytecode written
         exec(compile(fh.read(), path, "exec"), tracer_mod.__dict__)
-    tracer = tracer_mod.Tracer()
+    return tracer_mod.Tracer()
+
+
+def test_tracer_wraps_names_that_exist():
+    # perfbench/tracer.py looks up WeightSeq.warm/prefix/prefix_logmag and
+    # reads WeightSeq._lm by name; a rename fails here, not only in the
+    # benchmark's smoke run.
+    import numpy as np
+
+    from shiftlab.shiftops import BergmanWeight
+
+    tracer = _tracer()
     with tracer.active():
         got = BergmanWeight().prefix_logmag(np.array([1, 3]))
     assert got.tolist() == BergmanWeight().prefix_logmag(np.array([1, 3])).tolist()
     metrics = tracer.pass_metrics()
     assert metrics["shiftops.prefix_bulk_points"][0] == 2
     assert metrics["shiftops.prefix_reach"][0] == 3
+
+
+def test_traced_build_times_its_selection():
+    # build_vector takes its thresholds from select_Nk, so the tracer's
+    # constructor.select_s sees the selection, which runs the criterion once
+    from shiftlab import constructor
+    from shiftlab.seqspace import lp
+    from shiftlab.shiftops import ConstantWeight
+
+    tracer = _tracer()
+    with tracer.active():
+        constructor.build_vector(lp(2), ConstantWeight(2), 1,
+                                 constructor.canonical_targets(2), horizon=100)
+    metrics = tracer.pass_metrics()
+    assert metrics["constructor.select_s"][0] > 0
+    assert metrics["constructor.criterion_calls_per_build"][0] == 1.0

@@ -106,7 +106,7 @@ ORBIT = {"weights": {"family": "Constant", "value": 2}, "vector": {"basis": 3}}
     ("criterion", {"weights": {"family": "Bergman"}, "space": {"p": "x"}}, "space.p"),
     ("criterion", {"weights": {"family": "Bergman"}, "space": {"kind": "entire", "rmax": "r"}},
      "space.rmax"),
-    ("construct", {"weights": {"family": "Constant"}, "n_max": "n"}, "config.n_max"),
+    ("construct", {"weights": {"family": "Constant"}, "n_max": 4096}, "config"),
     ("weakstar", dict(ORBIT, center={"basis": 1}, eps="e"), "config.eps"),
     ("sweep", {"grid": [{"family": "Bergman"}], "q_values": ["q"]}, "config.q_values"),
     ("sweep", {"grid": [{"family": "Bergman"}], "q_values": [1], "max_exp": {}},
@@ -1018,3 +1018,22 @@ class TestWriteJsonlMatchesJsonDumps:
                 mp.setattr(cli, "_WRITER_ROWS", writer_rows)
                 write_jsonl(str(path), keys, columns)
             assert path.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_outputs_take_the_umasks_mode(tmp_path, umask):
+    # an output is made as a 0600 temporary file, then given the mode a
+    # plain open() would give it: 0666 less the umask
+    writers = {
+        "t.csv": lambda path: write_csv(path, ["a"], [np.arange(3)]),
+        "t.jsonl": lambda path: write_jsonl(path, ("a",), [np.arange(3)]),
+        "t.json": lambda path: cli.atomic_write(path, "{}\n"),
+    }
+    old = os.umask(umask)
+    try:
+        for name, write in writers.items():
+            write(str(tmp_path / name))
+    finally:
+        os.umask(old)
+    modes = {name: os.stat(tmp_path / name).st_mode & 0o777 for name in writers}
+    assert modes == dict.fromkeys(writers, 0o666 & ~umask)

@@ -25,7 +25,6 @@ from shiftlab.constructor import (
     transfer_weakstar,
     verify_eq33,
 )
-from shiftlab.criterion import qfhc_check
 from shiftlab.errors import ConstructionRefusedError, InvalidArgumentError, ResourceLimitError
 from shiftlab.density import iroot
 from shiftlab.seqspace import (
@@ -158,13 +157,29 @@ class TestThresholdSelection:
         # mass past a 64-term window, which is still inside the head
         w = TableWeight([1.05] * 300, 2.0)
         assert np.isinf(constructor._certified_s_tails(lp(2), w, 1, 1, 64)).all()
-        with pytest.raises(ConstructionRefusedError):
-            select_Nk(lp(2), w, 1, canonical_targets(4), n_max=64)
         # past the head it is exactly geometric: at j = 1 the squared tail
         # from N = 400 is 1.05^-598 4^-101 (4/3)
         tails = constructor._certified_s_tails(lp(2), w, 1, 1, 400)
         assert tails[-1] ** 2 == pytest.approx(1.05**-598 * 4.0**-101 * 4 / 3, rel=1e-12)
-        assert select_Nk(lp(2), w, 1, canonical_targets(4), n_max=400)[0] == (25, 39, 53, 67)
+        # the 4096-term window of the selection ends past a 300-term head,
+        # but inside a 5000-term one
+        assert select_Nk(lp(2), w, 1, canonical_targets(4))[0] == (25, 39, 53, 67)
+        with pytest.raises(ConstructionRefusedError):
+            select_Nk(lp(2), TableWeight([1.05] * 5000, 2.0), 1, canonical_targets(4))
+
+    def test_the_backward_tail_past_the_window_is_certified(self):
+        # weights 0.999 on the nonpositive side: ||T^n e_1|| = 2 * 0.999^(n-1),
+        # so the T-series mass past the 4096-term window is 2 * 0.999^4096 / 0.001
+        w = BilateralTableWeight({}, 2.0, 0.999)
+        terms = np.exp(constructor._shift_series(w, 1, 1, -1, 1)(np.arange(1, 4097)))
+        assert constructor._beyond(w, 1, 1, -1, 1, terms) == pytest.approx(
+            2 * 0.999**4096 / 0.001, rel=1e-12)
+        # that mass is above eps_1 = 1/2, so no N in the window certifies
+        with pytest.raises(ConstructionRefusedError, match="no N <= 4096"):
+            select_Nk(lp(2, BILATERAL), w, 1, canonical_targets(2, BILATERAL))
+        # weights 0.5 leave a mass past the window far below every eps_k
+        w = BilateralTableWeight({}, 2.0, 0.5)
+        assert select_Nk(lp(2, BILATERAL), w, 1, canonical_targets(3, BILATERAL))[0] == (4, 5, 6)
 
     def test_a_mass_the_class_does_not_sum_is_unbounded(self):
         # Bergman on c0 at q = 1: the terms (n + 2)^(-1/2) decay, so the
@@ -176,7 +191,7 @@ class TestBuildVector:
     def test_block_norms_below_schedule(self):
         plan = build_vector(lp(2), ConstantWeight(2), 1, canonical_targets(3), horizon=10**3)
         for k, bn in enumerate(plan.block_norms, start=1):
-            assert bn <= plan.schedule.eps(k) * (1 + 1e-9)
+            assert bn <= EpsilonSchedule().eps(k) * (1 + 1e-9)
         assert not plan.warnings
 
     def test_single_target_assembly(self):
@@ -208,34 +223,19 @@ class TestBuildVector:
             select_Nk(lp(2), w, q, canonical_targets(2))
         assert reads == []
 
-    def test_supplied_nseq_needs_no_certificate_window(self):
-        plan = build_vector(lp(2), ConstantWeight(2), 4, canonical_targets(2),
-                            horizon=10**4, nseq=(1, 2))
-        assert plan.nseq == (1, 2) and plan.candidate
+    def test_criterion_runs_once_per_build(self, monkeypatch):
+        calls = {"qfhc_check": 0, "select_Nk": 0}
 
-    @pytest.mark.parametrize("supplied", [False, True])
-    def test_criterion_runs_once_per_build(self, monkeypatch, supplied):
-        calls = []
+        def counting(name, real):
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return count
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return qfhc_check(*args, **kwargs)
-
-        monkeypatch.setattr(constructor, "qfhc_check", counting)
-        nseq = (2, 5) if supplied else None
-        build_vector(lp(2), ConstantWeight(2), 1, canonical_targets(2), horizon=100, nseq=nseq)
-        assert len(calls) == 1
-
-    def test_supplied_nseq_matches_selected(self):
-        targets = canonical_targets(3)
-        auto = build_vector(lp(2), ConstantWeight(2), 1, targets, horizon=10**3)
-        given = build_vector(
-            lp(2), ConstantWeight(2), 1, targets, horizon=10**3, nseq=list(auto.nseq)
-        )
-        assert given.nseq == auto.nseq
-        assert given.selection == ()
-        assert given.candidate == auto.candidate
-        assert given.criterion.satisfied
+        for name in calls:
+            monkeypatch.setattr(constructor, name, counting(name, getattr(constructor, name)))
+        build_vector(lp(2), ConstantWeight(2), 1, canonical_targets(2), horizon=100)
+        assert calls == {"qfhc_check": 1, "select_Nk": 1}
 
     # Constant(1.1)'s candidate reaches index 7797, past the 4096 entries
     # that the old prefix cache filled on a first small read
@@ -250,11 +250,6 @@ class TestBuildVector:
         after = build_vector(lp(2), w, q, canonical_targets(2), horizon=10**4)
         assert repr(after.selection) == repr(fresh.selection)  # the certified tails
         assert repr(after.candidate.entries) == repr(fresh.candidate.entries)
-
-    def test_supplied_nseq_refused_when_criterion_fails(self):
-        with pytest.raises(ConstructionRefusedError) as exc:
-            build_vector(lp(2), BergmanWeight(), 1, [E1], nseq=(2,))
-        assert exc.value.report.overall == "fails"
 
     def test_steep_power_law_tail_does_not_overflow(self):
         # the certified tails' power-law fit has n_max^s past double range

@@ -82,6 +82,10 @@ The ``orbit`` case's ``orbit_events.jsonl`` was re-recorded when a
 |y_index|, instead of the largest modulus: a leaf-by-leaf comparison
 showed the same ``hits.csv`` and the same n, exponent and hit at every
 event, and every value equal to |y_1| of the unrotated orbit.
+The ``construct`` case's ``config.resolved.json`` was re-recorded when
+the ``n_max`` key left the CLI; a line diff of the echo showed only the
+``"n_max": 4096`` line gone, and the candidate and return-bound files
+kept their digests.
 
 Running this file as a script, ``python tests/test_goldens.py [CASE ...]``,
 prints ``case<TAB>repr(report)`` per report case, so that a re-record
@@ -177,7 +181,7 @@ GOLDENS = {
             "candidate.csv":
                 "d81b1a6033cd9106e76fa083d892f93500cf10e95041bd8b81259840c40b9071",
             "config.resolved.json":
-                "2647bd81c10ddb46ae907c84db7762c8fe32e164ffa9009ba975a1ba7715e3e8",
+                "1469bfe29835fe1b72e7ce4e7a9a3d272c6ce31e15e65ba46453eb827843be31",
             "eq33.csv":
                 "49303f707949820b008a41c8edf2a3606b92e8bb71a33ed5b47330a518723665",
         },
