@@ -516,7 +516,7 @@ def _scenario(**fields) -> dict:
 # objects (space, weights, vector, target, center) are read by parse_*
 FIELDS = {
     "density": _scenario(times=(..., list), q=(1, int), burn_in=(None, int)),
-    "jsets": _scenario(nseq=(..., _ints), k=(None, int)),
+    "jsets": _scenario(nseq=(..., _ints)),
     "criterion": _scenario(space=({}, None), weights=(..., None), q=(1, int),
                            indices=([1, 2, 3, 4, 5], _ints), max_exp=(crit.DEFAULT_MAX_EXP, int)),
     "construct": _scenario(space=({}, None), weights=(..., None), q=(1, int), k=(3, int)),
@@ -564,7 +564,7 @@ def run_density(config: dict, args) -> int:
 
 def run_jsets(config: dict, args) -> int:
     cfg = _resolve(config, args, "jsets")
-    fam = dens.generate_jsets(cfg["nseq"], cfg["k"], cfg["horizon"])
+    fam = dens.generate_jsets(cfg["nseq"], horizon=cfg["horizon"])
     report = dens.verify_jsets(fam)
     pos, label = fam.walk.columns
     by_class = np.argsort(label, kind="stable")

@@ -287,7 +287,7 @@ def build_vector(
     exponent n^q, not the class index n."""
     targets = tuple(targets)
     nseq, details = select_Nk(space, w, q, targets)
-    jsets = generate_jsets(nseq, len(targets), iroot(horizon, q))
+    jsets = generate_jsets(nseq, horizon=iroot(horizon, q))
     fwd = OperatorSpec(w, FORWARD)
     warns = []
     entries: dict[int, complex] = {}

@@ -105,14 +105,6 @@ class Verdict:
         self.checkpoints
         return self.__dict__
 
-    @property
-    def converges(self) -> bool:
-        return self.kind == CONVERGES
-
-    @property
-    def diverges(self) -> bool:
-        return self.kind == DIVERGES
-
 
 @dataclass(frozen=True)
 class ProbeEntry:
@@ -394,8 +386,10 @@ def _exact(x: float):
     return int(x) if float(x).is_integer() else float(x)
 
 
-def _fmt(x) -> str:
-    return f"{x:.6g}" if isinstance(x, float) else str(x)
+def _fmt(x, bound: int) -> str:
+    """``x`` to 6 significant digits, or in full where those read as ``bound``."""
+    text = f"{x:.6g}" if isinstance(x, float) else str(x)
+    return repr(x) if text == str(bound) else text
 
 
 def _decide(cls: AsymptoticClass, q: int, s, log_r, summable: bool):
@@ -422,7 +416,7 @@ def _decide(cls: AsymptoticClass, q: int, s, log_r, summable: bool):
         x = sum(parts)
         if x == bound:
             continue
-        where = f"asymptotic class at {names[level]}: coefficient {_fmt(x)}"
+        where = f"asymptotic class at {names[level]}: coefficient {_fmt(x, bound)}"
         if isinstance(x, float) and abs(x - bound) <= _ROUNDING_BAND * max(1.0, *map(abs, parts)):
             return INCONCLUSIVE, f"{where} within rounding of {bound}"
         if x < bound:

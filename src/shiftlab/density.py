@@ -265,27 +265,22 @@ def dyadic_class(n: int, k_cap: int) -> int:
 _POW2 = np.left_shift(1, np.arange(63, dtype=np.int64))
 
 
-def generate_jsets(nseq, k_classes: int | None = None,
-                   horizon: int = 10**5) -> JSetFamily:
-    """Build the separated classes for a strictly increasing threshold
-    sequence (N_k), as walk prefixes up to the horizon."""
+def generate_jsets(nseq, *, horizon: int = 10**5) -> JSetFamily:
+    """Build the separated classes J_1..J_K, K = len(nseq), for a strictly
+    increasing threshold sequence (N_k), as walk prefixes up to the
+    horizon."""
     nseq = tuple(int(n) for n in nseq)
     if not nseq or any(n < 1 for n in nseq):
         raise InvalidArgumentError("thresholds must be positive integers")
     if any(b <= a for a, b in zip(nseq, nseq[1:])):
         raise InvalidArgumentError("thresholds must be strictly increasing")
-    if k_classes is None:
-        k_classes = len(nseq)
-    k_classes = int(k_classes)
-    if not (1 <= k_classes <= len(nseq)):
-        raise InvalidArgumentError("k_classes must be in 1..len(nseq)")
     horizon = int(horizon)
     # every step adds at least 2*N_1, so the walk passes the horizon by
     # then; thresholds past the horizon only matter as "past the horizon"
     steps = max(0, horizon // (2 * nseq[0]) + 1)
     n = np.arange(1, steps + 1, dtype=np.int64)
     # dyadic_class(n): 1 + log2 of the lowest set bit of n, capped at K
-    label = np.minimum(1 + np.searchsorted(_POW2, n & -n), k_classes)
+    label = np.minimum(1 + np.searchsorted(_POW2, n & -n), len(nseq))
     thr = np.array([min(t, horizon + 1) for t in nseq], dtype=np.int64)[label - 1]
     # a_1 = 2 N_1 and a_n = a_(n-1) + N_(label n) + N_(label n-1)
     pos = np.cumsum(thr + np.concatenate((thr[:1], thr[:-1])))
@@ -299,7 +294,7 @@ def generate_jsets(nseq, k_classes: int | None = None,
         )
     return JSetFamily(
         nseq=nseq,
-        k_classes=k_classes,
+        k_classes=len(nseq),
         horizon=horizon,
         walk=Columns(pos, label),
     )

@@ -37,7 +37,6 @@ since an orbit costs its surviving terms whatever N is.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from numbers import Real
@@ -80,23 +79,6 @@ class LogPolar:
 
     logmag: float
     phase: float
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "LogPolar":
-        z = complex(z)
-        if z == 0:
-            raise InvalidArgumentError("log-polar form of zero is undefined")
-        return cls(*_log_polar(z))
-
-    def to_complex(self) -> complex:
-        # math.exp raises OverflowError rather than silently saturating
-        return cmath.rect(math.exp(self.logmag), self.phase)
-
-    def __mul__(self, other: "LogPolar") -> "LogPolar":
-        return LogPolar(self.logmag + other.logmag, self.phase + other.phase)
-
-    def inverse(self) -> "LogPolar":
-        return LogPolar(-self.logmag, -self.phase)
 
 
 def _log_polar(z: complex) -> tuple[float, float]:

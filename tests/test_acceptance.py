@@ -94,14 +94,14 @@ def test_02_growth_dichotomy():
 
 
 def test_03_separated_classes():
-    fam = generate_jsets(tuple(range(10, 81, 10)), 8, 10**5)
+    fam = generate_jsets(tuple(range(10, 81, 10)), horizon=10**5)
     rep = verify_jsets(fam)
     assert rep.disjoint
     assert not rep.gap_violations
     assert not rep.min_bound_violations
     assert all(d > 0 for d in rep.class_densities)
 
-    single = verify_jsets(generate_jsets((10,), 1, 10**5))
+    single = verify_jsets(generate_jsets((10,), horizon=10**5))
     assert abs(single.class_densities[0] - 1.0 / 20.0) <= 1.0 / 10**5
     report(3, "class family verified; K=1 density 1/(2 N_1) within 1/horizon")
 

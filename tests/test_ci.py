@@ -4,7 +4,8 @@ csv.writer's bytes and JSON-lines logs with json.dumps's, shows a pull
 request's golden report, benchmark output and line-count diffs without
 failing on them and installs the test extra; pytest turns RuntimeWarnings,
 ResourceWarnings and unraisable exceptions into errors; the benchmark's
-tracer finds every name it wraps."""
+tracer finds every name it wraps; Hypothesis draws the same examples on
+every run."""
 
 import os
 import re
@@ -167,3 +168,11 @@ def test_traced_build_times_its_selection():
     metrics = tracer.pass_metrics()
     assert metrics["constructor.select_s"][0] > 0
     assert metrics["constructor.criterion_calls_per_build"][0] == 1.0
+
+
+def test_hypothesis_examples_are_derandomized():
+    # tests/conftest.py loads the profile; a test's own @settings keeps it
+    from hypothesis import settings
+
+    assert settings.default.derandomize is True
+    assert settings(max_examples=5, deadline=None).derandomize is True

@@ -9,7 +9,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from shiftlab import cli
+from shiftlab import constructor as ctor
 from shiftlab.cli import CSV_CHUNK_ROWS, _indented_json, main, write_csv, write_jsonl
+from shiftlab.density import HitSet, q_lower_density
+from shiftlab.seqspace import lp
+from shiftlab.shiftops import BACKWARD, ConstantWeight, OperatorSpec
 
 
 def write_config(tmp_path, name, payload):
@@ -49,6 +53,12 @@ class TestConfigHandling:
         )
         assert run(["density", "--config", cfg]) == 1
         assert "unknown key 'seed'" in capsys.readouterr().err
+
+    def test_jsets_k_key_rejected(self, tmp_path, capsys):
+        # the class count is len(nseq); a "k" of any value is not a key
+        cfg = write_config(tmp_path, "c.json", {"scenario": "jsets", "nseq": [1, 2], "k": 2})
+        assert run(["jsets", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err == "config error: config: unknown key 'k'\n"
 
     def test_tol_key_and_flag_rejected(self, tmp_path, capsys):
         # verdicts come from asymptotic classes; no tolerance is configurable
@@ -92,7 +102,7 @@ ORBIT = {"weights": {"family": "Constant", "value": 2}, "vector": {"basis": 3}}
     ("density", {"times": [1, 2, 3], "horizon": "h"}, "config.horizon"),
     ("density", {"times": [1, 2, 3], "horizon": 10, "burn_in": "x"}, "config.burn_in"),
     ("jsets", {"nseq": ["a", 2], "horizon": 100}, "config.nseq"),
-    ("jsets", {"nseq": [1, 2], "k": "x", "horizon": 100}, "config.k"),
+    ("jsets", {"nseq": [1, 2], "k": 2, "horizon": 100}, "config"),  # K is len(nseq)
     ("orbit", dict(ORBIT, target=dict(BALL, radius="r")), "target.radius"),
     ("orbit", dict(ORBIT, target={"kind": "modulus_exceeds", "index": "i"}), "target.index"),
     ("orbit", dict(ORBIT, target=BALL, rotation=["a", "b"]), "config.rotation"),
@@ -160,11 +170,15 @@ def test_refused_value_exits_two_in_every_scenario(tmp_path, capsys, scenario, c
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def readme() -> str:
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        return fh.read()
+
+
 def readme_config_table() -> dict:
     """README's table of config keys: row label -> {key: default as JSON
     text, or None for a required key}."""
-    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
-        text = fh.read()
+    text = readme()
     table = text[text.index("| Object | Keys and defaults |"):].split("\n\n")[0]
     rows = {}
     for line in table.splitlines()[2:]:
@@ -189,6 +203,46 @@ def test_readme_config_table_matches_declared_fields():
     for kind, fields in cli.TARGET_KINDS.items():
         want[f"`target` `{kind}`"] = declared(fields)
     assert got == want
+
+
+def readme_runs() -> list:
+    """README's example runs, in order: (config file name, documented exit
+    code, config)."""
+    text = readme()
+    section = text[text.index("### Example runs"):text.index("Config keys, with their defaults")]
+    runs = re.findall(r"^#### `([\w-]+\.json)` \(exit (\d)\)$.*?^```json$(.*?)^```$",
+                      section, re.M | re.S)
+    return [(name, int(code), json.loads(body)) for name, code, body in runs]
+
+
+def test_readme_configs_run(tmp_path):
+    runs = readme_runs()
+    assert len(runs) >= 5
+    assert {"criterion", "sweep", "construct", "orbit"} <= {cfg["scenario"] for *_, cfg in runs}
+    outs = {}
+    for name, code, cfg in runs:
+        if cfg["scenario"] == "orbit":  # the candidate of the construct run before it
+            with open(outs["construct"] / "candidate.csv", newline="", encoding="utf-8") as fh:
+                cfg["vector"]["entries"] = {row["index"]: [float(row["re"]), float(row["im"])]
+                                            for row in csv.DictReader(fh)}
+        out = outs[cfg["scenario"]] = tmp_path / name.removesuffix(".json")
+        assert run([cfg["scenario"], "--config", write_config(tmp_path, name, cfg),
+                    "--out", out]) == code, name
+
+    # the same construction and hit experiment in process
+    space, w, targets = lp(2), ConstantWeight(2), ctor.canonical_targets(3)
+    plan = ctor.build_vector(space, w, 1, targets, horizon=10**4)
+    want = ctor.hit_experiment(space, OperatorSpec(w, BACKWARD), plan.candidate,
+                               ctor.BallTarget(targets[0], 3 * plan.alpha(3)),
+                               exponents="powers", q=1, horizon=10**4)
+    hits = np.loadtxt(outs["orbit"] / "hits.csv", dtype=np.int64, skiprows=1, ndmin=1)
+    assert hits.tolist() == want.hits.array.tolist()
+    assert q_lower_density(HitSet(hits, 10**4), 1).value == want.density.value
+    eq33 = np.loadtxt(outs["construct"] / "eq33.csv", delimiter=",", skiprows=1,
+                      usecols=(2, 3), ndmin=2)
+    report = ctor.verify_eq33(plan)
+    worst = (eq33[:, 0] / eq33[:, 1]).max()
+    assert worst == (report.error / report.bound).max() == pytest.approx(1 / 3)
 
 
 class TestScenarios:
@@ -700,7 +754,7 @@ class TestResolvedConfigEcho:
         max_leaves=20,
     )
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300, deadline=None)
     @given(json_values)
     def test_indented_json_matches_json_dumps(self, value):
         assert _indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
@@ -916,7 +970,7 @@ class TestWriteCsvMatchesCsvWriter:
                       np.array([True] * 13 + [False]), np.full(14, 2**64 - 1, np.uint64)],
              chunk_rows=13)
     @example(columns=[np.array([-0.0] * 13 + [0.0]), np.arange(14)], chunk_rows=13)
-    @settings(max_examples=100, deadline=None, derandomize=True,
+    @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(columns=run_columns(), chunk_rows=st.integers(1, 40))
     def test_runs_of_equal_cells(self, tmp_path, columns, chunk_rows):
@@ -928,7 +982,7 @@ class TestWriteCsvMatchesCsvWriter:
 
     @example(columns=SPECIAL_COLUMNS, chunk_rows=7)
     @example(columns=SPECIAL_COLUMNS, chunk_rows=CSV_CHUNK_ROWS)
-    @settings(max_examples=200, deadline=None, derandomize=True,
+    @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(columns=bit_pattern_columns(), chunk_rows=st.integers(1, 64))
     def test_float_bit_patterns(self, tmp_path, columns, chunk_rows):
@@ -1000,7 +1054,7 @@ class TestWriteJsonlMatchesJsonDumps:
     @example(columns=[np.arange(257), np.full(257, -(2**63)),
                       np.resize(np.array(JSON_FLOATS), 257), np.arange(257) % 3 == 0],
              chunk_rows=256)
-    @settings(max_examples=150, deadline=None, derandomize=True,
+    @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(columns=event_columns(),
            chunk_rows=st.sampled_from([7, CSV_CHUNK_ROWS]) | st.integers(1, 600))

@@ -116,7 +116,7 @@ class TestLowerDensity:
 
     # from N = 79 on, N^10 passes int64
     @example(([1, 2, 3, 2**62, 2**63 - 1], 10**30, 10, None))
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None)
     @given(profile_cases())
     def test_counts_match_a_brute_force_count(self, case):
         times, horizon, q, burn_in = case
@@ -203,24 +203,24 @@ class TestDyadicClass:
 
 class TestSeparatedClasses:
     def test_acceptance_family_passes(self):
-        fam = generate_jsets(tuple(range(10, 81, 10)), 8, 10**5)
+        fam = generate_jsets(tuple(range(10, 81, 10)), horizon=10**5)
         rep = verify_jsets(fam)
         assert rep.ok
         assert all(d > 0 for d in rep.class_densities)
 
     def test_single_class_density(self):
         n1 = 10
-        fam = generate_jsets((n1,), 1, 10**5)
+        fam = generate_jsets((n1,), horizon=10**5)
         rep = verify_jsets(fam)
         assert abs(rep.class_densities[0] - 1.0 / (2 * n1)) <= 1.0 / 10**5
 
     def test_min_element_bound(self):
-        fam = generate_jsets((5, 11, 23), 3, 5000)
+        fam = generate_jsets((5, 11, 23), horizon=5000)
         for k, cls in enumerate(fam.classes, start=1):
             assert all(v >= fam.nseq[k - 1] for v in cls)
 
     def test_pairwise_gaps_brute_force(self):
-        fam = generate_jsets((4, 9, 17), 3, 3000)
+        fam = generate_jsets((4, 9, 17), horizon=3000)
         elems = [
             (v, k) for k, cls in enumerate(fam.classes, start=1) for v in cls
         ]
@@ -241,12 +241,17 @@ class TestSeparatedClasses:
     )
     def test_random_thresholds_verify(self, raw):
         nseq = tuple(sorted(raw))
-        fam = generate_jsets(nseq, len(nseq), 20000)
+        fam = generate_jsets(nseq, horizon=20000)
         assert verify_jsets(fam).ok
 
     def test_rejects_nonincreasing(self):
         with pytest.raises(InvalidArgumentError):
-            generate_jsets((5, 5), 2, 100)
+            generate_jsets((5, 5), horizon=100)
+
+    def test_horizon_is_keyword_only(self):
+        # K is len(nseq); a stale (nseq, k, horizon) call must not read k as the horizon
+        with pytest.raises(TypeError):
+            generate_jsets((1, 2), 3)
 
 
 def scalar_walk(nseq, k_classes, horizon):
@@ -295,7 +300,7 @@ class TestBulkJSets:
             nseq = sorted(rng.sample(range(1, 200), rng.randint(1, 9)))
             k = rng.randint(1, len(nseq))
             horizon = rng.choice([0, 1, 2 * nseq[0] - 1, 2 * nseq[0], rng.randint(1, 30_000)])
-            fam = generate_jsets(nseq, k, horizon)
+            fam = generate_jsets(nseq[:k], horizon=horizon)
             want = scalar_walk(nseq, k, horizon)
             assert list(fam.walk) == want
             assert [cls.tolist() for cls in fam.classes] == [
@@ -304,10 +309,10 @@ class TestBulkJSets:
 
     def test_deep_labels_and_huge_thresholds(self):
         # labels up to 1 + log2(steps), and thresholds far past the horizon
-        fam = generate_jsets((1, 2, 3, 10**30), 4, 5000)
+        fam = generate_jsets((1, 2, 3, 10**30), horizon=5000)
         assert list(fam.walk) == scalar_walk((1, 2, 3, 10**30), 4, 5000)
         nseq = tuple(range(1, 21))
-        fam = generate_jsets(nseq, 20, 200_000)
+        fam = generate_jsets(nseq, horizon=200_000)
         assert list(fam.walk) == scalar_walk(nseq, 20, 200_000)
 
     def test_verify_matches_brute_force_on_hand_built_families(self):

@@ -86,6 +86,10 @@ The ``construct`` case's ``config.resolved.json`` was re-recorded when
 the ``n_max`` key left the CLI; a line diff of the echo showed only the
 ``"n_max": 4096`` line gone, and the candidate and return-bound files
 kept their digests.
+The ``jsets`` case's ``config.resolved.json`` was re-recorded when the
+``k`` key left the CLI (the class count is ``len(nseq)``); a line diff of
+the echo showed only the ``"k": null`` line gone, and ``jsets.csv`` and
+``jsets_densities.csv`` kept their digests.
 
 Running this file as a script, ``python tests/test_goldens.py [CASE ...]``,
 prints ``case<TAB>repr(report)`` per report case, so that a re-record
@@ -157,7 +161,7 @@ GOLDENS = {
         {"nseq": [1, 2, 3, 4, 5], "horizon": 100_000},
         {
             "config.resolved.json":
-                "daa63170dc03dec520c77467eeb67be38c2104ad60a1254f8002416697287323",
+                "21cf8ebc9d07d45678b26df770d644c5e9f3c07a7784d4511f4d4afa9b392b89",
             "jsets.csv":
                 "f80dacba3f0b25a9506427964b3202931fde71420b87ff26eb108b56cebd9d5c",
             "jsets_densities.csv":
