@@ -44,7 +44,6 @@ from .density import (
     JSetFamily,
     JSetReport,
     check_growth_bound,
-    dyadic_class,
     generate_jsets,
     q_density_via_ranks,
     q_lower_density,

@@ -12,7 +12,9 @@ arithmetic; any other chunk goes through csv.writer.  Orbit logs are
 JSON-lines, the bytes of json.dumps per record, from the same row kernel,
 and all files are written atomically.
 
-Exit codes: 0 completed, 1 usage/config error, 2 refusal or violations.
+Usage: shiftlab <scenario> --config PATH [--out DIR] [--horizon N] (options
+in any order).  Exit codes: 0 completed or --help, 1 usage/config error, 2
+refusal or violations.
 """
 
 from __future__ import annotations
@@ -713,21 +715,21 @@ SCENARIOS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flat parser: a subparser per scenario made it six times slower to build."""
     parser = argparse.ArgumentParser(
-        prog="shiftlab",
-        description="Weighted-shift density, criterion, and orbit experiments",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in SCENARIOS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True, help="JSON scenario config")
-        sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--horizon", type=int, default=None)
+        "shiftlab", description="Weighted-shift density, criterion, and orbit experiments")
+    parser.add_argument("command", choices=SCENARIOS, help="scenario to run")
+    parser.add_argument("--config", required=True, metavar="PATH", help="JSON scenario config")
+    parser.add_argument("--out", metavar="DIR", help="output directory")
+    parser.add_argument("--horizon", type=int, metavar="N")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage error, or --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
@@ -747,7 +749,7 @@ def main(argv=None) -> int:
     declared = config.get("scenario", args.command)
     if declared != args.command:
         print(
-            f"config error: scenario {declared!r} does not match subcommand "
+            f"config error: scenario {declared!r} does not match command "
             f"{args.command!r}",
             file=sys.stderr,
         )

@@ -251,17 +251,6 @@ class JSetFamily:
         return tuple(pos[label == k] for k in range(1, self.k_classes + 1))
 
 
-def dyadic_class(n: int, k_cap: int) -> int:
-    """1 + the 2-adic valuation of n, capped at k_cap."""
-    if n < 1:
-        raise InvalidArgumentError("dyadic class needs n >= 1")
-    k = 1
-    while n % 2 == 0 and k < k_cap:
-        n //= 2
-        k += 1
-    return k
-
-
 _POW2 = np.left_shift(1, np.arange(63, dtype=np.int64))
 
 
@@ -279,7 +268,7 @@ def generate_jsets(nseq, *, horizon: int = 10**5) -> JSetFamily:
     # then; thresholds past the horizon only matter as "past the horizon"
     steps = max(0, horizon // (2 * nseq[0]) + 1)
     n = np.arange(1, steps + 1, dtype=np.int64)
-    # dyadic_class(n): 1 + log2 of the lowest set bit of n, capped at K
+    # n's class: 1 + log2 of the lowest set bit of n, capped at K
     label = np.minimum(1 + np.searchsorted(_POW2, n & -n), len(nseq))
     thr = np.array([min(t, horizon + 1) for t in nseq], dtype=np.int64)[label - 1]
     # a_1 = 2 N_1 and a_n = a_(n-1) + N_(label n) + N_(label n-1)

@@ -1,4 +1,5 @@
-"""The CI workflow parses, keeps its limits, gates on full-size benchmark
+"""The CI workflow parses, keeps its limits, fails when src/shiftlab/
+passes its line budget, gates on full-size benchmark
 runs and a tiny criterion-grid run, compares full-size numeric CSVs with
 csv.writer's bytes and JSON-lines logs with json.dumps's, shows a pull
 request's golden report, benchmark output and line-count diffs without
@@ -9,11 +10,27 @@ every run."""
 
 import os
 import re
+import shutil
+import subprocess
 import types
 
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("budget, code", [(3551, 0), (100, 1)])
+def test_line_budget_step_passes_here_and_fails_past_the_budget(budget, code):
+    yaml = pytest.importorskip("yaml")
+    if shutil.which("bash") is None:
+        pytest.skip("needs bash")
+    with open(os.path.join(ROOT, ".github", "workflows", "tests.yml"), encoding="utf-8") as fh:
+        steps = yaml.safe_load(fh)["jobs"]["tests"]["steps"]
+    script = next(s["run"] for s in steps if s.get("name") == "Line budget")
+    done = subprocess.run(["bash", "-e", "-c", script.replace("3551", str(budget))],
+                          cwd=ROOT, capture_output=True, text=True)
+    assert done.returncode == code
+    assert ("over the budget of 100" in done.stdout) == bool(code)
 
 
 def test_workflow_parses_and_keeps_its_limits():
@@ -27,8 +44,13 @@ def test_workflow_parses_and_keeps_its_limits():
     assert '"numpy==2.4.*"' in runs["Install dependencies"]
     assert "pyyaml" in runs["Install dependencies"].split()
     assert "--durations=10" in runs["Tier-1 tests"]
-    # the log shows each module's lines against the package's line budget
-    assert runs["Line budget"] == "wc -l src/shiftlab/*.py"
+    # the log shows each module's lines, and the step fails past the budget
+    assert runs["Line budget"].splitlines() == [
+        "wc -l src/shiftlab/*.py",
+        "total=$(cat src/shiftlab/*.py | wc -l)",
+        'if [ "$total" -gt 3551 ]; then echo "src/shiftlab/ has $total lines, '
+        'over the budget of 3551"; exit 1; fi',
+    ]
     assert "perfbench/test_smoke.py" in runs["Benchmark smoke test"]
     assert runs["Benchmark oracle self-check"] == "python3 perfbench/oracles.py"
     gate = runs["Benchmark gate"]

@@ -26,6 +26,33 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+class TestCommandLine:
+    @pytest.mark.parametrize("command", cli.SCENARIOS)
+    def test_parses_to_the_four_fields(self, command):
+        args = cli.build_parser().parse_args(
+            [command, "--config", "c.json", "--out", "d", "--horizon", "5"])
+        assert vars(args) == {"command": command, "config": "c.json", "out": "d", "horizon": 5}
+
+    def test_options_before_the_command(self):
+        args = cli.build_parser().parse_args(["--out", "d", "--config", "c.json", "orbit"])
+        assert vars(args) == {"command": "orbit", "config": "c.json", "out": "d", "horizon": None}
+
+    @pytest.mark.parametrize("argv", [
+        ["bogus", "--config", "c.json"],  # unknown command
+        ["density"],  # no --config
+        ["density", "--config", "c.json", "--seed", "0"],  # unknown flag
+        ["density", "--config", "c.json", "--horizon", "x"],  # not an int
+    ])
+    def test_usage_error_exits_1(self, argv, capsys):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: shiftlab") and "shiftlab: error:" in err
+
+    def test_help_exits_0(self, capsys):
+        assert run(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: shiftlab")
+
+
 class TestConfigHandling:
     def test_missing_file(self, tmp_path, capsys):
         assert run(["density", "--config", tmp_path / "nope.json"]) == 1
@@ -67,8 +94,8 @@ class TestConfigHandling:
         )
         assert run(["density", "--config", cfg, "--out", tmp_path / "o"]) == 1
         assert capsys.readouterr().err == "config error: config: unknown key 'tol'\n"
-        with pytest.raises(SystemExit):
-            run(["density", "--config", cfg, "--tol", "1e-8"])
+        assert run(["density", "--config", cfg, "--tol", "1e-8"]) == 1
+        assert "usage:" in capsys.readouterr().err
 
     def test_scenario_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"scenario": "jsets", "times": [1]})
@@ -233,9 +260,11 @@ def test_readme_configs_run(tmp_path):
     space, w, targets = lp(2), ConstantWeight(2), ctor.canonical_targets(3)
     plan = ctor.build_vector(space, w, 1, targets, horizon=10**4)
     want = ctor.hit_experiment(space, OperatorSpec(w, BACKWARD), plan.candidate,
-                               ctor.BallTarget(targets[0], 3 * plan.alpha(3)),
+                               ctor.BallTarget(targets[0], 0.25),
                                exponents="powers", q=1, horizon=10**4)
     hits = np.loadtxt(outs["orbit"] / "hits.csv", dtype=np.int64, skiprows=1, ndmin=1)
+    # the ball leaves 0 out, so the hit set says something of the candidate
+    assert 0 < len(hits) < 10**4
     assert hits.tolist() == want.hits.array.tolist()
     assert q_lower_density(HitSet(hits, 10**4), 1).value == want.density.value
     eq33 = np.loadtxt(outs["construct"] / "eq33.csv", delimiter=",", skiprows=1,

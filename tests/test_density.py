@@ -11,7 +11,6 @@ from shiftlab.density import (
     HitSet,
     JSetFamily,
     check_growth_bound,
-    dyadic_class,
     generate_jsets,
     iroot,
     q_density_via_ranks,
@@ -191,6 +190,16 @@ class TestShiftedUnion:
         a = HitSet.from_iterable([1], 10)
         with pytest.raises(InvalidArgumentError):
             shifted_union(a, [(lambda n: True, -1)], 10)
+
+
+def dyadic_class(n: int, k_cap: int) -> int:
+    """1 + the 2-adic valuation of n, capped at k_cap: the scalar
+    reference for generate_jsets' bulk class labels."""
+    k = 1
+    while n % 2 == 0 and k < k_cap:
+        n //= 2
+        k += 1
+    return k
 
 
 class TestDyadicClass:
