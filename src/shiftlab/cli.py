@@ -216,6 +216,8 @@ def parse_space(spec, where: str = "space") -> SpaceSpec:
 
 def parse_vector(spec, domain: str, where: str = "vector") -> CoeffVector:
     spec = _read(spec, VECTOR_FIELDS, where)
+    if spec["basis"] is not None and spec["entries"] is not None:
+        raise ConfigError(f"{where}: give 'basis' or 'entries', not both")
     if spec["basis"] is not None:
         return CoeffVector.basis(spec["basis"], domain)
     if spec["entries"] is not None:

@@ -4,7 +4,10 @@ The construction interleaves forward-shifted copies of a countable
 target family along separated index classes: class thresholds N_k are
 chosen so that certified series tails beyond N_k stay below a summable
 epsilon schedule, and the resulting vector's backward orbit returns
-near target x_k at every time in class k.
+near target x_k at every time in class k.  Past the window a tail takes
+its mass from the series' own criterion verdict (``_beyond``: the
+``tail_estimate`` of ``criterion._classify_weighted``), so the two
+layers decide it by one rule.
 
 Every orbit distance (the return bound, ball, weak* and modulus hits,
 the certified T-norms) goes through one route, ``_orbit_distances``: the
@@ -24,18 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .criterion import (
-    CONVERGES,
-    SATISFIES,
-    SCAN_TERMS,
-    _class_tail,
-    _decide,
-    _exact,
-    _offsets,
-    _past_head,
-    _shift_series,
-    qfhc_check,
-)
+from .criterion import (SATISFIES, SCAN_TERMS, _classify_weighted, _offsets, _shift_series,
+                        qfhc_check)
 from .density import (
     Columns,
     DensityEstimate,
@@ -57,6 +50,7 @@ from .seqspace import (
     c0,
     fnorm,
     linf_weakstar,
+    lp,
 )
 from .shiftops import (
     BACKWARD,
@@ -106,16 +100,16 @@ def canonical_targets(count: int, domain: str = UNILATERAL) -> tuple[CoeffVector
 # ---------------------------------------------------------------------------
 
 
-def _beyond(w: WeightSeq, j: int, q: int, direction: int, s, u: np.ndarray) -> float:
-    """The summed mass past the window of the index-j series in
-    ``direction`` whose window terms' s-th powers are ``u``: ``_class_tail``
-    of the side's class where the class makes it a convergent sum and the
-    window reaches past the side's head (``_past_head``), and inf where it
-    does not or gives no tail."""
-    n, cls = len(u), w.asymptotics(direction)
-    tail = (_class_tail(cls, lambda ns: u[ns - 1], n, q, s, 0, float(u.sum()))
-            if _decide(cls, q, s, 0, True)[0] == CONVERGES and _past_head(w, j, q, direction, n)
-            else None)
+def _beyond(w: WeightSeq, j: int, q: int, direction: int, s, n: int) -> float:
+    """The summed mass past the first n <= SCAN_TERMS terms of the
+    index-j series in ``direction``, each to the s-th power: the
+    ``tail_estimate`` of that series' own verdict on l^s, and inf where
+    it gives none.  A unilateral backward series is 0 once n^q >= j, so
+    it has none past a head that ends within the window (its verdict
+    scans the whole head)."""
+    if w.domain == UNILATERAL and direction < 0:
+        return 0.0 if iroot(j - 1, q) <= n else math.inf
+    tail = _classify_weighted(lp(s, w.domain), w, q, n)(j, direction, j).tail_estimate
     return math.inf if tail is None else tail
 
 
@@ -125,8 +119,10 @@ def _certified_s_tails(space: SpaceSpec, w: WeightSeq, q: int, j: int,
     series restricted to [N, infinity), for N = 1..n_max.
 
     l^p: root of the reverse-cumulative p-powered sums plus the mass past
-    the window (``_beyond``).  c0: reverse running max, and past the
-    window the summed mass of the terms, which dominates their sup.
+    the window, the ``tail_estimate`` of the series' l^p verdict
+    (``_beyond``).  c0: reverse running max, and past the window the
+    summed mass of the terms, their l^1 verdict's tail, which dominates
+    their sup.
     """
     with np.errstate(over="ignore", under="ignore"):
         t = np.exp(_shift_series(w, j, q, 1, j)(np.arange(1, n_max + 1)))
@@ -134,10 +130,10 @@ def _certified_s_tails(space: SpaceSpec, w: WeightSeq, q: int, j: int,
         raise InvalidArgumentError("forward series terms overflow; criterion fails")
     if space.kind not in ("lp", "c0"):
         raise InvalidArgumentError("tail certification supports lp and c0 spaces")
-    s, u = (_exact(space.p), t**space.p) if space.kind == "lp" else (1, t)
-    beyond = _beyond(w, j, q, 1, s, u)
+    p = space.p if space.kind == "lp" else 1
+    beyond = _beyond(w, j, q, 1, p, n_max)
     if space.kind == "lp":
-        return (np.cumsum(u[::-1])[::-1] + beyond) ** (1.0 / space.p)
+        return (np.cumsum((t**p)[::-1])[::-1] + beyond) ** (1.0 / p)
     return np.maximum(np.maximum.accumulate(t[::-1])[::-1], beyond)
 
 
@@ -193,9 +189,10 @@ def select_Nk(
     forward series beyond N_k stays below eps_k.
 
     The tails are read over the criterion's own scan window (``_offsets``
-    at SCAN_TERMS terms), refused below 64 terms; past it the T-series of
-    each index adds the mass ``_beyond`` gives it, or nothing once a
-    unilateral head has fallen off the edge inside the window.  Refuses
+    at SCAN_TERMS terms), refused below 64 terms; past it the S- and
+    T-series of each index add the mass ``_beyond`` gives them, or
+    nothing once a unilateral head has fallen off the edge inside the
+    window.  Refuses
     (with the failing report attached) when the convergence criterion
     does not hold on the targets' support.
     """
@@ -214,18 +211,12 @@ def select_Nk(
             f"{w.describe()} at q={q}",
             report=report,
         )
-    ns = np.arange(1, n_max + 1)
-    index_tails = {}  # per index: its S-tails from each N plus its T-series mass past the window
-    for j in support:
-        if w.domain == UNILATERAL:  # T^(n^q) e_j is 0 once n^q >= j
-            t_beyond = 0.0 if iroot(j - 1, q) <= n_max else math.inf
-        else:
-            with np.errstate(over="ignore", under="ignore"):
-                t_beyond = _beyond(w, j, q, -1, 1, np.exp(_shift_series(w, j, q, -1, j)(ns)))
-        index_tails[j] = _certified_s_tails(space, w, q, j, n_max) + t_beyond
+    # per index: its S-tails from each N plus its T-series mass past the window
+    index_tails = {j: _certified_s_tails(space, w, q, j, n_max) + _beyond(w, j, q, -1, 1, n_max)
+                   for j in support}
     # per-target combined tails, via the triangle inequality over support
     tails = []
-    back, steps = OperatorSpec(w, BACKWARD), _powers(ns, q)
+    back, steps = OperatorSpec(w, BACKWARD), _powers(np.arange(1, n_max + 1), q)
     for x in targets:
         # the F-norms of T^{n^q} x, zero once every index has fallen off the edge
         tn = _orbit_distances(space, back, x, steps, CoeffVector.zero(x.domain))

@@ -32,6 +32,9 @@ subnormal, with its lost digits, are refitted without (``_FIT_FLOOR``).
 Every weighted-shift series of the checkers and of the constructor's tail
 certificates comes from one function, ``_shift_series``: log term magnitudes
 P(anchor) - P(j +/- n^q) of prefix products P, read at the n asked for.
+The certificates take the mass past their window from a verdict of
+``_classify_weighted`` too, its ``tail_estimate``, so one rule decides
+every tail.
 """
 
 from __future__ import annotations

@@ -257,16 +257,18 @@ _POW2 = np.left_shift(1, np.arange(63, dtype=np.int64))
 def generate_jsets(nseq, *, horizon: int = 10**5) -> JSetFamily:
     """Build the separated classes J_1..J_K, K = len(nseq), for a strictly
     increasing threshold sequence (N_k), as walk prefixes up to the
-    horizon."""
+    horizon, which must be at least 1."""
     nseq = tuple(int(n) for n in nseq)
     if not nseq or any(n < 1 for n in nseq):
         raise InvalidArgumentError("thresholds must be positive integers")
     if any(b <= a for a, b in zip(nseq, nseq[1:])):
         raise InvalidArgumentError("thresholds must be strictly increasing")
     horizon = int(horizon)
+    if horizon < 1:
+        raise InvalidArgumentError("horizon must be at least 1")
     # every step adds at least 2*N_1, so the walk passes the horizon by
     # then; thresholds past the horizon only matter as "past the horizon"
-    steps = max(0, horizon // (2 * nseq[0]) + 1)
+    steps = horizon // (2 * nseq[0]) + 1
     n = np.arange(1, steps + 1, dtype=np.int64)
     # n's class: 1 + log2 of the lowest set bit of n, capped at K
     label = np.minimum(1 + np.searchsorted(_POW2, n & -n), len(nseq))

@@ -6,8 +6,9 @@ request's golden report, benchmark output and line-count diffs without
 failing on them and installs the test extra; pytest turns RuntimeWarnings,
 ResourceWarnings and unraisable exceptions into errors; the benchmark's
 tracer finds every name it wraps; Hypothesis draws the same examples on
-every run."""
+every run; the constructor decides no series tail of its own."""
 
+import ast
 import os
 import re
 import shutil
@@ -190,6 +191,18 @@ def test_traced_build_times_its_selection():
     metrics = tracer.pass_metrics()
     assert metrics["constructor.select_s"][0] > 0
     assert metrics["constructor.criterion_calls_per_build"][0] == 1.0
+
+
+def test_constructor_reads_tails_from_the_criterion():
+    # the certificates take the mass past their window from the series'
+    # verdict, so the constructor imports none of the rule's parts
+    with open(os.path.join(ROOT, "src", "shiftlab", "constructor.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "criterion"
+                for alias in node.names}
+    assert not imported & {"_class_tail", "_decide", "_past_head"}
+    assert "_classify_weighted" in imported
 
 
 def test_hypothesis_examples_are_derandomized():

@@ -139,6 +139,7 @@ ORBIT = {"weights": {"family": "Constant", "value": 2}, "vector": {"basis": 3}}
     ("weakstar", dict(ORBIT, center={"basis": 1}, burn_in="b"), "config.burn_in"),
     ("orbit", dict(ORBIT, target=BALL, vector={"entries": {"x": 1}}), "vector.entries"),
     ("orbit", dict(ORBIT, target=BALL, vector={"basis": "b"}), "vector.basis"),
+    ("orbit", dict(ORBIT, target=BALL, vector={"basis": 1, "entries": {"5": 1.0}}), "vector"),
     ("criterion", {"weights": {"family": "Bergman"}, "indices": ["a"]}, "config.indices"),
     ("criterion", {"weights": {"family": "Bergman"}, "space": {"p": "x"}}, "space.p"),
     ("criterion", {"weights": {"family": "Bergman"}, "space": {"kind": "entire", "rmax": "r"}},
@@ -189,12 +190,16 @@ WEAKSTAR_TARGET = {"kind": "weakstar", "center": {"basis": 1}}
     ("orbit", dict(ORBIT, target=dict(WEAKSTAR_TARGET, functionals=0))),
     ("weakstar", dict(ORBIT, center={"basis": 1}, horizon=10, burn_in=50)),
     ("orbit", dict(ORBIT, target=WEAKSTAR_TARGET, horizon=10, burn_in=50)),
+    ("jsets", {"nseq": [5, 11], "horizon": 0}),
+    ("jsets", {"nseq": [5, 11], "horizon": -5}),
+    ("construct", {"weights": {"family": "Constant", "value": 2}, "horizon": 0}),
 ])
 def test_refused_value_exits_two_in_every_scenario(tmp_path, capsys, scenario, config):
     cfg = write_config(tmp_path, "c.json", dict(config, scenario=scenario))
     assert run([scenario, "--config", cfg, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not list((tmp_path / "o").glob("*.csv"))
 
 
 def readme() -> str:

@@ -171,8 +171,7 @@ class TestThresholdSelection:
         # weights 0.999 on the nonpositive side: ||T^n e_1|| = 2 * 0.999^(n-1),
         # so the T-series mass past the 4096-term window is 2 * 0.999^4096 / 0.001
         w = BilateralTableWeight({}, 2.0, 0.999)
-        terms = np.exp(constructor._shift_series(w, 1, 1, -1, 1)(np.arange(1, 4097)))
-        assert constructor._beyond(w, 1, 1, -1, 1, terms) == pytest.approx(
+        assert constructor._beyond(w, 1, 1, -1, 1, 4096) == pytest.approx(
             2 * 0.999**4096 / 0.001, rel=1e-12)
         # that mass is above eps_1 = 1/2, so no N in the window certifies
         with pytest.raises(ConstructionRefusedError, match="no N <= 4096"):
@@ -180,6 +179,14 @@ class TestThresholdSelection:
         # weights 0.5 leave a mass past the window far below every eps_k
         w = BilateralTableWeight({}, 2.0, 0.5)
         assert select_Nk(lp(2, BILATERAL), w, 1, canonical_targets(3, BILATERAL))[0] == (4, 5, 6)
+
+    @pytest.mark.parametrize("j, q, want", [
+        (65, 1, 0.0), (66, 1, math.inf), (4097, 2, 0.0), (4225, 2, 0.0), (4226, 2, math.inf)])
+    def test_a_unilateral_backward_head_inside_the_window_leaves_no_mass(self, j, q, want):
+        # T^(n^q) e_j is 0 once n^q >= j: its head is the iroot(j - 1, q)
+        # terms n^q < j, so in a 64-term window j = 64^q + 1 leaves nothing
+        # past it and j = 65^q + 1 a term
+        assert constructor._beyond(ConstantWeight(2), j, q, -1, 1, 64) == want
 
     def test_a_mass_the_class_does_not_sum_is_unbounded(self):
         # Bergman on c0 at q = 1: the terms (n + 2)^(-1/2) decay, so the

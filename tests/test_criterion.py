@@ -327,6 +327,13 @@ class TestExactIndexLimit:
             calls[check]()
         assert seen == [0, 0]
 
+    def test_an_offset_at_the_limit_is_accepted(self):
+        # j = 2^53 itself is inside: the T-series is a head, the S-series
+        # reads no term and its class decides it
+        rep = qfhc_check(lp(2), BergmanWeight(), 1, [2**53])
+        assert rep.entry(f"T-series j={2**53}").verdict.kind == CONVERGES
+        assert rep.entry(f"S-series j={2**53}").verdict.kind == DIVERGES
+
     def test_q52_still_decides(self):
         # 2^52 <= 2^53: two terms fit, so the scan reports them
         rep = unilateral_condition(RootRatioWeight(1), lp(2), 52, [0])
@@ -1422,6 +1429,15 @@ class TestGeometricTail:
         assert rep.entry("S-series j=1").verdict.sum_estimate == 9.7560975609756
         rep = qfhc_check(lp(2), TableWeight([1.05] * 4097, 2.0), 1, [1])
         assert rep.entry("S-series j=1").verdict.sum_estimate is None
+
+    def test_a_sum_past_double_range_is_not_reported(self):
+        # 1/1e-305 then ratios e^-5e-4: the scan total 1.742450277903698e308
+        # and the geometric tail are each finite, but their sum overflows
+        w = TableWeight([1e-305], math.exp(5e-4))
+        v = unilateral_condition(w, lp(1), 1, [0]).entries[0].verdict
+        assert v.kind == CONVERGES
+        assert v.checkpoints[-1] == (SCAN_TERMS, 1.742450277903698e308)
+        assert v.sum_estimate is None and v.tail_estimate is None
 
     def test_decay_conditions_get_no_sum(self):
         v = unilateral_condition(ConstantWeight(1.0001), c0(), 1, [0]).entries[0].verdict

@@ -257,6 +257,12 @@ class TestSeparatedClasses:
         with pytest.raises(InvalidArgumentError):
             generate_jsets((5, 5), horizon=100)
 
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_rejects_a_horizon_below_1(self, horizon):
+        with pytest.raises(InvalidArgumentError, match="horizon must be at least 1"):
+            generate_jsets((5, 11), horizon=horizon)
+        assert len(generate_jsets((5, 11), horizon=1).walk) == 0
+
     def test_horizon_is_keyword_only(self):
         # K is len(nseq); a stale (nseq, k, horizon) call must not read k as the horizon
         with pytest.raises(TypeError):
@@ -309,6 +315,10 @@ class TestBulkJSets:
             nseq = sorted(rng.sample(range(1, 200), rng.randint(1, 9)))
             k = rng.randint(1, len(nseq))
             horizon = rng.choice([0, 1, 2 * nseq[0] - 1, 2 * nseq[0], rng.randint(1, 30_000)])
+            if horizon < 1:  # refused; the draw stays so the later cases stay as they were
+                with pytest.raises(InvalidArgumentError, match="horizon must be at least 1"):
+                    generate_jsets(nseq[:k], horizon=horizon)
+                continue
             fam = generate_jsets(nseq[:k], horizon=horizon)
             want = scalar_walk(nseq, k, horizon)
             assert list(fam.walk) == want
