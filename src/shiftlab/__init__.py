@@ -28,14 +28,10 @@ from .criterion import (
     SATISFIES,
     CriterionReport,
     Verdict,
-    bilateral_condition,
     fhc_check_tmu,
-    hc_check,
     qfhc_check,
-    salas_check,
     series_probe,
     unilateral_condition,
-    weakstar_condition,
 )
 from .density import (
     DensityEstimate,

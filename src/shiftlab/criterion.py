@@ -7,15 +7,17 @@ that decided, or reports no sum; neither overrides the verdict.  A
 checker runs them on the first read of a verdict's checkpoints or sums
 (``Verdict.__getattr__``): ``sweep`` and the constructor's gate read no term.
 
-A weighted-shift series (of ``qfhc_check``, ``unilateral_condition``,
-``bilateral_condition``, ``weakstar_condition``, ``salas_check``, the
-orbit decay of ``hc_check``) goes through ``_classify_weighted`` and is
-decided, once per call and direction, from the family's class
-(``WeightSeq.asymptotics``): the coefficients of P(m) = log|w_1...w_m| in
-a n^2 + b n log n + c n + d log n + e log log n, substituted at
-m = j +/- n^q.  That verdict is exact up to a stated rounding band around
-each boundary, inside which it is ``inconclusive``.  A unilateral
-backward series needs no class: it is 0 once n^q >= j, so it converges.
+The checkers answer the paper's two questions: ``qfhc_check`` the q-FHC
+criterion, on l^p and c0 of either domain and on H(C) (``fhc_check_tmu``
+is its T_mu case), and ``unilateral_condition`` the scalar condition,
+whose l^1 case is the weak* criterion.  Each of their series goes through
+``_classify_weighted`` and is decided, once per call and direction, from
+the family's class (``WeightSeq.asymptotics``): the coefficients of
+P(m) = log|w_1...w_m| in a n^2 + b n log n + c n + d log n + e log log n,
+substituted at m = j +/- n^q.  That verdict is exact up to a stated
+rounding band around each boundary, inside which it is
+``inconclusive``.  A unilateral backward series needs no class: it is 0
+once n^q >= j, so it converges.
 
 A bare magnitude map (``series_probe``: ``classify_magnitudes`` on l^p,
 ``classify_sup_decay`` on c0) gets a fitted class (``_fitted_class``)
@@ -42,13 +44,13 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .density import iroot
 from .errors import DomainMismatchError, InvalidArgumentError
-from .seqspace import BILATERAL, UNILATERAL, SpaceSpec, c0, entire, lp
+from .seqspace import UNILATERAL, SpaceSpec, entire
 from .shiftops import EXACT_INDEX, AsymptoticClass, TMuWeight, WeightSeq, _check_anchors
 
 CONVERGES = "converges"
@@ -338,20 +340,15 @@ def series_probe(
 # ---------------------------------------------------------------------------
 
 
-def _indices(indices) -> list:
-    indices = list(indices)
-    if not indices:
-        raise InvalidArgumentError("need at least one index")
-    return indices
-
-
 def _offsets(indices, q: int, max_exp: int) -> tuple[list, int, bool]:
     """Series offsets (at least one, none past EXACT_INDEX), the terms per
     series: 2^max_exp (at least 2), cut so that no term's prefix index
     n^q + |j| passes EXACT_INDEX, and 0 (no term read; the class alone
     decides) where that leaves fewer than two, and whether the scan is
     full: SCAN_TERMS terms, or cut by that limit rather than by max_exp."""
-    indices = _indices(indices)
+    indices = list(indices)
+    if not indices:
+        raise InvalidArgumentError("need at least one index")
     far = [j for j in indices if abs(j) > EXACT_INDEX]
     if far:
         raise InvalidArgumentError(f"index {far[0]} is past the exact-index limit 2^53")
@@ -504,14 +501,14 @@ def _past_head(w: WeightSeq, j: int, q: int, direction: int, n: int) -> bool:
 
 
 def _classify_weighted(space: SpaceSpec, w: WeightSeq, q: int, n_max: int,
-                       decay: bool = False, full: bool = True):
+                       full: bool = True):
     """The one path of every criterion series in one checker call:
     ``verdict(j, direction, anchor)`` of the series ``_shift_series(w, j,
     q, direction, anchor)`` in ``space``, refused before any read unless
-    the space's domain is the family's.  On the entire space term n is
-    weighted by R^(j - 1 + direction n^q) at R = rmax, the worst radius.
-    ``decay`` asks whether the (weighted) terms tend to 0, the c0 rule, on
-    any space.
+    the space's domain is the family's.  On l^p and H(C) the series is
+    summed (its terms' p-th powers; on the entire space term n is weighted
+    by R^(j - 1 + direction n^q) at R = rmax, the worst radius); on c0 its
+    terms must tend to 0.
 
     The family's class decides (``_decide``, once per direction), except
     on a unilateral backward series: e_(j - n^q) is 0 once n^q >= j, so it
@@ -519,12 +516,11 @@ def _classify_weighted(space: SpaceSpec, w: WeightSeq, q: int, n_max: int,
     and checks its scan's index range; the first read of its checkpoints
     or sums (``Verdict.__getattr__``) runs ``_scan`` on min(n_max,
     SCAN_TERMS) terms (n_max = 0 reads none), or min(head, SCAN_TERMS) of
-    a head (under ``decay`` at most n_max).  A convergent summable series
-    reports the scan total plus ``_class_tail`` (``full``: see
-    ``_offsets``); a whole head reports its total, with tail 0.  A head
-    longer than SCAN_TERMS, a non-finite sum, a decay condition, a scan
-    that ends inside a table's head, or a tail the class does not give
-    reports no sum.
+    a head.  A convergent summable series reports the scan total plus
+    ``_class_tail`` (``full``: see ``_offsets``); a whole head reports its
+    total, with tail 0.  A head longer than SCAN_TERMS, a non-finite sum,
+    a c0 condition, a scan that ends inside a table's head, or a tail the
+    class does not give reports no sum.
     """
     if space.domain != w.domain:
         raise DomainMismatchError(
@@ -535,7 +531,7 @@ def _classify_weighted(space: SpaceSpec, w: WeightSeq, q: int, n_max: int,
     radius = space.rmax if kind == "entire" else 1
     log_r = math.log(radius) if radius > 1 else 0
     p = space.p if kind == "lp" else 1.0
-    summable = kind in ("lp", "entire") and not decay
+    summable = kind in ("lp", "entire")
     s = _exact(p)
 
     @functools.cache
@@ -561,8 +557,7 @@ def _classify_weighted(space: SpaceSpec, w: WeightSeq, q: int, n_max: int,
             rule = "terms eventually zero (backward shift falls off the edge)"
         else:
             cls, verdict, rule = decided(direction)
-        # a decay condition reports no sum, so a head's scan, too, stops at n_max
-        n_scan = min(n_max if head is None else min(head, n_max) if decay else head, SCAN_TERMS)
+        n_scan = min(n_max if head is None else head, SCAN_TERMS)
         if n_scan:  # the prefix indices j + direction n^q the scan will read
             w._check(*sorted((j + direction, j + direction * n_scan**q)))
 
@@ -620,7 +615,8 @@ def unilateral_condition(
     max_exp: int = DEFAULT_MAX_EXP,
 ) -> CriterionReport:
     """Scalar reduction of the unilateral shift condition: the series of
-    reciprocal prefix products at exponent-spaced indices, per offset j."""
+    reciprocal prefix products at exponent-spaced indices, per offset j.
+    On l^1 it is the paper's weak* criterion."""
     if space.kind not in ("lp", "c0") or space.domain != UNILATERAL:
         raise InvalidArgumentError("unilateral condition reduces to unilateral lp or c0 only")
     j_range, n_max, full = _offsets(j_range, q, max_exp)
@@ -632,96 +628,6 @@ def unilateral_condition(
     verdict = _classify_weighted(space, w, q, n_max, full=full)
     entries = [ProbeEntry(f"j={j}", verdict(j, 1, None)) for j in j_range]
     return _report(f"backward shift {w.describe()}", space.describe(), q, entries)
-
-
-def bilateral_condition(
-    w: WeightSeq,
-    space: SpaceSpec,
-    q: int,
-    j_range,
-    *,
-    max_exp: int = DEFAULT_MAX_EXP,
-) -> CriterionReport:
-    """Bilateral shift condition on l^p(Z) or c0(Z): per offset j, the
-    forward series of reciprocal products and the backward series of
-    products.  On c0(Z) both are term-decay conditions (products to
-    infinity forward, to zero backward)."""
-    if space.kind not in ("lp", "c0") or space.domain != BILATERAL:
-        raise InvalidArgumentError("bilateral condition needs an lp or c0 bilateral space")
-    kind, label = (("products", "c0(Z)") if space.kind == "c0"
-                   else ("series", f"l^{space.p:g}(Z)"))
-    j_range, n_max, full = _offsets(j_range, q, max_exp)
-    verdict = _classify_weighted(space, w, q, n_max, full=full)
-    entries = []
-    for j in j_range:
-        # -log products w_1..w_{n^q+j}, and log products w_j..w_{j-n^q+1}
-        for side, direction, anchor in (("forward", 1, None), ("backward", -1, j)):
-            entries.append(ProbeEntry(f"{side} {kind} j={j}", verdict(j, direction, anchor)))
-    return _report(f"bilateral shift {w.describe()}", label, q, entries)
-
-
-def weakstar_condition(
-    w: WeightSeq,
-    q: int,
-    j_range,
-    *,
-    max_exp: int = DEFAULT_MAX_EXP,
-) -> CriterionReport:
-    """Absolute-convergence probe of the reciprocal product series per
-    offset (the weak* criterion reduces to absolute scalar convergence,
-    i.e. the l^1 case of the unilateral condition)."""
-    report = unilateral_condition(w, lp(1), q, j_range, max_exp=max_exp)
-    return replace(report, space="l^inf (weak*)")
-
-
-def hc_check(
-    space: SpaceSpec,
-    w: WeightSeq,
-    dense_indices,
-    horizon: int = 10**4,
-) -> CriterionReport:
-    """Orbit-norm decay of T^n e_j and S^n e_j (the plain hypercyclicity
-    criterion, not the frequent one): decay of the terms P(j) - P(j -/+ n),
-    decided by ``_classify_weighted`` with n_max = horizon, where a
-    unilateral T-orbit is a finite head, scanned up to the horizon.  On H(C)
-    the terms carry the majorant factor R^(j - 1 -/+ n) at R = rmax, the
-    worst radius; on every other space the norm of a basis vector's orbit
-    is the modulus of its one coefficient, the c0 condition."""
-    dense_indices = _indices(dense_indices)
-    if horizon < 1:
-        raise InvalidArgumentError("horizon must be at least 1")
-    orbits = space if space.kind == "entire" else c0(space.domain)
-    verdict = _classify_weighted(orbits, w, 1, horizon, decay=True)
-    entries = []
-    for j in dense_indices:
-        for label, direction in (("T-orbit", -1), ("S-orbit", 1)):
-            entries.append(ProbeEntry(f"{label} j={j}", verdict(j, direction, j)))
-    return _report(f"backward shift {w.describe()}", space.describe(), 1, entries)
-
-
-@dataclass(frozen=True)
-class SalasEvidence:
-    limsup_infinite: bool | None  # None: inconclusive
-    max_log_product: float
-    argmax: int
-    horizon: int
-    rule: str
-
-
-def salas_check(w: WeightSeq, horizon: int = 10**5) -> SalasEvidence:
-    """Salas: is sup |w_1...w_n| infinite?  Read off the asymptotic class,
-    that is P -> infinity: the c0 condition 1/|w_1...w_n| -> 0 of
-    ``unilateral_condition`` at offset 0, with that verdict's rule (None
-    when it is inconclusive; a bilateral family is refused).  The running
-    max of log|w_1...w_n| over the horizon (its value and first index) is
-    reported as evidence."""
-    if horizon < 1:
-        raise InvalidArgumentError("horizon must be at least 1")
-    verdict = _classify_weighted(c0(), w, 1, 0)(0, 1, None)  # the class alone
-    lms = w.prefix_logmag(np.arange(1, horizon + 1, dtype=np.int64))
-    limsup = {CONVERGES: True, DIVERGES: False}.get(verdict.kind)
-    return SalasEvidence(limsup, float(lms.max()), int(np.argmax(lms)) + 1, horizon,
-                         verdict.rule)
 
 
 def fhc_check_tmu(

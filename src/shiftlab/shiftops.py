@@ -416,11 +416,6 @@ class TMuWeight(WeightSeq):
     def _phase_at(self, ns):
         return self._triangle(ns)[1] * _phase(self.mu)
 
-    def degree_product(self, n: int) -> LogPolar:
-        """Log-polar product of derivative factors for degrees 1..n,
-        i.e. n! * mu^(n(n-1)/2)."""
-        return self.prefix(n + 1)
-
     def params(self):
         return {"mu": self.mu}
 

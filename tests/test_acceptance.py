@@ -242,7 +242,7 @@ def test_08_differentiation_operator():
     for mu in (1.5, 1 + 1j):
         w = TMuWeight(mu)
         for n in range(1, 201):
-            got = w.degree_product(n)
+            got = w.prefix(n + 1)
             want_lm = math.lgamma(n + 1) + (n * (n - 1) / 2) * math.log(abs(mu))
             want_ph = (n * (n - 1) / 2) * cmath.phase(mu)
             assert abs(got.logmag - want_lm) <= 1e-9 * max(1.0, abs(want_lm))

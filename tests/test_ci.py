@@ -6,7 +6,8 @@ request's golden report, benchmark output and line-count diffs without
 failing on them and installs the test extra; pytest turns RuntimeWarnings,
 ResourceWarnings and unraisable exceptions into errors; the benchmark's
 tracer finds every name it wraps; Hypothesis draws the same examples on
-every run; the constructor decides no series tail of its own."""
+every run; the constructor decides no series tail of its own; README names
+no checker that the code does not have."""
 
 import ast
 import os
@@ -203,6 +204,17 @@ def test_constructor_reads_tails_from_the_criterion():
                 for alias in node.names}
     assert not imported & {"_class_tail", "_decide", "_past_head"}
     assert "_classify_weighted" in imported
+
+
+def test_readme_names_only_existing_checkers():
+    # a checker that README names, backticked as `name` or `name(...)`, is
+    # one that shiftlab.criterion still has
+    from shiftlab import criterion
+
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        names = set(re.findall(r"`(?:[\w.]+\.)?(\w+_(?:check|condition))[`(]", fh.read()))
+    assert {"qfhc_check", "unilateral_condition"} <= names
+    assert sorted(n for n in names if not hasattr(criterion, n)) == []
 
 
 def test_hypothesis_examples_are_derandomized():

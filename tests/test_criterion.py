@@ -18,18 +18,15 @@ from shiftlab.criterion import (
     INCONCLUSIVE,
     SATISFIES,
     SCAN_TERMS,
+    _classify_weighted,
     _scan,
     _shift_series,
-    bilateral_condition,
     classify_magnitudes,
     classify_sup_decay,
     fhc_check_tmu,
-    hc_check,
     qfhc_check,
-    salas_check,
     series_probe,
     unilateral_condition,
-    weakstar_condition,
 )
 from shiftlab.errors import DomainMismatchError, InvalidArgumentError, ResourceLimitError
 from shiftlab.seqspace import BILATERAL, CoeffVector, c0, entire, linf_weakstar, lp
@@ -151,24 +148,6 @@ class TestScalarClassifier:
         with pytest.raises(InvalidArgumentError):
             classify_sup_decay(lambda ns: 1.0 / ns, 1)
 
-    def test_one_term_horizons_are_not_scanned(self):
-        # a weighted series is decided by its class and scanned by ``_scan``
-        # alone, so the two-term floor of ``series_probe``'s routes never
-        # refuses a one-term horizon
-        assert hc_check(lp(2), ConstantWeight(2), [1, 3], horizon=1).overall == SATISFIES
-        assert salas_check(ConstantWeight(2), horizon=1).limsup_infinite
-
-    def test_hc_check_scans_a_t_orbit_head_up_to_the_horizon(self):
-        # the T-orbit of e_(10^6) has a head of 999,999 terms; at horizon 10
-        # its scan stops at n = 10, like the S-orbit's, and no verdict moves
-        rep = hc_check(lp(2), BergmanWeight(), [10**6], horizon=10)
-        assert [e.label for e in rep.entries] == ["T-orbit j=1000000", "S-orbit j=1000000"]
-        for e in rep.entries:
-            assert e.verdict.kind == CONVERGES and e.verdict.sum_estimate is None
-            assert [n for n, _ in e.verdict.checkpoints] == [1, 2, 4, 8, 10]
-        assert rep.overall == SATISFIES
-        assert rep.overall == hc_check(lp(2), BergmanWeight(), [10**6], horizon=4096).overall
-
     # n^-18.625 times 10^12 reaches normal range through a subnormal n^-18.625
     @example(lp(1), ("power", 18.625), 12)
     @example(c0(), ("power", 18.625), 12)
@@ -253,6 +232,16 @@ class TestShiftCriterion:
         assert v.kind == DIVERGES
         assert "R=" in v.rule
 
+    @pytest.mark.parametrize("lam, overall, rule", [
+        # S^n e_1 = z^n / lam^n has sup (8/|lam|)^n on |z| <= 8
+        (2, FAILS, "asymptotic class at n: coefficient 1.38629 > 0 at R=8"),
+        (16, SATISFIES, "asymptotic class at n: coefficient -0.693147 < 0 at R=8"),
+    ])
+    def test_entire_space_decides_the_s_series_at_rmax(self, lam, overall, rule):
+        rep = qfhc_check(entire(8), ConstantWeight(lam), 1, [1])
+        assert rep.overall == overall
+        assert rep.entry("S-series j=1").verdict.rule == rule
+
 
 def record_reads(w):
     """[reads, largest |index| read] of the prefix reads of ``w`` from now on."""
@@ -297,17 +286,21 @@ class TestExactIndexLimit:
         assert rep.entry("T-series j=1").verdict.kind == CONVERGES
         assert seen[1] <= 3  # the anchors and the T-series heads only
 
-    @pytest.mark.parametrize("space", [lp(2, BILATERAL), c0(BILATERAL)], ids=["l2", "c0"])
-    def test_bilateral_condition_stays_inside_the_limit(self, space):
+    @pytest.mark.parametrize("space, coefficient", [
+        (lp(2, BILATERAL), "-1.38629"),
+        (lp(1, BILATERAL), "-0.693147"),
+        (c0(BILATERAL), "-0.693147"),
+    ], ids=["l2", "l1", "c0"])
+    def test_qfhc_check_on_a_bilateral_space_stays_inside_the_limit(self, space, coefficient):
         w = BilateralTableWeight({}, default_pos=2.0, default_nonpos=0.5)
         seen = record_reads(w)
-        rep = bilateral_condition(w, space, 54, range(-2, 3))
+        rep = qfhc_check(space, w, 54, range(-2, 3))
         assert rep.overall == SATISFIES
         assert len(rep.entries) == 10
-        coefficient = "-0.693147" if space.kind == "c0" else "-1.38629"
         assert {e.verdict.rule for e in rep.entries} == {
             f"asymptotic class at n^54: coefficient {coefficient} < 0"}
-        assert seen[1] <= 2  # the backward anchors only
+        assert {e.verdict.checkpoints for e in rep.entries} == {()}
+        assert seen[1] <= 2  # the anchors only
 
     @pytest.mark.parametrize("j", [2**53 + 1, 2**60, -(2**53) - 1, 2**70])
     @pytest.mark.parametrize("check", ["qfhc", "unilateral", "weakstar", "bilateral", "c0"])
@@ -318,9 +311,9 @@ class TestExactIndexLimit:
         calls = {
             "qfhc": lambda: qfhc_check(lp(2), w, 1, [1, j]),
             "unilateral": lambda: unilateral_condition(w, lp(2), 1, [j]),
-            "weakstar": lambda: weakstar_condition(w, 1, [0, j]),
-            "bilateral": lambda: bilateral_condition(w, lp(2, BILATERAL), 1, [j]),
-            "c0": lambda: bilateral_condition(w, c0(BILATERAL), 1, [0, j]),
+            "weakstar": lambda: unilateral_condition(w, lp(1), 1, [0, j]),
+            "bilateral": lambda: qfhc_check(lp(2, BILATERAL), w, 1, [j]),
+            "c0": lambda: qfhc_check(c0(BILATERAL), w, 1, [0, j]),
         }
         with pytest.raises(InvalidArgumentError,
                            match=f"^index {j} is past the exact-index limit 2\\^53$"):
@@ -409,20 +402,21 @@ class TestDeferredReads:
         w.asymptotics = lambda side=1: sides.append(side) or asymptotics(side)
         assert qfhc_check(lp(2, BILATERAL), w, 1, range(-2, 3)).overall == SATISFIES
         assert sorted(sides) == [-1, 1]
-        assert bilateral_condition(w, lp(2, BILATERAL), 1, range(-2, 3)).overall == SATISFIES
+        assert qfhc_check(c0(BILATERAL), w, 1, range(-2, 3)).overall == SATISFIES
         assert sorted(sides) == [-1, -1, 1, 1]
 
-    @pytest.mark.parametrize("check, far", [
-        (lambda: hc_check(c0(), BergmanWeight(), [2**53 - 2], horizon=10), 2**53 + 8),
-        (lambda: hc_check(entire(4), BergmanWeight(), [1, 2**53 - 2], horizon=10), 2**53 + 8),
-        (lambda: hc_check(c0(BILATERAL), BilateralTableWeight({}, 1.0, 1.0), [-(2**53) + 2],
-                          horizon=10), -(2**53) - 8),
+    @pytest.mark.parametrize("space, w, j, direction, far", [
+        (c0(), BergmanWeight(), 2**53 - 2, 1, 2**53 + 8),
+        (entire(4), BergmanWeight(), 2**53 - 2, 1, 2**53 + 8),
+        (c0(BILATERAL), BilateralTableWeight({}, 1.0, 1.0), -(2**53) + 2, -1, -(2**53) - 8),
     ], ids=["c0", "entire", "bilateral"])
-    def test_a_scan_past_the_limit_is_refused_by_the_call(self, check, far):
-        # the orbit's scan would read P(j +/- 10): the call checks its range
+    def test_a_scan_past_the_limit_is_refused_by_the_call(self, space, w, j, direction, far):
+        # a checker's ``_offsets`` keeps every scan inside 2^53; a verdict
+        # asked for a longer one, here P(j +/- 10), checks its range when made
+        verdict = _classify_weighted(space, w, 1, 10)
         with pytest.raises(ResourceLimitError,
                            match=f"^prefix index {far} is past the exact-index limit 2\\^53$"):
-            check()
+            verdict(j, direction, j)
 
 
 class TestAnchorPrecision:
@@ -435,18 +429,14 @@ class TestAnchorPrecision:
                    r"so each log term P\(1099511627776\) - P\(m\) may be off by 2 ulp = "
                    r"0\.000244$")
         j = 2**40
-        for call in (lambda w: qfhc_check(lp(2), w, 1, [j]),
-                     lambda w: hc_check(lp(2), w, [j])):
-            w = ConstantWeight(2)
+        for w, space in ((ConstantWeight(2), lp(2)),
+                         (BilateralTableWeight({}, 2.0, 0.5), lp(2, BILATERAL))):
             sizes = []
             at = w._at
             w._at = lambda points, phase=True: sizes.append(np.size(points)) or at(points, phase)
             with pytest.raises(ResourceLimitError, match=message):
-                call(w)
+                qfhc_check(space, w, 1, [j])
             assert sizes == [1]  # the anchor alone
-        w = BilateralTableWeight({}, 2.0, 0.5)
-        with pytest.raises(ResourceLimitError, match="^anchor 1099511627776: "):
-            bilateral_condition(w, lp(2, BILATERAL), 1, [j])
 
     def test_unanchored_series_are_not_checked(self):
         # -P(2^40 + n) does not cancel: the offset is read, not refused
@@ -458,7 +448,7 @@ class TestAnchorPrecision:
         for w in (ConstantWeight(math.exp(15.99)), ConstantWeight(-math.exp(-15.99)),
                   BergmanWeight(), LogRatioWeight(), RootRatioWeight(1), TMuWeight(1),
                   TMuWeight(-1j)):
-            assert hc_check(c0(), w, [2**23]).overall in (SATISFIES, FAILS), w.describe()
+            assert qfhc_check(c0(), w, 1, [2**23]).overall in (SATISFIES, FAILS), w.describe()
 
     def test_bergman_far_anchor_is_decided_from_short_reads(self):
         w = BergmanWeight()
@@ -538,35 +528,42 @@ class TestWeightedSumsAgainstHurwitzZeta:
 
 
 class TestBilateral:
+    """``qfhc_check`` on l^p(Z) and c0(Z): the S-series of reciprocal
+    products forward and the T-series of products backward, both anchored
+    at P(j)."""
+
     def test_expanding_both_sides_satisfies(self):
         w = BilateralTableWeight({}, default_pos=2.0, default_nonpos=0.5)
-        rep = bilateral_condition(w, lp(2, BILATERAL), 1, range(-2, 3))
+        rep = qfhc_check(lp(2, BILATERAL), w, 1, range(-2, 3))
         assert rep.overall == SATISFIES
 
     def test_symmetric_weights_fail(self):
         w = BilateralTableWeight({}, default_pos=2.0, default_nonpos=2.0)
-        rep = bilateral_condition(w, lp(2, BILATERAL), 1, range(-2, 3))
+        rep = qfhc_check(lp(2, BILATERAL), w, 1, range(-2, 3))
         assert rep.overall == FAILS
 
     def test_c0_limit_route(self):
         w = BilateralTableWeight({}, default_pos=2.0, default_nonpos=0.5)
-        rep = bilateral_condition(w, c0(BILATERAL), 1, range(-1, 2))
+        rep = qfhc_check(c0(BILATERAL), w, 1, range(-1, 2))
         assert rep.overall == SATISFIES
+
+    def test_contracting_table_fails_on_both_sides(self):
+        # weights 0.5 on the positive side and 2 on the rest: B^n e_0 grows
+        w = BilateralTableWeight({}, default_pos=0.5, default_nonpos=2.0)
+        orbit = iterate(OperatorSpec(w, BACKWARD), CoeffVector.basis(0, BILATERAL), 5)
+        assert orbit.support == (-5,) and abs(orbit[-5]) == 32.0
+        for space in (lp(2, BILATERAL), c0(BILATERAL)):
+            rep = qfhc_check(space, w, 1, [0, 1])
+            assert rep.overall == FAILS
+            assert {e.verdict.kind for e in rep.entries} == {DIVERGES}
 
     @pytest.mark.parametrize("space", [lp(2), c0(), entire(4), linf_weakstar()],
                              ids=["l2", "c0", "entire", "weakstar"])
     def test_needs_a_bilateral_lp_or_c0_space(self, space):
         w = BilateralTableWeight({}, default_pos=2.0, default_nonpos=0.5)
         seen = record_reads(w)
-        with pytest.raises(InvalidArgumentError, match="lp or c0 bilateral space"):
-            bilateral_condition(w, space, 1, [0])
-        assert seen == [0, 0]
-
-    def test_rejects_unilateral_weights(self):
-        w = ConstantWeight(2)
-        seen = record_reads(w)
-        with pytest.raises(DomainMismatchError):
-            bilateral_condition(w, lp(2, BILATERAL), 1, [0])
+        with pytest.raises(DomainMismatchError, match="bilateral weights on a unilateral space"):
+            qfhc_check(space, w, 1, [0])
         assert seen == [0, 0]
 
 
@@ -576,11 +573,12 @@ class TestDomainRule:
 
     @pytest.mark.parametrize("check", [
         lambda w: unilateral_condition(w, lp(2), 1, [0, 1]),
-        lambda w: weakstar_condition(w, 1, [0, 1]),
-        lambda w: salas_check(w),
+        lambda w: unilateral_condition(w, lp(1), 1, [0, 1]),  # the weak* criterion
+        lambda w: unilateral_condition(w, c0(), 1, [0, 1]),
         lambda w: qfhc_check(lp(2), w, 1, [1, 2]),
-        lambda w: hc_check(c0(), w, [1, 2]),
-    ], ids=["unilateral", "weakstar", "salas", "qfhc", "hc"])
+        lambda w: qfhc_check(c0(), w, 1, [1, 2]),
+        lambda w: qfhc_check(entire(4), w, 1, [1, 2]),
+    ], ids=["unilateral", "unilateral l1", "unilateral c0", "qfhc", "qfhc c0", "qfhc entire"])
     def test_unilateral_checkers_refuse_a_bilateral_family(self, check):
         # 2 times a unitary shift: not hypercyclic on any space
         w = BilateralTableWeight({}, 2.0, 2.0)
@@ -592,8 +590,9 @@ class TestDomainRule:
     @pytest.mark.parametrize("check", [
         # qfhc: the S-series is classified before the unilateral T head reads
         lambda w: qfhc_check(lp(2, BILATERAL), w, 1, [1, 2]),
-        lambda w: hc_check(lp(2, BILATERAL), w, [1, 2]),
-    ], ids=["qfhc", "hc"])
+        lambda w: qfhc_check(lp(1, BILATERAL), w, 1, [1, 2]),
+        lambda w: qfhc_check(c0(BILATERAL), w, 1, [1, 2]),
+    ], ids=["qfhc", "qfhc l1", "qfhc c0"])
     def test_bilateral_spaces_refuse_a_unilateral_family(self, check):
         w = ConstantWeight(2)
         seen = record_reads(w)
@@ -614,10 +613,9 @@ class TestDomainRule:
             self, offsets, named):
         w = BergmanWeight()
         seen = record_reads(w)
-        with pytest.raises(InvalidArgumentError, match=f"offset {named} is negative"):
-            unilateral_condition(w, lp(2), 1, offsets)
-        with pytest.raises(InvalidArgumentError, match=f"offset {named} is negative"):
-            weakstar_condition(w, 1, offsets)
+        for space in (lp(2), lp(1)):
+            with pytest.raises(InvalidArgumentError, match=f"offset {named} is negative"):
+                unilateral_condition(w, space, 1, offsets)
         assert seen == [0, 0]
 
     def test_c0_limits_are_term_decay_series(self, monkeypatch):
@@ -628,11 +626,15 @@ class TestDomainRule:
 
         monkeypatch.setattr(criterion, "classify_limit_infinite", refuse)
         w = BilateralTableWeight({}, default_pos=2.0, default_nonpos=0.5)
-        rep = bilateral_condition(w, c0(BILATERAL), 1, range(-1, 2))
+        rep = qfhc_check(c0(BILATERAL), w, 1, range(-1, 2))
         assert rep.overall == SATISFIES
-        assert rep.space == "c0(Z)"
-        assert [e.label for e in rep.entries][:2] == [
-            "forward products j=-1", "backward products j=-1"]
+        assert rep.space == "c0 (bilateral)"
+        assert [e.label for e in rep.entries][:2] == ["T-series j=-1", "S-series j=-1"]
+        for e in rep.entries:
+            # the terms 0.5^n tend to 0 on each side: the bound is 0, not -1
+            assert e.verdict.kind == CONVERGES
+            assert e.verdict.rule == "asymptotic class at n: coefficient -0.693147 < 0"
+            assert e.verdict.sum_estimate is None and e.verdict.tail_estimate is None
 
 
 def test_empty_index_list_rejected():
@@ -640,10 +642,8 @@ def test_empty_index_list_rejected():
     checks = (
         lambda: qfhc_check(lp(2), ConstantWeight(2), 1, []),
         lambda: unilateral_condition(ConstantWeight(2), lp(2), 1, []),
-        lambda: bilateral_condition(w2, lp(2, BILATERAL), 1, []),
-        lambda: bilateral_condition(w2, c0(BILATERAL), 1, []),
-        lambda: weakstar_condition(ConstantWeight(2), 1, []),
-        lambda: hc_check(lp(2), ConstantWeight(2), []),
+        lambda: qfhc_check(lp(2, BILATERAL), w2, 1, []),
+        lambda: qfhc_check(c0(BILATERAL), w2, 1, []),
     )
     for check in checks:
         with pytest.raises(InvalidArgumentError):
@@ -701,122 +701,19 @@ def test_an_overflowing_t_head_converges_without_a_sum():
     assert rep.overall == SATISFIES
 
 
-@pytest.mark.parametrize("horizon", [0, -3])
-def test_horizon_below_one_rejected(horizon):
-    with pytest.raises(InvalidArgumentError, match="horizon"):
-        hc_check(lp(2), ConstantWeight(2), [1], horizon=horizon)
-    with pytest.raises(InvalidArgumentError, match="horizon"):
-        salas_check(ConstantWeight(2), horizon=horizon)
-
-
 class TestWeakStarCondition:
+    """The weak* criterion is ``unilateral_condition`` on l^1."""
+
     def test_rolewicz_satisfies(self):
-        rep = weakstar_condition(ConstantWeight(2), 1, range(0, 4))
+        rep = unilateral_condition(ConstantWeight(2), lp(1), 1, range(0, 4))
         assert rep.overall == SATISFIES
 
     def test_unweighted_fails(self):
-        rep = weakstar_condition(ConstantWeight(1), 1, range(0, 4))
+        rep = unilateral_condition(ConstantWeight(1), lp(1), 1, range(0, 4))
         assert rep.overall == FAILS
 
-    def test_reports_weakstar_space(self):
-        assert weakstar_condition(ConstantWeight(2), 1, [1]).space == "l^inf (weak*)"
-
-
-class TestPlainHypercyclicity:
-    def test_bergman_satisfies(self):
-        assert hc_check(lp(2), BergmanWeight(), [1, 2, 3]).overall == SATISFIES
-
-    def test_unweighted_fails(self):
-        assert hc_check(lp(2), ConstantWeight(1), [1, 2, 3]).overall == FAILS
-
-    def test_contracting_bilateral_table_fails(self):
-        # weights 0.5 on the positive side and 2 on the rest: B^n e_0 grows
-        w = BilateralTableWeight({}, default_pos=0.5, default_nonpos=2.0)
-        orbit = iterate(OperatorSpec(w, BACKWARD), CoeffVector.basis(0, BILATERAL), 5)
-        assert orbit.support == (-5,) and abs(orbit[-5]) == 32.0
-        rep = hc_check(lp(2, BILATERAL), w, [0, 1])
-        assert rep.overall == FAILS
-        for j in (0, 1):
-            assert rep.entry(f"T-orbit j={j}").verdict.kind == DIVERGES
-            assert rep.entry(f"S-orbit j={j}").verdict.kind == DIVERGES
-
-    @pytest.mark.parametrize("lam, overall, rule", [
-        # S^n e_1 = z^n / lam^n has sup (8/|lam|)^n on |z| <= 8
-        (2, FAILS, "asymptotic class at n: coefficient 1.38629 > 0 at R=8"),
-        (16, SATISFIES, "asymptotic class at n: coefficient -0.693147 < 0 at R=8"),
-    ])
-    def test_entire_space_decides_orbit_decay_at_rmax(self, lam, overall, rule):
-        rep = hc_check(entire(8), ConstantWeight(lam), [1])
-        assert rep.overall == overall
-        assert rep.entry("S-orbit j=1").verdict.rule == rule
-
-    def test_slowly_growing_products_satisfy(self):
-        # |w_1...w_n| = ((n+2)/2)^(1/6) tends to infinity, too slowly for a
-        # scan of 10^4 terms to see the S-orbit decay
-        rep = hc_check(lp(2), RootRatioWeight(3), [1])
-        assert rep.overall == SATISFIES
-        assert rep.entry("S-orbit j=1").verdict.rule == (
-            "asymptotic class at log n: coefficient -1/6 < 0")
-
-    @pytest.mark.parametrize("weights", [
-        lambda: ConstantWeight(2),
-        lambda: ConstantWeight(1),
-        BergmanWeight,
-        lambda: RootRatioWeight(2),
-        LogRatioWeight,
-        lambda: TableWeight([0.5, 3.0, 0.1], 2.0),
-    ])
-    def test_s_orbit_is_the_c0_unilateral_condition(self, weights):
-        rep = hc_check(lp(2), weights(), [1, 3])
-        for j in (1, 3):
-            want = unilateral_condition(weights(), c0(), 1, [j]).entries[0].verdict.kind
-            assert rep.entry(f"S-orbit j={j}").verdict.kind == want, j
-
-
-class TestRunningMaxEvidence:
-    """``salas_check``: sup |w_1...w_n| = infinity, read off the class."""
-
-    def test_bergman_records_persist(self):
-        ev = salas_check(BergmanWeight())
-        assert ev.limsup_infinite
-
-    def test_rolewicz_crosses_threshold(self):
-        ev = salas_check(ConstantWeight(2), horizon=10**3)
-        assert ev.limsup_infinite
-        assert ev.rule == "asymptotic class at n: coefficient -0.693147 < 0"
-
-    def test_unweighted_stalls(self):
-        assert not salas_check(ConstantWeight(1)).limsup_infinite
-
-    def test_reads_the_horizon_once(self):
-        # the class decides without a scan: the one prefix read is the
-        # evidence's running max over the horizon
-        w = BergmanWeight()
-        sizes = []
-        at = w._at
-        w._at = lambda points, phase=True: sizes.append(np.size(points)) or at(points, phase)
-        ev = salas_check(w, horizon=1000)
-        assert ev.limsup_infinite and ev.horizon == 1000
-        assert sizes == [1000]
-
-    @pytest.mark.parametrize("weights, want", [
-        # products tending to 0: a running max past 1e6, or a record at the
-        # horizon's end, once read as limsup = infinity
-        (lambda: TMuWeight(0.9999), False),
-        (lambda: TableWeight([1e7], 0.5), False),
-        (BergmanWeight, True),
-        (lambda: RootRatioWeight(2), True),
-        (LogRatioWeight, True),
-        (lambda: ConstantWeight(1.01), True),
-        (lambda: ConstantWeight(1), False),
-        (lambda: ConstantWeight(1 + 1e-13), None),
-    ])
-    def test_verdict_is_the_class_reading(self, weights, want):
-        ev = salas_check(weights())
-        assert ev.limsup_infinite is want
-        # the c0 condition of the reciprocal products at offset 0
-        v = unilateral_condition(weights(), c0(), 1, [0]).entries[0].verdict
-        assert ev.rule.split(" (")[0] == v.rule.split(" (")[0]
+    def test_reports_the_l1_space(self):
+        assert unilateral_condition(ConstantWeight(2), lp(1), 1, [1]).space == "l^1 (unilateral)"
 
 
 class TestDifferentiationCriterion:
@@ -944,9 +841,10 @@ class TestAsymptoticClass:
         got = qfhc_check(lp(p), weights(), q, [3]).entry("S-series j=3").verdict.kind
         assert got == want
 
-    # (weights, forward, backward) on l^2(Z): forward terms |w_1...w_(n+j)|^-2
-    # follow the positive default, backward terms |w_(j-n+1)...w_j|^2 the
-    # nonpositive one; finitely many changed entries change neither
+    # (weights, forward, backward) on l^p(Z) and c0(Z): forward terms
+    # |w_1...w_(n+j)|^-p follow the positive default, backward terms
+    # |w_(j-n+1)...w_j|^p the nonpositive one; finitely many changed entries
+    # change neither
     @pytest.mark.parametrize("weights, forward, backward", [
         # 2^(-2n) forward, 0.5^(2n) backward: both geometric
         (_bilateral(2.0, 0.5, {-3: 3.0, 0: 0.5j, 2: -2.0}), CONVERGES, CONVERGES),
@@ -955,11 +853,65 @@ class TestAsymptoticClass:
         # 3^(-2n) forward is geometric; 1.5^(2n) backward grows
         (_bilateral(3.0, 1.5), CONVERGES, DIVERGES),
     ])
-    def test_bilateral_classes_match_the_theorem(self, weights, forward, backward):
-        rep = bilateral_condition(weights(), lp(2, BILATERAL), 1, [-1, 2])
+    @pytest.mark.parametrize("space", [lp(2, BILATERAL), lp(1, BILATERAL), c0(BILATERAL)],
+                             ids=["l2", "l1", "c0"])
+    def test_bilateral_classes_match_the_theorem(self, weights, forward, backward, space):
+        rep = qfhc_check(space, weights(), 1, [-1, 2])
         for j in (-1, 2):
-            assert rep.entry(f"forward series j={j}").verdict.kind == forward, j
-            assert rep.entry(f"backward series j={j}").verdict.kind == backward, j
+            assert rep.entry(f"S-series j={j}").verdict.kind == forward, j
+            assert rep.entry(f"T-series j={j}").verdict.kind == backward, j
+
+    @pytest.mark.parametrize("weights", [
+        lambda: ConstantWeight(2),
+        lambda: ConstantWeight(1),
+        BergmanWeight,
+        lambda: RootRatioWeight(2),
+        LogRatioWeight,
+        lambda: TableWeight([0.5, 3.0, 0.1], 2.0),
+    ])
+    @pytest.mark.parametrize("space", [c0(), lp(1), lp(2)], ids=["c0", "l1", "l2"])
+    def test_s_series_is_the_unilateral_condition(self, weights, space):
+        # the anchor P(j) is a constant factor: it leaves the verdict and
+        # rule, and multiplies an l^p sum by e^(p P(j))
+        rep = qfhc_check(space, weights(), 1, [1, 3])
+        p = space.p if space.kind == "lp" else 1.0
+        for j in (1, 3):
+            want = unilateral_condition(weights(), space, 1, [j]).entries[0].verdict
+            got = rep.entry(f"S-series j={j}").verdict
+            assert (got.kind, got.rule) == (want.kind, want.rule), j
+            if want.sum_estimate is None:
+                assert got.sum_estimate is None, j
+            else:
+                scale = math.exp(p * weights().prefix(j).logmag)
+                assert got.sum_estimate == pytest.approx(want.sum_estimate * scale, rel=1e-12), j
+
+    @pytest.mark.parametrize("weights, want", [
+        # products tending to 0, one after a large first weight: a running
+        # max of the products would read past 1e6 or end on a record
+        (lambda: TMuWeight(0.9999), DIVERGES),
+        (lambda: TableWeight([1e7], 0.5), DIVERGES),
+        (BergmanWeight, CONVERGES),
+        (lambda: RootRatioWeight(2), CONVERGES),
+        (LogRatioWeight, CONVERGES),
+        (lambda: ConstantWeight(1.01), CONVERGES),
+        (lambda: ConstantWeight(1), DIVERGES),
+        (lambda: ConstantWeight(1 + 1e-13), INCONCLUSIVE),
+    ])
+    def test_c0_condition_at_offset_0_is_the_class_of_the_products(self, weights, want):
+        # the reciprocal products tend to 0 exactly when |w_1...w_n| tends to
+        # infinity, which the class decides without a scan
+        w = weights()
+        seen = record_reads(w)
+        v = unilateral_condition(w, c0(), 1, [0]).entries[0].verdict
+        assert v.kind == want
+        assert seen == [0, 0]
+
+    def test_slowly_growing_products_decay_on_c0(self):
+        # |w_1...w_n| = ((n+2)/2)^(1/6) tends to infinity, too slowly for a
+        # scan of 4096 terms to see its reciprocal decay
+        v = unilateral_condition(RootRatioWeight(3), c0(), 1, [1]).entries[0].verdict
+        assert v.kind == CONVERGES
+        assert v.rule == "asymptotic class at log n: coefficient -1/6 < 0"
 
     def test_sums_match_mpmath(self):
         with mpmath.workdps(30):
@@ -1049,8 +1001,6 @@ class TestAsymptoticClass:
             w.asymptotics()
         with pytest.raises(NotImplementedError, match="Doubling"):
             qfhc_check(lp(2), w, 1, [1])
-        with pytest.raises(NotImplementedError, match="Doubling"):
-            hc_check(lp(2), w, [1])
 
     @pytest.mark.parametrize("weights", [
         lambda: ConstantWeight(2), lambda: TableWeight([3.0], 2.0), BergmanWeight,
@@ -1385,13 +1335,13 @@ class TestGeometricTail:
     def test_bilateral_tails_take_each_side_s_ratio(self):
         # forward ratio 1/1.001, backward 0.999, past heads at -3 and 0
         w = BilateralTableWeight({-3: 3.0, 0: 0.5j}, default_pos=1.001, default_nonpos=0.999)
-        rep = bilateral_condition(w, lp(1, BILATERAL), 1, [-1, 2])
+        rep = qfhc_check(lp(1, BILATERAL), w, 1, [-1, 2])
         ns = np.arange(1, 200_001)  # the terms past 2 * 10^5 are below e^-200
         for j in (-1, 2):
-            for side, direction, anchor in (("forward", 1, None), ("backward", -1, j)):
-                want = math.fsum(np.exp(_shift_series(w, j, 1, direction, anchor)(ns)))
-                got = rep.entry(f"{side} series j={j}").verdict.sum_estimate
-                assert got == pytest.approx(want, rel=1e-12), (side, j)
+            for series, direction in (("S", 1), ("T", -1)):
+                want = math.fsum(np.exp(_shift_series(w, j, 1, direction, j)(ns)))
+                got = rep.entry(f"{series}-series j={j}").verdict.sum_estimate
+                assert got == pytest.approx(want, rel=1e-12), (series, j)
 
     @pytest.mark.parametrize("lam", [1.5, 2.0])
     def test_a_sum_the_scan_gives_is_kept(self, lam):
@@ -1411,7 +1361,7 @@ class TestGeometricTail:
                   qfhc_check(lp(2), w, 1, [1]).entry("S-series j=1").verdict):
             assert v.kind == CONVERGES and v.sum_estimate is None
         wb = BilateralTableWeight({k: 0.9999 for k in range(-9000, 1)}, 2.0, 0.5)
-        v = bilateral_condition(wb, lp(2, BILATERAL), 1, [0]).entry("backward series j=0").verdict
+        v = qfhc_check(lp(2, BILATERAL), wb, 1, [0]).entry("T-series j=0").verdict
         assert v.kind == CONVERGES and v.sum_estimate is None
         # past the head the tail is the default's again
         w = TableWeight([1.0001] * 4000, 2.0)
@@ -1496,18 +1446,14 @@ def test_checkers_never_call_the_probe_routes(monkeypatch):
         qfhc_check(lp(2, BILATERAL), table, 1, [-1, 2]),
         unilateral_condition(ConstantWeight(1.0001), lp(2), 2, [0]),  # n^2, ratio bound
         unilateral_condition(RootRatioWeight(1), c0(), 3, [0, 2]),
-        bilateral_condition(table, lp(1, BILATERAL), 1, [-1, 2]),
-        bilateral_condition(table, c0(BILATERAL), 1, [0]),
-        weakstar_condition(ConstantWeight(2), 2, [1]),
-        hc_check(lp(2), BergmanWeight(), [1, 3]),
-        hc_check(lp(2, BILATERAL), table, [0]),
-        hc_check(entire(8), ConstantWeight(16), [2]),
+        unilateral_condition(ConstantWeight(2), lp(1), 2, [1]),  # the weak* criterion
+        qfhc_check(lp(1, BILATERAL), table, 1, [-1, 2]),
+        qfhc_check(c0(BILATERAL), table, 1, [0]),
         fhc_check_tmu(1.5),  # n^2 log n and above, ratio bound
     ]
-    assert [r.overall for r in reports] == [SATISFIES] * 13
+    assert [r.overall for r in reports] == [SATISFIES] * 10
     summed = [e.verdict.sum_estimate for r in reports for e in r.entries]
     assert sum(s is not None for s in summed) >= 20
-    assert salas_check(BergmanWeight()).limsup_infinite
     for space in (lp(1), c0()):
         with pytest.raises(AssertionError, match="probe route called"):
             series_probe(space, magnitudes=lambda ns: 1.0 / ns**2)
