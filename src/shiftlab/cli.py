@@ -5,10 +5,12 @@ defaults materialized into the resolved copy); command-line flags override
 the scalar fields.  Every run writes its resolved config to
 ``config.resolved.json`` next to its outputs and prints only its path.
 CSV files hold the bytes csv.writer would write (header row, '.' decimals,
-newline line ends), streamed from columns in chunks.  A chunk of numpy
-bool, int and float columns is formatted in numpy, each run of equal
-cells once, with repr's shortest float digits computed exactly in uint64
-arithmetic; any other chunk goes through csv.writer.  Orbit logs are
+newline line ends), streamed from columns in chunks; a write of more
+than one chunk formats them in pairs, the second of each on a worker
+thread.  A chunk of numpy bool, int and float columns is formatted in
+numpy, each run of equal cells once, with repr's shortest float digits
+computed exactly in uint64 arithmetic; any other chunk goes through
+csv.writer.  Orbit logs are
 JSON-lines, the bytes of json.dumps per record, from the same row kernel,
 and all files are written atomically.
 
@@ -62,10 +64,10 @@ EXIT_USAGE = 1
 EXIT_REFUSED = 2
 
 MAX_GRID = 512
-CSV_CHUNK_ROWS = 1 << 16
+CSV_CHUNK_ROWS = 1 << 15
 # A chunk of fewer rows goes through csv.writer, which writes it faster
 # than the numpy route's fixed cost of about 0.2 ms a float column: on 2
-# CPUs they break even near 200 rows of (int, int, float) and 500 rows of
+# CPUs they break even near 200 rows of (int, int, float) and 300 rows of
 # eq33.csv's (int, int, float, float, bool).
 _WRITER_ROWS = 256
 
@@ -279,15 +281,15 @@ def _changes(column) -> np.ndarray:
     return column[1:] != column[:-1]
 
 
-def _groups(mag: np.ndarray, count: int) -> np.ndarray:
-    """The ``count`` lowest 4-digit groups of uint64 ``mag``, most
-    significant first, one row each."""
-    out = np.empty((count, len(mag)), np.uint64)
-    for j in range(count - 1, 0, -1):
-        high = mag // _U64(10000)
-        out[j] = mag - high * _U64(10000)
-        mag = high
-    out[0] = mag
+def _groups(mag: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` with the len(out) lowest 4-digit groups of uint64 ``mag``
+    in its rows, most significant first; each row holds the rest of the
+    number until its group is split off."""
+    out[-1] = mag
+    scratch = np.empty_like(out[0])
+    for j in range(len(out) - 1, 0, -1):
+        high = np.floor_divide(out[j], _U64(10000), out=out[j - 1])
+        out[j] -= np.multiply(high, _U64(10000), out=scratch)
     return out
 
 
@@ -311,7 +313,8 @@ def _number_text(mag, neg, frac=None) -> np.ndarray:
     digits = len(str(mag.max()))
     groups = -(-digits // 4)
     words = np.zeros((len(mag), 1 + groups + (0 if frac is None else 1 + len(frac))), np.uint32)
-    _put_groups(words[:, 1 : 1 + groups], _groups(mag, groups), _LEAD, _LEAD1)
+    _put_groups(words[:, 1 : 1 + groups], _groups(mag, np.empty((groups, len(mag)), np.uint64)),
+                _LEAD, _LEAD1)
     if frac is not None:
         words[:, 1 + groups] = 46  # '.' and 3 pads
         _put_groups(words[:, 2 + groups :], frac, _TRAIL, _TRAIL1, reverse=True)
@@ -325,14 +328,26 @@ def _number_text(mag, neg, frac=None) -> np.ndarray:
 
 def _shift_product(m, p, u):
     """(floor(m p 2^-u), m p mod 2^u) for m < 2^53, p < 2^47 and
-    1 <= u < 64: m p < 2^100 in two 64-bit limbs, from 32-bit halves."""
+    1 <= u < 64: m p < 2^100 in two 64-bit limbs, from 32-bit halves.
+    In place, in five buffers: ``m`` is overwritten."""
     m32, b32 = _U64(0xFFFFFFFF), _U64(32)
-    ll, lh = (m & m32) * (p & m32), (m & m32) * (p >> b32)
-    hl, hh = (m >> b32) * (p & m32), (m >> b32) * (p >> b32)
-    mid = (ll >> b32) + (lh & m32) + (hl & m32)
-    lo = (ll & m32) | (mid << b32)
-    hi = hh + (lh >> b32) + (hl >> b32) + (mid >> b32)
-    return (hi << (_U64(64) - u)) | (lo >> u), lo & ((_U64(1) << u) - _U64(1))
+    mh, pl, t = m >> b32, p & m32, p >> b32
+    ml = np.bitwise_and(m, m32, out=m)
+    ll = ml * pl
+    # each other product in the buffer of a factor it was the last use of
+    lh, hl, hi = np.multiply(ml, t, out=ml), np.multiply(mh, pl, out=pl), np.multiply(mh, t, out=mh)
+    hi += np.right_shift(lh, b32, out=t)
+    hi += np.right_shift(hl, b32, out=t)
+    mid = np.right_shift(ll, b32, out=t)
+    mid += np.bitwise_and(lh, m32, out=lh)
+    mid += np.bitwise_and(hl, m32, out=hl)
+    hi += np.right_shift(mid, b32, out=lh)
+    lo = np.bitwise_and(ll, m32, out=ll)
+    lo |= np.left_shift(mid, b32, out=mid)
+    hi <<= np.subtract(_U64(64), u, out=hl)
+    hi |= np.right_shift(lo, u, out=lh)
+    lo &= np.subtract(np.left_shift(_U64(1), u, out=t), _U64(1), out=t)
+    return hi, lo
 
 
 def _shortest(x: np.ndarray):
@@ -348,27 +363,28 @@ def _shortest(x: np.ndarray):
     exact = (a >= 1e-4) & (a < 1e15)
     np.copyto(a, 1.0, where=~exact)
     bits = a.view(np.uint64)
-    m = (bits & _U64((1 << 52) - 1)) | _U64(1 << 52)
-    k = (16 - np.floor(np.log10(a))).astype(np.uint64)
-    u = _U64(1075) - (bits >> _U64(52)) - k  # 1 <= u <= 46 in range
-    p = np.take(_POW5, k, mode="clip")
+    m = bits & _U64((1 << 52) - 1)
+    # In units of 2^-u the gap above x is 5^k / 2, and so is the gap below
+    # but at a power of two (m = 2^52), where it is 5^k / 4: a distance r
+    # below x is inside the gap when r << below < 5^k.  In range no decimal
+    # of 17 digits or fewer lies on a gap's edge (such a midpoint has 19 or
+    # more), so the tests are strict.
+    below = (m == 0).view(np.uint8) + np.uint8(1)
+    m |= _U64(1 << 52)
+    kt = (16 - np.floor(np.log10(a))).astype(np.uint64)  # k; the loop takes off the digits it drops
+    u = _U64(1075) - (bits >> _U64(52)) - kt  # 1 <= u <= 46 in range
+    p = np.take(_POW5, kt, mode="clip")
     q, rem = _shift_product(m, p, u)  # floor(|x| 10^k), and the rest in units of 2^-u
     exact &= (q >= _POW10[16]) & (q < _POW10[17])  # 17 digits: log10 was right
-    # In units of 2^-u the gap above x is 5^k / 2, and so is the gap below
-    # but at a power of two (m = 2^52), where it is 5^k / 4.  In range no
-    # decimal of 17 digits or fewer lies on a gap's edge (such a midpoint
-    # has 19 or more), so the tests are strict.
-    one = _U64(1) << u
-    below = _U64(2) << (m == _U64(1 << 52)).view(np.uint8)
+    one = np.left_shift(_U64(1), u, out=u)
     c = q + (rem * _U64(2) > one)  # the nearest 17-digit decimal is always inside
     exact &= rem * _U64(2) != one
-    kt = k.copy()
     for d in (1, 2):  # 16 digits, then 15: the shortest wins
         unit = _POW10[d]
         base = q // unit
         r = (q - base * unit) * one + rem  # distance down to base, unit - r up
         up = unit * one - r
-        in_lo, in_hi = r * below < p, up * _U64(2) < p
+        in_lo, in_hi = (r << below) < p, up * _U64(2) < p
         inside = in_lo | in_hi
         np.copyto(c, base + (in_hi & ~(in_lo & (r <= up))), where=inside)
         kt -= inside
@@ -376,23 +392,32 @@ def _shortest(x: np.ndarray):
     return c, kt, exact, a.astype(np.uint64)
 
 
-def _float_text(column, spell=repr) -> np.ndarray:
+def _float_text(column, spell=float.__repr__) -> np.ndarray:
     """One row of bytes per cell of a float column: repr's text, and pads;
     ``spell`` writes the cells outside the digit kernel."""
     x = column.astype(np.float64, copy=False)
     c, kt, exact, ip = _shortest(x)
     # The integer part is floor |x|: an integer between x and its repr
-    # would round to x.  The fraction's kt digits go into 20 digits.
-    scale, cut, hi, lo = np.take(_FRACTION, kt, axis=1, mode="clip")
-    f = c - ip * scale
-    fhi = f // cut
-    frac = np.concatenate([_groups(fhi * hi, 3), _groups((f - fhi * cut) * lo, 2)])
+    # would round to x.  The fraction's kt digits go into 20 digits: the
+    # first 12 from f // cut, the last 8 from f % cut.
+    scale, cut, hi, lo = _FRACTION
+    t = np.take(scale, kt, mode="clip")
+    f = np.subtract(c, np.multiply(t, ip, out=t), out=c)
+    fhi = f // np.take(cut, kt, mode="clip", out=t)
+    f -= np.multiply(fhi, t, out=t)
+    fhi *= np.take(hi, kt, mode="clip", out=t)
+    f *= np.take(lo, kt, mode="clip", out=t)
+    frac = np.empty((5, len(x)), np.uint64)
+    _groups(fhi, frac[:3])
+    _groups(f, frac[3:])
     frac = frac[: 1 + np.flatnonzero(frac.any(axis=1)).max(initial=0)]
     text = _number_text(ip, np.signbit(x) & exact, frac)
     fallback = np.flatnonzero(~exact)
     if len(fallback):
-        rep = np.array([spell(v) for v in x[fallback].tolist()], dtype="S")
-        rep = rep.view(np.uint8).reshape(len(fallback), -1)
+        # a float's repr, and its json.dumps, is at most 24 bytes
+        rep = np.fromiter(map(spell, x[fallback]), "S24", len(fallback))
+        rep = rep.view(np.uint8).reshape(len(fallback), 24)
+        rep = rep[:, : np.count_nonzero(rep.any(axis=0))]
         if rep.shape[1] > text.shape[1]:
             text = np.pad(text, ((0, 0), (0, rep.shape[1] - text.shape[1])))
         text[fallback] = 0
@@ -404,7 +429,7 @@ def _text(column, json_cells: bool) -> np.ndarray:
     """One row of bytes per cell of a numpy column, as str writes it, or
     with ``json_cells`` as json.dumps does (bools and non-finite floats)."""
     if column.dtype.kind == "f":
-        return _float_text(column, json.dumps if json_cells else repr)
+        return _float_text(column, json.dumps if json_cells else float.__repr__)
     if column.dtype.kind == "b":
         return _BOOL_TEXT[int(json_cells)][column.view(np.uint8)][:, int(column.all()) :]
     mag, neg = column.astype(np.uint64), column < 0
@@ -418,41 +443,80 @@ def _writer_bytes(rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def _cell_items(column, json_cells: bool) -> np.ndarray:
+    """``_text`` of each cell of a numpy column as one fixed-width item,
+    made once for each run of equal cells."""
+    starts = np.flatnonzero(np.concatenate(([True], _changes(column))))
+    runs = len(starts) < len(column)  # some run of equal cells is longer than one
+    text = _text(column[starts] if runs else column, json_cells)
+    text = text.view(f"V{text.shape[1]}")[:, 0]  # a cell's bytes as one item
+    return text.repeat(np.diff(starts, append=len(column))) if runs else text
+
+
+def _chunk_bytes(chunk, seps, json_cells: bool, scalar_rows) -> bytes:
+    """The bytes of one chunk of rows.  A chunk of at least _WRITER_ROWS
+    rows of numpy bool, int and float columns goes through the row kernel:
+    row i is seps[0], cell i of the first column, seps[1], ..., cell i of
+    the last column and seps[-1], each cell as ``_text`` writes it.  The
+    text of each run of equal cells is made once, as a row of bytes with 0
+    bytes as pads, and spread over a row matrix, one row per output row,
+    whose pads are then dropped.  Any other chunk goes to ``scalar_rows``
+    as rows of Python scalars."""
+    if len(chunk[0]) < _WRITER_ROWS or not all(
+            isinstance(c, np.ndarray) and c.dtype.kind in "biuf" and c.itemsize <= 8
+            for c in chunk):
+        return scalar_rows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                                 for c in chunk)))
+    cells = [_cell_items(c, json_cells) for c in chunk]
+    width = sum(map(len, seps)) + sum(c.itemsize for c in cells)
+    buf = bytearray(len(chunk[0]) * width)  # translate drops the pads without a copy
+    matrix = np.frombuffer(buf, np.uint8).reshape(-1, width)
+    at = 0
+    for sep, c in zip(seps, cells + [None]):
+        matrix[:, at : at + len(sep)] = np.frombuffer(sep, np.uint8)
+        at += len(sep)
+        if c is not None:
+            matrix[:, at : at + c.itemsize].view(c.dtype)[:, 0] = c
+            at += c.itemsize
+    cells.clear()  # in the matrix now: freed before translate copies it
+    return buf.translate(None, b"\0")
+
+
 def _formatted(columns, seps, json_cells: bool, scalar_rows):
-    """The bytes of each CSV_CHUNK_ROWS rows of ``columns``.  A chunk of at
-    least _WRITER_ROWS rows of numpy bool, int and float columns goes
-    through the row kernel: row i is seps[0], cell i of the first column,
-    seps[1], ..., cell i of the last column and seps[-1], each cell as
-    ``_text`` writes it.  The text of each run of equal cells is made once,
-    as a row of bytes with 0 bytes as pads, and spread over a row matrix,
-    one row per output row, whose pads are then dropped.  Any other chunk
-    goes to ``scalar_rows`` as rows of Python scalars."""
-    for lo in range(0, len(columns[0]) if len(columns) else 0, CSV_CHUNK_ROWS):
-        chunk = [c[lo : lo + CSV_CHUNK_ROWS] for c in columns]
-        if len(chunk[0]) < _WRITER_ROWS or not all(
-                isinstance(c, np.ndarray) and c.dtype.kind in "biuf" and c.itemsize <= 8
-                for c in chunk):
-            yield scalar_rows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
-                                    for c in chunk)))
+    """``_chunk_bytes`` of each CSV_CHUNK_ROWS rows of ``columns``, in
+    order.  With a numpy float column, a worker thread formats chunk 2i+1
+    while this one formats chunk 2i: the float digits' numpy loops release
+    the GIL.  The worker is joined before either is yielded, and its
+    exception is raised here.  Int and bool chunks are formatted here
+    alone: their steps mostly hold the GIL (np.take, integer division by a
+    scalar, bytes.translate), and jsets.csv took 10.5 ms paired, 8.7 alone."""
+    import threading  # only a paired write needs it (numpy's import has loaded it)
+
+    paired = any(isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns)
+    chunks = ([c[lo : lo + CSV_CHUNK_ROWS] for c in columns]
+              for lo in range(0, len(columns[0]) if len(columns) else 0, CSV_CHUNK_ROWS))
+    for chunk in chunks:
+        partner = next(chunks, None) if paired else None
+        if partner is None:
+            yield _chunk_bytes(chunk, seps, json_cells, scalar_rows)
             continue
-        cells = []
-        for c in chunk:
-            starts = np.flatnonzero(np.concatenate(([True], _changes(c))))
-            runs = len(starts) < len(c)  # some run of equal cells is longer than one
-            text = _text(c[starts] if runs else c, json_cells)
-            text = text.view(f"V{text.shape[1]}")[:, 0]  # a cell's bytes as one item
-            cells.append(text.repeat(np.diff(starts, append=len(c))) if runs else text)
-        width = sum(map(len, seps)) + sum(c.itemsize for c in cells)
-        buf = bytearray(len(chunk[0]) * width)  # translate drops the pads without a copy
-        matrix = np.frombuffer(buf, np.uint8).reshape(-1, width)
-        at = 0
-        for sep, c in zip(seps, cells + [None]):
-            matrix[:, at : at + len(sep)] = np.frombuffer(sep, np.uint8)
-            at += len(sep)
-            if c is not None:
-                matrix[:, at : at + c.itemsize].view(c.dtype)[:, 0] = c
-                at += c.itemsize
-        yield buf.translate(None, b"\0")
+        done = []
+
+        def work():
+            try:
+                done.append(_chunk_bytes(partner, seps, json_cells, scalar_rows))
+            except BaseException as exc:  # raised again on this thread
+                done.append(exc)
+        worker = threading.Thread(target=work)
+        worker.start()
+        try:
+            first = _chunk_bytes(chunk, seps, json_cells, scalar_rows)
+        finally:
+            worker.join()
+        if isinstance(done[0], BaseException):
+            raise done[0]
+        yield first
+        yield done[0]
 
 
 def write_csv(path: str, header, columns):

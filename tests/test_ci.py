@@ -7,13 +7,15 @@ failing on them and installs the test extra; pytest turns RuntimeWarnings,
 ResourceWarnings and unraisable exceptions into errors; the benchmark's
 tracer finds every name it wraps; Hypothesis draws the same examples on
 every run; the constructor decides no series tail of its own; README names
-no checker that the code does not have."""
+no checker that the code does not have; importing the package loads no
+process pool."""
 
 import ast
 import os
 import re
 import shutil
 import subprocess
+import sys
 import types
 
 import pytest
@@ -215,6 +217,18 @@ def test_readme_names_only_existing_checkers():
         names = set(re.findall(r"`(?:[\w.]+\.)?(\w+_(?:check|condition))[`(]", fh.read()))
     assert {"qfhc_check", "unilateral_condition"} <= names
     assert sorted(n for n in names if not hasattr(criterion, n)) == []
+
+
+def test_import_loads_no_process_pool():
+    # setup_s is mostly a fresh interpreter's import of the package: the
+    # writer's worker thread needs only threading, which numpy's import has
+    # loaded, and nothing may pull in concurrent.futures (7.5 ms of imports)
+    # or multiprocessing
+    code = ("import shiftlab, shiftlab.cli, sys; "
+            "print(*(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")))
+    assert done.stdout.split() == []
 
 
 def test_hypothesis_examples_are_derandomized():

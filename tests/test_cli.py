@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -1106,6 +1107,154 @@ class TestWriteJsonlMatchesJsonDumps:
                 mp.setattr(cli, "_WRITER_ROWS", writer_rows)
                 write_jsonl(str(path), keys, columns)
             assert path.read_text(encoding="utf-8") == want
+
+
+PAIRED_KEYS = ("n", "count", "x", "hit")
+
+
+class ChunkHalt(BaseException):
+    """Not an Exception, as KeyboardInterrupt is not."""
+
+
+@pytest.fixture(scope="module")
+def paired_columns():
+    """Columns of 3 CSV_CHUNK_ROWS + _WRITER_ROWS rows, whose first rows
+    are the columns of each shorter write, and the csv.writer and
+    json.dumps line of each row: runs of three equal counts and a run of
+    equal floats cross the first chunk edge."""
+    n = np.arange(3 * CSV_CHUNK_ROWS + cli._WRITER_ROWS)
+    x = np.sqrt(n)
+    x[CSV_CHUNK_ROWS - 3 : CSV_CHUNK_ROWS + 3] = 0.5
+    columns = [n, n // 3, x, n % 5 == 0]
+    rows = list(zip(*(c.tolist() for c in columns)))
+    csv_lines = csv_writer_bytes(PAIRED_KEYS, rows).encode().splitlines(keepends=True)[1:]
+    json_lines = [(json.dumps(dict(zip(PAIRED_KEYS, row)), sort_keys=True) + "\n").encode()
+                  for row in rows]
+    return columns, csv_lines, json_lines
+
+
+class TestPairedChunks:
+    """A write of more than one chunk with a float column formats chunk
+    2i+1 on a worker thread while this thread formats chunk 2i; the bytes
+    are those of one thread."""
+
+    @staticmethod
+    def write_both(tmp_path, columns, csv_lines, json_lines):
+        rows = len(columns[0])
+        write_csv(str(tmp_path / "t.csv"), list(PAIRED_KEYS), columns)
+        assert (tmp_path / "t.csv").read_bytes() == b"n,count,x,hit\n" + b"".join(csv_lines[:rows])
+        write_jsonl(str(tmp_path / "t.jsonl"), PAIRED_KEYS, columns)
+        assert (tmp_path / "t.jsonl").read_bytes() == b"".join(json_lines[:rows])
+
+    # k chunks less one row, k chunks and k chunks and one row for k = 1, 2,
+    # 3 (an odd count leaves the last chunk without a partner), and a last
+    # chunk below _WRITER_ROWS on the worker's side, which takes the scalar
+    # route there
+    @pytest.mark.parametrize("rows", [k * CSV_CHUNK_ROWS + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+                             + [CSV_CHUNK_ROWS + 100, 3 * CSV_CHUNK_ROWS + cli._WRITER_ROWS - 1])
+    def test_bytes_of_one_thread(self, tmp_path, monkeypatch, paired_columns, rows):
+        columns, csv_lines, json_lines = paired_columns
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        threads = threading.active_count()
+        self.write_both(tmp_path, [c[:rows] for c in columns], csv_lines, json_lines)
+        # one worker per pair of chunks, in each of the two writes
+        assert len(started) == 2 * (-(-rows // CSV_CHUNK_ROWS) // 2)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("at", [5, CSV_CHUNK_ROWS + 5, 2 * CSV_CHUNK_ROWS],
+                             ids=["this thread", "worker", "last chunk"])
+    def test_a_chunk_with_a_none(self, tmp_path, paired_columns, at):
+        # the chunk that holds the None goes to csv.writer or json.dumps on
+        # whichever thread formats it; the others take the row kernel
+        columns, csv_lines, json_lines = paired_columns
+        rows = 2 * CSV_CHUNK_ROWS + 1
+        x = columns[2][:rows].tolist()
+        x[at] = None
+        want = (f"{at},{at // 3},,{str(at % 5 == 0)}\n".encode(),
+                json.dumps(dict(zip(PAIRED_KEYS, (at, at // 3, None, at % 5 == 0))),
+                           sort_keys=True).encode() + b"\n")
+        csv_lines, json_lines = csv_lines[:rows], json_lines[:rows]
+        csv_lines[at], json_lines[at] = want
+        self.write_both(tmp_path, [columns[0][:rows], columns[1][:rows], x, columns[3][:rows]],
+                        csv_lines, json_lines)
+
+    def test_one_chunk_and_int_writes_start_no_thread(self, tmp_path, monkeypatch,
+                                                       paired_columns):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", refuse)
+        columns, csv_lines, json_lines = paired_columns
+        for rows in (0, 1, cli._WRITER_ROWS - 1, cli._WRITER_ROWS, CSV_CHUNK_ROWS):
+            self.write_both(tmp_path, [c[:rows] for c in columns], csv_lines, json_lines)
+        # int and bool columns of any length are formatted on this thread
+        n, count, _, hit = columns
+        write_csv(str(tmp_path / "ints.csv"), ["n", "count", "hit"], [n, count, hit])
+        want = csv_writer_bytes(["n", "count", "hit"],
+                                zip(n.tolist(), count.tolist(), hit.tolist()))
+        assert (tmp_path / "ints.csv").read_text() == want
+        # every output of the README's example runs is one chunk: the
+        # criterion tables, eq33.csv, candidate.csv, the event log, hits.csv
+        test_readme_configs_run(tmp_path)
+
+    @pytest.mark.parametrize("error", [LookupError, ChunkHalt])
+    @pytest.mark.parametrize("chunk", [0, 1], ids=["this thread", "worker"])
+    @pytest.mark.parametrize("name", ["t.csv", "t.jsonl"])
+    def test_a_chunk_error_reaches_the_caller(self, tmp_path, monkeypatch, paired_columns,
+                                              error, chunk, name):
+        # raised on either side of a pair, an Exception or a BaseException
+        # reaches the caller as itself, after the worker is joined: no output
+        # and no temporary file are left, and no thread
+        columns = [c[: 2 * CSV_CHUNK_ROWS + 1] for c in paired_columns[0]]
+        chunk_bytes, ran_on = cli._chunk_bytes, []
+        at = 0 if name.endswith(".csv") else sorted(PAIRED_KEYS).index("n")  # JSON sorts keys
+
+        def failing(chunk_columns, *args):
+            if chunk_columns[at][0] == chunk * CSV_CHUNK_ROWS:
+                ran_on.append(threading.current_thread())
+                raise error("chunk failed")
+            return chunk_bytes(chunk_columns, *args)
+
+        monkeypatch.setattr(cli, "_chunk_bytes", failing)
+        write = write_csv if name.endswith(".csv") else write_jsonl
+        out = tmp_path / "out"
+        threads = threading.active_count()
+        with pytest.raises(error, match="chunk failed"):
+            write(str(out / name), list(PAIRED_KEYS), columns)
+        assert (ran_on[0] is threading.main_thread()) == (chunk == 0)
+        assert os.listdir(out) == []
+        assert threading.active_count() == threads
+
+    def test_no_scenario_leaves_a_thread(self, tmp_path):
+        # the 10^5-row density profile is written in pairs of chunks and
+        # the 77,420 rows of ints of jsets.csv in turn; the other scenarios
+        # write one chunk
+        configs = [
+            {"scenario": "density", "times": list(range(1, 10**5 + 1, 3)), "horizon": 10**5},
+            {"scenario": "jsets", "nseq": [1, 2, 3, 4, 5], "horizon": 300000},
+            {"scenario": "criterion", "weights": {"family": "Bergman"}, "q": 2},
+            {"scenario": "construct", "weights": {"family": "Constant", "value": 2}, "k": 3,
+             "horizon": 10**4},
+            dict(ORBIT, scenario="orbit", target=dict(BALL, radius=0.9), horizon=10**4),
+            dict(ORBIT, scenario="weakstar", center={"basis": 1}, horizon=10**4),
+            {"scenario": "sweep", "grid": [{"family": "Bergman"}], "q_values": [1, 2]},
+        ]
+        threads = threading.active_count()
+        for cfg in configs:
+            name = cfg["scenario"]
+            assert run([name, "--config", write_config(tmp_path, f"{name}.json", cfg),
+                        "--out", tmp_path / name]) in (0, 2), name
+            assert threading.active_count() == threads, name
+        profile = (tmp_path / "density" / "density_profile.csv").read_text().count("\n")
+        jsets = (tmp_path / "jsets" / "jsets.csv").read_text().count("\n")
+        assert profile > 3 * CSV_CHUNK_ROWS and jsets > 2 * CSV_CHUNK_ROWS
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
